@@ -3,13 +3,13 @@
 
 use twoknn_bench::micro::BenchGroup;
 use twoknn_bench::workloads;
-use twoknn_core::select_join::{
-    block_marking, block_marking_with_config, counting, BlockMarkingConfig, SelectInnerJoinQuery,
-};
+use twoknn_core::select_join::{block_marking, counting, BlockMarkingConfig, SelectInnerJoinQuery};
+use twoknn_core::ExecutionMode;
 
 fn main() {
     let inner = workloads::berlin_relation(8_000, 181);
     let query = SelectInnerJoinQuery::new(8, 8, workloads::focal_point());
+    let config = BlockMarkingConfig::default();
     let no_contour = BlockMarkingConfig {
         contour_pruning: false,
     };
@@ -17,13 +17,13 @@ fn main() {
     for n in [8_000usize, 16_000] {
         let outer = workloads::berlin_relation(n, 900 + n as u64);
         group.bench(&format!("counting/{n}"), || {
-            counting(&outer, &inner, &query)
+            counting(&outer, &inner, &query, ExecutionMode::Serial)
         });
         group.bench(&format!("block_marking_no_contour/{n}"), || {
-            block_marking_with_config(&outer, &inner, &query, &no_contour)
+            block_marking(&outer, &inner, &query, &no_contour, ExecutionMode::Serial)
         });
         group.bench(&format!("block_marking_contour/{n}"), || {
-            block_marking(&outer, &inner, &query)
+            block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial)
         });
     }
 }

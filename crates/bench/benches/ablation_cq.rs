@@ -18,7 +18,7 @@
 //! guarded maintainer's per-batch latency must scale with the handful of
 //! affected subscriptions, not with the registered population.
 //!
-//! Usage: `cargo bench -p twoknn-bench --features parallel --bench
+//! Usage: `cargo bench -p twoknn-bench --bench
 //! ablation_cq -- [--points N] [--threads N] [--smoke]`
 
 use twoknn_bench::micro::BenchGroup;
@@ -100,12 +100,7 @@ fn main() {
     let sub_counts: &[usize] = if smoke { &[50, 200] } else { &[100, 1_000] };
     println!(
         "ablation_cq: {points} points, {burst}-op localized bursts, subscriptions sweep \
-         {sub_counts:?}, {threads}-thread pool (parallel feature {})",
-        if cfg!(feature = "parallel") {
-            "ON"
-        } else {
-            "OFF — maintenance jobs run inline"
-        },
+         {sub_counts:?}, {threads}-thread pool",
     );
 
     for &num_subs in sub_counts {

@@ -22,7 +22,7 @@
 //!    number, since both configs index identical data), the quantity the
 //!    single-block overlay erodes as the burst grows.
 //!
-//! Usage: `cargo bench -p twoknn-bench --features parallel --bench
+//! Usage: `cargo bench -p twoknn-bench --bench
 //! ablation_ingest -- [--points N] [--queries N] [--threads N] [--smoke]`
 
 use std::sync::Arc;
@@ -125,12 +125,7 @@ fn main() {
     let burst = 2_000u64.min(points as u64 / 4);
     println!(
         "ablation_ingest: {points} points, {queries} batch queries, {burst}-op ingest bursts, \
-         {threads}-thread pool (parallel feature {})",
-        if cfg!(feature = "parallel") {
-            "ON"
-        } else {
-            "OFF — batches run serially"
-        },
+         {threads}-thread pool",
     );
     let specs = query_batch(queries);
 

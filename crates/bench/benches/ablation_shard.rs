@@ -19,7 +19,7 @@
 //!    quiescent baseline for both layouts; `--smoke` asserts the sharded
 //!    rebuild work is strictly below the single-shard rebuild work.
 //!
-//! Usage: `cargo bench -p twoknn-bench --features parallel --bench
+//! Usage: `cargo bench -p twoknn-bench --bench
 //! ablation_shard -- [--points N] [--queries N] [--threads N] [--smoke]`
 
 use std::sync::Arc;
@@ -143,12 +143,7 @@ fn main() {
     let burst = 2_000u64.min(points as u64 / 4);
     println!(
         "ablation_shard: {points} points, {queries} batch queries, {burst}-op bursts, \
-         {threads}-thread pool (parallel feature {})",
-        if cfg!(feature = "parallel") {
-            "ON"
-        } else {
-            "OFF — batches run serially"
-        },
+         {threads}-thread pool",
     );
 
     // 1. Scatter-gather pruning on a clustered kNN workload.

@@ -16,7 +16,7 @@
 //!    relation sizes. `--smoke` asserts recovery reproduces the crashed
 //!    instance's exact visible point count.
 //!
-//! Usage: `cargo bench -p twoknn-bench --features parallel --bench
+//! Usage: `cargo bench -p twoknn-bench --bench
 //! ablation_wal -- [--points N] [--batches N] [--threads N] [--smoke]`
 
 use std::path::PathBuf;
@@ -99,12 +99,7 @@ fn main() {
     let batch_ops = 64u64;
     println!(
         "ablation_wal: {points} points, {batches} batches × {batch_ops} move ops per sample, \
-         {threads}-thread pool (parallel feature {})",
-        if cfg!(feature = "parallel") {
-            "ON"
-        } else {
-            "OFF"
-        },
+         {threads}-thread pool",
     );
 
     // 1. Ingest overhead per durability mode.

@@ -3,19 +3,21 @@
 
 use twoknn_bench::micro::BenchGroup;
 use twoknn_bench::workloads;
-use twoknn_core::select_join::{block_marking, counting, SelectInnerJoinQuery};
+use twoknn_core::select_join::{block_marking, counting, BlockMarkingConfig, SelectInnerJoinQuery};
+use twoknn_core::ExecutionMode;
 
 fn main() {
     let inner = workloads::berlin_relation(8_000, 111);
     let query = SelectInnerJoinQuery::new(8, 8, workloads::focal_point());
+    let config = BlockMarkingConfig::default();
     let mut group = BenchGroup::new("fig20_low_density_outer").sample_size(10);
     for n in [500usize, 2_000] {
         let outer = workloads::berlin_relation(n, 300 + n as u64);
         group.bench(&format!("counting/{n}"), || {
-            counting(&outer, &inner, &query)
+            counting(&outer, &inner, &query, ExecutionMode::Serial)
         });
         group.bench(&format!("block_marking/{n}"), || {
-            block_marking(&outer, &inner, &query)
+            block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial)
         });
     }
 }

@@ -4,6 +4,7 @@
 use twoknn_bench::micro::BenchGroup;
 use twoknn_bench::workloads;
 use twoknn_core::joins2::{chained_nested, chained_nested_cached, ChainedJoinQuery};
+use twoknn_core::ExecutionMode;
 
 fn main() {
     let b = workloads::berlin_relation(4_000, 141);
@@ -13,10 +14,10 @@ fn main() {
     for n in [2_000usize, 8_000] {
         let a = workloads::berlin_relation(n, 700 + n as u64);
         group.bench(&format!("nested_join/{n}"), || {
-            chained_nested(&a, &b, &c_rel, &query)
+            chained_nested(&a, &b, &c_rel, &query, ExecutionMode::Serial)
         });
         group.bench(&format!("nested_join_cached/{n}"), || {
-            chained_nested_cached(&a, &b, &c_rel, &query)
+            chained_nested_cached(&a, &b, &c_rel, &query, ExecutionMode::Serial)
         });
     }
 }

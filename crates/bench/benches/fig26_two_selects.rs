@@ -4,6 +4,7 @@
 use twoknn_bench::micro::BenchGroup;
 use twoknn_bench::workloads;
 use twoknn_core::selects2::{two_knn_select, two_selects_conceptual, TwoSelectsQuery};
+use twoknn_core::ExecutionMode;
 
 fn main() {
     let relation = workloads::berlin_relation(32_000, 161);
@@ -13,7 +14,7 @@ fn main() {
         let k2 = 10usize << ratio_log2;
         let query = TwoSelectsQuery::new(10, f1, k2, f2);
         group.bench(&format!("conceptual/k2_ratio_2^{ratio_log2}"), || {
-            two_selects_conceptual(&relation, &query)
+            two_selects_conceptual(&relation, &query, ExecutionMode::Serial)
         });
         group.bench(&format!("two_knn_select/k2_ratio_2^{ratio_log2}"), || {
             two_knn_select(&relation, &query)

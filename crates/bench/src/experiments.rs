@@ -4,14 +4,13 @@
 //! cardinalities, and returns a [`Report`] whose rendered table has the same
 //! shape as the paper's plot (same x-axis, same series).
 
-use twoknn_core::exec::{available_threads, ExecutionMode};
+use twoknn_core::exec::ExecutionMode;
 use twoknn_core::joins2::{
     chained_join_intersection, chained_nested, chained_nested_cached, unchained_block_marking,
-    unchained_block_marking_with_mode, unchained_conceptual, ChainedJoinQuery, UnchainedJoinQuery,
+    unchained_conceptual, ChainedJoinQuery, UnchainedJoinQuery,
 };
 use twoknn_core::select_join::{
-    block_marking, block_marking_with_config, block_marking_with_mode, conceptual, counting,
-    BlockMarkingConfig, SelectInnerJoinQuery,
+    block_marking, conceptual, counting, BlockMarkingConfig, SelectInnerJoinQuery,
 };
 use twoknn_core::selects2::{two_knn_select, two_selects_conceptual, TwoSelectsQuery};
 use twoknn_core::QueryOutput;
@@ -48,11 +47,13 @@ pub fn fig19(scale: Scale) -> Report {
     );
     let inner = workloads::berlin_relation(workloads::fig19_inner_size(scale), 101);
     let query = SelectInnerJoinQuery::new(SELECT_JOIN_K, SELECT_JOIN_K, workloads::focal_point());
+    let config = BlockMarkingConfig::default();
     for (i, n) in workloads::fig19_outer_sizes(scale).into_iter().enumerate() {
         let outer = workloads::berlin_relation(n, 200 + i as u64);
         let x = n.to_string();
-        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query));
-        let (t_fast, fast) = time_ms(|| block_marking(&outer, &inner, &query));
+        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query, ExecutionMode::Serial));
+        let (t_fast, fast) =
+            time_ms(|| block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial));
         assert_same_rows(&slow, &fast, "fig19");
         record(&mut report, &x, "conceptual", t_slow, &slow);
         record(&mut report, &x, "block-marking", t_fast, &fast);
@@ -91,11 +92,13 @@ fn counting_vs_block_marking(
     let mut report = Report::new(id, description, "outer size");
     let inner = workloads::berlin_relation(inner_size, 111);
     let query = SelectInnerJoinQuery::new(SELECT_JOIN_K, SELECT_JOIN_K, workloads::focal_point());
+    let config = BlockMarkingConfig::default();
     for (i, n) in outer_sizes.into_iter().enumerate() {
         let outer = workloads::berlin_relation(n, 300 + i as u64);
         let x = n.to_string();
-        let (t_counting, c) = time_ms(|| counting(&outer, &inner, &query));
-        let (t_marking, m) = time_ms(|| block_marking(&outer, &inner, &query));
+        let (t_counting, c) = time_ms(|| counting(&outer, &inner, &query, ExecutionMode::Serial));
+        let (t_marking, m) =
+            time_ms(|| block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial));
         assert_same_rows(&c, &m, id);
         record(&mut report, &x, "counting", t_counting, &c);
         record(&mut report, &x, "block-marking", t_marking, &m);
@@ -120,8 +123,10 @@ pub fn fig22(scale: Scale) -> Report {
     for (i, n) in workloads::fig22_c_sizes(scale).into_iter().enumerate() {
         let c = workloads::berlin_relation(n, 400 + i as u64);
         let x = n.to_string();
-        let (t_slow, slow) = time_ms(|| unchained_conceptual(&a, &b, &c, &query));
-        let (t_fast, fast) = time_ms(|| unchained_block_marking(&a, &b, &c, &query));
+        let (t_slow, slow) =
+            time_ms(|| unchained_conceptual(&a, &b, &c, &query, ExecutionMode::Serial));
+        let (t_fast, fast) =
+            time_ms(|| unchained_block_marking(&a, &b, &c, &query, ExecutionMode::Serial));
         assert_same_rows(&slow, &fast, "fig22");
         record(&mut report, &x, "conceptual", t_slow, &slow);
         record(&mut report, &x, "block-marking", t_fast, &fast);
@@ -148,10 +153,12 @@ pub fn fig23(scale: Scale) -> Report {
         let a = workloads::clustered_relation_sized(FIG23_BASE_CLUSTERS + d, 4_000, 601);
         let x = d.to_string();
         // Start with (A ⋈ B): prune C's blocks.
-        let (t_start_a, start_a) = time_ms(|| unchained_block_marking(&a, &b, &c, &query));
+        let (t_start_a, start_a) =
+            time_ms(|| unchained_block_marking(&a, &b, &c, &query, ExecutionMode::Serial));
         // Start with (C ⋈ B): prune A's blocks (the recommended order, since
         // C has fewer clusters and therefore smaller coverage).
-        let (t_start_c, start_c) = time_ms(|| unchained_block_marking(&c, &b, &a, &query));
+        let (t_start_c, start_c) =
+            time_ms(|| unchained_block_marking(&c, &b, &a, &query, ExecutionMode::Serial));
         assert_eq!(
             start_a.len(),
             start_c.len(),
@@ -179,8 +186,10 @@ pub fn fig24(scale: Scale) -> Report {
     for (i, n) in workloads::fig24_a_sizes(scale).into_iter().enumerate() {
         let a = workloads::berlin_relation(n, 700 + i as u64);
         let x = n.to_string();
-        let (t_uncached, uncached) = time_ms(|| chained_nested(&a, &b, &c, &query));
-        let (t_cached, cached) = time_ms(|| chained_nested_cached(&a, &b, &c, &query));
+        let (t_uncached, uncached) =
+            time_ms(|| chained_nested(&a, &b, &c, &query, ExecutionMode::Serial));
+        let (t_cached, cached) =
+            time_ms(|| chained_nested_cached(&a, &b, &c, &query, ExecutionMode::Serial));
         assert_same_rows(&uncached, &cached, "fig24");
         record(&mut report, &x, "nested-join", t_uncached, &uncached);
         record(&mut report, &x, "nested-join-cached", t_cached, &cached);
@@ -205,8 +214,10 @@ pub fn fig25(scale: Scale) -> Report {
     for n_clusters in workloads::fig25_b_clusters(scale) {
         let b = workloads::clustered_relation_sized(n_clusters, 4_000, 800 + n_clusters as u64);
         let x = n_clusters.to_string();
-        let (t_slow, slow) = time_ms(|| chained_join_intersection(&a, &b, &c, &query));
-        let (t_fast, fast) = time_ms(|| chained_nested_cached(&a, &b, &c, &query));
+        let (t_slow, slow) =
+            time_ms(|| chained_join_intersection(&a, &b, &c, &query, ExecutionMode::Serial));
+        let (t_fast, fast) =
+            time_ms(|| chained_nested_cached(&a, &b, &c, &query, ExecutionMode::Serial));
         assert_same_rows(&slow, &fast, "fig25");
         record(&mut report, &x, "join-intersection", t_slow, &slow);
         record(&mut report, &x, "nested-join-cached", t_fast, &fast);
@@ -231,9 +242,9 @@ pub fn fig26(scale: Scale) -> Report {
         let x = ratio_log2.to_string();
         // Individual runs are sub-millisecond; repeat and average.
         let (t_slow_total, slow) = time_ms(|| {
-            let mut last = two_selects_conceptual(&relation, &query);
+            let mut last = two_selects_conceptual(&relation, &query, ExecutionMode::Serial);
             for _ in 1..reps {
-                last = two_selects_conceptual(&relation, &query);
+                last = two_selects_conceptual(&relation, &query, ExecutionMode::Serial);
             }
             last
         });
@@ -283,13 +294,15 @@ pub fn ablation_index(scale: Scale) -> Report {
     let inner_pts =
         twoknn_datagen::berlinmod(&twoknn_datagen::BerlinModConfig::with_points(n_inner, 172));
     let query = SelectInnerJoinQuery::new(SELECT_JOIN_K, SELECT_JOIN_K, workloads::focal_point());
+    let config = BlockMarkingConfig::default();
 
     // Grid.
     {
         let outer = workloads::berlin_relation(n_outer, 171);
         let inner = workloads::berlin_relation(n_inner, 172);
-        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query));
-        let (t_fast, fast) = time_ms(|| block_marking(&outer, &inner, &query));
+        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query, ExecutionMode::Serial));
+        let (t_fast, fast) =
+            time_ms(|| block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial));
         assert_same_rows(&slow, &fast, "ablation_index/grid");
         record(&mut report, "grid", "conceptual", t_slow, &slow);
         record(&mut report, "grid", "block-marking", t_fast, &fast);
@@ -298,8 +311,9 @@ pub fn ablation_index(scale: Scale) -> Report {
     {
         let outer = QuadtreeIndex::build(outer_pts.clone(), 128).expect("non-empty");
         let inner = QuadtreeIndex::build(inner_pts.clone(), 128).expect("non-empty");
-        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query));
-        let (t_fast, fast) = time_ms(|| block_marking(&outer, &inner, &query));
+        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query, ExecutionMode::Serial));
+        let (t_fast, fast) =
+            time_ms(|| block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial));
         assert_same_rows(&slow, &fast, "ablation_index/quadtree");
         record(&mut report, "quadtree", "conceptual", t_slow, &slow);
         record(&mut report, "quadtree", "block-marking", t_fast, &fast);
@@ -313,8 +327,9 @@ pub fn ablation_index(scale: Scale) -> Report {
         let cfg = BlockMarkingConfig {
             contour_pruning: false,
         };
-        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query));
-        let (t_fast, fast) = time_ms(|| block_marking_with_config(&outer, &inner, &query, &cfg));
+        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query, ExecutionMode::Serial));
+        let (t_fast, fast) =
+            time_ms(|| block_marking(&outer, &inner, &query, &cfg, ExecutionMode::Serial));
         assert_same_rows(&slow, &fast, "ablation_index/rtree");
         record(&mut report, "str-rtree", "conceptual", t_slow, &slow);
         record(&mut report, "str-rtree", "block-marking", t_fast, &fast);
@@ -332,6 +347,7 @@ pub fn ablation_block_marking(scale: Scale) -> Report {
     );
     let inner = workloads::berlin_relation(workloads::fig19_inner_size(scale) / 2, 181);
     let query = SelectInnerJoinQuery::new(SELECT_JOIN_K, SELECT_JOIN_K, workloads::focal_point());
+    let config = BlockMarkingConfig::default();
     let sizes = match scale {
         Scale::Smoke => vec![2_000, 4_000],
         Scale::Quick => vec![16_000, 32_000, 64_000],
@@ -340,18 +356,21 @@ pub fn ablation_block_marking(scale: Scale) -> Report {
     for (i, n) in sizes.into_iter().enumerate() {
         let outer = workloads::berlin_relation(n, 900 + i as u64);
         let x = n.to_string();
-        let (t_contour, with_contour) = time_ms(|| block_marking(&outer, &inner, &query));
+        let (t_contour, with_contour) =
+            time_ms(|| block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial));
         let (t_plain, without_contour) = time_ms(|| {
-            block_marking_with_config(
+            block_marking(
                 &outer,
                 &inner,
                 &query,
                 &BlockMarkingConfig {
                     contour_pruning: false,
                 },
+                ExecutionMode::Serial,
             )
         });
-        let (t_counting, count_out) = time_ms(|| counting(&outer, &inner, &query));
+        let (t_counting, count_out) =
+            time_ms(|| counting(&outer, &inner, &query, ExecutionMode::Serial));
         assert_same_rows(&with_contour, &without_contour, "ablation_block_marking");
         assert_same_rows(&with_contour, &count_out, "ablation_block_marking");
         record(&mut report, &x, "counting", t_counting, &count_out);
@@ -373,59 +392,6 @@ pub fn ablation_block_marking(scale: Scale) -> Report {
     report
 }
 
-/// Ablation A3: serial vs multi-core execution of the hot paths
-/// (Block-Marking and the unchained two-join Block-Marking). With the
-/// `parallel` feature disabled the parallel mode falls back to serial and
-/// both series coincide; with it enabled the speedup tracks the core count.
-pub fn ablation_parallel(scale: Scale) -> Report {
-    let threads = available_threads();
-    let mut report = Report::new(
-        "ablation_parallel",
-        &format!("serial vs parallel execution ({threads} worker threads)"),
-        "workload",
-    );
-    let parallel = ExecutionMode::Parallel { threads };
-    let n_outer = match scale {
-        Scale::Smoke => 2_000,
-        Scale::Quick => 100_000,
-        Scale::Paper => 320_000,
-    };
-
-    // Block-Marking on a large outer relation.
-    {
-        let outer = workloads::berlin_relation(n_outer, 191);
-        let inner = workloads::berlin_relation(n_outer / 4, 192);
-        let query =
-            SelectInnerJoinQuery::new(SELECT_JOIN_K, SELECT_JOIN_K, workloads::focal_point());
-        let cfg = BlockMarkingConfig::default();
-        let (t_serial, serial) = time_ms(|| {
-            block_marking_with_mode(&outer, &inner, &query, &cfg, ExecutionMode::Serial)
-        });
-        let (t_par, par) =
-            time_ms(|| block_marking_with_mode(&outer, &inner, &query, &cfg, parallel));
-        assert_same_rows(&serial, &par, "ablation_parallel/block_marking");
-        record(&mut report, "block-marking", "serial", t_serial, &serial);
-        record(&mut report, "block-marking", "parallel", t_par, &par);
-    }
-
-    // Unchained two-join Block-Marking.
-    {
-        let a = workloads::clustered_relation_sized(4, n_outer / 25, 193);
-        let b = workloads::berlin_relation(n_outer / 2, 194);
-        let c = workloads::berlin_relation(n_outer, 195);
-        let query = UnchainedJoinQuery::new(TWO_JOINS_K, TWO_JOINS_K);
-        let (t_serial, serial) = time_ms(|| {
-            unchained_block_marking_with_mode(&a, &b, &c, &query, ExecutionMode::Serial)
-        });
-        let (t_par, par) =
-            time_ms(|| unchained_block_marking_with_mode(&a, &b, &c, &query, parallel));
-        assert_same_rows(&serial, &par, "ablation_parallel/unchained");
-        record(&mut report, "unchained-joins", "serial", t_serial, &serial);
-        record(&mut report, "unchained-joins", "parallel", t_par, &par);
-    }
-    report
-}
-
 /// All experiment ids, in the order they appear in the paper.
 pub const ALL_IDS: &[&str] = &[
     "fig19",
@@ -438,7 +404,6 @@ pub const ALL_IDS: &[&str] = &[
     "fig26",
     "ablation_index",
     "ablation_block_marking",
-    "ablation_parallel",
 ];
 
 /// Runs one experiment by id.
@@ -454,7 +419,6 @@ pub fn run(id: &str, scale: Scale) -> Option<Report> {
         "fig26" => fig26(scale),
         "ablation_index" => ablation_index(scale),
         "ablation_block_marking" => ablation_block_marking(scale),
-        "ablation_parallel" => ablation_parallel(scale),
         _ => return None,
     })
 }
@@ -486,7 +450,6 @@ mod tests {
                         | "fig26"
                         | "ablation_index"
                         | "ablation_block_marking"
-                        | "ablation_parallel"
                 ),
                 "unknown id {id}"
             );

@@ -1,48 +1,39 @@
-//! Execution modes and the multi-core work-partitioning substrate.
+//! Execution modes and the work-partitioning substrate — the one place that
+//! knows how an operator's independent work items are spread over threads.
 //!
 //! Every hot-path algorithm in this crate is written as a loop over
 //! independent work items (outer blocks, contributing blocks, query specs).
 //! [`run_partitioned`] abstracts that loop behind an [`ExecutionMode`]:
 //!
 //! * [`ExecutionMode::Serial`] — a plain iteration on the calling thread;
-//! * [`ExecutionMode::Pooled`] — the default parallel mode: items are
-//!   distributed over the persistent, lazily-initialized [`WorkerPool`]
-//!   shared by the whole process. Batch-level tasks
+//! * [`ExecutionMode::Pooled`] — items are distributed over the current
+//!   persistent [`WorkerPool`]. Batch-level tasks
 //!   ([`Database::execute_batch`](crate::plan::Database::execute_batch)) and
 //!   the operator-level block tasks they spawn go through the **same
-//!   queue**, so the thread budget is one global number and nested
-//!   parallelism never oversubscribes the machine;
-//! * [`ExecutionMode::Parallel`] — the legacy spawn-per-phase mode: a fresh
-//!   scoped-thread team per call. Kept for explicit thread-count control and
-//!   as the baseline the `ablation_pool` bench compares the pool against.
+//!   queue**, so the thread budget is one number owned by one pool
+//!   (`TWOKNN_THREADS` for the global pool) and nested parallelism never
+//!   oversubscribes the machine. A pool of one runs inline.
 //!
 //! # Scheduling and the determinism guarantee
 //!
-//! Parallel runs (pooled or scoped) use dynamic scheduling: team members
-//! pull the next item index from a shared atomic cursor, so one expensive
-//! item cannot serialize the run the way fixed chunking would. Each member
-//! accumulates rows tagged with their item index and its own private
-//! [`Metrics`]; the driver then sorts the tagged outputs back into item
-//! order and merges the per-member counters. **Every mode produces
-//! byte-for-byte the same rows in the same order** — the execution mode is
-//! a performance knob, never a semantics knob — and, for algorithms whose
-//! per-item work is schedule-independent, the merged counters equal the
-//! serial run's too. The one exception is the cached chained join, whose
-//! per-chunk caches legitimately change the hit pattern (and hence
-//! `neighborhoods_computed`) under parallel partitioning.
+//! Pooled runs use dynamic scheduling: team members pull the next item index
+//! from a shared atomic cursor, so one expensive item cannot serialize the
+//! run the way fixed chunking would. Each member accumulates rows tagged
+//! with their item index and its own private [`Metrics`]; the driver then
+//! sorts the tagged outputs back into item order and merges the per-member
+//! counters. **Both modes produce byte-for-byte the same rows in the same
+//! order** — the execution mode is a performance knob, never a semantics
+//! knob — and, for algorithms whose per-item work is schedule-independent,
+//! the merged counters equal the serial run's too. The one exception is the
+//! cached chained join, whose per-chunk caches legitimately change the hit
+//! pattern (and hence `neighborhoods_computed`) under pooled partitioning.
 //! `tests/physical_plan_equivalence.rs` enforces row equality across all
 //! query shapes, strategies and index types, and metrics equality for
 //! everything but that cached join.
 //!
-//! Single-item and single-thread inputs short-circuit to the plain serial
-//! loop before any pool submission or thread spawn, so trivial phases pay
-//! no synchronization cost.
-//!
-//! Real threading is engaged by the mode-driven entry points only with the
-//! `parallel` cargo feature; the APIs are identical without it (everything
-//! degrades to serial), so callers never need `cfg` gates. The worker pool
-//! itself is plain `std` and always compiled — explicit-pool entry points
-//! like [`run_partitioned_on`] are feature-independent.
+//! Single-item inputs and pools of one short-circuit to the plain serial
+//! loop before any pool submission, so trivial phases pay no
+//! synchronization cost.
 
 pub mod pool;
 
@@ -55,70 +46,27 @@ use twoknn_index::Metrics;
 pub enum ExecutionMode {
     /// Single-threaded execution.
     Serial,
-    /// Multi-core execution over the shared persistent [`WorkerPool`]
-    /// (the pool of the current worker thread when already running inside a
-    /// pool job, the global pool otherwise). Falls back to serial when the
-    /// `parallel` feature is off.
+    /// Multi-core execution over the current persistent [`WorkerPool`] (the
+    /// pool the calling thread is bound to — a worker's own pool, or one
+    /// entered through [`WorkerPool::bind`] — and the global pool otherwise).
     Pooled,
-    /// Multi-core execution over `threads` freshly spawned scoped worker
-    /// threads (clamped to at least 1) — one team per call. Prefer
-    /// [`ExecutionMode::Pooled`]; this mode remains for explicit
-    /// thread-count control and as the spawn-per-phase ablation baseline.
-    /// Falls back to serial when the `parallel` feature is off.
-    Parallel {
-        /// Number of worker threads to use.
-        threads: usize,
-    },
 }
 
 impl ExecutionMode {
-    /// Parallel execution over all available cores with a scoped thread team
-    /// per call (the spawn-per-phase baseline; prefer
-    /// [`ExecutionMode::pooled`]).
-    pub fn parallel() -> Self {
-        ExecutionMode::Parallel {
-            threads: available_threads(),
-        }
-    }
-
-    /// Execution on the shared persistent worker pool.
-    pub fn pooled() -> Self {
-        ExecutionMode::Pooled
-    }
-
-    /// The mode the [`crate::plan::Database`] driver uses when none is given:
-    /// the shared worker pool when the `parallel` feature is enabled, serial
-    /// otherwise.
+    /// The mode the [`crate::plan::Database`] driver uses for single
+    /// queries: serial. (`execute_batch` spreads whole queries over the
+    /// pool instead.)
     pub fn default_mode() -> Self {
-        if cfg!(feature = "parallel") {
-            ExecutionMode::Pooled
-        } else {
-            ExecutionMode::Serial
-        }
+        ExecutionMode::Serial
     }
 
-    /// The number of worker threads this mode will actually use.
-    ///
-    /// Always 1 for [`ExecutionMode::Serial`], and 1 for any mode when the
-    /// `parallel` feature is disabled. For [`ExecutionMode::Pooled`] this is
-    /// the parallelism of the pool the current thread submits to.
+    /// The number of threads this mode will use: 1 for
+    /// [`ExecutionMode::Serial`], the parallelism of the pool the current
+    /// thread submits to for [`ExecutionMode::Pooled`].
     pub fn effective_threads(&self) -> usize {
         match self {
             ExecutionMode::Serial => 1,
-            ExecutionMode::Pooled => {
-                if cfg!(feature = "parallel") {
-                    WorkerPool::current().parallelism()
-                } else {
-                    1
-                }
-            }
-            ExecutionMode::Parallel { threads } => {
-                if cfg!(feature = "parallel") {
-                    (*threads).max(1)
-                } else {
-                    1
-                }
-            }
+            ExecutionMode::Pooled => WorkerPool::current().parallelism(),
         }
     }
 }
@@ -149,17 +97,13 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `work` once per item, serially or across threads per `mode`.
+/// Runs `work` once per item, serially or over the current pool per `mode`.
 ///
 /// `work` receives the item, an output vector to push result rows into, and a
 /// metrics accumulator. Outputs are concatenated **in item order** regardless
 /// of the schedule, and every worker's metrics are merged into `metrics`, so
-/// serial and parallel runs report identical rows and identical work
-/// counters (for algorithms whose per-item work is schedule-independent).
-///
-/// Inputs with a single item, or modes with a single effective thread, run
-/// the plain serial loop directly — no pool submission, no thread spawn, no
-/// tag-and-sort reassembly.
+/// serial and pooled runs report identical rows and identical work counters
+/// (for algorithms whose per-item work is schedule-independent).
 pub fn run_partitioned<T, R, F>(
     items: &[T],
     mode: ExecutionMode,
@@ -171,25 +115,19 @@ where
     R: Send,
     F: Fn(&T, &mut Vec<R>, &mut Metrics) + Sync,
 {
-    let threads = mode.effective_threads().min(items.len());
-    if threads <= 1 {
-        return run_serial(items, metrics, &work);
-    }
     match mode {
-        ExecutionMode::Serial => unreachable!("serial mode short-circuits above"),
-        ExecutionMode::Pooled => run_pooled(items, &WorkerPool::current(), threads, metrics, &work),
-        ExecutionMode::Parallel { .. } => run_threaded(items, threads, metrics, &work),
+        ExecutionMode::Serial => run_serial(items, metrics, &work),
+        ExecutionMode::Pooled => run_partitioned_on(items, &WorkerPool::current(), metrics, work),
     }
 }
 
 /// Runs `work` once per item, partitioned over an **explicit** worker pool
-/// (the pool's full parallelism, clamped by the item count).
-///
-/// This is the feature-independent entry point behind
-/// [`Database::execute_batch`](crate::plan::Database::execute_batch) and the
-/// pool test-suite; mode-driven callers should use [`run_partitioned`] with
-/// [`ExecutionMode::Pooled`]. Ordering and metrics-merge semantics are
-/// identical to [`run_partitioned`].
+/// (the pool's full parallelism, clamped by the item count) — what
+/// [`ExecutionMode::Pooled`] does on the current pool, and the entry point
+/// behind [`Database::execute_batch`](crate::plan::Database::execute_batch).
+/// Ordering and metrics-merge semantics are identical to
+/// [`run_partitioned`]. A single item, or a pool of one, runs the plain
+/// serial loop — no pool submission, no tag-and-sort reassembly.
 pub fn run_partitioned_on<T, R, F>(
     items: &[T],
     pool: &WorkerPool,
@@ -232,7 +170,7 @@ where
 /// order-restoring sort.
 type TaggedRows<R> = Vec<(usize, Vec<R>)>;
 
-/// The single-threaded fallback every entry point short-circuits to.
+/// The single-threaded loop every entry point short-circuits to.
 fn run_serial<T, R, F>(items: &[T], metrics: &mut Metrics, work: &F) -> Vec<R>
 where
     F: Fn(&T, &mut Vec<R>, &mut Metrics),
@@ -247,8 +185,7 @@ where
 /// Dynamic-scheduled partitioned run on a persistent [`WorkerPool`]:
 /// `threads − 1` copies of the cursor-pulling task are broadcast to the pool
 /// and the calling thread joins as the final team member. Per-member tagged
-/// outputs are reassembled in item order and per-member metrics merged — the
-/// exact semantics of [`run_threaded`] without the per-call thread spawn.
+/// outputs are reassembled in item order and per-member metrics merged.
 fn run_pooled<T, R, F>(
     items: &[T],
     pool: &WorkerPool,
@@ -298,93 +235,9 @@ where
     out
 }
 
-/// The spawn-per-phase baseline: a fresh scoped-thread team for this call,
-/// with the same dynamic scheduling and order-restoring reassembly as
-/// [`run_pooled`].
-#[cfg(feature = "parallel")]
-fn run_threaded<T, R, F>(items: &[T], threads: usize, metrics: &mut Metrics, work: &F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, &mut Vec<R>, &mut Metrics) + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    // Dynamic scheduling: workers pull the next item index from a shared
-    // counter, so a single expensive item (e.g. one dense block) cannot
-    // serialize the run the way fixed chunking would.
-    let cursor = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, Vec<R>)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            handles.push(scope.spawn(|| {
-                let mut local_metrics = Metrics::default();
-                let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let mut out = Vec::new();
-                    work(&items[i], &mut out, &mut local_metrics);
-                    local.push((i, out));
-                }
-                (local, local_metrics)
-            }));
-        }
-        for handle in handles {
-            let (local, local_metrics) = handle.join().expect("worker thread panicked");
-            metrics.merge(&local_metrics);
-            tagged.extend(local);
-        }
-    });
-    // Restore item order for deterministic output.
-    tagged.sort_unstable_by_key(|(i, _)| *i);
-    let mut out = Vec::with_capacity(tagged.iter().map(|(_, v)| v.len()).sum());
-    for (_, mut v) in tagged {
-        out.append(&mut v);
-    }
-    out
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_threaded<T, R, F>(items: &[T], _threads: usize, metrics: &mut Metrics, work: &F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, &mut Vec<R>, &mut Metrics) + Sync,
-{
-    run_serial(items, metrics, work)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn serial_and_parallel_produce_identical_ordered_output() {
-        let items: Vec<u64> = (0..1_000).collect();
-        let work = |item: &u64, out: &mut Vec<u64>, metrics: &mut Metrics| {
-            metrics.points_scanned += 1;
-            out.push(item * 2);
-            if item % 3 == 0 {
-                out.push(item * 2 + 1);
-            }
-        };
-        let mut m_serial = Metrics::default();
-        let serial = run_partitioned(&items, ExecutionMode::Serial, &mut m_serial, work);
-        let mut m_par = Metrics::default();
-        let parallel = run_partitioned(
-            &items,
-            ExecutionMode::Parallel { threads: 7 },
-            &mut m_par,
-            work,
-        );
-        assert_eq!(serial, parallel);
-        assert_eq!(m_serial, m_par);
-        assert_eq!(m_serial.points_scanned, 1_000);
-    }
 
     #[test]
     fn serial_and_pooled_produce_identical_ordered_output() {
@@ -398,20 +251,21 @@ mod tests {
         };
         let mut m_serial = Metrics::default();
         let serial = run_partitioned(&items, ExecutionMode::Serial, &mut m_serial, work);
-        let mut m_pool = Metrics::default();
-        let pooled = run_partitioned(&items, ExecutionMode::Pooled, &mut m_pool, work);
-        assert_eq!(serial, pooled);
-        assert_eq!(m_serial, m_pool);
+        assert_eq!(m_serial.points_scanned, 1_000);
+        // An explicit pool, so the fan-out is real whatever the core count.
+        for parallelism in [1, 7] {
+            let mut m_pool = Metrics::default();
+            let pooled = WorkerPool::new(parallelism)
+                .bind(|| run_partitioned(&items, ExecutionMode::Pooled, &mut m_pool, work));
+            assert_eq!(serial, pooled);
+            assert_eq!(m_serial, m_pool);
+        }
     }
 
     #[test]
     fn empty_input_is_fine_in_every_mode() {
         let items: Vec<u64> = Vec::new();
-        for mode in [
-            ExecutionMode::Serial,
-            ExecutionMode::parallel(),
-            ExecutionMode::Pooled,
-        ] {
+        for mode in [ExecutionMode::Serial, ExecutionMode::Pooled] {
             let mut m = Metrics::default();
             let out = run_partitioned(&items, mode, &mut m, |_, _out: &mut Vec<u64>, _| {});
             assert!(out.is_empty());
@@ -421,11 +275,7 @@ mod tests {
     #[test]
     fn single_item_input_short_circuits_in_every_mode() {
         let items = [41u64];
-        for mode in [
-            ExecutionMode::Serial,
-            ExecutionMode::Parallel { threads: 8 },
-            ExecutionMode::Pooled,
-        ] {
+        for mode in [ExecutionMode::Serial, ExecutionMode::Pooled] {
             let mut m = Metrics::default();
             let out = run_partitioned(&items, mode, &mut m, |item, out, m| {
                 m.points_scanned += 1;
@@ -437,20 +287,17 @@ mod tests {
     }
 
     #[test]
-    fn effective_threads_is_at_least_one() {
+    fn effective_threads_follows_the_bound_pool() {
         assert_eq!(ExecutionMode::Serial.effective_threads(), 1);
-        let p = ExecutionMode::Parallel { threads: 0 };
-        assert!(p.effective_threads() >= 1);
         assert!(ExecutionMode::Pooled.effective_threads() >= 1);
         assert!(available_threads() >= 1);
+        let threads = WorkerPool::new(3).bind(|| ExecutionMode::Pooled.effective_threads());
+        assert_eq!(threads, 3);
     }
 
     #[test]
-    fn default_mode_matches_the_parallel_feature() {
-        if cfg!(feature = "parallel") {
-            assert_eq!(ExecutionMode::default_mode(), ExecutionMode::Pooled);
-        } else {
-            assert_eq!(ExecutionMode::default_mode(), ExecutionMode::Serial);
-        }
+    fn default_mode_is_serial() {
+        assert_eq!(ExecutionMode::default_mode(), ExecutionMode::Serial);
+        assert_eq!(ExecutionMode::default(), ExecutionMode::Serial);
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! # Why a pool
 //!
-//! The scoped-thread path ([`ExecutionMode::Parallel`](super::ExecutionMode))
-//! spawns a fresh thread team for *every operator phase*. A multi-phase plan
-//! (e.g. a chained join evaluating two joins plus an intersection) or a batch
-//! of thousands of queries pays thread-creation cost per phase per query.
+//! Spawning a fresh thread team for *every operator phase* makes a
+//! multi-phase plan (e.g. a chained join evaluating two joins plus an
+//! intersection) or a batch of thousands of queries pay thread-creation cost
+//! per phase per query (the verdict on that baseline is in CHANGES.md, PR 2).
 //! [`WorkerPool`] amortizes that cost: worker threads are spawned once, on
 //! first use, and every execution layer — batch-level query tasks and
 //! operator-level block tasks alike — submits jobs to the **same queue**, so

@@ -6,10 +6,11 @@
 //! The kNN-join is evaluated by computing, for every point of the outer
 //! relation, its neighborhood in the inner relation via the locality-based
 //! `getkNN` — exactly the strategy the paper assumes for its conceptually
-//! correct QEPs. A thread-parallel variant is provided for large outer
-//! relations; it partitions the outer relation's blocks across threads and
-//! merges per-thread metrics, producing the same result set as the
-//! sequential operator.
+//! correct QEPs. The outer relation's blocks are the work items of a
+//! [`run_over_blocks`](crate::exec::run_over_blocks) run, so under
+//! [`ExecutionMode::Pooled`] they spread over the current worker pool with
+//! the same rows (in the same order) and the same merged counters as the
+//! serial evaluation.
 
 use twoknn_geometry::Point;
 use twoknn_index::{get_knn, Metrics, SpatialIndex};
@@ -18,21 +19,19 @@ use crate::exec::ExecutionMode;
 use crate::output::{Pair, QueryOutput};
 
 /// Evaluates `outer ⋈_kNN inner` with the given `k`.
-pub fn knn_join<O, I>(outer: &O, inner: &I, k: usize) -> QueryOutput<Pair>
+pub fn knn_join<O, I>(outer: &O, inner: &I, k: usize, mode: ExecutionMode) -> QueryOutput<Pair>
 where
-    O: SpatialIndex + ?Sized,
-    I: SpatialIndex + ?Sized,
+    O: SpatialIndex + Sync + ?Sized,
+    I: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let rows = knn_join_with_metrics(outer, inner, k, &mut metrics);
+    let rows = knn_join_rows(outer, inner, k, mode, &mut metrics);
     QueryOutput::new(rows, metrics)
 }
 
-/// Evaluates the kNN-join under an explicit [`ExecutionMode`], accumulating
-/// work into `metrics`. In parallel mode the outer relation's blocks are
-/// partitioned across worker threads; rows come back in the same order as
-/// the serial evaluation and metrics are the merged per-worker counters.
-pub fn knn_join_rows_with_mode<O, I>(
+/// Evaluates the kNN-join, accumulating work into `metrics` — the building
+/// block of every plan that contains a full join.
+pub fn knn_join_rows<O, I>(
     outer: &O,
     inner: &I,
     k: usize,
@@ -56,30 +55,6 @@ where
     rows
 }
 
-/// Evaluates the kNN-join, accumulating work into `metrics`.
-pub fn knn_join_with_metrics<O, I>(
-    outer: &O,
-    inner: &I,
-    k: usize,
-    metrics: &mut Metrics,
-) -> Vec<Pair>
-where
-    O: SpatialIndex + ?Sized,
-    I: SpatialIndex + ?Sized,
-{
-    let mut pairs = Vec::new();
-    for block in outer.blocks() {
-        for e1 in outer.block_points(block.id) {
-            let nbr = get_knn(inner, &e1, k, metrics);
-            for n in nbr.members() {
-                pairs.push(Pair::new(e1, n.point));
-            }
-        }
-    }
-    metrics.tuples_emitted += pairs.len() as u64;
-    pairs
-}
-
 /// Evaluates the kNN-join for a specific subset of outer points (used by the
 /// two-predicate algorithms once pruning has decided which outer points can
 /// contribute).
@@ -101,56 +76,6 @@ where
     }
     metrics.tuples_emitted += pairs.len() as u64;
     pairs
-}
-
-/// Multi-core kNN-join on the shared persistent worker pool: outer blocks
-/// are distributed over the pool's workers with dynamic scheduling (each
-/// team member pulls the next block), and the rows are reassembled in block
-/// order. The result set is identical to [`knn_join`] (including row
-/// order); metrics are the merged per-worker work.
-///
-/// Real threading requires the `parallel` cargo feature; without it this
-/// runs serially (same results, one thread) — see
-/// [`crate::exec::ExecutionMode`].
-pub fn knn_join_pooled<O, I>(outer: &O, inner: &I, k: usize) -> QueryOutput<Pair>
-where
-    O: SpatialIndex + Sync + ?Sized,
-    I: SpatialIndex + Sync + ?Sized,
-{
-    let mut metrics = Metrics::default();
-    let rows = knn_join_rows_with_mode(outer, inner, k, ExecutionMode::Pooled, &mut metrics);
-    QueryOutput::new(rows, metrics)
-}
-
-/// Thread-parallel kNN-join over a **freshly spawned** scoped team of
-/// `num_threads` workers (the spawn-per-phase baseline; prefer
-/// [`knn_join_pooled`], which amortizes thread creation across queries).
-/// Scheduling, row order and metrics semantics match [`knn_join_pooled`].
-///
-/// Real threading requires the `parallel` cargo feature; without it this
-/// runs serially (same results, one thread) — see
-/// [`crate::exec::ExecutionMode`].
-pub fn knn_join_parallel<O, I>(
-    outer: &O,
-    inner: &I,
-    k: usize,
-    num_threads: usize,
-) -> QueryOutput<Pair>
-where
-    O: SpatialIndex + Sync + ?Sized,
-    I: SpatialIndex + Sync + ?Sized,
-{
-    let mut metrics = Metrics::default();
-    let rows = knn_join_rows_with_mode(
-        outer,
-        inner,
-        k,
-        ExecutionMode::Parallel {
-            threads: num_threads,
-        },
-        &mut metrics,
-    );
-    QueryOutput::new(rows, metrics)
 }
 
 #[cfg(test)]
@@ -177,7 +102,7 @@ mod tests {
         let outer = relation(40, 1.0, 0.0);
         let inner = relation(100, 0.7, 2.0);
         let k = 3;
-        let out = knn_join(&outer, &inner, k);
+        let out = knn_join(&outer, &inner, k, ExecutionMode::Serial);
         assert_eq!(out.len(), 40 * k);
         assert_eq!(out.metrics.neighborhoods_computed, 40);
     }
@@ -187,7 +112,7 @@ mod tests {
         let outer = relation(25, 1.3, 0.0);
         let inner = relation(60, 0.9, 1.0);
         let k = 4;
-        let got = pair_id_set(&knn_join(&outer, &inner, k).rows);
+        let got = pair_id_set(&knn_join(&outer, &inner, k, ExecutionMode::Serial).rows);
         let mut want = std::collections::BTreeSet::new();
         for e1 in outer.all_points() {
             for id in brute_force_knn(&inner, &e1, k).ids() {
@@ -201,36 +126,25 @@ mod tests {
     fn join_is_not_symmetric() {
         let outer = relation(30, 1.0, 0.0);
         let inner = relation(30, 1.0, 10.0);
-        let ab = pair_id_set(&knn_join(&outer, &inner, 2).rows);
-        let ba: std::collections::BTreeSet<(u64, u64)> = knn_join(&inner, &outer, 2)
-            .rows
-            .iter()
-            .map(|p| (p.right.id, p.left.id))
-            .collect();
+        let ab = pair_id_set(&knn_join(&outer, &inner, 2, ExecutionMode::Serial).rows);
+        let ba: std::collections::BTreeSet<(u64, u64)> =
+            knn_join(&inner, &outer, 2, ExecutionMode::Serial)
+                .rows
+                .iter()
+                .map(|p| (p.right.id, p.left.id))
+                .collect();
         // The same id pairs rarely coincide; assert the operator at least
         // produced different pair sets for this asymmetric layout.
         assert_ne!(ab, ba);
     }
 
     #[test]
-    fn parallel_join_matches_sequential() {
-        let outer = relation(80, 1.1, 0.0);
-        let inner = relation(120, 0.8, 0.5);
-        let seq = knn_join(&outer, &inner, 5);
-        let par = knn_join_parallel(&outer, &inner, 5, 4);
-        assert_eq!(pair_id_set(&seq.rows), pair_id_set(&par.rows));
-        assert_eq!(
-            seq.metrics.neighborhoods_computed,
-            par.metrics.neighborhoods_computed
-        );
-    }
-
-    #[test]
     fn pooled_join_matches_sequential_exactly() {
         let outer = relation(80, 1.1, 0.0);
         let inner = relation(120, 0.8, 0.5);
-        let seq = knn_join(&outer, &inner, 5);
-        let pooled = knn_join_pooled(&outer, &inner, 5);
+        let seq = knn_join(&outer, &inner, 5, ExecutionMode::Serial);
+        let pooled = crate::exec::WorkerPool::new(4)
+            .bind(|| knn_join(&outer, &inner, 5, ExecutionMode::Pooled));
         // Not just the same set: the same rows in the same order, with the
         // same merged work counters.
         assert_eq!(seq.rows, pooled.rows);
@@ -244,7 +158,7 @@ mod tests {
         let mut m = Metrics::default();
         let subset: Vec<Point> = outer.all_points().into_iter().take(10).collect();
         let partial = knn_join_points(&subset, &inner, 3, &mut m);
-        let full = knn_join(&outer, &inner, 3);
+        let full = knn_join(&outer, &inner, 3, ExecutionMode::Serial);
         let subset_ids: std::collections::BTreeSet<u64> = subset.iter().map(|p| p.id).collect();
         let expected: std::collections::BTreeSet<_> = full
             .rows
@@ -261,6 +175,6 @@ mod tests {
         let inner =
             GridIndex::build_with_bounds(vec![], twoknn_geometry::Rect::new(0.0, 0.0, 1.0, 1.0), 2)
                 .unwrap();
-        assert!(knn_join(&outer, &inner, 3).is_empty());
+        assert!(knn_join(&outer, &inner, 3, ExecutionMode::Serial).is_empty());
     }
 }

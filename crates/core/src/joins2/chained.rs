@@ -14,11 +14,10 @@
 //!   [`chained_nested_cached`] adds the hash-table cache of Section 4.2.1 so
 //!   that a `b` appearing in several `A` neighborhoods is expanded only once.
 //!
-//! Every `*_with_mode` variant partitions its block loops through
-//! [`crate::exec::run_partitioned`]; under the default `Pooled` mode a
-//! multi-phase plan (e.g. QEP2's two joins) reuses the shared persistent
-//! worker pool for each phase instead of spawning a fresh thread team per
-//! phase.
+//! Every plan partitions its block loops through
+//! [`crate::exec::run_partitioned`]; under `Pooled` mode a multi-phase plan
+//! (e.g. QEP2's two joins) reuses the current persistent worker pool for
+//! each phase.
 
 use std::collections::HashMap;
 
@@ -26,7 +25,7 @@ use twoknn_geometry::PointId;
 use twoknn_index::{get_knn, Metrics, Neighborhood, SpatialIndex};
 
 use crate::exec::{run_over_blocks, run_partitioned, ExecutionMode};
-use crate::join::knn_join_rows_with_mode;
+use crate::join::knn_join_rows;
 use crate::output::{QueryOutput, Triplet};
 
 /// Parameters of a query with two chained kNN-joins.
@@ -47,24 +46,9 @@ impl ChainedJoinQuery {
 
 /// QEP1 of Figure 13: the right-deep plan. `B ⋈kNN C` is fully materialized
 /// before the outer join runs, so every `b ∈ B` pays for a neighborhood
-/// computation even if it never appears as a neighbor of any `a`.
+/// computation even if it never appears as a neighbor of any `a`. Both the
+/// materializing join and the outer join are block-partitioned per `mode`.
 pub fn chained_right_deep<A, B, C>(
-    a: &A,
-    b: &B,
-    c: &C,
-    query: &ChainedJoinQuery,
-) -> QueryOutput<Triplet>
-where
-    A: SpatialIndex + Sync + ?Sized,
-    B: SpatialIndex + Sync + ?Sized,
-    C: SpatialIndex + Sync + ?Sized,
-{
-    chained_right_deep_with_mode(a, b, c, query, ExecutionMode::Serial)
-}
-
-/// QEP1 under an explicit [`ExecutionMode`]: both the materializing join and
-/// the outer join are block-partitioned across worker threads.
-pub fn chained_right_deep_with_mode<A, B, C>(
     a: &A,
     b: &B,
     c: &C,
@@ -78,7 +62,7 @@ where
 {
     let mut metrics = Metrics::default();
     // Materialize (B ⋈kNN C) into a map keyed by b.
-    let bc_pairs = knn_join_rows_with_mode(b, c, query.k_bc, mode, &mut metrics);
+    let bc_pairs = knn_join_rows(b, c, query.k_bc, mode, &mut metrics);
     let mut bc_by_b: HashMap<PointId, Vec<twoknn_geometry::Point>> = HashMap::new();
     for p in &bc_pairs {
         bc_by_b.entry(p.left.id).or_default().push(p.right);
@@ -101,25 +85,9 @@ where
     QueryOutput::new(rows, metrics)
 }
 
-/// QEP2 of Figure 13: evaluate the two joins independently and intersect on
-/// the shared `B` component.
+/// QEP2 of Figure 13: evaluate the two joins independently (each
+/// block-partitioned per `mode`) and intersect on the shared `B` component.
 pub fn chained_join_intersection<A, B, C>(
-    a: &A,
-    b: &B,
-    c: &C,
-    query: &ChainedJoinQuery,
-) -> QueryOutput<Triplet>
-where
-    A: SpatialIndex + Sync + ?Sized,
-    B: SpatialIndex + Sync + ?Sized,
-    C: SpatialIndex + Sync + ?Sized,
-{
-    chained_join_intersection_with_mode(a, b, c, query, ExecutionMode::Serial)
-}
-
-/// QEP2 under an explicit [`ExecutionMode`]: both independent joins are
-/// block-partitioned across worker threads before the intersection on `B`.
-pub fn chained_join_intersection_with_mode<A, B, C>(
     a: &A,
     b: &B,
     c: &C,
@@ -132,8 +100,8 @@ where
     C: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let ab_pairs = knn_join_rows_with_mode(a, b, query.k_ab, mode, &mut metrics);
-    let bc_pairs = knn_join_rows_with_mode(b, c, query.k_bc, mode, &mut metrics);
+    let ab_pairs = knn_join_rows(a, b, query.k_ab, mode, &mut metrics);
+    let bc_pairs = knn_join_rows(b, c, query.k_bc, mode, &mut metrics);
 
     let mut bc_by_b: HashMap<PointId, Vec<twoknn_geometry::Point>> = HashMap::new();
     for p in &bc_pairs {
@@ -153,25 +121,10 @@ where
 
 /// QEP3 of Figure 13: the nested-join plan **without** caching. The
 /// neighborhood of a `b` point is computed each time `b` is produced as a
-/// neighbor of some `a` — so a popular `b` is expanded repeatedly.
-pub fn chained_nested<A, B, C>(
-    a: &A,
-    b: &B,
-    c: &C,
-    query: &ChainedJoinQuery,
-) -> QueryOutput<Triplet>
-where
-    A: SpatialIndex + Sync + ?Sized,
-    B: SpatialIndex + Sync + ?Sized,
-    C: SpatialIndex + Sync + ?Sized,
-{
-    chained_nested_with_mode(a, b, c, query, ExecutionMode::Serial)
-}
-
-/// QEP3 (uncached) under an explicit [`ExecutionMode`]: `A`'s blocks are
-/// partitioned across worker threads. Rows (in order) and merged work
+/// neighbor of some `a` — so a popular `b` is expanded repeatedly. `A`'s
+/// blocks are partitioned per `mode`; rows (in order) and merged work
 /// counters are identical to the serial run.
-pub fn chained_nested_with_mode<A, B, C>(
+pub fn chained_nested<A, B, C>(
     a: &A,
     b: &B,
     c: &C,
@@ -189,30 +142,15 @@ where
 /// QEP3 with the neighborhood cache of Section 4.2.1: results of the inner
 /// join are cached in a hash table keyed by the `b` point, so each distinct
 /// `b` is expanded at most once. This is the plan the paper recommends.
-pub fn chained_nested_cached<A, B, C>(
-    a: &A,
-    b: &B,
-    c: &C,
-    query: &ChainedJoinQuery,
-) -> QueryOutput<Triplet>
-where
-    A: SpatialIndex + Sync + ?Sized,
-    B: SpatialIndex + Sync + ?Sized,
-    C: SpatialIndex + Sync + ?Sized,
-{
-    chained_nested_cached_with_mode(a, b, c, query, ExecutionMode::Serial)
-}
-
-/// The cached QEP3 under an explicit [`ExecutionMode`].
 ///
-/// In parallel mode, `A`'s blocks are grouped into contiguous chunks and each
+/// In `Pooled` mode, `A`'s blocks are grouped into contiguous chunks and each
 /// chunk gets its **own** neighborhood cache — sharing one cache would either
 /// serialize the workers behind a lock or make the hit pattern racy. The
 /// result set is identical to the serial run (in order); the *cache* counters
 /// (`cache_hits`/`cache_misses`, and hence `neighborhoods_computed`) may be
 /// higher than serial, because a popular `b` can be expanded once per chunk
 /// instead of once overall.
-pub fn chained_nested_cached_with_mode<A, B, C>(
+pub fn chained_nested_cached<A, B, C>(
     a: &A,
     b: &B,
     c: &C,
@@ -244,7 +182,7 @@ where
     let blocks = a.blocks();
 
     // One cache per work item. Serial runs use a single chunk spanning every
-    // block, so the cache is global exactly as in the paper; parallel runs
+    // block, so the cache is global exactly as in the paper; pooled runs
     // split the blocks into a few chunks per worker (cheap dynamic load
     // balancing without sacrificing too much cache reuse).
     let threads = mode.effective_threads();
@@ -317,10 +255,14 @@ mod tests {
         let c = grid(scattered(120, 3));
         for (k_ab, k_bc) in [(1, 1), (2, 2), (3, 4), (4, 2)] {
             let q = ChainedJoinQuery::new(k_ab, k_bc);
-            let p1 = triplet_id_set(&chained_right_deep(&a, &b, &c, &q).rows);
-            let p2 = triplet_id_set(&chained_join_intersection(&a, &b, &c, &q).rows);
-            let p3 = triplet_id_set(&chained_nested(&a, &b, &c, &q).rows);
-            let p4 = triplet_id_set(&chained_nested_cached(&a, &b, &c, &q).rows);
+            let p1 =
+                triplet_id_set(&chained_right_deep(&a, &b, &c, &q, ExecutionMode::Serial).rows);
+            let p2 = triplet_id_set(
+                &chained_join_intersection(&a, &b, &c, &q, ExecutionMode::Serial).rows,
+            );
+            let p3 = triplet_id_set(&chained_nested(&a, &b, &c, &q, ExecutionMode::Serial).rows);
+            let p4 =
+                triplet_id_set(&chained_nested_cached(&a, &b, &c, &q, ExecutionMode::Serial).rows);
             assert_eq!(p1, p2, "k_ab={k_ab} k_bc={k_bc}");
             assert_eq!(p2, p3, "k_ab={k_ab} k_bc={k_bc}");
             assert_eq!(p3, p4, "k_ab={k_ab} k_bc={k_bc}");
@@ -333,8 +275,8 @@ mod tests {
         let b = grid(scattered(60, 5)); // few B points => many repeats
         let c = grid(scattered(200, 6));
         let q = ChainedJoinQuery::new(3, 3);
-        let cached = chained_nested_cached(&a, &b, &c, &q);
-        let uncached = chained_nested(&a, &b, &c, &q);
+        let cached = chained_nested_cached(&a, &b, &c, &q, ExecutionMode::Serial);
+        let uncached = chained_nested(&a, &b, &c, &q, ExecutionMode::Serial);
         assert_eq!(triplet_id_set(&cached.rows), triplet_id_set(&uncached.rows));
         assert!(cached.metrics.cache_hits > 0);
         assert!(
@@ -366,8 +308,8 @@ mod tests {
         let b = grid(b_pts);
         let c = grid(scattered(150, 9));
         let q = ChainedJoinQuery::new(2, 2);
-        let nested = chained_nested_cached(&a, &b, &c, &q);
-        let right_deep = chained_right_deep(&a, &b, &c, &q);
+        let nested = chained_nested_cached(&a, &b, &c, &q, ExecutionMode::Serial);
+        let right_deep = chained_right_deep(&a, &b, &c, &q, ExecutionMode::Serial);
         assert_eq!(
             triplet_id_set(&nested.rows),
             triplet_id_set(&right_deep.rows)
@@ -388,7 +330,7 @@ mod tests {
         let b = grid(scattered(40, 10));
         let c = grid(scattered(40, 11));
         let q = ChainedJoinQuery::new(2, 2);
-        assert!(chained_right_deep(&empty, &b, &c, &q).is_empty());
-        assert!(chained_nested_cached(&empty, &b, &c, &q).is_empty());
+        assert!(chained_right_deep(&empty, &b, &c, &q, ExecutionMode::Serial).is_empty());
+        assert!(chained_nested_cached(&empty, &b, &c, &q, ExecutionMode::Serial).is_empty());
     }
 }

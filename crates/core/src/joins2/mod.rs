@@ -27,14 +27,12 @@ mod join_order;
 mod unchained;
 
 pub use chained::{
-    chained_join_intersection, chained_join_intersection_with_mode, chained_nested,
-    chained_nested_cached, chained_nested_cached_with_mode, chained_nested_with_mode,
-    chained_right_deep, chained_right_deep_with_mode, ChainedJoinQuery,
+    chained_join_intersection, chained_nested, chained_nested_cached, chained_right_deep,
+    ChainedJoinQuery,
 };
 pub use join_order::{choose_unchained_order, coverage_fraction, JoinOrderDecision};
 pub use unchained::{
-    unchained_block_marking, unchained_block_marking_with_mode, unchained_conceptual,
-    unchained_conceptual_with_mode, unchained_wrong_sequential, UnchainedJoinQuery,
+    unchained_block_marking, unchained_conceptual, unchained_wrong_sequential, UnchainedJoinQuery,
 };
 
 #[cfg(test)]

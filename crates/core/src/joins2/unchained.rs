@@ -1,9 +1,8 @@
 //! Unchained kNN-joins: `(A ⋈kNN B) ∩_B (C ⋈kNN B)` (Section 4.1).
 //!
-//! The `*_with_mode` variants partition their block loops through
-//! [`crate::exec::run_over_blocks`]; under the default `Pooled` mode both
-//! join phases run on the shared persistent worker pool, so a batch of
-//! unchained queries never spawns threads per phase.
+//! Both plans partition their block loops through
+//! [`crate::exec::run_over_blocks`]; under `Pooled` mode both join phases
+//! run on the current persistent worker pool.
 
 use std::collections::{HashMap, HashSet};
 
@@ -11,7 +10,7 @@ use twoknn_geometry::PointId;
 use twoknn_index::{get_knn, BlockId, Metrics, SpatialIndex};
 
 use crate::exec::{run_over_blocks, ExecutionMode};
-use crate::join::{knn_join_rows_with_mode, knn_join_with_metrics};
+use crate::join::knn_join_rows;
 use crate::output::{Pair, QueryOutput, Triplet};
 
 /// Parameters of a query with two unchained kNN-joins.
@@ -32,25 +31,9 @@ impl UnchainedJoinQuery {
 
 /// The conceptually correct QEP of Figure 10: evaluate `(A ⋈kNN B)` and
 /// `(C ⋈kNN B)` independently and intersect the two pair sets on their `B`
-/// component (`∩_B`), producing `(a, b, c)` triplets.
+/// component (`∩_B`), producing `(a, b, c)` triplets. Both joins are
+/// block-partitioned per `mode`.
 pub fn unchained_conceptual<A, B, C>(
-    a: &A,
-    b: &B,
-    c: &C,
-    query: &UnchainedJoinQuery,
-) -> QueryOutput<Triplet>
-where
-    A: SpatialIndex + Sync + ?Sized,
-    B: SpatialIndex + Sync + ?Sized,
-    C: SpatialIndex + Sync + ?Sized,
-{
-    unchained_conceptual_with_mode(a, b, c, query, ExecutionMode::Serial)
-}
-
-/// The conceptual unchained QEP under an explicit [`ExecutionMode`]: both
-/// independent joins are block-partitioned across worker threads in parallel
-/// mode before the `∩_B` intersection.
-pub fn unchained_conceptual_with_mode<A, B, C>(
     a: &A,
     b: &B,
     c: &C,
@@ -63,8 +46,8 @@ where
     C: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let ab_pairs = knn_join_rows_with_mode(a, b, query.k_ab, mode, &mut metrics);
-    let cb_pairs = knn_join_rows_with_mode(c, b, query.k_cb, mode, &mut metrics);
+    let ab_pairs = knn_join_rows(a, b, query.k_ab, mode, &mut metrics);
+    let cb_pairs = knn_join_rows(c, b, query.k_cb, mode, &mut metrics);
     let rows = intersect_on_b(&ab_pairs, &cb_pairs);
     metrics.tuples_emitted = rows.len() as u64;
     QueryOutput::new(rows, metrics)
@@ -84,19 +67,19 @@ pub fn unchained_wrong_sequential<A, B, C>(
     ab_first: bool,
 ) -> QueryOutput<Triplet>
 where
-    A: SpatialIndex + ?Sized,
-    B: SpatialIndex + ?Sized,
-    C: SpatialIndex + ?Sized,
+    A: SpatialIndex + Sync + ?Sized,
+    B: SpatialIndex + Sync + ?Sized,
+    C: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
     let rows = if ab_first {
-        let ab_pairs = knn_join_with_metrics(a, b, query.k_ab, &mut metrics);
+        let ab_pairs = knn_join_rows(a, b, query.k_ab, ExecutionMode::Serial, &mut metrics);
         // Restrict B to the matched points and join C against that subset.
         let b_subset: Vec<_> = dedup_right_points(&ab_pairs);
         let cb_pairs = join_against_points(c, &b_subset, query.k_cb, &mut metrics);
         intersect_on_b(&ab_pairs, &cb_pairs)
     } else {
-        let cb_pairs = knn_join_with_metrics(c, b, query.k_cb, &mut metrics);
+        let cb_pairs = knn_join_rows(c, b, query.k_cb, ExecutionMode::Serial, &mut metrics);
         let b_subset: Vec<_> = dedup_right_points(&cb_pairs);
         let ab_pairs = join_against_points(a, &b_subset, query.k_ab, &mut metrics);
         intersect_on_b(&ab_pairs, &cb_pairs)
@@ -116,28 +99,13 @@ where
 /// radius plus the block diagonal, and the block is Non-Contributing when no
 /// Candidate `B` block lies fully or partially within that threshold. Points
 /// of Non-Contributing `C` blocks are skipped entirely by the second join.
-pub fn unchained_block_marking<A, B, C>(
-    a: &A,
-    b: &B,
-    c: &C,
-    query: &UnchainedJoinQuery,
-) -> QueryOutput<Triplet>
-where
-    A: SpatialIndex + Sync + ?Sized,
-    B: SpatialIndex + Sync + ?Sized,
-    C: SpatialIndex + Sync + ?Sized,
-{
-    unchained_block_marking_with_mode(a, b, c, query, ExecutionMode::Serial)
-}
-
-/// Procedure 4 under an explicit [`ExecutionMode`].
 ///
-/// Both phases parallelize by block partitioning: the first join over `A`'s
+/// Both phases partition by block under `mode`: the first join over `A`'s
 /// blocks, then the classification-plus-join over `C`'s blocks (each `C`
 /// block's classification depends only on the shared Candidate set, never on
 /// another `C` block). Rows (in order) and merged work counters are
 /// identical to the serial run.
-pub fn unchained_block_marking_with_mode<A, B, C>(
+pub fn unchained_block_marking<A, B, C>(
     a: &A,
     b: &B,
     c: &C,
@@ -152,7 +120,7 @@ where
     let mut metrics = Metrics::default();
 
     // Lines 1–3: the first join and the projection of its B points.
-    let ab_pairs = knn_join_rows_with_mode(a, b, query.k_ab, mode, &mut metrics);
+    let ab_pairs = knn_join_rows(a, b, query.k_ab, mode, &mut metrics);
 
     // Lines 4–8: mark Candidate blocks of B (blocks containing matched b's).
     let mut candidate_blocks: HashSet<BlockId> = HashSet::new();
@@ -317,8 +285,8 @@ mod tests {
         let c = grid(scattered(150, 3, 0.1));
         for (k_ab, k_cb) in [(1, 1), (2, 2), (3, 5), (5, 2)] {
             let q = UnchainedJoinQuery::new(k_ab, k_cb);
-            let fast = unchained_block_marking(&a, &b, &c, &q);
-            let slow = unchained_conceptual(&a, &b, &c, &q);
+            let fast = unchained_block_marking(&a, &b, &c, &q, ExecutionMode::Serial);
+            let slow = unchained_conceptual(&a, &b, &c, &q, ExecutionMode::Serial);
             assert_eq!(
                 triplet_id_set(&fast.rows),
                 triplet_id_set(&slow.rows),
@@ -343,7 +311,8 @@ mod tests {
         );
         let b = grid(scattered(200, 9, 0.45));
         let q = UnchainedJoinQuery::new(2, 2);
-        let correct = triplet_id_set(&unchained_conceptual(&a, &b, &c, &q).rows);
+        let correct =
+            triplet_id_set(&unchained_conceptual(&a, &b, &c, &q, ExecutionMode::Serial).rows);
         let wrong_ab = triplet_id_set(&unchained_wrong_sequential(&a, &b, &c, &q, true).rows);
         let wrong_cb = triplet_id_set(&unchained_wrong_sequential(&a, &b, &c, &q, false).rows);
         assert_ne!(correct, wrong_ab);
@@ -362,8 +331,8 @@ mod tests {
         let b = grid(scattered(400, 10, 0.12));
         let c = grid(scattered(400, 11, 0.12));
         let q = UnchainedJoinQuery::new(2, 2);
-        let fast = unchained_block_marking(&a, &b, &c, &q);
-        let slow = unchained_conceptual(&a, &b, &c, &q);
+        let fast = unchained_block_marking(&a, &b, &c, &q, ExecutionMode::Serial);
+        let slow = unchained_conceptual(&a, &b, &c, &q, ExecutionMode::Serial);
         assert_eq!(triplet_id_set(&fast.rows), triplet_id_set(&slow.rows));
         assert!(fast.metrics.blocks_pruned > 0, "{}", fast.metrics);
         assert!(
@@ -382,7 +351,7 @@ mod tests {
         let b = grid(scattered(50, 12, 0.2));
         let c = grid(scattered(50, 13, 0.2));
         let q = UnchainedJoinQuery::new(2, 2);
-        assert!(unchained_conceptual(&empty, &b, &c, &q).is_empty());
-        assert!(unchained_block_marking(&empty, &b, &c, &q).is_empty());
+        assert!(unchained_conceptual(&empty, &b, &c, &q, ExecutionMode::Serial).is_empty());
+        assert!(unchained_block_marking(&empty, &b, &c, &q, ExecutionMode::Serial).is_empty());
     }
 }

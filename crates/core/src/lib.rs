@@ -29,7 +29,10 @@
 //!
 //! All algorithms are generic over any [`twoknn_index::SpatialIndex`]
 //! (grid, quadtree, or R-tree) and report machine-independent
-//! [`twoknn_index::Metrics`] describing the work they performed.
+//! [`twoknn_index::Metrics`] describing the work they performed. Each has
+//! exactly one entry point, whose trailing [`ExecutionMode`] says whether its
+//! independent work items run on the calling thread (`Serial`) or spread
+//! over the current [`WorkerPool`] (`Pooled`) — same rows either way.
 //!
 //! Around the algorithms, the crate provides the infrastructure of a small
 //! spatial database:
@@ -39,7 +42,7 @@
 //! | [`plan`] | logical plans, statistics, optimizer, physical operators, and the [`plan::Database`] driver |
 //! | [`store`] | versioned relation store: spatially sharded relations, snapshot reads, delta ingest, per-shard background rebuilds on the worker pool, and the optional durability subsystem (WAL + immutable shard block files + crash recovery, [`DurabilityConfig`]) |
 //! | [`cq`] | continuous queries: standing two-kNN queries, guard-region registry, incremental maintenance over ingest |
-//! | [`exec`] | execution modes and the persistent [`WorkerPool`] shared by batches, operators, and compactions |
+//! | [`exec`] | the two execution modes and the persistent [`WorkerPool`] shared by batches, operators, and compactions |
 //! | [`obs`] | observability: `EXPLAIN` / `EXPLAIN ANALYZE` plan introspection, per-operator execution traces, and the latency-histogram metrics registry with lifecycle events ([`TraceConfig`]) |
 //! | [`output`] | typed result rows ([`Pair`], [`Triplet`]) and the output container |
 //! | [`error`] | the [`QueryError`] taxonomy |
@@ -51,7 +54,8 @@
 //! amongst the two closest neighbors of the shopping center."
 //!
 //! ```
-//! use twoknn_core::select_join::{self, SelectInnerJoinQuery};
+//! use twoknn_core::select_join::{self, BlockMarkingConfig, SelectInnerJoinQuery};
+//! use twoknn_core::ExecutionMode;
 //! use twoknn_geometry::Point;
 //! use twoknn_index::GridIndex;
 //!
@@ -64,7 +68,13 @@
 //!     k_select: 2,
 //!     focal: Point::anonymous(3.0, 1.0), // the shopping center
 //! };
-//! let result = select_join::block_marking(&mechanics, &hotels, &query);
+//! let result = select_join::block_marking(
+//!     &mechanics,
+//!     &hotels,
+//!     &query,
+//!     &BlockMarkingConfig::default(),
+//!     ExecutionMode::Serial,
+//! );
 //! assert!(!result.rows.is_empty());
 //! ```
 

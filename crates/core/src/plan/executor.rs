@@ -9,7 +9,9 @@
 //! into a [`PhysicalPlan`] operator holding snapshot handles, and the
 //! operator runs under an [`ExecutionMode`] (serial, or block-partitioned
 //! over the persistent worker pool). [`Database::execute`] is nothing but
-//! that chain; independent queries run concurrently through
+//! that chain under the default mode — callers that want to choose the mode
+//! run `compile(&db.snapshot(), spec, strategy)?.execute(mode)` themselves;
+//! independent queries run concurrently through
 //! [`Database::execute_batch`], which pins **one** snapshot for the whole
 //! batch and schedules *inter-query* tasks on the same [`WorkerPool`] the
 //! operators use for *intra-operator* tasks — one shared queue, one global
@@ -325,7 +327,7 @@ impl Database {
     /// Mostly useful for tests and benchmarks that need a pinned thread
     /// budget. Note that `Pooled`-mode *operator* execution resolves its
     /// pool dynamically: on this pool while running inside one of its batch
-    /// tasks, on the global pool otherwise.
+    /// tasks (or under [`WorkerPool::bind`]), on the global pool otherwise.
     pub fn with_pool(pool: Arc<WorkerPool>) -> Self {
         Self {
             pool,
@@ -644,26 +646,16 @@ impl Database {
     }
 
     /// Executes a query, letting the optimizer pick the strategy and using
-    /// the default execution mode (the shared worker pool when the
-    /// `parallel` feature is enabled, serial otherwise).
+    /// the default execution mode ([`ExecutionMode::default_mode`]).
     ///
     /// The query runs against one pinned [`DbSnapshot`]: planning and
     /// execution observe the same relation versions even while writers
     /// publish new ones.
     pub fn execute(&self, spec: &QuerySpec) -> Result<QueryResult, QueryError> {
-        self.execute_with_mode(spec, ExecutionMode::default_mode())
-    }
-
-    /// Executes a query with an optimizer-chosen strategy under an explicit
-    /// [`ExecutionMode`].
-    pub fn execute_with_mode(
-        &self,
-        spec: &QuerySpec,
-        mode: ExecutionMode,
-    ) -> Result<QueryResult, QueryError> {
-        let snapshot = self.snapshot();
-        let plan = self.compile_planned_on(&snapshot, spec)?;
-        Ok(self.run_plan(&*plan, mode, || "query".to_string()))
+        let plan = self.plan_and_compile(&self.snapshot(), spec)?;
+        Ok(self.run_plan(&*plan, ExecutionMode::default_mode(), || {
+            "query".to_string()
+        }))
     }
 
     /// Runs one compiled plan with the always-on query latency histogram
@@ -676,16 +668,25 @@ impl Database {
         label: impl FnOnce() -> String,
     ) -> QueryResult {
         let obs = self.store.obs();
+        self.timed_exec(|| {
+            if obs.trace_enabled() {
+                let (result, trace) = plan.execute_traced(mode);
+                obs.push_trace(label(), trace);
+                result
+            } else {
+                plan.execute(mode)
+            }
+        })
+    }
+
+    /// Runs `exec` under the always-on query latency histogram.
+    fn timed_exec<R>(&self, exec: impl FnOnce() -> R) -> R {
         let start = Instant::now();
-        let result = if obs.trace_enabled() {
-            let (result, trace) = plan.execute_traced(mode);
-            obs.push_trace(label(), trace);
-            result
-        } else {
-            plan.execute(mode)
-        };
-        obs.record(HistogramKind::QueryExec, start.elapsed());
-        result
+        let out = exec();
+        self.store
+            .obs()
+            .record(HistogramKind::QueryExec, start.elapsed());
+        out
     }
 
     /// Executes a batch of independent queries, each with the
@@ -696,16 +697,16 @@ impl Database {
     /// while ingest publishes new versions and background compactions swap
     /// rebuilt bases underneath.
     ///
-    /// With the `parallel` feature enabled the queries are scheduled as
-    /// tasks on this database's [`WorkerPool`] and each query in turn runs
-    /// its operators in `Pooled` mode — batch-level and block-level tasks
-    /// share **one queue**, so large batches saturate the pool with whole
-    /// queries (inter-query parallelism, no merge overhead) while small or
-    /// skewed batches let an expensive straggler query fan its blocks out
-    /// over the workers that have gone idle. Either way the thread budget is
-    /// the pool's parallelism — the two layers can never oversubscribe the
-    /// machine. Results come back in input order. Without the feature this
-    /// is a plain sequential loop with identical results.
+    /// The queries are scheduled as tasks on this database's [`WorkerPool`]
+    /// and each query in turn runs its operators in `Pooled` mode —
+    /// batch-level and block-level tasks share **one queue**, so large
+    /// batches saturate the pool with whole queries (inter-query
+    /// parallelism, no merge overhead) while small or skewed batches let an
+    /// expensive straggler query fan its blocks out over the workers that
+    /// have gone idle. Either way the thread budget is the pool's
+    /// parallelism — the two layers can never oversubscribe the machine —
+    /// and a pool of one runs the batch as a plain loop on the caller.
+    /// Results come back in input order.
     ///
     /// Each worker thread drains its share of the batch in place, so all
     /// kNN calls it issues reuse that thread's
@@ -716,64 +717,35 @@ impl Database {
     pub fn execute_batch(&self, specs: &[QuerySpec]) -> Vec<Result<QueryResult, QueryError>> {
         let window = Instant::now();
         let snapshot = self.snapshot();
-        let results = if !cfg!(feature = "parallel") {
-            specs
-                .iter()
-                .enumerate()
-                .map(|(i, spec)| {
-                    self.compile_planned_on(&snapshot, spec)
-                        .map(|plan| self.run_plan(&*plan, ExecutionMode::Serial, || batch_label(i)))
-                })
-                .collect()
-        } else {
-            let indexed: Vec<(usize, &QuerySpec)> = specs.iter().enumerate().collect();
-            let mut scratch = Metrics::default();
+        let indexed: Vec<(usize, &QuerySpec)> = specs.iter().enumerate().collect();
+        let mut scratch = Metrics::default();
+        let results =
             crate::exec::run_partitioned_on(
                 &indexed,
                 &self.pool,
                 &mut scratch,
                 |&(i, spec), out, _| {
-                    out.push(self.compile_planned_on(&snapshot, spec).map(|plan| {
+                    out.push(self.plan_and_compile(&snapshot, spec).map(|plan| {
                         self.run_plan(&*plan, ExecutionMode::Pooled, || batch_label(i))
                     }));
                 },
-            )
-        };
+            );
         self.store
             .obs()
             .record(HistogramKind::BatchWindow, window.elapsed());
         results
     }
 
-    /// Compiles a query with the optimizer-chosen strategy into an
-    /// executable [`PhysicalPlan`] without running it. The plan pins the
-    /// relations' current snapshots, so it stays valid (and frozen) however
-    /// long the caller holds it.
-    pub fn compile_planned(&self, spec: &QuerySpec) -> Result<Box<dyn PhysicalPlan>, QueryError> {
-        self.compile_planned_on(&self.snapshot(), spec)
-    }
-
     /// Plans and compiles against an explicit pinned snapshot — the shared
     /// step behind every execution path, keeping strategy choice and
     /// execution on the same relation versions.
-    fn compile_planned_on(
+    fn plan_and_compile(
         &self,
         snapshot: &DbSnapshot,
         spec: &QuerySpec,
     ) -> Result<Box<dyn PhysicalPlan>, QueryError> {
         let strategy = self.plan_on(snapshot, spec)?;
         compile(snapshot, spec, strategy)
-    }
-
-    /// Compiles a query with an explicit strategy into an executable
-    /// [`PhysicalPlan`] without running it (pinning the relations' current
-    /// snapshots).
-    pub fn compile(
-        &self,
-        spec: &QuerySpec,
-        strategy: Strategy,
-    ) -> Result<Box<dyn PhysicalPlan>, QueryError> {
-        compile(&self.snapshot(), spec, strategy)
     }
 
     /// The strategy the optimizer would choose for a query (on the current
@@ -829,19 +801,10 @@ impl Database {
         spec: &QuerySpec,
         strategy: Strategy,
     ) -> Result<QueryResult, QueryError> {
-        self.execute_with_strategy_and_mode(spec, strategy, ExecutionMode::default_mode())
-    }
-
-    /// Executes a query with an explicit strategy **and** execution mode —
-    /// the fully-specified entry point the others delegate to.
-    pub fn execute_with_strategy_and_mode(
-        &self,
-        spec: &QuerySpec,
-        strategy: Strategy,
-        mode: ExecutionMode,
-    ) -> Result<QueryResult, QueryError> {
-        let plan = self.compile(spec, strategy)?;
-        Ok(self.run_plan(&*plan, mode, || "query (pinned strategy)".to_string()))
+        let plan = compile(&self.snapshot(), spec, strategy)?;
+        Ok(self.run_plan(&*plan, ExecutionMode::default_mode(), || {
+            "query (pinned strategy)".to_string()
+        }))
     }
 
     // -----------------------------------------------------------------
@@ -873,14 +836,6 @@ impl Database {
     pub fn query(&self, text: &str) -> Result<QueryResult, QueryError> {
         let spec = self.parse_query(text)?;
         self.execute(&spec)
-    }
-
-    /// Executes an already-parsed textual query — an alias for
-    /// [`Database::execute`] that completes the parse → plan → execute
-    /// pipeline when the caller keeps the [`QuerySpec`] around (e.g. to run
-    /// it repeatedly, or through [`Database::execute_batch`]).
-    pub fn execute_parsed(&self, spec: &QuerySpec) -> Result<QueryResult, QueryError> {
-        self.execute(spec)
     }
 
     /// Parses a textual query and registers it as a **standing query** (see
@@ -915,17 +870,27 @@ impl Database {
     /// strategy, and compiled operator tree (no AST or logical stage —
     /// the query never went through the parser).
     pub fn explain_spec(&self, spec: &QuerySpec) -> Result<PlanExplain, QueryError> {
+        Ok(self.explain_compiled(spec)?.0)
+    }
+
+    /// Plans and compiles `spec` on one pinned snapshot, returning the
+    /// explanation together with the plan it describes.
+    fn explain_compiled(
+        &self,
+        spec: &QuerySpec,
+    ) -> Result<(PlanExplain, Box<dyn PhysicalPlan>), QueryError> {
         let snapshot = self.snapshot();
         let strategy = self.plan_on(&snapshot, spec)?;
         let plan = compile(&snapshot, spec, strategy)?;
-        Ok(PlanExplain {
+        let explain = PlanExplain {
             query: None,
             ast: None,
             logical: None,
             rewrites: rewrites_of(spec),
             strategy,
             root: OpNode::from_plan(&*plan),
-        })
+        };
+        Ok((explain, plan))
     }
 
     /// `EXPLAIN ANALYZE` for a textual query: explains it, executes it
@@ -944,21 +909,9 @@ impl Database {
 
     /// `EXPLAIN ANALYZE` for a pre-built [`QuerySpec`].
     pub fn explain_analyze_spec(&self, spec: &QuerySpec) -> Result<AnalyzedQuery, QueryError> {
-        let snapshot = self.snapshot();
-        let strategy = self.plan_on(&snapshot, spec)?;
-        let plan = compile(&snapshot, spec, strategy)?;
-        let explain = PlanExplain {
-            query: None,
-            ast: None,
-            logical: None,
-            rewrites: rewrites_of(spec),
-            strategy,
-            root: OpNode::from_plan(&*plan),
-        };
-        let obs = self.store.obs();
-        let start = Instant::now();
-        let (result, trace) = plan.execute_traced(ExecutionMode::default_mode());
-        obs.record(HistogramKind::QueryExec, start.elapsed());
+        let (explain, plan) = self.explain_compiled(spec)?;
+        let (result, trace) =
+            self.timed_exec(|| plan.execute_traced(ExecutionMode::default_mode()));
         Ok(AnalyzedQuery {
             explain,
             trace,
@@ -1256,9 +1209,9 @@ mod tests {
             Err(QueryError::UnknownRelation { .. })
         ));
 
-        // `execute_parsed` + `execute_batch` run the same parsed spec.
+        // `execute` + `execute_batch` run the same parsed spec.
         let spec = db.parse_query("FIND B WHERE KNN(5, 30, 30)").unwrap();
-        assert_eq!(db.execute_parsed(&spec).unwrap().num_rows(), 5);
+        assert_eq!(db.execute(&spec).unwrap().num_rows(), 5);
         let batch = db.execute_batch(&[spec.clone(), spec]);
         assert!(batch.iter().all(|r| r.as_ref().unwrap().num_rows() == 5));
     }

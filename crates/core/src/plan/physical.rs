@@ -37,9 +37,8 @@
 //!
 //! Every operator implements [`PhysicalPlan`]: it knows its [`Strategy`], its
 //! output [`RowSchema`], and how to [`PhysicalPlan::execute`] under a given
-//! [`ExecutionMode`] — serially, partitioned over the shared persistent
-//! worker pool (`Pooled`, the default), or over a freshly spawned scoped
-//! team (`Parallel`). Operators hold their relations as [`Relation`]
+//! [`ExecutionMode`] — serially, or partitioned over the current persistent
+//! worker pool (`Pooled`). Operators hold their relations as [`Relation`]
 //! (shared-ownership snapshot handles), so a compiled plan stays valid — and
 //! keeps observing the exact version it was compiled against — no matter
 //! what ingest or compaction publish afterwards. Adding a new algorithm
@@ -55,9 +54,8 @@ use twoknn_index::{brute_force_knn_filtered, GridIndex, Metrics, SpatialIndex};
 use crate::error::QueryError;
 use crate::exec::{run_partitioned, ExecutionMode};
 use crate::joins2::{
-    chained_join_intersection_with_mode, chained_nested_cached_with_mode, chained_nested_with_mode,
-    chained_right_deep_with_mode, unchained_block_marking_with_mode,
-    unchained_conceptual_with_mode, ChainedJoinQuery, UnchainedJoinQuery,
+    chained_join_intersection, chained_nested, chained_nested_cached, chained_right_deep,
+    unchained_block_marking, unchained_conceptual, ChainedJoinQuery, UnchainedJoinQuery,
 };
 use crate::output::{Pair, QueryOutput, Triplet};
 use crate::plan::executor::{QueryFilters, QueryResult, QuerySpec};
@@ -67,13 +65,10 @@ use crate::plan::strategy::{
 };
 use crate::select::{knn_select_filtered, knn_select_filtered_neighborhood, KnnSelectQuery};
 use crate::select_join::{
-    block_marking_with_mode, conceptual_with_mode, counting_with_mode,
-    select_on_outer_after_join_with_mode, select_on_outer_pushdown, BlockMarkingConfig,
-    SelectInnerJoinQuery, SelectOuterJoinQuery,
+    block_marking, conceptual, counting, select_on_outer_after_join, select_on_outer_pushdown,
+    BlockMarkingConfig, SelectInnerJoinQuery, SelectOuterJoinQuery,
 };
-use crate::selects2::{
-    intersect_output, two_knn_select, two_selects_conceptual_with_mode, TwoSelectsQuery,
-};
+use crate::selects2::{intersect_output, two_knn_select, two_selects_conceptual, TwoSelectsQuery};
 use crate::store::DbSnapshot;
 
 /// A shared handle to one pinned, immutable version of an indexed relation.
@@ -511,7 +506,7 @@ impl PhysicalPlan for CountingOp {
 
     fn execute(&self, mode: ExecutionMode) -> QueryResult {
         QueryResult::Pairs {
-            output: counting_with_mode(&*self.outer, &*self.inner, &self.query, mode),
+            output: counting(&*self.outer, &*self.inner, &self.query, mode),
             strategy: self.strategy(),
         }
     }
@@ -548,13 +543,7 @@ impl PhysicalPlan for BlockMarkingOp {
 
     fn execute(&self, mode: ExecutionMode) -> QueryResult {
         QueryResult::Pairs {
-            output: block_marking_with_mode(
-                &*self.outer,
-                &*self.inner,
-                &self.query,
-                &self.config,
-                mode,
-            ),
+            output: block_marking(&*self.outer, &*self.inner, &self.query, &self.config, mode),
             strategy: self.strategy(),
         }
     }
@@ -589,7 +578,7 @@ impl PhysicalPlan for SelectInnerConceptualOp {
 
     fn execute(&self, mode: ExecutionMode) -> QueryResult {
         QueryResult::Pairs {
-            output: conceptual_with_mode(&*self.outer, &*self.inner, &self.query, mode),
+            output: conceptual(&*self.outer, &*self.inner, &self.query, mode),
             strategy: self.strategy(),
         }
     }
@@ -636,7 +625,7 @@ impl PhysicalPlan for OuterPushdownOp {
                 select_on_outer_pushdown(&*self.outer, &*self.inner, &self.query)
             }
             SelectOuterStrategy::SelectAfterJoin => {
-                select_on_outer_after_join_with_mode(&*self.outer, &*self.inner, &self.query, mode)
+                select_on_outer_after_join(&*self.outer, &*self.inner, &self.query, mode)
             }
         };
         QueryResult::Pairs {
@@ -687,17 +676,16 @@ impl PhysicalPlan for UnchainedJoinsOp {
     fn execute(&self, mode: ExecutionMode) -> QueryResult {
         let output = match self.strategy {
             UnchainedStrategy::Conceptual => {
-                unchained_conceptual_with_mode(&*self.a, &*self.b, &*self.c, &self.query, mode)
+                unchained_conceptual(&*self.a, &*self.b, &*self.c, &self.query, mode)
             }
             UnchainedStrategy::BlockMarkingStartWithA => {
-                unchained_block_marking_with_mode(&*self.a, &*self.b, &*self.c, &self.query, mode)
+                unchained_block_marking(&*self.a, &*self.b, &*self.c, &self.query, mode)
             }
             UnchainedStrategy::BlockMarkingStartWithC => {
                 // Start with (C ⋈ B): swap the roles of A and C, then swap the
                 // components back in the emitted triplets.
                 let swapped = UnchainedJoinQuery::new(self.query.k_cb, self.query.k_ab);
-                let out =
-                    unchained_block_marking_with_mode(&*self.c, &*self.b, &*self.a, &swapped, mode);
+                let out = unchained_block_marking(&*self.c, &*self.b, &*self.a, &swapped, mode);
                 QueryOutput::new(
                     out.rows
                         .into_iter()
@@ -753,16 +741,16 @@ impl PhysicalPlan for ChainedJoinsOp {
     fn execute(&self, mode: ExecutionMode) -> QueryResult {
         let output = match self.strategy {
             ChainedStrategy::RightDeep => {
-                chained_right_deep_with_mode(&*self.a, &*self.b, &*self.c, &self.query, mode)
+                chained_right_deep(&*self.a, &*self.b, &*self.c, &self.query, mode)
             }
             ChainedStrategy::JoinIntersection => {
-                chained_join_intersection_with_mode(&*self.a, &*self.b, &*self.c, &self.query, mode)
+                chained_join_intersection(&*self.a, &*self.b, &*self.c, &self.query, mode)
             }
             ChainedStrategy::NestedJoin => {
-                chained_nested_with_mode(&*self.a, &*self.b, &*self.c, &self.query, mode)
+                chained_nested(&*self.a, &*self.b, &*self.c, &self.query, mode)
             }
             ChainedStrategy::NestedJoinCached => {
-                chained_nested_cached_with_mode(&*self.a, &*self.b, &*self.c, &self.query, mode)
+                chained_nested_cached(&*self.a, &*self.b, &*self.c, &self.query, mode)
             }
         };
         QueryResult::Triplets {
@@ -804,10 +792,10 @@ impl PhysicalPlan for TwoSelectsOp {
 
     fn execute(&self, mode: ExecutionMode) -> QueryResult {
         let output = match self.strategy {
-            // The conceptual QEP's two selects are independent: under a
-            // parallel mode each runs as its own (pool) task.
+            // The conceptual QEP's two selects are independent: in `Pooled`
+            // mode each runs as its own pool task.
             TwoSelectsStrategy::Conceptual => {
-                two_selects_conceptual_with_mode(&*self.relation, &self.query, mode)
+                two_selects_conceptual(&*self.relation, &self.query, mode)
             }
             // The 2-kNN-select algorithm is inherently sequential (the
             // second locality is bounded by the first select's result);

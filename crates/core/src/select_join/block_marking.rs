@@ -52,41 +52,16 @@ impl Default for BlockMarkingConfig {
 }
 
 /// Evaluates `(E1 ⋈kNN E2) ∩ (E1 × σ_{kσ,f}(E2))` with the Block-Marking
-/// algorithm using the default configuration (contour pruning enabled, as in
-/// the paper).
-pub fn block_marking<O, I>(outer: &O, inner: &I, query: &SelectInnerJoinQuery) -> QueryOutput<Pair>
-where
-    O: SpatialIndex + Sync + ?Sized,
-    I: SpatialIndex + Sync + ?Sized,
-{
-    block_marking_with_config(outer, inner, query, &BlockMarkingConfig::default())
-}
-
-/// Evaluates the query with the Block-Marking algorithm and an explicit
-/// configuration.
-pub fn block_marking_with_config<O, I>(
-    outer: &O,
-    inner: &I,
-    query: &SelectInnerJoinQuery,
-    config: &BlockMarkingConfig,
-) -> QueryOutput<Pair>
-where
-    O: SpatialIndex + Sync + ?Sized,
-    I: SpatialIndex + Sync + ?Sized,
-{
-    block_marking_with_mode(outer, inner, query, config, ExecutionMode::Serial)
-}
-
-/// The Block-Marking algorithm under an explicit [`ExecutionMode`].
+/// algorithm (the paper's configuration is [`BlockMarkingConfig::default`]:
+/// contour pruning enabled).
 ///
 /// The preprocessing scan (Procedure 3) is inherently sequential — the
 /// contour-based early stop depends on the order blocks are visited — so it
 /// always runs on one thread. The join phase over the Contributing blocks,
-/// which dominates the cost, is partitioned across the mode's workers (the
-/// shared persistent pool under `Pooled`, the default) in a parallel mode.
-/// Rows (in order) and merged work counters are identical to the serial
-/// run.
-pub fn block_marking_with_mode<O, I>(
+/// which dominates the cost, is partitioned across the current worker pool
+/// under [`ExecutionMode::Pooled`]. Rows (in order) and merged work counters
+/// are identical to the serial run.
+pub fn block_marking<O, I>(
     outer: &O,
     inner: &I,
     query: &SelectInnerJoinQuery,
@@ -226,9 +201,10 @@ mod tests {
         let inner = grid(scattered(500, 22));
         for (k_join, k_select) in [(1, 1), (2, 2), (3, 6), (6, 2)] {
             let query = SelectInnerJoinQuery::new(k_join, k_select, Point::anonymous(20.0, 70.0));
-            let bm = block_marking(&outer, &inner, &query);
-            let cn = counting(&outer, &inner, &query);
-            let cc = conceptual(&outer, &inner, &query);
+            let config = BlockMarkingConfig::default();
+            let bm = block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial);
+            let cn = counting(&outer, &inner, &query, ExecutionMode::Serial);
+            let cc = conceptual(&outer, &inner, &query, ExecutionMode::Serial);
             assert_eq!(pair_id_set(&bm.rows), pair_id_set(&cc.rows));
             assert_eq!(pair_id_set(&cn.rows), pair_id_set(&cc.rows));
         }
@@ -239,15 +215,16 @@ mod tests {
         let outer = grid(scattered(200, 31));
         let inner = grid(scattered(300, 32));
         let query = SelectInnerJoinQuery::new(4, 4, Point::anonymous(50.0, 50.0));
-        let safe = block_marking_with_config(
+        let safe = block_marking(
             &outer,
             &inner,
             &query,
             &BlockMarkingConfig {
                 contour_pruning: false,
             },
+            ExecutionMode::Serial,
         );
-        let cc = conceptual(&outer, &inner, &query);
+        let cc = conceptual(&outer, &inner, &query, ExecutionMode::Serial);
         assert_eq!(pair_id_set(&safe.rows), pair_id_set(&cc.rows));
     }
 
@@ -280,9 +257,10 @@ mod tests {
         let outer = grid(outer_pts);
         let inner = grid(inner_pts);
         let query = SelectInnerJoinQuery::new(2, 3, Point::anonymous(1.0, 1.0));
+        let config = BlockMarkingConfig::default();
 
-        let bm = block_marking(&outer, &inner, &query);
-        let cc = conceptual(&outer, &inner, &query);
+        let bm = block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial);
+        let cc = conceptual(&outer, &inner, &query, ExecutionMode::Serial);
         assert_eq!(pair_id_set(&bm.rows), pair_id_set(&cc.rows));
         assert!(bm.metrics.blocks_pruned > 0, "{}", bm.metrics);
         assert!(
@@ -302,7 +280,8 @@ mod tests {
             GridIndex::build_with_bounds(vec![], twoknn_geometry::Rect::new(0.0, 0.0, 1.0, 1.0), 2)
                 .unwrap();
         let query = SelectInnerJoinQuery::new(2, 2, Point::anonymous(0.5, 0.5));
-        let out = block_marking(&outer, &inner, &query);
+        let config = BlockMarkingConfig::default();
+        let out = block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial);
         assert!(out.is_empty());
         assert_eq!(out.metrics.neighborhoods_computed, 1); // only nbr_f
     }

@@ -26,22 +26,12 @@ use super::SelectInnerJoinQuery;
 
 /// Evaluates `(E1 ⋈kNN E2) ∩ (E1 × σ_{kσ,f}(E2))` with the Counting
 /// algorithm (Procedure 1).
-pub fn counting<O, I>(outer: &O, inner: &I, query: &SelectInnerJoinQuery) -> QueryOutput<Pair>
-where
-    O: SpatialIndex + Sync + ?Sized,
-    I: SpatialIndex + Sync + ?Sized,
-{
-    counting_with_mode(outer, inner, query, ExecutionMode::Serial)
-}
-
-/// The Counting algorithm under an explicit [`ExecutionMode`].
 ///
-/// The per-outer-point test is independent of every other point, so in a
-/// parallel mode the outer relation's blocks are partitioned across the
-/// mode's workers — the shared persistent pool for `Pooled` (the default),
-/// a freshly spawned scoped team for `Parallel`. The result rows (in order)
-/// and the merged work counters are identical to the serial run.
-pub fn counting_with_mode<O, I>(
+/// The per-outer-point test is independent of every other point, so under
+/// [`ExecutionMode::Pooled`] the outer relation's blocks are partitioned
+/// across the current worker pool. The result rows (in order) and the
+/// merged work counters are identical to the serial run.
+pub fn counting<O, I>(
     outer: &O,
     inner: &I,
     query: &SelectInnerJoinQuery,
@@ -155,8 +145,8 @@ mod tests {
         let inner = grid(scattered(400, 2));
         for (k_join, k_select) in [(1, 1), (2, 2), (4, 8), (8, 3)] {
             let query = SelectInnerJoinQuery::new(k_join, k_select, Point::anonymous(30.0, 40.0));
-            let fast = counting(&outer, &inner, &query);
-            let slow = conceptual(&outer, &inner, &query);
+            let fast = counting(&outer, &inner, &query, ExecutionMode::Serial);
+            let slow = conceptual(&outer, &inner, &query, ExecutionMode::Serial);
             assert_eq!(
                 pair_id_set(&fast.rows),
                 pair_id_set(&slow.rows),
@@ -186,10 +176,10 @@ mod tests {
             Point::new(2, 5.0, 5.0),
         ]);
         let query = SelectInnerJoinQuery::new(2, 2, Point::anonymous(5.0, 5.0));
-        let out = counting(&outer, &inner, &query);
+        let out = counting(&outer, &inner, &query, ExecutionMode::Serial);
         assert!(out.metrics.points_pruned >= 2, "{}", out.metrics);
         // Correctness still holds.
-        let slow = conceptual(&outer, &inner, &query);
+        let slow = conceptual(&outer, &inner, &query, ExecutionMode::Serial);
         assert_eq!(pair_id_set(&out.rows), pair_id_set(&slow.rows));
     }
 
@@ -198,8 +188,8 @@ mod tests {
         let outer = grid(scattered(300, 7));
         let inner = grid(scattered(600, 8));
         let query = SelectInnerJoinQuery::new(3, 3, Point::anonymous(10.0, 10.0));
-        let fast = counting(&outer, &inner, &query);
-        let slow = conceptual(&outer, &inner, &query);
+        let fast = counting(&outer, &inner, &query, ExecutionMode::Serial);
+        let slow = conceptual(&outer, &inner, &query, ExecutionMode::Serial);
         assert!(
             fast.metrics.neighborhoods_computed < slow.metrics.neighborhoods_computed,
             "counting {} vs conceptual {}",
@@ -215,6 +205,6 @@ mod tests {
             GridIndex::build_with_bounds(vec![], twoknn_geometry::Rect::new(0.0, 0.0, 1.0, 1.0), 2)
                 .unwrap();
         let query = SelectInnerJoinQuery::new(2, 2, Point::anonymous(0.0, 0.0));
-        assert!(counting(&outer, &inner, &query).is_empty());
+        assert!(counting(&outer, &inner, &query, ExecutionMode::Serial).is_empty());
     }
 }

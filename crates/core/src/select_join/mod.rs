@@ -28,14 +28,10 @@ mod counting;
 mod outer_pushdown;
 mod range_select;
 
-pub use block_marking::{
-    block_marking, block_marking_with_config, block_marking_with_mode, BlockMarkingConfig,
-};
-pub use conceptual::{conceptual, conceptual_with_mode, invalid_inner_pushdown};
-pub use counting::{counting, counting_with_mode};
-pub use outer_pushdown::{
-    select_on_outer_after_join, select_on_outer_after_join_with_mode, select_on_outer_pushdown,
-};
+pub use block_marking::{block_marking, BlockMarkingConfig};
+pub use conceptual::{conceptual, invalid_inner_pushdown};
+pub use counting::counting;
+pub use outer_pushdown::{select_on_outer_after_join, select_on_outer_pushdown};
 pub use range_select::{
     range_inner_block_marking, range_inner_conceptual, range_inner_counting,
     range_inner_invalid_pushdown, RangeInnerJoinQuery,

@@ -15,7 +15,7 @@
 use twoknn_index::{Metrics, SpatialIndex};
 
 use crate::exec::ExecutionMode;
-use crate::join::{knn_join_points, knn_join_rows_with_mode};
+use crate::join::{knn_join_points, knn_join_rows};
 use crate::output::{Pair, QueryOutput};
 use crate::select::knn_select_neighborhood;
 
@@ -43,24 +43,10 @@ where
 /// QEP2 of Figure 3: evaluate the full join `E1 ⋈kNN E2` first and apply the
 /// selection on the outer attribute of the result afterwards. Same result as
 /// [`select_on_outer_pushdown`], but the join is computed for every outer
-/// point.
+/// point, block-partitioned per `mode`. (The pushdown QEP1 only ever joins
+/// the `kσ` selected points, so it takes no mode — it is already the cheap
+/// plan.)
 pub fn select_on_outer_after_join<O, I>(
-    outer: &O,
-    inner: &I,
-    query: &SelectOuterJoinQuery,
-) -> QueryOutput<Pair>
-where
-    O: SpatialIndex + Sync + ?Sized,
-    I: SpatialIndex + Sync + ?Sized,
-{
-    select_on_outer_after_join_with_mode(outer, inner, query, ExecutionMode::Serial)
-}
-
-/// QEP2 of Figure 3 under an explicit [`ExecutionMode`]: the full join is
-/// block-partitioned across worker threads in parallel mode. (The pushdown
-/// QEP1 only ever joins the `kσ` selected points, so it has no parallel
-/// variant — it is already the cheap plan.)
-pub fn select_on_outer_after_join_with_mode<O, I>(
     outer: &O,
     inner: &I,
     query: &SelectOuterJoinQuery,
@@ -72,7 +58,7 @@ where
 {
     let mut metrics = Metrics::default();
     let selected = knn_select_neighborhood(outer, &query.focal, query.k_select, &mut metrics);
-    let join_pairs = knn_join_rows_with_mode(outer, inner, query.k_join, mode, &mut metrics);
+    let join_pairs = knn_join_rows(outer, inner, query.k_join, mode, &mut metrics);
     let rows: Vec<Pair> = join_pairs
         .into_iter()
         .filter(|pair| selected.contains_id(pair.left.id))
@@ -108,7 +94,7 @@ mod tests {
         for (k_join, k_select) in [(1, 1), (2, 2), (3, 10), (8, 4)] {
             let query = SelectOuterJoinQuery::new(k_join, k_select, Point::anonymous(40.0, 40.0));
             let a = select_on_outer_pushdown(&outer, &inner, &query);
-            let b = select_on_outer_after_join(&outer, &inner, &query);
+            let b = select_on_outer_after_join(&outer, &inner, &query, ExecutionMode::Serial);
             assert_eq!(
                 pair_id_set(&a.rows),
                 pair_id_set(&b.rows),
@@ -123,7 +109,7 @@ mod tests {
         let inner = GridIndex::build(scattered(400, 8), 10).unwrap();
         let query = SelectOuterJoinQuery::new(2, 5, Point::anonymous(10.0, 90.0));
         let fast = select_on_outer_pushdown(&outer, &inner, &query);
-        let slow = select_on_outer_after_join(&outer, &inner, &query);
+        let slow = select_on_outer_after_join(&outer, &inner, &query, ExecutionMode::Serial);
         assert!(
             fast.metrics.neighborhoods_computed < slow.metrics.neighborhoods_computed / 10,
             "pushdown {} vs after-join {}",

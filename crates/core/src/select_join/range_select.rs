@@ -27,7 +27,8 @@
 use twoknn_geometry::{mindist, Rect};
 use twoknn_index::{get_knn, Metrics, SpatialIndex};
 
-use crate::join::knn_join_with_metrics;
+use crate::exec::ExecutionMode;
+use crate::join::knn_join_rows;
 use crate::output::{Pair, QueryOutput};
 
 /// Parameters of a query with a range selection on the **inner** relation of
@@ -55,11 +56,17 @@ pub fn range_inner_conceptual<O, I>(
     query: &RangeInnerJoinQuery,
 ) -> QueryOutput<Pair>
 where
-    O: SpatialIndex + ?Sized,
-    I: SpatialIndex + ?Sized,
+    O: SpatialIndex + Sync + ?Sized,
+    I: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let join_pairs = knn_join_with_metrics(outer, inner, query.k_join, &mut metrics);
+    let join_pairs = knn_join_rows(
+        outer,
+        inner,
+        query.k_join,
+        ExecutionMode::Serial,
+        &mut metrics,
+    );
     let rows: Vec<Pair> = join_pairs
         .into_iter()
         .filter(|pair| query.range.contains(&pair.right))

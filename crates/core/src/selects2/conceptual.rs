@@ -11,19 +11,12 @@ use super::TwoSelectsQuery;
 
 /// The correct QEP of Figure 16: evaluate `σ_{k1,f1}(E)` and `σ_{k2,f2}(E)`
 /// independently over the full relation and intersect the two results.
-pub fn two_selects_conceptual<I>(relation: &I, query: &TwoSelectsQuery) -> QueryOutput<Point>
-where
-    I: SpatialIndex + Sync + ?Sized,
-{
-    two_selects_conceptual_with_mode(relation, query, ExecutionMode::Serial)
-}
-
-/// The conceptual QEP under an explicit [`ExecutionMode`]: the two selects
-/// are independent by construction, so they are the two work items of a
-/// partitioned run — in a parallel mode each select evaluates on its own
-/// worker (e.g. one pool task each) before the intersection. Rows and merged
-/// work counters are identical to the serial run.
-pub fn two_selects_conceptual_with_mode<I>(
+///
+/// The two selects are independent by construction, so they are the two work
+/// items of a partitioned run — in `Pooled` mode each select evaluates as its
+/// own pool task before the intersection. Rows and merged work counters are
+/// identical to the serial run.
+pub fn two_selects_conceptual<I>(
     relation: &I,
     query: &TwoSelectsQuery,
     mode: ExecutionMode,
@@ -127,7 +120,7 @@ mod tests {
             5,
             Point::anonymous(29.0, 0.0),
         );
-        let correct = point_id_set(&two_selects_conceptual(&e, &q).rows);
+        let correct = point_id_set(&two_selects_conceptual(&e, &q, ExecutionMode::Serial).rows);
         let wrong_a = point_id_set(&two_selects_wrong_sequential(&e, &q, true).rows);
         let wrong_b = point_id_set(&two_selects_wrong_sequential(&e, &q, false).rows);
         // With the focal points far apart and k small, the true intersection
@@ -155,8 +148,8 @@ mod tests {
             Point::anonymous(10.0, 1.0),
         );
         assert_eq!(
-            point_id_set(&two_selects_conceptual(&e, &q).rows),
-            point_id_set(&two_selects_conceptual(&e, &swapped).rows)
+            point_id_set(&two_selects_conceptual(&e, &q, ExecutionMode::Serial).rows),
+            point_id_set(&two_selects_conceptual(&e, &swapped, ExecutionMode::Serial).rows)
         );
     }
 
@@ -169,7 +162,7 @@ mod tests {
             20,
             Point::anonymous(6.0, 0.0),
         );
-        let out = two_selects_conceptual(&e, &q);
+        let out = two_selects_conceptual(&e, &q, ExecutionMode::Serial);
         // Every member of the smaller-k neighborhood near (5,0) is also among
         // the 20 nearest of (6,0), so the intersection equals the k1 set.
         assert_eq!(out.len(), 4);

@@ -17,9 +17,7 @@ mod conceptual;
 mod two_knn_select;
 
 pub(crate) use conceptual::intersect_output;
-pub use conceptual::{
-    two_selects_conceptual, two_selects_conceptual_with_mode, two_selects_wrong_sequential,
-};
+pub use conceptual::{two_selects_conceptual, two_selects_wrong_sequential};
 pub use two_knn_select::two_knn_select;
 
 use twoknn_geometry::Point;

@@ -24,7 +24,7 @@
 //! database, and [`Database::open`]s it again — the stream resumes exactly
 //! where the "crash" left it.
 //!
-//! Run with: `cargo run --release --features parallel --example moving_objects`
+//! Run with: `cargo run --release --example moving_objects`
 
 use two_knn::core::plan::{Database, QuerySpec};
 use two_knn::core::select_join::SelectInnerJoinQuery;

@@ -7,11 +7,12 @@ use two_knn::core::joins2::{
     chained_nested_cached, unchained_block_marking, ChainedJoinQuery, UnchainedJoinQuery,
 };
 use two_knn::core::select_join::{
-    block_marking, select_on_outer_pushdown, SelectInnerJoinQuery, SelectOuterJoinQuery,
+    block_marking, select_on_outer_pushdown, BlockMarkingConfig, SelectInnerJoinQuery,
+    SelectOuterJoinQuery,
 };
 use two_knn::core::selects2::{two_knn_select, TwoSelectsQuery};
 use two_knn::datagen::{berlinmod, BerlinModConfig};
-use two_knn::{GridIndex, Point, SpatialIndex};
+use two_knn::{ExecutionMode, GridIndex, Point, SpatialIndex};
 
 fn city_relation(n: usize, seed: u64) -> GridIndex {
     GridIndex::build_with_target_occupancy(berlinmod(&BerlinModConfig::with_points(n, seed)), 64)
@@ -38,7 +39,8 @@ fn main() {
 
     // 1. kNN-select on the inner relation of a kNN-join (Section 3).
     let q = SelectInnerJoinQuery::new(3, 8, city_center);
-    let out = block_marking(&restaurants, &hotels, &q);
+    let config = BlockMarkingConfig::default();
+    let out = block_marking(&restaurants, &hotels, &q, &config, ExecutionMode::Serial);
     println!(
         "1. restaurants ⋈ 3-nearest hotels, hotel among 8 closest to the city center:\n   {} pairs   [{}]",
         out.len(),
@@ -56,7 +58,7 @@ fn main() {
 
     // 3. Two unchained kNN-joins: restaurants and parking both matched to hotels.
     let q = UnchainedJoinQuery::new(2, 2);
-    let out = unchained_block_marking(&restaurants, &hotels, &parking, &q);
+    let out = unchained_block_marking(&restaurants, &hotels, &parking, &q, ExecutionMode::Serial);
     println!(
         "3. (restaurants ⋈ hotels) ∩_hotel (parking ⋈ hotels):\n   {} triplets   [{}]",
         out.len(),
@@ -65,7 +67,7 @@ fn main() {
 
     // 4. Two chained kNN-joins: restaurant -> hotel -> parking.
     let q = ChainedJoinQuery::new(2, 2);
-    let out = chained_nested_cached(&restaurants, &hotels, &parking, &q);
+    let out = chained_nested_cached(&restaurants, &hotels, &parking, &q, ExecutionMode::Serial);
     println!(
         "4. restaurants ⋈ hotels ⋈ parking (chained, cached nested join):\n   {} triplets   [{}]",
         out.len(),

@@ -15,10 +15,11 @@
 
 use two_knn::core::output::pair_id_set;
 use two_knn::core::select_join::{
-    block_marking, conceptual, counting, invalid_inner_pushdown, SelectInnerJoinQuery,
+    block_marking, conceptual, counting, invalid_inner_pushdown, BlockMarkingConfig,
+    SelectInnerJoinQuery,
 };
 use two_knn::datagen::{berlinmod, BerlinModConfig};
-use two_knn::{GridIndex, Point, SpatialIndex};
+use two_knn::{ExecutionMode, GridIndex, Point, SpatialIndex};
 
 fn main() {
     // Mechanics are sparse; hotels are denser and skewed towards the center.
@@ -43,11 +44,12 @@ fn main() {
     );
 
     let query = SelectInnerJoinQuery::new(2, 2, shopping_center);
+    let config = BlockMarkingConfig::default();
 
     // The three correct plans.
-    let correct = conceptual(&mechanics, &hotels, &query);
-    let fast_counting = counting(&mechanics, &hotels, &query);
-    let fast_marking = block_marking(&mechanics, &hotels, &query);
+    let correct = conceptual(&mechanics, &hotels, &query, ExecutionMode::Serial);
+    let fast_counting = counting(&mechanics, &hotels, &query, ExecutionMode::Serial);
+    let fast_marking = block_marking(&mechanics, &hotels, &query, &config, ExecutionMode::Serial);
 
     // The classical (and wrong) relational optimization.
     let wrong = invalid_inner_pushdown(&mechanics, &hotels, &query);

@@ -26,8 +26,9 @@
 //! ```
 //! use two_knn::datagen::{berlinmod, BerlinModConfig};
 //! use two_knn::index::GridIndex;
-//! use two_knn::core::select_join::{block_marking, SelectInnerJoinQuery};
+//! use two_knn::core::select_join::{block_marking, BlockMarkingConfig, SelectInnerJoinQuery};
 //! use two_knn::geometry::Point;
+//! use two_knn::ExecutionMode;
 //!
 //! // Two relations over the same city.
 //! let mechanics = GridIndex::build(berlinmod(&BerlinModConfig::with_points(2_000, 1)), 32).unwrap();
@@ -36,7 +37,10 @@
 //! // "Mechanic shops with their 2 closest hotels, keeping hotels among the
 //! //  2 closest to the shopping center."
 //! let query = SelectInnerJoinQuery::new(2, 2, Point::anonymous(50_000.0, 50_000.0));
-//! let result = block_marking(&mechanics, &hotels, &query);
+//! //  `Serial` runs on this thread; `Pooled` spreads the outer blocks over the
+//! //  current worker pool and returns the same rows.
+//! let config = BlockMarkingConfig::default();
+//! let result = block_marking(&mechanics, &hotels, &query, &config, ExecutionMode::Serial);
 //! println!("{} pairs, work: {}", result.len(), result.metrics);
 //! ```
 

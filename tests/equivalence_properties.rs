@@ -11,12 +11,12 @@ use two_knn::core::joins2::{
 };
 use two_knn::core::output::{pair_id_set, point_id_set, triplet_id_set};
 use two_knn::core::select_join::{
-    block_marking, block_marking_with_config, conceptual, counting, select_on_outer_after_join,
-    select_on_outer_pushdown, BlockMarkingConfig, SelectInnerJoinQuery, SelectOuterJoinQuery,
+    block_marking, conceptual, counting, select_on_outer_after_join, select_on_outer_pushdown,
+    BlockMarkingConfig, SelectInnerJoinQuery, SelectOuterJoinQuery,
 };
 use two_knn::core::selects2::{two_knn_select, two_selects_conceptual, TwoSelectsQuery};
 use two_knn::datagen::rng::StdRng;
-use two_knn::{GridIndex, Point};
+use two_knn::{ExecutionMode, GridIndex, Point};
 
 const CASES: u64 = 48;
 
@@ -53,14 +53,18 @@ fn select_inner_algorithms_are_equivalent() {
         let k_join = rng.gen_range(1..6usize);
         let k_select = rng.gen_range(1..8usize);
         let query = SelectInnerJoinQuery::new(k_join, k_select, f);
-        let reference = pair_id_set(&conceptual(&outer, &inner, &query).rows);
+        let config = BlockMarkingConfig::default();
+        let reference =
+            pair_id_set(&conceptual(&outer, &inner, &query, ExecutionMode::Serial).rows);
         assert_eq!(
-            pair_id_set(&counting(&outer, &inner, &query).rows),
+            pair_id_set(&counting(&outer, &inner, &query, ExecutionMode::Serial).rows),
             reference,
             "counting, case {case}"
         );
         assert_eq!(
-            pair_id_set(&block_marking(&outer, &inner, &query).rows),
+            pair_id_set(
+                &block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial).rows
+            ),
             reference,
             "block-marking, case {case}"
         );
@@ -68,7 +72,9 @@ fn select_inner_algorithms_are_equivalent() {
             contour_pruning: false,
         };
         assert_eq!(
-            pair_id_set(&block_marking_with_config(&outer, &inner, &query, &no_contour).rows),
+            pair_id_set(
+                &block_marking(&outer, &inner, &query, &no_contour, ExecutionMode::Serial).rows
+            ),
             reference,
             "block-marking without contour, case {case}"
         );
@@ -89,7 +95,9 @@ fn outer_select_pushdown_is_an_equivalence() {
         let query = SelectOuterJoinQuery::new(k_join, k_select, f);
         assert_eq!(
             pair_id_set(&select_on_outer_pushdown(&outer, &inner, &query).rows),
-            pair_id_set(&select_on_outer_after_join(&outer, &inner, &query).rows),
+            pair_id_set(
+                &select_on_outer_after_join(&outer, &inner, &query, ExecutionMode::Serial).rows
+            ),
             "case {case}"
         );
     }
@@ -107,9 +115,12 @@ fn unchained_algorithms_are_equivalent() {
         let k_ab = rng.gen_range(1..4usize);
         let k_cb = rng.gen_range(1..4usize);
         let query = UnchainedJoinQuery::new(k_ab, k_cb);
-        let reference = triplet_id_set(&unchained_conceptual(&a, &b, &c, &query).rows);
+        let reference =
+            triplet_id_set(&unchained_conceptual(&a, &b, &c, &query, ExecutionMode::Serial).rows);
         assert_eq!(
-            triplet_id_set(&unchained_block_marking(&a, &b, &c, &query).rows),
+            triplet_id_set(
+                &unchained_block_marking(&a, &b, &c, &query, ExecutionMode::Serial).rows
+            ),
             reference,
             "case {case}"
         );
@@ -117,7 +128,7 @@ fn unchained_algorithms_are_equivalent() {
         // (C ⋈ B) ∩_B (A ⋈ B); swap the components to compare.
         let swapped = UnchainedJoinQuery::new(k_cb, k_ab);
         let other_order: std::collections::BTreeSet<_> =
-            unchained_block_marking(&c, &b, &a, &swapped)
+            unchained_block_marking(&c, &b, &a, &swapped, ExecutionMode::Serial)
                 .rows
                 .iter()
                 .map(|t| (t.c.id, t.b.id, t.a.id))
@@ -137,19 +148,22 @@ fn chained_plans_are_equivalent() {
         let k_ab = rng.gen_range(1..4usize);
         let k_bc = rng.gen_range(1..4usize);
         let query = ChainedJoinQuery::new(k_ab, k_bc);
-        let reference = triplet_id_set(&chained_right_deep(&a, &b, &c, &query).rows);
+        let reference =
+            triplet_id_set(&chained_right_deep(&a, &b, &c, &query, ExecutionMode::Serial).rows);
         assert_eq!(
-            triplet_id_set(&chained_join_intersection(&a, &b, &c, &query).rows),
+            triplet_id_set(
+                &chained_join_intersection(&a, &b, &c, &query, ExecutionMode::Serial).rows
+            ),
             reference,
             "join-intersection, case {case}"
         );
         assert_eq!(
-            triplet_id_set(&chained_nested(&a, &b, &c, &query).rows),
+            triplet_id_set(&chained_nested(&a, &b, &c, &query, ExecutionMode::Serial).rows),
             reference,
             "nested, case {case}"
         );
         assert_eq!(
-            triplet_id_set(&chained_nested_cached(&a, &b, &c, &query).rows),
+            triplet_id_set(&chained_nested_cached(&a, &b, &c, &query, ExecutionMode::Serial).rows),
             reference,
             "nested-cached, case {case}"
         );
@@ -170,7 +184,7 @@ fn two_selects_algorithms_are_equivalent() {
         let query = TwoSelectsQuery::new(k1, f1, k2, f2);
         assert_eq!(
             point_id_set(&two_knn_select(&relation, &query).rows),
-            point_id_set(&two_selects_conceptual(&relation, &query).rows),
+            point_id_set(&two_selects_conceptual(&relation, &query, ExecutionMode::Serial).rows),
             "case {case}"
         );
     }
@@ -189,7 +203,8 @@ fn select_inner_result_is_bounded_by_both_predicates() {
         let k_join = rng.gen_range(1..4usize);
         let k_select = rng.gen_range(1..6usize);
         let query = SelectInnerJoinQuery::new(k_join, k_select, f);
-        let result = block_marking(&outer, &inner, &query);
+        let config = BlockMarkingConfig::default();
+        let result = block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial);
         // Bound 1: at most k_join pairs per outer point and k_select distinct
         // inner points overall.
         let mut per_outer = std::collections::HashMap::new();

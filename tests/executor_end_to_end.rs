@@ -1,7 +1,7 @@
 //! End-to-end tests of the catalog / optimizer / executor layer on realistic
-//! (BerlinMOD-like and clustered) workloads, plus the parallel join operator.
+//! (BerlinMOD-like and clustered) workloads, plus the pooled join operator.
 
-use two_knn::core::join::{knn_join, knn_join_parallel};
+use two_knn::core::join::knn_join;
 use two_knn::core::joins2::ChainedJoinQuery;
 use two_knn::core::joins2::UnchainedJoinQuery;
 use two_knn::core::output::pair_id_set;
@@ -12,7 +12,7 @@ use two_knn::core::plan::{
 use two_knn::core::select_join::SelectInnerJoinQuery;
 use two_knn::core::selects2::TwoSelectsQuery;
 use two_knn::datagen::{berlinmod, clustered, BerlinModConfig, ClusterConfig};
-use two_knn::{GridIndex, Point};
+use two_knn::{ExecutionMode, GridIndex, Point, WorkerPool};
 
 fn build_db() -> Database {
     let mut db = Database::new();
@@ -188,7 +188,7 @@ fn every_query_shape_executes_and_strategies_agree_on_results() {
 }
 
 #[test]
-fn parallel_knn_join_matches_sequential_on_city_data() {
+fn pooled_knn_join_matches_sequential_on_city_data() {
     let outer = GridIndex::build_with_target_occupancy(
         berlinmod(&BerlinModConfig::with_points(3_000, 81)),
         64,
@@ -199,9 +199,10 @@ fn parallel_knn_join_matches_sequential_on_city_data() {
         64,
     )
     .unwrap();
-    let seq = knn_join(&outer, &inner, 3);
+    let seq = knn_join(&outer, &inner, 3, ExecutionMode::Serial);
     for threads in [2, 4, 8] {
-        let par = knn_join_parallel(&outer, &inner, 3, threads);
+        let par =
+            WorkerPool::new(threads).bind(|| knn_join(&outer, &inner, 3, ExecutionMode::Pooled));
         assert_eq!(pair_id_set(&seq.rows), pair_id_set(&par.rows));
     }
 }

@@ -12,12 +12,12 @@ use two_knn::core::joins2::{
 use two_knn::core::output::{pair_id_set, point_id_set, triplet_id_set};
 use two_knn::core::select_join::{
     block_marking, conceptual, counting, invalid_inner_pushdown, select_on_outer_after_join,
-    select_on_outer_pushdown, SelectInnerJoinQuery, SelectOuterJoinQuery,
+    select_on_outer_pushdown, BlockMarkingConfig, SelectInnerJoinQuery, SelectOuterJoinQuery,
 };
 use two_knn::core::selects2::{
     two_knn_select, two_selects_conceptual, two_selects_wrong_sequential, TwoSelectsQuery,
 };
-use two_knn::{GridIndex, Point};
+use two_knn::{ExecutionMode, GridIndex, Point};
 
 fn grid(points: Vec<Point>) -> GridIndex {
     GridIndex::build(points, 4).expect("non-empty test relation")
@@ -45,6 +45,7 @@ fn figures_1_and_2_select_inner_of_join() {
         Point::new(4, 7.0, 0.0), // m4: 2-NN hotels = {h1, h3}
     ]);
     let query = SelectInnerJoinQuery::new(2, 2, shopping_center);
+    let config = BlockMarkingConfig::default();
 
     let expected_correct: BTreeSet<(u64, u64)> = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 1)]
         .into_iter()
@@ -64,15 +65,17 @@ fn figures_1_and_2_select_inner_of_join() {
 
     // Figure 1: the conceptually correct QEP and both efficient algorithms.
     assert_eq!(
-        pair_id_set(&conceptual(&mechanics, &hotels, &query).rows),
+        pair_id_set(&conceptual(&mechanics, &hotels, &query, ExecutionMode::Serial).rows),
         expected_correct
     );
     assert_eq!(
-        pair_id_set(&counting(&mechanics, &hotels, &query).rows),
+        pair_id_set(&counting(&mechanics, &hotels, &query, ExecutionMode::Serial).rows),
         expected_correct
     );
     assert_eq!(
-        pair_id_set(&block_marking(&mechanics, &hotels, &query).rows),
+        pair_id_set(
+            &block_marking(&mechanics, &hotels, &query, &config, ExecutionMode::Serial).rows
+        ),
         expected_correct
     );
 
@@ -102,7 +105,7 @@ fn figure_3_select_outer_of_join_pushdown_is_valid() {
     ]);
     let query = SelectOuterJoinQuery::new(2, 2, shopping_center);
     let pushed = select_on_outer_pushdown(&mechanics, &hotels, &query);
-    let after = select_on_outer_after_join(&mechanics, &hotels, &query);
+    let after = select_on_outer_after_join(&mechanics, &hotels, &query, ExecutionMode::Serial);
     assert_eq!(pair_id_set(&pushed.rows), pair_id_set(&after.rows));
     // The selection keeps mechanics 1 and 2 (closest to the shopping center),
     // so every output pair's outer component is one of them.
@@ -129,11 +132,11 @@ fn figures_8_9_10_unchained_joins() {
         .into_iter()
         .collect();
     assert_eq!(
-        triplet_id_set(&unchained_conceptual(&a, &b, &c, &query).rows),
+        triplet_id_set(&unchained_conceptual(&a, &b, &c, &query, ExecutionMode::Serial).rows),
         expected
     );
     assert_eq!(
-        triplet_id_set(&unchained_block_marking(&a, &b, &c, &query).rows),
+        triplet_id_set(&unchained_block_marking(&a, &b, &c, &query, ExecutionMode::Serial).rows),
         expected
     );
 
@@ -185,19 +188,19 @@ fn figure_13_chained_joins() {
     .collect();
 
     assert_eq!(
-        triplet_id_set(&chained_right_deep(&a, &b, &c, &query).rows),
+        triplet_id_set(&chained_right_deep(&a, &b, &c, &query, ExecutionMode::Serial).rows),
         expected
     );
     assert_eq!(
-        triplet_id_set(&chained_join_intersection(&a, &b, &c, &query).rows),
+        triplet_id_set(&chained_join_intersection(&a, &b, &c, &query, ExecutionMode::Serial).rows),
         expected
     );
     assert_eq!(
-        triplet_id_set(&chained_nested(&a, &b, &c, &query).rows),
+        triplet_id_set(&chained_nested(&a, &b, &c, &query, ExecutionMode::Serial).rows),
         expected
     );
     assert_eq!(
-        triplet_id_set(&chained_nested_cached(&a, &b, &c, &query).rows),
+        triplet_id_set(&chained_nested_cached(&a, &b, &c, &query, ExecutionMode::Serial).rows),
         expected
     );
 }
@@ -226,7 +229,7 @@ fn figures_14_15_16_two_selects() {
     // Figure 16: the correct QEP returns {x, y}.
     let expected_correct: BTreeSet<u64> = [1, 2].into_iter().collect();
     assert_eq!(
-        point_id_set(&two_selects_conceptual(&houses, &query).rows),
+        point_id_set(&two_selects_conceptual(&houses, &query, ExecutionMode::Serial).rows),
         expected_correct
     );
     assert_eq!(

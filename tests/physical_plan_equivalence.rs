@@ -1,21 +1,21 @@
 //! Executor-level equivalence suite: every [`QuerySpec`] shape under every
 //! [`Strategy`], on all three index types (grid, PR-quadtree, STR R-tree),
-//! executed serially, over per-call scoped threads, and over the persistent
-//! worker pool — all combinations must return the identical result set.
-//! This is the contract the physical-operator layer must keep: the strategy
-//! choice, the index structure and the execution mode are performance
-//! knobs, never semantics knobs.
+//! executed serially and over the persistent worker pool — all combinations
+//! must return the identical result set. This is the contract the
+//! physical-operator layer must keep: the strategy choice, the index
+//! structure and the execution mode are performance knobs, never semantics
+//! knobs.
 //!
-//! With the `parallel` cargo feature enabled the parallel runs really fan
-//! out over worker threads (the pooled runs over the shared lazily-spawned
-//! pool); without it they fall back to serial, so the suite passes in both
-//! configurations (trivially so in the second).
+//! The pooled runs bind explicit pools of 1, 2 and 4 threads
+//! (`WorkerPool::new(n).bind(..)`), so they really fan out whatever the
+//! machine's core count or `TWOKNN_THREADS` say.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use two_knn::core::joins2::{ChainedJoinQuery, UnchainedJoinQuery};
 use two_knn::core::plan::{
-    ChainedStrategy, Database, QueryFilters, QueryResult, QuerySpec, RowSchema,
+    compile, ChainedStrategy, Database, QueryFilters, QueryResult, QuerySpec, RowSchema,
     SelectInnerStrategy, SelectOuterStrategy, SelectStrategy, Strategy, TwoSelectsStrategy,
     UnchainedStrategy,
 };
@@ -26,7 +26,7 @@ use two_knn::core::ExecutionMode;
 use two_knn::datagen::{berlinmod, BerlinModConfig};
 use two_knn::geometry::Predicate;
 use two_knn::Rect;
-use two_knn::{GridIndex, Point, QuadtreeIndex, StrRTree};
+use two_knn::{GridIndex, Point, QuadtreeIndex, StrRTree, WorkerPool};
 
 /// The strategies available for each query shape.
 fn strategies_for(spec: &QuerySpec) -> Vec<Strategy> {
@@ -190,32 +190,41 @@ fn specs() -> Vec<(QuerySpec, RowSchema)> {
     ]
 }
 
+/// Pool sizes the pooled runs are bound to.
+const POOL_SIZES: [usize; 3] = [1, 2, 4];
+
+fn pools() -> Vec<Arc<WorkerPool>> {
+    POOL_SIZES.into_iter().map(WorkerPool::new).collect()
+}
+
+/// The one fully specified execution path: compile against a pinned
+/// snapshot, execute under `mode`.
+fn run(db: &Database, spec: &QuerySpec, strategy: Strategy, mode: ExecutionMode) -> QueryResult {
+    compile(&db.snapshot(), spec, strategy)
+        .unwrap_or_else(|e| panic!("{strategy} ({mode:?}): {e}"))
+        .execute(mode)
+}
+
 /// The heart of the suite: for every index type, every query shape, every
-/// strategy, serial, scoped-parallel and pooled execution must all agree on
-/// the result set.
+/// strategy, serial and pooled execution (on pools of 1, 2 and 4 threads)
+/// must all agree on the result set.
 #[test]
 fn every_strategy_and_mode_agrees_on_every_index() {
-    let parallel_modes = [
-        ExecutionMode::Parallel { threads: 4 },
-        ExecutionMode::Pooled,
-    ];
+    let pools = pools();
     for (index_name, db) in databases() {
         for (spec, schema) in specs() {
             let mut reference: Option<BTreeSet<Vec<u64>>> = None;
             for strategy in strategies_for(&spec) {
-                let serial = db
-                    .execute_with_strategy_and_mode(&spec, strategy, ExecutionMode::Serial)
-                    .unwrap_or_else(|e| panic!("{index_name}/{strategy}: {e}"));
-                for mode in parallel_modes {
-                    let par = db
-                        .execute_with_strategy_and_mode(&spec, strategy, mode)
-                        .unwrap_or_else(|e| panic!("{index_name}/{strategy} ({mode:?}): {e}"));
+                let serial = run(&db, &spec, strategy, ExecutionMode::Serial);
+                for pool in &pools {
+                    let threads = pool.parallelism();
+                    let pooled = pool.bind(|| run(&db, &spec, strategy, ExecutionMode::Pooled));
 
-                    // Serial and parallel agree exactly — rows and row order.
+                    // Serial and pooled agree exactly — rows and row order.
                     assert_eq!(
                         serial.rows(),
-                        par.rows(),
-                        "serial vs {mode:?} rows differ: {index_name}/{strategy}"
+                        pooled.rows(),
+                        "serial vs {threads}-thread pool rows differ: {index_name}/{strategy}"
                     );
                 }
                 for row in serial.rows() {
@@ -241,34 +250,28 @@ fn every_strategy_and_mode_agrees_on_every_index() {
     }
 }
 
-/// Serial, scoped-parallel and pooled execution must also report identical
-/// work counters for the schedule-independent operators (all but the cached
-/// chained join, whose per-worker caches legitimately change the hit
-/// pattern).
+/// Serial and pooled execution must also report identical work counters for
+/// the schedule-independent operators (all but the cached chained join,
+/// whose per-chunk caches legitimately change the hit pattern).
 #[test]
-fn parallel_metrics_merge_to_serial_totals() {
-    let parallel_modes = [
-        ExecutionMode::Parallel { threads: 4 },
-        ExecutionMode::Pooled,
-    ];
-    let (_, db) = databases().remove(0);
-    for (spec, _) in specs() {
-        for strategy in strategies_for(&spec) {
-            if strategy == Strategy::Chained(ChainedStrategy::NestedJoinCached) {
-                continue;
-            }
-            let serial = db
-                .execute_with_strategy_and_mode(&spec, strategy, ExecutionMode::Serial)
-                .unwrap();
-            for mode in parallel_modes {
-                let par = db
-                    .execute_with_strategy_and_mode(&spec, strategy, mode)
-                    .unwrap();
-                assert_eq!(
-                    serial.metrics(),
-                    par.metrics(),
-                    "metrics diverge under {mode:?} execution: {strategy}"
-                );
+fn pooled_metrics_merge_to_serial_totals() {
+    let pools = pools();
+    for (index_name, db) in databases() {
+        for (spec, _) in specs() {
+            for strategy in strategies_for(&spec) {
+                if strategy == Strategy::Chained(ChainedStrategy::NestedJoinCached) {
+                    continue;
+                }
+                let serial = run(&db, &spec, strategy, ExecutionMode::Serial);
+                for pool in &pools {
+                    let threads = pool.parallelism();
+                    let pooled = pool.bind(|| run(&db, &spec, strategy, ExecutionMode::Pooled));
+                    assert_eq!(
+                        serial.metrics(),
+                        pooled.metrics(),
+                        "metrics diverge on a {threads}-thread pool: {index_name}/{strategy}"
+                    );
+                }
             }
         }
     }
@@ -306,17 +309,19 @@ fn execute_batch_matches_individual_execution() {
     assert!(results[1].is_err());
 }
 
-/// Batch execution through an explicit tiny pool (parallelism 1 and 2) —
-/// the degenerate thread budgets where nested batch-task → block-task
-/// submission would deadlock or misbehave if pool scheduling were wrong —
-/// must agree with per-query execution.
+/// Batch execution through explicit pools of 1, 2 and 4 threads — including
+/// the degenerate budgets where nested batch-task → block-task submission
+/// would deadlock or misbehave if pool scheduling were wrong — must agree
+/// with per-query execution, and every pool size must return the same rows
+/// in input order.
 #[test]
-fn execute_batch_agrees_on_tiny_explicit_pools() {
-    use two_knn::WorkerPool;
+fn execute_batch_agrees_across_explicit_pool_sizes() {
     let a = points(700, 41);
     let b = points(1_100, 42);
     let c = points(900, 43);
-    for parallelism in [1, 2] {
+    let batch: Vec<QuerySpec> = specs().into_iter().map(|(s, _)| s).collect();
+    let mut on_one_thread: Option<Vec<_>> = None;
+    for parallelism in POOL_SIZES {
         let mut db = Database::with_pool(WorkerPool::new(parallelism));
         db.register(
             "A",
@@ -330,14 +335,26 @@ fn execute_batch_agrees_on_tiny_explicit_pools() {
             "C",
             GridIndex::build_with_target_occupancy(c.clone(), 64).unwrap(),
         );
-        let batch: Vec<QuerySpec> = specs().into_iter().map(|(s, _)| s).collect();
-        for (spec, result) in batch.iter().zip(db.execute_batch(&batch)) {
+        let results: Vec<QueryResult> = db
+            .execute_batch(&batch)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        for (spec, result) in batch.iter().zip(&results) {
             let individual = db.execute(spec).unwrap();
             assert_eq!(
-                id_set(&result.unwrap()),
+                id_set(result),
                 id_set(&individual),
                 "pool parallelism {parallelism}: {spec:?}"
             );
+        }
+        let rows: Vec<_> = results.iter().map(QueryResult::rows).collect();
+        match &on_one_thread {
+            None => on_one_thread = Some(rows),
+            Some(expected) => assert_eq!(
+                &rows, expected,
+                "pool parallelism {parallelism} changed the batch's rows or their order"
+            ),
         }
     }
 }
@@ -349,7 +366,7 @@ fn compiled_plans_expose_operator_metadata() {
     let (_, db) = databases().remove(0);
     for (spec, schema) in specs() {
         for strategy in strategies_for(&spec) {
-            let plan = db.compile(&spec, strategy).unwrap();
+            let plan = compile(&db.snapshot(), &spec, strategy).unwrap();
             assert_eq!(plan.strategy(), strategy);
             assert_eq!(plan.schema(), schema);
             assert!(!plan.name().is_empty());

@@ -433,6 +433,7 @@ fn subscribe_query_maintains_the_filtered_result_under_ingest() {
 
     let sub = db.subscribe_query(text).unwrap();
     let mut acc: BTreeMap<Vec<u64>, ()> = BTreeMap::new();
+    db.pool().wait_idle();
     apply_deltas(&mut acc, &db.poll(sub).unwrap());
     assert_eq!(
         acc.keys().cloned().collect::<Vec<_>>(),
@@ -458,6 +459,8 @@ fn subscribe_query_maintains_the_filtered_result_under_ingest() {
         }
         db.ingest("Objects", &ops).unwrap();
 
+        // Re-evaluations run as detached pool jobs: quiesce before polling.
+        db.pool().wait_idle();
         apply_deltas(&mut acc, &db.poll(sub).unwrap());
         assert_eq!(
             acc.keys().cloned().collect::<Vec<_>>(),

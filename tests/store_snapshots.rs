@@ -10,7 +10,9 @@ use std::sync::Arc;
 
 use two_knn::core::exec::available_threads;
 use two_knn::core::joins2::UnchainedJoinQuery;
-use two_knn::core::plan::{Database, QuerySpec, Strategy, TwoSelectsStrategy, UnchainedStrategy};
+use two_knn::core::plan::{
+    compile, Database, QuerySpec, Strategy, TwoSelectsStrategy, UnchainedStrategy,
+};
 use two_knn::core::select_join::{SelectInnerJoinQuery, SelectOuterJoinQuery};
 use two_knn::core::selects2::TwoSelectsQuery;
 use two_knn::core::store::{OverlayConfig, StoreConfig, WriteOp};
@@ -86,7 +88,7 @@ fn register_replaces_and_deregister_mutates_the_catalog() {
             Point::anonymous(52.0, 52.0),
         ),
     };
-    let plan = db.compile_planned(&spec).unwrap();
+    let plan = compile(&db.snapshot(), &spec, db.plan(&spec).unwrap()).unwrap();
     let removed = db.deregister("R").expect("R was registered");
     assert_eq!(removed.num_points(), 80);
     assert!(db.relation("R").is_err());
