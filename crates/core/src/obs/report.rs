@@ -48,10 +48,11 @@ pub struct MetricsReport {
 
 /// The [`Metrics`] counters as stable `(name, value)` pairs, in declaration
 /// order — the enumeration both report formats share.
-pub fn counter_fields(m: &Metrics) -> [(&'static str, u64); 21] {
+pub fn counter_fields(m: &Metrics) -> [(&'static str, u64); 22] {
     [
         ("neighborhoods_computed", m.neighborhoods_computed),
         ("blocks_scanned", m.blocks_scanned),
+        ("blocks_ordered", m.blocks_ordered),
         ("locality_blocks", m.locality_blocks),
         ("points_scanned", m.points_scanned),
         ("distance_computations", m.distance_computations),
@@ -238,7 +239,7 @@ mod tests {
         // Every counter and every histogram appears, even when zero.
         assert_eq!(
             json.lines().filter(|l| l.contains("\"counter\"")).count(),
-            21
+            22
         );
         assert_eq!(
             json.lines().filter(|l| l.contains("\"histogram\"")).count(),

@@ -73,6 +73,7 @@ impl OpTrace {
             ("knn", ex.neighborhoods_computed),
             ("blocks", ex.blocks_scanned),
             ("blocks_pruned", ex.blocks_pruned),
+            ("blocks_ordered", ex.blocks_ordered),
             ("pts", ex.points_scanned),
             ("pts_pruned", ex.points_pruned),
             ("dist", ex.distance_computations),

@@ -25,7 +25,7 @@
 //! neighborhood computation; their neighborhoods are intersected with the
 //! focal neighborhood exactly as in the conceptual plan.
 
-use twoknn_index::{get_knn, BlockMeta, Metrics, SpatialIndex};
+use twoknn_index::{get_knn, BlockMeta, Metrics, ScratchSpace, SpatialIndex};
 
 use crate::exec::{run_partitioned, ExecutionMode};
 use crate::output::{Pair, QueryOutput};
@@ -116,7 +116,10 @@ where
     // Non-Contributing block of the currently open contour cycle; `None`
     // means no cycle is open.
     let mut cycle_maxdist: Option<f64> = None;
-    let mut min_order = outer.mindist_order(&query.focal);
+    // The ordering stays open across the per-block `get_knn` calls below,
+    // which use the thread's scratch; it gets a frontier of its own.
+    let mut order_scratch = ScratchSpace::new();
+    let mut min_order = outer.mindist_order(&query.focal, &mut order_scratch);
     let mut remaining_unscanned = 0u64;
 
     while let Some(ob) = min_order.next() {
@@ -167,6 +170,7 @@ where
         }
     }
     metrics.blocks_pruned += remaining_unscanned;
+    metrics.blocks_ordered += min_order.blocks_ordered();
     contributing
 }
 

@@ -16,7 +16,7 @@
 //! Only the surviving outer points pay for a neighborhood computation.
 
 use twoknn_geometry::Point;
-use twoknn_index::{get_knn, Metrics, Neighborhood, SpatialIndex};
+use twoknn_index::{get_knn, with_thread_scratch, Metrics, Neighborhood, SpatialIndex};
 
 use crate::exec::{run_over_blocks, ExecutionMode};
 use crate::output::{Pair, QueryOutput};
@@ -84,23 +84,7 @@ fn counting_test_point<I>(
 
     // Lines 6–14: count inner points in blocks completely included
     // within the search threshold, scanning in MAXDIST order from e1.
-    let mut count = 0usize;
-    let mut max_order = inner.maxdist_order(e1);
-    while count <= query.k_join {
-        let Some(ob) = max_order.next() else {
-            break;
-        };
-        metrics.blocks_scanned += 1;
-        if ob.distance >= search_threshold {
-            // This block (and all following ones) is not *strictly*
-            // included within the search threshold. Using `>=` keeps
-            // the pruning sound even when an inner point lies at
-            // exactly the threshold distance (a tie the paper's
-            // pseudocode ignores).
-            break;
-        }
-        count += ob.block.count;
-    }
+    let count = count_within(inner, e1, search_threshold, query.k_join, metrics);
 
     // Lines 15–21: only compute e1's neighborhood if the count did not
     // prove the intersection impossible.
@@ -112,6 +96,40 @@ fn counting_test_point<I>(
     } else {
         metrics.points_pruned += 1;
     }
+}
+
+/// The counting scan of Procedure 1 (lines 6–14), shared with the
+/// range-selection variant: the number of `inner` points in blocks whose
+/// MAXDIST from `e1` is *strictly* below `search_threshold`, scanning in
+/// MAXDIST order and stopping once the count exceeds `limit`.
+///
+/// Strictness (`>=` ends the scan) keeps the pruning sound even when an
+/// inner point lies at exactly the threshold distance — a tie the paper's
+/// pseudocode ignores. The ordering's frontier lives in the thread's
+/// scratch, so a per-outer-point loop allocates nothing after the first call.
+pub(crate) fn count_within<I: SpatialIndex + ?Sized>(
+    inner: &I,
+    e1: &Point,
+    search_threshold: f64,
+    limit: usize,
+    metrics: &mut Metrics,
+) -> usize {
+    with_thread_scratch(|scratch| {
+        let mut count = 0usize;
+        let mut max_order = inner.maxdist_order(e1, scratch);
+        while count <= limit {
+            let Some(ob) = max_order.next() else {
+                break;
+            };
+            metrics.blocks_scanned += 1;
+            if ob.distance >= search_threshold {
+                break;
+            }
+            count += ob.block.count;
+        }
+        metrics.blocks_ordered += max_order.blocks_ordered();
+        count
+    })
 }
 
 #[cfg(test)]

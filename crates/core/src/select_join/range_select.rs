@@ -31,6 +31,8 @@ use crate::exec::ExecutionMode;
 use crate::join::knn_join_rows;
 use crate::output::{Pair, QueryOutput};
 
+use super::counting::count_within;
+
 /// Parameters of a query with a range selection on the **inner** relation of
 /// a kNN-join.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,18 +145,7 @@ where
     for block in outer.blocks() {
         for e1 in outer.block_points(block.id) {
             let search_threshold = mindist(&e1, &query.range);
-            let mut count = 0usize;
-            let mut max_order = inner.maxdist_order(&e1);
-            while count <= query.k_join {
-                let Some(ob) = max_order.next() else {
-                    break;
-                };
-                metrics.blocks_scanned += 1;
-                if ob.distance >= search_threshold {
-                    break;
-                }
-                count += ob.block.count;
-            }
+            let count = count_within(inner, &e1, search_threshold, query.k_join, &mut metrics);
             if count <= query.k_join {
                 let nbr = get_knn(inner, &e1, query.k_join, &mut metrics);
                 for n in nbr.members() {

@@ -35,7 +35,7 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use twoknn_geometry::{Point, Rect};
-use twoknn_index::{BlockId, BlockMeta, BlockPoints, PointBlock, SpatialIndex};
+use twoknn_index::{BlockDirectory, BlockId, BlockMeta, BlockPoints, PointBlock, SpatialIndex};
 
 use super::recover::RecoveryError;
 use super::wal::crc32;
@@ -142,6 +142,9 @@ pub(crate) fn write_block_file(path: &Path, index: &dyn SpatialIndex) -> std::io
 pub struct BlockFileIndex {
     buf: Vec<u8>,
     metas: Vec<BlockMeta>,
+    /// Packed from the block footprints at open; in memory only, not part
+    /// of the file format.
+    directory: BlockDirectory,
     /// Absolute payload offset of each block within `buf`.
     offsets: Vec<u64>,
     decoded: Vec<OnceLock<PointBlock>>,
@@ -220,6 +223,7 @@ impl BlockFileIndex {
         let decoded = (0..num_blocks).map(|_| OnceLock::new()).collect();
         Ok(Self {
             buf,
+            directory: BlockDirectory::packed(&metas),
             metas,
             offsets,
             decoded,
@@ -274,20 +278,15 @@ impl SpatialIndex for BlockFileIndex {
         // Prefer a containing block that actually stores a point at these
         // coordinates (footprints may overlap if the source was an R-tree);
         // fall back to the first containing footprint.
-        let mut fallback = None;
-        for m in &self.metas {
-            if m.mbr.contains(p) {
-                fallback.get_or_insert(m.id);
-                let pts = self.block_points(m.id);
-                for i in 0..pts.len() {
-                    let q = pts.get(i);
-                    if q.x == p.x && q.y == p.y {
-                        return Some(m.id);
-                    }
-                }
-            }
-        }
-        fallback
+        self.directory.locate(&self.metas, p, |id| {
+            self.block_points(id)
+                .iter()
+                .any(|q| q.x == p.x && q.y == p.y)
+        })
+    }
+
+    fn directory(&self) -> Option<&BlockDirectory> {
+        Some(&self.directory)
     }
 }
 
@@ -354,7 +353,9 @@ mod tests {
         assert_eq!(opened.blocks_decoded(), 0, "open decodes no point data");
         // Directory-only work (MINDIST ordering) decodes nothing.
         let origin = Point::anonymous(0.0, 0.0);
-        let _ = opened.mindist_order(&origin).next();
+        let _ = opened
+            .mindist_order(&origin, &mut twoknn_index::ScratchSpace::new())
+            .next();
         assert_eq!(opened.blocks_decoded(), 0);
         let first_nonempty = opened.blocks().iter().find(|b| !b.is_empty()).unwrap().id;
         assert!(!opened.block_points(first_nonempty).is_empty());

@@ -20,9 +20,11 @@
 //! * [`RelationSnapshot`] — the composed, immutable view of a whole
 //!   relation: the shard snapshots' blocks concatenated, plus one
 //!   [`PartitionMeta`](twoknn_index::PartitionMeta) per shard (tight MBR +
-//!   contiguous block range) so kNN runs scatter-gather over shards in
-//!   MINDIST order. A relation sharded `1×1` composes to exactly the old
-//!   unsharded snapshot — the ablation baseline;
+//!   contiguous block range) and a block directory whose first level is the
+//!   shards, so a kNN search skips far shards wholesale. The directory nests
+//!   each shard's base directory by reference — a publish adds no work
+//!   proportional to the block count. A relation sharded `1×1` composes to
+//!   exactly the old unsharded snapshot — the ablation baseline;
 //! * [`VersionedRelation`] — a [`ShardMap`](self) routing points to
 //!   independently versioned shards, each with its own writer lock, write
 //!   log, and compaction slot, behind one `Arc`-swapped composed snapshot;

@@ -14,23 +14,23 @@
 //! [`RelationSnapshot`] is the immutable *composed* view queries run
 //! against: the shard snapshots' blocks concatenated into one dense block-id
 //! space, with one [`PartitionMeta`] per shard carrying a tight MBR over the
-//! shard's non-empty blocks. Through [`SpatialIndex::partitions`] the kNN
-//! driver sees the shard tier and executes scatter-gather: shards are
-//! visited in MINDIST order and skipped wholesale once their MINDIST²
-//! exceeds the running τ². Joins and Block-Marking inherit the coarse tier
+//! shard's non-empty blocks. Its [`SpatialIndex::directory`] is one node per
+//! shard over the shards' own directories (shared, not copied), so every
+//! block ordering meets the shard tier first: a kNN search descends into
+//! shards in MINDIST order and never opens one whose footprint lies beyond
+//! its search radius. Joins and Block-Marking inherit the coarse tier
 //! for free — every composed block keeps its shard-tight MBR, so block-level
 //! MINDIST pruning and the contour test see shard-local footprints instead
 //! of one relation-wide decomposition.
 //!
 //! With `shards_per_axis == 1` (the default, and the ablation baseline) the
-//! composed snapshot is a transparent wrapper over a single shard and every
-//! query takes the flat single-locality path.
+//! composed snapshot is a transparent wrapper over a single shard.
 
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 use twoknn_geometry::{Point, PointId, Rect};
-use twoknn_index::{BlockId, BlockMeta, BlockPoints, PartitionMeta, SpatialIndex};
+use twoknn_index::{BlockDirectory, BlockId, BlockMeta, BlockPoints, PartitionMeta, SpatialIndex};
 
 use crate::plan::stats::RelationProfile;
 
@@ -120,9 +120,9 @@ impl ShardMap {
 /// [`PartitionMeta`] shard tier.
 ///
 /// Implements [`SpatialIndex`], so every query algorithm (and
-/// [`RelationProfile`]) consumes it exactly like a plain index; the kNN
-/// driver additionally sees [`SpatialIndex::partitions`] and runs
-/// scatter-gather with MINDIST-ordered shard pruning.
+/// [`RelationProfile`]) consumes it exactly like a plain index; block
+/// orderings reach the shard tier as the first level of
+/// [`SpatialIndex::directory`] and prune whole shards there.
 pub struct RelationSnapshot {
     map: ShardMap,
     shards: Vec<Arc<ShardSnapshot>>,
@@ -130,6 +130,9 @@ pub struct RelationSnapshot {
     blocks: Vec<BlockMeta>,
     /// One entry per shard: tight MBR + owned block-id range.
     partitions: Vec<PartitionMeta>,
+    /// One directory shard per relation shard, nesting the shards' own
+    /// directories by reference; `None` when some shard has none.
+    directory: Option<BlockDirectory>,
     /// Per shard, the composed id of its first block; one trailing entry
     /// holds the total block count (so `block_base.len() == shards + 1`).
     block_base: Vec<BlockId>,
@@ -173,12 +176,18 @@ impl RelationSnapshot {
             bounds = Some(bounds.map_or(sb, |b| b.union(&sb)));
         }
         block_base.push(blocks.len() as BlockId);
+        let directory = shards
+            .iter()
+            .map(|s| s.directory())
+            .collect::<Option<Vec<_>>>()
+            .map(BlockDirectory::sharded);
         Self {
             bounds: bounds.expect("a relation has at least one shard"),
             map,
             shards,
             blocks,
             partitions,
+            directory,
             block_base,
             num_points,
             version,
@@ -358,6 +367,10 @@ impl SpatialIndex for RelationSnapshot {
 
     fn partitions(&self) -> Option<&[PartitionMeta]> {
         Some(&self.partitions)
+    }
+
+    fn directory(&self) -> Option<&BlockDirectory> {
+        self.directory.as_ref()
     }
 }
 

@@ -40,7 +40,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use twoknn_geometry::{Point, PointId, Rect};
-use twoknn_index::{BlockId, BlockMeta, BlockPoints, PointBlock, SpatialIndex};
+use twoknn_index::{BlockDirectory, BlockId, BlockMeta, BlockPoints, PointBlock, SpatialIndex};
 
 use crate::plan::stats::RelationProfile;
 
@@ -104,6 +104,9 @@ pub struct ShardSnapshot {
     /// Base blocks with tombstone-adjusted counts, plus one overlay block
     /// per occupied overlay-grid cell starting at id `base.num_blocks()`.
     blocks: Vec<BlockMeta>,
+    /// The base's directory (its node tree shared, not copied) with the
+    /// overlay blocks appended; `None` when the base has no directory.
+    directory: Option<BlockDirectory>,
     /// Overlay-block ordinal → overlay-grid cell index, ascending. Maps the
     /// dense block ids the trait exposes back to the grid cells that store
     /// the points.
@@ -229,9 +232,12 @@ impl ShardSnapshot {
         version: u64,
     ) -> Self {
         let mut blocks: Vec<BlockMeta> = base.blocks().to_vec();
+        // Base blocks that held points and lost all of them to tombstones.
+        let mut emptied = 0usize;
         for (&block, filtered) in &tombstoned {
-            blocks[block as usize] =
-                BlockMeta::new(block, blocks[block as usize].mbr, filtered.len());
+            let meta = &mut blocks[block as usize];
+            emptied += usize::from(meta.count > 0 && filtered.is_empty());
+            meta.count = filtered.len();
         }
         // One overlay block per occupied grid cell, each with the tight
         // bounding box of the points actually in the cell — far-away cells
@@ -246,10 +252,14 @@ impl ShardSnapshot {
             bounds = bounds.union(&mbr);
         }
         let num_points = base.num_points() - delta.deletes().len() + delta.inserts().len();
+        let directory = base
+            .directory()
+            .and_then(|d| d.with_overlay(&blocks[base.num_blocks()..], emptied));
         let snapshot = Self {
             base,
             base_ids,
             delta,
+            directory,
             blocks,
             overlay_cells,
             tombstoned,
@@ -457,6 +467,10 @@ impl SpatialIndex for ShardSnapshot {
             .iter()
             .find(|meta| meta.mbr.contains(p))
             .map(|meta| meta.id)
+    }
+
+    fn directory(&self) -> Option<&BlockDirectory> {
+        self.directory.as_ref()
     }
 }
 

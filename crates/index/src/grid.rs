@@ -9,6 +9,7 @@
 use twoknn_geometry::{GeomResult, GeometryError, Point, Rect};
 
 use crate::block::{BlockId, BlockMeta};
+use crate::directory::BlockDirectory;
 use crate::points::{BlockPoints, PointBlock};
 use crate::traits::SpatialIndex;
 
@@ -20,6 +21,8 @@ pub struct GridIndex {
     cell_w: f64,
     cell_h: f64,
     blocks: Vec<BlockMeta>,
+    /// 4×4 cell tiles, recursively tiled, over `blocks`.
+    directory: BlockDirectory,
     /// Points of each cell in SoA layout, indexed by block id.
     cell_points: Vec<PointBlock>,
     num_points: usize,
@@ -119,6 +122,7 @@ impl GridIndex {
             cells_per_axis,
             cell_w,
             cell_h,
+            directory: BlockDirectory::grid_tiles(&blocks, cells_per_axis),
             blocks,
             cell_points,
             num_points,
@@ -187,6 +191,10 @@ impl SpatialIndex for GridIndex {
         }
         let (ix, iy) = self.cell_coords(p);
         Some((iy * self.cells_per_axis + ix) as BlockId)
+    }
+
+    fn directory(&self) -> Option<&BlockDirectory> {
+        Some(&self.directory)
     }
 }
 

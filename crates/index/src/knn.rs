@@ -6,36 +6,40 @@
 //! the minimum locality of p, and then compute the neighborhood of p only
 //! from its locality."
 //!
-//! Three implementations are provided:
+//! There is one search, [`get_knn`]'s, parameterised by an optional distance
+//! bound and an optional predicate mask; [`get_knn_bounded`] and
+//! [`get_knn_filtered`] are the same search with one of them set. It pulls
+//! blocks from a [`DistanceCursor`] over the index's block directory — so it
+//! pays for the directory nodes and blocks near `p`, never for every block —
+//! and scans them with the batched SoA kernel: per block, one vectorizable
+//! column pass fills the distance buffer, then the buffer folds into a
+//! bounded k-heap whose root is the running k-th distance τ. Blocks with
+//! MINDIST strictly greater than τ are skipped (counted as `blocks_pruned`).
 //!
-//! * [`get_knn`] — the locality-based algorithm used throughout the paper
-//!   (and throughout this workspace), now running the batched SoA block-scan
-//!   kernel: per locality block, one vectorizable column pass fills the
-//!   distance buffer, then the buffer folds into a bounded k-heap whose root
-//!   is the running k-th distance τ. Blocks with MINDIST strictly greater
-//!   than τ are skipped (counted as `blocks_pruned`), which the plain
-//!   gather-everything implementation could not do.
-//! * [`get_knn_best_first`] — the classic best-first (Hjaltason–Samet)
-//!   incremental kNN, used for cross-checking and index ablations.
-//! * [`brute_force_knn`] — an `O(n log n)` scan, the ground truth for tests.
+//! * Without a mask the blocks are the *locality* of `p` (two cursor phases,
+//!   see [`crate::locality`]), scanned with τ-pruning.
+//! * With a mask, block counts overcount the matching points, so no locality
+//!   can be sized from them: blocks are scanned straight off a MINDIST
+//!   cursor until the first one beyond τ.
+//!
+//! On a sharded index the directory's first level is the shards, so a shard
+//! whose footprint lies beyond the search radius is never descended into
+//! (`shards_pruned`); there is no separate scatter-gather path.
 //!
 //! Every entry point has an `*_in` variant taking an explicit
 //! [`ScratchSpace`]; the plain variants borrow the calling thread's shared
 //! scratch (see [`crate::scratch`]), so a batch of queries on one worker
 //! thread allocates the transient heaps and buffers once, not per query.
+//! [`brute_force_knn`] is the `O(n log n)` ground truth for tests, and
 //! [`get_knn_scalar`] retains the pre-SoA gather-and-sort path as the
 //! ablation baseline the `kernel_micro` bench measures speedups against.
 
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
-
 use twoknn_geometry::{Point, Predicate};
 
-use crate::locality::{collect_locality_blocks, collect_locality_blocks_in, Locality};
+use crate::locality::{collect_locality_blocks, Locality};
 use crate::metrics::Metrics;
 use crate::neighborhood::{Neighbor, Neighborhood};
-use crate::ordering::OrderedF64;
-use crate::partition::PartitionMeta;
+use crate::ordering::{DistanceCursor, OrderMetric};
 use crate::scratch::{with_thread_scratch, ScratchSpace};
 use crate::traits::SpatialIndex;
 
@@ -55,7 +59,7 @@ pub fn get_knn<I: SpatialIndex + ?Sized>(
     k: usize,
     metrics: &mut Metrics,
 ) -> Neighborhood {
-    with_thread_scratch(|scratch| get_knn_in(index, p, k, metrics, scratch))
+    with_thread_scratch(|scratch| search(index, p, k, None, None, metrics, scratch))
 }
 
 /// [`get_knn`] with an explicit, reusable [`ScratchSpace`].
@@ -66,15 +70,7 @@ pub fn get_knn_in<I: SpatialIndex + ?Sized>(
     metrics: &mut Metrics,
     scratch: &mut ScratchSpace,
 ) -> Neighborhood {
-    metrics.neighborhoods_computed += 1;
-    if k == 0 || index.num_points() == 0 {
-        return Neighborhood::empty(*p, k);
-    }
-    if let Some(parts) = sharded_partitions(index) {
-        return get_knn_scatter_gather(index, parts, p, k, None, metrics, scratch);
-    }
-    collect_locality_blocks(index, p, k, None, metrics, &mut scratch.locality);
-    scan_locality_blocks(index, p, k, metrics, scratch)
+    search(index, p, k, None, None, metrics, scratch)
 }
 
 /// Computes the neighborhood of `p` restricted to a search threshold: only
@@ -88,7 +84,7 @@ pub fn get_knn_bounded<I: SpatialIndex + ?Sized>(
     threshold: f64,
     metrics: &mut Metrics,
 ) -> Neighborhood {
-    with_thread_scratch(|scratch| get_knn_bounded_in(index, p, k, threshold, metrics, scratch))
+    with_thread_scratch(|scratch| search(index, p, k, Some(threshold), None, metrics, scratch))
 }
 
 /// [`get_knn_bounded`] with an explicit, reusable [`ScratchSpace`].
@@ -100,15 +96,7 @@ pub fn get_knn_bounded_in<I: SpatialIndex + ?Sized>(
     metrics: &mut Metrics,
     scratch: &mut ScratchSpace,
 ) -> Neighborhood {
-    metrics.neighborhoods_computed += 1;
-    if k == 0 || index.num_points() == 0 {
-        return Neighborhood::empty(*p, k);
-    }
-    if let Some(parts) = sharded_partitions(index) {
-        return get_knn_scatter_gather(index, parts, p, k, Some(threshold), metrics, scratch);
-    }
-    collect_locality_blocks(index, p, k, Some(threshold), metrics, &mut scratch.locality);
-    scan_locality_blocks(index, p, k, metrics, scratch)
+    search(index, p, k, Some(threshold), None, metrics, scratch)
 }
 
 /// Computes the `k` nearest points of `p` **matching a predicate** — the
@@ -117,14 +105,13 @@ pub fn get_knn_bounded_in<I: SpatialIndex + ?Sized>(
 /// Locality construction is deliberately **not** used here: block counts
 /// overcount the matching points, so a locality sized by counts could stop
 /// collecting blocks before `k` matching candidates are reachable. Instead,
-/// every non-empty block is visited in increasing MINDIST² order and scanned
-/// through the predicate-masked batched kernel
-/// ([`crate::KthHeap::scan_block_masked`]); once the candidate heap holds `k`
-/// *matching* points, the walk stops at the first block whose MINDIST²
-/// exceeds τ² (strictly — id tie-breaks at exactly τ stay reachable). τ is
-/// the k-th **matching** distance, never smaller than the unfiltered one, so
-/// this pruning is conservative and the result is exact. The same walk is
-/// correct on sharded indexes because composed block ids are global.
+/// non-empty blocks are pulled off a MINDIST cursor and scanned through the
+/// predicate-masked batched kernel ([`crate::KthHeap::scan_block_masked`]);
+/// once the candidate heap holds `k` *matching* points, the walk stops at
+/// the first block whose MINDIST² exceeds τ² (strictly — id tie-breaks at
+/// exactly τ stay reachable). τ is the k-th **matching** distance, never
+/// smaller than the unfiltered one, so this pruning is conservative and the
+/// result is exact.
 ///
 /// Uses the calling thread's shared [`ScratchSpace`]; see
 /// [`get_knn_filtered_in`] for explicit reuse.
@@ -135,13 +122,13 @@ pub fn get_knn_filtered<I: SpatialIndex + ?Sized>(
     predicate: &Predicate,
     metrics: &mut Metrics,
 ) -> Neighborhood {
-    with_thread_scratch(|scratch| get_knn_filtered_in(index, p, k, predicate, metrics, scratch))
+    with_thread_scratch(|scratch| search(index, p, k, None, Some(predicate), metrics, scratch))
 }
 
 /// [`get_knn_filtered`] with an explicit, reusable [`ScratchSpace`]: the
-/// predicate mask, block-order buffer, distance buffer, and candidate heap
-/// are all borrowed from the scratch, so the filtered hot path allocates
-/// nothing but the returned [`Neighborhood`] after warm-up.
+/// predicate mask, cursor frontier, distance buffer, and candidate heap are
+/// all borrowed from the scratch, so the filtered hot path allocates nothing
+/// but the returned [`Neighborhood`] after warm-up.
 pub fn get_knn_filtered_in<I: SpatialIndex + ?Sized>(
     index: &I,
     p: &Point,
@@ -150,39 +137,88 @@ pub fn get_knn_filtered_in<I: SpatialIndex + ?Sized>(
     metrics: &mut Metrics,
     scratch: &mut ScratchSpace,
 ) -> Neighborhood {
+    search(index, p, k, None, Some(predicate), metrics, scratch)
+}
+
+/// The one kNN search behind every `get_knn*` entry point.
+///
+/// `bound` restricts the search to blocks with MINDIST ≤ bound; `mask`
+/// restricts the candidates to points matching a predicate.
+///
+/// τ-pruning is exact: once the heap holds `k` candidates, every candidate's
+/// distance is ≤ τ, so a block with MINDIST **strictly** greater than τ
+/// cannot contribute a closer point — and points *at* distance τ (which may
+/// still win on id tie-break) live in blocks with MINDIST ≤ τ, which are
+/// always scanned. Results are therefore identical to the gather-everything
+/// baseline, including tie resolution.
+fn search<I: SpatialIndex + ?Sized>(
+    index: &I,
+    p: &Point,
+    k: usize,
+    bound: Option<f64>,
+    mask: Option<&Predicate>,
+    metrics: &mut Metrics,
+    scratch: &mut ScratchSpace,
+) -> Neighborhood {
     metrics.neighborhoods_computed += 1;
     if k == 0 || index.num_points() == 0 {
         return Neighborhood::empty(*p, k);
     }
-    scratch.kth.reset(k);
     let ScratchSpace {
         dist,
         kth,
-        mask,
-        block_order,
-        ..
+        locality,
+        frontier,
+        mask: lanes,
     } = scratch;
+    kth.reset(k);
 
-    block_order.clear();
-    for b in index.blocks() {
-        if b.count > 0 {
-            block_order.push((OrderedF64(b.mindist_sq(p)), b.id));
+    match mask {
+        // The locality of `p`, collected by the cursor, then scanned.
+        None => {
+            collect_locality_blocks(index, p, k, bound, metrics, locality, frontier);
+            for block in &locality.blocks {
+                if kth.is_full() && block.mindist_sq(p) > kth.threshold_sq() {
+                    metrics.blocks_pruned += 1;
+                    continue;
+                }
+                let points = index.block_points(block.id);
+                metrics.points_scanned += points.len() as u64;
+                metrics.distance_computations += points.len() as u64;
+                kth.scan_block(p, points, dist);
+            }
         }
-    }
-    block_order.sort_unstable();
-
-    for i in 0..block_order.len() {
-        let (mindist_sq, id) = block_order[i];
-        if kth.is_full() && mindist_sq.0 > kth.threshold_sq() {
-            metrics.blocks_pruned += (block_order.len() - i) as u64;
-            break;
+        // Non-empty blocks straight off the MINDIST cursor, until one lies
+        // beyond τ (and so do all that follow it).
+        Some(predicate) => {
+            let mut order = DistanceCursor::over(
+                index.blocks(),
+                index.directory(),
+                p,
+                OrderMetric::MinDist,
+                frontier,
+            );
+            while let Some(ob) = order.next() {
+                if ob.block.count == 0 {
+                    continue;
+                }
+                if bound.is_some_and(|b| ob.distance > b) {
+                    break;
+                }
+                if kth.is_full() && ob.distance_sq > kth.threshold_sq() {
+                    metrics.blocks_pruned += 1 + order.remaining_nonempty() as u64;
+                    break;
+                }
+                let points = index.block_points(ob.block.id);
+                metrics.blocks_scanned += 1;
+                metrics.points_scanned += points.len() as u64;
+                metrics.distance_computations += points.len() as u64;
+                predicate.eval_block(points.ids(), points.xs(), points.ys(), lanes);
+                kth.scan_block_masked(p, points, lanes, dist);
+            }
+            metrics.blocks_ordered += order.blocks_ordered();
+            order.record_shards(metrics);
         }
-        let points = index.block_points(id);
-        metrics.blocks_scanned += 1;
-        metrics.points_scanned += points.len() as u64;
-        metrics.distance_computations += points.len() as u64;
-        predicate.eval_block(points.ids(), points.xs(), points.ys(), mask);
-        kth.scan_block_masked(p, points, mask, dist);
     }
     kth.finish(*p, k)
 }
@@ -205,131 +241,6 @@ pub fn brute_force_knn_filtered<I: SpatialIndex + ?Sized>(
         })
         .collect();
     Neighborhood::from_unsorted(*p, k, members)
-}
-
-/// The partitions of `index` when scatter-gather is worthwhile: more than one
-/// partition holds points. With zero or one populated shard the flat
-/// single-locality scan is both simpler and at least as cheap.
-#[inline]
-fn sharded_partitions<I: SpatialIndex + ?Sized>(index: &I) -> Option<&[PartitionMeta]> {
-    let parts = index.partitions()?;
-    let populated = parts.iter().filter(|part| !part.is_empty()).count();
-    (populated > 1).then_some(parts)
-}
-
-/// The scatter-gather kNN driver over a sharded index.
-///
-/// Partitions are visited in increasing MINDIST² from `p`, all feeding one
-/// shared [`crate::KthHeap`]: per visited shard, a locality is built over
-/// *that shard's* block slice only (bounded by the running τ once the heap is
-/// full, and by the caller's search threshold if any) and scanned with the
-/// usual batched τ-pruning kernel. As soon as the next shard's MINDIST²
-/// exceeds τ² — strictly, so distance ties keep resolving by id — every
-/// remaining shard is skipped wholesale (`shards_pruned`).
-///
-/// Exactness mirrors the block-level argument one level up: a true k-nearest
-/// member inside some shard is within τ at every point of the scan (otherwise
-/// the heap would already hold `k` strictly closer points), so its shard
-/// passes the prefix test and the shard-local bounded locality retains its
-/// block. Results are identical to the flat scan, including tie resolution.
-fn get_knn_scatter_gather<I: SpatialIndex + ?Sized>(
-    index: &I,
-    parts: &[PartitionMeta],
-    p: &Point,
-    k: usize,
-    threshold: Option<f64>,
-    metrics: &mut Metrics,
-    scratch: &mut ScratchSpace,
-) -> Neighborhood {
-    scratch.kth.reset(k);
-    let ScratchSpace {
-        dist,
-        kth,
-        locality,
-        shard_order,
-        ..
-    } = scratch;
-    let all_blocks = index.blocks();
-
-    shard_order.clear();
-    for (i, part) in parts.iter().enumerate() {
-        if !part.is_empty() {
-            shard_order.push((OrderedF64(part.mindist_sq(p)), i as u32));
-        }
-    }
-    shard_order.sort_unstable();
-
-    let threshold_sq = threshold.map(|t| t * t);
-    for i in 0..shard_order.len() {
-        let (mindist_sq, part_idx) = shard_order[i];
-        let beyond_bound = threshold_sq.is_some_and(|t| mindist_sq.0 > t);
-        if beyond_bound || (kth.is_full() && mindist_sq.0 > kth.threshold_sq()) {
-            metrics.shards_pruned += (shard_order.len() - i) as u64;
-            break;
-        }
-        metrics.shards_scanned += 1;
-
-        // Shard-local search bound: the caller's threshold, tightened by the
-        // running τ once it is live. Both are inclusive bounds, so members at
-        // exactly τ (id tie-breaks) stay reachable.
-        let tau_sq = kth.threshold_sq();
-        let effective = match (threshold, tau_sq.is_finite()) {
-            (Some(t), true) => Some(t.min(tau_sq.sqrt())),
-            (Some(t), false) => Some(t),
-            (None, true) => Some(tau_sq.sqrt()),
-            (None, false) => None,
-        };
-        let shard_blocks = &all_blocks[parts[part_idx as usize].block_range()];
-        collect_locality_blocks_in(shard_blocks, p, k, effective, metrics, locality);
-        for block in &locality.blocks {
-            if kth.is_full() && block.mindist_sq(p) > kth.threshold_sq() {
-                metrics.blocks_pruned += 1;
-                continue;
-            }
-            let points = index.block_points(block.id);
-            metrics.points_scanned += points.len() as u64;
-            metrics.distance_computations += points.len() as u64;
-            kth.scan_block(p, points, dist);
-        }
-    }
-    kth.finish(*p, k)
-}
-
-/// The fused block-scan phase shared by the `get_knn*` entry points: runs
-/// the batched kth-distance kernel over the blocks collected in
-/// `scratch.locality`, pruning blocks whose MINDIST exceeds the running τ.
-///
-/// τ-pruning is exact: once the heap holds `k` candidates, every candidate's
-/// distance is ≤ τ, so a block with MINDIST **strictly** greater than τ
-/// cannot contribute a closer point — and points *at* distance τ (which may
-/// still win on id tie-break) live in blocks with MINDIST ≤ τ, which are
-/// always scanned. Results are therefore identical to the gather-everything
-/// baseline, including tie resolution.
-fn scan_locality_blocks<I: SpatialIndex + ?Sized>(
-    index: &I,
-    p: &Point,
-    k: usize,
-    metrics: &mut Metrics,
-    scratch: &mut ScratchSpace,
-) -> Neighborhood {
-    scratch.kth.reset(k);
-    let ScratchSpace {
-        dist,
-        kth,
-        locality,
-        ..
-    } = scratch;
-    for block in &locality.blocks {
-        if kth.is_full() && block.mindist_sq(p) > kth.threshold_sq() {
-            metrics.blocks_pruned += 1;
-            continue;
-        }
-        let points = index.block_points(block.id);
-        metrics.points_scanned += points.len() as u64;
-        metrics.distance_computations += points.len() as u64;
-        kth.scan_block(p, points, dist);
-    }
-    kth.finish(*p, k)
 }
 
 /// Extracts the `k` nearest points of `p` from the blocks of a locality.
@@ -379,120 +290,6 @@ pub fn get_knn_scalar<I: SpatialIndex + ?Sized>(
     neighborhood_from_locality(index, p, k, &locality, metrics)
 }
 
-#[derive(Debug)]
-enum BestFirstItem {
-    Block(u32),
-    Point(Point),
-}
-
-/// A prioritized entry of the best-first search queue. Public within the
-/// crate so [`ScratchSpace`] can own the queue's storage between queries.
-#[derive(Debug)]
-pub(crate) struct BestFirstEntry {
-    dist: OrderedF64,
-    seq: u64,
-    item: BestFirstItem,
-}
-
-impl PartialEq for BestFirstEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist && self.seq == other.seq
-    }
-}
-impl Eq for BestFirstEntry {}
-impl PartialOrd for BestFirstEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for BestFirstEntry {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Min-heap by distance; ties broken by insertion sequence so that
-        // blocks at distance 0 are expanded before points at distance 0.
-        other
-            .dist
-            .cmp(&self.dist)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Best-first incremental nearest-neighbor search (Hjaltason & Samet).
-///
-/// Maintains a priority queue of blocks (keyed by MINDIST) and points (keyed
-/// by distance); pops the nearest element, expanding blocks into their points,
-/// until `k` points have been reported. Provided as an independently
-/// implemented cross-check of [`get_knn`] and for the index-ablation bench.
-pub fn get_knn_best_first<I: SpatialIndex + ?Sized>(
-    index: &I,
-    p: &Point,
-    k: usize,
-    metrics: &mut Metrics,
-) -> Neighborhood {
-    with_thread_scratch(|scratch| get_knn_best_first_in(index, p, k, metrics, scratch))
-}
-
-/// [`get_knn_best_first`] with an explicit, reusable [`ScratchSpace`]: the
-/// priority queue's storage is borrowed from (and returned to) the scratch,
-/// replacing the old per-query `BinaryHeap::with_capacity(num_blocks)`.
-pub fn get_knn_best_first_in<I: SpatialIndex + ?Sized>(
-    index: &I,
-    p: &Point,
-    k: usize,
-    metrics: &mut Metrics,
-    scratch: &mut ScratchSpace,
-) -> Neighborhood {
-    metrics.neighborhoods_computed += 1;
-    if k == 0 || index.num_points() == 0 {
-        return Neighborhood::empty(*p, k);
-    }
-
-    let mut storage = std::mem::take(&mut scratch.best_first);
-    storage.clear();
-    let mut heap: BinaryHeap<BestFirstEntry> = BinaryHeap::from(storage);
-    let mut seq = 0u64;
-    for b in index.blocks() {
-        if b.count == 0 {
-            continue;
-        }
-        heap.push(BestFirstEntry {
-            dist: OrderedF64(b.mindist(p)),
-            seq,
-            item: BestFirstItem::Block(b.id),
-        });
-        seq += 1;
-    }
-
-    let mut members = Vec::with_capacity(k);
-    while let Some(q) = heap.pop() {
-        match q.item {
-            BestFirstItem::Block(id) => {
-                metrics.blocks_scanned += 1;
-                for pt in index.block_points(id) {
-                    metrics.points_scanned += 1;
-                    metrics.distance_computations += 1;
-                    heap.push(BestFirstEntry {
-                        dist: OrderedF64(p.distance(&pt)),
-                        seq,
-                        item: BestFirstItem::Point(pt),
-                    });
-                    seq += 1;
-                }
-            }
-            BestFirstItem::Point(pt) => {
-                members.push(Neighbor {
-                    point: pt,
-                    distance: q.dist.0,
-                });
-                if members.len() == k {
-                    break;
-                }
-            }
-        }
-    }
-    scratch.best_first = heap.into_vec();
-    Neighborhood::from_unsorted(*p, k, members)
-}
-
 /// Ground-truth `k` nearest neighbors by scanning every indexed point.
 pub fn brute_force_knn<I: SpatialIndex + ?Sized>(index: &I, p: &Point, k: usize) -> Neighborhood {
     let members = index
@@ -509,7 +306,9 @@ pub fn brute_force_knn<I: SpatialIndex + ?Sized>(index: &I, p: &Point, k: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directory::BlockDirectory;
     use crate::grid::GridIndex;
+    use crate::partition::PartitionMeta;
     use crate::quadtree::QuadtreeIndex;
     use crate::rtree::StrRTree;
 
@@ -563,19 +362,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn best_first_matches_locality_based() {
-        let g = GridIndex::build(pts(900), 10).unwrap();
-        let mut m = Metrics::default();
-        for (x, y, k) in [(42.0, 17.0, 3), (5.0, 99.0, 20)] {
-            let q = Point::anonymous(x, y);
-            assert_same_ids(
-                &get_knn(&g, &q, k, &mut m),
-                &get_knn_best_first(&g, &q, k, &mut m),
-            );
-        }
-    }
-
     /// The batched τ-pruning path and the retained scalar gather must return
     /// identical neighborhoods — members, order, distances, and tie choices.
     #[test]
@@ -609,6 +395,7 @@ mod tests {
         shards: Vec<GridIndex>,
         blocks: Vec<crate::BlockMeta>,
         parts: Vec<PartitionMeta>,
+        directory: BlockDirectory,
         bounds: twoknn_geometry::Rect,
         num_points: usize,
     }
@@ -657,10 +444,12 @@ mod tests {
                 ));
                 num_points += shard.num_points();
             }
+            let directory = BlockDirectory::sharded(shards.iter().map(|s| s.directory().unwrap()));
             Self {
                 shards,
                 blocks,
                 parts,
+                directory,
                 bounds,
                 num_points,
             }
@@ -694,6 +483,9 @@ mod tests {
         }
         fn partitions(&self) -> Option<&[PartitionMeta]> {
             Some(&self.parts)
+        }
+        fn directory(&self) -> Option<&BlockDirectory> {
+            Some(&self.directory)
         }
     }
 

@@ -6,7 +6,10 @@
 //!
 //! The paper's algorithms are index-agnostic (Section 2): they only require a
 //! space-partitioning index that exposes *blocks* with per-block point counts
-//! and supports MINDIST/MAXDIST orderings of blocks around a query point.
+//! and supports MINDIST/MAXDIST orderings of blocks around a query point:
+//! "we process the blocks in a certain order according to their MINDIST (or
+//! MAXDIST) from a certain point". The orderings here are incremental — a
+//! cursor over a block directory — because the paper's scans stop early.
 //! This crate provides:
 //!
 //! * [`SpatialIndex`] — the trait capturing exactly those requirements;
@@ -16,20 +19,33 @@
 //! * [`PointBlock`] / [`BlockPoints`] — structure-of-arrays block storage
 //!   (parallel `ids`/`xs`/`ys` columns) shared by every index, so per-block
 //!   distance scans run over contiguous `&[f64]` slices;
-//! * [`BlockOrder`] — lazy MINDIST/MAXDIST orderings;
+//! * [`BlockDirectory`] — a small tree of `(mbr, children)` nodes over an
+//!   index's dense block-id space, reported through
+//!   [`SpatialIndex::directory`]. Each family builds it from what it already
+//!   has at build time (4×4 cell tiles for the grid, the internal nodes of
+//!   the quadtree, STR-packed upper levels for the R-tree); snapshots compose
+//!   their base's directory by reference;
+//! * [`DistanceCursor`] — the one MINDIST/MAXDIST ordering of blocks: a
+//!   best-first walk of the directory that yields blocks in ascending
+//!   `(distance², block id)` and computes distances only for the nodes and
+//!   blocks it reaches, so a scan that stops after a handful of blocks never
+//!   looks at the rest. [`BlockOrder`], which orders every block up front,
+//!   is the fallback for an index without a directory and the reference the
+//!   tests compare against;
 //! * [`Locality`] / [`get_knn`] — the locality-based kNN algorithm of
 //!   Sankaranarayanan, Samet & Varshney used by the paper for `getkNN`,
-//!   running the batched kth-distance kernel of [`KthHeap`];
-//! * [`PartitionMeta`] — an optional coarse *shard* tier above blocks: an
-//!   index that reports partitions ([`SpatialIndex::partitions`]) is queried
-//!   scatter-gather style, visiting shards in MINDIST order against one
-//!   shared kth-distance heap and skipping every shard whose MINDIST²
-//!   exceeds the running τ² — the paper's block pruning lifted one level up
-//!   (counted by `Metrics::shards_scanned` / `shards_pruned`);
+//!   pulling blocks from the cursor and running the batched kth-distance
+//!   kernel of [`KthHeap`]; [`get_knn_bounded`] and [`get_knn_filtered`] are
+//!   the same search with a distance bound or a predicate mask;
+//! * [`PartitionMeta`] — the coarse *shard* tier above blocks, as an index
+//!   describes it ([`SpatialIndex::partitions`]). Queries see it as the first
+//!   level of the directory: a shard whose footprint lies beyond the search
+//!   radius is never descended into — the paper's block pruning lifted one
+//!   level up (counted by `Metrics::shards_scanned` / `shards_pruned`);
 //! * [`ScratchSpace`] — reusable per-query transient state (candidate heap,
-//!   order heaps, distance buffer); the plain kNN entry points borrow a
+//!   cursor frontier, distance buffer); the plain kNN entry points borrow a
 //!   thread-local one via [`with_thread_scratch`], the `*_in` variants
-//!   ([`get_knn_in`] etc.) take one explicitly;
+//!   ([`get_knn_in`] etc.) and the cursor take one explicitly;
 //! * [`Neighborhood`] — the k-nearest-neighbor set with the accessors the
 //!   two-predicate algorithms need (nearest/farthest member, intersection);
 //! * [`Metrics`] — machine-independent work counters used by the benchmark
@@ -63,6 +79,7 @@
 #![forbid(unsafe_code)]
 
 mod block;
+mod directory;
 mod grid;
 mod knn;
 mod locality;
@@ -77,16 +94,16 @@ mod scratch;
 mod traits;
 
 pub use block::{BlockId, BlockMeta};
+pub use directory::{BlockDirectory, DirChild, DirectoryBuilder};
 pub use grid::GridIndex;
 pub use knn::{
-    brute_force_knn, brute_force_knn_filtered, get_knn, get_knn_best_first, get_knn_best_first_in,
-    get_knn_bounded, get_knn_bounded_in, get_knn_filtered, get_knn_filtered_in, get_knn_in,
-    get_knn_scalar, neighborhood_from_locality,
+    brute_force_knn, brute_force_knn_filtered, get_knn, get_knn_bounded, get_knn_bounded_in,
+    get_knn_filtered, get_knn_filtered_in, get_knn_in, get_knn_scalar, neighborhood_from_locality,
 };
 pub use locality::Locality;
 pub use metrics::Metrics;
 pub use neighborhood::{Neighbor, Neighborhood};
-pub use ordering::{BlockOrder, OrderMetric, OrderStorage, OrderedBlock, OrderedF64};
+pub use ordering::{BlockOrder, DistanceCursor, OrderMetric, OrderedBlock, OrderedF64};
 pub use partition::PartitionMeta;
 pub use points::{BlockPoints, BlockPointsIter, PointBlock};
 pub use quadtree::{QuadtreeIndex, DEFAULT_MAX_DEPTH};

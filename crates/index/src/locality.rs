@@ -14,6 +14,14 @@
 //!    them to the locality until a block with MINDIST greater than `M` is
 //!    found; all later blocks can be ignored.
 //!
+//! Both scans pull from a [`DistanceCursor`] over the index's block
+//! directory, one after the other on the same frontier buffer, so building a
+//! locality costs the directory nodes and blocks within `M` of `p` — not a
+//! pass over every block of the index. On a sharded index the directory's
+//! first level is the shards: the MINDIST scan never descends into a shard
+//! farther than `M`, which is the shard-level prune
+//! (`Metrics::shards_scanned` / `shards_pruned`).
+//!
 //! The 2-kNN-select algorithm (Procedure 5) uses a *bounded* variant: a block
 //! is added to the locality only if its MINDIST from `p` does not exceed an
 //! externally supplied *search threshold*. This crate exposes both variants
@@ -23,7 +31,7 @@ use twoknn_geometry::Point;
 
 use crate::block::BlockMeta;
 use crate::metrics::Metrics;
-use crate::ordering::BlockOrder;
+use crate::ordering::{DistanceCursor, FrontierEntry, OrderMetric};
 use crate::scratch::LocalityScratch;
 use crate::traits::SpatialIndex;
 
@@ -80,7 +88,15 @@ impl Locality {
         metrics: &mut Metrics,
     ) -> Self {
         let mut scratch = LocalityScratch::default();
-        let maxdist_bound = collect_locality_blocks(index, p, k, threshold, metrics, &mut scratch);
+        let maxdist_bound = collect_locality_blocks(
+            index,
+            p,
+            k,
+            threshold,
+            metrics,
+            &mut scratch,
+            &mut Vec::new(),
+        );
         Self {
             query: *p,
             k,
@@ -125,8 +141,8 @@ impl Locality {
 /// into `scratch.blocks` (in discovery order) and returning the MAXDIST
 /// bound `M`. This is the allocation-free core shared by [`Locality::build`]
 /// (which copies the blocks into an owned `Locality`) and the fused
-/// [`crate::get_knn_in`] hot path (which scans the blocks straight out of
-/// the scratch).
+/// [`crate::get_knn`] hot path (which scans the blocks straight out of the
+/// scratch). Both phases run on `frontier`, one cursor after the other.
 pub(crate) fn collect_locality_blocks<I: SpatialIndex + ?Sized>(
     index: &I,
     p: &Point,
@@ -134,30 +150,20 @@ pub(crate) fn collect_locality_blocks<I: SpatialIndex + ?Sized>(
     threshold: Option<f64>,
     metrics: &mut Metrics,
     scratch: &mut LocalityScratch,
+    frontier: &mut Vec<FrontierEntry>,
 ) -> f64 {
-    collect_locality_blocks_in(index.blocks(), p, k, threshold, metrics, scratch)
-}
-
-/// Slice-level core of the locality construction: operates on any contiguous
-/// run of blocks with ascending ids (the whole index, or one shard's
-/// partition of a composed snapshot). The membership bitmap is indexed
-/// relative to the first block's id so partition slices don't pay for the
-/// full index width. Appends discovered blocks to `scratch.blocks` (clearing
-/// it first) and returns the MAXDIST bound `M`.
-pub(crate) fn collect_locality_blocks_in(
-    all_blocks: &[BlockMeta],
-    p: &Point,
-    k: usize,
-    threshold: Option<f64>,
-    metrics: &mut Metrics,
-    scratch: &mut LocalityScratch,
-) -> f64 {
-    let id_base = all_blocks.first().map(|b| b.id).unwrap_or(0);
-    scratch.blocks.clear();
-    scratch.in_locality.clear();
-    scratch.in_locality.resize(all_blocks.len(), false);
-    let in_locality = &mut scratch.in_locality;
-    let blocks = &mut scratch.blocks;
+    let (all_blocks, directory) = (index.blocks(), index.directory());
+    let LocalityScratch {
+        blocks,
+        in_locality,
+    } = scratch;
+    // Un-mark the previous locality instead of clearing the whole bitmap.
+    for b in blocks.drain(..) {
+        in_locality[b.id as usize] = false;
+    }
+    if in_locality.len() < all_blocks.len() {
+        in_locality.resize(all_blocks.len(), false);
+    }
     let passes_threshold = |b: &BlockMeta| match threshold {
         Some(t) => b.mindist(p) <= t,
         None => true,
@@ -166,13 +172,9 @@ pub(crate) fn collect_locality_blocks_in(
     // Phase 1: MAXDIST order until `k` points have been accumulated.
     let mut count = 0usize;
     let mut maxdist_bound = f64::INFINITY;
-    let mut max_order = BlockOrder::new_in(
-        all_blocks,
-        p,
-        crate::ordering::OrderMetric::MaxDist,
-        &mut scratch.max_order,
-    );
     let mut seen_maxdist: f64 = 0.0;
+    let mut max_order =
+        DistanceCursor::over(all_blocks, directory, p, OrderMetric::MaxDist, frontier);
     while count < k {
         let Some(ob) = max_order.next() else {
             break; // Fewer than k points in the whole index.
@@ -184,23 +186,20 @@ pub(crate) fn collect_locality_blocks_in(
         }
         count += ob.block.count;
         if passes_threshold(&ob.block) {
-            in_locality[(ob.block.id - id_base) as usize] = true;
+            in_locality[ob.block.id as usize] = true;
             blocks.push(ob.block);
             metrics.locality_blocks += 1;
         }
     }
-    max_order.recycle(&mut scratch.max_order);
+    metrics.blocks_ordered += max_order.blocks_ordered();
+    drop(max_order);
     if count >= k {
         maxdist_bound = seen_maxdist;
     }
 
     // Phase 2: remaining blocks in MINDIST order while MINDIST <= M.
-    let mut min_order = BlockOrder::new_in(
-        all_blocks,
-        p,
-        crate::ordering::OrderMetric::MinDist,
-        &mut scratch.min_order,
-    );
+    let mut min_order =
+        DistanceCursor::over(all_blocks, directory, p, OrderMetric::MinDist, frontier);
     while let Some(ob) = min_order.next() {
         if ob.distance > maxdist_bound {
             break;
@@ -210,18 +209,19 @@ pub(crate) fn collect_locality_blocks_in(
                 break;
             }
         }
-        if in_locality[(ob.block.id - id_base) as usize] {
+        if in_locality[ob.block.id as usize] {
             continue;
         }
         metrics.blocks_scanned += 1;
         if ob.block.count == 0 {
             continue;
         }
-        in_locality[(ob.block.id - id_base) as usize] = true;
+        in_locality[ob.block.id as usize] = true;
         blocks.push(ob.block);
         metrics.locality_blocks += 1;
     }
-    min_order.recycle(&mut scratch.min_order);
+    metrics.blocks_ordered += min_order.blocks_ordered();
+    min_order.record_shards(metrics);
 
     maxdist_bound
 }

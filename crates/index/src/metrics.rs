@@ -19,6 +19,10 @@ pub struct Metrics {
     /// Number of blocks examined in MINDIST/MAXDIST scans (including blocks
     /// only inspected for their count).
     pub blocks_scanned: u64,
+    /// Number of directory nodes and blocks whose MINDIST/MAXDIST a block
+    /// ordering computed — the cost of *finding* the blocks to scan. An
+    /// ordering over an index without a block directory counts every block.
+    pub blocks_ordered: u64,
     /// Number of blocks added to localities.
     pub locality_blocks: u64,
     /// Number of individual points examined (distance computed or compared).
@@ -34,12 +38,13 @@ pub struct Metrics {
     /// Number of blocks pruned without per-point processing
     /// (Non-Contributing blocks in Block-Marking, contour cut-offs, ...).
     pub blocks_pruned: u64,
-    /// Number of spatial shards (relation partitions) whose blocks were
-    /// actually visited by a scatter-gather kNN scan.
+    /// Number of populated spatial shards (relation partitions) a kNN search
+    /// descended into on a relation with more than one of them.
     pub shards_scanned: u64,
-    /// Number of spatial shards skipped wholesale because their MINDIST²
-    /// from the query exceeded the running k-th distance τ² (or the query's
-    /// distance bound) — the paper's block pruning lifted one level up.
+    /// Number of populated spatial shards skipped wholesale because their
+    /// footprint lay beyond the search radius (the locality bound, the
+    /// running k-th distance or the query's distance bound) — the paper's
+    /// block pruning lifted one level up.
     pub shards_pruned: u64,
     /// Number of outer points skipped without a neighborhood computation
     /// (e.g. by the Counting algorithm's threshold test).
@@ -109,6 +114,7 @@ impl Metrics {
                 .neighborhoods_computed
                 .saturating_sub(before.neighborhoods_computed),
             blocks_scanned: self.blocks_scanned.saturating_sub(before.blocks_scanned),
+            blocks_ordered: self.blocks_ordered.saturating_sub(before.blocks_ordered),
             locality_blocks: self.locality_blocks.saturating_sub(before.locality_blocks),
             points_scanned: self.points_scanned.saturating_sub(before.points_scanned),
             distance_computations: self
@@ -140,6 +146,7 @@ impl std::ops::AddAssign for Metrics {
     fn add_assign(&mut self, rhs: Self) {
         self.neighborhoods_computed += rhs.neighborhoods_computed;
         self.blocks_scanned += rhs.blocks_scanned;
+        self.blocks_ordered += rhs.blocks_ordered;
         self.locality_blocks += rhs.locality_blocks;
         self.points_scanned += rhs.points_scanned;
         self.distance_computations += rhs.distance_computations;
@@ -207,6 +214,7 @@ impl std::fmt::Display for Metrics {
         push_field(&mut read, "knn", self.neighborhoods_computed);
         push_field(&mut read, "blocks", self.blocks_scanned);
         push_field(&mut read, "blocks_pruned", self.blocks_pruned);
+        push_field(&mut read, "blocks_ordered", self.blocks_ordered);
         push_field(&mut read, "locality_blocks", self.locality_blocks);
         push_field(&mut read, "pts", self.points_scanned);
         push_field(&mut read, "pts_pruned", self.points_pruned);
@@ -277,6 +285,7 @@ mod tests {
         let mut a = Metrics {
             neighborhoods_computed: 1,
             blocks_scanned: 2,
+            blocks_ordered: 22,
             locality_blocks: 3,
             points_scanned: 4,
             distance_computations: 5,
@@ -311,6 +320,7 @@ mod tests {
         assert_eq!(a.wal_bytes, 38);
         assert_eq!(a.checkpoints, 40);
         assert_eq!(a.recoveries, 42);
+        assert_eq!(a.blocks_ordered, 44);
         assert_eq!(a.work(), 2 + 4);
     }
 
@@ -359,6 +369,7 @@ mod tests {
         let after = Metrics {
             neighborhoods_computed: 7,
             blocks_scanned: 11,
+            blocks_ordered: 40,
             // A residual filter can reset `tuples_emitted` downward.
             tuples_emitted: 30,
             wal_bytes: 164,
@@ -366,6 +377,7 @@ mod tests {
             ..Metrics::default()
         };
         let d = after.diff(&before);
+        assert_eq!(d.blocks_ordered, 40);
         assert_eq!(d.neighborhoods_computed, 5);
         assert_eq!(d.blocks_scanned, 1);
         assert_eq!(d.tuples_emitted, 0, "saturates instead of wrapping");

@@ -3,14 +3,15 @@
 //! A sharded relation snapshot concatenates the blocks of several spatial
 //! shards into one dense block-id space. [`PartitionMeta`] describes one such
 //! shard from the query side: a tight MBR over the shard's non-empty blocks
-//! plus the contiguous range of composed block ids the shard owns. The kNN
-//! scatter-gather driver ([`crate::get_knn`]) visits partitions in MINDIST
-//! order and skips a whole partition once its MINDIST² cannot beat the
-//! running k-th distance τ² — the paper's block pruning lifted one level up.
+//! plus the contiguous range of composed block ids the shard owns.
+//!
+//! Partitions describe the shard tier; queries traverse it through the
+//! index's [`BlockDirectory`](crate::BlockDirectory), whose first level is
+//! one node per shard, so a whole shard is skipped once its footprint lies
+//! beyond the search radius — the paper's block pruning lifted one level up.
 //!
 //! Indexes that are not sharded simply report no partitions
-//! ([`crate::SpatialIndex::partitions`] defaults to `None`) and the driver
-//! falls back to the flat single-locality scan.
+//! ([`crate::SpatialIndex::partitions`] defaults to `None`).
 
 use twoknn_geometry::{mindist_sq, Point, Rect};
 

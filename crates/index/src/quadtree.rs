@@ -11,6 +11,7 @@
 use twoknn_geometry::{GeomResult, GeometryError, Point, Rect};
 
 use crate::block::{BlockId, BlockMeta};
+use crate::directory::{BlockDirectory, DirChild, DirectoryBuilder};
 use crate::points::{BlockPoints, PointBlock};
 use crate::traits::SpatialIndex;
 
@@ -34,6 +35,8 @@ pub struct QuadtreeIndex {
     /// Flattened tree used by [`SpatialIndex::locate`] for O(depth)
     /// descent; node 0 is the root.
     nodes: Vec<QuadNode>,
+    /// The internal nodes again, as the directory the distance cursor walks.
+    directory: BlockDirectory,
     num_points: usize,
 }
 
@@ -94,11 +97,15 @@ impl QuadtreeIndex {
         let mut leaf_points = Vec::new();
         let mut nodes = Vec::new();
         flatten_tree(root, &bounds, &mut nodes, &mut blocks, &mut leaf_points);
+        let mut builder = DirectoryBuilder::new(&blocks);
+        let top = directory_node(&nodes, 0, &mut builder);
+        let directory = builder.finish(Some(top));
 
         Ok(Self {
             bounds,
             capacity,
             max_depth,
+            directory,
             blocks,
             leaf_points,
             nodes,
@@ -199,6 +206,18 @@ fn flatten_tree(
     }
 }
 
+/// Mirrors the flattened quadtree below `at` into the directory builder:
+/// one directory node per internal node, leaves as blocks.
+fn directory_node(nodes: &[QuadNode], at: u32, builder: &mut DirectoryBuilder<'_>) -> DirChild {
+    match &nodes[at as usize] {
+        QuadNode::Leaf(id) => DirChild::Block(*id),
+        QuadNode::Internal(children) => {
+            let children = children.map(|c| directory_node(nodes, c, builder));
+            builder.node(&children)
+        }
+    }
+}
+
 impl SpatialIndex for QuadtreeIndex {
     fn bounds(&self) -> Rect {
         self.bounds
@@ -240,6 +259,10 @@ impl SpatialIndex for QuadtreeIndex {
                 }
             }
         }
+    }
+
+    fn directory(&self) -> Option<&BlockDirectory> {
+        Some(&self.directory)
     }
 }
 

@@ -9,10 +9,15 @@
 //! points. Leaf MBRs are tight (unlike grid/quadtree cells, they do not tile
 //! the space), which exercises the algorithms' independence from the block
 //! geometry.
+//!
+//! The upper levels of the tree are packed over the leaves by the same
+//! sort-and-tile recipe and kept as the index's [`BlockDirectory`], which
+//! both the distance cursor and [`SpatialIndex::locate`] descend.
 
 use twoknn_geometry::{GeomResult, GeometryError, Point, Rect};
 
 use crate::block::{BlockId, BlockMeta};
+use crate::directory::BlockDirectory;
 use crate::points::{BlockPoints, PointBlock};
 use crate::traits::SpatialIndex;
 
@@ -22,6 +27,8 @@ pub struct StrRTree {
     bounds: Rect,
     leaf_capacity: usize,
     blocks: Vec<BlockMeta>,
+    /// The upper tree levels, STR-packed over the leaves.
+    directory: BlockDirectory,
     /// Points of each leaf in SoA layout, indexed by block id.
     leaf_points: Vec<PointBlock>,
     num_points: usize,
@@ -63,6 +70,7 @@ impl StrRTree {
         Ok(Self {
             bounds,
             leaf_capacity,
+            directory: BlockDirectory::packed(&blocks),
             blocks,
             leaf_points,
             num_points,
@@ -94,21 +102,18 @@ impl SpatialIndex for StrRTree {
 
     fn locate(&self, p: &Point) -> Option<BlockId> {
         // Leaf MBRs may overlap and do not tile the space: prefer a leaf that
-        // actually stores a point with the same id or coordinates, fall back
-        // to any containing leaf.
-        let mut containing = None;
-        for b in &self.blocks {
-            if b.mbr.contains(p) {
-                containing.get_or_insert(b.id);
-                if self.leaf_points[b.id as usize]
-                    .iter()
-                    .any(|q| q.id == p.id && q.x == p.x && q.y == p.y)
-                {
-                    return Some(b.id);
-                }
-            }
-        }
-        containing
+        // actually stores a point with the same id and coordinates, fall back
+        // to any containing leaf. The directory descent visits only the
+        // leaves whose MBR contains `p`.
+        self.directory.locate(&self.blocks, p, |id| {
+            self.leaf_points[id as usize]
+                .iter()
+                .any(|q| q.id == p.id && q.x == p.x && q.y == p.y)
+        })
+    }
+
+    fn directory(&self) -> Option<&BlockDirectory> {
+        Some(&self.directory)
     }
 }
 
@@ -156,6 +161,41 @@ mod tests {
                 .iter()
                 .any(|q| q.id == p.id && q.x == p.x && q.y == p.y));
         }
+    }
+
+    /// Leaves that overlap: every point is duplicated at the same position
+    /// under a far-apart id, so equal coordinates land in different leaves
+    /// whose MBRs all contain the shared position.
+    #[test]
+    fn locate_on_overlapping_leaves_finds_the_leaf_storing_the_id() {
+        let mut input = pts(300);
+        input.extend(
+            pts(300)
+                .into_iter()
+                .map(|p| Point::new(p.id + 10_000, p.x, p.y)),
+        );
+        // Many points on one spot force neighboring leaves to share it.
+        input.extend((0..40).map(|i| Point::new(20_000 + i, 50.0, 50.0)));
+        let t = StrRTree::build(input.clone(), 8).unwrap();
+        let overlapping = t
+            .blocks()
+            .iter()
+            .filter(|b| b.mbr.contains(&Point::anonymous(50.0, 50.0)))
+            .count();
+        assert!(
+            overlapping > 1,
+            "the layout must produce overlapping leaves"
+        );
+        for p in &input {
+            let id = t.locate(p).expect("indexed point is locatable");
+            assert!(t.block_points(id).iter().any(|q| q.id == p.id), "{p}");
+        }
+        // An unknown id at a stored position still locates to a leaf
+        // containing it; a position outside every leaf does not locate.
+        let stranger = Point::new(99_999, 50.0, 50.0);
+        let at = t.locate(&stranger).unwrap();
+        assert!(t.blocks()[at as usize].mbr.contains(&stranger));
+        assert_eq!(t.locate(&Point::anonymous(-5.0, -5.0)), None);
     }
 
     #[test]

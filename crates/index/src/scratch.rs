@@ -1,24 +1,27 @@
 //! Reusable per-query scratch space and the batched "scan block, update
 //! kth-distance threshold" kernel.
 //!
-//! Every `getkNN` call needs the same transient structures: two block-order
-//! heaps (the MAXDIST and MINDIST phases of locality construction), the
-//! locality block list and its membership bitmap, a distance buffer for the
-//! batched block scan, and the bounded candidate heap that tracks the current
-//! k-th distance. Allocating them per query dominates the cost of small-`k`
+//! Every `getkNN` call needs the same transient structures: the frontier of
+//! the block-distance cursor (shared by the MAXDIST and MINDIST phases of
+//! locality construction, which run one after the other), the locality block
+//! list and its membership bitmap, a distance buffer for the batched block
+//! scan, and the bounded candidate heap that tracks the current k-th
+//! distance. Allocating them per query dominates the cost of small-`k`
 //! selects, so [`ScratchSpace`] owns all of them and the `*_in` variants of
 //! [`crate::get_knn`] reuse one scratch across any number of queries.
 //!
 //! ## Lifecycle
 //!
 //! Callers that hold a long-lived scratch (benchmarks, tight re-evaluation
-//! loops) pass it explicitly to [`crate::get_knn_in`]. Everyone else goes
-//! through the plain entry points, which borrow a **thread-local** scratch
-//! via [`with_thread_scratch`]: a batch of queries executed on one worker
-//! thread (the executor's `execute_batch` partitions, the continuous-query
-//! maintainer's re-evaluation sweep) therefore shares a single set of
-//! allocations automatically — after the first query on a thread, the select
-//! hot path allocates nothing but the returned [`Neighborhood`].
+//! loops) pass it explicitly to [`crate::get_knn_in`] or
+//! [`crate::DistanceCursor::new`]. Everyone else goes through the plain
+//! entry points, which borrow a **thread-local** scratch via
+//! [`with_thread_scratch`]: a batch of queries executed on one worker thread
+//! (the executor's `execute_batch` partitions, the continuous-query
+//! maintainer's re-evaluation sweep, a join's per-outer-point loop)
+//! therefore shares a single set of allocations automatically — after the
+//! first query on a thread, the select hot path allocates nothing but the
+//! returned [`Neighborhood`].
 //!
 //! ## The kth-distance kernel
 //!
@@ -39,7 +42,7 @@ use twoknn_geometry::{euclidean_sq_batch, Point};
 
 use crate::block::BlockMeta;
 use crate::neighborhood::{Neighbor, Neighborhood};
-use crate::ordering::{OrderStorage, OrderedF64};
+use crate::ordering::{FrontierEntry, OrderedF64};
 
 /// An entry of the bounded candidate heap: a point and its squared distance
 /// from the query. Max-heap order over `(distance, id)`, matching the sort
@@ -206,18 +209,16 @@ impl KthHeap {
     }
 }
 
-/// Scratch structures for locality construction: the two block-order heaps,
-/// the collected block list, and the membership bitmap.
+/// Scratch structures for locality construction: the collected block list
+/// and the membership bitmap.
 #[derive(Debug, Default)]
 pub(crate) struct LocalityScratch {
     /// Blocks of the locality, in discovery order (phase 1 then phase 2).
     pub(crate) blocks: Vec<BlockMeta>,
-    /// Per-block "already in the locality" bitmap, indexed by block id.
+    /// Per-block "already in the locality" bitmap, indexed by block id. Only
+    /// the bits of `blocks` are ever set, and the next construction clears
+    /// exactly those, so no per-query step touches every block.
     pub(crate) in_locality: Vec<bool>,
-    /// Reusable storage of the phase-1 MAXDIST heap.
-    pub(crate) max_order: OrderStorage,
-    /// Reusable storage of the phase-2 MINDIST heap.
-    pub(crate) min_order: OrderStorage,
 }
 
 /// All the per-query transient state of the kNN hot path, reusable across
@@ -230,17 +231,12 @@ pub struct ScratchSpace {
     pub(crate) kth: KthHeap,
     /// Locality-construction scratch.
     pub(crate) locality: LocalityScratch,
-    /// Storage of the best-first search's priority queue.
-    pub(crate) best_first: Vec<crate::knn::BestFirstEntry>,
-    /// `(MINDIST², partition index)` order buffer of the scatter-gather
-    /// driver over a sharded index's partitions.
-    pub(crate) shard_order: Vec<(OrderedF64, u32)>,
+    /// Frontier of the block-distance cursor: a cursor takes the buffer when
+    /// it is created and hands it back when it is dropped.
+    pub(crate) frontier: Vec<FrontierEntry>,
     /// Reusable predicate mask of the filtered block kernel: one bool per
     /// lane of the block being scanned, refilled per block.
     pub(crate) mask: Vec<bool>,
-    /// `(MINDIST², block index)` order buffer of the filtered kernel's
-    /// whole-index block walk.
-    pub(crate) block_order: Vec<(OrderedF64, u32)>,
 }
 
 impl ScratchSpace {

@@ -9,9 +9,11 @@
 use twoknn_geometry::{Point, Rect};
 
 use crate::block::{BlockId, BlockMeta};
-use crate::ordering::{BlockOrder, OrderMetric};
+use crate::directory::BlockDirectory;
+use crate::ordering::{DistanceCursor, OrderMetric};
 use crate::partition::PartitionMeta;
 use crate::points::BlockPoints;
+use crate::scratch::ScratchSpace;
 
 /// A block-based, in-memory spatial index over a set of 2-D points.
 ///
@@ -60,11 +62,21 @@ pub trait SpatialIndex {
     /// Each [`PartitionMeta`] must own a contiguous, disjoint range of the
     /// dense block-id space, the ranges must cover `0..num_blocks()` in
     /// ascending order, and every partition's MBR must contain the footprints
-    /// of its non-empty blocks. The kNN driver uses the partitions to visit
-    /// shards in MINDIST order and skip the ones whose MINDIST² cannot beat
-    /// the running k-th distance. Plain (unsharded) indexes keep the default
-    /// `None` and are scanned as one flat locality.
+    /// of its non-empty blocks. Purely descriptive: queries reach the shard
+    /// tier through [`SpatialIndex::directory`]. Plain (unsharded) indexes
+    /// keep the default `None`.
     fn partitions(&self) -> Option<&[PartitionMeta]> {
+        None
+    }
+
+    /// The block directory of this index: a small tree over the block-id
+    /// space that lets a [`DistanceCursor`] order blocks around a point
+    /// without looking at every block.
+    ///
+    /// The directory must cover exactly `0..num_blocks()`. An index that
+    /// returns `None` (the default) is still queryable — every ordering then
+    /// computes the distance to every block, as [`crate::BlockOrder`] does.
+    fn directory(&self) -> Option<&BlockDirectory> {
         None
     }
 
@@ -78,14 +90,16 @@ pub trait SpatialIndex {
         out
     }
 
-    /// A lazy ordering of this index's blocks by increasing MINDIST from `p`.
-    fn mindist_order(&self, p: &Point) -> BlockOrder {
-        BlockOrder::new(self.blocks(), p, OrderMetric::MinDist)
+    /// An incremental ordering of this index's blocks by increasing MINDIST
+    /// from `p`, its frontier borrowed from `scratch`.
+    fn mindist_order<'a>(&'a self, p: &Point, scratch: &'a mut ScratchSpace) -> DistanceCursor<'a> {
+        DistanceCursor::new(self, p, OrderMetric::MinDist, scratch)
     }
 
-    /// A lazy ordering of this index's blocks by increasing MAXDIST from `p`.
-    fn maxdist_order(&self, p: &Point) -> BlockOrder {
-        BlockOrder::new(self.blocks(), p, OrderMetric::MaxDist)
+    /// An incremental ordering of this index's blocks by increasing MAXDIST
+    /// from `p`, its frontier borrowed from `scratch`.
+    fn maxdist_order<'a>(&'a self, p: &Point, scratch: &'a mut ScratchSpace) -> DistanceCursor<'a> {
+        DistanceCursor::new(self, p, OrderMetric::MaxDist, scratch)
     }
 }
 
@@ -146,9 +160,10 @@ mod tests {
         check_index_invariants(&g).unwrap();
 
         let origin = Point::anonymous(0.0, 0.0);
-        let first = g.mindist_order(&origin).next().unwrap();
+        let mut scratch = ScratchSpace::new();
+        let first = g.mindist_order(&origin, &mut scratch).next().unwrap();
         assert_eq!(first.distance, 0.0);
-        let mut max_order = g.maxdist_order(&origin);
+        let mut max_order = g.maxdist_order(&origin, &mut scratch);
         let first_max = max_order.next().unwrap();
         assert!(first_max.distance > 0.0);
     }

@@ -1,8 +1,10 @@
 //! Allocation accounting on the select hot path.
 //!
-//! The scratch-space refactor promises that once a thread's (or an explicit)
-//! [`ScratchSpace`] has warmed up, `get_knn_in` allocates nothing beyond the
-//! returned [`Neighborhood`]. This test pins that with a counting
+//! Once a thread's (or an explicit) [`ScratchSpace`] has warmed up,
+//! `get_knn_in` allocates nothing beyond the returned [`Neighborhood`], and a
+//! block-distance cursor — the per-outer-point scan of the Counting
+//! algorithm — allocates nothing at all, on an index with as many blocks as
+//! the benchmark's large relations. This test pins that with a counting
 //! `#[global_allocator]` wrapper: the library itself forbids `unsafe`, but an
 //! integration test is its own crate, so the two `unsafe` trampolines below
 //! (plain delegation to the `System` allocator) are fine here.
@@ -16,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use twoknn_geometry::{Point, Predicate, Rect};
 use twoknn_index::{
-    get_knn_best_first_in, get_knn_bounded_in, get_knn_filtered_in, get_knn_in, GridIndex, Metrics,
+    get_knn_bounded_in, get_knn_filtered_in, get_knn_in, with_thread_scratch, GridIndex, Metrics,
     Neighborhood, ScratchSpace, SpatialIndex,
 };
 
@@ -54,7 +56,8 @@ fn relation(n: u64) -> GridIndex {
             )
         })
         .collect();
-    GridIndex::build(pts, 24).unwrap()
+    // 125 × 125 = 15 625 blocks, the block count of a 1 M-point relation.
+    GridIndex::build(pts, 125).unwrap()
 }
 
 /// Allocations of `queries` warm kNN calls through `run`, after a warm-up
@@ -76,7 +79,8 @@ fn warm_allocations(
 
 #[test]
 fn warm_knn_queries_allocate_only_the_returned_neighborhood() {
-    let index = relation(20_000);
+    let index = relation(100_000);
+    assert_eq!(index.num_blocks(), 15_625);
     let k = 12;
     let queries: Vec<Point> = (0..64)
         .map(|i| Point::anonymous((i * 17 % 1000) as f64, (i * 31 % 1000) as f64))
@@ -109,22 +113,11 @@ fn warm_knn_queries_allocate_only_the_returned_neighborhood() {
         queries.len()
     );
 
-    // Best-first: the priority-queue storage is borrowed from the scratch,
-    // replacing the old per-query `BinaryHeap::with_capacity(num_blocks)`.
-    let (allocs, _) = warm_allocations(&queries, |q| {
-        get_knn_best_first_in(&index, q, k, &mut metrics, &mut scratch)
-    });
-    assert!(
-        allocs <= 2 * queries.len() as u64,
-        "best-first path: {allocs} allocations for {} warm queries",
-        queries.len()
-    );
-
     // Filtered kernel: the predicate mask and block-order buffer live in the
     // scratch too, so pre-kNN filter pushdown keeps the same guarantee.
     let predicate = Predicate::And(vec![
         Predicate::InRect(Rect::new(0.0, 0.0, 1000.0, 1000.0)),
-        Predicate::IdRange { lo: 0, hi: 15_000 },
+        Predicate::IdRange { lo: 0, hi: 75_000 },
     ]);
     let (allocs, _) = warm_allocations(&queries, |q| {
         get_knn_filtered_in(&index, q, k, &predicate, &mut metrics, &mut scratch)
@@ -135,6 +128,33 @@ fn warm_knn_queries_allocate_only_the_returned_neighborhood() {
         queries.len()
     );
 
-    // The four paths stayed on the same index and really did the work.
-    assert!(index.num_points() == 20_000 && metrics.neighborhoods_computed > 0);
+    // Procedure 1's scan: a MAXDIST cursor on the thread's scratch, drained
+    // until a block reaches the search threshold. Nothing is returned, so a
+    // warm scan allocates nothing.
+    let count_within = |q: &Point, threshold: f64| -> usize {
+        with_thread_scratch(|scratch| {
+            index
+                .maxdist_order(q, scratch)
+                .take_while(|ob| ob.distance < threshold)
+                .map(|ob| ob.block.count)
+                .sum()
+        })
+    };
+    let mut counted = 0;
+    for q in &queries {
+        counted += count_within(q, 60.0);
+    }
+    let before = allocations();
+    for q in &queries {
+        counted += count_within(q, 60.0);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "a warm MAXDIST scan to a threshold must not allocate"
+    );
+    assert!(counted > 0, "the scans reached populated blocks");
+
+    // Every path stayed on the same index and really did the work.
+    assert!(index.num_points() == 100_000 && metrics.neighborhoods_computed > 0);
 }

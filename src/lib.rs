@@ -9,15 +9,15 @@
 //!
 //! * [`geometry`] — points, rectangles, Euclidean / MINDIST / MAXDIST metrics;
 //! * [`index`] — block-based spatial indexes (grid, PR-quadtree, STR R-tree),
-//!   MINDIST/MAXDIST block orderings, the locality-based `getkNN`, and work
-//!   metrics;
+//!   block directories and the incremental MINDIST/MAXDIST block ordering
+//!   over them, the locality-based `getkNN`, and work metrics;
 //! * [`datagen`] — workload generators (uniform, clustered, BerlinMOD-like
 //!   synthetic moving-object snapshots);
 //! * [`core`] — the paper's algorithms: Counting, Block-Marking, unchained
 //!   and chained two-join plans, 2-kNN-select, plus a plan/optimizer layer
 //!   and the spatially sharded, versioned relation store (snapshot reads,
-//!   delta ingest, per-shard background rebuilds, scatter-gather kNN over
-//!   shard partitions) behind `core::plan::Database`.
+//!   delta ingest, per-shard background rebuilds, shard-pruning kNN over
+//!   the composed block directory) behind `core::plan::Database`.
 //!
 //! The most common entry points are also re-exported at the crate root.
 //!

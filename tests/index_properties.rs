@@ -3,13 +3,16 @@
 //! locality-based kNN against a brute-force oracle (DESIGN.md §5, 6–9).
 //! Inputs come from the workspace's deterministic RNG instead of `proptest`.
 
+use std::sync::Arc;
+
 use two_knn::core::plan::Database;
-use two_knn::core::store::{OverlayConfig, StoreConfig, WriteOp};
+use two_knn::core::store::{DurabilityConfig, OverlayConfig, ShardConfig, StoreConfig, WriteOp};
 use two_knn::datagen::rng::StdRng;
 use two_knn::geometry::{euclidean, maxdist, mindist};
 use two_knn::index::{
-    brute_force_knn, check_index_invariants, get_knn, get_knn_best_first, get_knn_in,
-    get_knn_scalar, Locality, Metrics, ScratchSpace,
+    brute_force_knn, check_index_invariants, get_knn, get_knn_in, get_knn_scalar, BlockId,
+    BlockMeta, BlockOrder, BlockPoints, DistanceCursor, Locality, Metrics, OrderMetric,
+    ScratchSpace,
 };
 use two_knn::{GridIndex, Point, QuadtreeIndex, Rect, SpatialIndex, StrRTree};
 
@@ -87,8 +90,8 @@ fn indexes_preserve_points_and_invariants() {
     }
 }
 
-/// The locality-based getkNN and the best-first getkNN both agree with a
-/// brute-force oracle (up to distance ties), on every index type.
+/// The locality-based getkNN agrees with a brute-force oracle (up to
+/// distance ties), on every index type.
 #[test]
 fn knn_matches_brute_force_on_all_indexes() {
     for case in 0..CASES {
@@ -110,12 +113,10 @@ fn knn_matches_brute_force_on_all_indexes() {
         ] {
             let oracle = brute_force_knn(index, &q, k);
             let locality_based = get_knn(index, &q, k, &mut m);
-            let best_first = get_knn_best_first(index, &q, k, &mut m);
             // Ties at the k-th distance can legitimately produce different id
             // choices, so compare ids when radii match strictly, and radii
             // always.
             assert!(radii_equal(&oracle, &locality_based), "case {case}");
-            assert!(radii_equal(&oracle, &best_first), "case {case}");
             if oracle.len() == oracle.k() {
                 // Every returned member must be at distance <= oracle radius.
                 for nb in locality_based.members() {
@@ -385,4 +386,353 @@ fn batched_knn_does_not_drift_across_mixed_ingest_batches() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Directory cursor vs the flat reference ordering
+// ---------------------------------------------------------------------------
+
+/// `index` with its directory hidden: every ordering over it takes the flat
+/// compute-every-block path.
+struct Flat<'a>(&'a dyn SpatialIndex);
+
+impl SpatialIndex for Flat<'_> {
+    fn bounds(&self) -> Rect {
+        self.0.bounds()
+    }
+    fn num_points(&self) -> usize {
+        self.0.num_points()
+    }
+    fn blocks(&self) -> &[BlockMeta] {
+        self.0.blocks()
+    }
+    fn block_points(&self, id: BlockId) -> BlockPoints<'_> {
+        self.0.block_points(id)
+    }
+    fn locate(&self, p: &Point) -> Option<BlockId> {
+        self.0.locate(p)
+    }
+}
+
+/// Random points with every tenth one stacked on an earlier position.
+fn points_with_duplicates(rng: &mut StdRng, n: usize) -> Vec<Point> {
+    let mut pts: Vec<Point> = Vec::with_capacity(n);
+    for i in 0..n {
+        let (x, y) = if i % 10 == 9 {
+            let twin = pts[rng.gen_range(0..i)];
+            (twin.x, twin.y)
+        } else {
+            (rng.gen_range(0.0f64..1000.0), rng.gen_range(0.0f64..1000.0))
+        };
+        pts.push(Point::new(i as u64, x, y));
+    }
+    pts
+}
+
+/// A scratch directory removed on drop.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "twoknn-index-properties-{}-{tag}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// One index of every kind that reports a directory: the three families, a
+/// shard snapshot carrying inserts and tombstones, a 3×3 relation snapshot
+/// with an empty shard, a block file reopened from disk — and an index
+/// without points.
+fn directory_subjects(seed: u64) -> Vec<(&'static str, Arc<dyn SpatialIndex>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pts = points_with_duplicates(&mut rng, 700);
+    let mut subjects: Vec<(&'static str, Arc<dyn SpatialIndex>)> = vec![
+        ("grid", Arc::new(GridIndex::build(pts.clone(), 11).unwrap())),
+        (
+            "quadtree",
+            Arc::new(QuadtreeIndex::build(pts.clone(), 9).unwrap()),
+        ),
+        ("rtree", Arc::new(StrRTree::build(pts.clone(), 9).unwrap())),
+        (
+            "empty grid",
+            Arc::new(
+                GridIndex::build_with_bounds(vec![], Rect::new(0.0, 0.0, 1000.0, 1000.0), 5)
+                    .unwrap(),
+            ),
+        ),
+    ];
+
+    // Inserts (some outside the base extent) and tombstones, never folded.
+    let mut db = Database::with_store_config(StoreConfig {
+        compaction_threshold: usize::MAX,
+        overlay: OverlayConfig {
+            cell_target: 4,
+            max_cells_per_axis: 8,
+        },
+        ..StoreConfig::default()
+    });
+    db.register("R", QuadtreeIndex::build(pts.clone(), 9).unwrap());
+    let mut ops = mixed_batch(&mut rng, 0, pts.len() as u64);
+    ops.push(WriteOp::Upsert(Point::new(90_000, -40.0, 1100.0)));
+    // Empty a whole base block, so its count drops to zero in the snapshot.
+    let victim = db.relation("R").unwrap();
+    let emptied = victim.blocks().iter().find(|b| b.count > 0).unwrap().id;
+    ops.extend(
+        victim
+            .block_points(emptied)
+            .iter()
+            .map(|p| WriteOp::Remove(p.id)),
+    );
+    db.ingest("R", &ops).unwrap();
+    let snap = db.relation("R").unwrap();
+    assert!(snap.overlay_block_count() > 1 && snap.blocks()[emptied as usize].count == 0);
+    subjects.push(("shard snapshot", snap.shards()[0].clone()));
+
+    // 3×3 shards over points that leave the middle shard empty.
+    let holed: Vec<Point> = pts
+        .iter()
+        .filter(|p| !(300.0..700.0).contains(&p.x) || !(300.0..700.0).contains(&p.y))
+        .copied()
+        .collect();
+    let mut db = Database::with_store_config(StoreConfig {
+        compaction_threshold: usize::MAX,
+        sharding: ShardConfig::per_axis(3),
+        ..StoreConfig::default()
+    });
+    db.register("R", GridIndex::build(holed, 6).unwrap());
+    let first = db.relation("R").unwrap().all_points()[0].id;
+    db.ingest(
+        "R",
+        &[
+            WriteOp::Upsert(Point::new(91_000, 50.0, 50.0)),
+            WriteOp::Upsert(Point::new(91_001, 950.0, 40.5)),
+            WriteOp::Upsert(Point::new(91_002, -30.0, 500.0)),
+            WriteOp::Remove(first),
+        ],
+    )
+    .unwrap();
+    let snap = db.relation("R").unwrap();
+    assert_eq!(snap.num_shards(), 9);
+    assert!(snap.shards().iter().any(|s| s.num_points() == 0));
+    subjects.push(("relation snapshot", snap));
+
+    // A durable relation, dropped and reopened: its base is the block file.
+    let tmp = TempDir::new(&format!("blockfile-{seed}"));
+    let durable = StoreConfig {
+        durability: DurabilityConfig::at(&tmp.0),
+        ..StoreConfig::default()
+    };
+    {
+        let mut db = Database::with_store_config(durable.clone());
+        db.register("R", StrRTree::build(pts, 9).unwrap());
+        db.checkpoint();
+    }
+    let db = Database::open(&tmp.0, durable).unwrap();
+    let reopened = db.relation("R").unwrap().shards()[0].base().clone();
+    subjects.push(("reopened block file", reopened));
+
+    for (name, index) in &subjects {
+        assert!(index.directory().is_some(), "{name} reports a directory");
+    }
+    subjects
+}
+
+/// Origins inside the data, far outside it, exactly on a block corner (where
+/// several blocks tie on distance) and exactly on a stack of duplicates.
+fn origins(index: &dyn SpatialIndex, rng: &mut StdRng) -> Vec<Point> {
+    let blocks = index.blocks();
+    let corner = blocks[rng.gen_range(0..blocks.len())].mbr;
+    let mut origins = vec![
+        Point::anonymous(
+            rng.gen_range(100.0f64..900.0),
+            rng.gen_range(100.0f64..900.0),
+        ),
+        Point::anonymous(-350.0, 1400.0),
+        Point::anonymous(corner.max_x, corner.min_y),
+        index.bounds().center(),
+    ];
+    let stored = index.all_points();
+    if let Some(twin) = stored.iter().find(|p| {
+        stored
+            .iter()
+            .any(|q| q.id != p.id && q.x == p.x && q.y == p.y)
+    }) {
+        origins.push(Point::anonymous(twin.x, twin.y));
+    }
+    origins
+}
+
+fn reference_order(blocks: &[BlockMeta], origin: &Point, metric: OrderMetric) -> Vec<(f64, u32)> {
+    let mut order: Vec<(f64, u32)> = blocks
+        .iter()
+        .map(|b| {
+            let key = match metric {
+                OrderMetric::MinDist => b.mindist_sq(origin),
+                OrderMetric::MaxDist => b.maxdist_sq(origin),
+            };
+            (key, b.id)
+        })
+        .collect();
+    order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    order
+}
+
+/// The drained cursor equals the blocks sorted by `(distance², id)`; so does
+/// every prefix of a cursor stopped early; `remaining()` counts down; and
+/// the yielded metadata is the index's own.
+#[test]
+fn directory_cursor_equals_the_flat_reference_everywhere() {
+    let mut scratch = ScratchSpace::new();
+    for seed in [11u64, 12] {
+        let mut rng = StdRng::seed_from_u64(9_000 + seed);
+        for (name, index) in directory_subjects(seed) {
+            let index = index.as_ref();
+            let blocks = index.blocks();
+            for origin in origins(index, &mut rng) {
+                for metric in [OrderMetric::MinDist, OrderMetric::MaxDist] {
+                    let ctx = format!("{name} seed {seed} {metric:?} from {origin}");
+                    let want = reference_order(blocks, &origin, metric);
+                    let flat: Vec<(f64, u32)> = BlockOrder::new(blocks, &origin, metric)
+                        .map(|ob| (ob.distance_sq, ob.block.id))
+                        .collect();
+                    assert_eq!(flat, want, "flat ordering: {ctx}");
+
+                    let mut cursor = DistanceCursor::new(index, &origin, metric, &mut scratch);
+                    let mut got = Vec::with_capacity(blocks.len());
+                    while let Some(ob) = cursor.next() {
+                        assert_eq!(ob.block, blocks[ob.block.id as usize], "{ctx}");
+                        assert_eq!(ob.distance, ob.distance_sq.sqrt(), "{ctx}");
+                        got.push((ob.distance_sq, ob.block.id));
+                        assert_eq!(cursor.remaining(), blocks.len() - got.len(), "{ctx}");
+                    }
+                    assert_eq!(cursor.remaining_nonempty(), 0, "{ctx}");
+                    drop(cursor);
+                    assert_eq!(got, want, "drained cursor: {ctx}");
+
+                    for stop in [1, 2, 7, blocks.len() / 2] {
+                        let prefix: Vec<(f64, u32)> =
+                            DistanceCursor::new(index, &origin, metric, &mut scratch)
+                                .take(stop)
+                                .map(|ob| (ob.distance_sq, ob.block.id))
+                                .collect();
+                        assert_eq!(prefix, want[..stop.min(want.len())], "prefix {stop}: {ctx}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Localities and neighborhoods built through the directory cursor are the
+/// ones the flat reference builds — same blocks in the same order, so every
+/// downstream counter agrees; only `blocks_ordered` differs. Covers k = 0,
+/// k beyond the relation and the index without points.
+#[test]
+fn locality_through_the_cursor_equals_locality_through_the_flat_reference() {
+    for seed in [21u64, 22] {
+        let mut rng = StdRng::seed_from_u64(9_500 + seed);
+        for (name, index) in directory_subjects(seed) {
+            let index = index.as_ref();
+            let flat = Flat(index);
+            assert!(flat.directory().is_none());
+            for origin in origins(index, &mut rng) {
+                for k in [0usize, 1, 5, 40, index.num_points() + 3] {
+                    let ctx = format!("{name} seed {seed} k={k} from {origin}");
+                    let (mut m, mut mf) = (Metrics::default(), Metrics::default());
+                    let via_cursor = Locality::build(index, &origin, k, &mut m);
+                    let via_flat = Locality::build(&flat, &origin, k, &mut mf);
+                    assert_eq!(via_cursor.blocks(), via_flat.blocks(), "{ctx}");
+                    assert_eq!(
+                        via_cursor.maxdist_bound(),
+                        via_flat.maxdist_bound(),
+                        "{ctx}"
+                    );
+                    let bounded = Locality::build_bounded(index, &origin, k, 120.0, &mut m);
+                    let bounded_flat = Locality::build_bounded(&flat, &origin, k, 120.0, &mut mf);
+                    assert_eq!(bounded.blocks(), bounded_flat.blocks(), "{ctx}");
+
+                    let hood = get_knn(index, &origin, k, &mut m);
+                    assert_eq!(hood, get_knn(&flat, &origin, k, &mut mf), "{ctx}");
+                    assert_eq!(hood, brute_force_knn(index, &origin, k), "{ctx}");
+                    assert_eq!(hood.len(), k.min(index.num_points()), "{ctx}");
+
+                    // Six orderings a side; a cursor keys each block and each
+                    // directory node at most once.
+                    let directory = index.directory().unwrap();
+                    let nodes = (directory.num_nodes() + directory.num_shards()) as u64;
+                    assert!(m.blocks_ordered <= mf.blocks_ordered + 6 * nodes, "{ctx}");
+                    // The flat side has no shard tier to count either.
+                    let same = Metrics {
+                        blocks_ordered: 0,
+                        shards_scanned: 0,
+                        shards_pruned: 0,
+                        ..m
+                    };
+                    assert_eq!(
+                        same,
+                        Metrics {
+                            blocks_ordered: 0,
+                            ..mf
+                        },
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// On a grid the size of `select_large`'s (125 × 125 = 15 625 blocks) a
+/// `get_knn` orders a small fraction of the blocks; the flat reference
+/// orders all of them, twice.
+#[test]
+fn get_knn_orders_a_fraction_of_a_large_grid() {
+    let mut rng = StdRng::seed_from_u64(9_900);
+    let pts: Vec<Point> = (0..250_000u64)
+        .map(|i| {
+            Point::new(
+                i,
+                rng.gen_range(0.0f64..40_000.0),
+                rng.gen_range(0.0f64..40_000.0),
+            )
+        })
+        .collect();
+    let grid = GridIndex::build(pts, 125).unwrap();
+    let num_blocks = grid.num_blocks() as u64;
+    assert_eq!(num_blocks, 15_625);
+    for k in [1usize, 8, 64] {
+        let mut m = Metrics::default();
+        for _ in 0..100 {
+            let q = Point::anonymous(
+                rng.gen_range(0.0f64..40_000.0),
+                rng.gen_range(0.0f64..40_000.0),
+            );
+            get_knn(&grid, &q, k, &mut m);
+        }
+        let mean = m.blocks_ordered / 100;
+        assert!(
+            mean <= num_blocks / 10,
+            "k={k}: {mean} blocks ordered per get_knn on {num_blocks} blocks"
+        );
+        println!("k={k}: {mean} blocks ordered per get_knn");
+    }
+    let mut mf = Metrics::default();
+    get_knn(
+        &Flat(&grid),
+        &Point::anonymous(20_000.0, 20_000.0),
+        8,
+        &mut mf,
+    );
+    assert_eq!(mf.blocks_ordered, 2 * num_blocks);
 }
