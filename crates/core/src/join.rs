@@ -4,7 +4,7 @@
 //! e2 ∈ E2, and e2 is among the k-closest points to e1." (Section 1.)
 //!
 //! The kNN-join is evaluated by computing, for every point of the outer
-//! relation, its neighborhood in the inner relation via the locality-based
+//! relation, its neighborhood in the inner relation via the index layer's
 //! `getkNN` — exactly the strategy the paper assumes for its conceptually
 //! correct QEPs. The outer relation's blocks are the work items of a
 //! [`run_over_blocks`](crate::exec::run_over_blocks) run, so under

@@ -48,12 +48,11 @@ pub struct MetricsReport {
 
 /// The [`Metrics`] counters as stable `(name, value)` pairs, in declaration
 /// order — the enumeration both report formats share.
-pub fn counter_fields(m: &Metrics) -> [(&'static str, u64); 22] {
+pub fn counter_fields(m: &Metrics) -> [(&'static str, u64); 21] {
     [
         ("neighborhoods_computed", m.neighborhoods_computed),
         ("blocks_scanned", m.blocks_scanned),
         ("blocks_ordered", m.blocks_ordered),
-        ("locality_blocks", m.locality_blocks),
         ("points_scanned", m.points_scanned),
         ("distance_computations", m.distance_computations),
         ("tuples_emitted", m.tuples_emitted),
@@ -239,7 +238,7 @@ mod tests {
         // Every counter and every histogram appears, even when zero.
         assert_eq!(
             json.lines().filter(|l| l.contains("\"counter\"")).count(),
-            22
+            21
         );
         assert_eq!(
             json.lines().filter(|l| l.contains("\"histogram\"")).count(),

@@ -83,10 +83,10 @@ fn axis_gap(v: f64, lo: f64, hi: f64) -> f64 {
     (lo - v).max(v - hi).max(0.0)
 }
 
-/// Scalar/branchy reference implementations retained for the `kernel_micro`
-/// ablation bench and the equivalence property tests. These are the pre-SoA
-/// kernels; production code must use the batched/branchless variants above.
-pub mod baseline {
+/// Scalar/branchy reference implementations the unit tests below hold the
+/// batched/branchless kernels to. These are the pre-SoA kernels.
+#[cfg(test)]
+mod baseline {
     use crate::{Point, Rect};
 
     /// The branchy `axis_gap` the branchless clamp replaced.

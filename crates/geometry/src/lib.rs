@@ -27,7 +27,7 @@ mod predicate;
 mod rect;
 
 pub use distance::{
-    baseline, euclidean, euclidean_sq, euclidean_sq_batch, maxdist, maxdist_sq, mindist, mindist_sq,
+    euclidean, euclidean_sq, euclidean_sq_batch, maxdist, maxdist_sq, mindist, mindist_sq,
 };
 pub use point::{Point, PointId};
 pub use predicate::Predicate;

@@ -1,58 +1,47 @@
 //! `getkNN`: computing the neighborhood of a point.
 //!
 //! The paper (Section 2): "One can use any algorithm to compute the
-//! neighborhood of a point. In this paper, we employ the locality algorithm
-//! of [15]. Given a point, say p, the main idea of the algorithm is to build
-//! the minimum locality of p, and then compute the neighborhood of p only
-//! from its locality."
-//!
-//! There is one search, [`get_knn`]'s, parameterised by an optional distance
-//! bound and an optional predicate mask; [`get_knn_bounded`] and
-//! [`get_knn_filtered`] are the same search with one of them set. It pulls
-//! blocks from a [`DistanceCursor`] over the index's block directory — so it
-//! pays for the directory nodes and blocks near `p`, never for every block —
-//! and scans them with the batched SoA kernel: per block, one vectorizable
+//! neighborhood of a point." There is one here, [`get_knn`]'s, parameterised
+//! by an optional distance bound and an optional predicate mask;
+//! [`get_knn_bounded`] and [`get_knn_filtered`] are the same walk with one of
+//! them set. It pulls blocks off a MINDIST [`DistanceCursor`] over the
+//! index's block directory — so it pays for the directory nodes and blocks
+//! near `p`, never for every block — and scans each non-empty one as the
+//! cursor yields it with the batched SoA kernel: per block, one vectorizable
 //! column pass fills the distance buffer, then the buffer folds into a
-//! bounded k-heap whose root is the running k-th distance τ. Blocks with
-//! MINDIST strictly greater than τ are skipped (counted as `blocks_pruned`).
+//! bounded k-heap whose root is the running k-th distance τ. The walk stops
+//! at the first block whose MINDIST is strictly greater than τ (or than the
+//! bound); the non-empty blocks it never reached are `blocks_pruned`.
 //!
-//! * Without a mask the blocks are the *locality* of `p` (two cursor phases,
-//!   see [`crate::locality`]), scanned with τ-pruning.
-//! * With a mask, block counts overcount the matching points, so no locality
-//!   can be sized from them: blocks are scanned straight off a MINDIST
-//!   cursor until the first one beyond τ.
+//! The blocks the walk scans are a subset of the paper's *locality* of `p`
+//! (Definition 2, [`crate::locality`]): τ never exceeds the locality's
+//! MAXDIST bound `M` once `k` points are held. [`Locality`](crate::Locality)
+//! stays as that definition's reference; the tests compare the walk to it.
 //!
 //! On a sharded index the directory's first level is the shards, so a shard
 //! whose footprint lies beyond the search radius is never descended into
 //! (`shards_pruned`); there is no separate scatter-gather path.
 //!
-//! Every entry point has an `*_in` variant taking an explicit
-//! [`ScratchSpace`]; the plain variants borrow the calling thread's shared
-//! scratch (see [`crate::scratch`]), so a batch of queries on one worker
-//! thread allocates the transient heaps and buffers once, not per query.
-//! [`brute_force_knn`] is the `O(n log n)` ground truth for tests, and
-//! [`get_knn_scalar`] retains the pre-SoA gather-and-sort path as the
-//! ablation baseline the `kernel_micro` bench measures speedups against.
+//! Every entry point borrows the calling thread's shared [`ScratchSpace`]
+//! (see [`crate::scratch`]), so a batch of queries on one worker thread
+//! allocates the transient heap and buffers once, not per query.
+//! [`brute_force_knn`] is the `O(n log n)` ground truth for tests.
 
 use twoknn_geometry::{Point, Predicate};
 
-use crate::locality::{collect_locality_blocks, Locality};
 use crate::metrics::Metrics;
 use crate::neighborhood::{Neighbor, Neighborhood};
 use crate::ordering::{DistanceCursor, OrderMetric};
 use crate::scratch::{with_thread_scratch, ScratchSpace};
 use crate::traits::SpatialIndex;
 
-/// Computes the neighborhood (the `k` nearest neighbors) of `p` using the
-/// locality algorithm, counting the work into `metrics`.
+/// Computes the neighborhood (the `k` nearest neighbors) of `p`, counting
+/// the work into `metrics`.
 ///
 /// When `p` itself is stored in the index (same id and coordinates), it is
 /// *not* excluded: the paper's operators query focal points and outer-relation
 /// points against *other* relations, so self-exclusion is handled by callers
 /// that need it.
-///
-/// Uses the calling thread's shared [`ScratchSpace`]; pass one explicitly
-/// through [`get_knn_in`] to control the reuse scope yourself.
 pub fn get_knn<I: SpatialIndex + ?Sized>(
     index: &I,
     p: &Point,
@@ -60,17 +49,6 @@ pub fn get_knn<I: SpatialIndex + ?Sized>(
     metrics: &mut Metrics,
 ) -> Neighborhood {
     with_thread_scratch(|scratch| search(index, p, k, None, None, metrics, scratch))
-}
-
-/// [`get_knn`] with an explicit, reusable [`ScratchSpace`].
-pub fn get_knn_in<I: SpatialIndex + ?Sized>(
-    index: &I,
-    p: &Point,
-    k: usize,
-    metrics: &mut Metrics,
-    scratch: &mut ScratchSpace,
-) -> Neighborhood {
-    search(index, p, k, None, None, metrics, scratch)
 }
 
 /// Computes the neighborhood of `p` restricted to a search threshold: only
@@ -87,34 +65,13 @@ pub fn get_knn_bounded<I: SpatialIndex + ?Sized>(
     with_thread_scratch(|scratch| search(index, p, k, Some(threshold), None, metrics, scratch))
 }
 
-/// [`get_knn_bounded`] with an explicit, reusable [`ScratchSpace`].
-pub fn get_knn_bounded_in<I: SpatialIndex + ?Sized>(
-    index: &I,
-    p: &Point,
-    k: usize,
-    threshold: f64,
-    metrics: &mut Metrics,
-    scratch: &mut ScratchSpace,
-) -> Neighborhood {
-    search(index, p, k, Some(threshold), None, metrics, scratch)
-}
-
 /// Computes the `k` nearest points of `p` **matching a predicate** — the
 /// "k nearest *matching* points" semantics of a pre-kNN filter placement.
 ///
-/// Locality construction is deliberately **not** used here: block counts
-/// overcount the matching points, so a locality sized by counts could stop
-/// collecting blocks before `k` matching candidates are reachable. Instead,
-/// non-empty blocks are pulled off a MINDIST cursor and scanned through the
-/// predicate-masked batched kernel ([`crate::KthHeap::scan_block_masked`]);
-/// once the candidate heap holds `k` *matching* points, the walk stops at
-/// the first block whose MINDIST² exceeds τ² (strictly — id tie-breaks at
-/// exactly τ stay reachable). τ is the k-th **matching** distance, never
-/// smaller than the unfiltered one, so this pruning is conservative and the
-/// result is exact.
-///
-/// Uses the calling thread's shared [`ScratchSpace`]; see
-/// [`get_knn_filtered_in`] for explicit reuse.
+/// Blocks are scanned through the predicate-masked batched kernel, so τ is
+/// the k-th **matching** distance — never smaller than the unfiltered one —
+/// and the walk's stop at the first block beyond τ stays exact: it simply
+/// comes later the more the predicate rejects.
 pub fn get_knn_filtered<I: SpatialIndex + ?Sized>(
     index: &I,
     p: &Point,
@@ -125,22 +82,7 @@ pub fn get_knn_filtered<I: SpatialIndex + ?Sized>(
     with_thread_scratch(|scratch| search(index, p, k, None, Some(predicate), metrics, scratch))
 }
 
-/// [`get_knn_filtered`] with an explicit, reusable [`ScratchSpace`]: the
-/// predicate mask, cursor frontier, distance buffer, and candidate heap are
-/// all borrowed from the scratch, so the filtered hot path allocates nothing
-/// but the returned [`Neighborhood`] after warm-up.
-pub fn get_knn_filtered_in<I: SpatialIndex + ?Sized>(
-    index: &I,
-    p: &Point,
-    k: usize,
-    predicate: &Predicate,
-    metrics: &mut Metrics,
-    scratch: &mut ScratchSpace,
-) -> Neighborhood {
-    search(index, p, k, None, Some(predicate), metrics, scratch)
-}
-
-/// The one kNN search behind every `get_knn*` entry point.
+/// The one kNN walk behind every `get_knn*` entry point.
 ///
 /// `bound` restricts the search to blocks with MINDIST ≤ bound; `mask`
 /// restricts the candidates to points matching a predicate.
@@ -150,7 +92,7 @@ pub fn get_knn_filtered_in<I: SpatialIndex + ?Sized>(
 /// cannot contribute a closer point — and points *at* distance τ (which may
 /// still win on id tie-break) live in blocks with MINDIST ≤ τ, which are
 /// always scanned. Results are therefore identical to the gather-everything
-/// baseline, including tie resolution.
+/// ground truth, including tie resolution.
 fn search<I: SpatialIndex + ?Sized>(
     index: &I,
     p: &Point,
@@ -167,59 +109,46 @@ fn search<I: SpatialIndex + ?Sized>(
     let ScratchSpace {
         dist,
         kth,
-        locality,
         frontier,
         mask: lanes,
     } = scratch;
     kth.reset(k);
 
-    match mask {
-        // The locality of `p`, collected by the cursor, then scanned.
-        None => {
-            collect_locality_blocks(index, p, k, bound, metrics, locality, frontier);
-            for block in &locality.blocks {
-                if kth.is_full() && block.mindist_sq(p) > kth.threshold_sq() {
-                    metrics.blocks_pruned += 1;
-                    continue;
-                }
-                let points = index.block_points(block.id);
-                metrics.points_scanned += points.len() as u64;
-                metrics.distance_computations += points.len() as u64;
-                kth.scan_block(p, points, dist);
-            }
+    let mut order = DistanceCursor::over(
+        index.blocks(),
+        index.directory(),
+        p,
+        OrderMetric::MinDist,
+        frontier,
+    );
+    while let Some(ob) = order.next() {
+        // The stops come before the empty-block skip: a run of empty blocks
+        // beyond τ must end the walk, not be pulled (and keyed) one by one.
+        if bound.is_some_and(|b| ob.distance > b) {
+            break;
         }
-        // Non-empty blocks straight off the MINDIST cursor, until one lies
-        // beyond τ (and so do all that follow it).
-        Some(predicate) => {
-            let mut order = DistanceCursor::over(
-                index.blocks(),
-                index.directory(),
-                p,
-                OrderMetric::MinDist,
-                frontier,
-            );
-            while let Some(ob) = order.next() {
-                if ob.block.count == 0 {
-                    continue;
-                }
-                if bound.is_some_and(|b| ob.distance > b) {
-                    break;
-                }
-                if kth.is_full() && ob.distance_sq > kth.threshold_sq() {
-                    metrics.blocks_pruned += 1 + order.remaining_nonempty() as u64;
-                    break;
-                }
-                let points = index.block_points(ob.block.id);
-                metrics.blocks_scanned += 1;
-                metrics.points_scanned += points.len() as u64;
-                metrics.distance_computations += points.len() as u64;
+        if kth.is_full() && ob.distance_sq > kth.threshold_sq() {
+            metrics.blocks_pruned +=
+                (ob.block.count > 0) as u64 + order.remaining_nonempty() as u64;
+            break;
+        }
+        if ob.block.count == 0 {
+            continue;
+        }
+        let points = index.block_points(ob.block.id);
+        metrics.blocks_scanned += 1;
+        metrics.points_scanned += points.len() as u64;
+        metrics.distance_computations += points.len() as u64;
+        match mask {
+            None => kth.scan_block(p, points, dist),
+            Some(predicate) => {
                 predicate.eval_block(points.ids(), points.xs(), points.ys(), lanes);
                 kth.scan_block_masked(p, points, lanes, dist);
             }
-            metrics.blocks_ordered += order.blocks_ordered();
-            order.record_shards(metrics);
         }
     }
+    metrics.blocks_ordered += order.blocks_ordered();
+    order.record_shards(metrics);
     kth.finish(*p, k)
 }
 
@@ -241,53 +170,6 @@ pub fn brute_force_knn_filtered<I: SpatialIndex + ?Sized>(
         })
         .collect();
     Neighborhood::from_unsorted(*p, k, members)
-}
-
-/// Extracts the `k` nearest points of `p` from the blocks of a locality.
-///
-/// This is the retained **scalar (pre-SoA) gather path**: every point of
-/// every locality block is materialized as a [`Neighbor`] and the list is
-/// sorted and truncated at the end. [`get_knn`] replaced it with the batched
-/// kth-distance kernel; it stays public as the ablation baseline for the
-/// `kernel_micro` bench and the SoA-equivalence property tests, and for
-/// callers that hold a pre-built [`Locality`].
-pub fn neighborhood_from_locality<I: SpatialIndex + ?Sized>(
-    index: &I,
-    p: &Point,
-    k: usize,
-    locality: &Locality,
-    metrics: &mut Metrics,
-) -> Neighborhood {
-    let mut members = Vec::with_capacity(locality.point_count().min(4 * k + 16));
-    for block in locality.blocks() {
-        for q in index.block_points(block.id) {
-            metrics.points_scanned += 1;
-            metrics.distance_computations += 1;
-            members.push(Neighbor {
-                point: q,
-                distance: p.distance(&q),
-            });
-        }
-    }
-    Neighborhood::from_unsorted(*p, k, members)
-}
-
-/// The complete pre-SoA `getkNN`: locality construction followed by the
-/// scalar gather of [`neighborhood_from_locality`], with no τ-pruning and no
-/// scratch reuse. Kept as the end-to-end ablation baseline so `kernel_micro`
-/// can report the batched-vs-scalar speedup of the whole select hot path.
-pub fn get_knn_scalar<I: SpatialIndex + ?Sized>(
-    index: &I,
-    p: &Point,
-    k: usize,
-    metrics: &mut Metrics,
-) -> Neighborhood {
-    metrics.neighborhoods_computed += 1;
-    if k == 0 || index.num_points() == 0 {
-        return Neighborhood::empty(*p, k);
-    }
-    let locality = Locality::build(index, p, k, metrics);
-    neighborhood_from_locality(index, p, k, &locality, metrics)
 }
 
 /// Ground-truth `k` nearest neighbors by scanning every indexed point.
@@ -362,12 +244,12 @@ mod tests {
         }
     }
 
-    /// The batched τ-pruning path and the retained scalar gather must return
-    /// identical neighborhoods — members, order, distances, and tie choices.
+    /// The batched τ-pruned walk must return exactly the ground truth —
+    /// members, order, distances, and tie choices — and scan no more points
+    /// than the two-phase locality of the same query holds.
     #[test]
     fn batched_knn_is_identical_to_scalar_baseline() {
         let g = GridIndex::build(pts(2000), 12).unwrap();
-        let mut scratch = ScratchSpace::new();
         for (x, y, k) in [
             (10.0, 20.0, 1),
             (55.0, 64.0, 7),
@@ -376,14 +258,13 @@ mod tests {
             (-30.0, 200.0, 5),
         ] {
             let q = Point::anonymous(x, y);
-            let mut m1 = Metrics::default();
-            let mut m2 = Metrics::default();
-            let batched = get_knn_in(&g, &q, k, &mut m1, &mut scratch);
-            let scalar = get_knn_scalar(&g, &q, k, &mut m2);
-            assert_eq!(batched, scalar, "query ({x},{y}) k={k}");
+            let mut m = Metrics::default();
+            let batched = get_knn(&g, &q, k, &mut m);
+            assert_eq!(batched, brute_force_knn(&g, &q, k), "query ({x},{y}) k={k}");
+            let locality = crate::Locality::build(&g, &q, k, &mut Metrics::default());
             assert!(
-                m1.points_scanned <= m2.points_scanned,
-                "τ-pruning must never scan more points than the full gather"
+                m.points_scanned <= locality.point_count() as u64,
+                "τ-pruning must never scan more points than the full locality"
             );
         }
     }
@@ -494,7 +375,6 @@ mod tests {
         let data = pts(1600);
         let sharded = ShardedGrid::build(data.clone(), 8);
         let flat = GridIndex::build(data, 16).unwrap();
-        let mut scratch = ScratchSpace::new();
         for (x, y, k) in [
             (10.0, 20.0, 1),
             (55.0, 64.0, 7),
@@ -504,7 +384,7 @@ mod tests {
         ] {
             let q = Point::anonymous(x, y);
             let mut m = Metrics::default();
-            let got = get_knn_in(&sharded, &q, k, &mut m, &mut scratch);
+            let got = get_knn(&sharded, &q, k, &mut m);
             assert_eq!(got, brute_force_knn(&sharded, &q, k), "({x},{y}) k={k}");
             let mut mf = Metrics::default();
             assert_eq!(got, get_knn(&flat, &q, k, &mut mf));
@@ -512,11 +392,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scatter_gather_prunes_shards_beyond_tau() {
-        // A dense cluster in one quadrant plus sparse points elsewhere: a
-        // small-k query inside the cluster must resolve without visiting the
-        // far quadrants.
+    /// A dense cluster in one quadrant plus sparse points elsewhere, over
+    /// four 6×6 shards whose cells are mostly empty.
+    fn clustered_shards() -> ShardedGrid {
         let mut data = Vec::new();
         for i in 0..500u64 {
             data.push(Point::new(
@@ -534,7 +412,14 @@ mod tests {
         }
         data.push(Point::new(990, 85.0, 12.0));
         data.push(Point::new(991, 12.0, 85.0));
-        let sharded = ShardedGrid::build(data, 6);
+        ShardedGrid::build(data, 6)
+    }
+
+    #[test]
+    fn scatter_gather_prunes_shards_beyond_tau() {
+        // A small-k query inside the cluster must resolve without visiting
+        // the far quadrants.
+        let sharded = clustered_shards();
         let q = Point::anonymous(11.0, 11.0);
         let mut m = Metrics::default();
         let got = get_knn(&sharded, &q, 5, &mut m);
@@ -554,6 +439,29 @@ mod tests {
         order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
         for &(mindist_sq, _) in &order[visited..] {
             assert!(mindist_sq > tau_sq, "pruned shard within τ");
+        }
+    }
+
+    /// The filtered twin of the test above. The stops are tested before the
+    /// empty-block skip, so the empty cells between the cluster and the next
+    /// populated block end the walk instead of being pulled one by one —
+    /// with the skip first, this query ordered every block of every shard.
+    #[test]
+    fn filtered_walk_stops_at_tau_on_sparse_shards() {
+        let sharded = clustered_shards();
+        let q = Point::anonymous(11.0, 11.0);
+        for pred in [Predicate::True, Predicate::IdRange { lo: 0, hi: 499 }] {
+            let mut m = Metrics::default();
+            let got = get_knn_filtered(&sharded, &q, 5, &pred, &mut m);
+            assert_eq!(got, brute_force_knn_filtered(&sharded, &q, 5, &pred));
+            assert!(m.shards_pruned > 0, "{pred}: {m}");
+            assert!(
+                m.blocks_ordered < sharded.num_blocks() as u64,
+                "{pred}: {m}"
+            );
+            // Every populated block is either scanned or pruned.
+            let nonempty = sharded.blocks().iter().filter(|b| b.count > 0).count();
+            assert_eq!(m.blocks_scanned + m.blocks_pruned, nonempty as u64);
         }
     }
 
@@ -741,17 +649,22 @@ mod tests {
         assert!(got.radius() > 30.0, "all matches are outside the disk");
     }
 
-    /// Reusing one scratch across queries must not leak state between them.
+    /// Reusing the thread scratch across queries must not leak state between
+    /// them: a warm thread and a thread that has never run a query agree.
     #[test]
     fn scratch_reuse_does_not_leak_state_across_queries() {
         let g = GridIndex::build(pts(800), 9).unwrap();
-        let mut scratch = ScratchSpace::new();
         let mut m = Metrics::default();
+        get_knn(&g, &Point::anonymous(50.0, 50.0), 64, &mut m); // warm-up
         let queries = [(3.0, 3.0, 9), (90.0, 90.0, 2), (40.0, 11.0, 30)];
         for &(x, y, k) in &queries {
             let q = Point::anonymous(x, y);
-            let shared = get_knn_in(&g, &q, k, &mut m, &mut scratch);
-            let fresh = get_knn_in(&g, &q, k, &mut m, &mut ScratchSpace::new());
+            let shared = get_knn(&g, &q, k, &mut m);
+            let fresh = std::thread::scope(|s| {
+                s.spawn(|| get_knn(&g, &q, k, &mut Metrics::default()))
+                    .join()
+                    .unwrap()
+            });
             assert_eq!(shared, fresh);
             assert_same_ids(&shared, &brute_force_knn(&g, &q, k));
         }

@@ -32,20 +32,23 @@
 //!   looks at the rest. [`BlockOrder`], which orders every block up front,
 //!   is the fallback for an index without a directory and the reference the
 //!   tests compare against;
-//! * [`Locality`] / [`get_knn`] — the locality-based kNN algorithm of
-//!   Sankaranarayanan, Samet & Varshney used by the paper for `getkNN`,
-//!   pulling blocks from the cursor and running the batched kth-distance
-//!   kernel of [`KthHeap`]; [`get_knn_bounded`] and [`get_knn_filtered`] are
-//!   the same search with a distance bound or a predicate mask;
+//! * [`get_knn`] — `getkNN` as one walk: blocks come off a MINDIST cursor,
+//!   each is scanned by the batched kth-distance kernel as it arrives, and
+//!   the walk stops at the first block beyond the running k-th distance;
+//!   [`get_knn_bounded`] and [`get_knn_filtered`] are the same walk with a
+//!   distance bound or a predicate mask;
+//! * [`Locality`] — the paper's Definition 2 and the two-phase construction
+//!   of Sankaranarayanan, Samet & Varshney, kept as the reference the tests
+//!   compare the walk against (`get_knn` scans a subset of its blocks);
 //! * [`PartitionMeta`] — the coarse *shard* tier above blocks, as an index
 //!   describes it ([`SpatialIndex::partitions`]). Queries see it as the first
 //!   level of the directory: a shard whose footprint lies beyond the search
 //!   radius is never descended into — the paper's block pruning lifted one
 //!   level up (counted by `Metrics::shards_scanned` / `shards_pruned`);
 //! * [`ScratchSpace`] — reusable per-query transient state (candidate heap,
-//!   cursor frontier, distance buffer); the plain kNN entry points borrow a
-//!   thread-local one via [`with_thread_scratch`], the `*_in` variants
-//!   ([`get_knn_in`] etc.) and the cursor take one explicitly;
+//!   cursor frontier, distance buffer); the kNN entry points borrow a
+//!   thread-local one via [`with_thread_scratch`], the cursor takes one
+//!   explicitly;
 //! * [`Neighborhood`] — the k-nearest-neighbor set with the accessors the
 //!   two-predicate algorithms need (nearest/farthest member, intersection);
 //! * [`Metrics`] — machine-independent work counters used by the benchmark
@@ -97,8 +100,7 @@ pub use block::{BlockId, BlockMeta};
 pub use directory::{BlockDirectory, DirChild, DirectoryBuilder};
 pub use grid::GridIndex;
 pub use knn::{
-    brute_force_knn, brute_force_knn_filtered, get_knn, get_knn_bounded, get_knn_bounded_in,
-    get_knn_filtered, get_knn_filtered_in, get_knn_in, get_knn_scalar, neighborhood_from_locality,
+    brute_force_knn, brute_force_knn_filtered, get_knn, get_knn_bounded, get_knn_filtered,
 };
 pub use locality::Locality;
 pub use metrics::Metrics;
@@ -108,7 +110,7 @@ pub use partition::PartitionMeta;
 pub use points::{BlockPoints, BlockPointsIter, PointBlock};
 pub use quadtree::{QuadtreeIndex, DEFAULT_MAX_DEPTH};
 pub use rtree::StrRTree;
-pub use scratch::{with_thread_scratch, KthHeap, ScratchSpace};
+pub use scratch::{with_thread_scratch, ScratchSpace};
 pub use traits::{check_index_invariants, SpatialIndex};
 
 // The parallel executors in `twoknn-core` share index references across

@@ -15,24 +15,26 @@
 //!    found; all later blocks can be ignored.
 //!
 //! Both scans pull from a [`DistanceCursor`] over the index's block
-//! directory, one after the other on the same frontier buffer, so building a
-//! locality costs the directory nodes and blocks within `M` of `p` — not a
-//! pass over every block of the index. On a sharded index the directory's
-//! first level is the shards: the MINDIST scan never descends into a shard
-//! farther than `M`, which is the shard-level prune
-//! (`Metrics::shards_scanned` / `shards_pruned`).
+//! directory, one after the other, so building a locality costs the
+//! directory nodes and blocks within `M` of `p` — not a pass over every
+//! block of the index.
 //!
 //! The 2-kNN-select algorithm (Procedure 5) uses a *bounded* variant: a block
 //! is added to the locality only if its MINDIST from `p` does not exceed an
 //! externally supplied *search threshold*. This crate exposes both variants
 //! through [`Locality::build`] and [`Locality::build_bounded`].
+//!
+//! [`crate::get_knn`] does **not** build a locality: its single MINDIST walk
+//! stops at the running k-th distance τ ≤ `M`, so it scans a subset of these
+//! blocks without the MAXDIST phase. `Locality` is kept as the paper's
+//! Definition 2 made executable — the reference the tests hold the walk to
+//! (every neighbor `get_knn` returns lies in a block of the locality).
 
 use twoknn_geometry::Point;
 
 use crate::block::BlockMeta;
 use crate::metrics::Metrics;
-use crate::ordering::{DistanceCursor, FrontierEntry, OrderMetric};
-use crate::scratch::LocalityScratch;
+use crate::ordering::{DistanceCursor, OrderMetric};
 use crate::traits::SpatialIndex;
 
 /// The set of blocks guaranteed to contain the `k` nearest neighbors of a
@@ -87,20 +89,76 @@ impl Locality {
         threshold: Option<f64>,
         metrics: &mut Metrics,
     ) -> Self {
-        let mut scratch = LocalityScratch::default();
-        let maxdist_bound = collect_locality_blocks(
-            index,
+        let (all_blocks, directory) = (index.blocks(), index.directory());
+        let mut blocks = Vec::new();
+        let mut in_locality = vec![false; all_blocks.len()];
+        // Both phases run on one frontier buffer, one cursor after the other.
+        let mut frontier = Vec::new();
+        let passes_threshold = |b: &BlockMeta| match threshold {
+            Some(t) => b.mindist(p) <= t,
+            None => true,
+        };
+
+        // Phase 1: MAXDIST order until `k` points have been accumulated.
+        let mut count = 0usize;
+        let mut seen_maxdist: f64 = 0.0;
+        let mut max_order = DistanceCursor::over(
+            all_blocks,
+            directory,
             p,
-            k,
-            threshold,
-            metrics,
-            &mut scratch,
-            &mut Vec::new(),
+            OrderMetric::MaxDist,
+            &mut frontier,
         );
+        while count < k {
+            let Some(ob) = max_order.next() else {
+                break; // Fewer than k points in the whole index.
+            };
+            metrics.blocks_scanned += 1;
+            seen_maxdist = seen_maxdist.max(ob.distance);
+            if ob.block.count == 0 {
+                continue;
+            }
+            count += ob.block.count;
+            if passes_threshold(&ob.block) {
+                in_locality[ob.block.id as usize] = true;
+                blocks.push(ob.block);
+            }
+        }
+        metrics.blocks_ordered += max_order.blocks_ordered();
+        drop(max_order);
+        let maxdist_bound = if count >= k {
+            seen_maxdist
+        } else {
+            f64::INFINITY
+        };
+
+        // Phase 2: remaining blocks in MINDIST order while MINDIST <= M.
+        let mut min_order = DistanceCursor::over(
+            all_blocks,
+            directory,
+            p,
+            OrderMetric::MinDist,
+            &mut frontier,
+        );
+        while let Some(ob) = min_order.next() {
+            if ob.distance > maxdist_bound || threshold.is_some_and(|t| ob.distance > t) {
+                break;
+            }
+            if in_locality[ob.block.id as usize] {
+                continue;
+            }
+            metrics.blocks_scanned += 1;
+            if ob.block.count > 0 {
+                blocks.push(ob.block);
+            }
+        }
+        metrics.blocks_ordered += min_order.blocks_ordered();
+        min_order.record_shards(metrics);
+
         Self {
             query: *p,
             k,
-            blocks: std::mem::take(&mut scratch.blocks),
+            blocks,
             maxdist_bound,
             threshold,
         }
@@ -135,95 +193,6 @@ impl Locality {
     pub fn point_count(&self) -> usize {
         self.blocks.iter().map(|b| b.count).sum()
     }
-}
-
-/// The two-phase locality construction, writing the resulting block list
-/// into `scratch.blocks` (in discovery order) and returning the MAXDIST
-/// bound `M`. This is the allocation-free core shared by [`Locality::build`]
-/// (which copies the blocks into an owned `Locality`) and the fused
-/// [`crate::get_knn`] hot path (which scans the blocks straight out of the
-/// scratch). Both phases run on `frontier`, one cursor after the other.
-pub(crate) fn collect_locality_blocks<I: SpatialIndex + ?Sized>(
-    index: &I,
-    p: &Point,
-    k: usize,
-    threshold: Option<f64>,
-    metrics: &mut Metrics,
-    scratch: &mut LocalityScratch,
-    frontier: &mut Vec<FrontierEntry>,
-) -> f64 {
-    let (all_blocks, directory) = (index.blocks(), index.directory());
-    let LocalityScratch {
-        blocks,
-        in_locality,
-    } = scratch;
-    // Un-mark the previous locality instead of clearing the whole bitmap.
-    for b in blocks.drain(..) {
-        in_locality[b.id as usize] = false;
-    }
-    if in_locality.len() < all_blocks.len() {
-        in_locality.resize(all_blocks.len(), false);
-    }
-    let passes_threshold = |b: &BlockMeta| match threshold {
-        Some(t) => b.mindist(p) <= t,
-        None => true,
-    };
-
-    // Phase 1: MAXDIST order until `k` points have been accumulated.
-    let mut count = 0usize;
-    let mut maxdist_bound = f64::INFINITY;
-    let mut seen_maxdist: f64 = 0.0;
-    let mut max_order =
-        DistanceCursor::over(all_blocks, directory, p, OrderMetric::MaxDist, frontier);
-    while count < k {
-        let Some(ob) = max_order.next() else {
-            break; // Fewer than k points in the whole index.
-        };
-        metrics.blocks_scanned += 1;
-        seen_maxdist = seen_maxdist.max(ob.distance);
-        if ob.block.count == 0 {
-            continue;
-        }
-        count += ob.block.count;
-        if passes_threshold(&ob.block) {
-            in_locality[ob.block.id as usize] = true;
-            blocks.push(ob.block);
-            metrics.locality_blocks += 1;
-        }
-    }
-    metrics.blocks_ordered += max_order.blocks_ordered();
-    drop(max_order);
-    if count >= k {
-        maxdist_bound = seen_maxdist;
-    }
-
-    // Phase 2: remaining blocks in MINDIST order while MINDIST <= M.
-    let mut min_order =
-        DistanceCursor::over(all_blocks, directory, p, OrderMetric::MinDist, frontier);
-    while let Some(ob) = min_order.next() {
-        if ob.distance > maxdist_bound {
-            break;
-        }
-        if let Some(t) = threshold {
-            if ob.distance > t {
-                break;
-            }
-        }
-        if in_locality[ob.block.id as usize] {
-            continue;
-        }
-        metrics.blocks_scanned += 1;
-        if ob.block.count == 0 {
-            continue;
-        }
-        in_locality[ob.block.id as usize] = true;
-        blocks.push(ob.block);
-        metrics.locality_blocks += 1;
-    }
-    metrics.blocks_ordered += min_order.blocks_ordered();
-    min_order.record_shards(metrics);
-
-    maxdist_bound
 }
 
 #[cfg(test)]
@@ -275,7 +244,6 @@ mod tests {
             );
         }
         assert!(loc.point_count() >= k);
-        assert!(metrics.locality_blocks > 0);
     }
 
     #[test]

@@ -16,15 +16,15 @@
 pub struct Metrics {
     /// Number of neighborhood (`getkNN`) computations performed.
     pub neighborhoods_computed: u64,
-    /// Number of blocks examined in MINDIST/MAXDIST scans (including blocks
-    /// only inspected for their count).
+    /// Number of blocks examined. On the kNN path: the blocks whose points
+    /// were scanned. In the counting scans ([`Locality`](crate::Locality),
+    /// Counting, Block-Marking): every block a MINDIST/MAXDIST scan pulled,
+    /// including those only inspected for their count.
     pub blocks_scanned: u64,
     /// Number of directory nodes and blocks whose MINDIST/MAXDIST a block
     /// ordering computed — the cost of *finding* the blocks to scan. An
     /// ordering over an index without a block directory counts every block.
     pub blocks_ordered: u64,
-    /// Number of blocks added to localities.
-    pub locality_blocks: u64,
     /// Number of individual points examined (distance computed or compared).
     pub points_scanned: u64,
     /// Number of point-to-point distance computations.
@@ -35,8 +35,10 @@ pub struct Metrics {
     pub cache_hits: u64,
     /// Number of neighborhood-cache misses.
     pub cache_misses: u64,
-    /// Number of blocks pruned without per-point processing
-    /// (Non-Contributing blocks in Block-Marking, contour cut-offs, ...).
+    /// Number of blocks pruned without per-point processing. On the kNN
+    /// path: the non-empty blocks the walk never reached because it stopped
+    /// at the k-th distance. Elsewhere: Non-Contributing blocks in
+    /// Block-Marking, contour cut-offs, ...
     pub blocks_pruned: u64,
     /// Number of populated spatial shards (relation partitions) a kNN search
     /// descended into on a relation with more than one of them.
@@ -115,7 +117,6 @@ impl Metrics {
                 .saturating_sub(before.neighborhoods_computed),
             blocks_scanned: self.blocks_scanned.saturating_sub(before.blocks_scanned),
             blocks_ordered: self.blocks_ordered.saturating_sub(before.blocks_ordered),
-            locality_blocks: self.locality_blocks.saturating_sub(before.locality_blocks),
             points_scanned: self.points_scanned.saturating_sub(before.points_scanned),
             distance_computations: self
                 .distance_computations
@@ -147,7 +148,6 @@ impl std::ops::AddAssign for Metrics {
         self.neighborhoods_computed += rhs.neighborhoods_computed;
         self.blocks_scanned += rhs.blocks_scanned;
         self.blocks_ordered += rhs.blocks_ordered;
-        self.locality_blocks += rhs.locality_blocks;
         self.points_scanned += rhs.points_scanned;
         self.distance_computations += rhs.distance_computations;
         self.tuples_emitted += rhs.tuples_emitted;
@@ -215,7 +215,6 @@ impl std::fmt::Display for Metrics {
         push_field(&mut read, "blocks", self.blocks_scanned);
         push_field(&mut read, "blocks_pruned", self.blocks_pruned);
         push_field(&mut read, "blocks_ordered", self.blocks_ordered);
-        push_field(&mut read, "locality_blocks", self.locality_blocks);
         push_field(&mut read, "pts", self.points_scanned);
         push_field(&mut read, "pts_pruned", self.points_pruned);
         push_field(&mut read, "dist", self.distance_computations);
@@ -286,7 +285,6 @@ mod tests {
             neighborhoods_computed: 1,
             blocks_scanned: 2,
             blocks_ordered: 22,
-            locality_blocks: 3,
             points_scanned: 4,
             distance_computations: 5,
             tuples_emitted: 6,

@@ -2,26 +2,21 @@
 //! kth-distance threshold" kernel.
 //!
 //! Every `getkNN` call needs the same transient structures: the frontier of
-//! the block-distance cursor (shared by the MAXDIST and MINDIST phases of
-//! locality construction, which run one after the other), the locality block
-//! list and its membership bitmap, a distance buffer for the batched block
-//! scan, and the bounded candidate heap that tracks the current k-th
-//! distance. Allocating them per query dominates the cost of small-`k`
-//! selects, so [`ScratchSpace`] owns all of them and the `*_in` variants of
-//! [`crate::get_knn`] reuse one scratch across any number of queries.
+//! the block-distance cursor, a distance buffer for the batched block scan,
+//! a predicate mask for the filtered one, and the bounded candidate heap that
+//! tracks the current k-th distance. Allocating them per query dominates the
+//! cost of small-`k` selects, so [`ScratchSpace`] owns all of them.
 //!
 //! ## Lifecycle
 //!
-//! Callers that hold a long-lived scratch (benchmarks, tight re-evaluation
-//! loops) pass it explicitly to [`crate::get_knn_in`] or
-//! [`crate::DistanceCursor::new`]. Everyone else goes through the plain
-//! entry points, which borrow a **thread-local** scratch via
+//! The kNN entry points borrow a **thread-local** scratch via
 //! [`with_thread_scratch`]: a batch of queries executed on one worker thread
 //! (the executor's `execute_batch` partitions, the continuous-query
 //! maintainer's re-evaluation sweep, a join's per-outer-point loop)
 //! therefore shares a single set of allocations automatically — after the
 //! first query on a thread, the select hot path allocates nothing but the
-//! returned [`Neighborhood`].
+//! returned [`Neighborhood`]. Callers that drive a block ordering themselves
+//! pass a scratch explicitly to [`crate::DistanceCursor::new`].
 //!
 //! ## The kth-distance kernel
 //!
@@ -40,7 +35,6 @@ use std::collections::BinaryHeap;
 
 use twoknn_geometry::{euclidean_sq_batch, Point};
 
-use crate::block::BlockMeta;
 use crate::neighborhood::{Neighbor, Neighborhood};
 use crate::ordering::{FrontierEntry, OrderedF64};
 
@@ -73,38 +67,19 @@ impl Ord for KthEntry {
 }
 
 /// A bounded max-heap tracking the `k` nearest points seen so far, keyed by
-/// `(squared distance, point id)`.
-///
-/// Public so the `kernel_micro` bench can measure the heap-update kernel in
-/// isolation; algorithm code reaches it through [`ScratchSpace`].
+/// `(squared distance, point id)`; [`crate::get_knn`] reaches it through
+/// [`ScratchSpace`].
 #[derive(Debug, Default)]
-pub struct KthHeap {
+pub(crate) struct KthHeap {
     k: usize,
     heap: BinaryHeap<KthEntry>,
 }
 
 impl KthHeap {
-    /// An empty heap bounded at `k` entries.
-    pub fn new(k: usize) -> Self {
-        let mut heap = Self::default();
-        heap.reset(k);
-        heap
-    }
-
     /// Clears the heap and re-bounds it at `k`, retaining the allocation.
     pub fn reset(&mut self, k: usize) {
         self.k = k;
         self.heap.clear();
-    }
-
-    /// Number of candidates currently held (≤ `k`).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no candidate has been seen yet.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Whether the heap holds `k` candidates (the threshold is live).
@@ -209,18 +184,6 @@ impl KthHeap {
     }
 }
 
-/// Scratch structures for locality construction: the collected block list
-/// and the membership bitmap.
-#[derive(Debug, Default)]
-pub(crate) struct LocalityScratch {
-    /// Blocks of the locality, in discovery order (phase 1 then phase 2).
-    pub(crate) blocks: Vec<BlockMeta>,
-    /// Per-block "already in the locality" bitmap, indexed by block id. Only
-    /// the bits of `blocks` are ever set, and the next construction clears
-    /// exactly those, so no per-query step touches every block.
-    pub(crate) in_locality: Vec<bool>,
-}
-
 /// All the per-query transient state of the kNN hot path, reusable across
 /// queries. See the module docs for the lifecycle.
 #[derive(Debug, Default)]
@@ -229,8 +192,6 @@ pub struct ScratchSpace {
     pub(crate) dist: Vec<f64>,
     /// The bounded candidate heap.
     pub(crate) kth: KthHeap,
-    /// Locality-construction scratch.
-    pub(crate) locality: LocalityScratch,
     /// Frontier of the block-distance cursor: a cursor takes the buffer when
     /// it is created and hands it back when it is dropped.
     pub(crate) frontier: Vec<FrontierEntry>,
@@ -253,7 +214,7 @@ thread_local! {
 
 /// Runs `f` with the calling thread's shared [`ScratchSpace`].
 ///
-/// This is how the plain (non-`_in`) kNN entry points reuse allocations: all
+/// This is how the kNN entry points reuse allocations: all
 /// queries executed on one thread — in particular a worker thread draining
 /// its share of an `execute_batch` partition, or the continuous-query
 /// maintainer re-evaluating subscriptions — share one scratch. Re-entrant
@@ -271,6 +232,12 @@ mod tests {
     use super::*;
     use crate::points::PointBlock;
 
+    fn kth_heap(k: usize) -> KthHeap {
+        let mut heap = KthHeap::default();
+        heap.reset(k);
+        heap
+    }
+
     fn block(pts: &[(u64, f64, f64)]) -> PointBlock {
         pts.iter().map(|&(id, x, y)| Point::new(id, x, y)).collect()
     }
@@ -284,7 +251,7 @@ mod tests {
             (7, -1.0, 0.0),
             (1, 5.0, 0.0),
         ]);
-        let mut heap = KthHeap::new(2);
+        let mut heap = kth_heap(2);
         let mut dist = Vec::new();
         heap.scan_block(&q, b.view(), &mut dist);
         let n = heap.finish(q, 2);
@@ -295,7 +262,7 @@ mod tests {
 
     #[test]
     fn threshold_goes_live_only_when_full() {
-        let mut heap = KthHeap::new(3);
+        let mut heap = kth_heap(3);
         assert!(heap.threshold_sq().is_infinite());
         heap.insert(4.0, Point::new(1, 2.0, 0.0));
         heap.insert(1.0, Point::new(2, 1.0, 0.0));
@@ -307,17 +274,17 @@ mod tests {
         // A closer point replaces the current k-th and tightens τ².
         heap.insert(0.25, Point::new(4, 0.5, 0.0));
         assert_eq!(heap.threshold_sq(), 4.0);
-        assert_eq!(heap.len(), 3);
+        assert_eq!(heap.heap.len(), 3);
     }
 
     #[test]
     fn reset_retains_capacity_and_rebounds_k() {
-        let mut heap = KthHeap::new(4);
+        let mut heap = kth_heap(4);
         for i in 0..4 {
             heap.insert(i as f64, Point::new(i, i as f64, 0.0));
         }
         heap.reset(1);
-        assert!(heap.is_empty());
+        assert!(heap.heap.is_empty());
         heap.insert(1.0, Point::new(10, 1.0, 0.0));
         heap.insert(0.5, Point::new(11, 0.5, 0.0));
         assert_eq!(heap.finish(Point::anonymous(0.0, 0.0), 1).ids(), vec![11]);
@@ -325,9 +292,9 @@ mod tests {
 
     #[test]
     fn k_zero_heap_accepts_nothing() {
-        let mut heap = KthHeap::new(0);
+        let mut heap = kth_heap(0);
         heap.insert(1.0, Point::new(1, 1.0, 0.0));
-        assert!(heap.is_empty());
+        assert!(heap.heap.is_empty());
         assert!(heap.finish(Point::anonymous(0.0, 0.0), 0).is_empty());
     }
 

@@ -1,7 +1,7 @@
 //! Allocation accounting on the select hot path.
 //!
-//! Once a thread's (or an explicit) [`ScratchSpace`] has warmed up,
-//! `get_knn_in` allocates nothing beyond the returned [`Neighborhood`], and a
+//! Once a thread's [`ScratchSpace`](twoknn_index::ScratchSpace) has warmed
+//! up, `get_knn` allocates nothing beyond the returned [`Neighborhood`], and a
 //! block-distance cursor — the per-outer-point scan of the Counting
 //! algorithm — allocates nothing at all, on an index with as many blocks as
 //! the benchmark's large relations. This test pins that with a counting
@@ -18,8 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use twoknn_geometry::{Point, Predicate, Rect};
 use twoknn_index::{
-    get_knn_bounded_in, get_knn_filtered_in, get_knn_in, with_thread_scratch, GridIndex, Metrics,
-    Neighborhood, ScratchSpace, SpatialIndex,
+    get_knn, get_knn_bounded, get_knn_filtered, with_thread_scratch, GridIndex, Metrics,
+    Neighborhood, SpatialIndex,
 };
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -61,7 +61,8 @@ fn relation(n: u64) -> GridIndex {
 }
 
 /// Allocations of `queries` warm kNN calls through `run`, after a warm-up
-/// sweep over the same query set has grown the scratch to its working set.
+/// sweep over the same query set has grown the thread scratch to its working
+/// set.
 fn warm_allocations(
     queries: &[Point],
     mut run: impl FnMut(&Point) -> Neighborhood,
@@ -86,26 +87,22 @@ fn warm_knn_queries_allocate_only_the_returned_neighborhood() {
         .map(|i| Point::anonymous((i * 17 % 1000) as f64, (i * 31 % 1000) as f64))
         .collect();
 
-    // Locality-based batched path: the worst case is one Vec per returned
-    // Neighborhood (members buffer) — `from_unsorted` may shrink/reallocate,
-    // so allow 2 per query. The old code added two BinaryHeaps, the locality
-    // block list, the bitmap, and per-block gather buffers on top.
-    let mut scratch = ScratchSpace::new();
+    // The batched walk on the thread scratch: the worst case is one Vec per
+    // returned Neighborhood (members buffer) — `from_unsorted` may
+    // shrink/reallocate, so allow 2 per query.
     let mut metrics = Metrics::default();
-    let (allocs, members) = warm_allocations(&queries, |q| {
-        get_knn_in(&index, q, k, &mut metrics, &mut scratch)
-    });
+    let (allocs, members) = warm_allocations(&queries, |q| get_knn(&index, q, k, &mut metrics));
     assert_eq!(members, k * queries.len(), "sanity: full neighborhoods");
     assert!(
         allocs <= 2 * queries.len() as u64,
-        "locality path: {allocs} allocations for {} warm queries \
+        "plain path: {allocs} allocations for {} warm queries \
          (> 2 per returned neighborhood)",
         queries.len()
     );
 
     // Bounded variant shares the same scratch and the same guarantee.
     let (allocs, _) = warm_allocations(&queries, |q| {
-        get_knn_bounded_in(&index, q, k, 1e6, &mut metrics, &mut scratch)
+        get_knn_bounded(&index, q, k, 1e6, &mut metrics)
     });
     assert!(
         allocs <= 2 * queries.len() as u64,
@@ -113,14 +110,14 @@ fn warm_knn_queries_allocate_only_the_returned_neighborhood() {
         queries.len()
     );
 
-    // Filtered kernel: the predicate mask and block-order buffer live in the
-    // scratch too, so pre-kNN filter pushdown keeps the same guarantee.
+    // Filtered kernel: the predicate mask lives in the scratch too, so
+    // pre-kNN filter pushdown keeps the same guarantee.
     let predicate = Predicate::And(vec![
         Predicate::InRect(Rect::new(0.0, 0.0, 1000.0, 1000.0)),
         Predicate::IdRange { lo: 0, hi: 75_000 },
     ]);
     let (allocs, _) = warm_allocations(&queries, |q| {
-        get_knn_filtered_in(&index, q, k, &predicate, &mut metrics, &mut scratch)
+        get_knn_filtered(&index, q, k, &predicate, &mut metrics)
     });
     assert!(
         allocs <= 2 * queries.len() as u64,

@@ -10,7 +10,7 @@
 //! * [`geometry`] — points, rectangles, Euclidean / MINDIST / MAXDIST metrics;
 //! * [`index`] — block-based spatial indexes (grid, PR-quadtree, STR R-tree),
 //!   block directories and the incremental MINDIST/MAXDIST block ordering
-//!   over them, the locality-based `getkNN`, and work metrics;
+//!   over them, the one-walk `getkNN`, and work metrics;
 //! * [`datagen`] — workload generators (uniform, clustered, BerlinMOD-like
 //!   synthetic moving-object snapshots);
 //! * [`core`] — the paper's algorithms: Counting, Block-Marking, unchained

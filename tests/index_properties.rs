@@ -10,9 +10,8 @@ use two_knn::core::store::{DurabilityConfig, OverlayConfig, ShardConfig, StoreCo
 use two_knn::datagen::rng::StdRng;
 use two_knn::geometry::{euclidean, maxdist, mindist};
 use two_knn::index::{
-    brute_force_knn, check_index_invariants, get_knn, get_knn_in, get_knn_scalar, BlockId,
-    BlockMeta, BlockOrder, BlockPoints, DistanceCursor, Locality, Metrics, OrderMetric,
-    ScratchSpace,
+    brute_force_knn, check_index_invariants, get_knn, get_knn_bounded, BlockId, BlockMeta,
+    BlockOrder, BlockPoints, DistanceCursor, Locality, Metrics, OrderMetric, ScratchSpace,
 };
 use two_knn::{GridIndex, Point, QuadtreeIndex, Rect, SpatialIndex, StrRTree};
 
@@ -218,13 +217,45 @@ fn soa_blocks_reassemble_the_original_points() {
     }
 }
 
-/// The batched SoA hot path (`get_knn_in`, τ-pruned, shared scratch) returns
-/// *identical* neighborhoods to the retained AoS-style scalar baseline and
-/// matches the brute-force oracle radius, on every index family — with one
-/// `ScratchSpace` reused across all cases, families, and `k`s.
+/// Points that all lie at exactly the same distance (325, from integer
+/// Pythagorean legs, so the squared distances are bit-identical) from
+/// `(500, 500)`: which `k` of them win is decided by id alone.
+fn all_tied_points() -> Vec<Point> {
+    const LEGS: [(f64, f64); 8] = [
+        (0.0, 325.0),
+        (36.0, 323.0),
+        (80.0, 315.0),
+        (91.0, 312.0),
+        (125.0, 300.0),
+        (165.0, 280.0),
+        (195.0, 260.0),
+        (204.0, 253.0),
+    ];
+    let mut pts = Vec::new();
+    for (a, b) in LEGS {
+        for (dx, dy) in [(a, b), (b, a)] {
+            for (sx, sy) in [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] {
+                // Descending ids, so insertion order never matches id order.
+                pts.push(Point::new(
+                    1_000 - pts.len() as u64,
+                    500.0 + sx * dx,
+                    500.0 + sy * dy,
+                ));
+            }
+        }
+    }
+    pts
+}
+
+/// The batched SoA hot path (`get_knn`, τ-pruned, thread scratch reused
+/// across all cases, families, and `k`s) returns *identical* neighborhoods to
+/// the brute-force oracle — members, order, distances, tie choices — on every
+/// index family, and scans no more points than the two-phase locality holds.
+/// Besides the random cases the inputs include points all tied on distance
+/// and points stacked on duplicate positions (queried on a stack, too).
 #[test]
 fn batched_knn_equals_scalar_baseline_on_all_families() {
-    let mut scratch = ScratchSpace::new();
+    let mut inputs: Vec<(String, Vec<Point>, Point, usize)> = Vec::new();
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(5_000 + case);
         let pts = points(&mut rng, 280);
@@ -233,18 +264,29 @@ fn batched_knn_equals_scalar_baseline_on_all_families() {
             rng.gen_range(-50.0f64..1050.0),
         );
         let k = rng.gen_range(1..24usize);
+        inputs.push((format!("case {case}"), pts, q, k));
+    }
+    let tied = all_tied_points();
+    let mut rng = StdRng::seed_from_u64(5_900);
+    let stacked = points_with_duplicates(&mut rng, 280);
+    let on_stack = Point::anonymous(stacked[279].x, stacked[279].y);
+    for k in [1usize, 5, 40, 300] {
+        let center = Point::anonymous(500.0, 500.0);
+        inputs.push((format!("all tied k={k}"), tied.clone(), center, k));
+        inputs.push((format!("duplicates k={k}"), stacked.clone(), center, k));
+        inputs.push((format!("on a stack k={k}"), stacked.clone(), on_stack, k));
+    }
+    for (ctx, pts, q, k) in inputs {
         for (family, index) in build_families(&pts) {
-            let mut m1 = Metrics::default();
-            let mut m2 = Metrics::default();
-            let batched = get_knn_in(index.as_ref(), &q, k, &mut m1, &mut scratch);
-            let scalar = get_knn_scalar(index.as_ref(), &q, k, &mut m2);
-            assert_eq!(batched, scalar, "{family} case {case}");
+            let mut m = Metrics::default();
+            let batched = get_knn(index.as_ref(), &q, k, &mut m);
             let oracle = brute_force_knn(index.as_ref(), &q, k);
-            assert!(radii_equal(&oracle, &batched), "{family} case {case}");
+            assert_eq!(batched, oracle, "{family} {ctx}");
             // τ-pruning may only ever *reduce* the scanned work.
+            let locality = Locality::build(index.as_ref(), &q, k, &mut Metrics::default());
             assert!(
-                m1.points_scanned <= m2.points_scanned,
-                "{family} case {case}: batched scanned more points than scalar"
+                m.points_scanned <= locality.point_count() as u64,
+                "{family} {ctx}: the walk scanned more points than the locality holds"
             );
         }
     }
@@ -277,10 +319,10 @@ fn mixed_batch(rng: &mut StdRng, generation: u64, base_n: u64) -> Vec<WriteOp> {
 
 /// SoA equivalence through the store: snapshots whose blocks are
 /// tombstone-filtered base blocks plus overlay-grid cells must give the same
-/// batched/scalar/brute-force answers, and never resurrect a removed id.
+/// answers as brute force over the merged points, and never resurrect a
+/// removed id.
 #[test]
 fn soa_equivalence_holds_on_tombstone_filtered_overlay_blocks() {
-    let mut scratch = ScratchSpace::new();
     for (family, build) in [("grid", 0usize), ("quadtree", 1usize), ("rtree", 2usize)] {
         let mut rng = StdRng::seed_from_u64(6_000 + build as u64);
         let base = points(&mut rng, 400);
@@ -325,11 +367,12 @@ fn soa_equivalence_holds_on_tombstone_filtered_overlay_blocks() {
             );
             let k = rng.gen_range(1..16usize);
             let mut m = Metrics::default();
-            let batched = get_knn_in(&*snap, &q, k, &mut m, &mut scratch);
-            let scalar = get_knn_scalar(&*snap, &q, k, &mut m);
-            assert_eq!(batched, scalar, "{family} case {case}");
-            let oracle = brute_force_knn(&*snap, &q, k);
-            assert!(radii_equal(&oracle, &batched), "{family} case {case}");
+            let batched = get_knn(&*snap, &q, k, &mut m);
+            assert_eq!(
+                batched,
+                brute_force_knn(&*snap, &q, k),
+                "{family} case {case}"
+            );
             for nb in batched.members() {
                 assert!(!removed.contains(&nb.point.id), "{family} case {case}");
             }
@@ -355,7 +398,6 @@ fn batched_knn_does_not_drift_across_mixed_ingest_batches() {
         ..StoreConfig::default()
     });
     db.register("R", GridIndex::build(base, 6).unwrap());
-    let mut scratch = ScratchSpace::new();
     for generation in 0..6u64 {
         db.ingest("R", &mixed_batch(&mut rng, generation, base_n))
             .unwrap();
@@ -374,8 +416,8 @@ fn batched_knn_does_not_drift_across_mixed_ingest_batches() {
             let q = Point::anonymous(rng.gen_range(0.0f64..1000.0), rng.gen_range(0.0f64..1000.0));
             let k = rng.gen_range(1..12usize);
             let mut m = Metrics::default();
-            let live = get_knn_in(&*snap, &q, k, &mut m, &mut scratch);
-            let rebuilt = get_knn_in(&reference, &q, k, &mut m, &mut scratch);
+            let live = get_knn(&*snap, &q, k, &mut m);
+            let rebuilt = get_knn(&reference, &q, k, &mut m);
             // The k smallest (distance², id) pairs are a unique selection
             // over the same logical point set, whatever the block layout —
             // the overlay/tombstone view and the rebuilt index must agree
@@ -667,11 +709,12 @@ fn locality_through_the_cursor_equals_locality_through_the_flat_reference() {
                     assert_eq!(hood, brute_force_knn(index, &origin, k), "{ctx}");
                     assert_eq!(hood.len(), k.min(index.num_points()), "{ctx}");
 
-                    // Six orderings a side; a cursor keys each block and each
-                    // directory node at most once.
+                    // Five orderings a side (two per locality, one for the
+                    // kNN walk); a cursor keys each block and each directory
+                    // node at most once.
                     let directory = index.directory().unwrap();
                     let nodes = (directory.num_nodes() + directory.num_shards()) as u64;
-                    assert!(m.blocks_ordered <= mf.blocks_ordered + 6 * nodes, "{ctx}");
+                    assert!(m.blocks_ordered <= mf.blocks_ordered + 5 * nodes, "{ctx}");
                     // The flat side has no shard tier to count either.
                     let same = Metrics {
                         blocks_ordered: 0,
@@ -693,9 +736,60 @@ fn locality_through_the_cursor_equals_locality_through_the_flat_reference() {
     }
 }
 
+/// `Locality` is Definition 2 made executable, and the kNN walk is held to
+/// it: every neighbor `get_knn` returns lies in a block of the locality, and
+/// every neighbor `get_knn_bounded` returns within the threshold lies in a
+/// block of the bounded locality.
+#[test]
+fn knn_members_lie_in_blocks_of_the_locality() {
+    let covered_ids = |index: &dyn SpatialIndex, locality: &Locality| {
+        locality
+            .blocks()
+            .iter()
+            .flat_map(|b| index.block_points(b.id))
+            .map(|p| p.id)
+            .collect::<std::collections::HashSet<u64>>()
+    };
+    let threshold = 120.0;
+    for seed in [31u64, 32] {
+        let mut rng = StdRng::seed_from_u64(9_700 + seed);
+        for (name, index) in directory_subjects(seed) {
+            let index = index.as_ref();
+            for origin in origins(index, &mut rng) {
+                for k in [1usize, 5, 40, index.num_points() + 3] {
+                    let ctx = format!("{name} seed {seed} k={k} from {origin}");
+                    let mut m = Metrics::default();
+                    let locality = Locality::build(index, &origin, k, &mut m);
+                    let covered = covered_ids(index, &locality);
+                    let hood = get_knn(index, &origin, k, &mut m);
+                    assert_eq!(hood.len(), k.min(index.num_points()), "{ctx}");
+                    for nb in hood.members() {
+                        assert!(covered.contains(&nb.point.id), "{ctx}: {}", nb.point);
+                    }
+
+                    let bounded = Locality::build_bounded(index, &origin, k, threshold, &mut m);
+                    let covered = covered_ids(index, &bounded);
+                    let exact_within = hood.members().iter().filter(|n| n.distance <= threshold);
+                    let got = get_knn_bounded(index, &origin, k, threshold, &mut m);
+                    for nb in got.members().iter().filter(|n| n.distance <= threshold) {
+                        assert!(covered.contains(&nb.point.id), "{ctx}: {}", nb.point);
+                    }
+                    // Bounded is exact within the threshold.
+                    let got_ids: std::collections::HashSet<u64> = got.ids().into_iter().collect();
+                    for nb in exact_within {
+                        assert!(got_ids.contains(&nb.point.id), "{ctx}: {}", nb.point);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// On a grid the size of `select_large`'s (125 × 125 = 15 625 blocks) a
 /// `get_knn` orders a small fraction of the blocks; the flat reference
-/// orders all of them, twice.
+/// orders all of them — once: the kNN walk is a single MINDIST ordering (it
+/// was `2 * num_blocks` while `get_knn` also ran the locality's MAXDIST
+/// phase).
 #[test]
 fn get_knn_orders_a_fraction_of_a_large_grid() {
     let mut rng = StdRng::seed_from_u64(9_900);
@@ -734,5 +828,5 @@ fn get_knn_orders_a_fraction_of_a_large_grid() {
         8,
         &mut mf,
     );
-    assert_eq!(mf.blocks_ordered, 2 * num_blocks);
+    assert_eq!(mf.blocks_ordered, num_blocks);
 }

@@ -11,7 +11,7 @@ use two_knn::core::plan::{Database, QuerySpec};
 use two_knn::core::select_join::{SelectInnerJoinQuery, SelectOuterJoinQuery};
 use two_knn::core::selects2::TwoSelectsQuery;
 use two_knn::core::store::{ShardConfig, StoreConfig, WriteOp};
-use two_knn::index::{brute_force_knn, get_knn_in, ScratchSpace};
+use two_knn::index::{brute_force_knn, get_knn};
 use two_knn::{GridIndex, Metrics, Point, QuadtreeIndex, SpatialIndex, StrRTree};
 
 /// Irregular, tie-free point cloud over roughly [0, 110]².
@@ -165,7 +165,6 @@ fn sharded_matches_unsharded_for_all_query_shapes_and_families() {
 
             // Exact Neighborhood equality of the composed scatter-gather
             // read path against the flat snapshot and brute force.
-            let mut scratch = ScratchSpace::default();
             for (qi, q) in scattered(40, 0, 40_500 + stage as u64)
                 .into_iter()
                 .enumerate()
@@ -173,8 +172,8 @@ fn sharded_matches_unsharded_for_all_query_shapes_and_families() {
                 let k = 1 + qi % 7;
                 let q = Point::anonymous(q.x, q.y);
                 let mut m = Metrics::default();
-                let via_shards = get_knn_in(&*ssnap, &q, k, &mut m, &mut scratch);
-                let via_flat = get_knn_in(&*fsnap, &q, k, &mut m, &mut scratch);
+                let via_shards = get_knn(&*ssnap, &q, k, &mut m);
+                let via_flat = get_knn(&*fsnap, &q, k, &mut m);
                 assert_eq!(
                     via_shards, via_flat,
                     "{family}@{stage}: kNN(q#{qi}, k={k}) diverged"
@@ -231,8 +230,7 @@ fn clustered_knn_scans_only_mindist_qualified_shards() {
     let q = Point::anonymous(11.0, 11.0);
     let k = 5;
     let mut m = Metrics::default();
-    let mut scratch = ScratchSpace::default();
-    let hood = get_knn_in(&*snap, &q, k, &mut m, &mut scratch);
+    let hood = get_knn(&*snap, &q, k, &mut m);
     assert_eq!(hood.len(), k);
     assert_eq!(hood, brute_force_knn(&*snap, &q, k));
 
