@@ -1,16 +1,16 @@
 //! # twoknn-bench
 //!
-//! Benchmark harness reproducing the paper's evaluation (Section 6,
-//! Figures 19–26) plus two ablations.
+//! The experiments driver reproducing the paper's evaluation (Section 6,
+//! Figures 19–26) plus two ablations (index family, Block-Marking contour
+//! pruning).
 //!
-//! The harness has two entry points:
-//!
-//! * the `experiments` binary (`cargo run -p twoknn-bench --release --bin
-//!   experiments`) runs every figure's parameter sweep, measuring wall-clock
-//!   time *and* machine-independent work metrics, and prints one table per
-//!   figure in the same shape as the paper's plots;
-//! * the Criterion benches (`cargo bench -p twoknn-bench`) measure individual
-//!   algorithm invocations for a few representative points of each sweep.
+//! The `experiments` binary (`cargo run -p twoknn-bench --release --bin
+//! experiments`) runs every figure's parameter sweep, measuring wall-clock
+//! time *and* machine-independent work metrics, and prints one table per
+//! figure in the same shape as the paper's plots. Every experiment asserts
+//! that the algorithms it compares return identical rows, so `--smoke` is
+//! an equivalence check CI runs. End-to-end performance is judged by the
+//! separate `benchmark/` package, not here.
 //!
 //! Dataset sizes follow the paper but are scaled down by default
 //! ([`Scale::Quick`]) so a full run finishes in minutes on a laptop;
@@ -20,7 +20,6 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod micro;
 pub mod workloads;
 
 use std::time::Instant;

@@ -1,5 +1,4 @@
-//! Workload construction shared by the experiment runners and the Criterion
-//! benches.
+//! Workload construction for the experiment runners.
 //!
 //! All datasets are produced by `twoknn-datagen` (the BerlinMOD substitute
 //! and the clustered generator documented in `DESIGN.md`) and indexed into a
@@ -7,7 +6,7 @@
 //! same number of points regardless of the dataset size — mirroring the
 //! paper's fixed-granularity grid.
 
-use twoknn_datagen::{berlinmod, clustered, uniform, BerlinModConfig, ClusterConfig};
+use twoknn_datagen::{berlinmod, clustered, BerlinModConfig, ClusterConfig};
 use twoknn_geometry::{Point, Rect};
 use twoknn_index::GridIndex;
 
@@ -25,17 +24,6 @@ pub fn extent() -> Rect {
 pub fn berlin_relation(n: usize, seed: u64) -> GridIndex {
     let pts = berlinmod(&BerlinModConfig::with_points(n, seed));
     grid(pts)
-}
-
-/// Builds a grid index over uniformly distributed data with `n` points.
-pub fn uniform_relation(n: usize, seed: u64) -> GridIndex {
-    grid(uniform(n, extent(), seed))
-}
-
-/// Builds a grid index over clustered data: `num_clusters` non-overlapping
-/// clusters of 4,000 points each (the paper's Figure 23 setup).
-pub fn clustered_relation(num_clusters: usize, seed: u64) -> GridIndex {
-    grid(clustered(&ClusterConfig::paper_default(num_clusters, seed)))
 }
 
 /// Builds a grid index over clustered data with an explicit cluster size.
@@ -221,12 +209,6 @@ pub fn focal_point() -> Point {
     Point::anonymous(52_000.0, 49_000.0)
 }
 
-/// A second focal point (for two-select queries), a few kilometers away from
-/// [`focal_point`].
-pub fn second_focal_point() -> Point {
-    Point::anonymous(48_500.0, 51_500.0)
-}
-
 /// The focal-point pair of the Figure 26 experiment: two locations on the
 /// (sparse) city outskirts about 1.7 km apart — the house-hunting scenario
 /// where work and school sit in the same neighbourhood. Around a sparse
@@ -250,10 +232,6 @@ mod tests {
         let r = berlin_relation(5_000, 1);
         assert_eq!(r.bounds(), extent());
         assert_eq!(r.num_points(), 5_000);
-        let u = uniform_relation(3_000, 2);
-        assert_eq!(u.num_points(), 3_000);
-        let c = clustered_relation(2, 3);
-        assert_eq!(c.num_points(), 8_000);
         let cs = clustered_relation_sized(3, 100, 4);
         assert_eq!(cs.num_points(), 300);
     }
@@ -268,6 +246,7 @@ mod tests {
     #[test]
     fn focal_points_are_inside_the_extent() {
         assert!(extent().contains(&focal_point()));
-        assert!(extent().contains(&second_focal_point()));
+        let (f1, f2) = fig26_focal_points();
+        assert!(extent().contains(&f1) && extent().contains(&f2));
     }
 }

@@ -55,7 +55,7 @@ use crate::store::{IngestReceipt, RelationStore, WriteOp};
 
 use super::guard::compute_guards;
 use super::registry::GuardRegistry;
-use super::{MaintenancePolicy, ResultDelta, SubscriptionId};
+use super::{ResultDelta, SubscriptionId};
 
 /// A row's identity: its component point ids, padded with `u64::MAX`.
 /// Deltas are keyed by this — a retained row whose points merely moved is
@@ -101,7 +101,6 @@ struct SubState {
 struct EngineState {
     registry: GuardRegistry,
     subs: HashMap<SubscriptionId, Arc<Subscription>>,
-    policy: MaintenancePolicy,
     /// Subscriptions with a pending or in-flight re-evaluation — their
     /// registered guards may be stale, so the publish path re-evaluates
     /// them unconditionally instead of scanning every subscription's
@@ -133,17 +132,10 @@ impl CqEngine {
             state: Mutex::new(EngineState {
                 registry: GuardRegistry::default(),
                 subs: HashMap::new(),
-                policy: MaintenancePolicy::default(),
                 dirty: BTreeSet::new(),
             }),
             next_id: AtomicU64::new(0),
         }
-    }
-
-    /// Switches between guarded maintenance and the re-evaluate-all
-    /// baseline.
-    pub(crate) fn set_policy(&self, policy: MaintenancePolicy) {
-        self.lock_state().policy = policy;
     }
 
     /// Number of registered subscriptions.
@@ -301,18 +293,13 @@ impl CqEngine {
             if total == 0 {
                 return;
             }
-            let mut affected = match st.policy {
-                MaintenancePolicy::Guarded => st.registry.probe(relation, &positions).0,
-                MaintenancePolicy::ReevalAll => st.registry.all_on(relation).0,
-            };
-            if matches!(st.policy, MaintenancePolicy::Guarded) {
-                // Dirty subscriptions may carry stale guards — never trust
-                // a skip for them. O(dirty), not O(subscriptions): quiet
-                // populations cost nothing here.
-                for id in &st.dirty {
-                    if !affected.contains(id) && st.registry.is_guarding(relation, *id) {
-                        affected.insert(*id);
-                    }
+            let mut affected = st.registry.probe(relation, &positions).0;
+            // Dirty subscriptions may carry stale guards — never trust a
+            // skip for them. O(dirty), not O(subscriptions): quiet
+            // populations cost nothing here.
+            for id in &st.dirty {
+                if !affected.contains(id) && st.registry.is_guarding(relation, *id) {
+                    affected.insert(*id);
                 }
             }
             let subs: Vec<Arc<Subscription>> = affected
@@ -352,8 +339,9 @@ impl CqEngine {
     pub(crate) fn reevaluate_all_on(self: &Arc<Self>, relation: &str) {
         let to_run: Vec<Arc<Subscription>> = {
             let mut st = self.lock_state();
-            let (all, _) = st.registry.all_on(relation);
-            let subs: Vec<Arc<Subscription>> = all
+            let subs: Vec<Arc<Subscription>> = st
+                .registry
+                .all_on(relation)
                 .iter()
                 .filter_map(|id| st.subs.get(id).cloned())
                 .collect();

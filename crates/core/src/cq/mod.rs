@@ -4,7 +4,9 @@
 //! The paper's motivating workloads are location-based services over moving
 //! objects — the *same* kNN-select / kNN-join queries asked continuously as
 //! positions stream in. Re-running every registered query on every position
-//! report is the naive plan; this module implements the incremental one:
+//! report is the naive plan; this module implements the incremental one
+//! (`continuous_queries::far_write_burst_triggers_zero_reevaluations` pins
+//! that a write burst outside every guard re-evaluates nothing):
 //!
 //! ```text
 //!  subscribe(spec, strategy)             ingest(relation, ops)
@@ -101,20 +103,6 @@ impl ResultDelta {
     pub fn is_empty(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty()
     }
-}
-
-/// How the maintainer reacts to a published ingest batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MaintenancePolicy {
-    /// Probe the guard registry and re-evaluate only subscriptions whose
-    /// guard region a write position intersects (skips are counted in
-    /// [`Metrics::cq_skips`](twoknn_index::Metrics::cq_skips)).
-    #[default]
-    Guarded,
-    /// Re-evaluate every subscription referencing the written relation on
-    /// every publish — the naive baseline the `ablation_cq` bench measures
-    /// the guard against.
-    ReevalAll,
 }
 
 #[cfg(test)]

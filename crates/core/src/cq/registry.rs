@@ -304,17 +304,13 @@ impl GuardRegistry {
             .unwrap_or(false)
     }
 
-    /// Every subscription guarding `relation` (the re-evaluate-all policy's
-    /// "affected" set).
-    pub(crate) fn all_on(&self, relation: &str) -> (BTreeSet<SubscriptionId>, usize) {
-        match self.relations.get(relation) {
-            Some(guards) => {
-                let subs: BTreeSet<SubscriptionId> = guards.guards.keys().copied().collect();
-                let total = subs.len();
-                (subs, total)
-            }
-            None => (BTreeSet::new(), 0),
-        }
+    /// Every subscription guarding `relation` (what a wholesale replacement
+    /// of the relation re-evaluates).
+    pub(crate) fn all_on(&self, relation: &str) -> BTreeSet<SubscriptionId> {
+        self.relations
+            .get(relation)
+            .map(|guards| guards.guards.keys().copied().collect())
+            .unwrap_or_default()
     }
 }
 

@@ -98,7 +98,7 @@ pub mod select_join;
 pub mod selects2;
 pub mod store;
 
-pub use cq::{MaintenancePolicy, ResultDelta, SubscriptionId};
+pub use cq::{ResultDelta, SubscriptionId};
 pub use error::QueryError;
 pub use exec::{ExecutionMode, WorkerPool};
 pub use obs::{

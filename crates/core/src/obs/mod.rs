@@ -178,12 +178,12 @@ impl Observability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::strategy::{SelectStrategy, Strategy};
+    use crate::plan::strategy::Strategy;
 
     fn trace() -> OpTrace {
         OpTrace {
             name: "knn-select",
-            strategy: Strategy::Select(SelectStrategy::FilteredKernel),
+            strategy: Strategy::Select,
             rows: 3,
             wall: Duration::from_micros(10),
             inclusive: twoknn_index::Metrics::default(),

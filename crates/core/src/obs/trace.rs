@@ -130,7 +130,6 @@ impl fmt::Display for QueryTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::strategy::SelectStrategy;
 
     fn leaf(rows: usize, pts: u64) -> OpTrace {
         let m = Metrics {
@@ -140,7 +139,7 @@ mod tests {
         };
         OpTrace {
             name: "knn-select",
-            strategy: Strategy::Select(SelectStrategy::FilteredKernel),
+            strategy: Strategy::Select,
             rows,
             wall: Duration::from_micros(120),
             inclusive: m,
@@ -156,7 +155,7 @@ mod tests {
         parent_metrics.tuples_emitted = 3;
         let parent = OpTrace {
             name: "residual-filter",
-            strategy: Strategy::Select(SelectStrategy::FilteredKernel),
+            strategy: Strategy::Select,
             rows: 3,
             wall: Duration::from_micros(150),
             inclusive: parent_metrics,

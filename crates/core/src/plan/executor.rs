@@ -33,7 +33,7 @@ use std::time::Instant;
 use twoknn_geometry::{Point, PointId, Predicate};
 use twoknn_index::{Metrics, SpatialIndex};
 
-use crate::cq::{CqEngine, MaintenancePolicy, ResultDelta, SubscriptionId};
+use crate::cq::{CqEngine, ResultDelta, SubscriptionId};
 use crate::error::QueryError;
 use crate::exec::{ExecutionMode, WorkerPool};
 use crate::joins2::{ChainedJoinQuery, UnchainedJoinQuery};
@@ -638,13 +638,6 @@ impl Database {
         self.cq.get().map(|cq| cq.len()).unwrap_or(0)
     }
 
-    /// Switches the maintainer between guarded maintenance (the default)
-    /// and the naive re-evaluate-all baseline — the ablation knob
-    /// `ablation_cq` sweeps.
-    pub fn set_cq_policy(&self, policy: MaintenancePolicy) {
-        self.cq().set_policy(policy);
-    }
-
     /// Executes a query, letting the optimizer pick the strategy and using
     /// the default execution mode ([`ExecutionMode::default_mode`]).
     ///
@@ -778,9 +771,7 @@ impl Database {
             QuerySpec::TwoSelects { query, .. } => {
                 Strategy::TwoSelects(self.optimizer.choose_two_selects(query))
             }
-            QuerySpec::KnnSelect { relation, .. } => {
-                Strategy::Select(self.optimizer.choose_select(&profile(relation)?))
-            }
+            QuerySpec::KnnSelect { .. } => Strategy::Select,
             // Filters don't change the strategy family: plan the wrapped
             // shape, `compile` threads the filters through the operator.
             QuerySpec::Filtered { spec, .. } => self.plan_on(snapshot, spec)?,
@@ -1185,7 +1176,7 @@ mod tests {
         let db = db();
         let result = db.query("FIND B WHERE KNN(5, 30, 30)").unwrap();
         assert_eq!(result.num_rows(), 5);
-        assert!(matches!(result.strategy(), Strategy::Select(_)));
+        assert_eq!(result.strategy(), Strategy::Select);
 
         // Filters in both placements execute through the same entry point.
         let filtered = db

@@ -48,6 +48,6 @@ pub use optimizer::Optimizer;
 pub use physical::{compile, PhysicalPlan, Relation, Row, RowSchema};
 pub use stats::RelationProfile;
 pub use strategy::{
-    ChainedStrategy, SelectInnerStrategy, SelectOuterStrategy, SelectStrategy, Strategy,
-    TwoSelectsStrategy, UnchainedStrategy,
+    ChainedStrategy, SelectInnerStrategy, SelectOuterStrategy, Strategy, TwoSelectsStrategy,
+    UnchainedStrategy,
 };

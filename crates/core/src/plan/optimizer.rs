@@ -20,7 +20,7 @@
 
 use crate::plan::stats::RelationProfile;
 use crate::plan::strategy::{
-    ChainedStrategy, SelectInnerStrategy, SelectOuterStrategy, SelectStrategy, TwoSelectsStrategy,
+    ChainedStrategy, SelectInnerStrategy, SelectOuterStrategy, TwoSelectsStrategy,
     UnchainedStrategy,
 };
 use crate::selects2::TwoSelectsQuery;
@@ -105,20 +105,6 @@ impl Optimizer {
     /// plan, so it is always chosen.
     pub fn choose_two_selects(&self, _query: &TwoSelectsQuery) -> TwoSelectsStrategy {
         TwoSelectsStrategy::TwoKnnSelect
-    }
-
-    /// Chooses the strategy of a single (optionally filtered) kNN-select.
-    /// The masked kernel prunes blocks by MINDIST exactly like the plain
-    /// kNN path, so it wins whenever the index has enough blocks for
-    /// pruning to bite; only a relation too small to have block structure
-    /// falls back to the scan (where the scan is cheaper than sorting the
-    /// block order).
-    pub fn choose_select(&self, relation: &RelationProfile) -> SelectStrategy {
-        if relation.num_points < 256 {
-            SelectStrategy::FilterThenScan
-        } else {
-            SelectStrategy::FilteredKernel
-        }
     }
 }
 

@@ -49,7 +49,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use twoknn_geometry::{Point, Predicate};
-use twoknn_index::{brute_force_knn_filtered, GridIndex, Metrics, SpatialIndex};
+use twoknn_index::{GridIndex, Metrics, SpatialIndex};
 
 use crate::error::QueryError;
 use crate::exec::{run_partitioned, ExecutionMode};
@@ -60,8 +60,8 @@ use crate::joins2::{
 use crate::output::{Pair, QueryOutput, Triplet};
 use crate::plan::executor::{QueryFilters, QueryResult, QuerySpec};
 use crate::plan::strategy::{
-    ChainedStrategy, SelectInnerStrategy, SelectOuterStrategy, SelectStrategy, Strategy,
-    TwoSelectsStrategy, UnchainedStrategy,
+    ChainedStrategy, SelectInnerStrategy, SelectOuterStrategy, Strategy, TwoSelectsStrategy,
+    UnchainedStrategy,
 };
 use crate::select::{knn_select_filtered, knn_select_filtered_neighborhood, KnnSelectQuery};
 use crate::select_join::{
@@ -293,14 +293,11 @@ fn compile_with_overrides(
                 strategy: s,
             }))
         }
-        (QuerySpec::KnnSelect { relation, query }, Strategy::Select(s)) => {
-            Ok(Box::new(KnnSelectOp {
-                relation: pin(relation)?,
-                query: query.clone(),
-                predicate: Predicate::True,
-                strategy: s,
-            }))
-        }
+        (QuerySpec::KnnSelect { relation, query }, Strategy::Select) => Ok(Box::new(KnnSelectOp {
+            relation: pin(relation)?,
+            query: query.clone(),
+            predicate: Predicate::True,
+        })),
         (spec, strategy) => Err(QueryError::UnsupportedPlanShape {
             description: format!("strategy {strategy} does not match query {spec:?}"),
         }),
@@ -337,14 +334,13 @@ fn compile_filtered(
     let plan: Box<dyn PhysicalPlan> = match inner {
         // Single select: the pre-filter IS the masked kernel's predicate.
         QuerySpec::KnnSelect { relation, query } => {
-            let Strategy::Select(s) = strategy else {
+            if strategy != Strategy::Select {
                 return Err(mismatch());
-            };
+            }
             Box::new(KnnSelectOp {
                 relation: Arc::clone(snapshot.snapshot(relation)?) as Relation,
                 query: query.clone(),
                 predicate: pre(relation),
-                strategy: s,
             })
         }
         // Two selects under a pre-filter: the bounded-locality 2-kNN-select
@@ -822,20 +818,15 @@ pub struct KnnSelectOp {
     pub query: KnnSelectQuery,
     /// The pre-kNN filter; [`Predicate::True`] for the unfiltered select.
     pub predicate: Predicate,
-    /// Masked kernel, or the scan-then-filter baseline.
-    pub strategy: SelectStrategy,
 }
 
 impl PhysicalPlan for KnnSelectOp {
     fn name(&self) -> &'static str {
-        match self.strategy {
-            SelectStrategy::FilteredKernel => "knn-select",
-            SelectStrategy::FilterThenScan => "knn-select-scan",
-        }
+        "knn-select"
     }
 
     fn strategy(&self) -> Strategy {
-        Strategy::Select(self.strategy)
+        Strategy::Select
     }
 
     fn schema(&self) -> RowSchema {
@@ -845,32 +836,12 @@ impl PhysicalPlan for KnnSelectOp {
     fn execute(&self, _mode: ExecutionMode) -> QueryResult {
         // A single select is one neighborhood computation — inherently
         // sequential; batch-level parallelism covers the many-query case.
-        let output = match self.strategy {
-            SelectStrategy::FilteredKernel => knn_select_filtered(
-                &*self.relation,
-                &self.query.focal,
-                self.query.k,
-                &self.predicate,
-            ),
-            SelectStrategy::FilterThenScan => {
-                // The baseline reads and ranks every point; its counters
-                // reflect that, which is what `ablation_filter` compares.
-                let mut metrics = Metrics::default();
-                metrics.neighborhoods_computed += 1;
-                let n = self.relation.num_points() as u64;
-                metrics.points_scanned += n;
-                metrics.distance_computations += n;
-                let nbr = brute_force_knn_filtered(
-                    &*self.relation,
-                    &self.query.focal,
-                    self.query.k,
-                    &self.predicate,
-                );
-                let rows: Vec<Point> = nbr.points().copied().collect();
-                metrics.tuples_emitted += rows.len() as u64;
-                QueryOutput::new(rows, metrics)
-            }
-        };
+        let output = knn_select_filtered(
+            &*self.relation,
+            &self.query.focal,
+            self.query.k,
+            &self.predicate,
+        );
         QueryResult::Points {
             output,
             strategy: self.strategy(),
@@ -1173,49 +1144,51 @@ mod tests {
             7,
         )
         .ids();
-        for s in [
-            SelectStrategy::FilteredKernel,
-            SelectStrategy::FilterThenScan,
-        ] {
-            let plan = compile(&snapshot, &spec, Strategy::Select(s)).unwrap();
-            assert_eq!(plan.schema(), RowSchema::Points);
-            let result = plan.execute(ExecutionMode::Serial);
-            let got: Vec<u64> = result.rows().iter().flat_map(|r| r.ids()).collect();
-            assert_eq!(got, want, "strategy {s:?}");
-        }
+        let plan = compile(&snapshot, &spec, Strategy::Select).unwrap();
+        assert_eq!(plan.schema(), RowSchema::Points);
+        assert_eq!(plan.strategy().to_string(), "select");
+        let result = plan.execute(ExecutionMode::Serial);
+        let got: Vec<u64> = result.rows().iter().flat_map(|r| r.ids()).collect();
+        assert_eq!(got, want);
     }
 
+    /// The masked kernel returns the k nearest *matching* points and, by
+    /// pruning blocks against the k-th matching distance, scans fewer points
+    /// than the relation holds — also under a selective rect.
     #[test]
     fn pre_filter_flows_into_the_masked_select_kernel() {
-        let db = db();
-        let predicate = Predicate::IdRange { lo: 40, hi: 160 };
-        let spec = QuerySpec::KnnSelect {
-            relation: "B".into(),
-            query: KnnSelectQuery::new(6, Point::anonymous(40.0, 40.0)),
-        }
-        .with_filters(QueryFilters::none().pre("B", predicate.clone()));
+        let mut db = db();
+        // Dense enough that a rect over 1 % of the extent still holds k matches.
+        db.register("D", GridIndex::build(scattered(5_000, 4), 16).unwrap());
+        let focal = Point::anonymous(40.0, 40.0);
         let snapshot = db.snapshot();
-        let want = brute_force_knn_filtered(
-            &**snapshot.snapshot("B").unwrap(),
-            &Point::anonymous(40.0, 40.0),
-            6,
-            &predicate,
-        )
-        .ids();
-        let plan = compile(
-            &snapshot,
-            &spec,
-            Strategy::Select(SelectStrategy::FilteredKernel),
-        )
-        .unwrap();
-        assert_eq!(plan.name(), "knn-select");
-        let got: Vec<u64> = plan
-            .execute(ExecutionMode::Serial)
-            .rows()
-            .iter()
-            .flat_map(|r| r.ids())
-            .collect();
-        assert_eq!(got, want);
+        for (relation, predicate) in [
+            ("B", Predicate::IdRange { lo: 40, hi: 160 }),
+            // 10 × 10 around the focal point of the ≈ 100 × 100 extent.
+            (
+                "D",
+                Predicate::InRect(twoknn_geometry::Rect::new(35.0, 35.0, 45.0, 45.0)),
+            ),
+        ] {
+            let spec = QuerySpec::KnnSelect {
+                relation: relation.into(),
+                query: KnnSelectQuery::new(6, focal),
+            }
+            .with_filters(QueryFilters::none().pre(relation, predicate.clone()));
+            let index = snapshot.snapshot(relation).unwrap();
+            let want = twoknn_index::brute_force_knn_filtered(&**index, &focal, 6, &predicate);
+            let plan = compile(&snapshot, &spec, Strategy::Select).unwrap();
+            assert_eq!(plan.name(), "knn-select");
+            let result = plan.execute(ExecutionMode::Serial);
+            let got: Vec<u64> = result.rows().iter().flat_map(|r| r.ids()).collect();
+            assert_eq!(got, want.ids(), "{predicate}");
+            assert_eq!(got.len(), 6, "{predicate}: k matches exist");
+            let scanned = result.metrics().points_scanned;
+            assert!(
+                scanned < index.num_points() as u64,
+                "{predicate}: the masked kernel scanned all {scanned} points"
+            );
+        }
     }
 
     #[test]

@@ -61,20 +61,6 @@ pub enum TwoSelectsStrategy {
     TwoKnnSelect,
 }
 
-/// Strategy for a single (optionally filtered) kNN-select — the "k nearest
-/// *matching* points" shape the declarative front-end produces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectStrategy {
-    /// Predicate-masked block kernel: blocks visited in MINDIST order, the
-    /// batched distance pass masked by the predicate, τ-pruning against the
-    /// k-th *matching* distance (conservative, hence sound).
-    #[default]
-    FilteredKernel,
-    /// Scan-then-filter baseline: materialize every matching point, then
-    /// sort by distance. The ablation reference of `ablation_filter`.
-    FilterThenScan,
-}
-
 /// A strategy for any of the supported query shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
@@ -88,8 +74,12 @@ pub enum Strategy {
     Chained(ChainedStrategy),
     /// Strategy for [`crate::selects2::TwoSelectsQuery`].
     TwoSelects(TwoSelectsStrategy),
-    /// Strategy for [`crate::select::KnnSelectQuery`].
-    Select(SelectStrategy),
+    /// The single (optionally filtered) kNN-select of
+    /// [`crate::select::KnnSelectQuery`]: one strategy, the predicate-masked
+    /// block kernel — blocks in MINDIST order, the batched distance pass
+    /// masked by the predicate, τ-pruning against the k-th *matching*
+    /// distance.
+    Select,
 }
 
 impl std::fmt::Display for Strategy {
@@ -100,7 +90,7 @@ impl std::fmt::Display for Strategy {
             Strategy::Unchained(s) => write!(f, "unchained/{s:?}"),
             Strategy::Chained(s) => write!(f, "chained/{s:?}"),
             Strategy::TwoSelects(s) => write!(f, "two-selects/{s:?}"),
-            Strategy::Select(s) => write!(f, "select/{s:?}"),
+            Strategy::Select => f.write_str("select"),
         }
     }
 }

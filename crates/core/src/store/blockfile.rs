@@ -251,7 +251,7 @@ impl BlockFileIndex {
     }
 
     /// Number of blocks whose point columns have been decoded so far —
-    /// observability for the lazy-loading tests and the ablation bench.
+    /// observability for the lazy-loading tests.
     pub fn blocks_decoded(&self) -> usize {
         self.decoded.iter().filter(|c| c.get().is_some()).count()
     }
@@ -285,8 +285,8 @@ impl SpatialIndex for BlockFileIndex {
         })
     }
 
-    fn directory(&self) -> Option<&BlockDirectory> {
-        Some(&self.directory)
+    fn directory(&self) -> &BlockDirectory {
+        &self.directory
     }
 }
 

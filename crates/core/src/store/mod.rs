@@ -18,13 +18,12 @@
 //!   the same layout the indexes use — so snapshot reads go through the
 //!   batched block-scan kernels unchanged;
 //! * [`RelationSnapshot`] — the composed, immutable view of a whole
-//!   relation: the shard snapshots' blocks concatenated, plus one
-//!   [`PartitionMeta`](twoknn_index::PartitionMeta) per shard (tight MBR +
-//!   contiguous block range) and a block directory whose first level is the
-//!   shards, so a kNN search skips far shards wholesale. The directory nests
-//!   each shard's base directory by reference — a publish adds no work
-//!   proportional to the block count. A relation sharded `1×1` composes to
-//!   exactly the old unsharded snapshot — the ablation baseline;
+//!   relation: the shard snapshots' blocks concatenated under a block
+//!   directory whose first level is the shards, so a kNN search skips far
+//!   shards wholesale. The directory nests each shard's base directory by
+//!   reference — a publish adds no work proportional to the block count. A
+//!   relation sharded `1×1` composes to exactly the unsharded snapshot — the
+//!   twin `sharded_equivalence` compares every sharded layout against;
 //! * [`VersionedRelation`] — a [`ShardMap`](self) routing points to
 //!   independently versioned shards, each with its own writer lock, write
 //!   log, and compaction slot, behind one `Arc`-swapped composed snapshot;
@@ -54,7 +53,7 @@
 //!          ▼                                 ▼ pin (Arc clone)
 //!    ┌ shard 0 writer ┐──► shard 0   ┌─────────────────────────────┐
 //!    │ delta + log    │   snapshot ─►│ current: Arc<RelationSnap.> │
-//!    └────────────────┘              │  blocks ++ PartitionMeta[]  │
+//!    └────────────────┘              │  blocks ++ shard directory  │
 //!    ┌ shard 1 writer ┐──► shard 1 ─►└─────────────────────────────┘
 //!    │ delta + log    │   snapshot      ▲ recompose = atomic swap
 //!    └──────┬─────────┘                 │ publish (replay shard log tail)
@@ -100,8 +99,9 @@ use crate::obs::{EventKind, HistogramKind, Observability};
 
 /// Durability mode of the relation store.
 ///
-/// `Disabled` (the default) keeps the store fully in-memory — the zero-cost
-/// ablation baseline: no WAL handle exists, ingest takes no extra branches
+/// `Disabled` (the default) keeps the store fully in-memory at zero cost —
+/// `durability::crash_recovery_matches_a_never_crashed_instance` pins that
+/// its twin logs nothing: no WAL handle exists, ingest takes no extra branches
 /// beyond one `Option` check under the writer lock, and no files are
 /// touched. `Enabled` gives every relation a directory under `dir` holding
 /// a segmented write-ahead log ([`wal`](self)) plus one immutable block
@@ -189,13 +189,13 @@ pub struct StoreConfig {
     /// Sizing of the partitioned delta overlay (cell occupancy target and
     /// fanout cap). The default keeps overlay cells around 32 points with at
     /// most 32×32 cells; `max_cells_per_axis: 1` reproduces the old
-    /// single-block overlay for ablations.
+    /// single-block overlay (the clustered-burst test's discriminator).
     pub overlay: OverlayConfig,
     /// Spatial sharding of each relation ([`ShardConfig`]): relations are
     /// split into `shards_per_axis²` independently versioned shards, each
     /// with its own delta, writer lock, and background compaction. The
-    /// default (`1`) keeps every relation a single shard — the unsharded
-    /// ablation baseline.
+    /// default (`1`) keeps every relation a single shard — the unsharded twin
+    /// `sharded_equivalence` compares every sharded layout against.
     pub sharding: ShardConfig,
     /// Durability mode ([`DurabilityConfig`]): `Disabled` (the default)
     /// keeps the store fully in-memory; `Enabled` write-ahead-logs every

@@ -33,8 +33,9 @@
 //! per axis, capped), so a small delta degenerates to the old single-block
 //! overlay and a large burst gets a decomposition matching its size. Setting
 //! [`OverlayConfig::max_cells_per_axis`] to 1 reproduces the single-block
-//! behavior exactly — the ablation baseline `ablation_ingest` measures
-//! against.
+//! behavior exactly — the discriminator
+//! `store_snapshots::clustered_burst_keeps_block_pruning_within_a_constant_factor`
+//! holds the partitioned overlay against.
 
 use std::sync::Arc;
 
@@ -49,8 +50,8 @@ pub struct OverlayConfig {
     /// as ≈ `√(inserts / cell_target)` cells per axis.
     pub cell_target: usize,
     /// Upper bound on the fanout (cells per axis). `1` reproduces the
-    /// single-block overlay (the pre-partitioning behavior) — useful as an
-    /// ablation baseline.
+    /// single-block overlay (the pre-partitioning behavior), which the
+    /// clustered-burst test in `store_snapshots` compares against.
     pub max_cells_per_axis: usize,
 }
 

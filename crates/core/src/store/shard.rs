@@ -13,9 +13,8 @@
 //!
 //! [`RelationSnapshot`] is the immutable *composed* view queries run
 //! against: the shard snapshots' blocks concatenated into one dense block-id
-//! space, with one [`PartitionMeta`] per shard carrying a tight MBR over the
-//! shard's non-empty blocks. Its [`SpatialIndex::directory`] is one node per
-//! shard over the shards' own directories (shared, not copied), so every
+//! space. Its [`SpatialIndex::directory`] is one node per shard over the
+//! shards' own directories (shared, not copied), so every
 //! block ordering meets the shard tier first: a kNN search descends into
 //! shards in MINDIST order and never opens one whose footprint lies beyond
 //! its search radius. Joins and Block-Marking inherit the coarse tier
@@ -23,14 +22,14 @@
 //! MINDIST pruning and the contour test see shard-local footprints instead
 //! of one relation-wide decomposition.
 //!
-//! With `shards_per_axis == 1` (the default, and the ablation baseline) the
-//! composed snapshot is a transparent wrapper over a single shard.
+//! With `shards_per_axis == 1` (the default) the composed snapshot is a
+//! transparent wrapper over a single shard.
 
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 use twoknn_geometry::{Point, PointId, Rect};
-use twoknn_index::{BlockDirectory, BlockId, BlockMeta, BlockPoints, PartitionMeta, SpatialIndex};
+use twoknn_index::{BlockDirectory, BlockId, BlockMeta, BlockPoints, SpatialIndex};
 
 use crate::plan::stats::RelationProfile;
 
@@ -41,7 +40,7 @@ use super::snapshot::ShardSnapshot;
 /// `shards_per_axis = n` splits the registration extent into an `n × n`
 /// clamped grid of shards that ingest, compact and rebuild independently.
 /// The default of `1` keeps the relation in a single shard — the unsharded
-/// baseline the `ablation_shard` bench compares against.
+/// twin that `sharded_equivalence` holds every sharded layout to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Shards along each axis (clamped to ≥ 1 when used).
@@ -67,7 +66,7 @@ impl ShardConfig {
 /// Copy-able and immutable — routing never changes after registration, so a
 /// point's owning shard is a pure function of its coordinates. Points
 /// outside the anchored bounds clamp into the nearest edge shard (whose
-/// *partition* MBR grows to cover them, keeping pruning sound).
+/// directory extent grows to cover them, keeping pruning sound).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ShardMap {
     bounds: Rect,
@@ -116,8 +115,7 @@ impl ShardMap {
 }
 
 /// An immutable versioned view of a whole relation: every shard's
-/// [`ShardSnapshot`] composed into one dense block-id space with a
-/// [`PartitionMeta`] shard tier.
+/// [`ShardSnapshot`] composed into one dense block-id space.
 ///
 /// Implements [`SpatialIndex`], so every query algorithm (and
 /// [`RelationProfile`]) consumes it exactly like a plain index; block
@@ -128,11 +126,9 @@ pub struct RelationSnapshot {
     shards: Vec<Arc<ShardSnapshot>>,
     /// All shards' blocks, re-identified into one dense ascending id space.
     blocks: Vec<BlockMeta>,
-    /// One entry per shard: tight MBR + owned block-id range.
-    partitions: Vec<PartitionMeta>,
     /// One directory shard per relation shard, nesting the shards' own
-    /// directories by reference; `None` when some shard has none.
-    directory: Option<BlockDirectory>,
+    /// directories by reference.
+    directory: BlockDirectory,
     /// Per shard, the composed id of its first block; one trailing entry
     /// holds the total block count (so `block_base.len() == shards + 1`).
     block_base: Vec<BlockId>,
@@ -151,42 +147,25 @@ impl RelationSnapshot {
         debug_assert_eq!(shards.len(), map.num_shards());
         let total_blocks: usize = shards.iter().map(|s| s.num_blocks()).sum();
         let mut blocks = Vec::with_capacity(total_blocks);
-        let mut partitions = Vec::with_capacity(shards.len());
         let mut block_base = Vec::with_capacity(shards.len() + 1);
         let mut bounds: Option<Rect> = None;
         let mut num_points = 0usize;
-        for (s, shard) in shards.iter().enumerate() {
-            let first = blocks.len() as BlockId;
-            block_base.push(first);
-            let mut mbr: Option<Rect> = None;
+        for shard in &shards {
+            block_base.push(blocks.len() as BlockId);
             for b in shard.blocks() {
                 blocks.push(BlockMeta::new(blocks.len() as BlockId, b.mbr, b.count));
-                if b.count > 0 {
-                    mbr = Some(mbr.map_or(b.mbr, |m| m.union(&b.mbr)));
-                }
             }
-            partitions.push(PartitionMeta::new(
-                mbr.unwrap_or_else(|| map.shard_rect(s)),
-                first,
-                shard.num_blocks() as u32,
-                shard.num_points(),
-            ));
             num_points += shard.num_points();
             let sb = shard.bounds();
             bounds = Some(bounds.map_or(sb, |b| b.union(&sb)));
         }
         block_base.push(blocks.len() as BlockId);
-        let directory = shards
-            .iter()
-            .map(|s| s.directory())
-            .collect::<Option<Vec<_>>>()
-            .map(BlockDirectory::sharded);
+        let directory = BlockDirectory::sharded(shards.iter().map(|s| s.directory()));
         Self {
             bounds: bounds.expect("a relation has at least one shard"),
             map,
             shards,
             blocks,
-            partitions,
             directory,
             block_base,
             num_points,
@@ -259,8 +238,6 @@ impl RelationSnapshot {
     ///
     /// * composed blocks mirror their shard's blocks (dense ascending ids,
     ///   identical MBRs and counts);
-    /// * every partition's metadata matches its shard (block range, point
-    ///   count) and its MBR contains all of the shard's non-empty blocks;
     /// * every visible point is stored in exactly one shard, and (when
     ///   sharded) in the shard its coordinates route to.
     pub fn check_overlay_invariants(&self) -> Result<(), String> {
@@ -282,23 +259,13 @@ impl RelationSnapshot {
         }
         let mut seen: HashSet<PointId> = HashSet::with_capacity(self.num_points);
         for (s, shard) in self.shards.iter().enumerate() {
-            let part = self.partitions[s];
-            if part.first_block != self.block_base[s]
-                || part.num_blocks as usize != shard.num_blocks()
-                || part.count != shard.num_points()
-            {
-                return Err(format!("partition {s} metadata drifted from its shard"));
+            if self.block_base[s + 1] - self.block_base[s] != shard.num_blocks() as BlockId {
+                return Err(format!("block range of shard {s} drifted from its shard"));
             }
             for (local, b) in shard.blocks().iter().enumerate() {
                 let composed = self.blocks[self.block_base[s] as usize + local];
                 if composed.mbr != b.mbr || composed.count != b.count {
                     return Err(format!("composed block of shard {s} block {local} drifted"));
-                }
-                if b.count > 0 && !part.mbr.contains_rect(&b.mbr) {
-                    return Err(format!(
-                        "partition {s} MBR {} misses block {local} MBR {}",
-                        part.mbr, b.mbr
-                    ));
                 }
                 for p in shard.block_points(b.id) {
                     if !seen.insert(p.id) {
@@ -351,7 +318,7 @@ impl SpatialIndex for RelationSnapshot {
         // Stored points always live in the shard their coordinates route to,
         // so the routed shard's answer is preferred (it upholds the trait's
         // "prefer the storing block" contract). Footprints of neighboring
-        // shards can still overlap `p` (tight partition MBRs grow over
+        // shards can still overlap `p` (edge shards' blocks grow over
         // clamped out-of-bounds points), so fall back to scanning the rest.
         let routed = self.map.shard_of(p);
         if let Some(local) = self.shards[routed].locate(p) {
@@ -365,12 +332,8 @@ impl SpatialIndex for RelationSnapshot {
         })
     }
 
-    fn partitions(&self) -> Option<&[PartitionMeta]> {
-        Some(&self.partitions)
-    }
-
-    fn directory(&self) -> Option<&BlockDirectory> {
-        self.directory.as_ref()
+    fn directory(&self) -> &BlockDirectory {
+        &self.directory
     }
 }
 
@@ -446,9 +409,10 @@ mod tests {
         assert_eq!(snap.num_shards(), 9);
         assert_eq!(snap.num_points(), 600);
         snap.check_overlay_invariants().unwrap();
-        let parts = snap.partitions().unwrap();
-        assert_eq!(parts.len(), 9);
-        assert_eq!(parts.iter().map(|p| p.count).sum::<usize>(), 600);
+        assert_eq!(
+            snap.shards().iter().map(|s| s.num_points()).sum::<usize>(),
+            600
+        );
         // The composed view answers point lookups across shard boundaries.
         for p in snap.merged_points().iter().take(50) {
             let at = snap.locate(p).expect("stored point is locatable");

@@ -105,8 +105,8 @@ pub struct ShardSnapshot {
     /// per occupied overlay-grid cell starting at id `base.num_blocks()`.
     blocks: Vec<BlockMeta>,
     /// The base's directory (its node tree shared, not copied) with the
-    /// overlay blocks appended; `None` when the base has no directory.
-    directory: Option<BlockDirectory>,
+    /// overlay blocks appended.
+    directory: BlockDirectory,
     /// Overlay-block ordinal → overlay-grid cell index, ascending. Maps the
     /// dense block ids the trait exposes back to the grid cells that store
     /// the points.
@@ -254,7 +254,7 @@ impl ShardSnapshot {
         let num_points = base.num_points() - delta.deletes().len() + delta.inserts().len();
         let directory = base
             .directory()
-            .and_then(|d| d.with_overlay(&blocks[base.num_blocks()..], emptied));
+            .with_overlay(&blocks[base.num_blocks()..], emptied);
         let snapshot = Self {
             base,
             base_ids,
@@ -469,8 +469,8 @@ impl SpatialIndex for ShardSnapshot {
             .map(|meta| meta.id)
     }
 
-    fn directory(&self) -> Option<&BlockDirectory> {
-        self.directory.as_ref()
+    fn directory(&self) -> &BlockDirectory {
+        &self.directory
     }
 }
 
@@ -700,7 +700,7 @@ mod tests {
             );
         }
         // The same ops under a fanout cap of 1 reproduce the single giant
-        // block (the ablation baseline) — equal contents, no partitioning.
+        // block (the pre-partitioning layout) — equal contents, no partitioning.
         let single = snapshot_with_config(
             &burst,
             OverlayConfig {

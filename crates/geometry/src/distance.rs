@@ -111,8 +111,8 @@ mod baseline {
 
     /// Per-point squared distances over an AoS `&[Point]` block — the scan
     /// loop the columnar [`euclidean_sq_batch`](super::euclidean_sq_batch)
-    /// replaced. The 24-byte row stride defeats vectorization, which is what
-    /// the ablation measures.
+    /// replaced. The 24-byte row stride defeats vectorization; the tests
+    /// hold the columnar kernel to it.
     #[inline]
     pub fn euclidean_sq_scalar(q: &Point, points: &[Point], out: &mut [f64]) {
         for (d, p) in out.iter_mut().zip(points) {

@@ -330,15 +330,16 @@ impl BlockDirectory {
     /// `emptied` is the number of base blocks that held points in the base
     /// and hold none in the snapshot (tombstones). Costs `O(overlay)`; the
     /// node tree is shared.
-    /// Returns `None` for a directory that is not a plain base (sharded, or
-    /// carrying an overlay already).
-    pub fn with_overlay(&self, overlay: &[BlockMeta], emptied: usize) -> Option<Self> {
-        let [base] = self.shards.as_slice() else {
-            return None;
+    ///
+    /// # Panics
+    ///
+    /// Panics if this directory is not a plain base (sharded, or carrying an
+    /// overlay already): snapshots are only ever built over a base index.
+    pub fn with_overlay(&self, overlay: &[BlockMeta], emptied: usize) -> Self {
+        let base = match self.shards.as_slice() {
+            [base] if base.overlay_blocks == 0 => base,
+            _ => panic!("with_overlay needs a plain base directory"),
         };
-        if base.overlay_blocks > 0 {
-            return None;
-        }
         let extent = Extent::merged(
             base.extent
                 .into_iter()
@@ -346,7 +347,7 @@ impl BlockDirectory {
         );
         let overlay_nonempty = overlay.iter().filter(|b| b.count > 0).count() as u32;
         let nonempty_blocks = self.nonempty_blocks - emptied as u32 + overlay_nonempty;
-        Some(Self {
+        Self {
             num_blocks: self.num_blocks + overlay.len() as u32,
             nonempty_blocks,
             shards: vec![DirShard {
@@ -356,7 +357,7 @@ impl BlockDirectory {
                 overlay_blocks: overlay.len() as u32,
                 populated: nonempty_blocks > 0,
             }],
-        })
+        }
     }
 
     /// The directory of several indexes whose blocks are concatenated, in
@@ -551,20 +552,18 @@ mod tests {
         let mut blocks = base_blocks.clone();
         blocks.push(BlockMeta::new(64, Rect::new(20.0, 20.0, 21.0, 20.5), 3));
         blocks.push(BlockMeta::new(65, Rect::new(-3.0, 1.0, -2.0, 2.0), 1));
-        let snap = base.with_overlay(&blocks[64..], 2).unwrap();
+        let snap = base.with_overlay(&blocks[64..], 2);
         assert_eq!(snap.num_blocks(), 66);
         assert_eq!(snap.nonempty_blocks(), base.nonempty_blocks() - 2 + 2);
         assert!(Arc::ptr_eq(&snap.shards[0].tree, &base.shards[0].tree));
         check_tree(&snap, &blocks);
-        assert!(base.with_overlay(&[], 0).is_some());
-        assert!(snap.with_overlay(&[], 0).is_none());
+        assert_eq!(base.with_overlay(&[], 0).num_blocks(), 64);
 
         let composed = BlockDirectory::sharded([&snap, &base, &snap]);
         assert_eq!(composed.num_shards(), 3);
         assert_eq!(composed.num_blocks(), 66 + 64 + 66);
         assert_eq!(composed.populated_shards(), 3);
         assert_eq!(composed.shards[2].first_block, 130);
-        assert!(composed.with_overlay(&[], 0).is_none());
         let mut all = blocks.clone();
         all.extend(base_blocks.iter().copied());
         all.extend(blocks.iter().copied());

@@ -193,8 +193,8 @@ impl SpatialIndex for GridIndex {
         Some((iy * self.cells_per_axis + ix) as BlockId)
     }
 
-    fn directory(&self) -> Option<&BlockDirectory> {
-        Some(&self.directory)
+    fn directory(&self) -> &BlockDirectory {
+        &self.directory
     }
 }
 

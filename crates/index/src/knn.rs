@@ -190,7 +190,6 @@ mod tests {
     use super::*;
     use crate::directory::BlockDirectory;
     use crate::grid::GridIndex;
-    use crate::partition::PartitionMeta;
     use crate::quadtree::QuadtreeIndex;
     use crate::rtree::StrRTree;
 
@@ -270,12 +269,13 @@ mod tests {
     }
 
     /// A minimal sharded index for driver tests: four quadrant GridIndexes
-    /// with concatenated (re-identified) blocks and tight partition MBRs —
+    /// with concatenated (re-identified) blocks under one sharded directory —
     /// the same shape the store's composed relation snapshot exposes.
     struct ShardedGrid {
         shards: Vec<GridIndex>,
         blocks: Vec<crate::BlockMeta>,
-        parts: Vec<PartitionMeta>,
+        /// Per shard, the composed id of its first block.
+        first_block: Vec<u32>,
         directory: BlockDirectory,
         bounds: twoknn_geometry::Rect,
         num_points: usize,
@@ -306,30 +306,20 @@ mod tests {
                 .map(|(pts, r)| GridIndex::build_with_bounds(pts, r, cells).unwrap())
                 .collect();
             let mut blocks = Vec::new();
-            let mut parts = Vec::new();
+            let mut first_block = Vec::new();
             let mut num_points = 0;
-            for (shard, rect) in shards.iter().zip(rects) {
-                let first = blocks.len() as u32;
-                let mut mbr: Option<Rect> = None;
+            for shard in &shards {
+                first_block.push(blocks.len() as u32);
                 for b in shard.blocks() {
                     blocks.push(crate::BlockMeta::new(blocks.len() as u32, b.mbr, b.count));
-                    if b.count > 0 {
-                        mbr = Some(mbr.map_or(b.mbr, |m| m.union(&b.mbr)));
-                    }
                 }
-                parts.push(PartitionMeta::new(
-                    mbr.unwrap_or(rect),
-                    first,
-                    shard.num_blocks() as u32,
-                    shard.num_points(),
-                ));
                 num_points += shard.num_points();
             }
-            let directory = BlockDirectory::sharded(shards.iter().map(|s| s.directory().unwrap()));
+            let directory = BlockDirectory::sharded(shards.iter().map(|s| s.directory()));
             Self {
                 shards,
                 blocks,
-                parts,
+                first_block,
                 directory,
                 bounds,
                 num_points,
@@ -348,25 +338,17 @@ mod tests {
             &self.blocks
         }
         fn block_points(&self, id: u32) -> crate::BlockPoints<'_> {
-            let s = self
-                .parts
-                .iter()
-                .position(|p| p.block_range().contains(&(id as usize)))
-                .expect("block id in range");
-            self.shards[s].block_points(id - self.parts[s].first_block)
+            let s = self.first_block.partition_point(|&first| first <= id) - 1;
+            self.shards[s].block_points(id - self.first_block[s])
         }
         fn locate(&self, p: &Point) -> Option<u32> {
-            self.parts.iter().enumerate().find_map(|(s, part)| {
-                self.shards[s]
-                    .locate(p)
-                    .map(|local| part.first_block + local)
-            })
+            self.shards
+                .iter()
+                .zip(&self.first_block)
+                .find_map(|(shard, first)| shard.locate(p).map(|local| first + local))
         }
-        fn partitions(&self) -> Option<&[PartitionMeta]> {
-            Some(&self.parts)
-        }
-        fn directory(&self) -> Option<&BlockDirectory> {
-            Some(&self.directory)
+        fn directory(&self) -> &BlockDirectory {
+            &self.directory
         }
     }
 
@@ -426,18 +408,22 @@ mod tests {
         assert_eq!(got, brute_force_knn(&sharded, &q, 5));
         assert!(m.shards_pruned > 0, "{m}");
         assert!(m.shards_scanned < 4, "{m}");
-        // Every pruned shard's MINDIST² must exceed the final τ².
+        // Every pruned shard's MINDIST² (to its tight MBR over non-empty
+        // blocks) must exceed the final τ².
         let tau_sq = got.radius() * got.radius();
         let visited = m.shards_scanned as usize;
-        let mut order: Vec<(f64, usize)> = sharded
-            .parts
+        let mut order: Vec<f64> = sharded
+            .shards
             .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .map(|(i, p)| (p.mindist_sq(&q), i))
+            .filter_map(|shard| {
+                let mut nonempty = shard.blocks().iter().filter(|b| b.count > 0);
+                let first = nonempty.next()?.mbr;
+                let mbr = nonempty.fold(first, |m, b| m.union(&b.mbr));
+                Some(twoknn_geometry::mindist_sq(&q, &mbr))
+            })
             .collect();
-        order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        for &(mindist_sq, _) in &order[visited..] {
+        order.sort_by(f64::total_cmp);
+        for &mindist_sq in &order[visited..] {
             assert!(mindist_sq > tau_sq, "pruned shard within τ");
         }
     }

@@ -21,17 +21,20 @@
 //!   distance scans run over contiguous `&[f64]` slices;
 //! * [`BlockDirectory`] — a small tree of `(mbr, children)` nodes over an
 //!   index's dense block-id space, reported through
-//!   [`SpatialIndex::directory`]. Each family builds it from what it already
-//!   has at build time (4×4 cell tiles for the grid, the internal nodes of
-//!   the quadtree, STR-packed upper levels for the R-tree); snapshots compose
-//!   their base's directory by reference;
+//!   [`SpatialIndex::directory`] (every index has one). Each family builds it
+//!   from what it already has at build time (4×4 cell tiles for the grid,
+//!   the internal nodes of the quadtree, STR-packed upper levels for the
+//!   R-tree); snapshots compose their base's directory by reference, and a
+//!   sharded relation's directory has one first-level node per shard, so a
+//!   shard whose footprint lies beyond the search radius is never descended
+//!   into — the paper's block pruning lifted one level up (counted by
+//!   `Metrics::shards_scanned` / `shards_pruned`);
 //! * [`DistanceCursor`] — the one MINDIST/MAXDIST ordering of blocks: a
 //!   best-first walk of the directory that yields blocks in ascending
 //!   `(distance², block id)` and computes distances only for the nodes and
 //!   blocks it reaches, so a scan that stops after a handful of blocks never
 //!   looks at the rest. [`BlockOrder`], which orders every block up front,
-//!   is the fallback for an index without a directory and the reference the
-//!   tests compare against;
+//!   is the reference the tests compare against;
 //! * [`get_knn`] — `getkNN` as one walk: blocks come off a MINDIST cursor,
 //!   each is scanned by the batched kth-distance kernel as it arrives, and
 //!   the walk stops at the first block beyond the running k-th distance;
@@ -40,11 +43,6 @@
 //! * [`Locality`] — the paper's Definition 2 and the two-phase construction
 //!   of Sankaranarayanan, Samet & Varshney, kept as the reference the tests
 //!   compare the walk against (`get_knn` scans a subset of its blocks);
-//! * [`PartitionMeta`] — the coarse *shard* tier above blocks, as an index
-//!   describes it ([`SpatialIndex::partitions`]). Queries see it as the first
-//!   level of the directory: a shard whose footprint lies beyond the search
-//!   radius is never descended into — the paper's block pruning lifted one
-//!   level up (counted by `Metrics::shards_scanned` / `shards_pruned`);
 //! * [`ScratchSpace`] — reusable per-query transient state (candidate heap,
 //!   cursor frontier, distance buffer); the kNN entry points borrow a
 //!   thread-local one via [`with_thread_scratch`], the cursor takes one
@@ -89,7 +87,6 @@ mod locality;
 mod metrics;
 mod neighborhood;
 mod ordering;
-mod partition;
 mod points;
 mod quadtree;
 mod rtree;
@@ -106,7 +103,6 @@ pub use locality::Locality;
 pub use metrics::Metrics;
 pub use neighborhood::{Neighbor, Neighborhood};
 pub use ordering::{BlockOrder, DistanceCursor, OrderMetric, OrderedBlock, OrderedF64};
-pub use partition::PartitionMeta;
 pub use points::{BlockPoints, BlockPointsIter, PointBlock};
 pub use quadtree::{QuadtreeIndex, DEFAULT_MAX_DEPTH};
 pub use rtree::StrRTree;

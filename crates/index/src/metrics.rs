@@ -63,7 +63,7 @@ pub struct Metrics {
     pub shards_compacted: u64,
     /// Number of standing-query re-evaluations scheduled by the
     /// continuous-query maintainer (a publish intersected the subscription's
-    /// guard region, or the engine runs in re-evaluate-all mode).
+    /// guard region, or the relation was replaced wholesale).
     pub cq_reevals: u64,
     /// Number of standing-query re-evaluations *skipped* because the publish
     /// provably could not change the subscription's result (every write fell

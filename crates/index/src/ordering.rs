@@ -17,8 +17,8 @@
 //! block that could follow one of its own.
 //!
 //! [`BlockOrder`] is the flat reference: it computes the distance to every
-//! block up front. The cursor falls back to it for an index that reports no
-//! directory, and the tests compare the cursor against it.
+//! block up front. Nothing outside the tests uses it; they compare the
+//! cursor against it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -176,8 +176,7 @@ impl Ord for FrontierEntry {
 /// `(distance², block id)`.
 ///
 /// This is what every query paid before the block directory existed. It
-/// remains as the fallback of [`DistanceCursor`] for an index without a
-/// directory and as the reference implementation the cursor is tested
+/// remains only as the reference implementation the cursor is tested
 /// against.
 #[derive(Debug)]
 pub struct BlockOrder<'a> {
@@ -269,30 +268,21 @@ impl Keyer<'_> {
     }
 }
 
-/// Where a [`DistanceCursor`] gets its blocks from.
-#[derive(Debug)]
-enum Source<'a> {
-    /// Best-first descent of the index's directory. `heap` is the frontier,
-    /// built on the buffer taken from `home` and handed back on drop.
-    Directory {
-        directory: &'a BlockDirectory,
-        heap: BinaryHeap<FrontierEntry>,
-        home: &'a mut Vec<FrontierEntry>,
-    },
-    /// No directory: every block ordered up front.
-    Flat(BinaryHeap<FrontierEntry>),
-}
-
 /// An incremental MINDIST or MAXDIST ordering of an index's blocks.
 ///
 /// Yields every block of the index (empty ones included) exactly once, in
 /// ascending `(distance², block id)`, and stops costing anything the moment
 /// the caller stops pulling. The yielded [`BlockMeta`] is the queried
 /// index's own (a snapshot's tombstone-adjusted count, not its base's).
+///
+/// The walk is best-first over the directory: `heap` is the frontier, built
+/// on the buffer taken from `home` and handed back on drop.
 #[derive(Debug)]
 pub struct DistanceCursor<'a> {
     keyer: Keyer<'a>,
-    source: Source<'a>,
+    directory: &'a BlockDirectory,
+    heap: BinaryHeap<FrontierEntry>,
+    home: &'a mut Vec<FrontierEntry>,
     yielded: usize,
     nonempty_remaining: usize,
     shards_reached: usize,
@@ -317,54 +307,38 @@ impl<'a> DistanceCursor<'a> {
         )
     }
 
-    /// The cursor over `blocks`, guided by `directory` when there is one.
+    /// The cursor over `blocks`, guided by `directory`.
     pub(crate) fn over(
         blocks: &'a [BlockMeta],
-        directory: Option<&'a BlockDirectory>,
+        directory: &'a BlockDirectory,
         origin: &Point,
         metric: OrderMetric,
         frontier: &'a mut Vec<FrontierEntry>,
     ) -> Self {
+        debug_assert_eq!(directory.num_blocks(), blocks.len());
         let keyer = Keyer {
             blocks,
             origin: *origin,
             metric,
         };
-        let (source, nonempty_remaining, ordered) = match directory {
-            Some(directory) => {
-                debug_assert_eq!(directory.num_blocks(), blocks.len());
-                let mut buffer = std::mem::take(frontier);
-                buffer.clear();
-                let mut heap = BinaryHeap::from(buffer);
-                heap.extend(
-                    directory
-                        .shards
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(s, shard)| {
-                            Some(keyer.node(s, SHARD_ROOT, shard.extent.as_ref()?))
-                        }),
-                );
-                let ordered = heap.len() as u64;
-                let source = Source::Directory {
-                    directory,
-                    heap,
-                    home: frontier,
-                };
-                (source, directory.nonempty_blocks(), ordered)
-            }
-            // The one place outside the tests that orders every block.
-            None => (
-                Source::Flat(BlockOrder::new(blocks, origin, metric).heap),
-                blocks.iter().filter(|b| b.count > 0).count(),
-                blocks.len() as u64,
-            ),
-        };
+        let mut buffer = std::mem::take(frontier);
+        buffer.clear();
+        let mut heap = BinaryHeap::from(buffer);
+        heap.extend(
+            directory
+                .shards
+                .iter()
+                .enumerate()
+                .filter_map(|(s, shard)| Some(keyer.node(s, SHARD_ROOT, shard.extent.as_ref()?))),
+        );
+        let ordered = heap.len() as u64;
         Self {
             keyer,
-            source,
+            directory,
+            heap,
+            home: frontier,
             yielded: 0,
-            nonempty_remaining,
+            nonempty_remaining: directory.nonempty_blocks(),
             shards_reached: 0,
             ordered,
         }
@@ -391,12 +365,10 @@ impl<'a> DistanceCursor<'a> {
     /// A relation with at most one populated shard has no shard tier to
     /// prune and records nothing.
     pub(crate) fn record_shards(&self, metrics: &mut Metrics) {
-        if let Source::Directory { directory, .. } = &self.source {
-            let populated = directory.populated_shards();
-            if populated > 1 {
-                metrics.shards_scanned += self.shards_reached as u64;
-                metrics.shards_pruned += (populated - self.shards_reached) as u64;
-            }
+        let populated = self.directory.populated_shards();
+        if populated > 1 {
+            metrics.shards_scanned += self.shards_reached as u64;
+            metrics.shards_pruned += (populated - self.shards_reached) as u64;
         }
     }
 
@@ -404,38 +376,35 @@ impl<'a> DistanceCursor<'a> {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<OrderedBlock> {
         let keyer = self.keyer;
-        let entry = match &mut self.source {
-            Source::Flat(heap) => heap.pop()?,
-            Source::Directory {
-                directory, heap, ..
-            } => loop {
-                let entry = heap.pop()?;
-                if entry.rank & BLOCK_RANK != 0 {
-                    break entry;
-                }
-                // A directory node: replace it by its children.
-                let s = (entry.rank >> 32) as usize;
-                let shard = &directory.shards[s];
-                let tree = &*shard.tree;
-                let node = match entry.rank as u32 {
-                    SHARD_ROOT => {
-                        self.shards_reached += usize::from(shard.populated);
-                        heap.extend(shard.overlay_range().map(|id| keyer.block(id)));
-                        self.ordered += u64::from(shard.overlay_blocks);
-                        match tree.root() {
-                            Some(root) => root,
-                            None => continue,
-                        }
+        let entry = loop {
+            let entry = self.heap.pop()?;
+            if entry.rank & BLOCK_RANK != 0 {
+                break entry;
+            }
+            // A directory node: replace it by its children.
+            let s = (entry.rank >> 32) as usize;
+            let shard = &self.directory.shards[s];
+            let tree = &*shard.tree;
+            let node = match entry.rank as u32 {
+                SHARD_ROOT => {
+                    self.shards_reached += usize::from(shard.populated);
+                    self.heap
+                        .extend(shard.overlay_range().map(|id| keyer.block(id)));
+                    self.ordered += u64::from(shard.overlay_blocks);
+                    match tree.root() {
+                        Some(root) => root,
+                        None => continue,
                     }
-                    n => tree.node(n),
-                };
-                let children = tree.children(node);
-                heap.extend(children.iter().map(|&c| match DirChild::decode(c) {
+                }
+                n => tree.node(n),
+            };
+            let children = tree.children(node);
+            self.heap
+                .extend(children.iter().map(|&c| match DirChild::decode(c) {
                     DirChild::Block(local) => keyer.block(shard.first_block + local),
                     DirChild::Node(n) => keyer.node(s, n, &tree.node(n).extent),
                 }));
-                self.ordered += children.len() as u64;
-            },
+            self.ordered += children.len() as u64;
         };
         let next = keyer.yielded(entry);
         self.yielded += 1;
@@ -448,9 +417,7 @@ impl<'a> DistanceCursor<'a> {
 
 impl Drop for DistanceCursor<'_> {
     fn drop(&mut self) {
-        if let Source::Directory { heap, home, .. } = &mut self.source {
-            **home = std::mem::take(heap).into_vec();
-        }
+        *self.home = std::mem::take(&mut self.heap).into_vec();
     }
 }
 
@@ -641,23 +608,23 @@ mod tests {
         }
     }
 
-    /// An index that reports no directory takes the flat path and still
-    /// yields the same sequence.
+    /// A directory of a different shape over the same blocks — packed from
+    /// the footprints instead of tiled — yields the same sequence.
     #[test]
-    fn index_without_a_directory_falls_back_to_the_flat_ordering() {
+    fn a_packed_directory_yields_the_same_ordering_as_the_grid_tiles() {
         let g = grid(300, 7);
         let origin = Point::anonymous(12.0, 80.0);
+        let packed = BlockDirectory::packed(g.blocks());
         let mut frontier = Vec::new();
         let reference: Vec<OrderedBlock> = BlockOrder::maxdist(g.blocks(), &origin).collect();
-        let mut cursor = DistanceCursor::over(
+        let got: Vec<OrderedBlock> = DistanceCursor::over(
             g.blocks(),
-            None,
+            &packed,
             &origin,
             OrderMetric::MaxDist,
             &mut frontier,
-        );
-        assert_eq!(cursor.blocks_ordered(), g.num_blocks() as u64);
-        let got: Vec<OrderedBlock> = cursor.by_ref().collect();
+        )
+        .collect();
         assert!(same_sequence(&got, &reference));
     }
 }

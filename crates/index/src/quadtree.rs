@@ -261,8 +261,8 @@ impl SpatialIndex for QuadtreeIndex {
         }
     }
 
-    fn directory(&self) -> Option<&BlockDirectory> {
-        Some(&self.directory)
+    fn directory(&self) -> &BlockDirectory {
+        &self.directory
     }
 }
 

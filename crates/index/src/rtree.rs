@@ -112,8 +112,8 @@ impl SpatialIndex for StrRTree {
         })
     }
 
-    fn directory(&self) -> Option<&BlockDirectory> {
-        Some(&self.directory)
+    fn directory(&self) -> &BlockDirectory {
+        &self.directory
     }
 }
 

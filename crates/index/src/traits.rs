@@ -11,7 +11,6 @@ use twoknn_geometry::{Point, Rect};
 use crate::block::{BlockId, BlockMeta};
 use crate::directory::BlockDirectory;
 use crate::ordering::{DistanceCursor, OrderMetric};
-use crate::partition::PartitionMeta;
 use crate::points::BlockPoints;
 use crate::scratch::ScratchSpace;
 
@@ -56,29 +55,12 @@ pub trait SpatialIndex {
         self.blocks().len()
     }
 
-    /// The coarse spatial partitions (shards) of this index, if it is
-    /// sharded.
-    ///
-    /// Each [`PartitionMeta`] must own a contiguous, disjoint range of the
-    /// dense block-id space, the ranges must cover `0..num_blocks()` in
-    /// ascending order, and every partition's MBR must contain the footprints
-    /// of its non-empty blocks. Purely descriptive: queries reach the shard
-    /// tier through [`SpatialIndex::directory`]. Plain (unsharded) indexes
-    /// keep the default `None`.
-    fn partitions(&self) -> Option<&[PartitionMeta]> {
-        None
-    }
-
     /// The block directory of this index: a small tree over the block-id
     /// space that lets a [`DistanceCursor`] order blocks around a point
-    /// without looking at every block.
-    ///
-    /// The directory must cover exactly `0..num_blocks()`. An index that
-    /// returns `None` (the default) is still queryable — every ordering then
-    /// computes the distance to every block, as [`crate::BlockOrder`] does.
-    fn directory(&self) -> Option<&BlockDirectory> {
-        None
-    }
+    /// without looking at every block. It must cover exactly
+    /// `0..num_blocks()`; an index that has no structure of its own to offer
+    /// returns [`BlockDirectory::packed`] over its blocks.
+    fn directory(&self) -> &BlockDirectory;
 
     /// Convenience: all indexed points, flattened. Mainly for tests and
     /// brute-force baselines; order is unspecified.

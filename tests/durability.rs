@@ -236,9 +236,20 @@ fn crash_recovery_matches_a_never_crashed_instance() {
                         memory.compact_now("Objects").unwrap();
                     }
                 }
-                assert!(
-                    durable.store_metrics().wal_appends >= 3,
-                    "{tag}: every batch must be logged"
+                // Exactly one WAL record per publishing batch (every stage
+                // changes the visible set); the `Disabled` twin logs nothing.
+                let logged = durable.store_metrics();
+                assert_eq!(
+                    logged.wal_appends,
+                    write_stages().len() as u64,
+                    "{tag}: one WAL record per publishing batch"
+                );
+                assert!(logged.wal_bytes > 0, "{tag}: records carry payload");
+                let unlogged = memory.store_metrics();
+                assert_eq!(
+                    (unlogged.wal_appends, unlogged.wal_bytes),
+                    (0, 0),
+                    "{tag}: disabled durability must log nothing"
                 );
             }
 

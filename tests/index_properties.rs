@@ -10,8 +10,9 @@ use two_knn::core::store::{DurabilityConfig, OverlayConfig, ShardConfig, StoreCo
 use two_knn::datagen::rng::StdRng;
 use two_knn::geometry::{euclidean, maxdist, mindist};
 use two_knn::index::{
-    brute_force_knn, check_index_invariants, get_knn, get_knn_bounded, BlockId, BlockMeta,
-    BlockOrder, BlockPoints, DistanceCursor, Locality, Metrics, OrderMetric, ScratchSpace,
+    brute_force_knn, check_index_invariants, get_knn, get_knn_bounded, BlockDirectory, BlockId,
+    BlockMeta, BlockOrder, BlockPoints, DistanceCursor, Locality, Metrics, OrderMetric,
+    ScratchSpace,
 };
 use two_knn::{GridIndex, Point, QuadtreeIndex, Rect, SpatialIndex, StrRTree};
 
@@ -434,25 +435,40 @@ fn batched_knn_does_not_drift_across_mixed_ingest_batches() {
 // Directory cursor vs the flat reference ordering
 // ---------------------------------------------------------------------------
 
-/// `index` with its directory hidden: every ordering over it takes the flat
-/// compute-every-block path.
-struct Flat<'a>(&'a dyn SpatialIndex);
+/// `index` with its own directory swapped for one of a different shape:
+/// packed from the block footprints alone — one shard, no overlay, no tiles
+/// or quadrants — so every ordering over it walks a tree the index was not
+/// built with, and must still yield the same blocks.
+struct Flat<'a> {
+    index: &'a dyn SpatialIndex,
+    directory: BlockDirectory,
+}
+
+impl<'a> Flat<'a> {
+    fn new(index: &'a dyn SpatialIndex) -> Self {
+        let directory = BlockDirectory::packed(index.blocks());
+        Self { index, directory }
+    }
+}
 
 impl SpatialIndex for Flat<'_> {
     fn bounds(&self) -> Rect {
-        self.0.bounds()
+        self.index.bounds()
     }
     fn num_points(&self) -> usize {
-        self.0.num_points()
+        self.index.num_points()
     }
     fn blocks(&self) -> &[BlockMeta] {
-        self.0.blocks()
+        self.index.blocks()
     }
     fn block_points(&self, id: BlockId) -> BlockPoints<'_> {
-        self.0.block_points(id)
+        self.index.block_points(id)
     }
     fn locate(&self, p: &Point) -> Option<BlockId> {
-        self.0.locate(p)
+        self.index.locate(p)
+    }
+    fn directory(&self) -> &BlockDirectory {
+        &self.directory
     }
 }
 
@@ -492,8 +508,7 @@ impl Drop for TempDir {
     }
 }
 
-/// One index of every kind that reports a directory: the three families, a
-/// shard snapshot carrying inserts and tombstones, a 3×3 relation snapshot
+/// One index of every kind: the three families, a shard snapshot carrying inserts and tombstones, a 3×3 relation snapshot
 /// with an empty shard, a block file reopened from disk — and an index
 /// without points.
 fn directory_subjects(seed: u64) -> Vec<(&'static str, Arc<dyn SpatialIndex>)> {
@@ -585,7 +600,11 @@ fn directory_subjects(seed: u64) -> Vec<(&'static str, Arc<dyn SpatialIndex>)> {
     subjects.push(("reopened block file", reopened));
 
     for (name, index) in &subjects {
-        assert!(index.directory().is_some(), "{name} reports a directory");
+        assert_eq!(
+            index.directory().num_blocks(),
+            index.num_blocks(),
+            "{name}: the directory covers every block"
+        );
     }
     subjects
 }
@@ -676,18 +695,19 @@ fn directory_cursor_equals_the_flat_reference_everywhere() {
     }
 }
 
-/// Localities and neighborhoods built through the directory cursor are the
-/// ones the flat reference builds — same blocks in the same order, so every
-/// downstream counter agrees; only `blocks_ordered` differs. Covers k = 0,
-/// k beyond the relation and the index without points.
+/// Localities and neighborhoods built through the index's own directory are
+/// the ones a packed directory of a different shape builds — same blocks in
+/// the same order, so every downstream counter agrees; only `blocks_ordered`
+/// (and the shard tier, which the packed directory flattens) differs.
+/// Covers k = 0, k beyond the relation and the index without points.
 #[test]
 fn locality_through_the_cursor_equals_locality_through_the_flat_reference() {
     for seed in [21u64, 22] {
         let mut rng = StdRng::seed_from_u64(9_500 + seed);
         for (name, index) in directory_subjects(seed) {
             let index = index.as_ref();
-            let flat = Flat(index);
-            assert!(flat.directory().is_none());
+            let flat = Flat::new(index);
+            assert_eq!(flat.directory().num_shards(), 1);
             for origin in origins(index, &mut rng) {
                 for k in [0usize, 1, 5, 40, index.num_points() + 3] {
                     let ctx = format!("{name} seed {seed} k={k} from {origin}");
@@ -710,12 +730,16 @@ fn locality_through_the_cursor_equals_locality_through_the_flat_reference() {
                     assert_eq!(hood.len(), k.min(index.num_points()), "{ctx}");
 
                     // Five orderings a side (two per locality, one for the
-                    // kNN walk); a cursor keys each block and each directory
-                    // node at most once.
-                    let directory = index.directory().unwrap();
-                    let nodes = (directory.num_nodes() + directory.num_shards()) as u64;
-                    assert!(m.blocks_ordered <= mf.blocks_ordered + 5 * nodes, "{ctx}");
-                    // The flat side has no shard tier to count either.
+                    // kNN walk). Both sides walk a directory, so neither
+                    // bounds the other; a cursor keys each block and each
+                    // directory node (shard roots included) at most once, so
+                    // each side stays within five full walks of its own tree.
+                    let at_most = |dir: &BlockDirectory| {
+                        5 * (dir.num_blocks() + dir.num_nodes() + dir.num_shards()) as u64
+                    };
+                    assert!(m.blocks_ordered <= at_most(index.directory()), "{ctx}");
+                    assert!(mf.blocks_ordered <= at_most(flat.directory()), "{ctx}");
+                    // The packed side has no shard tier to count either.
                     let same = Metrics {
                         blocks_ordered: 0,
                         shards_scanned: 0,
@@ -786,10 +810,11 @@ fn knn_members_lie_in_blocks_of_the_locality() {
 }
 
 /// On a grid the size of `select_large`'s (125 × 125 = 15 625 blocks) a
-/// `get_knn` orders a small fraction of the blocks; the flat reference
-/// orders all of them — once: the kNN walk is a single MINDIST ordering (it
-/// was `2 * num_blocks` while `get_knn` also ran the locality's MAXDIST
-/// phase).
+/// `get_knn` orders a small fraction of the blocks. [`BlockOrder`], which
+/// orders all of them, is on no query path (every index has a directory),
+/// so the reference here is a directory of a different shape — packed, not
+/// tiled: it returns the same neighborhood and also orders only a fraction,
+/// so the saving is the cursor's, not the tiles'.
 #[test]
 fn get_knn_orders_a_fraction_of_a_large_grid() {
     let mut rng = StdRng::seed_from_u64(9_900);
@@ -821,12 +846,13 @@ fn get_knn_orders_a_fraction_of_a_large_grid() {
         );
         println!("k={k}: {mean} blocks ordered per get_knn");
     }
+    let q = Point::anonymous(20_000.0, 20_000.0);
     let mut mf = Metrics::default();
-    get_knn(
-        &Flat(&grid),
-        &Point::anonymous(20_000.0, 20_000.0),
-        8,
-        &mut mf,
+    let packed = get_knn(&Flat::new(&grid), &q, 8, &mut mf);
+    assert_eq!(packed, get_knn(&grid, &q, 8, &mut Metrics::default()));
+    assert!(
+        mf.blocks_ordered <= num_blocks / 10,
+        "{} blocks ordered through the packed directory",
+        mf.blocks_ordered
     );
-    assert_eq!(mf.blocks_ordered, num_blocks);
 }

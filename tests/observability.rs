@@ -113,9 +113,9 @@ query:    FIND (Objects WHERE INSIDE(RECT(10, 10, 80, 80))) WHERE KNN(7, 45, 45)
 ast:      FIND (Objects WHERE INSIDE(RECT(10, 10, 80, 80))) WHERE KNN(7, 45, 45)
 logical:  σ[k=7, f=(45, 45)](filter[INSIDE(RECT(10, 10, 80, 80))](Objects))
 rewrite:  pre-kNN filter on `Objects`: INSIDE(RECT(10, 10, 80, 80)) (pushed below the kNN predicates)
-strategy: select/FilteredKernel
+strategy: select
 plan:
-  knn-select [select/FilteredKernel] -> Points (k=7 focal=(45, 45) pre-filtered)
+  knn-select [select] -> Points (k=7 focal=(45, 45) pre-filtered)
 ";
     assert_eq!(db.explain(PRE_QUERY).unwrap().render(), expected);
 }

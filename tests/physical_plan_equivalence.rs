@@ -16,8 +16,7 @@ use std::sync::Arc;
 use two_knn::core::joins2::{ChainedJoinQuery, UnchainedJoinQuery};
 use two_knn::core::plan::{
     compile, ChainedStrategy, Database, QueryFilters, QueryResult, QuerySpec, RowSchema,
-    SelectInnerStrategy, SelectOuterStrategy, SelectStrategy, Strategy, TwoSelectsStrategy,
-    UnchainedStrategy,
+    SelectInnerStrategy, SelectOuterStrategy, Strategy, TwoSelectsStrategy, UnchainedStrategy,
 };
 use two_knn::core::select::KnnSelectQuery;
 use two_knn::core::select_join::{SelectInnerJoinQuery, SelectOuterJoinQuery};
@@ -55,10 +54,7 @@ fn strategies_for(spec: &QuerySpec) -> Vec<Strategy> {
             Strategy::TwoSelects(TwoSelectsStrategy::Conceptual),
             Strategy::TwoSelects(TwoSelectsStrategy::TwoKnnSelect),
         ],
-        QuerySpec::KnnSelect { .. } => vec![
-            Strategy::Select(SelectStrategy::FilteredKernel),
-            Strategy::Select(SelectStrategy::FilterThenScan),
-        ],
+        QuerySpec::KnnSelect { .. } => vec![Strategy::Select],
         // A filtered wrapper compiles against the wrapped shape's strategy.
         QuerySpec::Filtered { spec, .. } => strategies_for(spec),
     }
@@ -157,8 +153,8 @@ fn specs() -> Vec<(QuerySpec, RowSchema)> {
             },
             RowSchema::Points,
         ),
-        // Filtered wrapper around a select: pre-filter (masked kernel or
-        // filter-then-scan, both strategies above) plus a post residual.
+        // Filtered wrapper around a select: pre-filter (the masked kernel)
+        // plus a post residual.
         (
             QuerySpec::KnnSelect {
                 relation: "B".into(),

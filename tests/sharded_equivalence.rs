@@ -11,8 +11,9 @@ use two_knn::core::plan::{Database, QuerySpec};
 use two_knn::core::select_join::{SelectInnerJoinQuery, SelectOuterJoinQuery};
 use two_knn::core::selects2::TwoSelectsQuery;
 use two_knn::core::store::{ShardConfig, StoreConfig, WriteOp};
+use two_knn::geometry::mindist_sq;
 use two_knn::index::{brute_force_knn, get_knn};
-use two_knn::{GridIndex, Metrics, Point, QuadtreeIndex, SpatialIndex, StrRTree};
+use two_knn::{GridIndex, Metrics, Point, QuadtreeIndex, Rect, SpatialIndex, StrRTree};
 
 /// Irregular, tie-free point cloud over roughly [0, 110]².
 fn scattered(n: usize, id_base: u64, seed: u64) -> Vec<Point> {
@@ -136,9 +137,10 @@ fn sharded_matches_unsharded_for_all_query_shapes_and_families() {
         {
             let snap = sharded.relation("Objects").unwrap();
             assert_eq!(snap.num_shards(), 9, "{family}: 3×3 sharding requested");
-            assert!(
-                snap.partitions().is_some_and(|parts| parts.len() == 9),
-                "{family}: composed snapshot must expose the partition tier"
+            assert_eq!(
+                snap.directory().num_shards(),
+                9,
+                "{family}: the composed directory's first level is the shards"
             );
         }
 
@@ -221,10 +223,20 @@ fn clustered_knn_scans_only_mindist_qualified_shards() {
         sharding: ShardConfig::per_axis(4),
         ..StoreConfig::default()
     });
-    db.register("Objects", GridIndex::build(pts, 10).unwrap());
+    let index = GridIndex::build(pts, 10).unwrap();
+    db.register("Objects", index.clone());
     let snap = db.relation("Objects").unwrap();
-    let parts = snap.partitions().expect("sharded snapshot has partitions");
-    let populated = parts.iter().filter(|p| !p.is_empty()).count();
+    // Each populated shard's tight MBR over its non-empty blocks.
+    let shard_mbrs: Vec<Rect> = snap
+        .shards()
+        .iter()
+        .filter_map(|shard| {
+            let mut nonempty = shard.blocks().iter().filter(|b| b.count > 0);
+            let first = nonempty.next()?.mbr;
+            Some(nonempty.fold(first, |mbr, b| mbr.union(&b.mbr)))
+        })
+        .collect();
+    let populated = shard_mbrs.len();
     assert!(populated > 4, "spread points must populate many shards");
 
     let q = Point::anonymous(11.0, 11.0);
@@ -250,13 +262,28 @@ fn clustered_knn_scans_only_mindist_qualified_shards() {
     // scatter-gather driver visits shards in MINDIST order, so the scanned
     // set is exactly the MINDIST-qualified prefix (ties aside).
     let tau_sq = hood.radius() * hood.radius();
-    let qualified = parts
+    let qualified = shard_mbrs
         .iter()
-        .filter(|p| !p.is_empty() && p.mindist_sq(&q) <= tau_sq)
+        .filter(|mbr| mindist_sq(&q, mbr) <= tau_sq)
         .count();
     assert!(
         m.shards_scanned as usize <= qualified + 1,
         "scanned {} shards but only {qualified} qualify against τ²",
         m.shards_scanned
+    );
+
+    // The single-shard twin of the same relation has no shard tier to prune,
+    // and the sharded layout must not scan more points than it does.
+    let mut single = Database::new();
+    single.register("Objects", index);
+    let single_snap = single.relation("Objects").unwrap();
+    let mut ms = Metrics::default();
+    assert_eq!(get_knn(&*single_snap, &q, k, &mut ms), hood);
+    assert_eq!(ms.shards_pruned, 0, "a single shard has nothing to prune");
+    assert!(
+        m.points_scanned <= ms.points_scanned,
+        "sharded scanned {} points, single-shard {}",
+        m.points_scanned,
+        ms.points_scanned
     );
 }
