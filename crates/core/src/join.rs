@@ -4,16 +4,20 @@
 //! e2 ∈ E2, and e2 is among the k-closest points to e1." (Section 1.)
 //!
 //! The kNN-join is evaluated by computing, for every point of the outer
-//! relation, its neighborhood in the inner relation via the index layer's
-//! `getkNN` — exactly the strategy the paper assumes for its conceptually
-//! correct QEPs. The outer relation's blocks are the work items of a
+//! relation, its neighborhood in the inner relation — exactly the strategy
+//! the paper assumes for its conceptually correct QEPs. The points come an
+//! outer block at a time, so the inner blocks they can need are found once
+//! per outer block ([`BlockKnn`]: the locality of the block's tight box)
+//! and each point's neighborhood is scanned from that candidate list;
+//! [`knn_join_points`], whose points need not share a block, runs `getkNN`
+//! per point. The outer relation's blocks are the work items of a
 //! [`run_over_blocks`](crate::exec::run_over_blocks) run, so under
 //! [`ExecutionMode::Pooled`] they spread over the current worker pool with
 //! the same rows (in the same order) and the same merged counters as the
 //! serial evaluation.
 
 use twoknn_geometry::Point;
-use twoknn_index::{get_knn, Metrics, SpatialIndex};
+use twoknn_index::{get_knn, BlockKnn, Metrics, SpatialIndex};
 
 use crate::exec::ExecutionMode;
 use crate::output::{Pair, QueryOutput};
@@ -44,8 +48,13 @@ where
 {
     let rows =
         crate::exec::run_over_blocks(outer.blocks(), mode, metrics, |block, pairs, metrics| {
-            for e1 in outer.block_points(block.id) {
-                let nbr = get_knn(inner, &e1, k, metrics);
+            let points = outer.block_points(block.id);
+            let Ok(region) = points.bounding() else {
+                return;
+            };
+            let mut knn = BlockKnn::prepare(inner, &region, k, metrics);
+            for e1 in points {
+                let nbr = knn.get(&e1, metrics);
                 for n in nbr.members() {
                     pairs.push(Pair::new(e1, n.point));
                 }

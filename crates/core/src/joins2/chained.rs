@@ -17,12 +17,15 @@
 //! Every plan partitions its block loops through
 //! [`crate::exec::run_partitioned`]; under `Pooled` mode a multi-phase plan
 //! (e.g. QEP2's two joins) reuses the current persistent worker pool for
-//! each phase.
+//! each phase. Neighborhoods are found a block at a time ([`BlockKnn`]): an
+//! `A` block's points off one candidate list of `B` blocks and, in QEP3, the
+//! `b`s that block produces off one candidate list of `C` blocks.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use twoknn_geometry::PointId;
-use twoknn_index::{get_knn, Metrics, Neighborhood, SpatialIndex};
+use twoknn_geometry::{Point, PointId, Rect};
+use twoknn_index::{BlockKnn, Metrics, Neighborhood, SpatialIndex};
 
 use crate::exec::{run_over_blocks, run_partitioned, ExecutionMode};
 use crate::join::knn_join_rows;
@@ -70,8 +73,13 @@ where
 
     // Outer join: A against B, then look b up in the materialized result.
     let rows = run_over_blocks(a.blocks(), mode, &mut metrics, |block, rows, metrics| {
-        for a_point in a.block_points(block.id) {
-            let nbr_a = get_knn(b, &a_point, query.k_ab, metrics);
+        let a_points = a.block_points(block.id);
+        let Ok(region) = a_points.bounding() else {
+            return;
+        };
+        let mut knn = BlockKnn::prepare(b, &region, query.k_ab, metrics);
+        for a_point in a_points {
+            let nbr_a = knn.get(&a_point, metrics);
             for n in nbr_a.members() {
                 if let Some(cs) = bc_by_b.get(&n.point.id) {
                     for c_point in cs {
@@ -195,22 +203,60 @@ where
 
     let rows = run_partitioned(&chunks, mode, &mut metrics, |chunk, rows, metrics| {
         let mut cache: HashMap<PointId, Neighborhood> = HashMap::new();
+        // Per A block, reused across the chunk: the a neighborhoods, the b
+        // points to expand (cache misses, or every (a, b) without the
+        // cache) and, without the cache, their neighborhoods in order.
+        let mut nbrs_a: Vec<Neighborhood> = Vec::new();
+        let mut expand: Vec<Point> = Vec::new();
+        let mut expanded: Vec<Neighborhood> = Vec::new();
         for block in *chunk {
-            for a_point in a.block_points(block.id) {
-                let nbr_a = get_knn(b, &a_point, query.k_ab, metrics);
+            let a_points = a.block_points(block.id);
+            let Ok(region) = a_points.bounding() else {
+                continue;
+            };
+            let mut knn_b = BlockKnn::prepare(b, &region, query.k_ab, metrics);
+            nbrs_a.clear();
+            nbrs_a.extend(a_points.iter().map(|a_point| knn_b.get(&a_point, metrics)));
+            drop(knn_b);
+
+            // Hits and misses are counted per (a, b) in row order; a miss
+            // holds an empty placeholder until the block's bs are expanded,
+            // so a b repeated within the block is a hit, as before.
+            expand.clear();
+            for n in nbrs_a.iter().flat_map(Neighborhood::members) {
+                if !use_cache {
+                    expand.push(n.point);
+                } else if let Entry::Vacant(slot) = cache.entry(n.point.id) {
+                    metrics.cache_misses += 1;
+                    slot.insert(Neighborhood::empty(n.point, query.k_bc));
+                    expand.push(n.point);
+                } else {
+                    metrics.cache_hits += 1;
+                }
+            }
+
+            // The block's bs, expanded together off one candidate list of C.
+            expanded.clear();
+            if let Ok(b_region) = Rect::bounding(&expand) {
+                let mut knn_c = BlockKnn::prepare(c, &b_region, query.k_bc, metrics);
+                for b_point in &expand {
+                    let nbr_b = knn_c.get(b_point, metrics);
+                    if use_cache {
+                        cache.insert(b_point.id, nbr_b);
+                    } else {
+                        expanded.push(nbr_b);
+                    }
+                }
+            }
+
+            // Rows in (a, b, c) order; cached neighborhoods by reference.
+            let mut uncached = expanded.iter();
+            for (a_point, nbr_a) in a_points.iter().zip(&nbrs_a) {
                 for n in nbr_a.members() {
                     let nbr_b = if use_cache {
-                        if let Some(hit) = cache.get(&n.point.id) {
-                            metrics.cache_hits += 1;
-                            hit.clone()
-                        } else {
-                            metrics.cache_misses += 1;
-                            let computed = get_knn(c, &n.point, query.k_bc, metrics);
-                            cache.insert(n.point.id, computed.clone());
-                            computed
-                        }
+                        &cache[&n.point.id]
                     } else {
-                        get_knn(c, &n.point, query.k_bc, metrics)
+                        uncached.next().expect("one expansion per (a, b)")
                     };
                     for m in nbr_b.members() {
                         rows.push(Triplet::new(a_point, n.point, m.point));

@@ -7,7 +7,7 @@
 use std::collections::{HashMap, HashSet};
 
 use twoknn_geometry::PointId;
-use twoknn_index::{get_knn, BlockId, Metrics, SpatialIndex};
+use twoknn_index::{get_knn, BlockId, BlockKnn, Metrics, SpatialIndex};
 
 use crate::exec::{run_over_blocks, ExecutionMode};
 use crate::join::knn_join_rows;
@@ -168,10 +168,13 @@ where
             return;
         }
 
-        // Lines 25–34: join the points of the Contributing block and
-        // intersect on B.
-        for c_point in c.block_points(c_block.id) {
-            let nbr_c = get_knn(b, &c_point, query.k_cb, metrics);
+        // Lines 25–34: join the points of the Contributing block, off one
+        // candidate list of B blocks, and intersect on B.
+        let c_points = c.block_points(c_block.id);
+        let region = c_points.bounding().expect("the block holds points");
+        let mut knn = BlockKnn::prepare(b, &region, query.k_cb, metrics);
+        for c_point in c_points {
+            let nbr_c = knn.get(&c_point, metrics);
             for n in nbr_c.members() {
                 if let Some(ab) = ab_by_b.get(&n.point.id) {
                     for a_point in ab {

@@ -22,10 +22,12 @@
 //! work.
 //!
 //! After preprocessing, only the points inside Contributing blocks pay for a
-//! neighborhood computation; their neighborhoods are intersected with the
-//! focal neighborhood exactly as in the conceptual plan.
+//! neighborhood computation — off one candidate list of inner blocks per
+//! Contributing block ([`BlockKnn`]) — and their neighborhoods are
+//! intersected with the focal neighborhood exactly as in the conceptual
+//! plan.
 
-use twoknn_index::{get_knn, BlockMeta, Metrics, ScratchSpace, SpatialIndex};
+use twoknn_index::{get_knn, BlockKnn, BlockMeta, Metrics, ScratchSpace, SpatialIndex};
 
 use crate::exec::{run_partitioned, ExecutionMode};
 use crate::output::{Pair, QueryOutput};
@@ -86,9 +88,13 @@ where
     // Procedure 2, lines 4–12: join only the points of Contributing blocks,
     // partitioned across workers.
     let rows = run_partitioned(&contributing, mode, &mut metrics, |block, rows, metrics| {
-        for e1 in outer.block_points(block.id) {
-            let nbr_e1 = get_knn(inner, &e1, query.k_join, metrics);
-            for i in nbr_e1.intersect(&nbr_f) {
+        let points = outer.block_points(block.id);
+        let region = points
+            .bounding()
+            .expect("a Contributing block holds points");
+        let mut knn = BlockKnn::prepare(inner, &region, query.k_join, metrics);
+        for e1 in points {
+            for i in knn.get(&e1, metrics).intersect(&nbr_f) {
                 rows.push(Pair::new(e1, i));
             }
         }

@@ -13,10 +13,12 @@
 //!    than `k⋈` inner points strictly closer than any member of `nbr_f`, so
 //!    its neighborhood cannot intersect `nbr_f` and `e1` is skipped.
 //!
-//! Only the surviving outer points pay for a neighborhood computation.
+//! Only the surviving outer points pay for a neighborhood computation, and
+//! an outer block's survivors share one candidate list of inner blocks
+//! ([`BlockKnn`]), found at the block's first survivor.
 
 use twoknn_geometry::Point;
-use twoknn_index::{get_knn, with_thread_scratch, Metrics, Neighborhood, SpatialIndex};
+use twoknn_index::{with_thread_scratch, BlockKnn, Metrics, Neighborhood, SpatialIndex};
 
 use crate::exec::{run_over_blocks, ExecutionMode};
 use crate::output::{Pair, QueryOutput};
@@ -56,8 +58,22 @@ where
         mode,
         &mut metrics,
         |block, rows, metrics| {
-            for e1 in outer.block_points(block.id) {
-                counting_test_point(&e1, inner, &nbr_f, query, rows, metrics);
+            let points = outer.block_points(block.id);
+            // The block's candidate inner blocks, found at its first
+            // survivor: a block whose points are all pruned pays for none.
+            let mut knn = None;
+            for e1 in points {
+                if !counting_test_point(&e1, inner, &nbr_f, query, metrics) {
+                    metrics.points_pruned += 1;
+                    continue;
+                }
+                let knn = knn.get_or_insert_with(|| {
+                    let region = points.bounding().expect("the block holds e1");
+                    BlockKnn::prepare(inner, &region, query.k_join, metrics)
+                });
+                for i in knn.get(&e1, metrics).intersect(&nbr_f) {
+                    rows.push(Pair::new(e1, i));
+                }
             }
         },
     );
@@ -65,15 +81,17 @@ where
     QueryOutput::new(rows, metrics)
 }
 
-/// Procedure 1, lines 5–21, for a single outer point.
+/// Procedure 1, lines 5–21, for a single outer point: whether `e1`'s
+/// neighborhood must be computed — `false` when the count proves it cannot
+/// intersect `nbr_f`.
 fn counting_test_point<I>(
     e1: &Point,
     inner: &I,
     nbr_f: &Neighborhood,
     query: &SelectInnerJoinQuery,
-    rows: &mut Vec<Pair>,
     metrics: &mut Metrics,
-) where
+) -> bool
+where
     I: SpatialIndex + ?Sized,
 {
     // Line 5: distance from e1 to the nearest member of nbr_f.
@@ -84,18 +102,9 @@ fn counting_test_point<I>(
 
     // Lines 6–14: count inner points in blocks completely included
     // within the search threshold, scanning in MAXDIST order from e1.
-    let count = count_within(inner, e1, search_threshold, query.k_join, metrics);
-
-    // Lines 15–21: only compute e1's neighborhood if the count did not
-    // prove the intersection impossible.
-    if count <= query.k_join {
-        let nbr_e1 = get_knn(inner, e1, query.k_join, metrics);
-        for i in nbr_e1.intersect(nbr_f) {
-            rows.push(Pair::new(*e1, i));
-        }
-    } else {
-        metrics.points_pruned += 1;
-    }
+    // Lines 15–21: only e1's neighborhood is left to compute when the count
+    // did not prove the intersection impossible.
+    count_within(inner, e1, search_threshold, query.k_join, metrics) <= query.k_join
 }
 
 /// The counting scan of Procedure 1 (lines 6–14), shared with the

@@ -72,6 +72,35 @@ pub fn maxdist(p: &Point, r: &Rect) -> f64 {
     maxdist_sq(p, r).sqrt()
 }
 
+/// Squared MINDIST between two rectangles: the smallest squared distance
+/// between a point of `a` and a point of `b` — zero when they overlap or
+/// touch.
+///
+/// A degenerate `a` (a point) gives exactly [`mindist_sq`]: the axis gap is
+/// the same `max(lo − v, v − hi, 0)` expression. Every operation rounds
+/// monotonically, so for any `p` in `a` the result never exceeds
+/// `mindist_sq(p, b)`, in floating point as well as in the reals.
+#[inline]
+pub fn rect_mindist_sq(a: &Rect, b: &Rect) -> f64 {
+    let dx = (b.min_x - a.max_x).max(a.min_x - b.max_x).max(0.0);
+    let dy = (b.min_y - a.max_y).max(a.min_y - b.max_y).max(0.0);
+    dx * dx + dy * dy
+}
+
+/// Squared MAXDIST between two rectangles: the largest squared distance
+/// between a point of `a` and a point of `b` (per axis, the farther pair of
+/// opposite edges).
+///
+/// A degenerate `a` gives exactly [`maxdist_sq`], and for any `p` in `a` and
+/// `q` in `b` the result is at least `p.distance_sq(&q)` in floating point
+/// too — every operation rounds monotonically.
+#[inline]
+pub fn rect_maxdist_sq(a: &Rect, b: &Rect) -> f64 {
+    let dx = (b.max_x - a.min_x).max(a.max_x - b.min_x);
+    let dy = (b.max_y - a.min_y).max(a.max_y - b.min_y);
+    dx * dx + dy * dy
+}
+
 /// Distance from coordinate `v` to the interval `[lo, hi]` (0 when inside).
 ///
 /// Branchless: `max(lo - v, v - hi, 0)` — when `v` is inside the interval
@@ -238,6 +267,112 @@ mod tests {
         assert_eq!(batched, scalar, "bit-identical distances");
         for (d, p) in batched.iter().zip(&points) {
             assert_eq!(*d, q.distance_sq(p));
+        }
+    }
+
+    /// Rect-to-rect MINDIST²/MAXDIST² bound the squared distance of every
+    /// sampled pair `p ∈ a`, `q ∈ b` — corners, edges and interior — and are
+    /// attained: by the pair of clamped nearest points and by a pair of
+    /// corners. The layouts cover disjoint, overlapping, touching (on an edge
+    /// and on a corner), nested and identical rects, plus zero-width ones.
+    #[test]
+    fn rect_distances_bound_and_attain_sampled_pair_distances() {
+        let b = block(); // [2,4] x [2,6]
+        let layouts = [
+            Rect::new(7.0, -3.0, 9.5, 0.5),  // disjoint, diagonal
+            Rect::new(-5.0, 3.0, -1.0, 4.0), // disjoint, left
+            Rect::new(3.0, 5.0, 8.0, 9.0),   // overlapping
+            Rect::new(4.0, 0.0, 5.0, 3.0),   // touching along an edge
+            Rect::new(4.0, 6.0, 5.5, 7.25),  // touching at a corner
+            Rect::new(2.5, 3.0, 3.5, 4.0),   // nested inside b
+            Rect::new(0.0, 0.0, 10.0, 10.0), // b nested inside
+            b,                               // identical
+            Rect::new(3.0, -2.0, 3.0, 8.0),  // zero width, crossing
+            Rect::new(-1.5, 7.0, -1.5, 7.0), // a point
+        ];
+        let samples = |r: &Rect| -> Vec<Point> {
+            let mut pts: Vec<Point> = r.corners().to_vec();
+            for i in 0..64u64 {
+                let h = i.wrapping_mul(0x9E3779B97F4A7C15);
+                let (u, v) = (
+                    (h % 1001) as f64 / 1000.0,
+                    ((h >> 20) % 1001) as f64 / 1000.0,
+                );
+                pts.push(Point::anonymous(
+                    (r.min_x + u * r.width()).min(r.max_x),
+                    (r.min_y + v * r.height()).min(r.max_y),
+                ));
+            }
+            pts
+        };
+        let clamp = |p: &Point, r: &Rect| {
+            Point::anonymous(p.x.clamp(r.min_x, r.max_x), p.y.clamp(r.min_y, r.max_y))
+        };
+        for a in layouts {
+            let (lo, hi) = (rect_mindist_sq(&a, &b), rect_maxdist_sq(&a, &b));
+            assert_eq!(lo, rect_mindist_sq(&b, &a), "{a}: symmetric");
+            assert_eq!(hi, rect_maxdist_sq(&b, &a), "{a}: symmetric");
+            assert_eq!(
+                lo == 0.0,
+                a.intersects(&b),
+                "{a}: zero exactly when touching"
+            );
+            let (mut nearest, mut farthest) = (f64::INFINITY, 0.0f64);
+            for p in samples(&a) {
+                assert!(lo <= mindist_sq(&p, &b), "{a}: {p}");
+                assert!(maxdist_sq(&p, &b) <= hi, "{a}: {p}");
+                for q in samples(&b) {
+                    let d = p.distance_sq(&q);
+                    assert!(lo <= d && d <= hi, "{a}: {p} {q}");
+                    farthest = farthest.max(d);
+                }
+                nearest = nearest.min(p.distance_sq(&clamp(&p, &b)));
+            }
+            // The nearest pair: a corner of the overlap (or gap) of a and b
+            // clamped into b.
+            let gap_corner = clamp(&clamp(&b.center(), &a), &b);
+            let from = clamp(&gap_corner, &a);
+            nearest = nearest.min(from.distance_sq(&gap_corner));
+            assert_eq!(nearest, lo, "{a}: MINDIST attained");
+            assert_eq!(farthest, hi, "{a}: MAXDIST attained at corners");
+        }
+    }
+
+    /// A point is the degenerate rect: the rect-to-rect helpers give the
+    /// point-to-rect MINDIST² and MAXDIST² bit for bit, inside, outside and
+    /// on the boundary, so a cursor keyed by rect origins orders point
+    /// queries exactly as before.
+    #[test]
+    fn degenerate_rect_equals_point_distances_bit_for_bit() {
+        let r = block();
+        let edge_values = [
+            -7.0, 1.0, 1.999999, 2.0, 2.000001, 3.0, 4.0, 5.9, 6.0, 6.1, 100.0,
+        ];
+        let mut pts: Vec<Point> = Vec::new();
+        for &x in &edge_values {
+            for &y in &edge_values {
+                pts.push(Point::anonymous(x, y));
+            }
+        }
+        for i in 0..4096u64 {
+            let h = i.wrapping_mul(0x9E3779B97F4A7C15);
+            pts.push(Point::anonymous(
+                ((h % 2_000) as f64 - 1_000.0) * 0.0137,
+                (((h >> 20) % 2_000) as f64 - 1_000.0) * 0.0091,
+            ));
+        }
+        for p in pts {
+            let at = Rect::new(p.x, p.y, p.x, p.y);
+            assert_eq!(
+                rect_mindist_sq(&at, &r).to_bits(),
+                mindist_sq(&p, &r).to_bits(),
+                "{p}"
+            );
+            assert_eq!(
+                rect_maxdist_sq(&at, &r).to_bits(),
+                maxdist_sq(&p, &r).to_bits(),
+                "{p}"
+            );
         }
     }
 

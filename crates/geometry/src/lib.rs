@@ -12,7 +12,9 @@
 //! * the Euclidean point-to-point distance,
 //! * the **MINDIST** and **MAXDIST** metrics between a point and a block
 //!   (Roussopoulos, Kelley, Vincent — SIGMOD 1995), which bound the distance
-//!   between the point and *any* point inside the block.
+//!   between the point and *any* point inside the block — and their
+//!   rect-to-rect forms, which bound it for every point of a whole region
+//!   (one locality per outer block of a join).
 //!
 //! All distances are exposed both in squared form (cheap, used for ordering)
 //! and in Euclidean form (used where the paper adds distances together, e.g.
@@ -28,6 +30,7 @@ mod rect;
 
 pub use distance::{
     euclidean, euclidean_sq, euclidean_sq_batch, maxdist, maxdist_sq, mindist, mindist_sq,
+    rect_maxdist_sq, rect_mindist_sq,
 };
 pub use point::{Point, PointId};
 pub use predicate::Predicate;

@@ -174,6 +174,14 @@ impl Rect {
     }
 }
 
+/// A point is the degenerate rectangle `[x, x] × [y, y]`.
+impl From<Point> for Rect {
+    #[inline]
+    fn from(p: Point) -> Self {
+        Self::new(p.x, p.y, p.x, p.y)
+    }
+}
+
 impl std::fmt::Display for Rect {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

@@ -27,7 +27,7 @@
 //! allocates the transient heap and buffers once, not per query.
 //! [`brute_force_knn`] is the `O(n log n)` ground truth for tests.
 
-use twoknn_geometry::{Point, Predicate};
+use twoknn_geometry::{Point, Predicate, Rect};
 
 use crate::metrics::Metrics;
 use crate::neighborhood::{Neighbor, Neighborhood};
@@ -111,13 +111,14 @@ fn search<I: SpatialIndex + ?Sized>(
         kth,
         frontier,
         mask: lanes,
+        ..
     } = scratch;
     kth.reset(k);
 
     let mut order = DistanceCursor::over(
         index.blocks(),
         index.directory(),
-        p,
+        &Rect::from(*p),
         OrderMetric::MinDist,
         frontier,
     );

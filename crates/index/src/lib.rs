@@ -29,17 +29,22 @@
 //!   shard whose footprint lies beyond the search radius is never descended
 //!   into — the paper's block pruning lifted one level up (counted by
 //!   `Metrics::shards_scanned` / `shards_pruned`);
-//! * [`DistanceCursor`] — the one MINDIST/MAXDIST ordering of blocks: a
-//!   best-first walk of the directory that yields blocks in ascending
-//!   `(distance², block id)` and computes distances only for the nodes and
-//!   blocks it reaches, so a scan that stops after a handful of blocks never
-//!   looks at the rest. [`BlockOrder`], which orders every block up front,
-//!   is the reference the tests compare against;
+//! * [`DistanceCursor`] — the one MINDIST/MAXDIST ordering of blocks around
+//!   a point or a rectangle: a best-first walk of the directory that yields
+//!   blocks in ascending `(distance², block id)` and computes distances only
+//!   for the nodes and blocks it reaches, so a scan that stops after a
+//!   handful of blocks never looks at the rest. [`BlockOrder`], which orders
+//!   every block up front, is the reference the tests compare against;
 //! * [`get_knn`] — `getkNN` as one walk: blocks come off a MINDIST cursor,
 //!   each is scanned by the batched kth-distance kernel as it arrives, and
 //!   the walk stops at the first block beyond the running k-th distance;
 //!   [`get_knn_bounded`] and [`get_knn_filtered`] are the same walk with a
 //!   distance bound or a predicate mask;
+//! * [`BlockKnn`] — the same neighborhoods for every point of a region (an
+//!   outer block's tight box), off one rect-origin cursor walk per region:
+//!   the candidate blocks within the region's covering radius are found
+//!   once and each point scans them nearest-first, τ-pruned — how every
+//!   join loops over an outer block's points;
 //! * [`Locality`] — the paper's Definition 2 and the two-phase construction
 //!   of Sankaranarayanan, Samet & Varshney, kept as the reference the tests
 //!   compare the walk against (`get_knn` scans a subset of its blocks);
@@ -80,6 +85,7 @@
 #![forbid(unsafe_code)]
 
 mod block;
+mod block_knn;
 mod directory;
 mod grid;
 mod knn;
@@ -94,6 +100,7 @@ mod scratch;
 mod traits;
 
 pub use block::{BlockId, BlockMeta};
+pub use block_knn::BlockKnn;
 pub use directory::{BlockDirectory, DirChild, DirectoryBuilder};
 pub use grid::GridIndex;
 pub use knn::{

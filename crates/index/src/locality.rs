@@ -30,7 +30,7 @@
 //! Definition 2 made executable — the reference the tests hold the walk to
 //! (every neighbor `get_knn` returns lies in a block of the locality).
 
-use twoknn_geometry::Point;
+use twoknn_geometry::{Point, Rect};
 
 use crate::block::BlockMeta;
 use crate::metrics::Metrics;
@@ -90,6 +90,7 @@ impl Locality {
         metrics: &mut Metrics,
     ) -> Self {
         let (all_blocks, directory) = (index.blocks(), index.directory());
+        let origin = Rect::from(*p);
         let mut blocks = Vec::new();
         let mut in_locality = vec![false; all_blocks.len()];
         // Both phases run on one frontier buffer, one cursor after the other.
@@ -105,7 +106,7 @@ impl Locality {
         let mut max_order = DistanceCursor::over(
             all_blocks,
             directory,
-            p,
+            &origin,
             OrderMetric::MaxDist,
             &mut frontier,
         );
@@ -136,7 +137,7 @@ impl Locality {
         let mut min_order = DistanceCursor::over(
             all_blocks,
             directory,
-            p,
+            &origin,
             OrderMetric::MinDist,
             &mut frontier,
         );

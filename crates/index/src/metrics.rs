@@ -16,14 +16,19 @@
 pub struct Metrics {
     /// Number of neighborhood (`getkNN`) computations performed.
     pub neighborhoods_computed: u64,
-    /// Number of blocks examined. On the kNN path: the blocks whose points
-    /// were scanned. In the counting scans ([`Locality`](crate::Locality),
-    /// Counting, Block-Marking): every block a MINDIST/MAXDIST scan pulled,
-    /// including those only inspected for their count.
+    /// Number of blocks examined. On the kNN path — [`get_knn`](crate::get_knn)
+    /// and the candidate path of [`BlockKnn`](crate::BlockKnn) alike — the
+    /// blocks whose points were scanned. In the counting scans
+    /// ([`Locality`](crate::Locality), Counting, Block-Marking): every block
+    /// a MINDIST/MAXDIST scan pulled, including those only inspected for
+    /// their count.
     pub blocks_scanned: u64,
     /// Number of directory nodes and blocks whose MINDIST/MAXDIST a block
-    /// ordering computed — the cost of *finding* the blocks to scan. An
-    /// ordering over an index without a block directory counts every block.
+    /// ordering computed — the cost of *finding* the blocks to scan. On the
+    /// candidate path it is the one walk
+    /// [`BlockKnn::prepare`](crate::BlockKnn::prepare) makes per outer
+    /// region, and the shard counters are that walk's; keying the candidates
+    /// per point is not counted.
     pub blocks_ordered: u64,
     /// Number of individual points examined (distance computed or compared).
     pub points_scanned: u64,
@@ -37,7 +42,11 @@ pub struct Metrics {
     pub cache_misses: u64,
     /// Number of blocks pruned without per-point processing. On the kNN
     /// path: the non-empty blocks the walk never reached because it stopped
-    /// at the k-th distance. Elsewhere: Non-Contributing blocks in
+    /// at the k-th distance. On the candidate path of
+    /// [`BlockKnn`](crate::BlockKnn): per query, the inner relation's
+    /// non-empty blocks it did not scan (never candidates, or skipped at
+    /// τ) — so on both paths a query's `blocks_scanned + blocks_pruned` is
+    /// the number of non-empty blocks. Elsewhere: Non-Contributing blocks in
     /// Block-Marking, contour cut-offs, ...
     pub blocks_pruned: u64,
     /// Number of populated spatial shards (relation partitions) a kNN search

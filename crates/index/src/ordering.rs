@@ -14,7 +14,11 @@
 //! `(distance², block id)` and computes a distance only for the directory
 //! nodes and blocks on its frontier. A directory node is keyed by a lower
 //! bound on the key of every block beneath it, so a node is opened before any
-//! block that could follow one of its own.
+//! block that could follow one of its own. The origin may be a whole
+//! rectangle ([`DistanceCursor::around`]): blocks are then keyed by the
+//! rect-to-rect distance, and a point origin is the degenerate rectangle —
+//! which is how [`BlockKnn`](crate::BlockKnn) finds the inner blocks of a
+//! whole outer block in one walk.
 //!
 //! [`BlockOrder`] is the flat reference: it computes the distance to every
 //! block up front. Nothing outside the tests uses it; they compare the
@@ -23,7 +27,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use twoknn_geometry::{mindist_sq, Point};
+use twoknn_geometry::{rect_maxdist_sq, rect_mindist_sq, Point, Rect};
 
 use crate::block::BlockMeta;
 use crate::directory::{BlockDirectory, DirChild, Extent};
@@ -64,12 +68,14 @@ pub enum OrderMetric {
 }
 
 impl OrderMetric {
-    /// The squared ordering key of a block.
+    /// The squared ordering key of a block. A point origin is the
+    /// degenerate rect, for which these are `mindist_sq` / `maxdist_sq` bit
+    /// for bit.
     #[inline]
-    fn block_key(self, origin: &Point, block: &BlockMeta) -> f64 {
+    fn block_key(self, origin: &Rect, block: &BlockMeta) -> f64 {
         match self {
-            OrderMetric::MinDist => block.mindist_sq(origin),
-            OrderMetric::MaxDist => block.maxdist_sq(origin),
+            OrderMetric::MinDist => rect_mindist_sq(origin, &block.mbr),
+            OrderMetric::MaxDist => rect_maxdist_sq(origin, &block.mbr),
         }
     }
 
@@ -82,16 +88,19 @@ impl OrderMetric {
     /// along an axis, which is at least the gap from `p` to the enclosing
     /// rectangle plus the smallest half-extent beneath the node; that sum
     /// takes a different rounding path than `maxdist_sq`, so it is shaved by
-    /// a few ulps to stay a bound.
+    /// a few ulps to stay a bound. A rect origin is keyed from its lower-left
+    /// corner `p`: MAXDIST from the rect is at least MAXDIST from any of its
+    /// points, so that stays a bound (exact for a point, loose for a wide
+    /// rect).
     #[inline]
-    fn extent_key(self, origin: &Point, extent: &Extent) -> f64 {
+    fn extent_key(self, origin: &Rect, extent: &Extent) -> f64 {
         match self {
-            OrderMetric::MinDist => mindist_sq(origin, &extent.mbr),
+            OrderMetric::MinDist => rect_mindist_sq(origin, &extent.mbr),
             OrderMetric::MaxDist => {
                 let r = &extent.mbr;
                 let gap = |v: f64, lo: f64, hi: f64| (lo - v).max(v - hi).max(0.0);
-                let dx = gap(origin.x, r.min_x, r.max_x) + extent.min_half_w;
-                let dy = gap(origin.y, r.min_y, r.max_y) + extent.min_half_h;
+                let dx = gap(origin.min_x, r.min_x, r.max_x) + extent.min_half_w;
+                let dy = gap(origin.min_y, r.min_y, r.max_y) + extent.min_half_h;
                 (dx * dx + dy * dy) * (1.0 - 16.0 * f64::EPSILON)
             }
         }
@@ -104,8 +113,8 @@ impl OrderMetric {
 pub struct OrderedBlock {
     /// The block.
     pub block: BlockMeta,
-    /// The ordering distance (MINDIST or MAXDIST from the query point,
-    /// depending on the ordering's metric).
+    /// The ordering distance (MINDIST or MAXDIST from the origin, depending
+    /// on the ordering's metric).
     pub distance: f64,
     /// The square of [`OrderedBlock::distance`] — the key the ordering
     /// actually sorts by.
@@ -189,7 +198,7 @@ impl<'a> BlockOrder<'a> {
     pub fn new(blocks: &'a [BlockMeta], origin: &Point, metric: OrderMetric) -> Self {
         let keyer = Keyer {
             blocks,
-            origin: *origin,
+            origin: Rect::from(*origin),
             metric,
         };
         let entries: Vec<FrontierEntry> =
@@ -243,7 +252,8 @@ impl Iterator for BlockOrder<'_> {
 #[derive(Debug, Clone, Copy)]
 struct Keyer<'a> {
     blocks: &'a [BlockMeta],
-    origin: Point,
+    /// The origin; a point origin is the degenerate rect.
+    origin: Rect,
     metric: OrderMetric,
 }
 
@@ -298,10 +308,23 @@ impl<'a> DistanceCursor<'a> {
         metric: OrderMetric,
         scratch: &'a mut ScratchSpace,
     ) -> Self {
+        Self::around(index, &Rect::from(*origin), metric, scratch)
+    }
+
+    /// An ordering of `index`'s blocks by their distance from a whole
+    /// rectangle: MINDIST (or MAXDIST) over every point of `region`. A
+    /// degenerate `region` orders exactly as [`DistanceCursor::new`] from
+    /// its point.
+    pub fn around<I: SpatialIndex + ?Sized>(
+        index: &'a I,
+        region: &Rect,
+        metric: OrderMetric,
+        scratch: &'a mut ScratchSpace,
+    ) -> Self {
         Self::over(
             index.blocks(),
             index.directory(),
-            origin,
+            region,
             metric,
             &mut scratch.frontier,
         )
@@ -311,7 +334,7 @@ impl<'a> DistanceCursor<'a> {
     pub(crate) fn over(
         blocks: &'a [BlockMeta],
         directory: &'a BlockDirectory,
-        origin: &Point,
+        origin: &Rect,
         metric: OrderMetric,
         frontier: &'a mut Vec<FrontierEntry>,
     ) -> Self {
@@ -620,7 +643,7 @@ mod tests {
         let got: Vec<OrderedBlock> = DistanceCursor::over(
             g.blocks(),
             &packed,
-            &origin,
+            &Rect::from(origin),
             OrderMetric::MaxDist,
             &mut frontier,
         )

@@ -4,15 +4,16 @@
 //! Every `getkNN` call needs the same transient structures: the frontier of
 //! the block-distance cursor, a distance buffer for the batched block scan,
 //! a predicate mask for the filtered one, and the bounded candidate heap that
-//! tracks the current k-th distance. Allocating them per query dominates the
-//! cost of small-`k` selects, so [`ScratchSpace`] owns all of them.
+//! tracks the current k-th distance; a [`BlockKnn`](crate::BlockKnn) adds
+//! its candidate-block list. Allocating them per query dominates the cost
+//! of small-`k` selects, so [`ScratchSpace`] owns all of them.
 //!
 //! ## Lifecycle
 //!
 //! The kNN entry points borrow a **thread-local** scratch via
 //! [`with_thread_scratch`]: a batch of queries executed on one worker thread
 //! (the executor's `execute_batch` partitions, the continuous-query
-//! maintainer's re-evaluation sweep, a join's per-outer-point loop)
+//! maintainer's re-evaluation sweep, a join's per-outer-block loop)
 //! therefore shares a single set of allocations automatically — after the
 //! first query on a thread, the select hot path allocates nothing but the
 //! returned [`Neighborhood`]. Callers that drive a block ordering themselves
@@ -28,13 +29,17 @@
 //! buffer, then a tight merge loop folds the buffer into the heap. Once the
 //! heap is full, its root is the running k-th distance τ; blocks whose
 //! MINDIST exceeds τ are skipped entirely (strictly greater, so distance
-//! ties keep resolving by id exactly as before).
+//! ties keep resolving by id exactly as before). The merge tests τ first,
+//! too: a lane farther than τ is dropped before a `Point` is built or the
+//! heap is touched, which is most lanes once the first block has filled
+//! the heap.
 
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
 
 use twoknn_geometry::{euclidean_sq_batch, Point};
 
+use crate::block_knn::Candidate;
 use crate::neighborhood::{Neighbor, Neighborhood};
 use crate::ordering::{FrontierEntry, OrderedF64};
 
@@ -123,23 +128,22 @@ impl KthHeap {
     /// The block-scan kernel: computes the squared distances from `q` to the
     /// whole SoA block in one batched column pass (into `dist`), then merges
     /// the buffer into the heap in a second tight loop.
+    ///
+    /// The merge tests τ first: τ² sits in a local, a lane with `d² > τ²` is
+    /// skipped before a `Point` is built or the heap is touched, and τ² is
+    /// reloaded only after an insert. The test is strict, so a lane *at* τ
+    /// still reaches [`KthHeap::insert`], where the id breaks the tie.
     pub fn scan_block(
         &mut self,
         q: &Point,
         block: crate::points::BlockPoints<'_>,
         dist: &mut Vec<f64>,
     ) {
-        let n = block.len();
-        if n == 0 {
+        if block.is_empty() {
             return;
         }
-        dist.clear();
-        dist.resize(n, 0.0);
-        euclidean_sq_batch(q.x, q.y, block.xs(), block.ys(), dist);
-        let (ids, xs, ys) = (block.ids(), block.xs(), block.ys());
-        for i in 0..n {
-            self.insert(dist[i], Point::new(ids[i], xs[i], ys[i]));
-        }
+        fill(q, block, dist);
+        self.merge(block, dist, |_| true);
     }
 
     /// The predicate-masked variant of [`KthHeap::scan_block`]: the batched
@@ -156,19 +160,31 @@ impl KthHeap {
         mask: &[bool],
         dist: &mut Vec<f64>,
     ) {
-        let n = block.len();
-        debug_assert_eq!(mask.len(), n, "mask must cover the block");
-        if n == 0 {
+        debug_assert_eq!(mask.len(), block.len(), "mask must cover the block");
+        if block.is_empty() {
             return;
         }
-        dist.clear();
-        dist.resize(n, 0.0);
-        euclidean_sq_batch(q.x, q.y, block.xs(), block.ys(), dist);
+        fill(q, block, dist);
+        self.merge(block, dist, |i| mask[i]);
+    }
+
+    /// The τ-first merge of a filled distance buffer into the heap, over
+    /// the lanes `admit` accepts.
+    #[inline]
+    fn merge(
+        &mut self,
+        block: crate::points::BlockPoints<'_>,
+        dist: &[f64],
+        admit: impl Fn(usize) -> bool,
+    ) {
         let (ids, xs, ys) = (block.ids(), block.xs(), block.ys());
-        for i in 0..n {
-            if mask[i] {
-                self.insert(dist[i], Point::new(ids[i], xs[i], ys[i]));
+        let mut tau_sq = self.threshold_sq();
+        for (i, &d) in dist.iter().enumerate() {
+            if d > tau_sq || !admit(i) {
+                continue;
             }
+            self.insert(d, Point::new(ids[i], xs[i], ys[i]));
+            tau_sq = self.threshold_sq();
         }
     }
 
@@ -182,6 +198,15 @@ impl KthHeap {
         }));
         Neighborhood::from_unsorted(query, k, members)
     }
+}
+
+/// The batched distance pass: `dist[i]` = squared distance from `q` to lane
+/// `i` of `block`.
+#[inline]
+fn fill(q: &Point, block: crate::points::BlockPoints<'_>, dist: &mut Vec<f64>) {
+    dist.clear();
+    dist.resize(block.len(), 0.0);
+    euclidean_sq_batch(q.x, q.y, block.xs(), block.ys(), dist);
 }
 
 /// All the per-query transient state of the kNN hot path, reusable across
@@ -198,6 +223,12 @@ pub struct ScratchSpace {
     /// Reusable predicate mask of the filtered block kernel: one bool per
     /// lane of the block being scanned, refilled per block.
     pub(crate) mask: Vec<bool>,
+    /// Candidate blocks of a [`BlockKnn`](crate::BlockKnn): taken when one
+    /// is prepared and handed back when it is dropped.
+    pub(crate) candidates: Vec<Candidate>,
+    /// `(MAXDIST², count)` of the blocks a [`BlockKnn`](crate::BlockKnn)
+    /// walk has pulled, ascending — what its covering radius is read from.
+    pub(crate) reach: Vec<(f64, usize)>,
 }
 
 impl ScratchSpace {
@@ -275,6 +306,65 @@ mod tests {
         heap.insert(0.25, Point::new(4, 0.5, 0.0));
         assert_eq!(heap.threshold_sq(), 4.0);
         assert_eq!(heap.heap.len(), 3);
+    }
+
+    /// The τ-first merge keeps the strict test: a lane at exactly τ² with a
+    /// smaller id than the root still replaces it, in the plain and the
+    /// masked kernel alike.
+    #[test]
+    fn a_lane_at_exactly_tau_with_a_smaller_id_replaces_the_root() {
+        let q = Point::anonymous(0.0, 0.0);
+        let mut dist = Vec::new();
+        for masked in [false, true] {
+            let mut heap = kth_heap(2);
+            heap.scan_block(&q, block(&[(5, 0.5, 0.0), (9, 0.0, 2.0)]).view(), &mut dist);
+            assert_eq!(heap.threshold_sq(), 4.0);
+            // Id 3 ties the root (id 9) at d² = 4; id 12 ties it too but
+            // loses on id; id 1 lies beyond τ.
+            let tie = block(&[(12, 2.0, 0.0), (3, -2.0, 0.0), (1, 0.0, -2.5)]);
+            if masked {
+                heap.scan_block_masked(&q, tie.view(), &[true, true, true], &mut dist);
+            } else {
+                heap.scan_block(&q, tie.view(), &mut dist);
+            }
+            assert_eq!(heap.threshold_sq(), 4.0, "masked={masked}");
+            assert_eq!(heap.finish(q, 2).ids(), vec![5, 3], "masked={masked}");
+        }
+    }
+
+    /// A block whose every lane lies beyond τ leaves the heap exactly as it
+    /// was — same members, same root.
+    #[test]
+    fn a_block_entirely_beyond_tau_leaves_the_heap_unchanged() {
+        let q = Point::anonymous(0.0, 0.0);
+        let mut dist = Vec::new();
+        let mut heap = kth_heap(3);
+        heap.scan_block(
+            &q,
+            block(&[(7, 1.0, 0.0), (8, 0.0, 1.5), (9, 2.0, 0.0)]).view(),
+            &mut dist,
+        );
+        let before: Vec<(u64, u64)> = {
+            let mut v: Vec<(u64, u64)> = heap
+                .heap
+                .iter()
+                .map(|e| (e.key.0.to_bits(), e.point.id))
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        let far = block(&[(1, 2.0, 0.1), (2, -3.0, 0.0), (3, 0.0, 40.0)]);
+        heap.scan_block(&q, far.view(), &mut dist);
+        heap.scan_block_masked(&q, far.view(), &[true, false, true], &mut dist);
+        let mut after: Vec<(u64, u64)> = heap
+            .heap
+            .iter()
+            .map(|e| (e.key.0.to_bits(), e.point.id))
+            .collect();
+        after.sort_unstable();
+        assert_eq!(after, before);
+        assert_eq!(heap.threshold_sq(), 4.0);
+        assert_eq!(heap.finish(q, 3).ids(), vec![7, 8, 9]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Allocation accounting on the select hot path.
 //!
 //! Once a thread's [`ScratchSpace`](twoknn_index::ScratchSpace) has warmed
-//! up, `get_knn` allocates nothing beyond the returned [`Neighborhood`], and a
-//! block-distance cursor — the per-outer-point scan of the Counting
+//! up, `get_knn` — and a [`BlockKnn`] prepared per outer block and queried
+//! per point — allocates nothing beyond the returned [`Neighborhood`]s, and
+//! a block-distance cursor — the per-outer-point scan of the Counting
 //! algorithm — allocates nothing at all, on an index with as many blocks as
 //! the benchmark's large relations. This test pins that with a counting
 //! `#[global_allocator]` wrapper: the library itself forbids `unsafe`, but an
@@ -18,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use twoknn_geometry::{Point, Predicate, Rect};
 use twoknn_index::{
-    get_knn, get_knn_bounded, get_knn_filtered, with_thread_scratch, GridIndex, Metrics,
+    get_knn, get_knn_bounded, get_knn_filtered, with_thread_scratch, BlockKnn, GridIndex, Metrics,
     Neighborhood, SpatialIndex,
 };
 
@@ -151,6 +152,50 @@ fn warm_knn_queries_allocate_only_the_returned_neighborhood() {
         "a warm MAXDIST scan to a threshold must not allocate"
     );
     assert!(counted > 0, "the scans reached populated blocks");
+
+    // One locality per outer block: a `BlockKnn` takes its candidate list
+    // from the thread scratch and hands it back when dropped, and queries
+    // run on the scratch's heap and distance buffer. After one warm-up
+    // block, preparing each block and querying its points allocates no more
+    // than the returned neighborhoods.
+    let outer_blocks: Vec<Vec<Point>> = (0..16u64)
+        .map(|b| {
+            let (x0, y0) = ((b * 61 % 990) as f64, (b * 137 % 990) as f64);
+            (0..24u64)
+                .map(|i| Point::new(i, x0 + (i % 5) as f64 * 2.1, y0 + (i / 5) as f64 * 1.7))
+                .collect()
+        })
+        .collect();
+    let mut run_block = |points: &[Point]| -> usize {
+        let region = Rect::bounding(points).unwrap();
+        let mut knn = BlockKnn::prepare(&index, &region, k, &mut metrics);
+        points
+            .iter()
+            .map(|p| std::hint::black_box(knn.get(p, &mut metrics)).len())
+            .sum()
+    };
+    run_block(&outer_blocks[0]);
+    let before = allocations();
+    let members: usize = outer_blocks[1..].iter().map(|b| run_block(b)).sum();
+    let allocs = allocations() - before;
+    let hoods = outer_blocks[1..].iter().map(Vec::len).sum::<usize>();
+    assert_eq!(members, k * hoods, "sanity: full neighborhoods");
+    assert!(
+        allocs <= 2 * hoods as u64,
+        "block path: {allocs} allocations for {} warm blocks and {hoods} neighborhoods \
+         (> 2 per returned neighborhood)",
+        outer_blocks.len() - 1
+    );
+    // Once every block has been seen, nothing is allocated per block at all:
+    // each neighborhood's members buffer is the only allocation.
+    let before = allocations();
+    let members: usize = outer_blocks[1..].iter().map(|b| run_block(b)).sum();
+    let allocs = allocations() - before;
+    assert_eq!(members, k * hoods);
+    assert!(
+        allocs <= hoods as u64,
+        "block path, second sweep: {allocs} allocations for {hoods} neighborhoods"
+    );
 
     // Every path stayed on the same index and really did the work.
     assert!(index.num_points() == 100_000 && metrics.neighborhoods_computed > 0);

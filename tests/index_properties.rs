@@ -8,10 +8,10 @@ use std::sync::Arc;
 use two_knn::core::plan::Database;
 use two_knn::core::store::{DurabilityConfig, OverlayConfig, ShardConfig, StoreConfig, WriteOp};
 use two_knn::datagen::rng::StdRng;
-use two_knn::geometry::{euclidean, maxdist, mindist};
+use two_knn::geometry::{euclidean, maxdist, mindist, rect_maxdist_sq, rect_mindist_sq};
 use two_knn::index::{
     brute_force_knn, check_index_invariants, get_knn, get_knn_bounded, BlockDirectory, BlockId,
-    BlockMeta, BlockOrder, BlockPoints, DistanceCursor, Locality, Metrics, OrderMetric,
+    BlockKnn, BlockMeta, BlockOrder, BlockPoints, DistanceCursor, Locality, Metrics, OrderMetric,
     ScratchSpace,
 };
 use two_knn::{GridIndex, Point, QuadtreeIndex, Rect, SpatialIndex, StrRTree};
@@ -804,6 +804,172 @@ fn knn_members_lie_in_blocks_of_the_locality() {
                         assert!(got_ids.contains(&nb.point.id), "{ctx}: {}", nb.point);
                     }
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One locality per outer region: the rect-origin cursor and `BlockKnn`
+// ---------------------------------------------------------------------------
+
+/// A cursor keyed from a rectangle yields every block in ascending
+/// `(rect-to-rect distance², id)` — MINDIST and MAXDIST alike — and a
+/// degenerate rectangle yields exactly the point cursor's sequence.
+#[test]
+fn rect_origin_cursor_equals_the_flat_reference_everywhere() {
+    let mut scratch = ScratchSpace::new();
+    for seed in [41u64, 42] {
+        let mut rng = StdRng::seed_from_u64(9_800 + seed);
+        for (name, index) in directory_subjects(seed) {
+            let index = index.as_ref();
+            for origin in origins(index, &mut rng) {
+                let (w, h) = (rng.gen_range(0.0f64..300.0), rng.gen_range(0.0f64..300.0));
+                let wide = Rect::new(origin.x, origin.y, origin.x + w, origin.y + h);
+                for region in [Rect::from(origin), wide] {
+                    for metric in [OrderMetric::MinDist, OrderMetric::MaxDist] {
+                        let ctx = format!("{name} seed {seed} {metric:?} from {region}");
+                        let mut want: Vec<(f64, u32)> = index
+                            .blocks()
+                            .iter()
+                            .map(|b| {
+                                let key = match metric {
+                                    OrderMetric::MinDist => rect_mindist_sq(&region, &b.mbr),
+                                    OrderMetric::MaxDist => rect_maxdist_sq(&region, &b.mbr),
+                                };
+                                (key, b.id)
+                            })
+                            .collect();
+                        want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                        let got: Vec<(f64, u32)> =
+                            DistanceCursor::around(index, &region, metric, &mut scratch)
+                                .map(|ob| (ob.distance_sq, ob.block.id))
+                                .collect();
+                        assert_eq!(got, want, "{ctx}");
+                    }
+                }
+                let from_point: Vec<(f64, u32)> =
+                    DistanceCursor::new(index, &origin, OrderMetric::MinDist, &mut scratch)
+                        .map(|ob| (ob.distance_sq, ob.block.id))
+                        .collect();
+                assert_eq!(
+                    from_point,
+                    reference_order(index.blocks(), &origin, OrderMetric::MinDist),
+                    "{name}: a degenerate rect is its point"
+                );
+            }
+        }
+    }
+}
+
+/// Groups of outer points whose tight box is a [`BlockKnn`] region: a
+/// random cloud, one point, a stack of duplicates, the corners of a few
+/// blocks (where several blocks tie on distance), and a cloud straddling
+/// the data's corner.
+fn outer_groups(index: &dyn SpatialIndex, rng: &mut StdRng) -> Vec<(&'static str, Vec<Point>)> {
+    let x0 = rng.gen_range(0.0f64..850.0);
+    let y0 = rng.gen_range(0.0f64..850.0);
+    let (sx, sy) = (rng.gen_range(0.0f64..1000.0), rng.gen_range(0.0f64..1000.0));
+    let mut cloud = |x0: f64, y0: f64, side: f64| -> Vec<Point> {
+        (0..40u64)
+            .map(|i| {
+                Point::new(
+                    i,
+                    x0 + rng.gen_range(0.0f64..side),
+                    y0 + rng.gen_range(0.0f64..side),
+                )
+            })
+            .collect()
+    };
+    let blocks = index.blocks();
+    let corners: Vec<Point> = blocks
+        .iter()
+        .step_by((blocks.len() / 5).max(1))
+        .flat_map(|b| b.mbr.corners())
+        .enumerate()
+        .map(|(i, c)| Point::new(i as u64, c.x, c.y))
+        .collect();
+    vec![
+        ("cloud", cloud(x0, y0, 150.0)),
+        ("one point", vec![Point::new(7, sx, sy)]),
+        (
+            "duplicates",
+            (0..12).map(|i| Point::new(i, sy, sx)).collect(),
+        ),
+        ("block corners", corners),
+        ("straddling", cloud(-60.0, 940.0, 120.0)),
+    ]
+}
+
+/// Prepares one [`BlockKnn`] over the tight box of `group` and holds every
+/// point's neighborhood to `get_knn` and to brute force — members, order,
+/// distances, tie choices — and its counters to the `get_knn` path's:
+/// one neighborhood each, scanned + pruned = the non-empty inner blocks.
+fn assert_block_knn_matches(index: &dyn SpatialIndex, group: &[Point], k: usize, ctx: &str) {
+    let region = Rect::bounding(group).unwrap();
+    let mut prepared = Metrics::default();
+    let mut knn = BlockKnn::prepare(index, &region, k, &mut prepared);
+    assert_eq!(prepared.neighborhoods_computed, 0, "{ctx}");
+    if k == 0 || index.num_points() == 0 {
+        assert_eq!(prepared, Metrics::default(), "{ctx}: nothing to walk");
+    }
+    let nonempty = index.blocks().iter().filter(|b| b.count > 0).count() as u64;
+    for p in group {
+        let (mut m, mut mg) = (Metrics::default(), Metrics::default());
+        let got = knn.get(p, &mut m);
+        assert_eq!(got, get_knn(index, p, k, &mut mg), "{ctx}: {p}");
+        assert_eq!(got, brute_force_knn(index, p, k), "{ctx}: {p}");
+        assert_eq!(got.len(), k.min(index.num_points()), "{ctx}: {p}");
+        assert_eq!(m.neighborhoods_computed, 1, "{ctx}: {p}");
+        let walked = if k == 0 { 0 } else { nonempty };
+        assert_eq!(m.blocks_scanned + m.blocks_pruned, walked, "{ctx}: {p}");
+        assert_eq!(mg.blocks_scanned + mg.blocks_pruned, walked, "{ctx}: {p}");
+        assert_eq!(
+            m.blocks_ordered, 0,
+            "{ctx}: ordering is paid once, in prepare"
+        );
+    }
+}
+
+/// `BlockKnn` is `get_knn` for every point of the region, on every kind of
+/// index — the three families, a shard snapshot with overlay and
+/// tombstones, a 3×3 relation snapshot with an empty shard, a reopened
+/// block file and an empty index — for k = 0, 1, 5 and beyond the
+/// relation, over clouds, single points, duplicate stacks and block
+/// corners; and over an inner relation whose points all tie on distance.
+#[test]
+fn block_knn_equals_get_knn_and_brute_force_for_every_point_of_the_region() {
+    for seed in [51u64, 52] {
+        let mut rng = StdRng::seed_from_u64(9_850 + seed);
+        for (name, index) in directory_subjects(seed) {
+            let index = index.as_ref();
+            for (group_name, group) in outer_groups(index, &mut rng) {
+                for k in [0usize, 1, 5, index.num_points() + 3] {
+                    let ctx = format!("{name} seed {seed} {group_name} k={k}");
+                    assert_block_knn_matches(index, &group, k, &ctx);
+                }
+            }
+        }
+    }
+    let tied = all_tied_points();
+    let center = Point::new(0, 500.0, 500.0);
+    let mut rng = StdRng::seed_from_u64(9_899);
+    for (family, index) in build_families(&tied) {
+        let index = index.as_ref();
+        let mut groups = outer_groups(index, &mut rng);
+        groups.push(("tied centre", vec![center]));
+        groups.push((
+            "around the tied centre",
+            vec![
+                center,
+                Point::new(1, 480.0, 530.0),
+                Point::new(2, 510.0, 495.0),
+            ],
+        ));
+        for (group_name, group) in groups {
+            for k in [1usize, 5, 17, tied.len() + 3] {
+                let ctx = format!("all tied {family} {group_name} k={k}");
+                assert_block_knn_matches(index, &group, k, &ctx);
             }
         }
     }
