@@ -242,9 +242,9 @@ pub fn fig26(scale: Scale) -> Report {
         let x = ratio_log2.to_string();
         // Individual runs are sub-millisecond; repeat and average.
         let (t_slow_total, slow) = time_ms(|| {
-            let mut last = two_selects_conceptual(&relation, &query, ExecutionMode::Serial);
+            let mut last = two_selects_conceptual(&relation, &query);
             for _ in 1..reps {
-                last = two_selects_conceptual(&relation, &query, ExecutionMode::Serial);
+                last = two_selects_conceptual(&relation, &query);
             }
             last
         });

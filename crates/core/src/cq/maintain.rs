@@ -167,7 +167,9 @@ impl CqEngine {
         let snapshot = self.store.pin_many(&names)?;
         let pinned_versions = snapshot.versions();
         let plan = compile(&snapshot, &spec, strategy)?;
-        let result = plan.execute(ExecutionMode::default_mode());
+        let result = self
+            .pool
+            .bind(|| plan.execute(ExecutionMode::default_mode()));
         let rows = result.rows();
         let mut work = result.metrics();
         let guards = compute_guards(&spec, &snapshot, &rows, &mut work)?;

@@ -7,29 +7,42 @@
 //!
 //! * [`ExecutionMode::Serial`] — a plain iteration on the calling thread;
 //! * [`ExecutionMode::Pooled`] — items are distributed over the current
-//!   persistent [`WorkerPool`]. Batch-level tasks
+//!   persistent [`WorkerPool`]: the pool the calling thread is bound to.
+//!   [`Database`](crate::plan::Database) binds its own pool around every
+//!   query it runs, and `Pooled` is its default mode. Batch-level tasks
 //!   ([`Database::execute_batch`](crate::plan::Database::execute_batch)) and
 //!   the operator-level block tasks they spawn go through the **same
-//!   queue**, so the thread budget is one number owned by one pool
-//!   (`TWOKNN_THREADS` for the global pool) and nested parallelism never
-//!   oversubscribes the machine. A pool of one runs inline.
+//!   queue**, so the thread budget is one number owned by one pool and
+//!   nested parallelism never oversubscribes the machine. A pool of one
+//!   runs inline.
 //!
 //! # Scheduling and the determinism guarantee
 //!
 //! Pooled runs use dynamic scheduling: team members pull the next item index
 //! from a shared atomic cursor, so one expensive item cannot serialize the
-//! run the way fixed chunking would. Each member accumulates rows tagged
-//! with their item index and its own private [`Metrics`]; the driver then
-//! sorts the tagged outputs back into item order and merges the per-member
-//! counters. **Both modes produce byte-for-byte the same rows in the same
-//! order** — the execution mode is a performance knob, never a semantics
-//! knob — and, for algorithms whose per-item work is schedule-independent,
-//! the merged counters equal the serial run's too. The one exception is the
-//! cached chained join, whose per-chunk caches legitimately change the hit
-//! pattern (and hence `neighborhoods_computed`) under pooled partitioning.
-//! `tests/physical_plan_equivalence.rs` enforces row equality across all
-//! query shapes, strategies and index types, and metrics equality for
-//! everything but that cached join.
+//! run the way fixed chunking would. Each member keeps its own private
+//! [`Metrics`], merged once it runs out of items. Rows are merged **in item
+//! order by the calling thread**: an item whose predecessors are all merged
+//! writes straight into the output, any other leaves its rows in a slot of
+//! its own, and the caller appends (and frees) each slot as soon as every
+//! item before it is merged. **Both modes produce byte-for-byte the same
+//! rows in the same order, and the same merged counters** — the execution
+//! mode is a performance knob, never a semantics knob — because every
+//! operator's per-item work is independent of the schedule.
+//! `tests/physical_plan_equivalence.rs` enforces both across all query
+//! shapes, strategies and index types on pools of 1, 2 and 4 threads.
+//!
+//! # Memory: no worker allocation outlives its work item
+//!
+//! A worker thread allocates from its own malloc arena, which keeps the high
+//! water mark of whatever the worker allocated and kept alive at once —
+//! rows waiting for the merge behind a slow item included. So every join
+//! phase runs through [`run_into_shares`]: each item writes into its share
+//! of one buffer the calling thread allocates and sizes before the phase
+//! runs (a neighborhood has exactly `min(k, n)` members, and a filtered row
+//! set has a bound), and the calling thread turns the buffer into rows. The
+//! in-order merge of [`run_partitioned`] serves the callers whose output
+//! size is unknown up front: whole queries of a batch and store rebuilds.
 //!
 //! Single-item inputs and pools of one short-circuit to the plain serial
 //! loop before any pool submission, so trivial phases pay no
@@ -38,6 +51,9 @@
 pub mod pool;
 
 pub use pool::WorkerPool;
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use twoknn_index::Metrics;
 
@@ -53,21 +69,11 @@ pub enum ExecutionMode {
 }
 
 impl ExecutionMode {
-    /// The mode the [`crate::plan::Database`] driver uses for single
-    /// queries: serial. (`execute_batch` spreads whole queries over the
-    /// pool instead.)
+    /// The mode the [`crate::plan::Database`] driver runs every query in:
+    /// pooled, on the database's own pool. Operators whose work is one
+    /// sequential walk (the selects) ignore the mode.
     pub fn default_mode() -> Self {
-        ExecutionMode::Serial
-    }
-
-    /// The number of threads this mode will use: 1 for
-    /// [`ExecutionMode::Serial`], the parallelism of the pool the current
-    /// thread submits to for [`ExecutionMode::Pooled`].
-    pub fn effective_threads(&self) -> usize {
-        match self {
-            ExecutionMode::Serial => 1,
-            ExecutionMode::Pooled => WorkerPool::current().parallelism(),
-        }
+        ExecutionMode::Pooled
     }
 }
 
@@ -127,7 +133,7 @@ where
 /// behind [`Database::execute_batch`](crate::plan::Database::execute_batch).
 /// Ordering and metrics-merge semantics are identical to
 /// [`run_partitioned`]. A single item, or a pool of one, runs the plain
-/// serial loop — no pool submission, no tag-and-sort reassembly.
+/// serial loop — no pool submission, no per-item slots.
 pub fn run_partitioned_on<T, R, F>(
     items: &[T],
     pool: &WorkerPool,
@@ -149,26 +155,50 @@ where
     run_pooled(items, pool, threads, metrics, &work)
 }
 
-/// Runs `work` once per *block*, pushing result rows. Thin alias over
-/// [`run_partitioned`] for the common block-partitioned algorithms.
-pub fn run_over_blocks<R, F>(
-    blocks: &[twoknn_index::BlockMeta],
+/// Runs `work` once per item, serially or over the current pool per `mode`,
+/// each item writing into its own share of one buffer: item `i` gets the
+/// `share(&items[i])` slots after the shares of the items before it. The
+/// buffer — `fill` in every slot `work` leaves alone — is allocated by the
+/// calling thread before the phase runs and returned in item order, which is
+/// how a phase keeps what a later phase reads without a worker allocation
+/// outliving its item.
+pub fn run_into_shares<T, N, F>(
+    items: &[T],
+    share: impl Fn(&T) -> usize,
+    fill: N,
     mode: ExecutionMode,
     metrics: &mut Metrics,
     work: F,
-) -> Vec<R>
+) -> Vec<N>
 where
-    R: Send,
-    F: Fn(twoknn_index::BlockMeta, &mut Vec<R>, &mut Metrics) + Sync,
+    T: Sync,
+    N: Clone + Send,
+    F: Fn(&T, &mut [N], &mut Metrics) + Sync,
 {
-    run_partitioned(blocks, mode, metrics, |block, out, metrics| {
-        work(*block, out, metrics)
-    })
+    let mut buffer = vec![fill; items.iter().map(&share).sum()];
+    let mut rest = buffer.as_mut_slice();
+    let shares: Vec<(&T, Mutex<&mut [N]>)> = items
+        .iter()
+        .map(|item| {
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(share(item));
+            rest = tail;
+            (item, Mutex::new(mine))
+        })
+        .collect();
+    run_partitioned(
+        &shares,
+        mode,
+        metrics,
+        |(item, mine), _: &mut Vec<()>, metrics| work(item, &mut lock(mine), metrics),
+    );
+    buffer
 }
 
-/// Per-team-member output rows tagged with their item index, awaiting the
-/// order-restoring sort.
-type TaggedRows<R> = Vec<(usize, Vec<R>)>;
+/// Locks a mutex of the partitioned run, ignoring poisoning: a panicking
+/// item is re-raised on the caller, which never reads the data again.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The single-threaded loop every entry point short-circuits to.
 fn run_serial<T, R, F>(items: &[T], metrics: &mut Metrics, work: &F) -> Vec<R>
@@ -182,10 +212,29 @@ where
     out
 }
 
+/// The calling thread's side of a pooled run: the rows merged so far and
+/// the first item not yet merged.
+struct Merged<R> {
+    rows: Vec<R>,
+    next: usize,
+}
+
+impl<R> Merged<R> {
+    /// Appends every finished item that directly follows the merged ones,
+    /// freeing its slot's rows as it goes.
+    fn drain(&mut self, slots: &[Mutex<Option<Vec<R>>>]) {
+        while let Some(mut piece) = slots.get(self.next).and_then(|slot| lock(slot).take()) {
+            self.rows.append(&mut piece);
+            self.next += 1;
+        }
+    }
+}
+
 /// Dynamic-scheduled partitioned run on a persistent [`WorkerPool`]:
 /// `threads − 1` copies of the cursor-pulling task are broadcast to the pool
-/// and the calling thread joins as the final team member. Per-member tagged
-/// outputs are reassembled in item order and per-member metrics merged.
+/// and the calling thread joins as the final team member. The calling
+/// thread merges rows in item order as they become ready (see the module
+/// docs); per-member metrics are merged when a member runs out of items.
 fn run_pooled<T, R, F>(
     items: &[T],
     pool: &WorkerPool,
@@ -198,41 +247,43 @@ where
     R: Send,
     F: Fn(&T, &mut Vec<R>, &mut Metrics) + Sync,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
+    let caller = std::thread::current().id();
     let cursor = AtomicUsize::new(0);
-    let gathered: Mutex<(TaggedRows<R>, Metrics)> =
-        Mutex::new((Vec::with_capacity(items.len()), Metrics::default()));
+    // Rows of an item finished before its predecessors were merged.
+    let slots: Vec<Mutex<Option<Vec<R>>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    // Only the calling thread ever locks it.
+    let merged = Mutex::new(Merged {
+        rows: Vec::new(),
+        next: 0,
+    });
+    let team_metrics = Mutex::new(Metrics::default());
     pool.broadcast(threads - 1, &|| {
         let mut local_metrics = Metrics::default();
-        let mut local: TaggedRows<R> = Vec::new();
+        let mut merged = (std::thread::current().id() == caller).then(|| lock(&merged));
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             if i >= items.len() {
                 break;
             }
-            let mut out = Vec::new();
-            work(&items[i], &mut out, &mut local_metrics);
-            local.push((i, out));
+            if let Some(merged) = merged.as_mut() {
+                merged.drain(&slots);
+                if merged.next == i {
+                    work(&items[i], &mut merged.rows, &mut local_metrics);
+                    merged.next += 1;
+                    continue;
+                }
+            }
+            let mut piece = Vec::new();
+            work(&items[i], &mut piece, &mut local_metrics);
+            *lock(&slots[i]) = Some(piece);
         }
-        let mut shared = gathered
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        shared.0.extend(local);
-        shared.1.merge(&local_metrics);
+        lock(&team_metrics).merge(&local_metrics);
     });
-    let (mut tagged, worker_metrics) = gathered
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    metrics.merge(&worker_metrics);
-    // Restore item order for deterministic output.
-    tagged.sort_unstable_by_key(|(i, _)| *i);
-    let mut out = Vec::with_capacity(tagged.iter().map(|(_, v)| v.len()).sum());
-    for (_, mut v) in tagged {
-        out.append(&mut v);
-    }
-    out
+    metrics.merge(&lock(&team_metrics));
+    let mut merged = merged.into_inner().unwrap_or_else(PoisonError::into_inner);
+    merged.drain(&slots);
+    debug_assert_eq!(merged.next, items.len(), "every item merged");
+    merged.rows
 }
 
 #[cfg(test)]
@@ -286,18 +337,97 @@ mod tests {
         }
     }
 
+    /// One team member's first item finishes last: it holds its thread until
+    /// every other item is done. When the calling thread holds, the items
+    /// after it wait in their slots until the final drain; when a worker
+    /// holds, the calling thread runs ahead, parking its own rows in slots.
+    /// Either way the rows come back in item order with the serial counters.
     #[test]
-    fn effective_threads_follows_the_bound_pool() {
-        assert_eq!(ExecutionMode::Serial.effective_threads(), 1);
-        assert!(ExecutionMode::Pooled.effective_threads() >= 1);
-        assert!(available_threads() >= 1);
-        let threads = WorkerPool::new(3).bind(|| ExecutionMode::Pooled.effective_threads());
-        assert_eq!(threads, 3);
+    fn rows_merge_in_item_order_when_one_item_finishes_last() {
+        let items: Vec<u64> = (0..64).collect();
+        let caller = std::thread::current().id();
+        let wait_until = |ready: &dyn Fn() -> bool| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while !ready() && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        };
+        for caller_holds in [true, false] {
+            let (done, held) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let work = |item: &u64, out: &mut Vec<u64>, metrics: &mut Metrics| {
+                let on_caller = std::thread::current().id() == caller;
+                if on_caller == caller_holds && held.fetch_add(1, Ordering::SeqCst) == 0 {
+                    wait_until(&|| done.load(Ordering::SeqCst) == items.len() - 1);
+                } else if on_caller {
+                    // Let a worker take (and hold) an item first.
+                    wait_until(&|| held.load(Ordering::SeqCst) > 0);
+                }
+                metrics.points_scanned += item;
+                out.extend([*item; 3]);
+                done.fetch_add(1, Ordering::SeqCst);
+            };
+            let mut m_serial = Metrics::default();
+            let serial: Vec<u64> = items.iter().flat_map(|i| [*i; 3]).collect();
+            m_serial.points_scanned = items.iter().sum();
+            for parallelism in [2, 4] {
+                done.store(0, Ordering::SeqCst);
+                held.store(0, Ordering::SeqCst);
+                let mut m_pool = Metrics::default();
+                let pool = WorkerPool::new(parallelism);
+                let pooled = run_partitioned_on(&items, &pool, &mut m_pool, work);
+                let ctx = format!("pool of {parallelism}, caller holds: {caller_holds}");
+                assert_eq!(done.load(Ordering::SeqCst), items.len(), "{ctx}");
+                assert_eq!(serial, pooled, "{ctx}");
+                assert_eq!(m_serial, m_pool, "{ctx}");
+            }
+        }
+    }
+
+    /// Each item fills exactly its own share of the caller's buffer, in
+    /// item order, in both modes.
+    #[test]
+    fn shares_are_disjoint_and_in_item_order() {
+        let items: Vec<usize> = (0..40).map(|i| i % 5).collect();
+        let fill_share = |len: &usize, share: &mut [(usize, usize)], metrics: &mut Metrics| {
+            metrics.neighborhoods_computed += 1;
+            for (j, slot) in share.iter_mut().enumerate() {
+                *slot = (*len, j);
+            }
+        };
+        let mut m_serial = Metrics::default();
+        let serial = run_into_shares(
+            &items,
+            |len| *len,
+            (9, 9),
+            ExecutionMode::Serial,
+            &mut m_serial,
+            fill_share,
+        );
+        let want: Vec<(usize, usize)> = items
+            .iter()
+            .flat_map(|&len| (0..len).map(move |j| (len, j)))
+            .collect();
+        assert_eq!(serial, want);
+        assert_eq!(m_serial.neighborhoods_computed, items.len() as u64);
+        let mut m_pool = Metrics::default();
+        let pooled = WorkerPool::new(3).bind(|| {
+            run_into_shares(
+                &items,
+                |len| *len,
+                (9, 9),
+                ExecutionMode::Pooled,
+                &mut m_pool,
+                fill_share,
+            )
+        });
+        assert_eq!(pooled, want);
+        assert_eq!(m_pool, m_serial);
     }
 
     #[test]
-    fn default_mode_is_serial() {
-        assert_eq!(ExecutionMode::default_mode(), ExecutionMode::Serial);
-        assert_eq!(ExecutionMode::default(), ExecutionMode::Serial);
+    fn default_mode_is_pooled() {
+        assert_eq!(ExecutionMode::default_mode(), ExecutionMode::Pooled);
+        assert_eq!(ExecutionMode::default(), ExecutionMode::Pooled);
+        assert!(available_threads() >= 1);
     }
 }

@@ -10,16 +10,20 @@
 //! per outer block ([`BlockKnn`]: the locality of the block's tight box)
 //! and each point's neighborhood is scanned from that candidate list;
 //! [`knn_join_points`], whose points need not share a block, runs `getkNN`
-//! per point. The outer relation's blocks are the work items of a
-//! [`run_over_blocks`](crate::exec::run_over_blocks) run, so under
-//! [`ExecutionMode::Pooled`] they spread over the current worker pool with
-//! the same rows (in the same order) and the same merged counters as the
-//! serial evaluation.
+//! per point. The outer relation's blocks (or the given points) are the
+//! work items of a partitioned run, so under [`ExecutionMode::Pooled`] they
+//! spread over the current worker pool with the same rows (in the same
+//! order) and the same merged counters as the serial evaluation.
+//!
+//! A neighborhood has exactly `min(k, |inner|)` members, so every item's
+//! share of the output is known before the run: items write into one
+//! buffer the calling thread allocates ([`run_into_shares`]), and a worker
+//! thread keeps no allocation past its item.
 
 use twoknn_geometry::Point;
-use twoknn_index::{get_knn, BlockKnn, Metrics, SpatialIndex};
+use twoknn_index::{get_knn, BlockKnn, BlockMeta, Metrics, Neighbor, SpatialIndex};
 
-use crate::exec::ExecutionMode;
+use crate::exec::{run_into_shares, ExecutionMode};
 use crate::output::{Pair, QueryOutput};
 
 /// Evaluates `outer ⋈_kNN inner` with the given `k`.
@@ -46,43 +50,102 @@ where
     O: SpatialIndex + Sync + ?Sized,
     I: SpatialIndex + Sync + ?Sized,
 {
-    let rows =
-        crate::exec::run_over_blocks(outer.blocks(), mode, metrics, |block, pairs, metrics| {
+    let blocks = outer.blocks();
+    let members = block_neighborhoods(outer, blocks, inner, k, mode, metrics);
+    let mut rows = Vec::with_capacity(members.len());
+    let outer_points = points_repeated(outer, blocks, k.min(inner.num_points()));
+    rows.extend(
+        outer_points
+            .zip(&members)
+            .map(|(e1, n)| Pair::new(e1, n.point)),
+    );
+    metrics.tuples_emitted += rows.len() as u64;
+    rows
+}
+
+/// The neighborhoods in `inner` of every point of `blocks` (blocks of
+/// `outer`): block after block, point after point, `min(k, |inner|)`
+/// members each, in one buffer the calling thread allocates before the
+/// phase runs. Each block is a work item, partitioned per `mode`, and finds
+/// its points' neighborhoods off one [`BlockKnn`].
+pub(crate) fn block_neighborhoods<O, I>(
+    outer: &O,
+    blocks: &[BlockMeta],
+    inner: &I,
+    k: usize,
+    mode: ExecutionMode,
+    metrics: &mut Metrics,
+) -> Vec<Neighbor>
+where
+    O: SpatialIndex + Sync + ?Sized,
+    I: SpatialIndex + Sync + ?Sized,
+{
+    let len = k.min(inner.num_points());
+    run_into_shares(
+        blocks,
+        |block| block.count * len,
+        Neighbor::UNSET,
+        mode,
+        metrics,
+        |block, members, metrics| {
             let points = outer.block_points(block.id);
             let Ok(region) = points.bounding() else {
                 return;
             };
             let mut knn = BlockKnn::prepare(inner, &region, k, metrics);
-            for e1 in points {
-                let nbr = knn.get(&e1, metrics);
-                for n in nbr.members() {
-                    pairs.push(Pair::new(e1, n.point));
-                }
+            for (j, p) in points.iter().enumerate() {
+                knn.get(&p, &mut members[j * len..(j + 1) * len], metrics);
             }
-        });
-    metrics.tuples_emitted += rows.len() as u64;
-    rows
+        },
+    )
+}
+
+/// Every point of `blocks` (blocks of `index`), each `times` times in a row
+/// — the point each member of [`block_neighborhoods`] belongs to.
+pub(crate) fn points_repeated<'a, I>(
+    index: &'a I,
+    blocks: &'a [BlockMeta],
+    times: usize,
+) -> impl Iterator<Item = Point> + 'a
+where
+    I: SpatialIndex + ?Sized,
+{
+    blocks
+        .iter()
+        .flat_map(move |block| index.block_points(block.id))
+        .flat_map(move |p| std::iter::repeat(p).take(times))
 }
 
 /// Evaluates the kNN-join for a specific subset of outer points (used by the
 /// two-predicate algorithms once pruning has decided which outer points can
-/// contribute).
+/// contribute). Each point is a work item of its own, partitioned per
+/// `mode`, and writes its pairs into its share of the result.
 pub fn knn_join_points<I>(
     outer_points: &[Point],
     inner: &I,
     k: usize,
+    mode: ExecutionMode,
     metrics: &mut Metrics,
 ) -> Vec<Pair>
 where
-    I: SpatialIndex + ?Sized,
+    I: SpatialIndex + Sync + ?Sized,
 {
-    let mut pairs = Vec::new();
-    for e1 in outer_points {
-        let nbr = get_knn(inner, e1, k, metrics);
-        for n in nbr.members() {
-            pairs.push(Pair::new(*e1, n.point));
-        }
-    }
+    let unset = Pair::new(Neighbor::UNSET.point, Neighbor::UNSET.point);
+    let len = k.min(inner.num_points());
+    let pairs = run_into_shares(
+        outer_points,
+        |_| len,
+        unset,
+        mode,
+        metrics,
+        |e1, pairs, metrics| {
+            let nbr = get_knn(inner, e1, k, metrics);
+            debug_assert_eq!(nbr.len(), pairs.len(), "min(k, |inner|) members");
+            for (pair, n) in pairs.iter_mut().zip(nbr.members()) {
+                *pair = Pair::new(*e1, n.point);
+            }
+        },
+    );
     metrics.tuples_emitted += pairs.len() as u64;
     pairs
 }
@@ -166,7 +229,11 @@ mod tests {
         let inner = relation(70, 1.0, 0.0);
         let mut m = Metrics::default();
         let subset: Vec<Point> = outer.all_points().into_iter().take(10).collect();
-        let partial = knn_join_points(&subset, &inner, 3, &mut m);
+        let partial = knn_join_points(&subset, &inner, 3, ExecutionMode::Serial, &mut m);
+        let mut m_pool = Metrics::default();
+        let pooled = crate::exec::WorkerPool::new(3)
+            .bind(|| knn_join_points(&subset, &inner, 3, ExecutionMode::Pooled, &mut m_pool));
+        assert_eq!((&partial, &m), (&pooled, &m_pool));
         let full = knn_join(&outer, &inner, 3, ExecutionMode::Serial);
         let subset_ids: std::collections::BTreeSet<u64> = subset.iter().map(|p| p.id).collect();
         let expected: std::collections::BTreeSet<_> = full

@@ -19,17 +19,21 @@
 //! (e.g. QEP2's two joins) reuses the current persistent worker pool for
 //! each phase. Neighborhoods are found a block at a time ([`BlockKnn`]): an
 //! `A` block's points off one candidate list of `B` blocks and, in QEP3, the
-//! `b`s that block produces off one candidate list of `C` blocks.
+//! `b`s that block produces off one candidate list of `C` blocks. QEP3 keeps
+//! its neighborhoods between phases in flat buffers the calling thread sizes
+//! in advance ([`crate::exec::run_into_shares`]), and decides which `b`s to
+//! expand on the calling thread, so it has one cache in both modes.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use twoknn_geometry::{Point, PointId, Rect};
-use twoknn_index::{BlockKnn, Metrics, Neighborhood, SpatialIndex};
+use twoknn_index::{BlockKnn, Metrics, Neighbor, SpatialIndex};
 
-use crate::exec::{run_over_blocks, run_partitioned, ExecutionMode};
-use crate::join::knn_join_rows;
-use crate::output::{QueryOutput, Triplet};
+use crate::exec::{run_into_shares, ExecutionMode};
+use crate::join::{block_neighborhoods, knn_join_rows, points_repeated};
+use crate::output::{Pair, QueryOutput, Triplet};
 
 /// Parameters of a query with two chained kNN-joins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,31 +68,10 @@ where
     C: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
-    // Materialize (B ⋈kNN C) into a map keyed by b.
+    // Materialize (B ⋈kNN C), then join A against B and look each b up.
     let bc_pairs = knn_join_rows(b, c, query.k_bc, mode, &mut metrics);
-    let mut bc_by_b: HashMap<PointId, Vec<twoknn_geometry::Point>> = HashMap::new();
-    for p in &bc_pairs {
-        bc_by_b.entry(p.left.id).or_default().push(p.right);
-    }
-
-    // Outer join: A against B, then look b up in the materialized result.
-    let rows = run_over_blocks(a.blocks(), mode, &mut metrics, |block, rows, metrics| {
-        let a_points = a.block_points(block.id);
-        let Ok(region) = a_points.bounding() else {
-            return;
-        };
-        let mut knn = BlockKnn::prepare(b, &region, query.k_ab, metrics);
-        for a_point in a_points {
-            let nbr_a = knn.get(&a_point, metrics);
-            for n in nbr_a.members() {
-                if let Some(cs) = bc_by_b.get(&n.point.id) {
-                    for c_point in cs {
-                        rows.push(Triplet::new(a_point, n.point, *c_point));
-                    }
-                }
-            }
-        }
-    });
+    let ab_pairs = knn_join_rows(a, b, query.k_ab, mode, &mut metrics);
+    let rows = join_on_b(&ab_pairs, &bc_pairs);
     metrics.tuples_emitted = rows.len() as u64;
     QueryOutput::new(rows, metrics)
 }
@@ -110,21 +93,25 @@ where
     let mut metrics = Metrics::default();
     let ab_pairs = knn_join_rows(a, b, query.k_ab, mode, &mut metrics);
     let bc_pairs = knn_join_rows(b, c, query.k_bc, mode, &mut metrics);
+    let rows = join_on_b(&ab_pairs, &bc_pairs);
+    metrics.tuples_emitted = rows.len() as u64;
+    QueryOutput::new(rows, metrics)
+}
 
-    let mut bc_by_b: HashMap<PointId, Vec<twoknn_geometry::Point>> = HashMap::new();
-    for p in &bc_pairs {
+/// The triplets `(a, b, c)` of an `(a, b)` pair and a `(b, c)` pair, in
+/// `ab_pairs` order and then `bc_pairs` order.
+fn join_on_b(ab_pairs: &[Pair], bc_pairs: &[Pair]) -> Vec<Triplet> {
+    let mut bc_by_b: HashMap<PointId, Vec<Point>> = HashMap::new();
+    for p in bc_pairs {
         bc_by_b.entry(p.left.id).or_default().push(p.right);
     }
     let mut rows = Vec::new();
-    for ab in &ab_pairs {
+    for ab in ab_pairs {
         if let Some(cs) = bc_by_b.get(&ab.right.id) {
-            for c_point in cs {
-                rows.push(Triplet::new(ab.left, ab.right, *c_point));
-            }
+            rows.extend(cs.iter().map(|c| Triplet::new(ab.left, ab.right, *c)));
         }
     }
-    metrics.tuples_emitted = rows.len() as u64;
-    QueryOutput::new(rows, metrics)
+    rows
 }
 
 /// QEP3 of Figure 13: the nested-join plan **without** caching. The
@@ -151,13 +138,10 @@ where
 /// join are cached in a hash table keyed by the `b` point, so each distinct
 /// `b` is expanded at most once. This is the plan the paper recommends.
 ///
-/// In `Pooled` mode, `A`'s blocks are grouped into contiguous chunks and each
-/// chunk gets its **own** neighborhood cache — sharing one cache would either
-/// serialize the workers behind a lock or make the hit pattern racy. The
-/// result set is identical to the serial run (in order); the *cache* counters
-/// (`cache_hits`/`cache_misses`, and hence `neighborhoods_computed`) may be
-/// higher than serial, because a popular `b` can be expanded once per chunk
-/// instead of once overall.
+/// There is one cache in both modes: hits and misses are decided on the
+/// calling thread, in row order, between the two partitioned phases, so
+/// rows (in order) and every counter — `cache_hits`, `cache_misses` and
+/// `neighborhoods_computed` included — are identical to the serial run.
 pub fn chained_nested_cached<A, B, C>(
     a: &A,
     b: &B,
@@ -188,83 +172,78 @@ where
 {
     let mut metrics = Metrics::default();
     let blocks = a.blocks();
+    // Members per neighborhood: every a has `kb` bs, every b `kc` cs.
+    let kb = query.k_ab.min(b.num_points());
+    let kc = query.k_bc.min(c.num_points());
 
-    // One cache per work item. Serial runs use a single chunk spanning every
-    // block, so the cache is global exactly as in the paper; pooled runs
-    // split the blocks into a few chunks per worker (cheap dynamic load
-    // balancing without sacrificing too much cache reuse).
-    let threads = mode.effective_threads();
-    let chunk_len = if threads <= 1 {
-        blocks.len().max(1)
-    } else {
-        blocks.len().div_ceil(threads * 4).max(1)
-    };
-    let chunks: Vec<&[twoknn_index::BlockMeta]> = blocks.chunks(chunk_len).collect();
+    // Phase 1, partitioned: every a's neighborhood in B, off one candidate
+    // list per A block, into the block's share of one flat buffer.
+    let nbrs_a = block_neighborhoods(a, blocks, b, query.k_ab, mode, &mut metrics);
 
-    let rows = run_partitioned(&chunks, mode, &mut metrics, |chunk, rows, metrics| {
-        let mut cache: HashMap<PointId, Neighborhood> = HashMap::new();
-        // Per A block, reused across the chunk: the a neighborhoods, the b
-        // points to expand (cache misses, or every (a, b) without the
-        // cache) and, without the cache, their neighborhoods in order.
-        let mut nbrs_a: Vec<Neighborhood> = Vec::new();
-        let mut expand: Vec<Point> = Vec::new();
-        let mut expanded: Vec<Neighborhood> = Vec::new();
-        for block in *chunk {
-            let a_points = a.block_points(block.id);
-            let Ok(region) = a_points.bounding() else {
-                continue;
+    // Phase 2, on the calling thread, per (a, b) in row order: the bs to
+    // expand, grouped by the A block that first produced them, and the
+    // expansion each (a, b) reads. With the cache a b already seen is a hit
+    // and shares the first expansion; without it every (a, b) is expanded.
+    let mut first: HashMap<PointId, usize> = HashMap::new();
+    let mut expand: Vec<Point> = Vec::new();
+    let mut groups: Vec<Range<usize>> = Vec::with_capacity(blocks.len());
+    let mut expansion_of: Vec<usize> = Vec::with_capacity(nbrs_a.len());
+    let mut rest = nbrs_a.as_slice();
+    for block in blocks {
+        let (block_members, tail) = rest.split_at(block.count * kb);
+        rest = tail;
+        let start = expand.len();
+        for n in block_members {
+            let fresh = expand.len();
+            let expansion = if !use_cache {
+                fresh
+            } else {
+                match first.entry(n.point.id) {
+                    Entry::Occupied(seen) => {
+                        metrics.cache_hits += 1;
+                        *seen.get()
+                    }
+                    Entry::Vacant(slot) => {
+                        metrics.cache_misses += 1;
+                        *slot.insert(fresh)
+                    }
+                }
             };
-            let mut knn_b = BlockKnn::prepare(b, &region, query.k_ab, metrics);
-            nbrs_a.clear();
-            nbrs_a.extend(a_points.iter().map(|a_point| knn_b.get(&a_point, metrics)));
-            drop(knn_b);
-
-            // Hits and misses are counted per (a, b) in row order; a miss
-            // holds an empty placeholder until the block's bs are expanded,
-            // so a b repeated within the block is a hit, as before.
-            expand.clear();
-            for n in nbrs_a.iter().flat_map(Neighborhood::members) {
-                if !use_cache {
-                    expand.push(n.point);
-                } else if let Entry::Vacant(slot) = cache.entry(n.point.id) {
-                    metrics.cache_misses += 1;
-                    slot.insert(Neighborhood::empty(n.point, query.k_bc));
-                    expand.push(n.point);
-                } else {
-                    metrics.cache_hits += 1;
-                }
+            if expansion == fresh {
+                expand.push(n.point);
             }
-
-            // The block's bs, expanded together off one candidate list of C.
-            expanded.clear();
-            if let Ok(b_region) = Rect::bounding(&expand) {
-                let mut knn_c = BlockKnn::prepare(c, &b_region, query.k_bc, metrics);
-                for b_point in &expand {
-                    let nbr_b = knn_c.get(b_point, metrics);
-                    if use_cache {
-                        cache.insert(b_point.id, nbr_b);
-                    } else {
-                        expanded.push(nbr_b);
-                    }
-                }
-            }
-
-            // Rows in (a, b, c) order; cached neighborhoods by reference.
-            let mut uncached = expanded.iter();
-            for (a_point, nbr_a) in a_points.iter().zip(&nbrs_a) {
-                for n in nbr_a.members() {
-                    let nbr_b = if use_cache {
-                        &cache[&n.point.id]
-                    } else {
-                        uncached.next().expect("one expansion per (a, b)")
-                    };
-                    for m in nbr_b.members() {
-                        rows.push(Triplet::new(a_point, n.point, m.point));
-                    }
-                }
-            }
+            expansion_of.push(expansion);
         }
-    });
+        groups.push(start..expand.len());
+    }
+
+    // Phase 3, partitioned: each A block's bs, expanded together off one
+    // candidate list of C, into the group's share of a second flat buffer.
+    let nbrs_b = run_into_shares(
+        &groups,
+        |group| group.len() * kc,
+        Neighbor::UNSET,
+        mode,
+        &mut metrics,
+        |group, members, metrics| {
+            let bs = &expand[group.clone()];
+            let Ok(region) = Rect::bounding(bs) else {
+                return;
+            };
+            let mut knn = BlockKnn::prepare(c, &region, query.k_bc, metrics);
+            for (j, b_point) in bs.iter().enumerate() {
+                knn.get(b_point, &mut members[j * kc..(j + 1) * kc], metrics);
+            }
+        },
+    );
+
+    // Phase 4, on the calling thread: rows in (a, b, c) order.
+    let mut rows = Vec::with_capacity(expansion_of.len() * kc);
+    let a_points = points_repeated(a, blocks, kb);
+    for ((a_point, n), &e) in a_points.zip(&nbrs_a).zip(&expansion_of) {
+        let cs = &nbrs_b[e * kc..(e + 1) * kc];
+        rows.extend(cs.iter().map(|m| Triplet::new(a_point, n.point, m.point)));
+    }
     metrics.tuples_emitted = rows.len() as u64;
     QueryOutput::new(rows, metrics)
 }

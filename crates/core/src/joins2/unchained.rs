@@ -1,16 +1,17 @@
 //! Unchained kNN-joins: `(A ⋈kNN B) ∩_B (C ⋈kNN B)` (Section 4.1).
 //!
 //! Both plans partition their block loops through
-//! [`crate::exec::run_over_blocks`]; under `Pooled` mode both join phases
-//! run on the current persistent worker pool.
+//! [`crate::exec::run_into_shares`]; under `Pooled` mode every phase runs on
+//! the current persistent worker pool, and the `∩_B` runs on the calling
+//! thread.
 
 use std::collections::{HashMap, HashSet};
 
-use twoknn_geometry::PointId;
-use twoknn_index::{get_knn, BlockId, BlockKnn, Metrics, SpatialIndex};
+use twoknn_geometry::{Point, PointId};
+use twoknn_index::{get_knn, BlockId, BlockMeta, Metrics, SpatialIndex};
 
-use crate::exec::{run_over_blocks, ExecutionMode};
-use crate::join::knn_join_rows;
+use crate::exec::{run_into_shares, ExecutionMode};
+use crate::join::{block_neighborhoods, knn_join_rows, points_repeated};
 use crate::output::{Pair, QueryOutput, Triplet};
 
 /// Parameters of a query with two unchained kNN-joins.
@@ -48,7 +49,7 @@ where
     let mut metrics = Metrics::default();
     let ab_pairs = knn_join_rows(a, b, query.k_ab, mode, &mut metrics);
     let cb_pairs = knn_join_rows(c, b, query.k_cb, mode, &mut metrics);
-    let rows = intersect_on_b(&ab_pairs, &cb_pairs);
+    let rows = intersect_on_b(&ab_pairs, cb_pairs.iter().map(|p| (p.left, p.right)));
     metrics.tuples_emitted = rows.len() as u64;
     QueryOutput::new(rows, metrics)
 }
@@ -77,12 +78,12 @@ where
         // Restrict B to the matched points and join C against that subset.
         let b_subset: Vec<_> = dedup_right_points(&ab_pairs);
         let cb_pairs = join_against_points(c, &b_subset, query.k_cb, &mut metrics);
-        intersect_on_b(&ab_pairs, &cb_pairs)
+        intersect_on_b(&ab_pairs, cb_pairs.iter().map(|p| (p.left, p.right)))
     } else {
         let cb_pairs = knn_join_rows(c, b, query.k_cb, ExecutionMode::Serial, &mut metrics);
         let b_subset: Vec<_> = dedup_right_points(&cb_pairs);
         let ab_pairs = join_against_points(a, &b_subset, query.k_ab, &mut metrics);
-        intersect_on_b(&ab_pairs, &cb_pairs)
+        intersect_on_b(&ab_pairs, cb_pairs.iter().map(|p| (p.left, p.right)))
     };
     metrics.tuples_emitted = rows.len() as u64;
     QueryOutput::new(rows, metrics)
@@ -100,11 +101,11 @@ where
 /// Candidate `B` block lies fully or partially within that threshold. Points
 /// of Non-Contributing `C` blocks are skipped entirely by the second join.
 ///
-/// Both phases partition by block under `mode`: the first join over `A`'s
-/// blocks, then the classification-plus-join over `C`'s blocks (each `C`
-/// block's classification depends only on the shared Candidate set, never on
-/// another `C` block). Rows (in order) and merged work counters are
-/// identical to the serial run.
+/// Every phase partitions by block under `mode`: the first join over `A`'s
+/// blocks, then the classification of `C`'s blocks (each depends only on
+/// the shared Candidate set, never on another `C` block), then the join of
+/// the Contributing ones; the `∩_B` runs on the calling thread. Rows (in
+/// order) and merged work counters are identical to the serial run.
 pub fn unchained_block_marking<A, B, C>(
     a: &A,
     b: &B,
@@ -136,82 +137,78 @@ where
         .copied()
         .collect();
 
-    // Group the AB pairs by their B point for the final ∩_B.
-    let ab_by_b = group_pairs_by_right(&ab_pairs);
-
-    // Lines 9–34: classify the blocks of C and join the Contributing ones,
-    // partitioned across workers.
-    let rows = run_over_blocks(c.blocks(), mode, &mut metrics, |c_block, rows, metrics| {
-        if c_block.count == 0 {
-            return;
-        }
-        metrics.blocks_scanned += 1;
-        // The "process only the Safe blocks" shortcut: a C block whose own
-        // region holds a matched b point is Contributing outright.
-        let center = c_block.center();
-        let region_is_candidate = candidate_metas
-            .iter()
-            .any(|bb| bb.mbr.intersects(&c_block.mbr));
-        let contributing = if region_is_candidate {
-            true
-        } else {
-            // Lines 15–20: center neighborhood over B and threshold test.
-            let nbr_center = get_knn(b, &center, query.k_cb, metrics);
-            let search_threshold = nbr_center.radius() + c_block.diagonal();
-            candidate_metas
-                .iter()
-                .any(|bb| bb.mindist(&center) <= search_threshold)
-        };
-
-        if !contributing {
-            metrics.blocks_pruned += 1;
-            return;
-        }
-
-        // Lines 25–34: join the points of the Contributing block, off one
-        // candidate list of B blocks, and intersect on B.
-        let c_points = c.block_points(c_block.id);
-        let region = c_points.bounding().expect("the block holds points");
-        let mut knn = BlockKnn::prepare(b, &region, query.k_cb, metrics);
-        for c_point in c_points {
-            let nbr_c = knn.get(&c_point, metrics);
-            for n in nbr_c.members() {
-                if let Some(ab) = ab_by_b.get(&n.point.id) {
-                    for a_point in ab {
-                        rows.push(Triplet::new(*a_point, n.point, c_point));
-                    }
-                }
+    // Lines 9–24: classify the blocks of C, partitioned across workers.
+    let flags = run_into_shares(
+        c.blocks(),
+        |_| 1,
+        false,
+        mode,
+        &mut metrics,
+        |c_block, contributing, metrics| {
+            if c_block.count == 0 {
+                return;
             }
-        }
-    });
+            metrics.blocks_scanned += 1;
+            // The "process only the Safe blocks" shortcut: a C block whose
+            // own region holds a matched b point is Contributing outright.
+            let center = c_block.center();
+            let region_is_candidate = candidate_metas
+                .iter()
+                .any(|bb| bb.mbr.intersects(&c_block.mbr));
+            contributing[0] = region_is_candidate || {
+                // Lines 15–20: center neighborhood over B and threshold test.
+                let nbr_center = get_knn(b, &center, query.k_cb, metrics);
+                let search_threshold = nbr_center.radius() + c_block.diagonal();
+                candidate_metas
+                    .iter()
+                    .any(|bb| bb.mindist(&center) <= search_threshold)
+            };
+            if !contributing[0] {
+                metrics.blocks_pruned += 1;
+            }
+        },
+    );
+    let contributing: Vec<BlockMeta> = c
+        .blocks()
+        .iter()
+        .zip(flags)
+        .filter_map(|(block, contributing)| contributing.then_some(*block))
+        .collect();
+
+    // Lines 25–34: join the points of the Contributing blocks, off one
+    // candidate list of B blocks per block, and intersect on B.
+    let members = block_neighborhoods(c, &contributing, b, query.k_cb, mode, &mut metrics);
+    let c_points = points_repeated(c, &contributing, query.k_cb.min(b.num_points()));
+    let rows = intersect_on_b(&ab_pairs, c_points.zip(members.iter().map(|n| n.point)));
     metrics.tuples_emitted = rows.len() as u64;
     QueryOutput::new(rows, metrics)
 }
 
-/// `∩_B`: matches AB pairs and CB pairs sharing the same `B` point and emits
-/// `(a, b, c)` triplets.
-fn intersect_on_b(ab_pairs: &[Pair], cb_pairs: &[Pair]) -> Vec<Triplet> {
+/// `∩_B`: matches AB pairs and `(c, b)` pairs sharing the same `B` point
+/// and emits `(a, b, c)` triplets, in `(c, b)` order and then AB order.
+fn intersect_on_b(
+    ab_pairs: &[Pair],
+    cb_pairs: impl IntoIterator<Item = (Point, Point)>,
+) -> Vec<Triplet> {
     let ab_by_b = group_pairs_by_right(ab_pairs);
     let mut rows = Vec::new();
-    for cb in cb_pairs {
-        if let Some(a_points) = ab_by_b.get(&cb.right.id) {
-            for a_point in a_points {
-                rows.push(Triplet::new(*a_point, cb.right, cb.left));
-            }
+    for (c_point, b_point) in cb_pairs {
+        if let Some(a_points) = ab_by_b.get(&b_point.id) {
+            rows.extend(a_points.iter().map(|a| Triplet::new(*a, b_point, c_point)));
         }
     }
     rows
 }
 
-fn group_pairs_by_right(pairs: &[Pair]) -> HashMap<PointId, Vec<twoknn_geometry::Point>> {
-    let mut map: HashMap<PointId, Vec<twoknn_geometry::Point>> = HashMap::new();
+fn group_pairs_by_right(pairs: &[Pair]) -> HashMap<PointId, Vec<Point>> {
+    let mut map: HashMap<PointId, Vec<Point>> = HashMap::new();
     for p in pairs {
         map.entry(p.right.id).or_default().push(p.left);
     }
     map
 }
 
-fn dedup_right_points(pairs: &[Pair]) -> Vec<twoknn_geometry::Point> {
+fn dedup_right_points(pairs: &[Pair]) -> Vec<Point> {
     let mut seen = HashSet::new();
     let mut out = Vec::new();
     for p in pairs {
@@ -226,7 +223,7 @@ fn dedup_right_points(pairs: &[Pair]) -> Vec<twoknn_geometry::Point> {
 /// (used only by the deliberately wrong sequential plan).
 fn join_against_points<O>(
     outer: &O,
-    candidates: &[twoknn_geometry::Point],
+    candidates: &[Point],
     k: usize,
     metrics: &mut Metrics,
 ) -> Vec<Pair>
@@ -236,7 +233,7 @@ where
     let mut pairs = Vec::new();
     for block in outer.blocks() {
         for e in outer.block_points(block.id) {
-            let mut ranked: Vec<(f64, twoknn_geometry::Point)> = candidates
+            let mut ranked: Vec<(f64, Point)> = candidates
                 .iter()
                 .map(|q| {
                     metrics.distance_computations += 1;
@@ -260,7 +257,6 @@ where
 mod tests {
     use super::*;
     use crate::output::triplet_id_set;
-    use twoknn_geometry::Point;
     use twoknn_index::GridIndex;
 
     fn scattered(n: usize, seed: u64, scale: f64) -> Vec<Point> {

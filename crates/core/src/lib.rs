@@ -30,9 +30,10 @@
 //! All algorithms are generic over any [`twoknn_index::SpatialIndex`]
 //! (grid, quadtree, or R-tree) and report machine-independent
 //! [`twoknn_index::Metrics`] describing the work they performed. Each has
-//! exactly one entry point, whose trailing [`ExecutionMode`] says whether its
-//! independent work items run on the calling thread (`Serial`) or spread
-//! over the current [`WorkerPool`] (`Pooled`) — same rows either way.
+//! exactly one entry point; a join's trailing [`ExecutionMode`] says whether
+//! its independent work items run on the calling thread (`Serial`) or spread
+//! over the current [`WorkerPool`] (`Pooled`) — same rows and counters
+//! either way. Selects are one walk each and take no mode.
 //!
 //! Around the algorithms, the crate provides the infrastructure of a small
 //! spatial database:

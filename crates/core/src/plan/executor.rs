@@ -8,13 +8,16 @@
 //! statistics, [`crate::plan::physical::compile`] lowers `(spec, strategy)`
 //! into a [`PhysicalPlan`] operator holding snapshot handles, and the
 //! operator runs under an [`ExecutionMode`] (serial, or block-partitioned
-//! over the persistent worker pool). [`Database::execute`] is nothing but
-//! that chain under the default mode — callers that want to choose the mode
-//! run `compile(&db.snapshot(), spec, strategy)?.execute(mode)` themselves;
-//! independent queries run concurrently through
+//! over a persistent worker pool). [`Database::execute`] is nothing but
+//! that chain under the default mode, `Pooled`, bound to the database's
+//! own [`WorkerPool`]: a join's work items run on that pool's workers and
+//! the calling thread (a pool of one runs them all inline), with the rows,
+//! row order and counters of a serial run. Callers that want to choose the
+//! mode run `compile(&db.snapshot(), spec, strategy)?.execute(mode)`
+//! themselves; independent queries run concurrently through
 //! [`Database::execute_batch`], which pins **one** snapshot for the whole
-//! batch and schedules *inter-query* tasks on the same [`WorkerPool`] the
-//! operators use for *intra-operator* tasks — one shared queue, one global
+//! batch and schedules *inter-query* tasks on the same pool the
+//! operators use for *intra-operator* tasks — one shared queue, one
 //! thread budget, regardless of how the two layers nest.
 //!
 //! Writes go through [`Database::insert`] / [`Database::remove`] /
@@ -58,10 +61,10 @@ use crate::store::{
 pub struct Database {
     store: Arc<RelationStore>,
     optimizer: Optimizer,
-    /// The worker pool batch execution **and** background compaction
-    /// schedule on. Defaults to the process-wide shared pool, so batch-level
-    /// query tasks, operator-level block tasks and store rebuild jobs share
-    /// one queue and one thread budget.
+    /// The worker pool every query, batch **and** background compaction of
+    /// this database runs on. Defaults to the process-wide shared pool, so
+    /// batch-level query tasks, operator-level block tasks and store
+    /// rebuild jobs share one queue and one thread budget.
     pool: Arc<WorkerPool>,
     /// The continuous-query engine, created lazily on the first
     /// subscription so databases that never subscribe pay nothing on the
@@ -321,13 +324,14 @@ impl Database {
         }
     }
 
-    /// Creates an empty catalog whose batch execution runs on an explicit
-    /// [`WorkerPool`] instead of the process-wide shared pool.
+    /// Creates an empty catalog whose queries, batches and compactions run
+    /// on an explicit [`WorkerPool`] instead of the process-wide shared
+    /// pool.
     ///
     /// Mostly useful for tests and benchmarks that need a pinned thread
-    /// budget. Note that `Pooled`-mode *operator* execution resolves its
-    /// pool dynamically: on this pool while running inside one of its batch
-    /// tasks (or under [`WorkerPool::bind`]), on the global pool otherwise.
+    /// budget. Every execution path of the database binds this pool, so a
+    /// query never starts the global pool's threads; a pool of one runs
+    /// every operator inline on the calling thread.
     pub fn with_pool(pool: Arc<WorkerPool>) -> Self {
         Self {
             pool,
@@ -396,8 +400,8 @@ impl Database {
         self.store.checkpoint(&self.pool);
     }
 
-    /// The worker pool handle batch execution and background compaction
-    /// schedule on.
+    /// The worker pool handle queries, batch execution and background
+    /// compaction run on.
     pub fn pool(&self) -> &Arc<WorkerPool> {
         &self.pool
     }
@@ -639,43 +643,40 @@ impl Database {
     }
 
     /// Executes a query, letting the optimizer pick the strategy and using
-    /// the default execution mode ([`ExecutionMode::default_mode`]).
+    /// the default execution mode ([`ExecutionMode::default_mode`]: pooled,
+    /// on this database's [`WorkerPool`]).
     ///
     /// The query runs against one pinned [`DbSnapshot`]: planning and
     /// execution observe the same relation versions even while writers
     /// publish new ones.
     pub fn execute(&self, spec: &QuerySpec) -> Result<QueryResult, QueryError> {
         let plan = self.plan_and_compile(&self.snapshot(), spec)?;
-        Ok(self.run_plan(&*plan, ExecutionMode::default_mode(), || {
-            "query".to_string()
-        }))
+        Ok(self.run_plan(&*plan, || "query".to_string()))
     }
 
     /// Runs one compiled plan with the always-on query latency histogram
     /// and, when tracing is enabled, a retained per-operator trace. The
     /// label closure only runs (and allocates) on the traced path.
-    fn run_plan(
-        &self,
-        plan: &dyn PhysicalPlan,
-        mode: ExecutionMode,
-        label: impl FnOnce() -> String,
-    ) -> QueryResult {
+    fn run_plan(&self, plan: &dyn PhysicalPlan, label: impl FnOnce() -> String) -> QueryResult {
         let obs = self.store.obs();
         self.timed_exec(|| {
             if obs.trace_enabled() {
-                let (result, trace) = plan.execute_traced(mode);
+                let (result, trace) = plan.execute_traced(ExecutionMode::default_mode());
                 obs.push_trace(label(), trace);
                 result
             } else {
-                plan.execute(mode)
+                plan.execute(ExecutionMode::default_mode())
             }
         })
     }
 
-    /// Runs `exec` under the always-on query latency histogram.
+    /// Runs `exec` on this database's pool, under the always-on query
+    /// latency histogram. Binding the pool is what keeps a `Pooled` operator
+    /// off the global pool: its work items run on `self.pool`'s workers and
+    /// the calling thread, and a pool of one runs them all inline.
     fn timed_exec<R>(&self, exec: impl FnOnce() -> R) -> R {
         let start = Instant::now();
-        let out = exec();
+        let out = self.pool.bind(exec);
         self.store
             .obs()
             .record(HistogramKind::QueryExec, start.elapsed());
@@ -712,17 +713,17 @@ impl Database {
         let snapshot = self.snapshot();
         let indexed: Vec<(usize, &QuerySpec)> = specs.iter().enumerate().collect();
         let mut scratch = Metrics::default();
-        let results =
-            crate::exec::run_partitioned_on(
-                &indexed,
-                &self.pool,
-                &mut scratch,
-                |&(i, spec), out, _| {
-                    out.push(self.plan_and_compile(&snapshot, spec).map(|plan| {
-                        self.run_plan(&*plan, ExecutionMode::Pooled, || batch_label(i))
-                    }));
-                },
-            );
+        let results = crate::exec::run_partitioned_on(
+            &indexed,
+            &self.pool,
+            &mut scratch,
+            |&(i, spec), out, _| {
+                out.push(
+                    self.plan_and_compile(&snapshot, spec)
+                        .map(|plan| self.run_plan(&*plan, || batch_label(i))),
+                );
+            },
+        );
         self.store
             .obs()
             .record(HistogramKind::BatchWindow, window.elapsed());
@@ -793,9 +794,7 @@ impl Database {
         strategy: Strategy,
     ) -> Result<QueryResult, QueryError> {
         let plan = compile(&self.snapshot(), spec, strategy)?;
-        Ok(self.run_plan(&*plan, ExecutionMode::default_mode(), || {
-            "query (pinned strategy)".to_string()
-        }))
+        Ok(self.run_plan(&*plan, || "query (pinned strategy)".to_string()))
     }
 
     // -----------------------------------------------------------------
@@ -885,7 +884,8 @@ impl Database {
     }
 
     /// `EXPLAIN ANALYZE` for a textual query: explains it, executes it
-    /// (default mode), and annotates every operator with wall time, rows
+    /// (default mode, on this database's pool), and annotates every
+    /// operator with wall time, rows
     /// emitted, and its [`Metrics`] counter delta. The root trace's
     /// inclusive counters reconcile exactly with the result's metrics.
     pub fn explain_analyze(&self, text: &str) -> Result<AnalyzedQuery, QueryError> {

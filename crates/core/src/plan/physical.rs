@@ -52,7 +52,7 @@ use twoknn_geometry::{Point, Predicate};
 use twoknn_index::{GridIndex, Metrics, SpatialIndex};
 
 use crate::error::QueryError;
-use crate::exec::{run_partitioned, ExecutionMode};
+use crate::exec::ExecutionMode;
 use crate::joins2::{
     chained_join_intersection, chained_nested, chained_nested_cached, chained_right_deep,
     unchained_block_marking, unchained_conceptual, ChainedJoinQuery, UnchainedJoinQuery,
@@ -615,10 +615,8 @@ impl PhysicalPlan for OuterPushdownOp {
 
     fn execute(&self, mode: ExecutionMode) -> QueryResult {
         let output = match self.strategy {
-            // The pushdown only ever joins the kσ selected points; it is
-            // already the cheap plan and runs serially.
             SelectOuterStrategy::Pushdown => {
-                select_on_outer_pushdown(&*self.outer, &*self.inner, &self.query)
+                select_on_outer_pushdown(&*self.outer, &*self.inner, &self.query, mode)
             }
             SelectOuterStrategy::SelectAfterJoin => {
                 select_on_outer_after_join(&*self.outer, &*self.inner, &self.query, mode)
@@ -786,16 +784,11 @@ impl PhysicalPlan for TwoSelectsOp {
         RowSchema::Points
     }
 
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
+    fn execute(&self, _mode: ExecutionMode) -> QueryResult {
+        // Two selects are two neighborhood walks — too little work to fan
+        // out; batch-level parallelism covers the many-query case.
         let output = match self.strategy {
-            // The conceptual QEP's two selects are independent: in `Pooled`
-            // mode each runs as its own pool task.
-            TwoSelectsStrategy::Conceptual => {
-                two_selects_conceptual(&*self.relation, &self.query, mode)
-            }
-            // The 2-kNN-select algorithm is inherently sequential (the
-            // second locality is bounded by the first select's result);
-            // batch-level parallelism covers the many-query case.
+            TwoSelectsStrategy::Conceptual => two_selects_conceptual(&*self.relation, &self.query),
             TwoSelectsStrategy::TwoKnnSelect => two_knn_select(&*self.relation, &self.query),
         };
         QueryResult::Points {
@@ -889,28 +882,19 @@ impl PhysicalPlan for FilteredTwoSelectsOp {
         RowSchema::Points
     }
 
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
+    fn execute(&self, _mode: ExecutionMode) -> QueryResult {
         let mut metrics = Metrics::default();
-        let predicates = [
-            (self.query.k1, self.query.f1),
-            (self.query.k2, self.query.f2),
-        ];
-        let mut neighborhoods = run_partitioned(
-            &predicates,
-            mode,
-            &mut metrics,
-            |(k, focal), out, metrics| {
-                out.push(knn_select_filtered_neighborhood(
-                    &*self.relation,
-                    focal,
-                    *k,
-                    &self.predicate,
-                    metrics,
-                ));
-            },
-        );
-        let nbr2 = neighborhoods.pop().expect("two predicates evaluated");
-        let nbr1 = neighborhoods.pop().expect("two predicates evaluated");
+        let mut select = |k, focal| {
+            knn_select_filtered_neighborhood(
+                &*self.relation,
+                &focal,
+                k,
+                &self.predicate,
+                &mut metrics,
+            )
+        };
+        let nbr1 = select(self.query.k1, self.query.f1);
+        let nbr2 = select(self.query.k2, self.query.f2);
         QueryResult::Points {
             output: intersect_output(&nbr1, &nbr2, metrics),
             strategy: self.strategy(),

@@ -27,13 +27,13 @@
 //! intersected with the focal neighborhood exactly as in the conceptual
 //! plan.
 
-use twoknn_index::{get_knn, BlockKnn, BlockMeta, Metrics, ScratchSpace, SpatialIndex};
+use twoknn_index::{get_knn, BlockKnn, BlockMeta, Metrics, Neighbor, ScratchSpace, SpatialIndex};
 
-use crate::exec::{run_partitioned, ExecutionMode};
+use crate::exec::{run_into_shares, ExecutionMode};
 use crate::output::{Pair, QueryOutput};
 use crate::select::knn_select_neighborhood;
 
-use super::SelectInnerJoinQuery;
+use super::{intersect_into, SelectInnerJoinQuery};
 
 /// Tuning knobs of the Block-Marking algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,19 +86,30 @@ where
     let contributing = preprocess_blocks(outer, inner, query, nbr_f.radius(), config, &mut metrics);
 
     // Procedure 2, lines 4–12: join only the points of Contributing blocks,
-    // partitioned across workers.
-    let rows = run_partitioned(&contributing, mode, &mut metrics, |block, rows, metrics| {
-        let points = outer.block_points(block.id);
-        let region = points
-            .bounding()
-            .expect("a Contributing block holds points");
-        let mut knn = BlockKnn::prepare(inner, &region, query.k_join, metrics);
-        for e1 in points {
-            for i in knn.get(&e1, metrics).intersect(&nbr_f) {
-                rows.push(Pair::new(e1, i));
+    // partitioned across workers, each point's rows into its slots of the
+    // calling thread's buffer.
+    let per_point = query.k_join.min(inner.num_points()).min(nbr_f.len());
+    let slots = run_into_shares(
+        &contributing,
+        |block| block.count * per_point,
+        None,
+        mode,
+        &mut metrics,
+        |block, slots, metrics| {
+            let points = outer.block_points(block.id);
+            let region = points
+                .bounding()
+                .expect("a Contributing block holds points");
+            let mut knn = BlockKnn::prepare(inner, &region, query.k_join, metrics);
+            let mut members = vec![Neighbor::UNSET; knn.neighborhood_len()];
+            for (j, e1) in points.iter().enumerate() {
+                knn.get(&e1, &mut members, metrics);
+                let mine = &mut slots[j * per_point..(j + 1) * per_point];
+                intersect_into(e1, &members, &nbr_f, mine);
             }
-        }
-    });
+        },
+    );
+    let rows: Vec<Pair> = slots.into_iter().flatten().collect();
     metrics.tuples_emitted = rows.len() as u64;
     QueryOutput::new(rows, metrics)
 }

@@ -18,13 +18,13 @@
 //! ([`BlockKnn`]), found at the block's first survivor.
 
 use twoknn_geometry::Point;
-use twoknn_index::{with_thread_scratch, BlockKnn, Metrics, Neighborhood, SpatialIndex};
+use twoknn_index::{with_thread_scratch, BlockKnn, Metrics, Neighbor, Neighborhood, SpatialIndex};
 
-use crate::exec::{run_over_blocks, ExecutionMode};
+use crate::exec::{run_into_shares, ExecutionMode};
 use crate::output::{Pair, QueryOutput};
 use crate::select::knn_select_neighborhood;
 
-use super::SelectInnerJoinQuery;
+use super::{intersect_into, SelectInnerJoinQuery};
 
 /// Evaluates `(E1 ⋈kNN E2) ∩ (E1 × σ_{kσ,f}(E2))` with the Counting
 /// algorithm (Procedure 1).
@@ -52,31 +52,38 @@ where
         return QueryOutput::new(Vec::new(), metrics);
     }
 
-    // Lines 3–22: per outer tuple, partitioned by outer block.
-    let rows = run_over_blocks(
+    // Lines 3–22: per outer tuple, partitioned by outer block, each point's
+    // rows into its slots of the calling thread's buffer.
+    let per_point = query.k_join.min(inner.num_points()).min(nbr_f.len());
+    let slots = run_into_shares(
         outer.blocks(),
+        |block| block.count * per_point,
+        None,
         mode,
         &mut metrics,
-        |block, rows, metrics| {
+        |block, slots, metrics| {
             let points = outer.block_points(block.id);
             // The block's candidate inner blocks, found at its first
             // survivor: a block whose points are all pruned pays for none.
             let mut knn = None;
-            for e1 in points {
+            for (j, e1) in points.iter().enumerate() {
                 if !counting_test_point(&e1, inner, &nbr_f, query, metrics) {
                     metrics.points_pruned += 1;
                     continue;
                 }
-                let knn = knn.get_or_insert_with(|| {
+                let (knn, members) = knn.get_or_insert_with(|| {
                     let region = points.bounding().expect("the block holds e1");
-                    BlockKnn::prepare(inner, &region, query.k_join, metrics)
+                    let knn = BlockKnn::prepare(inner, &region, query.k_join, metrics);
+                    let members = vec![Neighbor::UNSET; knn.neighborhood_len()];
+                    (knn, members)
                 });
-                for i in knn.get(&e1, metrics).intersect(&nbr_f) {
-                    rows.push(Pair::new(e1, i));
-                }
+                knn.get(&e1, members, metrics);
+                let mine = &mut slots[j * per_point..(j + 1) * per_point];
+                intersect_into(e1, members, &nbr_f, mine);
             }
         },
     );
+    let rows: Vec<Pair> = slots.into_iter().flatten().collect();
     metrics.tuples_emitted = rows.len() as u64;
     QueryOutput::new(rows, metrics)
 }

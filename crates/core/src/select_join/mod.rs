@@ -38,6 +38,26 @@ pub use range_select::{
 };
 
 use twoknn_geometry::Point;
+use twoknn_index::{Neighbor, Neighborhood};
+
+use crate::output::Pair;
+
+/// The rows an outer point `e1` with neighborhood `members` contributes to
+/// the select-inner query — the pairs `(e1, n)` whose `n` is also in
+/// `nbr_f`, in member order — written into `e1`'s slots, of which there are
+/// `min(|members|, |nbr_f|)`, enough for every row. Slots past the rows
+/// stay `None`.
+fn intersect_into(
+    e1: Point,
+    members: &[Neighbor],
+    nbr_f: &Neighborhood,
+    slots: &mut [Option<Pair>],
+) {
+    let hits = members.iter().filter(|n| nbr_f.contains_id(n.point.id));
+    for (slot, n) in slots.iter_mut().zip(hits) {
+        *slot = Some(Pair::new(e1, n.point));
+    }
+}
 
 /// Parameters of a query with a kNN-select on the **inner** relation of a
 /// kNN-join.

@@ -23,29 +23,29 @@ use super::SelectOuterJoinQuery;
 
 /// QEP1 of Figure 3: push the selection below the outer relation, i.e.
 /// evaluate `(σ_{kσ,f}(E1)) ⋈kNN E2`. This is the *efficient* plan: only the
-/// `kσ` selected outer points are joined.
+/// `kσ` selected outer points are joined, partitioned per `mode` (one work
+/// item per point).
 pub fn select_on_outer_pushdown<O, I>(
     outer: &O,
     inner: &I,
     query: &SelectOuterJoinQuery,
+    mode: ExecutionMode,
 ) -> QueryOutput<Pair>
 where
     O: SpatialIndex + ?Sized,
-    I: SpatialIndex + ?Sized,
+    I: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
     let selected = knn_select_neighborhood(outer, &query.focal, query.k_select, &mut metrics);
     let selected_points: Vec<_> = selected.points().copied().collect();
-    let rows = knn_join_points(&selected_points, inner, query.k_join, &mut metrics);
+    let rows = knn_join_points(&selected_points, inner, query.k_join, mode, &mut metrics);
     QueryOutput::new(rows, metrics)
 }
 
 /// QEP2 of Figure 3: evaluate the full join `E1 ⋈kNN E2` first and apply the
 /// selection on the outer attribute of the result afterwards. Same result as
 /// [`select_on_outer_pushdown`], but the join is computed for every outer
-/// point, block-partitioned per `mode`. (The pushdown QEP1 only ever joins
-/// the `kσ` selected points, so it takes no mode — it is already the cheap
-/// plan.)
+/// point, block-partitioned per `mode`.
 pub fn select_on_outer_after_join<O, I>(
     outer: &O,
     inner: &I,
@@ -93,7 +93,7 @@ mod tests {
         let inner = GridIndex::build(scattered(300, 6), 8).unwrap();
         for (k_join, k_select) in [(1, 1), (2, 2), (3, 10), (8, 4)] {
             let query = SelectOuterJoinQuery::new(k_join, k_select, Point::anonymous(40.0, 40.0));
-            let a = select_on_outer_pushdown(&outer, &inner, &query);
+            let a = select_on_outer_pushdown(&outer, &inner, &query, ExecutionMode::Serial);
             let b = select_on_outer_after_join(&outer, &inner, &query, ExecutionMode::Serial);
             assert_eq!(
                 pair_id_set(&a.rows),
@@ -108,7 +108,7 @@ mod tests {
         let outer = GridIndex::build(scattered(400, 7), 10).unwrap();
         let inner = GridIndex::build(scattered(400, 8), 10).unwrap();
         let query = SelectOuterJoinQuery::new(2, 5, Point::anonymous(10.0, 90.0));
-        let fast = select_on_outer_pushdown(&outer, &inner, &query);
+        let fast = select_on_outer_pushdown(&outer, &inner, &query, ExecutionMode::Serial);
         let slow = select_on_outer_after_join(&outer, &inner, &query, ExecutionMode::Serial);
         assert!(
             fast.metrics.neighborhoods_computed < slow.metrics.neighborhoods_computed / 10,
@@ -123,7 +123,7 @@ mod tests {
         let outer = GridIndex::build(scattered(100, 9), 6).unwrap();
         let inner = GridIndex::build(scattered(100, 10), 6).unwrap();
         let query = SelectOuterJoinQuery::new(3, 4, Point::anonymous(50.0, 50.0));
-        let out = select_on_outer_pushdown(&outer, &inner, &query);
+        let out = select_on_outer_pushdown(&outer, &inner, &query, ExecutionMode::Serial);
         assert!(out.len() <= query.k_join * query.k_select);
         assert_eq!(out.len(), query.k_join * query.k_select);
     }

@@ -3,7 +3,6 @@
 use twoknn_geometry::Point;
 use twoknn_index::{Metrics, Neighborhood, SpatialIndex};
 
-use crate::exec::{run_partitioned, ExecutionMode};
 use crate::output::QueryOutput;
 use crate::select::knn_select_neighborhood;
 
@@ -11,31 +10,13 @@ use super::TwoSelectsQuery;
 
 /// The correct QEP of Figure 16: evaluate `σ_{k1,f1}(E)` and `σ_{k2,f2}(E)`
 /// independently over the full relation and intersect the two results.
-///
-/// The two selects are independent by construction, so they are the two work
-/// items of a partitioned run — in `Pooled` mode each select evaluates as its
-/// own pool task before the intersection. Rows and merged work counters are
-/// identical to the serial run.
-pub fn two_selects_conceptual<I>(
-    relation: &I,
-    query: &TwoSelectsQuery,
-    mode: ExecutionMode,
-) -> QueryOutput<Point>
+pub fn two_selects_conceptual<I>(relation: &I, query: &TwoSelectsQuery) -> QueryOutput<Point>
 where
-    I: SpatialIndex + Sync + ?Sized,
+    I: SpatialIndex + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let predicates = [(query.k1, query.f1), (query.k2, query.f2)];
-    let mut neighborhoods = run_partitioned(
-        &predicates,
-        mode,
-        &mut metrics,
-        |(k, focal), out, metrics| {
-            out.push(knn_select_neighborhood(relation, focal, *k, metrics));
-        },
-    );
-    let nbr2 = neighborhoods.pop().expect("two predicates evaluated");
-    let nbr1 = neighborhoods.pop().expect("two predicates evaluated");
+    let nbr1 = knn_select_neighborhood(relation, &query.f1, query.k1, &mut metrics);
+    let nbr2 = knn_select_neighborhood(relation, &query.f2, query.k2, &mut metrics);
     intersect_output(&nbr1, &nbr2, metrics)
 }
 
@@ -120,7 +101,7 @@ mod tests {
             5,
             Point::anonymous(29.0, 0.0),
         );
-        let correct = point_id_set(&two_selects_conceptual(&e, &q, ExecutionMode::Serial).rows);
+        let correct = point_id_set(&two_selects_conceptual(&e, &q).rows);
         let wrong_a = point_id_set(&two_selects_wrong_sequential(&e, &q, true).rows);
         let wrong_b = point_id_set(&two_selects_wrong_sequential(&e, &q, false).rows);
         // With the focal points far apart and k small, the true intersection
@@ -148,8 +129,8 @@ mod tests {
             Point::anonymous(10.0, 1.0),
         );
         assert_eq!(
-            point_id_set(&two_selects_conceptual(&e, &q, ExecutionMode::Serial).rows),
-            point_id_set(&two_selects_conceptual(&e, &swapped, ExecutionMode::Serial).rows)
+            point_id_set(&two_selects_conceptual(&e, &q).rows),
+            point_id_set(&two_selects_conceptual(&e, &swapped).rows)
         );
     }
 
@@ -162,7 +143,7 @@ mod tests {
             20,
             Point::anonymous(6.0, 0.0),
         );
-        let out = two_selects_conceptual(&e, &q, ExecutionMode::Serial);
+        let out = two_selects_conceptual(&e, &q);
         // Every member of the smaller-k neighborhood near (5,0) is also among
         // the 20 nearest of (6,0), so the intersection equals the k1 set.
         assert_eq!(out.len(), 4);

@@ -58,7 +58,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ExecutionMode;
     use crate::output::point_id_set;
     use crate::selects2::two_selects_conceptual;
     use twoknn_index::GridIndex;
@@ -85,7 +84,7 @@ mod tests {
         for (k1, k2) in [(5, 5), (10, 10), (5, 50), (10, 320), (64, 8)] {
             let q = TwoSelectsQuery::new(k1, f1, k2, f2);
             let fast = two_knn_select(&e, &q);
-            let slow = two_selects_conceptual(&e, &q, ExecutionMode::Serial);
+            let slow = two_selects_conceptual(&e, &q);
             assert_eq!(
                 point_id_set(&fast.rows),
                 point_id_set(&slow.rows),
@@ -121,7 +120,7 @@ mod tests {
             Point::anonymous(40.0, 35.0),
         );
         let fast = two_knn_select(&e, &q);
-        let slow = two_selects_conceptual(&e, &q, ExecutionMode::Serial);
+        let slow = two_selects_conceptual(&e, &q);
         assert_eq!(point_id_set(&fast.rows), point_id_set(&slow.rows));
         assert!(
             fast.metrics.points_scanned < slow.metrics.points_scanned,
@@ -142,7 +141,7 @@ mod tests {
             Point::anonymous(52.0, 48.0),
         );
         let fast = two_knn_select(&e, &q);
-        let slow = two_selects_conceptual(&e, &q, ExecutionMode::Serial);
+        let slow = two_selects_conceptual(&e, &q);
         assert_eq!(point_id_set(&fast.rows), point_id_set(&slow.rows));
     }
 

@@ -5,7 +5,7 @@ use twoknn_geometry::{mindist_sq, rect_maxdist_sq, Point, Rect};
 
 use crate::block::BlockId;
 use crate::metrics::Metrics;
-use crate::neighborhood::Neighborhood;
+use crate::neighborhood::Neighbor;
 use crate::ordering::{DistanceCursor, OrderMetric};
 use crate::scratch::{with_thread_scratch, ScratchSpace};
 use crate::traits::SpatialIndex;
@@ -64,12 +64,14 @@ pub(crate) struct Candidate {
 /// **Buffers.** The candidate list is taken from the calling thread's
 /// [`ScratchSpace`](crate::ScratchSpace) when a `BlockKnn` is prepared and
 /// handed back when it is dropped; queries use the scratch's heap and
-/// distance buffer. After a warm-up region, preparing and querying allocate
-/// nothing but the returned neighborhoods.
+/// distance buffer and write the members into a slice the caller owns.
+/// Every neighborhood has exactly [`neighborhood_len`](Self::neighborhood_len)
+/// members, so a caller can size the buffers of a whole phase before it
+/// runs. After a warm-up region, preparing and querying allocate nothing.
 ///
 /// ```
 /// use twoknn_geometry::{Point, Rect};
-/// use twoknn_index::{get_knn, BlockKnn, GridIndex, Metrics};
+/// use twoknn_index::{get_knn, BlockKnn, GridIndex, Metrics, Neighbor};
 ///
 /// let inner: Vec<Point> = (0..500)
 ///     .map(|i| Point::new(i, (i % 23) as f64, (i % 29) as f64))
@@ -79,8 +81,10 @@ pub(crate) struct Candidate {
 /// let region = Rect::bounding(&outer).unwrap();
 /// let mut metrics = Metrics::default();
 /// let mut knn = BlockKnn::prepare(&inner, &region, 3, &mut metrics);
+/// let mut members = vec![Neighbor::UNSET; knn.neighborhood_len()];
 /// for p in &outer {
-///     assert_eq!(knn.get(p, &mut metrics), get_knn(&inner, p, 3, &mut Metrics::default()));
+///     knn.get(p, &mut members, &mut metrics);
+///     assert_eq!(members, get_knn(&inner, p, 3, &mut Metrics::default()).members());
 /// }
 /// ```
 #[derive(Debug)]
@@ -116,14 +120,29 @@ impl<'a, I: SpatialIndex + ?Sized> BlockKnn<'a, I> {
         }
     }
 
-    /// The neighborhood of `p`, which must lie in the prepared region —
-    /// identical to [`get_knn`](crate::get_knn)`(index, p, k)`.
-    pub fn get(&mut self, p: &Point, metrics: &mut Metrics) -> Neighborhood {
+    /// The number of members every neighborhood of this `BlockKnn` has:
+    /// `min(k, |index|)`. Callers size members buffers with it before a
+    /// phase runs.
+    pub fn neighborhood_len(&self) -> usize {
+        self.k.min(self.index.num_points())
+    }
+
+    /// Writes the neighborhood of `p`, which must lie in the prepared
+    /// region, into `members`, which must hold exactly
+    /// [`neighborhood_len`](Self::neighborhood_len) slots: afterwards they
+    /// are [`get_knn`](crate::get_knn)`(index, p, k)`'s members, in its
+    /// order.
+    pub fn get(&mut self, p: &Point, members: &mut [Neighbor], metrics: &mut Metrics) {
         debug_assert!(self.region.contains(p), "{p} outside the prepared region");
+        assert_eq!(
+            members.len(),
+            self.neighborhood_len(),
+            "a neighborhood has min(k, |index|) members"
+        );
         metrics.neighborhoods_computed += 1;
         if self.candidates.is_empty() {
-            // k = 0 or an empty inner relation.
-            return Neighborhood::empty(*p, self.k);
+            // k = 0 or an empty inner relation: no members to write.
+            return;
         }
         let (mut first, mut nearest) = (0, f64::INFINITY);
         for (i, c) in self.candidates.iter_mut().enumerate() {
@@ -134,7 +153,7 @@ impl<'a, I: SpatialIndex + ?Sized> BlockKnn<'a, I> {
         }
         let (index, k, candidates) = (self.index, self.k, &self.candidates);
         let order = std::iter::once(first).chain((0..candidates.len()).filter(|&i| i != first));
-        let (scanned, hood) = with_thread_scratch(|scratch| {
+        let scanned = with_thread_scratch(|scratch| {
             let ScratchSpace { dist, kth, .. } = scratch;
             kth.reset(k);
             let mut scanned = 0u64;
@@ -148,11 +167,11 @@ impl<'a, I: SpatialIndex + ?Sized> BlockKnn<'a, I> {
                 metrics.distance_computations += points.len() as u64;
                 kth.scan_block(p, points, dist);
             }
-            (scanned, kth.finish(*p, k))
+            kth.finish_into(members);
+            scanned
         });
         metrics.blocks_scanned += scanned;
         metrics.blocks_pruned += self.nonempty.saturating_sub(scanned);
-        hood
     }
 }
 
@@ -281,8 +300,10 @@ mod tests {
         for k in [1, 4, 30] {
             let (mut block, mut point) = (Metrics::default(), Metrics::default());
             let mut knn = BlockKnn::prepare(&inner, &region, k, &mut block);
+            let mut members = vec![Neighbor::UNSET; knn.neighborhood_len()];
             for p in &outer {
-                assert_eq!(knn.get(p, &mut block), get_knn(&inner, p, k, &mut point));
+                knn.get(p, &mut members, &mut block);
+                assert_eq!(members, get_knn(&inner, p, k, &mut point).members());
             }
             assert_eq!(block.neighborhoods_computed, point.neighborhoods_computed);
             assert!(
@@ -314,9 +335,10 @@ mod tests {
         let p = Point::anonymous(0.0, 0.0);
         for k in [1, 3] {
             let mut m = Metrics::default();
-            let got = BlockKnn::prepare(&inner, &Rect::from(p), k, &mut m).get(&p, &mut m);
-            assert_eq!(got, get_knn(&inner, &p, k, &mut m), "k={k}");
-            assert_eq!(got.ids()[0], 10, "k={k}");
+            let mut got = vec![Neighbor::UNSET; k];
+            BlockKnn::prepare(&inner, &Rect::from(p), k, &mut m).get(&p, &mut got, &mut m);
+            assert_eq!(got, get_knn(&inner, &p, k, &mut m).members(), "k={k}");
+            assert_eq!(got[0].point.id, 10, "k={k}");
         }
     }
 }

@@ -43,8 +43,9 @@
 //! * [`BlockKnn`] — the same neighborhoods for every point of a region (an
 //!   outer block's tight box), off one rect-origin cursor walk per region:
 //!   the candidate blocks within the region's covering radius are found
-//!   once and each point scans them nearest-first, τ-pruned — how every
-//!   join loops over an outer block's points;
+//!   once and each point scans them nearest-first, τ-pruned, writing its
+//!   `min(k, n)` members into a caller-owned slice — how every join loops
+//!   over an outer block's points;
 //! * [`Locality`] — the paper's Definition 2 and the two-phase construction
 //!   of Sankaranarayanan, Samet & Varshney, kept as the reference the tests
 //!   compare the walk against (`get_knn` scans a subset of its blocks);

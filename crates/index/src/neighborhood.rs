@@ -18,6 +18,24 @@ pub struct Neighbor {
     pub distance: f64,
 }
 
+impl Neighbor {
+    /// A placeholder for the slots of a members buffer sized in advance,
+    /// before [`BlockKnn::get`](crate::BlockKnn::get) writes them.
+    pub const UNSET: Neighbor = Neighbor {
+        point: Point::anonymous(0.0, 0.0),
+        distance: f64::INFINITY,
+    };
+}
+
+/// The order members of a neighborhood are kept in: by distance, then by
+/// point id.
+pub(crate) fn nearer_first(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
+    a.distance
+        .partial_cmp(&b.distance)
+        .expect("distances must not be NaN")
+        .then_with(|| a.point.id.cmp(&b.point.id))
+}
+
 /// The `k` nearest neighbors of a query point, sorted by increasing distance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Neighborhood {
@@ -37,12 +55,7 @@ impl Neighborhood {
     /// entries. Fewer than `k` members are kept when the relation holds fewer
     /// than `k` points, mirroring the set semantics of the paper.
     pub fn from_unsorted(query: Point, k: usize, mut members: Vec<Neighbor>) -> Self {
-        members.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .expect("distances must not be NaN")
-                .then_with(|| a.point.id.cmp(&b.point.id))
-        });
+        members.sort_by(nearer_first);
         members.truncate(k);
         Self { query, k, members }
     }

@@ -40,7 +40,7 @@ use std::collections::BinaryHeap;
 use twoknn_geometry::{euclidean_sq_batch, Point};
 
 use crate::block_knn::Candidate;
-use crate::neighborhood::{Neighbor, Neighborhood};
+use crate::neighborhood::{nearer_first, Neighbor, Neighborhood};
 use crate::ordering::{FrontierEntry, OrderedF64};
 
 /// An entry of the bounded candidate heap: a point and its squared distance
@@ -197,6 +197,25 @@ impl KthHeap {
             distance: e.key.0.sqrt(),
         }));
         Neighborhood::from_unsorted(query, k, members)
+    }
+
+    /// Drains the heap into `members`, which must hold exactly as many
+    /// entries as the heap, sorted in [`Neighborhood::from_unsorted`]'s
+    /// order — the members [`KthHeap::finish`] would return, with no
+    /// allocation.
+    pub fn finish_into(&mut self, members: &mut [Neighbor]) {
+        assert_eq!(
+            members.len(),
+            self.heap.len(),
+            "the members buffer holds one slot per neighbor found"
+        );
+        for (slot, e) in members.iter_mut().zip(self.heap.drain()) {
+            *slot = Neighbor {
+                point: e.point,
+                distance: e.key.0.sqrt(),
+            };
+        }
+        members.sort_unstable_by(nearer_first);
     }
 }
 

@@ -1,11 +1,11 @@
 //! Allocation accounting on the select hot path.
 //!
 //! Once a thread's [`ScratchSpace`](twoknn_index::ScratchSpace) has warmed
-//! up, `get_knn` — and a [`BlockKnn`] prepared per outer block and queried
-//! per point — allocates nothing beyond the returned [`Neighborhood`]s, and
-//! a block-distance cursor — the per-outer-point scan of the Counting
-//! algorithm — allocates nothing at all, on an index with as many blocks as
-//! the benchmark's large relations. This test pins that with a counting
+//! up, `get_knn` allocates nothing beyond the returned [`Neighborhood`]s,
+//! and a [`BlockKnn`] prepared per outer block and queried per point into a
+//! caller-owned members slice, or a block-distance cursor — the
+//! per-outer-point scan of the Counting algorithm — allocates nothing at
+//! all, on an index with as many blocks as the benchmark's large relations. This test pins that with a counting
 //! `#[global_allocator]` wrapper: the library itself forbids `unsafe`, but an
 //! integration test is its own crate, so the two `unsafe` trampolines below
 //! (plain delegation to the `System` allocator) are fine here.
@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use twoknn_geometry::{Point, Predicate, Rect};
 use twoknn_index::{
     get_knn, get_knn_bounded, get_knn_filtered, with_thread_scratch, BlockKnn, GridIndex, Metrics,
-    Neighborhood, SpatialIndex,
+    Neighbor, Neighborhood, SpatialIndex,
 };
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -154,10 +154,11 @@ fn warm_knn_queries_allocate_only_the_returned_neighborhood() {
     assert!(counted > 0, "the scans reached populated blocks");
 
     // One locality per outer block: a `BlockKnn` takes its candidate list
-    // from the thread scratch and hands it back when dropped, and queries
-    // run on the scratch's heap and distance buffer. After one warm-up
-    // block, preparing each block and querying its points allocates no more
-    // than the returned neighborhoods.
+    // from the thread scratch and hands it back when dropped, queries run on
+    // the scratch's heap and distance buffer, and each point's members go
+    // into the caller's slice. Once a sweep has grown the scratch to the
+    // largest block's working set, preparing each block and querying its
+    // points allocates nothing.
     let outer_blocks: Vec<Vec<Point>> = (0..16u64)
         .map(|b| {
             let (x0, y0) = ((b * 61 % 990) as f64, (b * 137 % 990) as f64);
@@ -166,35 +167,29 @@ fn warm_knn_queries_allocate_only_the_returned_neighborhood() {
                 .collect()
         })
         .collect();
+    let mut hood = vec![Neighbor::UNSET; k];
     let mut run_block = |points: &[Point]| -> usize {
         let region = Rect::bounding(points).unwrap();
         let mut knn = BlockKnn::prepare(&index, &region, k, &mut metrics);
-        points
-            .iter()
-            .map(|p| std::hint::black_box(knn.get(p, &mut metrics)).len())
-            .sum()
+        for p in points {
+            knn.get(p, &mut hood, &mut metrics);
+            std::hint::black_box(&hood);
+        }
+        points.len() * knn.neighborhood_len()
     };
-    run_block(&outer_blocks[0]);
+    for block in &outer_blocks {
+        run_block(block);
+    }
     let before = allocations();
-    let members: usize = outer_blocks[1..].iter().map(|b| run_block(b)).sum();
+    let members: usize = outer_blocks.iter().map(|b| run_block(b)).sum();
     let allocs = allocations() - before;
-    let hoods = outer_blocks[1..].iter().map(Vec::len).sum::<usize>();
+    let hoods = outer_blocks.iter().map(Vec::len).sum::<usize>();
     assert_eq!(members, k * hoods, "sanity: full neighborhoods");
-    assert!(
-        allocs <= 2 * hoods as u64,
-        "block path: {allocs} allocations for {} warm blocks and {hoods} neighborhoods \
-         (> 2 per returned neighborhood)",
-        outer_blocks.len() - 1
-    );
-    // Once every block has been seen, nothing is allocated per block at all:
-    // each neighborhood's members buffer is the only allocation.
-    let before = allocations();
-    let members: usize = outer_blocks[1..].iter().map(|b| run_block(b)).sum();
-    let allocs = allocations() - before;
-    assert_eq!(members, k * hoods);
-    assert!(
-        allocs <= hoods as u64,
-        "block path, second sweep: {allocs} allocations for {hoods} neighborhoods"
+    assert_eq!(
+        allocs,
+        0,
+        "block path: {allocs} allocations for {} warm blocks and {hoods} neighborhoods",
+        outer_blocks.len()
     );
 
     // Every path stayed on the same index and really did the work.

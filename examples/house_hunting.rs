@@ -14,7 +14,7 @@ use two_knn::core::selects2::{
     two_knn_select, two_selects_conceptual, two_selects_wrong_sequential, TwoSelectsQuery,
 };
 use two_knn::datagen::{berlinmod, BerlinModConfig};
-use two_knn::{ExecutionMode, GridIndex, Point, SpatialIndex};
+use two_knn::{GridIndex, Point, SpatialIndex};
 
 fn main() {
     let houses = GridIndex::build_with_target_occupancy(
@@ -38,7 +38,7 @@ fn main() {
 
     // Equal k: the scenario from the paper's example (5 and 5).
     let q = TwoSelectsQuery::new(5, work, 5, school);
-    let correct = two_selects_conceptual(&houses, &q, ExecutionMode::Serial);
+    let correct = two_selects_conceptual(&houses, &q);
     let wrong_work_first = two_selects_wrong_sequential(&houses, &q, true);
     let wrong_school_first = two_selects_wrong_sequential(&houses, &q, false);
     println!("k_work = k_school = 5:");
@@ -71,7 +71,7 @@ fn main() {
     for exp in 0..=8 {
         let k_school = 10usize << exp;
         let q = TwoSelectsQuery::new(10, work, k_school, school);
-        let slow = two_selects_conceptual(&houses, &q, ExecutionMode::Serial);
+        let slow = two_selects_conceptual(&houses, &q);
         let fast = two_knn_select(&houses, &q);
         assert_eq!(
             point_id_set(&slow.rows),

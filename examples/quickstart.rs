@@ -49,7 +49,7 @@ fn main() {
 
     // 2. kNN-select on the outer relation (pushdown is valid).
     let q = SelectOuterJoinQuery::new(3, 5, office);
-    let out = select_on_outer_pushdown(&restaurants, &hotels, &q);
+    let out = select_on_outer_pushdown(&restaurants, &hotels, &q, ExecutionMode::Serial);
     println!(
         "2. 5 restaurants closest to the office ⋈ their 3 nearest hotels:\n   {} pairs   [{}]",
         out.len(),

@@ -94,7 +94,9 @@ fn outer_select_pushdown_is_an_equivalence() {
         let k_select = rng.gen_range(1..10usize);
         let query = SelectOuterJoinQuery::new(k_join, k_select, f);
         assert_eq!(
-            pair_id_set(&select_on_outer_pushdown(&outer, &inner, &query).rows),
+            pair_id_set(
+                &select_on_outer_pushdown(&outer, &inner, &query, ExecutionMode::Serial).rows
+            ),
             pair_id_set(
                 &select_on_outer_after_join(&outer, &inner, &query, ExecutionMode::Serial).rows
             ),
@@ -184,7 +186,7 @@ fn two_selects_algorithms_are_equivalent() {
         let query = TwoSelectsQuery::new(k1, f1, k2, f2);
         assert_eq!(
             point_id_set(&two_knn_select(&relation, &query).rows),
-            point_id_set(&two_selects_conceptual(&relation, &query, ExecutionMode::Serial).rows),
+            point_id_set(&two_selects_conceptual(&relation, &query).rows),
             "case {case}"
         );
     }

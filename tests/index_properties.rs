@@ -11,8 +11,8 @@ use two_knn::datagen::rng::StdRng;
 use two_knn::geometry::{euclidean, maxdist, mindist, rect_maxdist_sq, rect_mindist_sq};
 use two_knn::index::{
     brute_force_knn, check_index_invariants, get_knn, get_knn_bounded, BlockDirectory, BlockId,
-    BlockKnn, BlockMeta, BlockOrder, BlockPoints, DistanceCursor, Locality, Metrics, OrderMetric,
-    ScratchSpace,
+    BlockKnn, BlockMeta, BlockOrder, BlockPoints, DistanceCursor, Locality, Metrics, Neighbor,
+    OrderMetric, ScratchSpace,
 };
 use two_knn::{GridIndex, Point, QuadtreeIndex, Rect, SpatialIndex, StrRTree};
 
@@ -914,12 +914,13 @@ fn assert_block_knn_matches(index: &dyn SpatialIndex, group: &[Point], k: usize,
         assert_eq!(prepared, Metrics::default(), "{ctx}: nothing to walk");
     }
     let nonempty = index.blocks().iter().filter(|b| b.count > 0).count() as u64;
+    assert_eq!(knn.neighborhood_len(), k.min(index.num_points()), "{ctx}");
+    let mut got = vec![Neighbor::UNSET; knn.neighborhood_len()];
     for p in group {
         let (mut m, mut mg) = (Metrics::default(), Metrics::default());
-        let got = knn.get(p, &mut m);
-        assert_eq!(got, get_knn(index, p, k, &mut mg), "{ctx}: {p}");
-        assert_eq!(got, brute_force_knn(index, p, k), "{ctx}: {p}");
-        assert_eq!(got.len(), k.min(index.num_points()), "{ctx}: {p}");
+        knn.get(p, &mut got, &mut m);
+        assert_eq!(got, get_knn(index, p, k, &mut mg).members(), "{ctx}: {p}");
+        assert_eq!(got, brute_force_knn(index, p, k).members(), "{ctx}: {p}");
         assert_eq!(m.neighborhoods_computed, 1, "{ctx}: {p}");
         let walked = if k == 0 { 0 } else { nonempty };
         assert_eq!(m.blocks_scanned + m.blocks_pruned, walked, "{ctx}: {p}");

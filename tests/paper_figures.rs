@@ -104,7 +104,7 @@ fn figure_3_select_outer_of_join_pushdown_is_valid() {
         Point::new(4, 9.0, 1.0),
     ]);
     let query = SelectOuterJoinQuery::new(2, 2, shopping_center);
-    let pushed = select_on_outer_pushdown(&mechanics, &hotels, &query);
+    let pushed = select_on_outer_pushdown(&mechanics, &hotels, &query, ExecutionMode::Serial);
     let after = select_on_outer_after_join(&mechanics, &hotels, &query, ExecutionMode::Serial);
     assert_eq!(pair_id_set(&pushed.rows), pair_id_set(&after.rows));
     // The selection keeps mechanics 1 and 2 (closest to the shopping center),
@@ -229,7 +229,7 @@ fn figures_14_15_16_two_selects() {
     // Figure 16: the correct QEP returns {x, y}.
     let expected_correct: BTreeSet<u64> = [1, 2].into_iter().collect();
     assert_eq!(
-        point_id_set(&two_selects_conceptual(&houses, &query, ExecutionMode::Serial).rows),
+        point_id_set(&two_selects_conceptual(&houses, &query).rows),
         expected_correct
     );
     assert_eq!(

@@ -246,18 +246,15 @@ fn every_strategy_and_mode_agrees_on_every_index() {
     }
 }
 
-/// Serial and pooled execution must also report identical work counters for
-/// the schedule-independent operators (all but the cached chained join,
-/// whose per-chunk caches legitimately change the hit pattern).
+/// Serial and pooled execution must also report identical work counters,
+/// for every strategy — the cached chained join included: it keeps one
+/// cache in both modes.
 #[test]
 fn pooled_metrics_merge_to_serial_totals() {
     let pools = pools();
     for (index_name, db) in databases() {
         for (spec, _) in specs() {
             for strategy in strategies_for(&spec) {
-                if strategy == Strategy::Chained(ChainedStrategy::NestedJoinCached) {
-                    continue;
-                }
                 let serial = run(&db, &spec, strategy, ExecutionMode::Serial);
                 for pool in &pools {
                     let threads = pool.parallelism();
