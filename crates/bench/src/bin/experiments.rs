@@ -13,13 +13,21 @@
 //! every dataset so the full sweep finishes in seconds — the CI path: it
 //! checks that every experiment runs and that the compared algorithms agree
 //! on result cardinalities, not that the timings mean anything.
+//!
+//! Every experiment runs on a pool of one, so the timings are
+//! single-threaded.
 
 use std::io::Write;
 
 use twoknn_bench::experiments::{run, ALL_IDS};
 use twoknn_bench::Scale;
+use twoknn_core::WorkerPool;
 
 fn main() {
+    WorkerPool::new(1).bind(run_experiments);
+}
+
+fn run_experiments() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Quick;
     let mut selected: Vec<String> = Vec::new();

@@ -4,7 +4,6 @@
 //! cardinalities, and returns a [`Report`] whose rendered table has the same
 //! shape as the paper's plot (same x-axis, same series).
 
-use twoknn_core::exec::ExecutionMode;
 use twoknn_core::joins2::{
     chained_join_intersection, chained_nested, chained_nested_cached, unchained_block_marking,
     unchained_conceptual, ChainedJoinQuery, UnchainedJoinQuery,
@@ -51,9 +50,8 @@ pub fn fig19(scale: Scale) -> Report {
     for (i, n) in workloads::fig19_outer_sizes(scale).into_iter().enumerate() {
         let outer = workloads::berlin_relation(n, 200 + i as u64);
         let x = n.to_string();
-        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query, ExecutionMode::Serial));
-        let (t_fast, fast) =
-            time_ms(|| block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial));
+        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query));
+        let (t_fast, fast) = time_ms(|| block_marking(&outer, &inner, &query, &config));
         assert_same_rows(&slow, &fast, "fig19");
         record(&mut report, &x, "conceptual", t_slow, &slow);
         record(&mut report, &x, "block-marking", t_fast, &fast);
@@ -96,9 +94,8 @@ fn counting_vs_block_marking(
     for (i, n) in outer_sizes.into_iter().enumerate() {
         let outer = workloads::berlin_relation(n, 300 + i as u64);
         let x = n.to_string();
-        let (t_counting, c) = time_ms(|| counting(&outer, &inner, &query, ExecutionMode::Serial));
-        let (t_marking, m) =
-            time_ms(|| block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial));
+        let (t_counting, c) = time_ms(|| counting(&outer, &inner, &query));
+        let (t_marking, m) = time_ms(|| block_marking(&outer, &inner, &query, &config));
         assert_same_rows(&c, &m, id);
         record(&mut report, &x, "counting", t_counting, &c);
         record(&mut report, &x, "block-marking", t_marking, &m);
@@ -123,10 +120,8 @@ pub fn fig22(scale: Scale) -> Report {
     for (i, n) in workloads::fig22_c_sizes(scale).into_iter().enumerate() {
         let c = workloads::berlin_relation(n, 400 + i as u64);
         let x = n.to_string();
-        let (t_slow, slow) =
-            time_ms(|| unchained_conceptual(&a, &b, &c, &query, ExecutionMode::Serial));
-        let (t_fast, fast) =
-            time_ms(|| unchained_block_marking(&a, &b, &c, &query, ExecutionMode::Serial));
+        let (t_slow, slow) = time_ms(|| unchained_conceptual(&a, &b, &c, &query));
+        let (t_fast, fast) = time_ms(|| unchained_block_marking(&a, &b, &c, &query));
         assert_same_rows(&slow, &fast, "fig22");
         record(&mut report, &x, "conceptual", t_slow, &slow);
         record(&mut report, &x, "block-marking", t_fast, &fast);
@@ -153,12 +148,10 @@ pub fn fig23(scale: Scale) -> Report {
         let a = workloads::clustered_relation_sized(FIG23_BASE_CLUSTERS + d, 4_000, 601);
         let x = d.to_string();
         // Start with (A ⋈ B): prune C's blocks.
-        let (t_start_a, start_a) =
-            time_ms(|| unchained_block_marking(&a, &b, &c, &query, ExecutionMode::Serial));
+        let (t_start_a, start_a) = time_ms(|| unchained_block_marking(&a, &b, &c, &query));
         // Start with (C ⋈ B): prune A's blocks (the recommended order, since
         // C has fewer clusters and therefore smaller coverage).
-        let (t_start_c, start_c) =
-            time_ms(|| unchained_block_marking(&c, &b, &a, &query, ExecutionMode::Serial));
+        let (t_start_c, start_c) = time_ms(|| unchained_block_marking(&c, &b, &a, &query));
         assert_eq!(
             start_a.len(),
             start_c.len(),
@@ -186,10 +179,8 @@ pub fn fig24(scale: Scale) -> Report {
     for (i, n) in workloads::fig24_a_sizes(scale).into_iter().enumerate() {
         let a = workloads::berlin_relation(n, 700 + i as u64);
         let x = n.to_string();
-        let (t_uncached, uncached) =
-            time_ms(|| chained_nested(&a, &b, &c, &query, ExecutionMode::Serial));
-        let (t_cached, cached) =
-            time_ms(|| chained_nested_cached(&a, &b, &c, &query, ExecutionMode::Serial));
+        let (t_uncached, uncached) = time_ms(|| chained_nested(&a, &b, &c, &query));
+        let (t_cached, cached) = time_ms(|| chained_nested_cached(&a, &b, &c, &query));
         assert_same_rows(&uncached, &cached, "fig24");
         record(&mut report, &x, "nested-join", t_uncached, &uncached);
         record(&mut report, &x, "nested-join-cached", t_cached, &cached);
@@ -214,10 +205,8 @@ pub fn fig25(scale: Scale) -> Report {
     for n_clusters in workloads::fig25_b_clusters(scale) {
         let b = workloads::clustered_relation_sized(n_clusters, 4_000, 800 + n_clusters as u64);
         let x = n_clusters.to_string();
-        let (t_slow, slow) =
-            time_ms(|| chained_join_intersection(&a, &b, &c, &query, ExecutionMode::Serial));
-        let (t_fast, fast) =
-            time_ms(|| chained_nested_cached(&a, &b, &c, &query, ExecutionMode::Serial));
+        let (t_slow, slow) = time_ms(|| chained_join_intersection(&a, &b, &c, &query));
+        let (t_fast, fast) = time_ms(|| chained_nested_cached(&a, &b, &c, &query));
         assert_same_rows(&slow, &fast, "fig25");
         record(&mut report, &x, "join-intersection", t_slow, &slow);
         record(&mut report, &x, "nested-join-cached", t_fast, &fast);
@@ -300,9 +289,8 @@ pub fn ablation_index(scale: Scale) -> Report {
     {
         let outer = workloads::berlin_relation(n_outer, 171);
         let inner = workloads::berlin_relation(n_inner, 172);
-        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query, ExecutionMode::Serial));
-        let (t_fast, fast) =
-            time_ms(|| block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial));
+        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query));
+        let (t_fast, fast) = time_ms(|| block_marking(&outer, &inner, &query, &config));
         assert_same_rows(&slow, &fast, "ablation_index/grid");
         record(&mut report, "grid", "conceptual", t_slow, &slow);
         record(&mut report, "grid", "block-marking", t_fast, &fast);
@@ -311,9 +299,8 @@ pub fn ablation_index(scale: Scale) -> Report {
     {
         let outer = QuadtreeIndex::build(outer_pts.clone(), 128).expect("non-empty");
         let inner = QuadtreeIndex::build(inner_pts.clone(), 128).expect("non-empty");
-        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query, ExecutionMode::Serial));
-        let (t_fast, fast) =
-            time_ms(|| block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial));
+        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query));
+        let (t_fast, fast) = time_ms(|| block_marking(&outer, &inner, &query, &config));
         assert_same_rows(&slow, &fast, "ablation_index/quadtree");
         record(&mut report, "quadtree", "conceptual", t_slow, &slow);
         record(&mut report, "quadtree", "block-marking", t_fast, &fast);
@@ -327,9 +314,8 @@ pub fn ablation_index(scale: Scale) -> Report {
         let cfg = BlockMarkingConfig {
             contour_pruning: false,
         };
-        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query, ExecutionMode::Serial));
-        let (t_fast, fast) =
-            time_ms(|| block_marking(&outer, &inner, &query, &cfg, ExecutionMode::Serial));
+        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query));
+        let (t_fast, fast) = time_ms(|| block_marking(&outer, &inner, &query, &cfg));
         assert_same_rows(&slow, &fast, "ablation_index/rtree");
         record(&mut report, "str-rtree", "conceptual", t_slow, &slow);
         record(&mut report, "str-rtree", "block-marking", t_fast, &fast);
@@ -356,8 +342,7 @@ pub fn ablation_block_marking(scale: Scale) -> Report {
     for (i, n) in sizes.into_iter().enumerate() {
         let outer = workloads::berlin_relation(n, 900 + i as u64);
         let x = n.to_string();
-        let (t_contour, with_contour) =
-            time_ms(|| block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial));
+        let (t_contour, with_contour) = time_ms(|| block_marking(&outer, &inner, &query, &config));
         let (t_plain, without_contour) = time_ms(|| {
             block_marking(
                 &outer,
@@ -366,11 +351,9 @@ pub fn ablation_block_marking(scale: Scale) -> Report {
                 &BlockMarkingConfig {
                     contour_pruning: false,
                 },
-                ExecutionMode::Serial,
             )
         });
-        let (t_counting, count_out) =
-            time_ms(|| counting(&outer, &inner, &query, ExecutionMode::Serial));
+        let (t_counting, count_out) = time_ms(|| counting(&outer, &inner, &query));
         assert_same_rows(&with_contour, &without_contour, "ablation_block_marking");
         assert_same_rows(&with_contour, &count_out, "ablation_block_marking");
         record(&mut report, &x, "counting", t_counting, &count_out);

@@ -167,9 +167,7 @@ impl CqEngine {
         let snapshot = self.store.pin_many(&names)?;
         let pinned_versions = snapshot.versions();
         let plan = compile(&snapshot, &spec, strategy)?;
-        let result = self
-            .pool
-            .bind(|| plan.execute(ExecutionMode::default_mode()));
+        let result = self.pool.bind(|| plan.execute(ExecutionMode));
         let rows = result.rows();
         let mut work = result.metrics();
         let guards = compute_guards(&spec, &snapshot, &rows, &mut work)?;
@@ -404,11 +402,11 @@ impl CqEngine {
         let obs = self.store.obs();
         let start = std::time::Instant::now();
         let result = if obs.trace_enabled() {
-            let (result, trace) = plan.execute_traced(ExecutionMode::default_mode());
+            let (result, trace) = plan.execute_traced(ExecutionMode);
             obs.push_trace(format!("cq sub#{}", sub.id.0), trace);
             result
         } else {
-            plan.execute(ExecutionMode::default_mode())
+            plan.execute(ExecutionMode)
         };
         obs.record(HistogramKind::CqReeval, start.elapsed());
         let rows = result.rows();

@@ -1,20 +1,19 @@
-//! Execution modes and the work-partitioning substrate — the one place that
-//! knows how an operator's independent work items are spread over threads.
+//! The work-partitioning substrate — the one place that knows how an
+//! operator's independent work items are spread over threads.
 //!
 //! Every hot-path algorithm in this crate is written as a loop over
 //! independent work items (outer blocks, contributing blocks, query specs).
-//! [`run_partitioned`] abstracts that loop behind an [`ExecutionMode`]:
-//!
-//! * [`ExecutionMode::Serial`] — a plain iteration on the calling thread;
-//! * [`ExecutionMode::Pooled`] — items are distributed over the current
-//!   persistent [`WorkerPool`]: the pool the calling thread is bound to.
-//!   [`Database`](crate::plan::Database) binds its own pool around every
-//!   query it runs, and `Pooled` is its default mode. Batch-level tasks
-//!   ([`Database::execute_batch`](crate::plan::Database::execute_batch)) and
-//!   the operator-level block tasks they spawn go through the **same
-//!   queue**, so the thread budget is one number owned by one pool and
-//!   nested parallelism never oversubscribes the machine. A pool of one
-//!   runs inline.
+//! [`run_into_shares`] runs such a loop on the [`WorkerPool`] the calling
+//! thread is bound to ([`WorkerPool::current`]), and [`run_partitioned`]
+//! runs one on an explicit pool. The bound pool is the only parallelism
+//! setting: [`Database`](crate::plan::Database) binds its own pool around
+//! every query it runs, a caller that wants one thread binds
+//! `WorkerPool::new(1)`, and an unbound thread falls back to the global
+//! pool. Batch-level tasks
+//! ([`Database::execute_batch`](crate::plan::Database::execute_batch)) and
+//! the operator-level block tasks they spawn go through the **same queue**,
+//! so the thread budget is one number owned by one pool and nested
+//! parallelism never oversubscribes the machine.
 //!
 //! # Scheduling and the determinism guarantee
 //!
@@ -25,9 +24,9 @@
 //! order by the calling thread**: an item whose predecessors are all merged
 //! writes straight into the output, any other leaves its rows in a slot of
 //! its own, and the caller appends (and frees) each slot as soon as every
-//! item before it is merged. **Both modes produce byte-for-byte the same
-//! rows in the same order, and the same merged counters** — the execution
-//! mode is a performance knob, never a semantics knob — because every
+//! item before it is merged. **Every pool size produces byte-for-byte
+//! the same rows in the same order, and the same merged counters** — the
+//! pool is a performance knob, never a semantics knob — because every
 //! operator's per-item work is independent of the schedule.
 //! `tests/physical_plan_equivalence.rs` enforces both across all query
 //! shapes, strategies and index types on pools of 1, 2 and 4 threads.
@@ -46,7 +45,7 @@
 //!
 //! Single-item inputs and pools of one short-circuit to the plain serial
 //! loop before any pool submission, so trivial phases pay no
-//! synchronization cost.
+//! synchronization cost, and a pool of one *is* the serial evaluation.
 
 pub mod pool;
 
@@ -57,29 +56,18 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use twoknn_index::Metrics;
 
-/// How an operator should execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Single-threaded execution.
-    Serial,
-    /// Multi-core execution over the current persistent [`WorkerPool`] (the
-    /// pool the calling thread is bound to — a worker's own pool, or one
-    /// entered through [`WorkerPool::bind`] — and the global pool otherwise).
-    Pooled,
-}
+/// The argument of [`PhysicalPlan::execute`](crate::plan::PhysicalPlan::execute),
+/// which every operator ignores: how an operator's work items spread is
+/// decided by the pool the calling thread is bound to. It stays only so the
+/// `benchmark` package, which calls
+/// `plan.execute(ExecutionMode::default_mode())`, keeps compiling.
+#[derive(Debug, Clone, Copy)]
+pub struct ExecutionMode;
 
 impl ExecutionMode {
-    /// The mode the [`crate::plan::Database`] driver runs every query in:
-    /// pooled, on the database's own pool. Operators whose work is one
-    /// sequential walk (the selects) ignore the mode.
+    /// The only value.
     pub fn default_mode() -> Self {
-        ExecutionMode::Pooled
-    }
-}
-
-impl Default for ExecutionMode {
-    fn default() -> Self {
-        ExecutionMode::default_mode()
+        ExecutionMode
     }
 }
 
@@ -103,38 +91,19 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `work` once per item, serially or over the current pool per `mode`.
+/// Runs `work` once per item, partitioned over `pool` (its full
+/// parallelism, clamped by the item count) — the entry point behind
+/// [`Database::execute_batch`](crate::plan::Database::execute_batch) and
+/// store rebuilds.
 ///
 /// `work` receives the item, an output vector to push result rows into, and a
 /// metrics accumulator. Outputs are concatenated **in item order** regardless
 /// of the schedule, and every worker's metrics are merged into `metrics`, so
-/// serial and pooled runs report identical rows and identical work counters
-/// (for algorithms whose per-item work is schedule-independent).
+/// every pool size reports identical rows and identical work counters (for
+/// algorithms whose per-item work is schedule-independent). A single item,
+/// or a pool of one, runs the plain serial loop — no pool submission, no
+/// per-item slots.
 pub fn run_partitioned<T, R, F>(
-    items: &[T],
-    mode: ExecutionMode,
-    metrics: &mut Metrics,
-    work: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, &mut Vec<R>, &mut Metrics) + Sync,
-{
-    match mode {
-        ExecutionMode::Serial => run_serial(items, metrics, &work),
-        ExecutionMode::Pooled => run_partitioned_on(items, &WorkerPool::current(), metrics, work),
-    }
-}
-
-/// Runs `work` once per item, partitioned over an **explicit** worker pool
-/// (the pool's full parallelism, clamped by the item count) — what
-/// [`ExecutionMode::Pooled`] does on the current pool, and the entry point
-/// behind [`Database::execute_batch`](crate::plan::Database::execute_batch).
-/// Ordering and metrics-merge semantics are identical to
-/// [`run_partitioned`]. A single item, or a pool of one, runs the plain
-/// serial loop — no pool submission, no per-item slots.
-pub fn run_partitioned_on<T, R, F>(
     items: &[T],
     pool: &WorkerPool,
     metrics: &mut Metrics,
@@ -147,15 +116,15 @@ where
 {
     let threads = pool.parallelism().min(items.len());
     if threads <= 1 {
-        // Serial short-circuit, but still bound to `pool`: nested
-        // `Pooled`-mode runs inside `work` must budget against this pool,
-        // not drift to the global one.
+        // Serial short-circuit, but still bound to `pool`: nested runs
+        // inside `work` must budget against this pool, not drift to the
+        // global one.
         return pool.bind(|| run_serial(items, metrics, &work));
     }
     run_pooled(items, pool, threads, metrics, &work)
 }
 
-/// Runs `work` once per item, serially or over the current pool per `mode`,
+/// Runs `work` once per item on the current pool ([`WorkerPool::current`]),
 /// each item writing into its own share of one buffer: item `i` gets the
 /// `share(&items[i])` slots after the shares of the items before it. The
 /// buffer — `fill` in every slot `work` leaves alone — is allocated by the
@@ -166,7 +135,6 @@ pub fn run_into_shares<T, N, F>(
     items: &[T],
     share: impl Fn(&T) -> usize,
     fill: N,
-    mode: ExecutionMode,
     metrics: &mut Metrics,
     work: F,
 ) -> Vec<N>
@@ -187,7 +155,7 @@ where
         .collect();
     run_partitioned(
         &shares,
-        mode,
+        &WorkerPool::current(),
         metrics,
         |(item, mine), _: &mut Vec<()>, metrics| work(item, &mut lock(mine), metrics),
     );
@@ -301,24 +269,22 @@ mod tests {
             }
         };
         let mut m_serial = Metrics::default();
-        let serial = run_partitioned(&items, ExecutionMode::Serial, &mut m_serial, work);
+        let serial = run_partitioned(&items, &WorkerPool::new(1), &mut m_serial, work);
         assert_eq!(m_serial.points_scanned, 1_000);
         // An explicit pool, so the fan-out is real whatever the core count.
-        for parallelism in [1, 7] {
-            let mut m_pool = Metrics::default();
-            let pooled = WorkerPool::new(parallelism)
-                .bind(|| run_partitioned(&items, ExecutionMode::Pooled, &mut m_pool, work));
-            assert_eq!(serial, pooled);
-            assert_eq!(m_serial, m_pool);
-        }
+        let mut m_pool = Metrics::default();
+        let pooled = run_partitioned(&items, &WorkerPool::new(7), &mut m_pool, work);
+        assert_eq!(serial, pooled);
+        assert_eq!(m_serial, m_pool);
     }
 
     #[test]
     fn empty_input_is_fine_in_every_mode() {
         let items: Vec<u64> = Vec::new();
-        for mode in [ExecutionMode::Serial, ExecutionMode::Pooled] {
+        for parallelism in [1, 3] {
             let mut m = Metrics::default();
-            let out = run_partitioned(&items, mode, &mut m, |_, _out: &mut Vec<u64>, _| {});
+            let pool = WorkerPool::new(parallelism);
+            let out = run_partitioned(&items, &pool, &mut m, |_, _out: &mut Vec<u64>, _| {});
             assert!(out.is_empty());
         }
     }
@@ -326,9 +292,10 @@ mod tests {
     #[test]
     fn single_item_input_short_circuits_in_every_mode() {
         let items = [41u64];
-        for mode in [ExecutionMode::Serial, ExecutionMode::Pooled] {
+        for parallelism in [1, 3] {
             let mut m = Metrics::default();
-            let out = run_partitioned(&items, mode, &mut m, |item, out, m| {
+            let pool = WorkerPool::new(parallelism);
+            let out = run_partitioned(&items, &pool, &mut m, |item, out, m| {
                 m.points_scanned += 1;
                 out.push(item + 1);
             });
@@ -374,7 +341,7 @@ mod tests {
                 held.store(0, Ordering::SeqCst);
                 let mut m_pool = Metrics::default();
                 let pool = WorkerPool::new(parallelism);
-                let pooled = run_partitioned_on(&items, &pool, &mut m_pool, work);
+                let pooled = run_partitioned(&items, &pool, &mut m_pool, work);
                 let ctx = format!("pool of {parallelism}, caller holds: {caller_holds}");
                 assert_eq!(done.load(Ordering::SeqCst), items.len(), "{ctx}");
                 assert_eq!(serial, pooled, "{ctx}");
@@ -384,7 +351,7 @@ mod tests {
     }
 
     /// Each item fills exactly its own share of the caller's buffer, in
-    /// item order, in both modes.
+    /// item order, on pools of one and three.
     #[test]
     fn shares_are_disjoint_and_in_item_order() {
         let items: Vec<usize> = (0..40).map(|i| i % 5).collect();
@@ -394,40 +361,21 @@ mod tests {
                 *slot = (*len, j);
             }
         };
-        let mut m_serial = Metrics::default();
-        let serial = run_into_shares(
-            &items,
-            |len| *len,
-            (9, 9),
-            ExecutionMode::Serial,
-            &mut m_serial,
-            fill_share,
-        );
         let want: Vec<(usize, usize)> = items
             .iter()
             .flat_map(|&len| (0..len).map(move |j| (len, j)))
             .collect();
-        assert_eq!(serial, want);
-        assert_eq!(m_serial.neighborhoods_computed, items.len() as u64);
-        let mut m_pool = Metrics::default();
-        let pooled = WorkerPool::new(3).bind(|| {
-            run_into_shares(
-                &items,
-                |len| *len,
-                (9, 9),
-                ExecutionMode::Pooled,
-                &mut m_pool,
-                fill_share,
-            )
-        });
-        assert_eq!(pooled, want);
-        assert_eq!(m_pool, m_serial);
+        for parallelism in [1, 3] {
+            let mut m = Metrics::default();
+            let got = WorkerPool::new(parallelism)
+                .bind(|| run_into_shares(&items, |len| *len, (9, 9), &mut m, fill_share));
+            assert_eq!(got, want, "pool of {parallelism}");
+            assert_eq!(m.neighborhoods_computed, items.len() as u64);
+        }
     }
 
     #[test]
-    fn default_mode_is_pooled() {
-        assert_eq!(ExecutionMode::default_mode(), ExecutionMode::Pooled);
-        assert_eq!(ExecutionMode::default(), ExecutionMode::Pooled);
+    fn available_threads_is_at_least_one() {
         assert!(available_threads() >= 1);
     }
 }

@@ -1,5 +1,6 @@
 //! A persistent, lazily-initialized worker pool — the shared execution
-//! runtime behind [`ExecutionMode::Pooled`](super::ExecutionMode::Pooled).
+//! runtime behind every partitioned run ([`run_into_shares`](super::run_into_shares),
+//! [`run_partitioned`](super::run_partitioned)).
 //!
 //! # Why a pool
 //!
@@ -224,8 +225,9 @@ impl WorkerPool {
     }
 
     /// Runs `task` with the calling thread bound to this pool, so any
-    /// `Pooled`-mode execution `task` performs resolves
-    /// [`WorkerPool::current`] to this pool rather than the global one.
+    /// partitioned run `task` performs resolves [`WorkerPool::current`] to
+    /// this pool rather than the global one. Binding `WorkerPool::new(1)`
+    /// runs every operator inside `task` on the calling thread.
     ///
     /// [`WorkerPool::broadcast`] binds automatically; this explicit variant
     /// exists for paths that sidestep `broadcast` (e.g. a batch that
@@ -257,7 +259,7 @@ impl WorkerPool {
     {
         let copies = extra.min(self.parallelism - 1);
         // The caller is bound to this pool while it acts as a team member, so
-        // nested `Pooled`-mode runs land in this queue even from the inline
+        // nested partitioned runs land in this queue even from the inline
         // portion of the team.
         let _bind = CurrentPoolGuard::enter(self.self_ref.clone());
         if copies == 0 {
@@ -350,7 +352,7 @@ impl WorkerPool {
     /// thread budget. This is the entry point for background maintenance
     /// work (e.g. the relation store's index rebuilds): the job typically
     /// fans its own inner work out with
-    /// [`run_partitioned_on`](super::run_partitioned_on), which is safe to
+    /// [`run_partitioned`](super::run_partitioned), which is safe to
     /// nest from a worker thread.
     ///
     /// Two deliberate semantic differences from `broadcast`:
@@ -364,7 +366,7 @@ impl WorkerPool {
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
         let token = DetachedToken::check_in(&self.shared);
         if self.parallelism == 1 {
-            // No workers exist; bind so nested Pooled-mode work still
+            // No workers exist; bind so nested partitioned work still
             // budgets against this pool.
             let _bind = CurrentPoolGuard::enter(self.self_ref.clone());
             let _ = catch_unwind(AssertUnwindSafe(job));
@@ -491,7 +493,7 @@ fn run_job(entry: QueuedJob) {
 /// The worker-thread main loop: pop a job or park until one arrives.
 fn worker_loop(pool: Weak<WorkerPool>, shared: &Arc<PoolShared>) {
     // Permanently bind this thread to its pool so jobs that submit nested
-    // work (a batch task running a Pooled-mode operator) reuse this pool's
+    // work (a batch task running a join operator) reuse this pool's
     // queue instead of reaching for the global pool.
     CURRENT_POOL.with(|slot| *slot.borrow_mut() = Some(pool));
     loop {
@@ -516,7 +518,7 @@ fn worker_loop(pool: Weak<WorkerPool>, shared: &Arc<PoolShared>) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::run_partitioned_on;
+    use super::super::run_partitioned;
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use twoknn_index::Metrics;
@@ -559,7 +561,7 @@ mod tests {
             work(item, &mut serial, &mut serial_metrics);
         }
         let mut pooled_metrics = Metrics::default();
-        let pooled = run_partitioned_on(&items, &pool, &mut pooled_metrics, work);
+        let pooled = run_partitioned(&items, &pool, &mut pooled_metrics, work);
         assert_eq!(serial, pooled);
         assert_eq!(serial_metrics, pooled_metrics);
     }
@@ -573,7 +575,7 @@ mod tests {
 
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut metrics = Metrics::default();
-            run_partitioned_on(
+            run_partitioned(
                 &items,
                 &pool,
                 &mut metrics,
@@ -589,7 +591,7 @@ mod tests {
 
         // The same pool keeps serving work correctly afterwards.
         let mut metrics = Metrics::default();
-        let rows = run_partitioned_on(
+        let rows = run_partitioned(
             &items,
             &pool,
             &mut metrics,
@@ -634,8 +636,8 @@ mod tests {
         let batches: Vec<u64> = (0..6).collect();
         let blocks: Vec<u64> = (0..32).collect();
         let mut metrics = Metrics::default();
-        let per_batch = run_partitioned_on(&batches, pool, &mut metrics, |batch, out, metrics| {
-            let inner = run_partitioned_on(
+        let per_batch = run_partitioned(&batches, pool, &mut metrics, |batch, out, metrics| {
+            let inner = run_partitioned(
                 &blocks,
                 &WorkerPool::current(),
                 metrics,
@@ -669,7 +671,7 @@ mod tests {
     }
 
     /// Regression: a parallelism-1 explicit pool short-circuits
-    /// `run_partitioned_on` to a serial loop, but nested `Pooled`-mode work
+    /// `run_partitioned` to a serial loop, but nested partitioned work
     /// inside the tasks must still budget against that pool — it must not
     /// silently drift to the global pool.
     #[test]
@@ -679,7 +681,7 @@ mod tests {
         let mut metrics = Metrics::default();
         let expected = Arc::as_ptr(&pool) as usize;
         let bound = AtomicUsize::new(0);
-        run_partitioned_on(&items, &pool, &mut metrics, |_, _out: &mut Vec<u32>, _| {
+        run_partitioned(&items, &pool, &mut metrics, |_, _out: &mut Vec<u32>, _| {
             if Arc::as_ptr(&WorkerPool::current()) as usize == expected {
                 bound.fetch_add(1, Ordering::SeqCst);
             }

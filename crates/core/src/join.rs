@@ -11,9 +11,9 @@
 //! and each point's neighborhood is scanned from that candidate list;
 //! [`knn_join_points`], whose points need not share a block, runs `getkNN`
 //! per point. The outer relation's blocks (or the given points) are the
-//! work items of a partitioned run, so under [`ExecutionMode::Pooled`] they
-//! spread over the current worker pool with the same rows (in the same
-//! order) and the same merged counters as the serial evaluation.
+//! work items of a partitioned run: they spread over the pool the calling
+//! thread is bound to, with the same rows (in the same order) and the same
+//! merged counters on every pool size.
 //!
 //! A neighborhood has exactly `min(k, |inner|)` members, so every item's
 //! share of the output is known before the run: items write into one
@@ -23,35 +23,29 @@
 use twoknn_geometry::Point;
 use twoknn_index::{get_knn, BlockKnn, BlockMeta, Metrics, Neighbor, SpatialIndex};
 
-use crate::exec::{run_into_shares, ExecutionMode};
+use crate::exec::run_into_shares;
 use crate::output::{Pair, QueryOutput};
 
 /// Evaluates `outer ⋈_kNN inner` with the given `k`.
-pub fn knn_join<O, I>(outer: &O, inner: &I, k: usize, mode: ExecutionMode) -> QueryOutput<Pair>
+pub fn knn_join<O, I>(outer: &O, inner: &I, k: usize) -> QueryOutput<Pair>
 where
     O: SpatialIndex + Sync + ?Sized,
     I: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let rows = knn_join_rows(outer, inner, k, mode, &mut metrics);
+    let rows = knn_join_rows(outer, inner, k, &mut metrics);
     QueryOutput::new(rows, metrics)
 }
 
 /// Evaluates the kNN-join, accumulating work into `metrics` — the building
 /// block of every plan that contains a full join.
-pub fn knn_join_rows<O, I>(
-    outer: &O,
-    inner: &I,
-    k: usize,
-    mode: ExecutionMode,
-    metrics: &mut Metrics,
-) -> Vec<Pair>
+pub fn knn_join_rows<O, I>(outer: &O, inner: &I, k: usize, metrics: &mut Metrics) -> Vec<Pair>
 where
     O: SpatialIndex + Sync + ?Sized,
     I: SpatialIndex + Sync + ?Sized,
 {
     let blocks = outer.blocks();
-    let members = block_neighborhoods(outer, blocks, inner, k, mode, metrics);
+    let members = block_neighborhoods(outer, blocks, inner, k, metrics);
     let mut rows = Vec::with_capacity(members.len());
     let outer_points = points_repeated(outer, blocks, k.min(inner.num_points()));
     rows.extend(
@@ -66,14 +60,13 @@ where
 /// The neighborhoods in `inner` of every point of `blocks` (blocks of
 /// `outer`): block after block, point after point, `min(k, |inner|)`
 /// members each, in one buffer the calling thread allocates before the
-/// phase runs. Each block is a work item, partitioned per `mode`, and finds
-/// its points' neighborhoods off one [`BlockKnn`].
+/// phase runs. Each block is a work item of the current pool, and finds its
+/// points' neighborhoods off one [`BlockKnn`].
 pub(crate) fn block_neighborhoods<O, I>(
     outer: &O,
     blocks: &[BlockMeta],
     inner: &I,
     k: usize,
-    mode: ExecutionMode,
     metrics: &mut Metrics,
 ) -> Vec<Neighbor>
 where
@@ -85,7 +78,6 @@ where
         blocks,
         |block| block.count * len,
         Neighbor::UNSET,
-        mode,
         metrics,
         |block, members, metrics| {
             let points = outer.block_points(block.id);
@@ -118,13 +110,12 @@ where
 
 /// Evaluates the kNN-join for a specific subset of outer points (used by the
 /// two-predicate algorithms once pruning has decided which outer points can
-/// contribute). Each point is a work item of its own, partitioned per
-/// `mode`, and writes its pairs into its share of the result.
+/// contribute). Each point is a work item of its own on the current pool,
+/// and writes its pairs into its share of the result.
 pub fn knn_join_points<I>(
     outer_points: &[Point],
     inner: &I,
     k: usize,
-    mode: ExecutionMode,
     metrics: &mut Metrics,
 ) -> Vec<Pair>
 where
@@ -136,7 +127,6 @@ where
         outer_points,
         |_| len,
         unset,
-        mode,
         metrics,
         |e1, pairs, metrics| {
             let nbr = get_knn(inner, e1, k, metrics);
@@ -153,6 +143,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::WorkerPool;
     use crate::output::pair_id_set;
     use twoknn_index::{brute_force_knn, GridIndex};
 
@@ -174,7 +165,7 @@ mod tests {
         let outer = relation(40, 1.0, 0.0);
         let inner = relation(100, 0.7, 2.0);
         let k = 3;
-        let out = knn_join(&outer, &inner, k, ExecutionMode::Serial);
+        let out = knn_join(&outer, &inner, k);
         assert_eq!(out.len(), 40 * k);
         assert_eq!(out.metrics.neighborhoods_computed, 40);
     }
@@ -184,7 +175,7 @@ mod tests {
         let outer = relation(25, 1.3, 0.0);
         let inner = relation(60, 0.9, 1.0);
         let k = 4;
-        let got = pair_id_set(&knn_join(&outer, &inner, k, ExecutionMode::Serial).rows);
+        let got = pair_id_set(&knn_join(&outer, &inner, k).rows);
         let mut want = std::collections::BTreeSet::new();
         for e1 in outer.all_points() {
             for id in brute_force_knn(&inner, &e1, k).ids() {
@@ -198,13 +189,12 @@ mod tests {
     fn join_is_not_symmetric() {
         let outer = relation(30, 1.0, 0.0);
         let inner = relation(30, 1.0, 10.0);
-        let ab = pair_id_set(&knn_join(&outer, &inner, 2, ExecutionMode::Serial).rows);
-        let ba: std::collections::BTreeSet<(u64, u64)> =
-            knn_join(&inner, &outer, 2, ExecutionMode::Serial)
-                .rows
-                .iter()
-                .map(|p| (p.right.id, p.left.id))
-                .collect();
+        let ab = pair_id_set(&knn_join(&outer, &inner, 2).rows);
+        let ba: std::collections::BTreeSet<(u64, u64)> = knn_join(&inner, &outer, 2)
+            .rows
+            .iter()
+            .map(|p| (p.right.id, p.left.id))
+            .collect();
         // The same id pairs rarely coincide; assert the operator at least
         // produced different pair sets for this asymmetric layout.
         assert_ne!(ab, ba);
@@ -214,9 +204,8 @@ mod tests {
     fn pooled_join_matches_sequential_exactly() {
         let outer = relation(80, 1.1, 0.0);
         let inner = relation(120, 0.8, 0.5);
-        let seq = knn_join(&outer, &inner, 5, ExecutionMode::Serial);
-        let pooled = crate::exec::WorkerPool::new(4)
-            .bind(|| knn_join(&outer, &inner, 5, ExecutionMode::Pooled));
+        let seq = WorkerPool::new(1).bind(|| knn_join(&outer, &inner, 5));
+        let pooled = WorkerPool::new(4).bind(|| knn_join(&outer, &inner, 5));
         // Not just the same set: the same rows in the same order, with the
         // same merged work counters.
         assert_eq!(seq.rows, pooled.rows);
@@ -229,12 +218,11 @@ mod tests {
         let inner = relation(70, 1.0, 0.0);
         let mut m = Metrics::default();
         let subset: Vec<Point> = outer.all_points().into_iter().take(10).collect();
-        let partial = knn_join_points(&subset, &inner, 3, ExecutionMode::Serial, &mut m);
+        let partial = WorkerPool::new(1).bind(|| knn_join_points(&subset, &inner, 3, &mut m));
         let mut m_pool = Metrics::default();
-        let pooled = crate::exec::WorkerPool::new(3)
-            .bind(|| knn_join_points(&subset, &inner, 3, ExecutionMode::Pooled, &mut m_pool));
+        let pooled = WorkerPool::new(3).bind(|| knn_join_points(&subset, &inner, 3, &mut m_pool));
         assert_eq!((&partial, &m), (&pooled, &m_pool));
-        let full = knn_join(&outer, &inner, 3, ExecutionMode::Serial);
+        let full = knn_join(&outer, &inner, 3);
         let subset_ids: std::collections::BTreeSet<u64> = subset.iter().map(|p| p.id).collect();
         let expected: std::collections::BTreeSet<_> = full
             .rows
@@ -251,6 +239,6 @@ mod tests {
         let inner =
             GridIndex::build_with_bounds(vec![], twoknn_geometry::Rect::new(0.0, 0.0, 1.0, 1.0), 2)
                 .unwrap();
-        assert!(knn_join(&outer, &inner, 3, ExecutionMode::Serial).is_empty());
+        assert!(knn_join(&outer, &inner, 3).is_empty());
     }
 }

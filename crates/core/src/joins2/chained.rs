@@ -15,14 +15,14 @@
 //!   that a `b` appearing in several `A` neighborhoods is expanded only once.
 //!
 //! Every plan partitions its block loops through
-//! [`crate::exec::run_partitioned`]; under `Pooled` mode a multi-phase plan
-//! (e.g. QEP2's two joins) reuses the current persistent worker pool for
-//! each phase. Neighborhoods are found a block at a time ([`BlockKnn`]): an
-//! `A` block's points off one candidate list of `B` blocks and, in QEP3, the
-//! `b`s that block produces off one candidate list of `C` blocks. QEP3 keeps
-//! its neighborhoods between phases in flat buffers the calling thread sizes
-//! in advance ([`crate::exec::run_into_shares`]), and decides which `b`s to
-//! expand on the calling thread, so it has one cache in both modes.
+//! [`crate::exec::run_into_shares`], so each phase of a multi-phase plan
+//! (e.g. QEP2's two joins) runs on the pool the calling thread is bound to.
+//! Neighborhoods are found a block at a time ([`BlockKnn`]): an `A` block's
+//! points off one candidate list of `B` blocks and, in QEP3, the `b`s that
+//! block produces off one candidate list of `C` blocks. QEP3 keeps its
+//! neighborhoods between phases in flat buffers the calling thread sizes in
+//! advance, and decides which `b`s to expand on the calling thread, so it
+//! has one cache whatever the pool size.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -31,7 +31,7 @@ use std::ops::Range;
 use twoknn_geometry::{Point, PointId, Rect};
 use twoknn_index::{BlockKnn, Metrics, Neighbor, SpatialIndex};
 
-use crate::exec::{run_into_shares, ExecutionMode};
+use crate::exec::run_into_shares;
 use crate::join::{block_neighborhoods, knn_join_rows, points_repeated};
 use crate::output::{Pair, QueryOutput, Triplet};
 
@@ -54,13 +54,13 @@ impl ChainedJoinQuery {
 /// QEP1 of Figure 13: the right-deep plan. `B ⋈kNN C` is fully materialized
 /// before the outer join runs, so every `b ∈ B` pays for a neighborhood
 /// computation even if it never appears as a neighbor of any `a`. Both the
-/// materializing join and the outer join are block-partitioned per `mode`.
+/// materializing join and the outer join are block-partitioned over the
+/// current pool.
 pub fn chained_right_deep<A, B, C>(
     a: &A,
     b: &B,
     c: &C,
     query: &ChainedJoinQuery,
-    mode: ExecutionMode,
 ) -> QueryOutput<Triplet>
 where
     A: SpatialIndex + Sync + ?Sized,
@@ -69,21 +69,21 @@ where
 {
     let mut metrics = Metrics::default();
     // Materialize (B ⋈kNN C), then join A against B and look each b up.
-    let bc_pairs = knn_join_rows(b, c, query.k_bc, mode, &mut metrics);
-    let ab_pairs = knn_join_rows(a, b, query.k_ab, mode, &mut metrics);
+    let bc_pairs = knn_join_rows(b, c, query.k_bc, &mut metrics);
+    let ab_pairs = knn_join_rows(a, b, query.k_ab, &mut metrics);
     let rows = join_on_b(&ab_pairs, &bc_pairs);
     metrics.tuples_emitted = rows.len() as u64;
     QueryOutput::new(rows, metrics)
 }
 
 /// QEP2 of Figure 13: evaluate the two joins independently (each
-/// block-partitioned per `mode`) and intersect on the shared `B` component.
+/// block-partitioned over the current pool) and intersect on the shared `B`
+/// component.
 pub fn chained_join_intersection<A, B, C>(
     a: &A,
     b: &B,
     c: &C,
     query: &ChainedJoinQuery,
-    mode: ExecutionMode,
 ) -> QueryOutput<Triplet>
 where
     A: SpatialIndex + Sync + ?Sized,
@@ -91,8 +91,8 @@ where
     C: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let ab_pairs = knn_join_rows(a, b, query.k_ab, mode, &mut metrics);
-    let bc_pairs = knn_join_rows(b, c, query.k_bc, mode, &mut metrics);
+    let ab_pairs = knn_join_rows(a, b, query.k_ab, &mut metrics);
+    let bc_pairs = knn_join_rows(b, c, query.k_bc, &mut metrics);
     let rows = join_on_b(&ab_pairs, &bc_pairs);
     metrics.tuples_emitted = rows.len() as u64;
     QueryOutput::new(rows, metrics)
@@ -117,44 +117,42 @@ fn join_on_b(ab_pairs: &[Pair], bc_pairs: &[Pair]) -> Vec<Triplet> {
 /// QEP3 of Figure 13: the nested-join plan **without** caching. The
 /// neighborhood of a `b` point is computed each time `b` is produced as a
 /// neighbor of some `a` — so a popular `b` is expanded repeatedly. `A`'s
-/// blocks are partitioned per `mode`; rows (in order) and merged work
-/// counters are identical to the serial run.
+/// blocks are partitioned over the current pool; rows (in order) and merged
+/// work counters are the same on every pool size.
 pub fn chained_nested<A, B, C>(
     a: &A,
     b: &B,
     c: &C,
     query: &ChainedJoinQuery,
-    mode: ExecutionMode,
 ) -> QueryOutput<Triplet>
 where
     A: SpatialIndex + Sync + ?Sized,
     B: SpatialIndex + Sync + ?Sized,
     C: SpatialIndex + Sync + ?Sized,
 {
-    chained_nested_impl(a, b, c, query, false, mode)
+    chained_nested_impl(a, b, c, query, false)
 }
 
 /// QEP3 with the neighborhood cache of Section 4.2.1: results of the inner
 /// join are cached in a hash table keyed by the `b` point, so each distinct
 /// `b` is expanded at most once. This is the plan the paper recommends.
 ///
-/// There is one cache in both modes: hits and misses are decided on the
-/// calling thread, in row order, between the two partitioned phases, so
-/// rows (in order) and every counter — `cache_hits`, `cache_misses` and
-/// `neighborhoods_computed` included — are identical to the serial run.
+/// There is one cache whatever the pool size: hits and misses are decided
+/// on the calling thread, in row order, between the two partitioned phases,
+/// so rows (in order) and every counter — `cache_hits`, `cache_misses` and
+/// `neighborhoods_computed` included — are the same on every pool size.
 pub fn chained_nested_cached<A, B, C>(
     a: &A,
     b: &B,
     c: &C,
     query: &ChainedJoinQuery,
-    mode: ExecutionMode,
 ) -> QueryOutput<Triplet>
 where
     A: SpatialIndex + Sync + ?Sized,
     B: SpatialIndex + Sync + ?Sized,
     C: SpatialIndex + Sync + ?Sized,
 {
-    chained_nested_impl(a, b, c, query, true, mode)
+    chained_nested_impl(a, b, c, query, true)
 }
 
 fn chained_nested_impl<A, B, C>(
@@ -163,7 +161,6 @@ fn chained_nested_impl<A, B, C>(
     c: &C,
     query: &ChainedJoinQuery,
     use_cache: bool,
-    mode: ExecutionMode,
 ) -> QueryOutput<Triplet>
 where
     A: SpatialIndex + Sync + ?Sized,
@@ -178,7 +175,7 @@ where
 
     // Phase 1, partitioned: every a's neighborhood in B, off one candidate
     // list per A block, into the block's share of one flat buffer.
-    let nbrs_a = block_neighborhoods(a, blocks, b, query.k_ab, mode, &mut metrics);
+    let nbrs_a = block_neighborhoods(a, blocks, b, query.k_ab, &mut metrics);
 
     // Phase 2, on the calling thread, per (a, b) in row order: the bs to
     // expand, grouped by the A block that first produced them, and the
@@ -223,7 +220,6 @@ where
         &groups,
         |group| group.len() * kc,
         Neighbor::UNSET,
-        mode,
         &mut metrics,
         |group, members, metrics| {
             let bs = &expand[group.clone()];
@@ -280,14 +276,10 @@ mod tests {
         let c = grid(scattered(120, 3));
         for (k_ab, k_bc) in [(1, 1), (2, 2), (3, 4), (4, 2)] {
             let q = ChainedJoinQuery::new(k_ab, k_bc);
-            let p1 =
-                triplet_id_set(&chained_right_deep(&a, &b, &c, &q, ExecutionMode::Serial).rows);
-            let p2 = triplet_id_set(
-                &chained_join_intersection(&a, &b, &c, &q, ExecutionMode::Serial).rows,
-            );
-            let p3 = triplet_id_set(&chained_nested(&a, &b, &c, &q, ExecutionMode::Serial).rows);
-            let p4 =
-                triplet_id_set(&chained_nested_cached(&a, &b, &c, &q, ExecutionMode::Serial).rows);
+            let p1 = triplet_id_set(&chained_right_deep(&a, &b, &c, &q).rows);
+            let p2 = triplet_id_set(&chained_join_intersection(&a, &b, &c, &q).rows);
+            let p3 = triplet_id_set(&chained_nested(&a, &b, &c, &q).rows);
+            let p4 = triplet_id_set(&chained_nested_cached(&a, &b, &c, &q).rows);
             assert_eq!(p1, p2, "k_ab={k_ab} k_bc={k_bc}");
             assert_eq!(p2, p3, "k_ab={k_ab} k_bc={k_bc}");
             assert_eq!(p3, p4, "k_ab={k_ab} k_bc={k_bc}");
@@ -300,8 +292,8 @@ mod tests {
         let b = grid(scattered(60, 5)); // few B points => many repeats
         let c = grid(scattered(200, 6));
         let q = ChainedJoinQuery::new(3, 3);
-        let cached = chained_nested_cached(&a, &b, &c, &q, ExecutionMode::Serial);
-        let uncached = chained_nested(&a, &b, &c, &q, ExecutionMode::Serial);
+        let cached = chained_nested_cached(&a, &b, &c, &q);
+        let uncached = chained_nested(&a, &b, &c, &q);
         assert_eq!(triplet_id_set(&cached.rows), triplet_id_set(&uncached.rows));
         assert!(cached.metrics.cache_hits > 0);
         assert!(
@@ -333,8 +325,8 @@ mod tests {
         let b = grid(b_pts);
         let c = grid(scattered(150, 9));
         let q = ChainedJoinQuery::new(2, 2);
-        let nested = chained_nested_cached(&a, &b, &c, &q, ExecutionMode::Serial);
-        let right_deep = chained_right_deep(&a, &b, &c, &q, ExecutionMode::Serial);
+        let nested = chained_nested_cached(&a, &b, &c, &q);
+        let right_deep = chained_right_deep(&a, &b, &c, &q);
         assert_eq!(
             triplet_id_set(&nested.rows),
             triplet_id_set(&right_deep.rows)
@@ -355,7 +347,7 @@ mod tests {
         let b = grid(scattered(40, 10));
         let c = grid(scattered(40, 11));
         let q = ChainedJoinQuery::new(2, 2);
-        assert!(chained_right_deep(&empty, &b, &c, &q, ExecutionMode::Serial).is_empty());
-        assert!(chained_nested_cached(&empty, &b, &c, &q, ExecutionMode::Serial).is_empty());
+        assert!(chained_right_deep(&empty, &b, &c, &q).is_empty());
+        assert!(chained_nested_cached(&empty, &b, &c, &q).is_empty());
     }
 }

@@ -1,16 +1,15 @@
 //! Unchained kNN-joins: `(A ⋈kNN B) ∩_B (C ⋈kNN B)` (Section 4.1).
 //!
 //! Both plans partition their block loops through
-//! [`crate::exec::run_into_shares`]; under `Pooled` mode every phase runs on
-//! the current persistent worker pool, and the `∩_B` runs on the calling
-//! thread.
+//! [`crate::exec::run_into_shares`], so every phase runs on the pool the
+//! calling thread is bound to, and the `∩_B` runs on the calling thread.
 
 use std::collections::{HashMap, HashSet};
 
 use twoknn_geometry::{Point, PointId};
 use twoknn_index::{get_knn, BlockId, BlockMeta, Metrics, SpatialIndex};
 
-use crate::exec::{run_into_shares, ExecutionMode};
+use crate::exec::run_into_shares;
 use crate::join::{block_neighborhoods, knn_join_rows, points_repeated};
 use crate::output::{Pair, QueryOutput, Triplet};
 
@@ -33,13 +32,12 @@ impl UnchainedJoinQuery {
 /// The conceptually correct QEP of Figure 10: evaluate `(A ⋈kNN B)` and
 /// `(C ⋈kNN B)` independently and intersect the two pair sets on their `B`
 /// component (`∩_B`), producing `(a, b, c)` triplets. Both joins are
-/// block-partitioned per `mode`.
+/// block-partitioned over the current pool.
 pub fn unchained_conceptual<A, B, C>(
     a: &A,
     b: &B,
     c: &C,
     query: &UnchainedJoinQuery,
-    mode: ExecutionMode,
 ) -> QueryOutput<Triplet>
 where
     A: SpatialIndex + Sync + ?Sized,
@@ -47,8 +45,8 @@ where
     C: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let ab_pairs = knn_join_rows(a, b, query.k_ab, mode, &mut metrics);
-    let cb_pairs = knn_join_rows(c, b, query.k_cb, mode, &mut metrics);
+    let ab_pairs = knn_join_rows(a, b, query.k_ab, &mut metrics);
+    let cb_pairs = knn_join_rows(c, b, query.k_cb, &mut metrics);
     let rows = intersect_on_b(&ab_pairs, cb_pairs.iter().map(|p| (p.left, p.right)));
     metrics.tuples_emitted = rows.len() as u64;
     QueryOutput::new(rows, metrics)
@@ -74,13 +72,13 @@ where
 {
     let mut metrics = Metrics::default();
     let rows = if ab_first {
-        let ab_pairs = knn_join_rows(a, b, query.k_ab, ExecutionMode::Serial, &mut metrics);
+        let ab_pairs = knn_join_rows(a, b, query.k_ab, &mut metrics);
         // Restrict B to the matched points and join C against that subset.
         let b_subset: Vec<_> = dedup_right_points(&ab_pairs);
         let cb_pairs = join_against_points(c, &b_subset, query.k_cb, &mut metrics);
         intersect_on_b(&ab_pairs, cb_pairs.iter().map(|p| (p.left, p.right)))
     } else {
-        let cb_pairs = knn_join_rows(c, b, query.k_cb, ExecutionMode::Serial, &mut metrics);
+        let cb_pairs = knn_join_rows(c, b, query.k_cb, &mut metrics);
         let b_subset: Vec<_> = dedup_right_points(&cb_pairs);
         let ab_pairs = join_against_points(a, &b_subset, query.k_ab, &mut metrics);
         intersect_on_b(&ab_pairs, cb_pairs.iter().map(|p| (p.left, p.right)))
@@ -101,17 +99,17 @@ where
 /// Candidate `B` block lies fully or partially within that threshold. Points
 /// of Non-Contributing `C` blocks are skipped entirely by the second join.
 ///
-/// Every phase partitions by block under `mode`: the first join over `A`'s
-/// blocks, then the classification of `C`'s blocks (each depends only on
-/// the shared Candidate set, never on another `C` block), then the join of
-/// the Contributing ones; the `∩_B` runs on the calling thread. Rows (in
-/// order) and merged work counters are identical to the serial run.
+/// Every phase partitions by block over the current pool: the first join
+/// over `A`'s blocks, then the classification of `C`'s blocks (each depends
+/// only on the shared Candidate set, never on another `C` block), then the
+/// join of the Contributing ones; the `∩_B` runs on the calling thread.
+/// Rows (in order) and merged work counters are the same on every pool
+/// size.
 pub fn unchained_block_marking<A, B, C>(
     a: &A,
     b: &B,
     c: &C,
     query: &UnchainedJoinQuery,
-    mode: ExecutionMode,
 ) -> QueryOutput<Triplet>
 where
     A: SpatialIndex + Sync + ?Sized,
@@ -121,7 +119,7 @@ where
     let mut metrics = Metrics::default();
 
     // Lines 1–3: the first join and the projection of its B points.
-    let ab_pairs = knn_join_rows(a, b, query.k_ab, mode, &mut metrics);
+    let ab_pairs = knn_join_rows(a, b, query.k_ab, &mut metrics);
 
     // Lines 4–8: mark Candidate blocks of B (blocks containing matched b's).
     let mut candidate_blocks: HashSet<BlockId> = HashSet::new();
@@ -142,7 +140,6 @@ where
         c.blocks(),
         |_| 1,
         false,
-        mode,
         &mut metrics,
         |c_block, contributing, metrics| {
             if c_block.count == 0 {
@@ -177,7 +174,7 @@ where
 
     // Lines 25–34: join the points of the Contributing blocks, off one
     // candidate list of B blocks per block, and intersect on B.
-    let members = block_neighborhoods(c, &contributing, b, query.k_cb, mode, &mut metrics);
+    let members = block_neighborhoods(c, &contributing, b, query.k_cb, &mut metrics);
     let c_points = points_repeated(c, &contributing, query.k_cb.min(b.num_points()));
     let rows = intersect_on_b(&ab_pairs, c_points.zip(members.iter().map(|n| n.point)));
     metrics.tuples_emitted = rows.len() as u64;
@@ -284,8 +281,8 @@ mod tests {
         let c = grid(scattered(150, 3, 0.1));
         for (k_ab, k_cb) in [(1, 1), (2, 2), (3, 5), (5, 2)] {
             let q = UnchainedJoinQuery::new(k_ab, k_cb);
-            let fast = unchained_block_marking(&a, &b, &c, &q, ExecutionMode::Serial);
-            let slow = unchained_conceptual(&a, &b, &c, &q, ExecutionMode::Serial);
+            let fast = unchained_block_marking(&a, &b, &c, &q);
+            let slow = unchained_conceptual(&a, &b, &c, &q);
             assert_eq!(
                 triplet_id_set(&fast.rows),
                 triplet_id_set(&slow.rows),
@@ -310,8 +307,7 @@ mod tests {
         );
         let b = grid(scattered(200, 9, 0.45));
         let q = UnchainedJoinQuery::new(2, 2);
-        let correct =
-            triplet_id_set(&unchained_conceptual(&a, &b, &c, &q, ExecutionMode::Serial).rows);
+        let correct = triplet_id_set(&unchained_conceptual(&a, &b, &c, &q).rows);
         let wrong_ab = triplet_id_set(&unchained_wrong_sequential(&a, &b, &c, &q, true).rows);
         let wrong_cb = triplet_id_set(&unchained_wrong_sequential(&a, &b, &c, &q, false).rows);
         assert_ne!(correct, wrong_ab);
@@ -330,8 +326,8 @@ mod tests {
         let b = grid(scattered(400, 10, 0.12));
         let c = grid(scattered(400, 11, 0.12));
         let q = UnchainedJoinQuery::new(2, 2);
-        let fast = unchained_block_marking(&a, &b, &c, &q, ExecutionMode::Serial);
-        let slow = unchained_conceptual(&a, &b, &c, &q, ExecutionMode::Serial);
+        let fast = unchained_block_marking(&a, &b, &c, &q);
+        let slow = unchained_conceptual(&a, &b, &c, &q);
         assert_eq!(triplet_id_set(&fast.rows), triplet_id_set(&slow.rows));
         assert!(fast.metrics.blocks_pruned > 0, "{}", fast.metrics);
         assert!(
@@ -350,7 +346,7 @@ mod tests {
         let b = grid(scattered(50, 12, 0.2));
         let c = grid(scattered(50, 13, 0.2));
         let q = UnchainedJoinQuery::new(2, 2);
-        assert!(unchained_conceptual(&empty, &b, &c, &q, ExecutionMode::Serial).is_empty());
-        assert!(unchained_block_marking(&empty, &b, &c, &q, ExecutionMode::Serial).is_empty());
+        assert!(unchained_conceptual(&empty, &b, &c, &q).is_empty());
+        assert!(unchained_block_marking(&empty, &b, &c, &q).is_empty());
     }
 }

@@ -30,10 +30,11 @@
 //! All algorithms are generic over any [`twoknn_index::SpatialIndex`]
 //! (grid, quadtree, or R-tree) and report machine-independent
 //! [`twoknn_index::Metrics`] describing the work they performed. Each has
-//! exactly one entry point; a join's trailing [`ExecutionMode`] says whether
-//! its independent work items run on the calling thread (`Serial`) or spread
-//! over the current [`WorkerPool`] (`Pooled`) — same rows and counters
-//! either way. Selects are one walk each and take no mode.
+//! exactly one entry point. A join's independent work items spread over the
+//! [`WorkerPool`] the calling thread is bound to (the global pool when none
+//! is), with the same rows and counters on every pool size; bind
+//! `WorkerPool::new(1)` to run on the calling thread alone. Selects are one
+//! walk each.
 //!
 //! Around the algorithms, the crate provides the infrastructure of a small
 //! spatial database:
@@ -43,7 +44,7 @@
 //! | [`plan`] | logical plans, statistics, optimizer, physical operators, and the [`plan::Database`] driver |
 //! | [`store`] | versioned relation store: spatially sharded relations, snapshot reads, delta ingest, per-shard background rebuilds on the worker pool, and the optional durability subsystem (WAL + immutable shard block files + crash recovery, [`DurabilityConfig`]) |
 //! | [`cq`] | continuous queries: standing two-kNN queries, guard-region registry, incremental maintenance over ingest |
-//! | [`exec`] | the two execution modes and the persistent [`WorkerPool`] shared by batches, operators, and compactions |
+//! | [`exec`] | the partitioned runs and the persistent [`WorkerPool`] shared by batches, operators, and compactions |
 //! | [`obs`] | observability: `EXPLAIN` / `EXPLAIN ANALYZE` plan introspection, per-operator execution traces, and the latency-histogram metrics registry with lifecycle events ([`TraceConfig`]) |
 //! | [`output`] | typed result rows ([`Pair`], [`Triplet`]) and the output container |
 //! | [`error`] | the [`QueryError`] taxonomy |
@@ -56,7 +57,7 @@
 //!
 //! ```
 //! use twoknn_core::select_join::{self, BlockMarkingConfig, SelectInnerJoinQuery};
-//! use twoknn_core::ExecutionMode;
+//! use twoknn_core::WorkerPool;
 //! use twoknn_geometry::Point;
 //! use twoknn_index::GridIndex;
 //!
@@ -69,13 +70,10 @@
 //!     k_select: 2,
 //!     focal: Point::anonymous(3.0, 1.0), // the shopping center
 //! };
-//! let result = select_join::block_marking(
-//!     &mechanics,
-//!     &hotels,
-//!     &query,
-//!     &BlockMarkingConfig::default(),
-//!     ExecutionMode::Serial,
-//! );
+//! // A pool of one: every work item runs on this thread.
+//! let result = WorkerPool::new(1).bind(|| {
+//!     select_join::block_marking(&mechanics, &hotels, &query, &BlockMarkingConfig::default())
+//! });
 //! assert!(!result.rows.is_empty());
 //! ```
 

@@ -7,13 +7,12 @@
 //! [`Optimizer`] picks a [`Strategy`] from the pinned relations'
 //! statistics, [`crate::plan::physical::compile`] lowers `(spec, strategy)`
 //! into a [`PhysicalPlan`] operator holding snapshot handles, and the
-//! operator runs under an [`ExecutionMode`] (serial, or block-partitioned
-//! over a persistent worker pool). [`Database::execute`] is nothing but
-//! that chain under the default mode, `Pooled`, bound to the database's
-//! own [`WorkerPool`]: a join's work items run on that pool's workers and
-//! the calling thread (a pool of one runs them all inline), with the rows,
-//! row order and counters of a serial run. Callers that want to choose the
-//! mode run `compile(&db.snapshot(), spec, strategy)?.execute(mode)`
+//! operator runs on the [`WorkerPool`] the calling thread is bound to.
+//! [`Database::execute`] is nothing but that chain bound to the database's
+//! own pool: a join's work items run on that pool's workers and the calling
+//! thread (a pool of one runs them all inline), with the same rows, row
+//! order and counters on every pool size. Callers that want another pool
+//! run `pool.bind(|| compile(&db.snapshot(), spec, strategy)?.execute(..))`
 //! themselves; independent queries run concurrently through
 //! [`Database::execute_batch`], which pins **one** snapshot for the whole
 //! batch and schedules *inter-query* tasks on the same pool the
@@ -642,9 +641,8 @@ impl Database {
         self.cq.get().map(|cq| cq.len()).unwrap_or(0)
     }
 
-    /// Executes a query, letting the optimizer pick the strategy and using
-    /// the default execution mode ([`ExecutionMode::default_mode`]: pooled,
-    /// on this database's [`WorkerPool`]).
+    /// Executes a query on this database's [`WorkerPool`], letting the
+    /// optimizer pick the strategy.
     ///
     /// The query runs against one pinned [`DbSnapshot`]: planning and
     /// execution observe the same relation versions even while writers
@@ -661,19 +659,19 @@ impl Database {
         let obs = self.store.obs();
         self.timed_exec(|| {
             if obs.trace_enabled() {
-                let (result, trace) = plan.execute_traced(ExecutionMode::default_mode());
+                let (result, trace) = plan.execute_traced(ExecutionMode);
                 obs.push_trace(label(), trace);
                 result
             } else {
-                plan.execute(ExecutionMode::default_mode())
+                plan.execute(ExecutionMode)
             }
         })
     }
 
     /// Runs `exec` on this database's pool, under the always-on query
-    /// latency histogram. Binding the pool is what keeps a `Pooled` operator
-    /// off the global pool: its work items run on `self.pool`'s workers and
-    /// the calling thread, and a pool of one runs them all inline.
+    /// latency histogram. Binding the pool is what keeps an operator off the
+    /// global pool: its work items run on `self.pool`'s workers and the
+    /// calling thread, and a pool of one runs them all inline.
     fn timed_exec<R>(&self, exec: impl FnOnce() -> R) -> R {
         let start = Instant::now();
         let out = self.pool.bind(exec);
@@ -692,7 +690,7 @@ impl Database {
     /// rebuilt bases underneath.
     ///
     /// The queries are scheduled as tasks on this database's [`WorkerPool`]
-    /// and each query in turn runs its operators in `Pooled` mode —
+    /// and each query in turn runs its operators on the same pool —
     /// batch-level and block-level tasks share **one queue**, so large
     /// batches saturate the pool with whole queries (inter-query
     /// parallelism, no merge overhead) while small or skewed batches let an
@@ -713,7 +711,7 @@ impl Database {
         let snapshot = self.snapshot();
         let indexed: Vec<(usize, &QuerySpec)> = specs.iter().enumerate().collect();
         let mut scratch = Metrics::default();
-        let results = crate::exec::run_partitioned_on(
+        let results = crate::exec::run_partitioned(
             &indexed,
             &self.pool,
             &mut scratch,
@@ -779,8 +777,8 @@ impl Database {
         })
     }
 
-    /// Executes a query with an explicitly chosen strategy under the default
-    /// execution mode: the plan is compiled into its physical operator and
+    /// Executes a query with an explicitly chosen strategy on this
+    /// database's pool: the plan is compiled into its physical operator and
     /// run.
     ///
     /// # Errors
@@ -883,10 +881,9 @@ impl Database {
         Ok((explain, plan))
     }
 
-    /// `EXPLAIN ANALYZE` for a textual query: explains it, executes it
-    /// (default mode, on this database's pool), and annotates every
-    /// operator with wall time, rows
-    /// emitted, and its [`Metrics`] counter delta. The root trace's
+    /// `EXPLAIN ANALYZE` for a textual query: explains it, executes it (on
+    /// this database's pool), and annotates every operator with wall time,
+    /// rows emitted, and its [`Metrics`] counter delta. The root trace's
     /// inclusive counters reconcile exactly with the result's metrics.
     pub fn explain_analyze(&self, text: &str) -> Result<AnalyzedQuery, QueryError> {
         let query = crate::plan::lang::parse(text)?;
@@ -901,8 +898,7 @@ impl Database {
     /// `EXPLAIN ANALYZE` for a pre-built [`QuerySpec`].
     pub fn explain_analyze_spec(&self, spec: &QuerySpec) -> Result<AnalyzedQuery, QueryError> {
         let (explain, plan) = self.explain_compiled(spec)?;
-        let (result, trace) =
-            self.timed_exec(|| plan.execute_traced(ExecutionMode::default_mode()));
+        let (result, trace) = self.timed_exec(|| plan.execute_traced(ExecutionMode));
         Ok(AnalyzedQuery {
             explain,
             trace,

@@ -36,14 +36,15 @@
 //! [`ResidualFilterOp`] that prunes finished rows by component.
 //!
 //! Every operator implements [`PhysicalPlan`]: it knows its [`Strategy`], its
-//! output [`RowSchema`], and how to [`PhysicalPlan::execute`] under a given
-//! [`ExecutionMode`] — serially, or partitioned over the current persistent
-//! worker pool (`Pooled`). Operators hold their relations as [`Relation`]
-//! (shared-ownership snapshot handles), so a compiled plan stays valid — and
-//! keeps observing the exact version it was compiled against — no matter
-//! what ingest or compaction publish afterwards. Adding a new algorithm
-//! means adding an operator struct and a `compile` arm; the driver
-//! ([`Database::execute`](crate::plan::Database::execute)) never changes.
+//! output [`RowSchema`], and how to [`PhysicalPlan::execute`] — a join's work
+//! items partitioned over the pool the calling thread is bound to (bind
+//! `WorkerPool::new(1)` for one thread). Operators hold their relations as
+//! [`Relation`] (shared-ownership snapshot handles), so a compiled plan stays
+//! valid — and keeps observing the exact version it was compiled against —
+//! no matter what ingest or compaction publish afterwards. Adding a new
+//! algorithm means adding an operator struct and a `compile` arm; the
+//! executor ([`Database::execute`](crate::plan::Database::execute)) never
+//! changes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -126,7 +127,7 @@ impl Row {
 }
 
 /// An executable physical plan: a specific algorithm bound to specific
-/// relations, ready to run under any [`ExecutionMode`].
+/// relations, ready to run on whatever pool the calling thread is bound to.
 pub trait PhysicalPlan: Send + Sync {
     /// Short operator name, e.g. `"block-marking"`.
     fn name(&self) -> &'static str;
@@ -137,17 +138,17 @@ pub trait PhysicalPlan: Send + Sync {
     /// The row type the operator produces.
     fn schema(&self) -> RowSchema;
 
-    /// Runs the operator.
-    fn execute(&self, mode: ExecutionMode) -> QueryResult;
+    /// Runs the operator. The [`ExecutionMode`] argument is ignored.
+    fn execute(&self, _: ExecutionMode) -> QueryResult;
 
     /// Runs the operator with a per-operator trace: wall time, rows
     /// emitted, and the [`Metrics`] delta of the subtree. The default
     /// covers leaf operators (every operator except the residual filter);
     /// nesting operators override it to trace their children too. The
     /// root trace's `inclusive` equals `result.metrics()` exactly.
-    fn execute_traced(&self, mode: ExecutionMode) -> (QueryResult, crate::obs::OpTrace) {
+    fn execute_traced(&self, _: ExecutionMode) -> (QueryResult, crate::obs::OpTrace) {
         let start = std::time::Instant::now();
-        let result = self.execute(mode);
+        let result = self.execute(ExecutionMode);
         let trace = crate::obs::OpTrace {
             name: self.name(),
             strategy: self.strategy(),
@@ -500,9 +501,9 @@ impl PhysicalPlan for CountingOp {
         RowSchema::Pairs
     }
 
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
+    fn execute(&self, _: ExecutionMode) -> QueryResult {
         QueryResult::Pairs {
-            output: counting(&*self.outer, &*self.inner, &self.query, mode),
+            output: counting(&*self.outer, &*self.inner, &self.query),
             strategy: self.strategy(),
         }
     }
@@ -537,9 +538,9 @@ impl PhysicalPlan for BlockMarkingOp {
         RowSchema::Pairs
     }
 
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
+    fn execute(&self, _: ExecutionMode) -> QueryResult {
         QueryResult::Pairs {
-            output: block_marking(&*self.outer, &*self.inner, &self.query, &self.config, mode),
+            output: block_marking(&*self.outer, &*self.inner, &self.query, &self.config),
             strategy: self.strategy(),
         }
     }
@@ -572,9 +573,9 @@ impl PhysicalPlan for SelectInnerConceptualOp {
         RowSchema::Pairs
     }
 
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
+    fn execute(&self, _: ExecutionMode) -> QueryResult {
         QueryResult::Pairs {
-            output: conceptual(&*self.outer, &*self.inner, &self.query, mode),
+            output: conceptual(&*self.outer, &*self.inner, &self.query),
             strategy: self.strategy(),
         }
     }
@@ -613,13 +614,13 @@ impl PhysicalPlan for OuterPushdownOp {
         RowSchema::Pairs
     }
 
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
+    fn execute(&self, _: ExecutionMode) -> QueryResult {
         let output = match self.strategy {
             SelectOuterStrategy::Pushdown => {
-                select_on_outer_pushdown(&*self.outer, &*self.inner, &self.query, mode)
+                select_on_outer_pushdown(&*self.outer, &*self.inner, &self.query)
             }
             SelectOuterStrategy::SelectAfterJoin => {
-                select_on_outer_after_join(&*self.outer, &*self.inner, &self.query, mode)
+                select_on_outer_after_join(&*self.outer, &*self.inner, &self.query)
             }
         };
         QueryResult::Pairs {
@@ -667,19 +668,19 @@ impl PhysicalPlan for UnchainedJoinsOp {
         RowSchema::Triplets
     }
 
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
+    fn execute(&self, _: ExecutionMode) -> QueryResult {
         let output = match self.strategy {
             UnchainedStrategy::Conceptual => {
-                unchained_conceptual(&*self.a, &*self.b, &*self.c, &self.query, mode)
+                unchained_conceptual(&*self.a, &*self.b, &*self.c, &self.query)
             }
             UnchainedStrategy::BlockMarkingStartWithA => {
-                unchained_block_marking(&*self.a, &*self.b, &*self.c, &self.query, mode)
+                unchained_block_marking(&*self.a, &*self.b, &*self.c, &self.query)
             }
             UnchainedStrategy::BlockMarkingStartWithC => {
                 // Start with (C ⋈ B): swap the roles of A and C, then swap the
                 // components back in the emitted triplets.
                 let swapped = UnchainedJoinQuery::new(self.query.k_cb, self.query.k_ab);
-                let out = unchained_block_marking(&*self.c, &*self.b, &*self.a, &swapped, mode);
+                let out = unchained_block_marking(&*self.c, &*self.b, &*self.a, &swapped);
                 QueryOutput::new(
                     out.rows
                         .into_iter()
@@ -732,19 +733,19 @@ impl PhysicalPlan for ChainedJoinsOp {
         RowSchema::Triplets
     }
 
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
+    fn execute(&self, _: ExecutionMode) -> QueryResult {
         let output = match self.strategy {
             ChainedStrategy::RightDeep => {
-                chained_right_deep(&*self.a, &*self.b, &*self.c, &self.query, mode)
+                chained_right_deep(&*self.a, &*self.b, &*self.c, &self.query)
             }
             ChainedStrategy::JoinIntersection => {
-                chained_join_intersection(&*self.a, &*self.b, &*self.c, &self.query, mode)
+                chained_join_intersection(&*self.a, &*self.b, &*self.c, &self.query)
             }
             ChainedStrategy::NestedJoin => {
-                chained_nested(&*self.a, &*self.b, &*self.c, &self.query, mode)
+                chained_nested(&*self.a, &*self.b, &*self.c, &self.query)
             }
             ChainedStrategy::NestedJoinCached => {
-                chained_nested_cached(&*self.a, &*self.b, &*self.c, &self.query, mode)
+                chained_nested_cached(&*self.a, &*self.b, &*self.c, &self.query)
             }
         };
         QueryResult::Triplets {
@@ -784,7 +785,7 @@ impl PhysicalPlan for TwoSelectsOp {
         RowSchema::Points
     }
 
-    fn execute(&self, _mode: ExecutionMode) -> QueryResult {
+    fn execute(&self, _: ExecutionMode) -> QueryResult {
         // Two selects are two neighborhood walks — too little work to fan
         // out; batch-level parallelism covers the many-query case.
         let output = match self.strategy {
@@ -826,7 +827,7 @@ impl PhysicalPlan for KnnSelectOp {
         RowSchema::Points
     }
 
-    fn execute(&self, _mode: ExecutionMode) -> QueryResult {
+    fn execute(&self, _: ExecutionMode) -> QueryResult {
         // A single select is one neighborhood computation — inherently
         // sequential; batch-level parallelism covers the many-query case.
         let output = knn_select_filtered(
@@ -882,7 +883,7 @@ impl PhysicalPlan for FilteredTwoSelectsOp {
         RowSchema::Points
     }
 
-    fn execute(&self, _mode: ExecutionMode) -> QueryResult {
+    fn execute(&self, _: ExecutionMode) -> QueryResult {
         let mut metrics = Metrics::default();
         let mut select = |k, focal| {
             knn_select_filtered_neighborhood(
@@ -975,13 +976,13 @@ impl PhysicalPlan for ResidualFilterOp {
         self.input.schema()
     }
 
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
-        self.apply(self.input.execute(mode))
+    fn execute(&self, _: ExecutionMode) -> QueryResult {
+        self.apply(self.input.execute(ExecutionMode))
     }
 
-    fn execute_traced(&self, mode: ExecutionMode) -> (QueryResult, crate::obs::OpTrace) {
+    fn execute_traced(&self, _: ExecutionMode) -> (QueryResult, crate::obs::OpTrace) {
         let start = std::time::Instant::now();
-        let (input, child) = self.input.execute_traced(mode);
+        let (input, child) = self.input.execute_traced(ExecutionMode);
         let result = self.apply(input);
         let trace = crate::obs::OpTrace {
             name: self.name(),
@@ -1108,7 +1109,7 @@ mod tests {
         };
         let strategy = Strategy::Unchained(UnchainedStrategy::BlockMarkingStartWithC);
         let plan = compile(&db.snapshot(), &spec, strategy).unwrap();
-        let direct = plan.execute(ExecutionMode::Serial);
+        let direct = plan.execute(ExecutionMode);
         let via_db = db.execute_with(&spec, strategy).unwrap();
         assert_eq!(direct.num_rows(), via_db.num_rows());
         assert_eq!(direct.strategy(), strategy);
@@ -1131,7 +1132,7 @@ mod tests {
         let plan = compile(&snapshot, &spec, Strategy::Select).unwrap();
         assert_eq!(plan.schema(), RowSchema::Points);
         assert_eq!(plan.strategy().to_string(), "select");
-        let result = plan.execute(ExecutionMode::Serial);
+        let result = plan.execute(ExecutionMode);
         let got: Vec<u64> = result.rows().iter().flat_map(|r| r.ids()).collect();
         assert_eq!(got, want);
     }
@@ -1163,7 +1164,7 @@ mod tests {
             let want = twoknn_index::brute_force_knn_filtered(&**index, &focal, 6, &predicate);
             let plan = compile(&snapshot, &spec, Strategy::Select).unwrap();
             assert_eq!(plan.name(), "knn-select");
-            let result = plan.execute(ExecutionMode::Serial);
+            let result = plan.execute(ExecutionMode);
             let got: Vec<u64> = result.rows().iter().flat_map(|r| r.ids()).collect();
             assert_eq!(got, want.ids(), "{predicate}");
             assert_eq!(got.len(), 6, "{predicate}: k matches exist");

@@ -61,8 +61,7 @@ where
 
 /// Evaluates the *filtered* kNN-select: the `k` points matching `predicate`
 /// that are nearest to `focal` (pre-kNN filter placement). A
-/// [`Predicate::True`] predicate degenerates to the plain unmasked
-/// select, which keeps the unfiltered fast path intact.
+/// [`Predicate::True`] predicate is the plain unmasked select.
 pub fn knn_select_filtered<I>(
     relation: &I,
     focal: &Point,
@@ -93,11 +92,7 @@ pub fn knn_select_filtered_neighborhood<I>(
 where
     I: SpatialIndex + ?Sized,
 {
-    if matches!(predicate, Predicate::True) {
-        get_knn(relation, focal, k, metrics)
-    } else {
-        get_knn_filtered(relation, focal, k, predicate, metrics)
-    }
+    get_knn_filtered(relation, focal, k, predicate, metrics)
 }
 
 #[cfg(test)]
@@ -162,5 +157,6 @@ mod tests {
         let plain = knn_select(&g, &focal, 7);
         let filtered = knn_select_filtered(&g, &focal, 7, &Predicate::True);
         assert_eq!(plain.rows, filtered.rows);
+        assert_eq!(plain.metrics, filtered.metrics);
     }
 }

@@ -29,7 +29,7 @@
 
 use twoknn_index::{get_knn, BlockKnn, BlockMeta, Metrics, Neighbor, ScratchSpace, SpatialIndex};
 
-use crate::exec::{run_into_shares, ExecutionMode};
+use crate::exec::run_into_shares;
 use crate::output::{Pair, QueryOutput};
 use crate::select::knn_select_neighborhood;
 
@@ -59,16 +59,15 @@ impl Default for BlockMarkingConfig {
 ///
 /// The preprocessing scan (Procedure 3) is inherently sequential — the
 /// contour-based early stop depends on the order blocks are visited — so it
-/// always runs on one thread. The join phase over the Contributing blocks,
-/// which dominates the cost, is partitioned across the current worker pool
-/// under [`ExecutionMode::Pooled`]. Rows (in order) and merged work counters
-/// are identical to the serial run.
+/// always runs on the calling thread. The join phase over the Contributing
+/// blocks, which dominates the cost, is partitioned across the pool the
+/// calling thread is bound to. Rows (in order) and merged work counters are
+/// the same on every pool size.
 pub fn block_marking<O, I>(
     outer: &O,
     inner: &I,
     query: &SelectInnerJoinQuery,
     config: &BlockMarkingConfig,
-    mode: ExecutionMode,
 ) -> QueryOutput<Pair>
 where
     O: SpatialIndex + Sync + ?Sized,
@@ -93,7 +92,6 @@ where
         &contributing,
         |block| block.count * per_point,
         None,
-        mode,
         &mut metrics,
         |block, slots, metrics| {
             let points = outer.block_points(block.id);
@@ -223,9 +221,9 @@ mod tests {
         for (k_join, k_select) in [(1, 1), (2, 2), (3, 6), (6, 2)] {
             let query = SelectInnerJoinQuery::new(k_join, k_select, Point::anonymous(20.0, 70.0));
             let config = BlockMarkingConfig::default();
-            let bm = block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial);
-            let cn = counting(&outer, &inner, &query, ExecutionMode::Serial);
-            let cc = conceptual(&outer, &inner, &query, ExecutionMode::Serial);
+            let bm = block_marking(&outer, &inner, &query, &config);
+            let cn = counting(&outer, &inner, &query);
+            let cc = conceptual(&outer, &inner, &query);
             assert_eq!(pair_id_set(&bm.rows), pair_id_set(&cc.rows));
             assert_eq!(pair_id_set(&cn.rows), pair_id_set(&cc.rows));
         }
@@ -243,9 +241,8 @@ mod tests {
             &BlockMarkingConfig {
                 contour_pruning: false,
             },
-            ExecutionMode::Serial,
         );
-        let cc = conceptual(&outer, &inner, &query, ExecutionMode::Serial);
+        let cc = conceptual(&outer, &inner, &query);
         assert_eq!(pair_id_set(&safe.rows), pair_id_set(&cc.rows));
     }
 
@@ -280,8 +277,8 @@ mod tests {
         let query = SelectInnerJoinQuery::new(2, 3, Point::anonymous(1.0, 1.0));
         let config = BlockMarkingConfig::default();
 
-        let bm = block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial);
-        let cc = conceptual(&outer, &inner, &query, ExecutionMode::Serial);
+        let bm = block_marking(&outer, &inner, &query, &config);
+        let cc = conceptual(&outer, &inner, &query);
         assert_eq!(pair_id_set(&bm.rows), pair_id_set(&cc.rows));
         assert!(bm.metrics.blocks_pruned > 0, "{}", bm.metrics);
         assert!(
@@ -302,7 +299,7 @@ mod tests {
                 .unwrap();
         let query = SelectInnerJoinQuery::new(2, 2, Point::anonymous(0.5, 0.5));
         let config = BlockMarkingConfig::default();
-        let out = block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial);
+        let out = block_marking(&outer, &inner, &query, &config);
         assert!(out.is_empty());
         assert_eq!(out.metrics.neighborhoods_computed, 1); // only nbr_f
     }

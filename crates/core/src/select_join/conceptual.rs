@@ -3,7 +3,6 @@
 
 use twoknn_index::{Metrics, SpatialIndex};
 
-use crate::exec::ExecutionMode;
 use crate::join::knn_join_rows;
 use crate::output::{Pair, QueryOutput};
 use crate::select::knn_select_neighborhood;
@@ -16,20 +15,15 @@ use super::SelectInnerJoinQuery;
 ///
 /// This plan is correct for any input but computes the neighborhood of every
 /// outer point — the cost the Counting and Block-Marking algorithms avoid.
-/// The full kNN-join is block-partitioned per `mode`.
-pub fn conceptual<O, I>(
-    outer: &O,
-    inner: &I,
-    query: &SelectInnerJoinQuery,
-    mode: ExecutionMode,
-) -> QueryOutput<Pair>
+/// The full kNN-join is block-partitioned over the current pool.
+pub fn conceptual<O, I>(outer: &O, inner: &I, query: &SelectInnerJoinQuery) -> QueryOutput<Pair>
 where
     O: SpatialIndex + Sync + ?Sized,
     I: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
     let nbr_f = knn_select_neighborhood(inner, &query.focal, query.k_select, &mut metrics);
-    let join_pairs = knn_join_rows(outer, inner, query.k_join, mode, &mut metrics);
+    let join_pairs = knn_join_rows(outer, inner, query.k_join, &mut metrics);
     let rows: Vec<Pair> = join_pairs
         .into_iter()
         .filter(|pair| nbr_f.contains_id(pair.right.id))
@@ -125,7 +119,7 @@ mod tests {
     #[test]
     fn conceptual_keeps_only_reachable_selected_hotels() {
         let (mechanics, hotels, query) = setup();
-        let out = conceptual(&mechanics, &hotels, &query, ExecutionMode::Serial);
+        let out = conceptual(&mechanics, &hotels, &query);
         let ids = pair_id_set(&out.rows);
         // Mechanics 1 and 2 are near hotels 1/2 (the selected ones); mechanics
         // 3 and 4 have hotels 3/4 as their neighborhood, which are not
@@ -138,8 +132,7 @@ mod tests {
     #[test]
     fn invalid_pushdown_differs_from_correct_plan() {
         let (mechanics, hotels, query) = setup();
-        let correct =
-            pair_id_set(&conceptual(&mechanics, &hotels, &query, ExecutionMode::Serial).rows);
+        let correct = pair_id_set(&conceptual(&mechanics, &hotels, &query).rows);
         let wrong = pair_id_set(&invalid_inner_pushdown(&mechanics, &hotels, &query).rows);
         assert_ne!(correct, wrong);
         // The invalid plan pairs *every* mechanic with the selected hotels.
@@ -155,6 +148,6 @@ mod tests {
         let empty =
             GridIndex::build_with_bounds(vec![], twoknn_geometry::Rect::new(0.0, 0.0, 1.0, 1.0), 2)
                 .unwrap();
-        assert!(conceptual(&mechanics, &empty, &query, ExecutionMode::Serial).is_empty());
+        assert!(conceptual(&mechanics, &empty, &query).is_empty());
     }
 }

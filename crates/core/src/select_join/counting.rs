@@ -20,7 +20,7 @@
 use twoknn_geometry::Point;
 use twoknn_index::{with_thread_scratch, BlockKnn, Metrics, Neighbor, Neighborhood, SpatialIndex};
 
-use crate::exec::{run_into_shares, ExecutionMode};
+use crate::exec::run_into_shares;
 use crate::output::{Pair, QueryOutput};
 use crate::select::knn_select_neighborhood;
 
@@ -29,16 +29,11 @@ use super::{intersect_into, SelectInnerJoinQuery};
 /// Evaluates `(E1 ⋈kNN E2) ∩ (E1 × σ_{kσ,f}(E2))` with the Counting
 /// algorithm (Procedure 1).
 ///
-/// The per-outer-point test is independent of every other point, so under
-/// [`ExecutionMode::Pooled`] the outer relation's blocks are partitioned
-/// across the current worker pool. The result rows (in order) and the
-/// merged work counters are identical to the serial run.
-pub fn counting<O, I>(
-    outer: &O,
-    inner: &I,
-    query: &SelectInnerJoinQuery,
-    mode: ExecutionMode,
-) -> QueryOutput<Pair>
+/// The per-outer-point test is independent of every other point, so the
+/// outer relation's blocks are partitioned across the pool the calling
+/// thread is bound to. The result rows (in order) and the merged work
+/// counters are the same on every pool size.
+pub fn counting<O, I>(outer: &O, inner: &I, query: &SelectInnerJoinQuery) -> QueryOutput<Pair>
 where
     O: SpatialIndex + Sync + ?Sized,
     I: SpatialIndex + Sync + ?Sized,
@@ -59,7 +54,6 @@ where
         outer.blocks(),
         |block| block.count * per_point,
         None,
-        mode,
         &mut metrics,
         |block, slots, metrics| {
             let points = outer.block_points(block.id);
@@ -179,8 +173,8 @@ mod tests {
         let inner = grid(scattered(400, 2));
         for (k_join, k_select) in [(1, 1), (2, 2), (4, 8), (8, 3)] {
             let query = SelectInnerJoinQuery::new(k_join, k_select, Point::anonymous(30.0, 40.0));
-            let fast = counting(&outer, &inner, &query, ExecutionMode::Serial);
-            let slow = conceptual(&outer, &inner, &query, ExecutionMode::Serial);
+            let fast = counting(&outer, &inner, &query);
+            let slow = conceptual(&outer, &inner, &query);
             assert_eq!(
                 pair_id_set(&fast.rows),
                 pair_id_set(&slow.rows),
@@ -210,10 +204,10 @@ mod tests {
             Point::new(2, 5.0, 5.0),
         ]);
         let query = SelectInnerJoinQuery::new(2, 2, Point::anonymous(5.0, 5.0));
-        let out = counting(&outer, &inner, &query, ExecutionMode::Serial);
+        let out = counting(&outer, &inner, &query);
         assert!(out.metrics.points_pruned >= 2, "{}", out.metrics);
         // Correctness still holds.
-        let slow = conceptual(&outer, &inner, &query, ExecutionMode::Serial);
+        let slow = conceptual(&outer, &inner, &query);
         assert_eq!(pair_id_set(&out.rows), pair_id_set(&slow.rows));
     }
 
@@ -222,8 +216,8 @@ mod tests {
         let outer = grid(scattered(300, 7));
         let inner = grid(scattered(600, 8));
         let query = SelectInnerJoinQuery::new(3, 3, Point::anonymous(10.0, 10.0));
-        let fast = counting(&outer, &inner, &query, ExecutionMode::Serial);
-        let slow = conceptual(&outer, &inner, &query, ExecutionMode::Serial);
+        let fast = counting(&outer, &inner, &query);
+        let slow = conceptual(&outer, &inner, &query);
         assert!(
             fast.metrics.neighborhoods_computed < slow.metrics.neighborhoods_computed,
             "counting {} vs conceptual {}",
@@ -239,6 +233,6 @@ mod tests {
             GridIndex::build_with_bounds(vec![], twoknn_geometry::Rect::new(0.0, 0.0, 1.0, 1.0), 2)
                 .unwrap();
         let query = SelectInnerJoinQuery::new(2, 2, Point::anonymous(0.0, 0.0));
-        assert!(counting(&outer, &inner, &query, ExecutionMode::Serial).is_empty());
+        assert!(counting(&outer, &inner, &query).is_empty());
     }
 }

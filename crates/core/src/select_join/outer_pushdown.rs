@@ -14,7 +14,6 @@
 
 use twoknn_index::{Metrics, SpatialIndex};
 
-use crate::exec::ExecutionMode;
 use crate::join::{knn_join_points, knn_join_rows};
 use crate::output::{Pair, QueryOutput};
 use crate::select::knn_select_neighborhood;
@@ -23,13 +22,12 @@ use super::SelectOuterJoinQuery;
 
 /// QEP1 of Figure 3: push the selection below the outer relation, i.e.
 /// evaluate `(σ_{kσ,f}(E1)) ⋈kNN E2`. This is the *efficient* plan: only the
-/// `kσ` selected outer points are joined, partitioned per `mode` (one work
-/// item per point).
+/// `kσ` selected outer points are joined, partitioned over the current pool
+/// (one work item per point).
 pub fn select_on_outer_pushdown<O, I>(
     outer: &O,
     inner: &I,
     query: &SelectOuterJoinQuery,
-    mode: ExecutionMode,
 ) -> QueryOutput<Pair>
 where
     O: SpatialIndex + ?Sized,
@@ -38,19 +36,18 @@ where
     let mut metrics = Metrics::default();
     let selected = knn_select_neighborhood(outer, &query.focal, query.k_select, &mut metrics);
     let selected_points: Vec<_> = selected.points().copied().collect();
-    let rows = knn_join_points(&selected_points, inner, query.k_join, mode, &mut metrics);
+    let rows = knn_join_points(&selected_points, inner, query.k_join, &mut metrics);
     QueryOutput::new(rows, metrics)
 }
 
 /// QEP2 of Figure 3: evaluate the full join `E1 ⋈kNN E2` first and apply the
 /// selection on the outer attribute of the result afterwards. Same result as
 /// [`select_on_outer_pushdown`], but the join is computed for every outer
-/// point, block-partitioned per `mode`.
+/// point, block-partitioned over the current pool.
 pub fn select_on_outer_after_join<O, I>(
     outer: &O,
     inner: &I,
     query: &SelectOuterJoinQuery,
-    mode: ExecutionMode,
 ) -> QueryOutput<Pair>
 where
     O: SpatialIndex + Sync + ?Sized,
@@ -58,7 +55,7 @@ where
 {
     let mut metrics = Metrics::default();
     let selected = knn_select_neighborhood(outer, &query.focal, query.k_select, &mut metrics);
-    let join_pairs = knn_join_rows(outer, inner, query.k_join, mode, &mut metrics);
+    let join_pairs = knn_join_rows(outer, inner, query.k_join, &mut metrics);
     let rows: Vec<Pair> = join_pairs
         .into_iter()
         .filter(|pair| selected.contains_id(pair.left.id))
@@ -93,8 +90,8 @@ mod tests {
         let inner = GridIndex::build(scattered(300, 6), 8).unwrap();
         for (k_join, k_select) in [(1, 1), (2, 2), (3, 10), (8, 4)] {
             let query = SelectOuterJoinQuery::new(k_join, k_select, Point::anonymous(40.0, 40.0));
-            let a = select_on_outer_pushdown(&outer, &inner, &query, ExecutionMode::Serial);
-            let b = select_on_outer_after_join(&outer, &inner, &query, ExecutionMode::Serial);
+            let a = select_on_outer_pushdown(&outer, &inner, &query);
+            let b = select_on_outer_after_join(&outer, &inner, &query);
             assert_eq!(
                 pair_id_set(&a.rows),
                 pair_id_set(&b.rows),
@@ -108,8 +105,8 @@ mod tests {
         let outer = GridIndex::build(scattered(400, 7), 10).unwrap();
         let inner = GridIndex::build(scattered(400, 8), 10).unwrap();
         let query = SelectOuterJoinQuery::new(2, 5, Point::anonymous(10.0, 90.0));
-        let fast = select_on_outer_pushdown(&outer, &inner, &query, ExecutionMode::Serial);
-        let slow = select_on_outer_after_join(&outer, &inner, &query, ExecutionMode::Serial);
+        let fast = select_on_outer_pushdown(&outer, &inner, &query);
+        let slow = select_on_outer_after_join(&outer, &inner, &query);
         assert!(
             fast.metrics.neighborhoods_computed < slow.metrics.neighborhoods_computed / 10,
             "pushdown {} vs after-join {}",
@@ -123,7 +120,7 @@ mod tests {
         let outer = GridIndex::build(scattered(100, 9), 6).unwrap();
         let inner = GridIndex::build(scattered(100, 10), 6).unwrap();
         let query = SelectOuterJoinQuery::new(3, 4, Point::anonymous(50.0, 50.0));
-        let out = select_on_outer_pushdown(&outer, &inner, &query, ExecutionMode::Serial);
+        let out = select_on_outer_pushdown(&outer, &inner, &query);
         assert!(out.len() <= query.k_join * query.k_select);
         assert_eq!(out.len(), query.k_join * query.k_select);
     }

@@ -27,7 +27,6 @@
 use twoknn_geometry::{mindist, Rect};
 use twoknn_index::{get_knn, Metrics, SpatialIndex};
 
-use crate::exec::ExecutionMode;
 use crate::join::knn_join_rows;
 use crate::output::{Pair, QueryOutput};
 
@@ -62,13 +61,7 @@ where
     I: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let join_pairs = knn_join_rows(
-        outer,
-        inner,
-        query.k_join,
-        ExecutionMode::Serial,
-        &mut metrics,
-    );
+    let join_pairs = knn_join_rows(outer, inner, query.k_join, &mut metrics);
     let rows: Vec<Pair> = join_pairs
         .into_iter()
         .filter(|pair| query.range.contains(&pair.right))

@@ -15,7 +15,7 @@
 //! 1. **Capture** `(shard snapshot, shard log position)` under that shard's
 //!    writer lock (nanoseconds — ingest continues right after);
 //! 2. **Gather** the shard's visible points, partitioned over block ranges
-//!    with [`run_partitioned_on`] so large shards use the whole pool.
+//!    with [`run_partitioned`] so large shards use the whole pool.
 //!    Overlay-grid cells are ordinary blocks of the shard snapshot, so a
 //!    large un-compacted burst is gathered cell-parallel exactly like the
 //!    base — the gather ranges cover base and overlay blocks uniformly;
@@ -34,7 +34,7 @@ use std::time::Instant;
 use twoknn_geometry::Point;
 use twoknn_index::{BlockId, Metrics, SpatialIndex};
 
-use crate::exec::{run_partitioned_on, WorkerPool};
+use crate::exec::{run_partitioned, WorkerPool};
 use crate::obs::{EventKind, HistogramKind, Observability};
 
 use super::version::VersionedRelation;
@@ -56,7 +56,7 @@ where
         .map(|start| start..(start + GATHER_SHARD_BLOCKS).min(num_blocks))
         .collect();
     let mut scratch = Metrics::default();
-    run_partitioned_on(&chunks, pool, &mut scratch, |chunk, out, metrics| {
+    run_partitioned(&chunks, pool, &mut scratch, |chunk, out, metrics| {
         for id in chunk.clone() {
             metrics.blocks_scanned += 1;
             out.extend(snapshot.block_points(id as BlockId));

@@ -85,7 +85,8 @@ pub fn get_knn_filtered<I: SpatialIndex + ?Sized>(
 /// The one kNN walk behind every `get_knn*` entry point.
 ///
 /// `bound` restricts the search to blocks with MINDIST ≤ bound; `mask`
-/// restricts the candidates to points matching a predicate.
+/// restricts the candidates to points matching a predicate
+/// ([`Predicate::True`] is no mask at all).
 ///
 /// τ-pruning is exact: once the heap holds `k` candidates, every candidate's
 /// distance is ≤ τ, so a block with MINDIST **strictly** greater than τ
@@ -106,6 +107,7 @@ fn search<I: SpatialIndex + ?Sized>(
     if k == 0 || index.num_points() == 0 {
         return Neighborhood::empty(*p, k);
     }
+    let mask = mask.filter(|predicate| !matches!(predicate, Predicate::True));
     let ScratchSpace {
         dist,
         kth,
@@ -610,6 +612,7 @@ mod tests {
         let got = get_knn_filtered(&g, &q, 8, &Predicate::True, &mut m);
         let mut mu = Metrics::default();
         assert_eq!(got, get_knn(&g, &q, 8, &mut mu));
+        assert_eq!(m, mu, "the True filter is no mask: same work as get_knn");
         assert!(m.blocks_pruned > 0, "{m}");
         assert!(
             m.points_scanned < g.num_points() as u64,

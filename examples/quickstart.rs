@@ -12,7 +12,7 @@ use two_knn::core::select_join::{
 };
 use two_knn::core::selects2::{two_knn_select, TwoSelectsQuery};
 use two_knn::datagen::{berlinmod, BerlinModConfig};
-use two_knn::{ExecutionMode, GridIndex, Point, SpatialIndex};
+use two_knn::{GridIndex, Point, SpatialIndex};
 
 fn city_relation(n: usize, seed: u64) -> GridIndex {
     GridIndex::build_with_target_occupancy(berlinmod(&BerlinModConfig::with_points(n, seed)), 64)
@@ -40,7 +40,7 @@ fn main() {
     // 1. kNN-select on the inner relation of a kNN-join (Section 3).
     let q = SelectInnerJoinQuery::new(3, 8, city_center);
     let config = BlockMarkingConfig::default();
-    let out = block_marking(&restaurants, &hotels, &q, &config, ExecutionMode::Serial);
+    let out = block_marking(&restaurants, &hotels, &q, &config);
     println!(
         "1. restaurants ⋈ 3-nearest hotels, hotel among 8 closest to the city center:\n   {} pairs   [{}]",
         out.len(),
@@ -49,7 +49,7 @@ fn main() {
 
     // 2. kNN-select on the outer relation (pushdown is valid).
     let q = SelectOuterJoinQuery::new(3, 5, office);
-    let out = select_on_outer_pushdown(&restaurants, &hotels, &q, ExecutionMode::Serial);
+    let out = select_on_outer_pushdown(&restaurants, &hotels, &q);
     println!(
         "2. 5 restaurants closest to the office ⋈ their 3 nearest hotels:\n   {} pairs   [{}]",
         out.len(),
@@ -58,7 +58,7 @@ fn main() {
 
     // 3. Two unchained kNN-joins: restaurants and parking both matched to hotels.
     let q = UnchainedJoinQuery::new(2, 2);
-    let out = unchained_block_marking(&restaurants, &hotels, &parking, &q, ExecutionMode::Serial);
+    let out = unchained_block_marking(&restaurants, &hotels, &parking, &q);
     println!(
         "3. (restaurants ⋈ hotels) ∩_hotel (parking ⋈ hotels):\n   {} triplets   [{}]",
         out.len(),
@@ -67,7 +67,7 @@ fn main() {
 
     // 4. Two chained kNN-joins: restaurant -> hotel -> parking.
     let q = ChainedJoinQuery::new(2, 2);
-    let out = chained_nested_cached(&restaurants, &hotels, &parking, &q, ExecutionMode::Serial);
+    let out = chained_nested_cached(&restaurants, &hotels, &parking, &q);
     println!(
         "4. restaurants ⋈ hotels ⋈ parking (chained, cached nested join):\n   {} triplets   [{}]",
         out.len(),

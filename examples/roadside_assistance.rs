@@ -19,7 +19,7 @@ use two_knn::core::select_join::{
     SelectInnerJoinQuery,
 };
 use two_knn::datagen::{berlinmod, BerlinModConfig};
-use two_knn::{ExecutionMode, GridIndex, Point, SpatialIndex};
+use two_knn::{GridIndex, Point, SpatialIndex};
 
 fn main() {
     // Mechanics are sparse; hotels are denser and skewed towards the center.
@@ -47,9 +47,9 @@ fn main() {
     let config = BlockMarkingConfig::default();
 
     // The three correct plans.
-    let correct = conceptual(&mechanics, &hotels, &query, ExecutionMode::Serial);
-    let fast_counting = counting(&mechanics, &hotels, &query, ExecutionMode::Serial);
-    let fast_marking = block_marking(&mechanics, &hotels, &query, &config, ExecutionMode::Serial);
+    let correct = conceptual(&mechanics, &hotels, &query);
+    let fast_counting = counting(&mechanics, &hotels, &query);
+    let fast_marking = block_marking(&mechanics, &hotels, &query, &config);
 
     // The classical (and wrong) relational optimization.
     let wrong = invalid_inner_pushdown(&mechanics, &hotels, &query);

@@ -21,7 +21,7 @@ use two_knn::core::joins2::{
 };
 use two_knn::core::output::triplet_id_set;
 use two_knn::datagen::{berlinmod, clustered, BerlinModConfig, ClusterConfig};
-use two_knn::{ExecutionMode, GridIndex, Point, SpatialIndex};
+use two_knn::{GridIndex, Point, SpatialIndex};
 
 fn main() {
     // Restaurants and parking cover the whole city (BerlinMOD-like);
@@ -68,20 +68,8 @@ fn main() {
         "the clustered relation's join should go first"
     );
 
-    let slow = unchained_conceptual(
-        &attractions,
-        &restaurants,
-        &parking,
-        &q,
-        ExecutionMode::Serial,
-    );
-    let fast = unchained_block_marking(
-        &attractions,
-        &restaurants,
-        &parking,
-        &q,
-        ExecutionMode::Serial,
-    );
+    let slow = unchained_conceptual(&attractions, &restaurants, &parking, &q);
+    let fast = unchained_block_marking(&attractions, &restaurants, &parking, &q);
     assert_eq!(triplet_id_set(&slow.rows), triplet_id_set(&fast.rows));
     println!(
         "unchained: {} triplets; conceptual {} neighborhoods vs block-marking {} ({} parking blocks pruned)\n",
@@ -93,34 +81,10 @@ fn main() {
 
     // ----- Chained joins ----------------------------------------------------
     let q = ChainedJoinQuery::new(2, 2);
-    let p1 = chained_right_deep(
-        &attractions,
-        &restaurants,
-        &parking,
-        &q,
-        ExecutionMode::Serial,
-    );
-    let p2 = chained_join_intersection(
-        &attractions,
-        &restaurants,
-        &parking,
-        &q,
-        ExecutionMode::Serial,
-    );
-    let p3 = chained_nested(
-        &attractions,
-        &restaurants,
-        &parking,
-        &q,
-        ExecutionMode::Serial,
-    );
-    let p3c = chained_nested_cached(
-        &attractions,
-        &restaurants,
-        &parking,
-        &q,
-        ExecutionMode::Serial,
-    );
+    let p1 = chained_right_deep(&attractions, &restaurants, &parking, &q);
+    let p2 = chained_join_intersection(&attractions, &restaurants, &parking, &q);
+    let p3 = chained_nested(&attractions, &restaurants, &parking, &q);
+    let p3c = chained_nested_cached(&attractions, &restaurants, &parking, &q);
     assert_eq!(triplet_id_set(&p1.rows), triplet_id_set(&p2.rows));
     assert_eq!(triplet_id_set(&p2.rows), triplet_id_set(&p3.rows));
     assert_eq!(triplet_id_set(&p3.rows), triplet_id_set(&p3c.rows));

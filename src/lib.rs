@@ -28,7 +28,7 @@
 //! use two_knn::index::GridIndex;
 //! use two_knn::core::select_join::{block_marking, BlockMarkingConfig, SelectInnerJoinQuery};
 //! use two_knn::geometry::Point;
-//! use two_knn::ExecutionMode;
+//! use two_knn::WorkerPool;
 //!
 //! // Two relations over the same city.
 //! let mechanics = GridIndex::build(berlinmod(&BerlinModConfig::with_points(2_000, 1)), 32).unwrap();
@@ -37,10 +37,10 @@
 //! // "Mechanic shops with their 2 closest hotels, keeping hotels among the
 //! //  2 closest to the shopping center."
 //! let query = SelectInnerJoinQuery::new(2, 2, Point::anonymous(50_000.0, 50_000.0));
-//! //  `Serial` runs on this thread; `Pooled` spreads the outer blocks over the
-//! //  current worker pool and returns the same rows.
+//! //  The outer blocks spread over the worker pool the calling thread is bound
+//! //  to; a pool of one runs them on this thread and returns the same rows.
 //! let config = BlockMarkingConfig::default();
-//! let result = block_marking(&mechanics, &hotels, &query, &config, ExecutionMode::Serial);
+//! let result = WorkerPool::new(1).bind(|| block_marking(&mechanics, &hotels, &query, &config));
 //! println!("{} pairs, work: {}", result.len(), result.metrics);
 //! ```
 
@@ -52,6 +52,6 @@ pub use twoknn_datagen as datagen;
 pub use twoknn_geometry as geometry;
 pub use twoknn_index as index;
 
-pub use twoknn_core::{ExecutionMode, Pair, QueryError, QueryOutput, Triplet, WorkerPool};
+pub use twoknn_core::{Pair, QueryError, QueryOutput, Triplet, WorkerPool};
 pub use twoknn_geometry::{Point, Rect};
 pub use twoknn_index::{GridIndex, Metrics, Neighborhood, QuadtreeIndex, SpatialIndex, StrRTree};

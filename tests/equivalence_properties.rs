@@ -16,7 +16,7 @@ use two_knn::core::select_join::{
 };
 use two_knn::core::selects2::{two_knn_select, two_selects_conceptual, TwoSelectsQuery};
 use two_knn::datagen::rng::StdRng;
-use two_knn::{ExecutionMode, GridIndex, Point};
+use two_knn::{GridIndex, Point};
 
 const CASES: u64 = 48;
 
@@ -54,17 +54,14 @@ fn select_inner_algorithms_are_equivalent() {
         let k_select = rng.gen_range(1..8usize);
         let query = SelectInnerJoinQuery::new(k_join, k_select, f);
         let config = BlockMarkingConfig::default();
-        let reference =
-            pair_id_set(&conceptual(&outer, &inner, &query, ExecutionMode::Serial).rows);
+        let reference = pair_id_set(&conceptual(&outer, &inner, &query).rows);
         assert_eq!(
-            pair_id_set(&counting(&outer, &inner, &query, ExecutionMode::Serial).rows),
+            pair_id_set(&counting(&outer, &inner, &query).rows),
             reference,
             "counting, case {case}"
         );
         assert_eq!(
-            pair_id_set(
-                &block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial).rows
-            ),
+            pair_id_set(&block_marking(&outer, &inner, &query, &config).rows),
             reference,
             "block-marking, case {case}"
         );
@@ -72,9 +69,7 @@ fn select_inner_algorithms_are_equivalent() {
             contour_pruning: false,
         };
         assert_eq!(
-            pair_id_set(
-                &block_marking(&outer, &inner, &query, &no_contour, ExecutionMode::Serial).rows
-            ),
+            pair_id_set(&block_marking(&outer, &inner, &query, &no_contour).rows),
             reference,
             "block-marking without contour, case {case}"
         );
@@ -94,12 +89,8 @@ fn outer_select_pushdown_is_an_equivalence() {
         let k_select = rng.gen_range(1..10usize);
         let query = SelectOuterJoinQuery::new(k_join, k_select, f);
         assert_eq!(
-            pair_id_set(
-                &select_on_outer_pushdown(&outer, &inner, &query, ExecutionMode::Serial).rows
-            ),
-            pair_id_set(
-                &select_on_outer_after_join(&outer, &inner, &query, ExecutionMode::Serial).rows
-            ),
+            pair_id_set(&select_on_outer_pushdown(&outer, &inner, &query).rows),
+            pair_id_set(&select_on_outer_after_join(&outer, &inner, &query).rows),
             "case {case}"
         );
     }
@@ -117,12 +108,9 @@ fn unchained_algorithms_are_equivalent() {
         let k_ab = rng.gen_range(1..4usize);
         let k_cb = rng.gen_range(1..4usize);
         let query = UnchainedJoinQuery::new(k_ab, k_cb);
-        let reference =
-            triplet_id_set(&unchained_conceptual(&a, &b, &c, &query, ExecutionMode::Serial).rows);
+        let reference = triplet_id_set(&unchained_conceptual(&a, &b, &c, &query).rows);
         assert_eq!(
-            triplet_id_set(
-                &unchained_block_marking(&a, &b, &c, &query, ExecutionMode::Serial).rows
-            ),
+            triplet_id_set(&unchained_block_marking(&a, &b, &c, &query).rows),
             reference,
             "case {case}"
         );
@@ -130,7 +118,7 @@ fn unchained_algorithms_are_equivalent() {
         // (C ⋈ B) ∩_B (A ⋈ B); swap the components to compare.
         let swapped = UnchainedJoinQuery::new(k_cb, k_ab);
         let other_order: std::collections::BTreeSet<_> =
-            unchained_block_marking(&c, &b, &a, &swapped, ExecutionMode::Serial)
+            unchained_block_marking(&c, &b, &a, &swapped)
                 .rows
                 .iter()
                 .map(|t| (t.c.id, t.b.id, t.a.id))
@@ -150,22 +138,19 @@ fn chained_plans_are_equivalent() {
         let k_ab = rng.gen_range(1..4usize);
         let k_bc = rng.gen_range(1..4usize);
         let query = ChainedJoinQuery::new(k_ab, k_bc);
-        let reference =
-            triplet_id_set(&chained_right_deep(&a, &b, &c, &query, ExecutionMode::Serial).rows);
+        let reference = triplet_id_set(&chained_right_deep(&a, &b, &c, &query).rows);
         assert_eq!(
-            triplet_id_set(
-                &chained_join_intersection(&a, &b, &c, &query, ExecutionMode::Serial).rows
-            ),
+            triplet_id_set(&chained_join_intersection(&a, &b, &c, &query).rows),
             reference,
             "join-intersection, case {case}"
         );
         assert_eq!(
-            triplet_id_set(&chained_nested(&a, &b, &c, &query, ExecutionMode::Serial).rows),
+            triplet_id_set(&chained_nested(&a, &b, &c, &query).rows),
             reference,
             "nested, case {case}"
         );
         assert_eq!(
-            triplet_id_set(&chained_nested_cached(&a, &b, &c, &query, ExecutionMode::Serial).rows),
+            triplet_id_set(&chained_nested_cached(&a, &b, &c, &query).rows),
             reference,
             "nested-cached, case {case}"
         );
@@ -206,7 +191,7 @@ fn select_inner_result_is_bounded_by_both_predicates() {
         let k_select = rng.gen_range(1..6usize);
         let query = SelectInnerJoinQuery::new(k_join, k_select, f);
         let config = BlockMarkingConfig::default();
-        let result = block_marking(&outer, &inner, &query, &config, ExecutionMode::Serial);
+        let result = block_marking(&outer, &inner, &query, &config);
         // Bound 1: at most k_join pairs per outer point and k_select distinct
         // inner points overall.
         let mut per_outer = std::collections::HashMap::new();

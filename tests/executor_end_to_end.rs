@@ -12,7 +12,7 @@ use two_knn::core::plan::{
 use two_knn::core::select_join::SelectInnerJoinQuery;
 use two_knn::core::selects2::TwoSelectsQuery;
 use two_knn::datagen::{berlinmod, clustered, BerlinModConfig, ClusterConfig};
-use two_knn::{ExecutionMode, GridIndex, Point, WorkerPool};
+use two_knn::{GridIndex, Point, WorkerPool};
 
 fn build_db() -> Database {
     let mut db = Database::new();
@@ -199,10 +199,9 @@ fn pooled_knn_join_matches_sequential_on_city_data() {
         64,
     )
     .unwrap();
-    let seq = knn_join(&outer, &inner, 3, ExecutionMode::Serial);
+    let seq = WorkerPool::new(1).bind(|| knn_join(&outer, &inner, 3));
     for threads in [2, 4, 8] {
-        let par =
-            WorkerPool::new(threads).bind(|| knn_join(&outer, &inner, 3, ExecutionMode::Pooled));
+        let par = WorkerPool::new(threads).bind(|| knn_join(&outer, &inner, 3));
         assert_eq!(pair_id_set(&seq.rows), pair_id_set(&par.rows));
     }
 }

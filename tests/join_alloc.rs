@@ -5,7 +5,7 @@
 //! neighborhoods into its share of one buffer the calling thread sizes
 //! before the phase runs, and the calling thread turns them into rows. So
 //! once the threads' scratch has warmed up, a join allocates O(outer
-//! blocks) — not O(outer points) — on a pool of two, in both modes, and no
+//! blocks) — not O(outer points) — on pools of one and two, and no
 //! allocation of the worker outlives its block. That is what keeps a worker
 //! thread's malloc arena, and with it the process's peak RSS, from growing
 //! with the relations it joins. This pins it with a counting
@@ -20,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use two_knn::core::join::knn_join;
-use two_knn::{ExecutionMode, GridIndex, Point, SpatialIndex, WorkerPool};
+use two_knn::{GridIndex, Point, SpatialIndex, WorkerPool};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -71,18 +71,19 @@ fn a_warm_join_allocates_per_outer_block_not_per_outer_point() {
         points >= 32 * blocks,
         "sanity: {points} outer points in {blocks} blocks"
     );
-    let pool = WorkerPool::new(2);
-    for mode in [ExecutionMode::Serial, ExecutionMode::Pooled] {
-        let join = || pool.bind(|| knn_join(&outer, &inner, k, mode));
+    for parallelism in [1, 2] {
+        let pool = WorkerPool::new(parallelism);
+        let join = || pool.bind(|| knn_join(&outer, &inner, k));
         let warm = join();
         let before = allocations();
         let again = join();
         let allocs = allocations() - before;
-        assert_eq!(again.rows, warm.rows, "{mode:?}");
-        assert_eq!(again.len(), points * k, "{mode:?}: one pair per neighbor");
+        let ctx = format!("pool of {parallelism}");
+        assert_eq!(again.rows, warm.rows, "{ctx}");
+        assert_eq!(again.len(), points * k, "{ctx}: one pair per neighbor");
         assert!(
             allocs <= blocks as u64,
-            "{mode:?}: {allocs} allocations for {blocks} outer blocks of {points} points"
+            "{ctx}: {allocs} allocations for {blocks} outer blocks of {points} points"
         );
     }
 }

@@ -17,7 +17,7 @@ use two_knn::core::select_join::{
 use two_knn::core::selects2::{
     two_knn_select, two_selects_conceptual, two_selects_wrong_sequential, TwoSelectsQuery,
 };
-use two_knn::{ExecutionMode, GridIndex, Point};
+use two_knn::{GridIndex, Point};
 
 fn grid(points: Vec<Point>) -> GridIndex {
     GridIndex::build(points, 4).expect("non-empty test relation")
@@ -65,17 +65,15 @@ fn figures_1_and_2_select_inner_of_join() {
 
     // Figure 1: the conceptually correct QEP and both efficient algorithms.
     assert_eq!(
-        pair_id_set(&conceptual(&mechanics, &hotels, &query, ExecutionMode::Serial).rows),
+        pair_id_set(&conceptual(&mechanics, &hotels, &query).rows),
         expected_correct
     );
     assert_eq!(
-        pair_id_set(&counting(&mechanics, &hotels, &query, ExecutionMode::Serial).rows),
+        pair_id_set(&counting(&mechanics, &hotels, &query).rows),
         expected_correct
     );
     assert_eq!(
-        pair_id_set(
-            &block_marking(&mechanics, &hotels, &query, &config, ExecutionMode::Serial).rows
-        ),
+        pair_id_set(&block_marking(&mechanics, &hotels, &query, &config).rows),
         expected_correct
     );
 
@@ -104,8 +102,8 @@ fn figure_3_select_outer_of_join_pushdown_is_valid() {
         Point::new(4, 9.0, 1.0),
     ]);
     let query = SelectOuterJoinQuery::new(2, 2, shopping_center);
-    let pushed = select_on_outer_pushdown(&mechanics, &hotels, &query, ExecutionMode::Serial);
-    let after = select_on_outer_after_join(&mechanics, &hotels, &query, ExecutionMode::Serial);
+    let pushed = select_on_outer_pushdown(&mechanics, &hotels, &query);
+    let after = select_on_outer_after_join(&mechanics, &hotels, &query);
     assert_eq!(pair_id_set(&pushed.rows), pair_id_set(&after.rows));
     // The selection keeps mechanics 1 and 2 (closest to the shopping center),
     // so every output pair's outer component is one of them.
@@ -132,11 +130,11 @@ fn figures_8_9_10_unchained_joins() {
         .into_iter()
         .collect();
     assert_eq!(
-        triplet_id_set(&unchained_conceptual(&a, &b, &c, &query, ExecutionMode::Serial).rows),
+        triplet_id_set(&unchained_conceptual(&a, &b, &c, &query).rows),
         expected
     );
     assert_eq!(
-        triplet_id_set(&unchained_block_marking(&a, &b, &c, &query, ExecutionMode::Serial).rows),
+        triplet_id_set(&unchained_block_marking(&a, &b, &c, &query).rows),
         expected
     );
 
@@ -188,19 +186,19 @@ fn figure_13_chained_joins() {
     .collect();
 
     assert_eq!(
-        triplet_id_set(&chained_right_deep(&a, &b, &c, &query, ExecutionMode::Serial).rows),
+        triplet_id_set(&chained_right_deep(&a, &b, &c, &query).rows),
         expected
     );
     assert_eq!(
-        triplet_id_set(&chained_join_intersection(&a, &b, &c, &query, ExecutionMode::Serial).rows),
+        triplet_id_set(&chained_join_intersection(&a, &b, &c, &query).rows),
         expected
     );
     assert_eq!(
-        triplet_id_set(&chained_nested(&a, &b, &c, &query, ExecutionMode::Serial).rows),
+        triplet_id_set(&chained_nested(&a, &b, &c, &query).rows),
         expected
     );
     assert_eq!(
-        triplet_id_set(&chained_nested_cached(&a, &b, &c, &query, ExecutionMode::Serial).rows),
+        triplet_id_set(&chained_nested_cached(&a, &b, &c, &query).rows),
         expected
     );
 }

@@ -1,14 +1,15 @@
 //! Executor-level equivalence suite: every [`QuerySpec`] shape under every
 //! [`Strategy`], on all three index types (grid, PR-quadtree, STR R-tree),
-//! executed serially and over the persistent worker pool — all combinations
-//! must return the identical result set. This is the contract the
+//! executed on worker pools of 1, 2 and 4 threads — all combinations must
+//! return the identical result set. This is the contract the
 //! physical-operator layer must keep: the strategy choice, the index
-//! structure and the execution mode are performance knobs, never semantics
+//! structure and the pool size are performance knobs, never semantics
 //! knobs.
 //!
-//! The pooled runs bind explicit pools of 1, 2 and 4 threads
-//! (`WorkerPool::new(n).bind(..)`), so they really fan out whatever the
-//! machine's core count or `TWOKNN_THREADS` say.
+//! Every run binds an explicit pool (`WorkerPool::new(n).bind(..)`), so the
+//! pools of 2 and 4 really fan out whatever the machine's core count or
+//! `TWOKNN_THREADS` say, and the pool of one — the serial evaluation — is
+//! the reference.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -186,7 +187,7 @@ fn specs() -> Vec<(QuerySpec, RowSchema)> {
     ]
 }
 
-/// Pool sizes the pooled runs are bound to.
+/// Pool sizes the runs are bound to; the first is the reference.
 const POOL_SIZES: [usize; 3] = [1, 2, 4];
 
 fn pools() -> Vec<Arc<WorkerPool>> {
@@ -194,33 +195,36 @@ fn pools() -> Vec<Arc<WorkerPool>> {
 }
 
 /// The one fully specified execution path: compile against a pinned
-/// snapshot, execute under `mode`.
-fn run(db: &Database, spec: &QuerySpec, strategy: Strategy, mode: ExecutionMode) -> QueryResult {
-    compile(&db.snapshot(), spec, strategy)
-        .unwrap_or_else(|e| panic!("{strategy} ({mode:?}): {e}"))
-        .execute(mode)
+/// snapshot, execute on `pool`.
+fn run(db: &Database, spec: &QuerySpec, strategy: Strategy, pool: &WorkerPool) -> QueryResult {
+    pool.bind(|| {
+        compile(&db.snapshot(), spec, strategy)
+            .unwrap_or_else(|e| panic!("{strategy} ({pool:?}): {e}"))
+            .execute(ExecutionMode::default_mode())
+    })
 }
 
 /// The heart of the suite: for every index type, every query shape, every
-/// strategy, serial and pooled execution (on pools of 1, 2 and 4 threads)
-/// must all agree on the result set.
+/// strategy, runs on pools of 1, 2 and 4 threads must all agree on the
+/// result set.
 #[test]
 fn every_strategy_and_mode_agrees_on_every_index() {
     let pools = pools();
+    let (single, wider) = pools.split_first().unwrap();
     for (index_name, db) in databases() {
         for (spec, schema) in specs() {
             let mut reference: Option<BTreeSet<Vec<u64>>> = None;
             for strategy in strategies_for(&spec) {
-                let serial = run(&db, &spec, strategy, ExecutionMode::Serial);
-                for pool in &pools {
+                let serial = run(&db, &spec, strategy, single);
+                for pool in wider {
                     let threads = pool.parallelism();
-                    let pooled = pool.bind(|| run(&db, &spec, strategy, ExecutionMode::Pooled));
+                    let pooled = run(&db, &spec, strategy, pool);
 
-                    // Serial and pooled agree exactly — rows and row order.
+                    // Every pool size agrees exactly — rows and row order.
                     assert_eq!(
                         serial.rows(),
                         pooled.rows(),
-                        "serial vs {threads}-thread pool rows differ: {index_name}/{strategy}"
+                        "pool of one vs {threads}-thread pool rows differ: {index_name}/{strategy}"
                     );
                 }
                 for row in serial.rows() {
@@ -246,19 +250,20 @@ fn every_strategy_and_mode_agrees_on_every_index() {
     }
 }
 
-/// Serial and pooled execution must also report identical work counters,
+/// Every pool size must also report the work counters of the pool of one,
 /// for every strategy — the cached chained join included: it keeps one
-/// cache in both modes.
+/// cache whatever the pool size.
 #[test]
 fn pooled_metrics_merge_to_serial_totals() {
     let pools = pools();
+    let (single, wider) = pools.split_first().unwrap();
     for (index_name, db) in databases() {
         for (spec, _) in specs() {
             for strategy in strategies_for(&spec) {
-                let serial = run(&db, &spec, strategy, ExecutionMode::Serial);
-                for pool in &pools {
+                let serial = run(&db, &spec, strategy, single);
+                for pool in wider {
                     let threads = pool.parallelism();
-                    let pooled = pool.bind(|| run(&db, &spec, strategy, ExecutionMode::Pooled));
+                    let pooled = run(&db, &spec, strategy, pool);
                     assert_eq!(
                         serial.metrics(),
                         pooled.metrics(),

@@ -16,8 +16,9 @@ use std::sync::Arc;
 use two_knn::core::joins2::{ChainedJoinQuery, UnchainedJoinQuery};
 use two_knn::core::plan::{compile, Database, QueryResult, QuerySpec};
 use two_knn::core::select_join::{SelectInnerJoinQuery, SelectOuterJoinQuery};
+use two_knn::core::ExecutionMode;
 use two_knn::datagen::{berlinmod, BerlinModConfig};
-use two_knn::{ExecutionMode, GridIndex, Point, WorkerPool};
+use two_knn::{GridIndex, Point, WorkerPool};
 
 /// Thread ids of the process's pool workers.
 fn pool_threads() -> BTreeSet<u64> {
@@ -83,14 +84,18 @@ fn joins() -> Vec<QuerySpec> {
     ]
 }
 
-/// Executes every join through `Database::execute` and holds it to the
-/// serial run of the same strategy: same rows, same order, same counters.
+/// Executes every join through `Database::execute` and holds it to the run
+/// of the same strategy on a pool of one: same rows, same order, same
+/// counters. The reference binds its pool: an unbound run would start the
+/// global pool.
 fn execute_joins(db: &Database) {
     for spec in joins() {
         let result = db.execute(&spec).unwrap();
-        let serial: QueryResult = compile(&db.snapshot(), &spec, result.strategy())
-            .unwrap()
-            .execute(ExecutionMode::Serial);
+        let serial: QueryResult = WorkerPool::new(1).bind(|| {
+            compile(&db.snapshot(), &spec, result.strategy())
+                .unwrap()
+                .execute(ExecutionMode::default_mode())
+        });
         assert_eq!(result.rows(), serial.rows(), "{spec:?}");
         assert_eq!(result.metrics(), serial.metrics(), "{spec:?}");
         assert!(result.num_rows() > 0, "{spec:?}");

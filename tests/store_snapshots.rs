@@ -94,7 +94,8 @@ fn register_replaces_and_deregister_mutates_the_catalog() {
     assert!(db.relation("R").is_err());
     assert!(db.execute(&spec).is_err(), "catalog no longer resolves R");
     assert_eq!(
-        plan.execute(two_knn::ExecutionMode::Serial).num_rows(),
+        plan.execute(two_knn::core::ExecutionMode::default_mode())
+            .num_rows(),
         3,
         "the pinned plan still owns its snapshot"
     );
