@@ -8,7 +8,7 @@
 
 use twoknn_datagen::{berlinmod, clustered, BerlinModConfig, ClusterConfig};
 use twoknn_geometry::{Point, Rect};
-use twoknn_index::GridIndex;
+use twoknn_index::{GridIndex, PackedIndex};
 
 use crate::Scale;
 
@@ -21,7 +21,7 @@ pub fn extent() -> Rect {
 }
 
 /// Builds a grid index over BerlinMOD-like data with `n` points.
-pub fn berlin_relation(n: usize, seed: u64) -> GridIndex {
+pub fn berlin_relation(n: usize, seed: u64) -> PackedIndex {
     let pts = berlinmod(&BerlinModConfig::with_points(n, seed));
     grid(pts)
 }
@@ -31,7 +31,7 @@ pub fn clustered_relation_sized(
     num_clusters: usize,
     points_per_cluster: usize,
     seed: u64,
-) -> GridIndex {
+) -> PackedIndex {
     grid(clustered(&ClusterConfig {
         num_clusters,
         points_per_cluster,
@@ -51,7 +51,7 @@ pub fn clustered_relation_in_region(
     num_clusters: usize,
     points_per_cluster: usize,
     seed: u64,
-) -> GridIndex {
+) -> PackedIndex {
     let e = extent();
     let region = Rect::new(
         e.min_x + 0.65 * e.width(),
@@ -68,7 +68,7 @@ pub fn clustered_relation_in_region(
     }))
 }
 
-fn grid(points: Vec<Point>) -> GridIndex {
+fn grid(points: Vec<Point>) -> PackedIndex {
     // Index over the shared extent so relations of different sizes are
     // comparable; clamp granularity to keep block occupancy near the target.
     let n = points.len().max(1);

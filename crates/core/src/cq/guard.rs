@@ -297,11 +297,7 @@ mod tests {
 
     fn store_with(points: Vec<Point>) -> RelationStore {
         let store = RelationStore::default();
-        store.register(
-            "R",
-            std::sync::Arc::new(GridIndex::build(points, 5).unwrap()),
-            crate::store::IndexConfig::Grid { cells_per_axis: 5 },
-        );
+        store.register("R", GridIndex::build(points, 5).unwrap());
         store
     }
 

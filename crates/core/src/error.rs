@@ -73,6 +73,12 @@ pub enum QueryError {
     },
     /// A textual query failed to parse.
     Parse(ParseError),
+    /// An ingest batch upserts a point with a NaN or infinite coordinate;
+    /// the whole batch is refused.
+    NonFiniteCoordinate {
+        /// The id of the offending point.
+        id: u64,
+    },
 }
 
 impl From<ParseError> for QueryError {
@@ -98,6 +104,9 @@ impl std::fmt::Display for QueryError {
                 write!(f, "unknown subscription `sub#{id}`")
             }
             QueryError::Parse(err) => write!(f, "{err}"),
+            QueryError::NonFiniteCoordinate { id } => {
+                write!(f, "point {id} has a non-finite coordinate")
+            }
         }
     }
 }

@@ -145,9 +145,9 @@ mod tests {
     use super::*;
     use crate::exec::WorkerPool;
     use crate::output::pair_id_set;
-    use twoknn_index::{brute_force_knn, GridIndex};
+    use twoknn_index::{brute_force_knn, GridIndex, PackedIndex};
 
-    fn relation(n: usize, stride: f64, offset: f64) -> GridIndex {
+    fn relation(n: usize, stride: f64, offset: f64) -> PackedIndex {
         let pts: Vec<Point> = (0..n)
             .map(|i| {
                 Point::new(

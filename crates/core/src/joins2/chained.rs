@@ -249,7 +249,7 @@ mod tests {
     use super::*;
     use crate::output::triplet_id_set;
     use twoknn_geometry::Point;
-    use twoknn_index::GridIndex;
+    use twoknn_index::{GridIndex, PackedIndex};
 
     fn scattered(n: usize, seed: u64) -> Vec<Point> {
         (0..n)
@@ -265,7 +265,7 @@ mod tests {
             .collect()
     }
 
-    fn grid(pts: Vec<Point>) -> GridIndex {
+    fn grid(pts: Vec<Point>) -> PackedIndex {
         GridIndex::build(pts, 8).unwrap()
     }
 

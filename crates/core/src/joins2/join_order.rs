@@ -81,9 +81,9 @@ where
 mod tests {
     use super::*;
     use twoknn_geometry::{Point, Rect};
-    use twoknn_index::GridIndex;
+    use twoknn_index::{GridIndex, PackedIndex};
 
-    fn uniform_grid(n: usize, seed: u64) -> GridIndex {
+    fn uniform_grid(n: usize, seed: u64) -> PackedIndex {
         let pts: Vec<Point> = (0..n)
             .map(|i| {
                 let h = (i as u64).wrapping_mul(0x9E3779B97F4A7C15) ^ seed;
@@ -93,7 +93,7 @@ mod tests {
         GridIndex::build_with_bounds(pts, Rect::new(0.0, 0.0, 100.0, 100.0), 8).unwrap()
     }
 
-    fn clustered_grid(n: usize, corner: f64, spread: f64) -> GridIndex {
+    fn clustered_grid(n: usize, corner: f64, spread: f64) -> PackedIndex {
         let pts: Vec<Point> = (0..n)
             .map(|i| {
                 Point::new(

@@ -254,7 +254,7 @@ where
 mod tests {
     use super::*;
     use crate::output::triplet_id_set;
-    use twoknn_index::GridIndex;
+    use twoknn_index::{GridIndex, PackedIndex};
 
     fn scattered(n: usize, seed: u64, scale: f64) -> Vec<Point> {
         (0..n)
@@ -270,7 +270,7 @@ mod tests {
             .collect()
     }
 
-    fn grid(pts: Vec<Point>) -> GridIndex {
+    fn grid(pts: Vec<Point>) -> PackedIndex {
         GridIndex::build(pts, 9).unwrap()
     }
 

@@ -33,7 +33,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use twoknn_geometry::{Point, PointId, Predicate};
-use twoknn_index::{Metrics, SpatialIndex};
+use twoknn_index::{Metrics, PackedIndex, SpatialIndex};
 
 use crate::cq::{CqEngine, ResultDelta, SubscriptionId};
 use crate::error::QueryError;
@@ -52,8 +52,7 @@ use crate::select::KnnSelectQuery;
 use crate::select_join::{SelectInnerJoinQuery, SelectOuterJoinQuery};
 use crate::selects2::TwoSelectsQuery;
 use crate::store::{
-    DbSnapshot, IndexConfig, RecoveryError, RelationSnapshot, RelationStore, StoreConfig,
-    StoredIndex, WriteOp,
+    DbSnapshot, RecoveryError, RelationSnapshot, RelationStore, StoreConfig, WriteOp,
 };
 
 /// A named catalog of versioned, indexed relations.
@@ -413,51 +412,24 @@ impl Database {
     /// Registers (or replaces) a relation under a name, returning the
     /// replaced relation's last published snapshot if the name was taken.
     ///
-    /// The index's family and granularity are remembered
-    /// ([`StoredIndex::rebuild_config`]), so compactions rebuild the same
-    /// kind of index. Custom [`SpatialIndex`]
-    /// implementations go through [`Database::register_with_config`].
+    /// The index's recipe ([`PackedIndex::recipe`]) is remembered, so
+    /// compactions rebuild the same family at the same granularity.
     ///
     /// With spatial sharding configured ([`crate::store::ShardConfig`]), the
     /// registered index's points are re-bucketed into one independently
     /// versioned shard base per grid cell; the single-shard default keeps
     /// the index as-is.
-    pub fn register<I>(
+    pub fn register(
         &mut self,
         name: impl Into<String>,
-        index: I,
-    ) -> Option<Arc<RelationSnapshot>>
-    where
-        I: StoredIndex,
-    {
-        let config = index.rebuild_config();
+        index: PackedIndex,
+    ) -> Option<Arc<RelationSnapshot>> {
         let name = name.into();
-        let replaced = self.store.register(name.clone(), Arc::new(index), config);
+        let replaced = self.store.register(name.clone(), index);
         // A wholesale (re-)registration has no per-write positions to
         // probe: every standing query on the relation re-evaluates. This
         // must not be gated on `replaced` — a deregister-then-register
         // cycle replaces the data just as much as an in-place replacement.
-        if let Some(cq) = self.cq.get() {
-            cq.reevaluate_all_on(&name);
-        }
-        replaced
-    }
-
-    /// Registers (or replaces) a relation with an explicit compaction
-    /// rebuild config — the escape hatch for index types the store cannot
-    /// infer a config from. Note the *initial* index is used as-is; only
-    /// rebuilds use `config`.
-    pub fn register_with_config<I>(
-        &mut self,
-        name: impl Into<String>,
-        index: I,
-        config: IndexConfig,
-    ) -> Option<Arc<RelationSnapshot>>
-    where
-        I: twoknn_index::SpatialIndex + Send + Sync + 'static,
-    {
-        let name = name.into();
-        let replaced = self.store.register(name.clone(), Arc::new(index), config);
         if let Some(cq) = self.cq.get() {
             cq.reevaluate_all_on(&name);
         }

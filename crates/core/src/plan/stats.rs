@@ -122,9 +122,9 @@ impl std::fmt::Display for RelationProfile {
 mod tests {
     use super::*;
     use twoknn_geometry::{Point, Rect};
-    use twoknn_index::GridIndex;
+    use twoknn_index::{GridIndex, PackedIndex};
 
-    fn uniform(n: usize) -> GridIndex {
+    fn uniform(n: usize) -> PackedIndex {
         let pts: Vec<Point> = (0..n)
             .map(|i| {
                 let h = (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
@@ -134,7 +134,7 @@ mod tests {
         GridIndex::build_with_bounds(pts, Rect::new(0.0, 0.0, 100.0, 100.0), 10).unwrap()
     }
 
-    fn clustered(n: usize) -> GridIndex {
+    fn clustered(n: usize) -> PackedIndex {
         let pts: Vec<Point> = (0..n)
             .map(|i| {
                 Point::new(

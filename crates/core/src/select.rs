@@ -98,9 +98,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twoknn_index::GridIndex;
+    use twoknn_index::{GridIndex, PackedIndex};
 
-    fn grid() -> GridIndex {
+    fn grid() -> PackedIndex {
         let pts: Vec<Point> = (0..200)
             .map(|i| Point::new(i, (i % 20) as f64, (i / 20) as f64))
             .collect();

@@ -195,7 +195,7 @@ mod tests {
     use crate::output::pair_id_set;
     use crate::select_join::{conceptual, counting};
     use twoknn_geometry::Point;
-    use twoknn_index::GridIndex;
+    use twoknn_index::{GridIndex, PackedIndex};
 
     fn scattered(n: usize, seed: u64) -> Vec<Point> {
         (0..n)
@@ -210,7 +210,7 @@ mod tests {
             .collect()
     }
 
-    fn grid(points: Vec<Point>) -> GridIndex {
+    fn grid(points: Vec<Point>) -> PackedIndex {
         GridIndex::build(points, 10).unwrap()
     }
 

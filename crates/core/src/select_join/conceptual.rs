@@ -83,14 +83,14 @@ mod tests {
     use super::*;
     use crate::output::pair_id_set;
     use twoknn_geometry::Point;
-    use twoknn_index::GridIndex;
+    use twoknn_index::{GridIndex, PackedIndex};
 
     /// A layout in the spirit of Figures 1 and 2: hotels near the shopping
     /// center plus hotels far from it; mechanics spread around. The invalid
     /// pushdown reports every mechanic paired with a selected hotel, the
     /// correct plan only keeps mechanics whose own neighborhood reaches the
     /// selected hotels.
-    fn setup() -> (GridIndex, GridIndex, SelectInnerJoinQuery) {
+    fn setup() -> (PackedIndex, PackedIndex, SelectInnerJoinQuery) {
         let mechanics = GridIndex::build(
             vec![
                 Point::new(1, 1.0, 1.0),

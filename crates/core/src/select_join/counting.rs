@@ -148,9 +148,9 @@ mod tests {
     use crate::output::pair_id_set;
     use crate::select_join::conceptual;
     use twoknn_geometry::Point;
-    use twoknn_index::GridIndex;
+    use twoknn_index::{GridIndex, PackedIndex};
 
-    fn grid(points: Vec<Point>) -> GridIndex {
+    fn grid(points: Vec<Point>) -> PackedIndex {
         GridIndex::build(points, 8).unwrap()
     }
 

@@ -206,7 +206,7 @@ mod tests {
     use super::*;
     use crate::output::pair_id_set;
     use twoknn_geometry::Point;
-    use twoknn_index::GridIndex;
+    use twoknn_index::{GridIndex, PackedIndex};
 
     fn scattered(n: usize, seed: u64) -> Vec<Point> {
         (0..n)
@@ -222,7 +222,7 @@ mod tests {
             .collect()
     }
 
-    fn grid(points: Vec<Point>) -> GridIndex {
+    fn grid(points: Vec<Point>) -> PackedIndex {
         GridIndex::build(points, 9).unwrap()
     }
 

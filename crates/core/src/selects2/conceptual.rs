@@ -77,9 +77,9 @@ pub(crate) fn intersect_output(
 mod tests {
     use super::*;
     use crate::output::point_id_set;
-    use twoknn_index::GridIndex;
+    use twoknn_index::{GridIndex, PackedIndex};
 
-    fn houses() -> GridIndex {
+    fn houses() -> PackedIndex {
         // A line of houses between two focal points plus scattered ones.
         let mut pts = Vec::new();
         for i in 0..30u64 {

@@ -60,9 +60,9 @@ mod tests {
     use super::*;
     use crate::output::point_id_set;
     use crate::selects2::two_selects_conceptual;
-    use twoknn_index::GridIndex;
+    use twoknn_index::{GridIndex, PackedIndex};
 
-    fn relation(n: usize, seed: u64) -> GridIndex {
+    fn relation(n: usize, seed: u64) -> PackedIndex {
         let pts: Vec<Point> = (0..n)
             .map(|i| {
                 let h = (i as u64).wrapping_mul(0xFF51AFD7ED558CCD) ^ seed.wrapping_mul(31);

@@ -4,8 +4,9 @@
 //! the same blocks-with-MBRs structure [`SpatialIndex`] exposes in memory,
 //! serialized column-wise. [`super::compact`] writes one after every shard
 //! rebuild (and registration writes the initial ones); recovery opens them
-//! with [`BlockFileIndex::open`] and uses the file *itself* as the shard's
-//! base — no rebuild needed to serve queries after a restart.
+//! with [`BlockFileIndex::open`] straight into the [`PackedIndex`] the shard
+//! uses as its base — no re-partitioning needed to serve queries after a
+//! restart.
 //!
 //! Layout (all integers little-endian, coordinates as `f64::to_bits`):
 //!
@@ -17,13 +18,11 @@
 //! per block: [ids count×u64][xs count×f64][ys count×f64]    payloads
 //! ```
 //!
-//! The directory carries everything the kNN drivers read on the hot path
-//! (block MBRs and counts), so opening a file decodes **no** point data:
-//! every per-block CRC is verified up front against the retained buffer —
-//! corruption surfaces as a [`RecoveryError`] at open, never mid-query —
-//! but the three point columns of a block are decoded lazily on first
-//! [`BlockFileIndex::block_points`] call. A MINDIST-pruned block is never
-//! decoded at all.
+//! A block's payload is its three columns, so the file's payloads, in block
+//! order, *are* a [`PackedIndex`]'s arena: opening a file verifies every
+//! checksum — corruption surfaces as a [`RecoveryError`] at open, never
+//! mid-query — and copies each payload into the arena once. Nothing of the
+//! file stays in memory beyond that arena.
 //!
 //! Block files are immutable: a rebuild writes a new generation
 //! (`shard-<s>-<gen>.blk`) via a temp file + rename, the manifest flips to
@@ -32,10 +31,9 @@
 
 use std::io::Write;
 use std::path::Path;
-use std::sync::OnceLock;
 
-use twoknn_geometry::{Point, Rect};
-use twoknn_index::{BlockDirectory, BlockId, BlockMeta, BlockPoints, PointBlock, SpatialIndex};
+use twoknn_geometry::Rect;
+use twoknn_index::{BlockId, BlockMeta, IndexConfig, PackedIndex, SpatialIndex};
 
 use super::recover::RecoveryError;
 use super::wal::crc32;
@@ -59,6 +57,13 @@ fn read_u32(buf: &[u8], at: usize) -> u32 {
 
 fn read_u64(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(buf[at..at + 8].try_into().unwrap())
+}
+
+/// The little-endian `u64`s of `bytes`, in order.
+fn words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
 }
 
 fn read_rect(buf: &[u8], at: usize) -> Rect {
@@ -127,64 +132,49 @@ pub(crate) fn write_block_file(path: &Path, index: &dyn SpatialIndex) -> std::io
     Ok(bytes.len() as u64)
 }
 
-/// A shard base index served directly from an opened block file.
+/// Opens block files into [`PackedIndex`]es (the type has no values).
 ///
-/// Construction verifies every checksum in the file (header, directory and
-/// all block payloads) against a retained in-memory buffer, so queries can
-/// never hit corruption; the per-block point *columns*, however, are only
-/// decoded on first access. Query plans read block MBRs/counts from the
-/// directory and MINDIST-pruned blocks stay raw bytes forever.
-///
-/// A recovered relation uses `BlockFileIndex` only as its cold-start base:
-/// the first compaction of a shard folds it into a freshly built index of
-/// the relation's configured family.
+/// A recovered relation serves its shards from the opened files until the
+/// first compaction of each shard rebuilds it with the relation's recipe.
 #[derive(Debug)]
-pub struct BlockFileIndex {
-    buf: Vec<u8>,
-    metas: Vec<BlockMeta>,
-    /// Packed from the block footprints at open; in memory only, not part
-    /// of the file format.
-    directory: BlockDirectory,
-    /// Absolute payload offset of each block within `buf`.
-    offsets: Vec<u64>,
-    decoded: Vec<OnceLock<PointBlock>>,
-    bounds: Rect,
-    num_points: usize,
-}
+pub enum BlockFileIndex {}
 
 impl BlockFileIndex {
-    /// Opens and fully verifies the block file at `path`.
+    /// Opens and fully verifies the block file at `path`, recording `recipe`
+    /// (the relation's, from its manifest) as the index's recipe. The block
+    /// directory is packed from the footprints: it is in memory only, not
+    /// part of the file format.
     ///
     /// # Errors
     ///
     /// [`RecoveryError::Io`] when the file cannot be read and
     /// [`RecoveryError::Corrupt`] when any structural check or checksum
     /// fails — corruption is reported, never panicked on.
-    pub fn open(path: &Path) -> Result<Self, RecoveryError> {
+    pub fn open(path: &Path, recipe: IndexConfig) -> Result<PackedIndex, RecoveryError> {
         let buf = std::fs::read(path).map_err(|source| RecoveryError::Io {
             path: path.to_path_buf(),
             source,
         })?;
-        Self::decode(buf).map_err(|detail| RecoveryError::Corrupt {
+        Self::decode(&buf, recipe).map_err(|detail| RecoveryError::Corrupt {
             path: path.to_path_buf(),
             detail,
         })
     }
 
-    fn decode(buf: Vec<u8>) -> Result<Self, String> {
+    fn decode(buf: &[u8], recipe: IndexConfig) -> Result<PackedIndex, String> {
         if buf.len() < HEADER_BYTES + 4 {
             return Err(format!("{} bytes is too short for a header", buf.len()));
         }
         if &buf[0..4] != MAGIC {
             return Err("bad magic (not a block file)".into());
         }
-        let version = read_u32(&buf, 4);
+        let version = read_u32(buf, 4);
         if version != FORMAT_VERSION {
             return Err(format!("unsupported format version {version}"));
         }
-        let num_blocks = read_u32(&buf, 8) as usize;
-        let num_points = read_u64(&buf, 12) as usize;
-        let bounds = read_rect(&buf, 20);
+        let num_blocks = read_u32(buf, 8) as usize;
+        let num_points = read_u64(buf, 12) as usize;
+        let bounds = read_rect(buf, 20);
         let dir_end = HEADER_BYTES + num_blocks * DIR_ENTRY_BYTES;
         if buf.len() < dir_end + 4 {
             return Err(format!(
@@ -192,27 +182,32 @@ impl BlockFileIndex {
                 buf.len()
             ));
         }
-        if crc32(&buf[8..dir_end]) != read_u32(&buf, dir_end) {
+        if crc32(&buf[8..dir_end]) != read_u32(buf, dir_end) {
             return Err("header/directory checksum mismatch".into());
         }
+        // A grid locates by cell arithmetic, so its blocks must be the cells.
+        if let IndexConfig::Grid { cells_per_axis: n } = recipe {
+            if num_blocks != n * n {
+                return Err(format!("{num_blocks} blocks are not a {n}×{n} grid"));
+            }
+        }
         let mut metas = Vec::with_capacity(num_blocks);
-        let mut offsets = Vec::with_capacity(num_blocks);
+        let mut payloads = Vec::with_capacity(num_blocks);
         let mut total = 0usize;
         for b in 0..num_blocks {
             let at = HEADER_BYTES + b * DIR_ENTRY_BYTES;
-            let mbr = read_rect(&buf, at);
-            let count = read_u32(&buf, at + 32) as usize;
-            let offset = read_u64(&buf, at + 36) as usize;
-            let crc = read_u32(&buf, at + 44);
-            let len = count * 24;
+            let mbr = read_rect(buf, at);
+            let count = read_u32(buf, at + 32) as usize;
+            let offset = read_u64(buf, at + 36) as usize;
+            let crc = read_u32(buf, at + 44);
             let payload = buf
-                .get(offset..offset + len)
+                .get(offset..offset + count * 24)
                 .ok_or_else(|| format!("block {b} payload out of file bounds"))?;
             if crc32(payload) != crc {
                 return Err(format!("block {b} payload checksum mismatch"));
             }
             metas.push(BlockMeta::new(b as BlockId, mbr, count));
-            offsets.push(offset as u64);
+            payloads.push(payload);
             total += count;
         }
         if total != num_points {
@@ -220,73 +215,19 @@ impl BlockFileIndex {
                 "directory counts sum to {total}, header claims {num_points} points"
             ));
         }
-        let decoded = (0..num_blocks).map(|_| OnceLock::new()).collect();
-        Ok(Self {
-            buf,
-            directory: BlockDirectory::packed(&metas),
-            metas,
-            offsets,
-            decoded,
-            bounds,
-            num_points,
-        })
-    }
-
-    /// Decodes block `id`'s columns from the retained buffer (checksummed at
-    /// open, so this cannot fail).
-    fn block(&self, id: BlockId) -> &PointBlock {
-        self.decoded[id as usize].get_or_init(|| {
-            let count = self.metas[id as usize].count;
-            let at = self.offsets[id as usize] as usize;
-            let mut block = PointBlock::with_capacity(count);
-            for i in 0..count {
-                block.push(Point::new(
-                    read_u64(&self.buf, at + i * 8),
-                    f64::from_bits(read_u64(&self.buf, at + (count + i) * 8)),
-                    f64::from_bits(read_u64(&self.buf, at + (2 * count + i) * 8)),
-                ));
-            }
-            block
-        })
-    }
-
-    /// Number of blocks whose point columns have been decoded so far —
-    /// observability for the lazy-loading tests.
-    pub fn blocks_decoded(&self) -> usize {
-        self.decoded.iter().filter(|c| c.get().is_some()).count()
-    }
-}
-
-impl SpatialIndex for BlockFileIndex {
-    fn bounds(&self) -> Rect {
-        self.bounds
-    }
-
-    fn num_points(&self) -> usize {
-        self.num_points
-    }
-
-    fn blocks(&self) -> &[BlockMeta] {
-        &self.metas
-    }
-
-    fn block_points(&self, id: BlockId) -> BlockPoints<'_> {
-        self.block(id).view()
-    }
-
-    fn locate(&self, p: &Point) -> Option<BlockId> {
-        // Prefer a containing block that actually stores a point at these
-        // coordinates (footprints may overlap if the source was an R-tree);
-        // fall back to the first containing footprint.
-        self.directory.locate(&self.metas, p, |id| {
-            self.block_points(id)
-                .iter()
-                .any(|q| q.x == p.x && q.y == p.y)
-        })
-    }
-
-    fn directory(&self) -> &BlockDirectory {
-        &self.directory
+        let mut ids = Vec::with_capacity(num_points);
+        let mut xs = Vec::with_capacity(num_points);
+        let mut ys = Vec::with_capacity(num_points);
+        for payload in payloads {
+            let (id_bytes, coords) = payload.split_at(payload.len() / 3);
+            let (x_bytes, y_bytes) = coords.split_at(payload.len() / 3);
+            ids.extend(words(id_bytes));
+            xs.extend(words(x_bytes).map(f64::from_bits));
+            ys.extend(words(y_bytes).map(f64::from_bits));
+        }
+        Ok(PackedIndex::from_columns(
+            recipe, bounds, metas, ids, xs, ys,
+        ))
     }
 }
 
@@ -294,6 +235,7 @@ impl SpatialIndex for BlockFileIndex {
 mod tests {
     use super::*;
     use std::path::PathBuf;
+    use twoknn_geometry::Point;
     use twoknn_index::{check_index_invariants, GridIndex};
 
     fn tmpfile(tag: &str) -> PathBuf {
@@ -306,7 +248,7 @@ mod tests {
         ))
     }
 
-    fn sample_index(n: u64) -> GridIndex {
+    fn sample_index(n: u64) -> PackedIndex {
         let pts: Vec<Point> = (0..n)
             .map(|i| {
                 let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -323,43 +265,21 @@ mod tests {
         let bytes = write_block_file(&path, &src).unwrap();
         assert_eq!(bytes, std::fs::metadata(&path).unwrap().len());
 
-        let opened = BlockFileIndex::open(&path).unwrap();
+        let opened = BlockFileIndex::open(&path, src.recipe()).unwrap();
+        assert_eq!(opened.recipe(), src.recipe());
         assert_eq!(opened.num_points(), src.num_points());
         assert_eq!(opened.num_blocks(), src.num_blocks());
         assert_eq!(opened.bounds(), src.bounds());
+        check_index_invariants(&opened).unwrap();
+        // Every block's columns, in order, bit for bit.
         for (a, b) in opened.blocks().iter().zip(src.blocks()) {
             assert_eq!((a.id, a.mbr, a.count), (b.id, b.mbr, b.count));
+            let (got, want) = (opened.block_points(a.id), src.block_points(b.id));
+            assert_eq!(got.ids(), want.ids(), "block {}", a.id);
+            let bits = |col: &[f64]| col.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got.xs()), bits(want.xs()), "block {}", a.id);
+            assert_eq!(bits(got.ys()), bits(want.ys()), "block {}", a.id);
         }
-        check_index_invariants(&opened).unwrap();
-        let mut got = opened.all_points();
-        let mut want = src.all_points();
-        got.sort_by_key(|p| p.id);
-        want.sort_by_key(|p| p.id);
-        assert_eq!(got, want);
-        // locate agrees on every stored point.
-        for p in want.iter().take(50) {
-            let id = opened.locate(p).expect("stored point locates");
-            assert!(opened.blocks()[id as usize].mbr.contains(p));
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn columns_decode_lazily() {
-        let src = sample_index(800);
-        let path = tmpfile("lazy");
-        write_block_file(&path, &src).unwrap();
-        let opened = BlockFileIndex::open(&path).unwrap();
-        assert_eq!(opened.blocks_decoded(), 0, "open decodes no point data");
-        // Directory-only work (MINDIST ordering) decodes nothing.
-        let origin = Point::anonymous(0.0, 0.0);
-        let _ = opened
-            .mindist_order(&origin, &mut twoknn_index::ScratchSpace::new())
-            .next();
-        assert_eq!(opened.blocks_decoded(), 0);
-        let first_nonempty = opened.blocks().iter().find(|b| !b.is_empty()).unwrap().id;
-        assert!(!opened.block_points(first_nonempty).is_empty());
-        assert_eq!(opened.blocks_decoded(), 1, "only the touched block decodes");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -374,7 +294,7 @@ mod tests {
         let n = bytes.len();
         bytes[n - 5] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        match BlockFileIndex::open(&path) {
+        match BlockFileIndex::open(&path, src.recipe()) {
             Err(RecoveryError::Corrupt { detail, .. }) => {
                 assert!(detail.contains("checksum"), "unexpected detail: {detail}")
             }
@@ -386,17 +306,25 @@ mod tests {
         bytes[HEADER_BYTES + 3] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            BlockFileIndex::open(&path),
+            BlockFileIndex::open(&path, src.recipe()),
             Err(RecoveryError::Corrupt { .. })
         ));
 
         // Truncation and a foreign file are also reported, not panicked on.
         std::fs::write(&path, &bytes[..HEADER_BYTES / 2]).unwrap();
         assert!(matches!(
-            BlockFileIndex::open(&path),
+            BlockFileIndex::open(&path, src.recipe()),
             Err(RecoveryError::Corrupt { .. })
         ));
-        assert!(BlockFileIndex::open(&path.with_extension("missing")).is_err());
+        assert!(BlockFileIndex::open(&path.with_extension("missing"), src.recipe()).is_err());
+
+        // A grid recipe that does not match the file's blocks is refused.
+        write_block_file(&path, &src).unwrap();
+        let five = IndexConfig::Grid { cells_per_axis: 5 };
+        assert!(matches!(
+            BlockFileIndex::open(&path, five),
+            Err(RecoveryError::Corrupt { .. })
+        ));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -406,7 +334,7 @@ mod tests {
             GridIndex::build_with_bounds(Vec::new(), Rect::new(0.0, 0.0, 10.0, 10.0), 3).unwrap();
         let path = tmpfile("empty");
         write_block_file(&path, &src).unwrap();
-        let opened = BlockFileIndex::open(&path).unwrap();
+        let opened = BlockFileIndex::open(&path, src.recipe()).unwrap();
         assert_eq!(opened.num_points(), 0);
         assert_eq!(opened.num_blocks(), src.num_blocks());
         check_index_invariants(&opened).unwrap();

@@ -149,7 +149,6 @@ pub(crate) fn schedule_compaction(
 mod tests {
     use super::super::delta::WriteOp;
     use super::super::shard::ShardConfig;
-    use super::super::snapshot::{BaseIndex, IndexConfig};
     use super::*;
     use twoknn_geometry::Point;
     use twoknn_index::GridIndex;
@@ -161,11 +160,9 @@ mod tests {
                 Point::new(i, (h % 997) as f64 * 0.13, ((h / 997) % 997) as f64 * 0.13)
             })
             .collect();
-        let base: BaseIndex = Arc::new(GridIndex::build(pts, 9).unwrap());
         Arc::new(VersionedRelation::new(
             "R".into(),
-            base,
-            IndexConfig::Grid { cells_per_axis: 9 },
+            Arc::new(GridIndex::build(pts, 9).unwrap()),
             threshold,
             crate::store::OverlayConfig::default(),
             ShardConfig::per_axis(shards_per_axis),

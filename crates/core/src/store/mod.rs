@@ -77,7 +77,8 @@ pub use delta::{Delta, WriteOp};
 pub use overlay::OverlayConfig;
 pub use recover::RecoveryError;
 pub use shard::{RelationSnapshot, ShardConfig};
-pub use snapshot::{BaseIndex, IndexConfig, ShardSnapshot, StoredIndex};
+pub use snapshot::{BaseIndex, ShardSnapshot};
+pub use twoknn_index::IndexConfig;
 pub use version::VersionedRelation;
 pub use wal::SyncPolicy;
 
@@ -91,7 +92,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
-use twoknn_index::{Metrics, SpatialIndex};
+use twoknn_index::{Metrics, PackedIndex, SpatialIndex};
 
 use crate::error::QueryError;
 use crate::exec::WorkerPool;
@@ -301,8 +302,9 @@ impl RelationStore {
         self.config.clone()
     }
 
-    /// Registers (or replaces) a relation. Returns the replaced relation's
-    /// last published snapshot, if any.
+    /// Registers (or replaces) a relation; its compactions rebuild with the
+    /// index's recipe. Returns the replaced relation's last published
+    /// snapshot, if any.
     ///
     /// With durability enabled, registration wipes any previous on-disk
     /// state of the same name, starts a fresh WAL, and persists every
@@ -312,10 +314,10 @@ impl RelationStore {
     pub fn register(
         &self,
         name: impl Into<String>,
-        base: BaseIndex,
-        config: IndexConfig,
+        base: PackedIndex,
     ) -> Option<Arc<RelationSnapshot>> {
         let name = name.into();
+        let config = base.recipe();
         let durability = match &self.config.durability {
             DurabilityConfig::Disabled => None,
             DurabilityConfig::Enabled {
@@ -339,8 +341,7 @@ impl RelationStore {
         };
         let relation = Arc::new(VersionedRelation::new(
             name.clone(),
-            base,
-            config,
+            Arc::new(base),
             self.config.compaction_threshold,
             self.config.overlay,
             self.config.sharding,
@@ -427,7 +428,9 @@ impl RelationStore {
     /// Applies a batch of write operations to `name` as one atomic
     /// visibility step, scheduling a background compaction on `pool` when
     /// the delta outgrows the threshold. Returns `(effective ops, new
-    /// version)`.
+    /// version)`, or [`QueryError::NonFiniteCoordinate`] — with nothing
+    /// logged or published — when an upsert has a NaN or infinite
+    /// coordinate.
     pub fn ingest(
         &self,
         name: &str,
@@ -449,6 +452,15 @@ impl RelationStore {
         pool: &Arc<WorkerPool>,
     ) -> Result<IngestReceipt, QueryError> {
         let rel = self.get(name)?;
+        // No index can hold a non-finite coordinate: refuse the whole batch
+        // before it is logged or published.
+        for op in ops {
+            if let WriteOp::Upsert(p) = op {
+                if !(p.x.is_finite() && p.y.is_finite()) {
+                    return Err(QueryError::NonFiniteCoordinate { id: p.id });
+                }
+            }
+        }
         let start = Instant::now();
         let receipt = rel.ingest_with_receipt(ops);
         self.obs
@@ -628,7 +640,7 @@ mod tests {
     use twoknn_geometry::Point;
     use twoknn_index::GridIndex;
 
-    fn base(n: usize, seed: u64) -> BaseIndex {
+    fn base(n: usize, seed: u64) -> PackedIndex {
         let pts: Vec<Point> = (0..n)
             .map(|i| {
                 let h = (i as u64).wrapping_mul(0x2545F4914F6CDD1D) ^ seed;
@@ -639,16 +651,14 @@ mod tests {
                 )
             })
             .collect();
-        Arc::new(GridIndex::build(pts, 6).unwrap())
+        GridIndex::build(pts, 6).unwrap()
     }
-
-    const GRID: IndexConfig = IndexConfig::Grid { cells_per_axis: 6 };
 
     #[test]
     fn names_are_sorted_regardless_of_insertion_order() {
         let store = RelationStore::default();
         for name in ["zeta", "alpha", "mid", "beta"] {
-            store.register(name, base(50, 1), GRID);
+            store.register(name, base(50, 1));
         }
         assert_eq!(store.names(), vec!["alpha", "beta", "mid", "zeta"]);
         assert_eq!(store.pin().names(), vec!["alpha", "beta", "mid", "zeta"]);
@@ -657,8 +667,8 @@ mod tests {
     #[test]
     fn register_replaces_and_returns_the_old_snapshot() {
         let store = RelationStore::default();
-        assert!(store.register("R", base(50, 1), GRID).is_none());
-        let replaced = store.register("R", base(80, 2), GRID).unwrap();
+        assert!(store.register("R", base(50, 1)).is_none());
+        let replaced = store.register("R", base(80, 2)).unwrap();
         assert_eq!(replaced.num_points(), 50);
         assert_eq!(store.get("R").unwrap().load().num_points(), 80);
     }
@@ -666,7 +676,7 @@ mod tests {
     #[test]
     fn deregister_detaches_but_pinned_snapshots_survive() {
         let store = RelationStore::default();
-        store.register("R", base(50, 1), GRID);
+        store.register("R", base(50, 1));
         let pinned = store.pin();
         let removed = store.deregister("R").unwrap();
         assert_eq!(removed.num_points(), 50);
@@ -679,8 +689,8 @@ mod tests {
     #[test]
     fn pin_is_a_consistent_catalog_view() {
         let store = RelationStore::default();
-        store.register("A", base(50, 1), GRID);
-        store.register("B", base(60, 2), GRID);
+        store.register("A", base(50, 1));
+        store.register("B", base(60, 2));
         let pool = WorkerPool::new(1);
         let pinned = store.pin();
         store.ingest("A", &[WriteOp::Remove(0)], &pool).unwrap();
@@ -699,7 +709,7 @@ mod tests {
             compaction_threshold: 3,
             ..StoreConfig::default()
         });
-        store.register("R", base(100, 3), GRID);
+        store.register("R", base(100, 3));
         let pool = WorkerPool::new(1); // inline spawn: deterministic
         let (effective, v) = store
             .ingest(

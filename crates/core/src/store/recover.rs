@@ -20,7 +20,7 @@
 //! lost, some work is redone.
 //!
 //! [`recover_relations`] opens each relation directory: block files become
-//! the shard bases (checksum-verified, columns decoded lazily), the WAL is
+//! the shard bases (checksum-verified, decoded into packed indexes), the WAL is
 //! scanned (torn tail truncated), and every record with a sequence number
 //! past the *minimum* shard `covered_seq` is replayed through the ingest
 //! path in replay mode. Replaying a record a shard already covers is
@@ -35,13 +35,13 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use twoknn_geometry::Rect;
-use twoknn_index::{Metrics, SpatialIndex};
+use twoknn_index::{IndexConfig, Metrics, SpatialIndex};
 
 use crate::obs::{EventKind, HistogramKind, Observability};
 
 use super::blockfile::{write_block_file, BlockFileIndex};
 use super::delta::WriteOp;
-use super::snapshot::{BaseIndex, IndexConfig};
+use super::snapshot::BaseIndex;
 use super::version::VersionedRelation;
 use super::wal::{crc32, SyncPolicy, Wal, WalRecord};
 use super::StoreConfig;
@@ -588,7 +588,8 @@ fn recover_relation(
                 detail: "manifest references an unpersisted shard".into(),
             });
         }
-        bases.push(Arc::new(BlockFileIndex::open(&dir.join(&shard.file))?));
+        let file = dir.join(&shard.file);
+        bases.push(Arc::new(BlockFileIndex::open(&file, manifest.index)?));
     }
     let min_covered = manifest
         .shards

@@ -352,8 +352,8 @@ impl std::fmt::Debug for RelationSnapshot {
 #[cfg(test)]
 mod tests {
     use super::super::overlay::OverlayConfig;
-    use super::super::snapshot::{BaseIndex, IndexConfig};
     use super::*;
+    use twoknn_index::IndexConfig;
 
     fn scattered(n: usize, seed: u64) -> Vec<Point> {
         (0..n)
@@ -380,7 +380,7 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(s, pts)| {
-                let base: BaseIndex = config.build(pts, map.shard_rect(s));
+                let base = Arc::new(config.build(pts, map.shard_rect(s)).unwrap());
                 Arc::new(ShardSnapshot::clean(base, 0, OverlayConfig::default()))
             })
             .collect();

@@ -40,25 +40,25 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use twoknn_geometry::{Point, PointId, Rect};
-use twoknn_index::{BlockDirectory, BlockId, BlockMeta, BlockPoints, PointBlock, SpatialIndex};
+use twoknn_index::{
+    BlockDirectory, BlockId, BlockMeta, BlockPoints, PackedIndex, PointBlock, SpatialIndex,
+};
 
 use crate::plan::stats::RelationProfile;
 
 use super::delta::{Delta, WriteOp};
 use super::overlay::OverlayConfig;
 
-/// A shared, immutable base index.
-pub type BaseIndex = Arc<dyn SpatialIndex + Send + Sync>;
+/// A shared, immutable base index: reads through a shard reach its blocks
+/// without a virtual call.
+pub type BaseIndex = Arc<PackedIndex>;
 
 /// Maps every base point id to the block storing it, so ingest can
 /// tombstone by id in O(affected block) instead of scanning the index.
 ///
 /// The map is built **lazily** on first use (write paths and id lookups)
-/// and shared by all snapshots over the same base. Laziness matters for
-/// recovered relations, whose bases are lazily decoded
-/// [`BlockFileIndex`](super::blockfile::BlockFileIndex)es: a read-only
-/// workload after a restart never touches the map, so it never forces every
-/// block's columns to decode.
+/// and shared by all snapshots over the same base: a read-only workload —
+/// say, after a restart — never pays the O(n) scan or the map's memory.
 pub(crate) struct BaseIds {
     base: BaseIndex,
     map: OnceLock<HashMap<PointId, BlockId>>,
@@ -82,7 +82,7 @@ impl BaseIds {
 pub(crate) type BaseIdMap = Arc<BaseIds>;
 
 /// Builds the id → block map of a base index.
-pub(crate) fn index_ids(base: &dyn SpatialIndex) -> HashMap<PointId, BlockId> {
+fn index_ids(base: &PackedIndex) -> HashMap<PointId, BlockId> {
     let mut ids = HashMap::with_capacity(base.num_points());
     for block in base.blocks() {
         for p in base.block_points(block.id) {
@@ -485,131 +485,11 @@ impl std::fmt::Debug for ShardSnapshot {
     }
 }
 
-/// How to rebuild a relation's base index at compaction time.
-///
-/// Compaction replaces the base wholesale, so the store must know the index
-/// *family and granularity* to rebuild into. The three built-in families are
-/// covered; [`StoredIndex`] infers the config automatically when registering
-/// one of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexConfig {
-    /// Rebuild as a [`twoknn_index::GridIndex`] with `cells_per_axis` cells
-    /// along each axis.
-    Grid {
-        /// Cells along each axis (clamped to ≥ 1 when building).
-        cells_per_axis: usize,
-    },
-    /// Rebuild as a [`twoknn_index::QuadtreeIndex`] with the given leaf
-    /// capacity and subdivision depth limit.
-    Quadtree {
-        /// Leaf split threshold (clamped to ≥ 1 when building).
-        capacity: usize,
-        /// Maximum subdivision depth
-        /// ([`twoknn_index::DEFAULT_MAX_DEPTH`] reproduces
-        /// [`twoknn_index::QuadtreeIndex::build`]).
-        max_depth: usize,
-    },
-    /// Rebuild as a [`twoknn_index::StrRTree`] with the given leaf capacity.
-    RTree {
-        /// Points per leaf (clamped to ≥ 1 when building).
-        leaf_capacity: usize,
-    },
-}
-
-impl IndexConfig {
-    /// Builds a fresh base index of this family over `points`.
-    ///
-    /// `bounds_hint` (the previous base's extent) keeps the space
-    /// decomposition meaningful when `points` is empty or degenerate. An
-    /// empty R-tree cannot be represented ([`twoknn_index::StrRTree`]
-    /// requires points), so that corner case falls back to a single-cell
-    /// grid over the hint bounds — the family is restored by the next
-    /// compaction once the relation has points again.
-    pub fn build(&self, points: Vec<Point>, bounds_hint: Rect) -> BaseIndex {
-        let bounds = bounds_for(&points, bounds_hint);
-        match *self {
-            IndexConfig::Grid { cells_per_axis } => Arc::new(
-                twoknn_index::GridIndex::build_with_bounds(points, bounds, cells_per_axis.max(1))
-                    .expect("grid build with explicit bounds and ≥1 cells cannot fail"),
-            ),
-            IndexConfig::Quadtree {
-                capacity,
-                max_depth,
-            } => Arc::new(
-                twoknn_index::QuadtreeIndex::build_with_bounds(
-                    points,
-                    bounds,
-                    capacity.max(1),
-                    max_depth,
-                )
-                .expect("quadtree build with explicit bounds and ≥1 capacity cannot fail"),
-            ),
-            IndexConfig::RTree { leaf_capacity } => {
-                if points.is_empty() {
-                    return Arc::new(
-                        twoknn_index::GridIndex::build_with_bounds(points, bounds_hint, 1)
-                            .expect("empty grid build with explicit bounds cannot fail"),
-                    );
-                }
-                Arc::new(
-                    twoknn_index::StrRTree::build(points, leaf_capacity.max(1))
-                        .expect("non-empty R-tree build with ≥1 leaf capacity cannot fail"),
-                )
-            }
-        }
-    }
-}
-
-/// The extent a rebuild should cover: the points' bounding box extended to
-/// the previous base's bounds, so shrinking data never shrinks the space
-/// decomposition mid-stream (and empty data keeps the old extent).
-fn bounds_for(points: &[Point], hint: Rect) -> Rect {
-    match Rect::bounding(points) {
-        Ok(b) => b.union(&hint),
-        Err(_) => hint,
-    }
-}
-
-/// An index family the store can rebuild without an explicit
-/// [`IndexConfig`]: the three built-in index types report their own build
-/// parameters. Custom [`SpatialIndex`] implementations register through
-/// [`Database::register_with_config`](crate::plan::Database::register_with_config)
-/// instead.
-pub trait StoredIndex: SpatialIndex + Send + Sync + 'static {
-    /// The config that rebuilds an equivalent index over new points.
-    fn rebuild_config(&self) -> IndexConfig;
-}
-
-impl StoredIndex for twoknn_index::GridIndex {
-    fn rebuild_config(&self) -> IndexConfig {
-        IndexConfig::Grid {
-            cells_per_axis: self.cells_per_axis(),
-        }
-    }
-}
-
-impl StoredIndex for twoknn_index::QuadtreeIndex {
-    fn rebuild_config(&self) -> IndexConfig {
-        IndexConfig::Quadtree {
-            capacity: self.capacity(),
-            max_depth: self.max_depth(),
-        }
-    }
-}
-
-impl StoredIndex for twoknn_index::StrRTree {
-    fn rebuild_config(&self) -> IndexConfig {
-        IndexConfig::RTree {
-            leaf_capacity: self.leaf_capacity(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::delta::WriteOp;
     use super::*;
-    use twoknn_index::{check_index_invariants, GridIndex};
+    use twoknn_index::{check_index_invariants, GridIndex, IndexConfig};
 
     fn scattered(n: usize, seed: u64) -> Vec<Point> {
         (0..n)
@@ -625,7 +505,7 @@ mod tests {
     }
 
     fn snapshot_with_config(ops: &[WriteOp], overlay: OverlayConfig) -> ShardSnapshot {
-        let base: BaseIndex = Arc::new(GridIndex::build(scattered(300, 7), 6).unwrap());
+        let base = Arc::new(GridIndex::build(scattered(300, 7), 6).unwrap());
         let clean = ShardSnapshot::clean(base, 0, overlay);
         let mut delta = clean.delta().clone();
         for op in ops {
@@ -774,9 +654,10 @@ mod tests {
             },
             IndexConfig::RTree { leaf_capacity: 16 },
         ] {
-            let base = config.build(pts.clone(), hint);
+            let base = config.build(pts.clone(), hint).unwrap();
             assert_eq!(base.num_points(), 120);
-            check_index_invariants(base.as_ref()).unwrap();
+            assert_eq!(base.recipe(), config);
+            check_index_invariants(&base).unwrap();
         }
         // The empty corner case keeps the hint bounds.
         for config in [
@@ -787,32 +668,9 @@ mod tests {
             },
             IndexConfig::RTree { leaf_capacity: 8 },
         ] {
-            let base = config.build(Vec::new(), hint);
+            let base = config.build(Vec::new(), hint).unwrap();
             assert_eq!(base.num_points(), 0);
             assert!(base.bounds().contains_rect(&hint));
         }
-    }
-
-    #[test]
-    fn stored_index_reports_its_own_config() {
-        let pts = scattered(80, 9);
-        let grid = GridIndex::build(pts.clone(), 7).unwrap();
-        assert_eq!(
-            grid.rebuild_config(),
-            IndexConfig::Grid { cells_per_axis: 7 }
-        );
-        let quad = twoknn_index::QuadtreeIndex::build(pts.clone(), 12).unwrap();
-        assert_eq!(
-            quad.rebuild_config(),
-            IndexConfig::Quadtree {
-                capacity: 12,
-                max_depth: twoknn_index::DEFAULT_MAX_DEPTH,
-            }
-        );
-        let rtree = twoknn_index::StrRTree::build(pts, 9).unwrap();
-        assert_eq!(
-            rtree.rebuild_config(),
-            IndexConfig::RTree { leaf_capacity: 9 }
-        );
     }
 }

@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use twoknn_geometry::{Point, PointId, Rect};
-use twoknn_index::Metrics;
+use twoknn_index::{IndexConfig, Metrics, SpatialIndex};
 
 use crate::exec::WorkerPool;
 
@@ -46,7 +46,7 @@ use super::delta::{Delta, WriteOp};
 use super::overlay::OverlayConfig;
 use super::recover::RelationDurability;
 use super::shard::{RelationSnapshot, ShardConfig, ShardMap};
-use super::snapshot::{BaseIndex, IndexConfig, ShardSnapshot};
+use super::snapshot::{BaseIndex, ShardSnapshot};
 use super::StoreConfig;
 
 /// One spatial shard's mutable state: its current snapshot, its writer log
@@ -108,15 +108,17 @@ pub struct VersionedRelation {
 }
 
 impl VersionedRelation {
+    /// A relation over `base`, whose compactions rebuild with `base`'s
+    /// recipe.
     pub(crate) fn new(
         name: String,
         base: BaseIndex,
-        config: IndexConfig,
         compaction_threshold: usize,
         overlay: OverlayConfig,
         sharding: ShardConfig,
         durability: Option<Arc<RelationDurability>>,
     ) -> Self {
+        let config = base.recipe();
         let map = ShardMap::new(base.bounds(), sharding.shards_per_axis);
         let shard_snaps: Vec<Arc<ShardSnapshot>> = if map.num_shards() == 1 {
             // Unsharded: the registered index is used as-is.
@@ -132,7 +134,7 @@ impl VersionedRelation {
                 .into_iter()
                 .enumerate()
                 .map(|(s, pts)| {
-                    let shard_base = config.build(pts, map.shard_rect(s));
+                    let shard_base = rebuild(config, pts, map.shard_rect(s));
                     Arc::new(ShardSnapshot::clean(shard_base, 0, overlay))
                 })
                 .collect()
@@ -597,7 +599,7 @@ impl VersionedRelation {
         }
         let points = gather(&source);
         let gathered = points.len() as u64;
-        let base = self.config.build(points, source.base().bounds());
+        let base = rebuild(self.config, points, source.base().bounds());
         // Persist the rebuilt base *before* the in-memory publish and
         // outside all locks. The block file's contents equal the captured
         // visible set — exactly the WAL prefix up to `covered_seq` as it
@@ -657,6 +659,15 @@ impl VersionedRelation {
     }
 }
 
+/// A fresh shard base of `config`'s family over a relation's visible points.
+fn rebuild(config: IndexConfig, points: Vec<Point>, bounds_hint: Rect) -> BaseIndex {
+    Arc::new(
+        config
+            .build(points, bounds_hint)
+            .expect("a relation holds finite coordinates only: ingest refuses the rest"),
+    )
+}
+
 impl std::fmt::Debug for VersionedRelation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VersionedRelation")
@@ -683,11 +694,9 @@ mod tests {
     }
 
     fn relation_sharded(threshold: usize, shards_per_axis: usize) -> VersionedRelation {
-        let base: BaseIndex = Arc::new(GridIndex::build(points(200), 5).unwrap());
         VersionedRelation::new(
             "R".into(),
-            base,
-            IndexConfig::Grid { cells_per_axis: 5 },
+            Arc::new(GridIndex::build(points(200), 5).unwrap()),
             threshold,
             OverlayConfig::default(),
             ShardConfig::per_axis(shards_per_axis),
@@ -802,9 +811,7 @@ mod tests {
             WriteOp::Upsert(Point::new(501, 4.0, 4.0)),
             WriteOp::Remove(7),
         ]);
-        let base = rel
-            .config()
-            .build(source.merged_points(), source.base().bounds());
+        let base = rebuild(rel.config(), source.merged_points(), source.base().bounds());
         rel.publish_shard_compacted(0, base, captured_len);
         rel.end_shard_compaction(0);
 

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use twoknn_geometry::{Point, Rect};
 
 use crate::block::{BlockId, BlockMeta};
+use crate::points::BlockPoints;
 
 /// Children per node of the tile and consecutive-id packers.
 const FANOUT: usize = 16;
@@ -16,7 +17,7 @@ const BLOCK_BIT: u32 = 1 << 31;
 
 /// A child of a directory node: another node or a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DirChild {
+pub(crate) enum DirChild {
     /// An internal node, by the index [`DirectoryBuilder::node`] returned.
     Node(u32),
     /// A block, by its id local to the tree (`0..num_blocks`).
@@ -120,7 +121,7 @@ impl DirTree {
 /// children-first with [`DirectoryBuilder::node`], then name the root in
 /// [`DirectoryBuilder::finish`]. Every block must hang off exactly one node.
 #[derive(Debug)]
-pub struct DirectoryBuilder<'a> {
+pub(crate) struct DirectoryBuilder<'a> {
     blocks: &'a [BlockMeta],
     nodes: Vec<DirNode>,
     children: Vec<u32>,
@@ -128,7 +129,7 @@ pub struct DirectoryBuilder<'a> {
 
 impl<'a> DirectoryBuilder<'a> {
     /// A builder over `blocks` (the index's full, dense block list).
-    pub fn new(blocks: &'a [BlockMeta]) -> Self {
+    pub(crate) fn new(blocks: &'a [BlockMeta]) -> Self {
         Self {
             blocks,
             nodes: Vec::new(),
@@ -137,7 +138,7 @@ impl<'a> DirectoryBuilder<'a> {
     }
 
     /// Adds a node over `children` (non-empty) and returns its reference.
-    pub fn node(&mut self, children: &[DirChild]) -> DirChild {
+    pub(crate) fn node(&mut self, children: &[DirChild]) -> DirChild {
         DirChild::Node(self.push_node(children))
     }
 
@@ -190,7 +191,7 @@ impl<'a> DirectoryBuilder<'a> {
 
     /// Finishes the directory with `root` on top (`None` only for an index
     /// without blocks; a lone block is wrapped in a node of its own).
-    pub fn finish(mut self, root: Option<DirChild>) -> BlockDirectory {
+    pub(crate) fn finish(mut self, root: Option<DirChild>) -> BlockDirectory {
         let root = root.map(|r| match r {
             DirChild::Node(n) => n,
             block @ DirChild::Block(_) => self.push_node(&[block]),
@@ -404,74 +405,82 @@ impl BlockDirectory {
         self.shards.iter().map(|s| s.tree.nodes.len()).sum()
     }
 
-    /// The first block, in depth-first child order, whose footprint contains
-    /// `p` and that `stores` accepts; failing that, the first block whose
-    /// footprint contains `p`. Only nodes whose rectangle contains `p` are
-    /// descended, so the cost is the containing leaves, not the block count.
+    /// The block whose footprint contains `p`, preferring the one that
+    /// stores `p` itself (same id and coordinates) when footprints overlap —
+    /// an R-tree's leaves, the closed cells of a grid or quadtree on a shared
+    /// edge. When a single footprint contains `p` it is returned without
+    /// reading any point; otherwise the first storing block in depth-first
+    /// child order, failing that the first containing one. Only nodes whose
+    /// rectangle contains `p` are descended, so the cost is the containing
+    /// leaves, not the block count.
     ///
-    /// `blocks` is the block list of the index that owns this directory.
-    pub fn locate(
+    /// `blocks` is the block list of the index that owns this directory and
+    /// `points` reads a block's points.
+    pub fn locate<'a>(
         &self,
         blocks: &[BlockMeta],
         p: &Point,
-        mut stores: impl FnMut(BlockId) -> bool,
+        points: impl Fn(BlockId) -> BlockPoints<'a>,
     ) -> Option<BlockId> {
-        let mut fallback = None;
-        for shard in &self.shards {
-            let mut probe = |id: BlockId| -> bool {
-                if !blocks[id as usize].mbr.contains(p) {
-                    return false;
-                }
-                fallback.get_or_insert(id);
-                stores(id)
-            };
-            let mut found = match shard.tree.root {
-                Some(root) => locate_in(&shard.tree, root, shard.first_block, p, &mut probe),
-                None => None,
-            };
-            if found.is_none() {
-                found = shard.overlay_range().find(|&id| probe(id));
+        let stores = |id: BlockId| {
+            points(id)
+                .iter()
+                .any(|q| q.id == p.id && q.x == p.x && q.y == p.y)
+        };
+        let mut first = None;
+        let mut shared = false;
+        // `Some` ends the search with the block to report.
+        let mut probe = |id: BlockId| -> Option<BlockId> {
+            if !blocks[id as usize].mbr.contains(p) {
+                return None;
             }
+            let Some(earlier) = first else {
+                first = Some(id);
+                return None;
+            };
+            if !std::mem::replace(&mut shared, true) && stores(earlier) {
+                return Some(earlier);
+            }
+            stores(id).then_some(id)
+        };
+        for shard in &self.shards {
+            let found = shard
+                .tree
+                .root
+                .and_then(|root| locate_in(&shard.tree, root, shard.first_block, p, &mut probe))
+                .or_else(|| shard.overlay_range().find_map(&mut probe));
             if found.is_some() {
                 return found;
             }
         }
-        fallback
+        first
     }
 }
 
-/// Depth-first search below `node` for a block `probe` accepts.
+/// Depth-first search below `node` for a block `probe` settles on.
 fn locate_in(
     tree: &DirTree,
     node: u32,
     first_block: u32,
     p: &Point,
-    probe: &mut impl FnMut(BlockId) -> bool,
+    probe: &mut impl FnMut(BlockId) -> Option<BlockId>,
 ) -> Option<BlockId> {
     let node = tree.node(node);
     if !node.extent.mbr.contains(p) {
         return None;
     }
-    for &child in tree.children(node) {
-        match DirChild::decode(child) {
-            DirChild::Block(local) => {
-                if probe(first_block + local) {
-                    return Some(first_block + local);
-                }
-            }
-            DirChild::Node(n) => {
-                if let Some(found) = locate_in(tree, n, first_block, p, probe) {
-                    return Some(found);
-                }
-            }
-        }
-    }
-    None
+    tree.children(node)
+        .iter()
+        .find_map(|&child| match DirChild::decode(child) {
+            DirChild::Block(local) => probe(first_block + local),
+            DirChild::Node(n) => locate_in(tree, n, first_block, p, probe),
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::points::PointBlock;
 
     fn grid_blocks(n: usize) -> Vec<BlockMeta> {
         (0..n * n)
@@ -574,18 +583,28 @@ mod tests {
     fn locate_descends_only_into_containing_nodes() {
         let blocks = grid_blocks(16);
         let dir = BlockDirectory::grid_tiles(&blocks, 16);
-        let p = Point::anonymous(5.5, 9.25);
-        let mut probed = 0;
-        let found = dir.locate(&blocks, &p, |_| {
-            probed += 1;
-            true
-        });
-        assert_eq!(found, Some(9 * 16 + 5));
-        assert_eq!(probed, 1);
-        // Nothing stores the point: the first containing block is reported.
-        assert_eq!(dir.locate(&blocks, &p, |_| false), Some(9 * 16 + 5));
+        let stored = PointBlock::from_points(&[Point::new(7, 5.0, 9.25)]);
+        let reads = std::cell::Cell::new(0);
+        let points = |id: BlockId| {
+            reads.set(reads.get() + 1);
+            if id == 9 * 16 + 5 {
+                stored.view()
+            } else {
+                BlockPoints::empty()
+            }
+        };
+        // One containing block: reported without reading any point.
+        let inside = Point::anonymous(5.5, 9.25);
+        assert_eq!(dir.locate(&blocks, &inside, points), Some(9 * 16 + 5));
+        assert_eq!(reads.get(), 0);
+        // On the edge x = 5 two cells contain the point: the one storing it
+        // wins over the first in depth-first order, which wins otherwise.
+        let edge = Point::new(7, 5.0, 9.25);
+        assert_eq!(dir.locate(&blocks, &edge, points), Some(9 * 16 + 5));
+        let stranger = Point::new(8, 5.0, 9.25);
+        assert_eq!(dir.locate(&blocks, &stranger, points), Some(9 * 16 + 4));
         assert_eq!(
-            dir.locate(&blocks, &Point::anonymous(-1.0, 3.0), |_| true),
+            dir.locate(&blocks, &Point::anonymous(-1.0, 3.0), points),
             None
         );
     }

@@ -10,23 +10,15 @@ use twoknn_geometry::{GeomResult, GeometryError, Point, Rect};
 
 use crate::block::{BlockId, BlockMeta};
 use crate::directory::BlockDirectory;
-use crate::points::{BlockPoints, PointBlock};
-use crate::traits::SpatialIndex;
+use crate::packed::{IndexConfig, Layout, PackedIndex};
 
-/// A uniform `n × n` grid over the bounding rectangle of the indexed points.
-#[derive(Debug, Clone)]
-pub struct GridIndex {
-    bounds: Rect,
-    cells_per_axis: usize,
-    cell_w: f64,
-    cell_h: f64,
-    blocks: Vec<BlockMeta>,
-    /// 4×4 cell tiles, recursively tiled, over `blocks`.
-    directory: BlockDirectory,
-    /// Points of each cell in SoA layout, indexed by block id.
-    cell_points: Vec<PointBlock>,
-    num_points: usize,
-}
+/// The uniform-grid recipe: an `n × n` grid over the bounding rectangle of
+/// the indexed points, each cell one block, cells numbered row-major. Its
+/// directory is 4×4 cell tiles, recursively tiled.
+///
+/// A recipe has no values; its constructors return the [`PackedIndex`].
+#[derive(Debug)]
+pub enum GridIndex {}
 
 impl GridIndex {
     /// Builds a grid over the bounding box of `points` with
@@ -34,10 +26,10 @@ impl GridIndex {
     ///
     /// # Errors
     ///
-    /// Returns an error if `points` is empty or `cells_per_axis` is zero.
-    pub fn build(points: Vec<Point>, cells_per_axis: usize) -> GeomResult<Self> {
-        let bounds = Rect::bounding(&points)?;
-        Self::build_with_bounds(points, bounds, cells_per_axis)
+    /// Returns an error if `points` is empty, `cells_per_axis` is zero or a
+    /// coordinate is not finite.
+    pub fn build(points: Vec<Point>, cells_per_axis: usize) -> GeomResult<PackedIndex> {
+        PackedIndex::pack(IndexConfig::Grid { cells_per_axis }, points, Rect::bounding)
     }
 
     /// Builds a grid over an explicit bounding rectangle.
@@ -51,82 +43,14 @@ impl GridIndex {
     ///
     /// # Errors
     ///
-    /// Returns an error if `cells_per_axis` is zero or `bounds` is degenerate
-    /// in a way that prevents cell construction (NaN handled upstream).
+    /// Returns an error if `cells_per_axis` is zero or a coordinate is not
+    /// finite.
     pub fn build_with_bounds(
         points: Vec<Point>,
         bounds: Rect,
         cells_per_axis: usize,
-    ) -> GeomResult<Self> {
-        if cells_per_axis == 0 {
-            return Err(GeometryError::EmptyPointSet);
-        }
-        // Degenerate extents (all points identical on an axis) get a minimal
-        // positive extent so that cell widths stay positive. The original max
-        // coordinates are kept exactly (not recomputed as min + extent) so
-        // that boundary points stay inside the last row/column of cells.
-        let bounds = Rect::new(
-            bounds.min_x,
-            bounds.min_y,
-            if bounds.width() > 0.0 {
-                bounds.max_x
-            } else {
-                bounds.min_x + 1.0
-            },
-            if bounds.height() > 0.0 {
-                bounds.max_y
-            } else {
-                bounds.min_y + 1.0
-            },
-        );
-        let cell_w = bounds.width() / cells_per_axis as f64;
-        let cell_h = bounds.height() / cells_per_axis as f64;
-
-        let n_cells = cells_per_axis * cells_per_axis;
-        let mut cell_points: Vec<PointBlock> = vec![PointBlock::new(); n_cells];
-        let num_points = points.len();
-        for p in points {
-            let (ix, iy) = cell_of(&bounds, cell_w, cell_h, cells_per_axis, &p);
-            cell_points[iy * cells_per_axis + ix].push(p);
-        }
-
-        let mut blocks = Vec::with_capacity(n_cells);
-        for iy in 0..cells_per_axis {
-            for ix in 0..cells_per_axis {
-                let id = (iy * cells_per_axis + ix) as BlockId;
-                // The last row/column ends exactly at the grid bounds so that
-                // boundary points (clamped into the edge cells) are contained
-                // in their cell's footprint despite floating-point rounding.
-                let max_x = if ix + 1 == cells_per_axis {
-                    bounds.max_x
-                } else {
-                    bounds.min_x + (ix + 1) as f64 * cell_w
-                };
-                let max_y = if iy + 1 == cells_per_axis {
-                    bounds.max_y
-                } else {
-                    bounds.min_y + (iy + 1) as f64 * cell_h
-                };
-                let mbr = Rect::new(
-                    bounds.min_x + ix as f64 * cell_w,
-                    bounds.min_y + iy as f64 * cell_h,
-                    max_x,
-                    max_y,
-                );
-                blocks.push(BlockMeta::new(id, mbr, cell_points[id as usize].len()));
-            }
-        }
-
-        Ok(Self {
-            bounds,
-            cells_per_axis,
-            cell_w,
-            cell_h,
-            directory: BlockDirectory::grid_tiles(&blocks, cells_per_axis),
-            blocks,
-            cell_points,
-            num_points,
-        })
+    ) -> GeomResult<PackedIndex> {
+        PackedIndex::pack(IndexConfig::Grid { cells_per_axis }, points, |_| Ok(bounds))
     }
 
     /// Builds a grid choosing the number of cells per axis so that the
@@ -134,74 +58,105 @@ impl GridIndex {
     ///
     /// This mirrors the paper's setup where block granularity is a fixed
     /// index parameter independent of the algorithms.
+    ///
+    /// # Errors
+    ///
+    /// As [`GridIndex::build`].
     pub fn build_with_target_occupancy(
         points: Vec<Point>,
         target_points_per_block: usize,
-    ) -> GeomResult<Self> {
+    ) -> GeomResult<PackedIndex> {
         let n = points.len().max(1);
         let target = target_points_per_block.max(1);
         let cells = ((n as f64 / target as f64).sqrt().ceil() as usize).max(1);
         Self::build(points, cells)
     }
-
-    /// The number of cells along each axis.
-    pub fn cells_per_axis(&self) -> usize {
-        self.cells_per_axis
-    }
-
-    /// The grid-cell coordinates (column, row) of the block containing `p`.
-    pub fn cell_coords(&self, p: &Point) -> (usize, usize) {
-        cell_of(
-            &self.bounds,
-            self.cell_w,
-            self.cell_h,
-            self.cells_per_axis,
-            p,
-        )
-    }
 }
 
-fn cell_of(bounds: &Rect, cell_w: f64, cell_h: f64, n: usize, p: &Point) -> (usize, usize) {
-    let ix = ((p.x - bounds.min_x) / cell_w).floor() as isize;
-    let iy = ((p.y - bounds.min_y) / cell_h).floor() as isize;
-    let clamp = |v: isize| v.clamp(0, n as isize - 1) as usize;
-    (clamp(ix), clamp(iy))
+/// The row-major cell of an `n × n` grid over `bounds` that `p` falls in,
+/// clamped into the edge cells — where the build puts `p`.
+fn cell_of(bounds: &Rect, n: usize, p: &Point) -> usize {
+    let clamp = |v: f64| (v.floor() as isize).clamp(0, n as isize - 1) as usize;
+    let ix = clamp((p.x - bounds.min_x) / (bounds.width() / n as f64));
+    let iy = clamp((p.y - bounds.min_y) / (bounds.height() / n as f64));
+    iy * n + ix
 }
 
-impl SpatialIndex for GridIndex {
-    fn bounds(&self) -> Rect {
-        self.bounds
-    }
+/// [`SpatialIndex::locate`](crate::SpatialIndex::locate) on a grid by cell
+/// arithmetic, in O(1) where a directory descent tests every tile child on
+/// its way down: `p`'s cell, or `None` outside the grid.
+pub(crate) fn locate(bounds: &Rect, n: usize, p: &Point) -> Option<BlockId> {
+    bounds
+        .expanded(1e-9)
+        .contains(p)
+        .then(|| cell_of(bounds, n, p) as BlockId)
+}
 
-    fn num_points(&self) -> usize {
-        self.num_points
+/// Buckets `points` into the row-major cells of a `cells_per_axis²` grid
+/// over `bounds`, keeping input order within each cell.
+pub(crate) fn partition(
+    points: Vec<Point>,
+    bounds: Rect,
+    cells_per_axis: usize,
+) -> GeomResult<Layout> {
+    if cells_per_axis == 0 {
+        return Err(GeometryError::EmptyPointSet);
     }
-
-    fn blocks(&self) -> &[BlockMeta] {
-        &self.blocks
+    // Degenerate extents (all points identical on an axis) get a minimal
+    // positive extent so that cell widths stay positive. The original max
+    // coordinates are kept exactly (not recomputed as min + extent) so
+    // that boundary points stay inside the last row/column of cells.
+    let pad = |min: f64, max: f64| if max > min { max } else { min + 1.0 };
+    let (min_x, min_y) = (bounds.min_x, bounds.min_y);
+    let bounds = Rect::new(
+        min_x,
+        min_y,
+        pad(min_x, bounds.max_x),
+        pad(min_y, bounds.max_y),
+    );
+    let n = cells_per_axis;
+    let mut cells: Vec<Vec<Point>> = vec![Vec::new(); n * n];
+    for p in points {
+        cells[cell_of(&bounds, n, &p)].push(p);
     }
-
-    fn block_points(&self, id: BlockId) -> BlockPoints<'_> {
-        self.cell_points[id as usize].view()
-    }
-
-    fn locate(&self, p: &Point) -> Option<BlockId> {
-        if !self.bounds.expanded(1e-9).contains(p) {
-            return None;
+    // Cell edge `i` along an axis; the last one is exactly the grid bound,
+    // so that boundary points (clamped into the edge cells) are contained
+    // in their cell's footprint despite floating-point rounding.
+    let cell_w = bounds.width() / n as f64;
+    let cell_h = bounds.height() / n as f64;
+    let x_edge = |i: usize| {
+        if i == n {
+            bounds.max_x
+        } else {
+            min_x + i as f64 * cell_w
         }
-        let (ix, iy) = self.cell_coords(p);
-        Some((iy * self.cells_per_axis + ix) as BlockId)
-    }
-
-    fn directory(&self) -> &BlockDirectory {
-        &self.directory
-    }
+    };
+    let y_edge = |i: usize| {
+        if i == n {
+            bounds.max_y
+        } else {
+            min_y + i as f64 * cell_h
+        }
+    };
+    let blocks: Vec<BlockMeta> = (0..n * n)
+        .map(|id| {
+            let (ix, iy) = (id % n, id / n);
+            let mbr = Rect::new(x_edge(ix), y_edge(iy), x_edge(ix + 1), y_edge(iy + 1));
+            BlockMeta::new(id as BlockId, mbr, cells[id].len())
+        })
+        .collect();
+    Ok(Layout {
+        bounds,
+        directory: BlockDirectory::grid_tiles(&blocks, n),
+        blocks,
+        points: cells.concat(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::check_index_invariants;
+    use crate::traits::{check_index_invariants, SpatialIndex};
 
     fn sample_points(n: usize) -> Vec<Point> {
         (0..n)

@@ -193,6 +193,7 @@ mod tests {
     use super::*;
     use crate::directory::BlockDirectory;
     use crate::grid::GridIndex;
+    use crate::packed::PackedIndex;
     use crate::quadtree::QuadtreeIndex;
     use crate::rtree::StrRTree;
 
@@ -275,7 +276,7 @@ mod tests {
     /// with concatenated (re-identified) blocks under one sharded directory —
     /// the same shape the store's composed relation snapshot exposes.
     struct ShardedGrid {
-        shards: Vec<GridIndex>,
+        shards: Vec<PackedIndex>,
         blocks: Vec<crate::BlockMeta>,
         /// Per shard, the composed id of its first block.
         first_block: Vec<u32>,
@@ -303,7 +304,7 @@ mod tests {
                 Rect::new(bounds.min_x, cy, cx, bounds.max_y),
                 Rect::new(cx, cy, bounds.max_x, bounds.max_y),
             ];
-            let shards: Vec<GridIndex> = buckets
+            let shards: Vec<PackedIndex> = buckets
                 .into_iter()
                 .zip(rects)
                 .map(|(pts, r)| GridIndex::build_with_bounds(pts, r, cells).unwrap())

@@ -13,18 +13,25 @@
 //! This crate provides:
 //!
 //! * [`SpatialIndex`] — the trait capturing exactly those requirements;
-//! * [`GridIndex`] — the simple grid used in the paper's evaluation (§6);
-//! * [`QuadtreeIndex`] — a PR-quadtree;
-//! * [`StrRTree`] — an STR bulk-loaded R-tree whose leaves act as blocks;
-//! * [`PointBlock`] / [`BlockPoints`] — structure-of-arrays block storage
-//!   (parallel `ids`/`xs`/`ys` columns) shared by every index, so per-block
-//!   distance scans run over contiguous `&[f64]` slices;
+//! * [`PackedIndex`] — the one block store: block footprints and counts, a
+//!   directory, and every block's points in one `ids`/`xs`/`ys` arena, plus
+//!   the [`IndexConfig`] recipe that partitioned them;
+//! * three recipes that build it, differing only in how they partition the
+//!   points into blocks: [`GridIndex`] — the simple grid used in the paper's
+//!   evaluation (§6); [`QuadtreeIndex`] — a PR-quadtree whose leaves are the
+//!   blocks; [`StrRTree`] — an STR bulk-loaded R-tree whose leaves are the
+//!   blocks;
+//! * [`BlockPoints`] — the borrowed structure-of-arrays view of one block's
+//!   points (parallel `ids`/`xs`/`ys` columns), so per-block distance scans
+//!   run over contiguous `&[f64]` slices; [`PointBlock`] is its owned form,
+//!   for the snapshot overlays of the store built on this crate;
 //! * [`BlockDirectory`] — a small tree of `(mbr, children)` nodes over an
 //!   index's dense block-id space, reported through
-//!   [`SpatialIndex::directory`] (every index has one). Each family builds it
+//!   [`SpatialIndex::directory`] (every index has one). Each recipe builds it
 //!   from what it already has at build time (4×4 cell tiles for the grid,
 //!   the internal nodes of the quadtree, STR-packed upper levels for the
-//!   R-tree); snapshots compose their base's directory by reference, and a
+//!   R-tree), and [`BlockDirectory::locate`] finds the block containing a
+//!   point through it; snapshots compose their base's directory by reference, and a
 //!   sharded relation's directory has one first-level node per shard, so a
 //!   shard whose footprint lies beyond the search radius is never descended
 //!   into — the paper's block pruning lifted one level up (counted by
@@ -60,11 +67,14 @@
 //!
 //! ## SoA layout
 //!
-//! Blocks store points as three parallel columns instead of `Vec<Point>`:
-//! the distance kernels ([`twoknn_geometry::euclidean_sq_batch`]) then see a
-//! contiguous 8-byte stride per column and auto-vectorize. [`BlockPoints`]
-//! (what [`SpatialIndex::block_points`] returns) still iterates as `Point`s
-//! by value, so row-oriented consumers are unaffected by the layout.
+//! A [`PackedIndex`] stores points as three parallel columns instead of
+//! `Vec<Point>`, one arena for the whole index with block `b` at rows
+//! `offsets[b]..offsets[b + 1]`, laid out in block-id order: the distance
+//! kernels ([`twoknn_geometry::euclidean_sq_batch`]) then see a contiguous
+//! 8-byte stride per column and auto-vectorize, and a block read is two
+//! offset loads. [`BlockPoints`] (what [`SpatialIndex::block_points`]
+//! returns) still iterates as `Point`s by value, so row-oriented consumers
+//! are unaffected by the layout.
 //!
 //! ## Example
 //!
@@ -94,6 +104,7 @@ mod locality;
 mod metrics;
 mod neighborhood;
 mod ordering;
+mod packed;
 mod points;
 mod quadtree;
 mod rtree;
@@ -102,7 +113,7 @@ mod traits;
 
 pub use block::{BlockId, BlockMeta};
 pub use block_knn::BlockKnn;
-pub use directory::{BlockDirectory, DirChild, DirectoryBuilder};
+pub use directory::BlockDirectory;
 pub use grid::GridIndex;
 pub use knn::{
     brute_force_knn, brute_force_knn_filtered, get_knn, get_knn_bounded, get_knn_filtered,
@@ -111,6 +122,7 @@ pub use locality::Locality;
 pub use metrics::Metrics;
 pub use neighborhood::{Neighbor, Neighborhood};
 pub use ordering::{BlockOrder, DistanceCursor, OrderMetric, OrderedBlock, OrderedF64};
+pub use packed::{IndexConfig, PackedIndex};
 pub use points::{BlockPoints, BlockPointsIter, PointBlock};
 pub use quadtree::{QuadtreeIndex, DEFAULT_MAX_DEPTH};
 pub use rtree::StrRTree;
@@ -118,15 +130,13 @@ pub use scratch::{with_thread_scratch, ScratchSpace};
 pub use traits::{check_index_invariants, SpatialIndex};
 
 // The parallel executors in `twoknn-core` share index references across
-// worker threads, so every index implementation must be `Send + Sync`. The
+// worker threads, so the index must be `Send + Sync`. The
 // structures are plain owned data without interior mutability, so the auto
 // traits apply; these assertions turn an accidental regression (e.g. adding
 // an `Rc` or `Cell` field) into a compile error instead of a downstream one.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<GridIndex>();
-    assert_send_sync::<QuadtreeIndex>();
-    assert_send_sync::<StrRTree>();
+    assert_send_sync::<PackedIndex>();
     assert_send_sync::<Metrics>();
     assert_send_sync::<Neighborhood>();
     assert_send_sync::<BlockMeta>();

@@ -200,9 +200,10 @@ impl Locality {
 mod tests {
     use super::*;
     use crate::grid::GridIndex;
+    use crate::packed::PackedIndex;
     use crate::traits::SpatialIndex;
 
-    fn grid(n: usize, cells: usize) -> GridIndex {
+    fn grid(n: usize, cells: usize) -> PackedIndex {
         let pts: Vec<Point> = (0..n)
             .map(|i| {
                 Point::new(

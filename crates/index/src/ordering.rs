@@ -460,6 +460,7 @@ impl Iterator for DistanceCursor<'_> {
 mod tests {
     use super::*;
     use crate::grid::GridIndex;
+    use crate::packed::PackedIndex;
     use twoknn_geometry::Rect;
 
     fn blocks() -> Vec<BlockMeta> {
@@ -475,7 +476,7 @@ mod tests {
             .collect()
     }
 
-    fn grid(n: usize, cells: usize) -> GridIndex {
+    fn grid(n: usize, cells: usize) -> PackedIndex {
         let pts: Vec<Point> = (0..n)
             .map(|i| {
                 Point::new(

@@ -11,44 +11,22 @@
 use twoknn_geometry::{GeomResult, GeometryError, Point, Rect};
 
 use crate::block::{BlockId, BlockMeta};
-use crate::directory::{BlockDirectory, DirChild, DirectoryBuilder};
-use crate::points::{BlockPoints, PointBlock};
-use crate::traits::SpatialIndex;
+use crate::directory::{DirChild, DirectoryBuilder};
+use crate::packed::{IndexConfig, Layout, PackedIndex};
 
-/// Default maximum tree depth; bounds the tree in the presence of duplicate
-/// or near-duplicate points.
-/// The subdivision depth limit [`QuadtreeIndex::build`] uses. Exposed so
+/// The subdivision depth limit [`QuadtreeIndex::build`] uses; bounds the
+/// tree in the presence of duplicate or near-duplicate points. Exposed so
 /// that callers reconstructing a quadtree with explicit bounds (e.g. a store
 /// compaction rebuilding an index family-preservingly) can reproduce the
 /// default build exactly.
 pub const DEFAULT_MAX_DEPTH: usize = 16;
 
-/// A PR-quadtree whose leaves are the index blocks.
-#[derive(Debug, Clone)]
-pub struct QuadtreeIndex {
-    bounds: Rect,
-    capacity: usize,
-    max_depth: usize,
-    blocks: Vec<BlockMeta>,
-    /// Points of each leaf in SoA layout, indexed by block id.
-    leaf_points: Vec<PointBlock>,
-    /// Flattened tree used by [`SpatialIndex::locate`] for O(depth)
-    /// descent; node 0 is the root.
-    nodes: Vec<QuadNode>,
-    /// The internal nodes again, as the directory the distance cursor walks.
-    directory: BlockDirectory,
-    num_points: usize,
-}
-
-/// A node of the flattened quadtree retained for point location.
-#[derive(Debug, Clone)]
-enum QuadNode {
-    /// A leaf and the block (= leaf) id it was assigned.
-    Leaf(BlockId),
-    /// An internal node with its four children's node indices, in quadrant
-    /// order (see [`quadrants`]).
-    Internal([u32; 4]),
-}
+/// The PR-quadtree recipe: the leaves are the blocks, numbered depth-first
+/// in quadrant order, and the internal nodes are the directory.
+///
+/// A recipe has no values; its constructors return the [`PackedIndex`].
+#[derive(Debug)]
+pub enum QuadtreeIndex {}
 
 /// Intermediate node used only during construction.
 enum BuildNode {
@@ -62,10 +40,14 @@ impl QuadtreeIndex {
     ///
     /// # Errors
     ///
-    /// Returns an error when `points` is empty or `capacity` is zero.
-    pub fn build(points: Vec<Point>, capacity: usize) -> GeomResult<Self> {
-        let bounds = Rect::bounding(&points)?;
-        Self::build_with_bounds(points, bounds, capacity, DEFAULT_MAX_DEPTH)
+    /// Returns an error when `points` is empty, `capacity` is zero or a
+    /// coordinate is not finite.
+    pub fn build(points: Vec<Point>, capacity: usize) -> GeomResult<PackedIndex> {
+        let recipe = IndexConfig::Quadtree {
+            capacity,
+            max_depth: DEFAULT_MAX_DEPTH,
+        };
+        PackedIndex::pack(recipe, points, Rect::bounding)
     }
 
     /// Builds a quadtree over an explicit bounding rectangle with an explicit
@@ -73,55 +55,53 @@ impl QuadtreeIndex {
     ///
     /// # Errors
     ///
-    /// Returns an error when `capacity` is zero.
+    /// Returns an error when `capacity` is zero or a coordinate is not
+    /// finite.
     pub fn build_with_bounds(
         points: Vec<Point>,
         bounds: Rect,
         capacity: usize,
         max_depth: usize,
-    ) -> GeomResult<Self> {
-        if capacity == 0 {
-            return Err(GeometryError::EmptyPointSet);
-        }
-        // Guard against degenerate extents, as in the grid.
-        let bounds = Rect::new(
-            bounds.min_x,
-            bounds.min_y,
-            bounds.max_x.max(bounds.min_x + f64::EPSILON),
-            bounds.max_y.max(bounds.min_y + f64::EPSILON),
-        );
-        let num_points = points.len();
-        let root = build_node(points, &bounds, capacity, max_depth, 0);
-
-        let mut blocks = Vec::new();
-        let mut leaf_points = Vec::new();
-        let mut nodes = Vec::new();
-        flatten_tree(root, &bounds, &mut nodes, &mut blocks, &mut leaf_points);
-        let mut builder = DirectoryBuilder::new(&blocks);
-        let top = directory_node(&nodes, 0, &mut builder);
-        let directory = builder.finish(Some(top));
-
-        Ok(Self {
-            bounds,
+    ) -> GeomResult<PackedIndex> {
+        let recipe = IndexConfig::Quadtree {
             capacity,
             max_depth,
-            directory,
-            blocks,
-            leaf_points,
-            nodes,
-            num_points,
-        })
+        };
+        PackedIndex::pack(recipe, points, |_| Ok(bounds))
     }
+}
 
-    /// The split threshold used when building this tree.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+/// Splits every quadrant of `bounds` holding more than `capacity` points,
+/// up to `max_depth` levels.
+pub(crate) fn partition(
+    points: Vec<Point>,
+    bounds: Rect,
+    capacity: usize,
+    max_depth: usize,
+) -> GeomResult<Layout> {
+    if capacity == 0 {
+        return Err(GeometryError::EmptyPointSet);
     }
-
-    /// The maximum depth used when building this tree.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
+    // Guard against degenerate extents, as in the grid.
+    let bounds = Rect::new(
+        bounds.min_x,
+        bounds.min_y,
+        bounds.max_x.max(bounds.min_x + f64::EPSILON),
+        bounds.max_y.max(bounds.min_y + f64::EPSILON),
+    );
+    let root = build_node(points, &bounds, capacity, max_depth, 0);
+    let mut blocks = Vec::new();
+    let mut points = Vec::new();
+    collect_leaves(&root, &bounds, &mut blocks, &mut points);
+    let mut builder = DirectoryBuilder::new(&blocks);
+    let top = directory_node(&root, &mut 0, &mut builder);
+    let directory = builder.finish(Some(top));
+    Ok(Layout {
+        bounds,
+        blocks,
+        points,
+        directory,
+    })
 }
 
 fn quadrants(r: &Rect) -> [Rect; 4] {
@@ -170,106 +150,54 @@ fn build_node(
     ]))
 }
 
-/// Lowers the build tree into the flattened [`QuadNode`] array (returning
-/// the node's index) while collecting leaves as blocks, depth-first in
-/// quadrant order so block ids match the previous traversal exactly.
-fn flatten_tree(
-    node: BuildNode,
+/// Collects the leaves below `node` as blocks, depth-first in quadrant
+/// order: a leaf's block id is its visiting rank.
+fn collect_leaves(
+    node: &BuildNode,
     bounds: &Rect,
-    nodes: &mut Vec<QuadNode>,
     blocks: &mut Vec<BlockMeta>,
-    leaf_points: &mut Vec<PointBlock>,
-) -> u32 {
+    points: &mut Vec<Point>,
+) {
     match node {
-        BuildNode::Leaf(points) => {
-            let id = blocks.len() as BlockId;
-            blocks.push(BlockMeta::new(id, *bounds, points.len()));
-            leaf_points.push(PointBlock::from_points(&points));
-            let at = nodes.len() as u32;
-            nodes.push(QuadNode::Leaf(id));
-            at
+        BuildNode::Leaf(leaf) => {
+            blocks.push(BlockMeta::new(blocks.len() as BlockId, *bounds, leaf.len()));
+            points.extend_from_slice(leaf);
         }
         BuildNode::Internal(children) => {
-            let quads = quadrants(bounds);
-            let at = nodes.len() as u32;
-            nodes.push(QuadNode::Internal([0; 4]));
-            let mut child_nodes = [0u32; 4];
-            for (slot, (child, quad)) in child_nodes
-                .iter_mut()
-                .zip(IntoIterator::into_iter(*children).zip(quads.iter()))
-            {
-                *slot = flatten_tree(child, quad, nodes, blocks, leaf_points);
+            for (child, quad) in children.iter().zip(quadrants(bounds)) {
+                collect_leaves(child, &quad, blocks, points);
             }
-            nodes[at as usize] = QuadNode::Internal(child_nodes);
-            at
         }
     }
 }
 
-/// Mirrors the flattened quadtree below `at` into the directory builder:
-/// one directory node per internal node, leaves as blocks.
-fn directory_node(nodes: &[QuadNode], at: u32, builder: &mut DirectoryBuilder<'_>) -> DirChild {
-    match &nodes[at as usize] {
-        QuadNode::Leaf(id) => DirChild::Block(*id),
-        QuadNode::Internal(children) => {
-            let children = children.map(|c| directory_node(nodes, c, builder));
-            builder.node(&children)
+/// Mirrors the tree below `node` into the directory builder: one directory
+/// node per internal node, leaves as blocks numbered in the same depth-first
+/// order as [`collect_leaves`] (`next_block` is the next leaf's id).
+fn directory_node(
+    node: &BuildNode,
+    next_block: &mut BlockId,
+    builder: &mut DirectoryBuilder<'_>,
+) -> DirChild {
+    match node {
+        BuildNode::Leaf(_) => {
+            *next_block += 1;
+            DirChild::Block(*next_block - 1)
         }
-    }
-}
-
-impl SpatialIndex for QuadtreeIndex {
-    fn bounds(&self) -> Rect {
-        self.bounds
-    }
-
-    fn num_points(&self) -> usize {
-        self.num_points
-    }
-
-    fn blocks(&self) -> &[BlockMeta] {
-        &self.blocks
-    }
-
-    fn block_points(&self, id: BlockId) -> BlockPoints<'_> {
-        self.leaf_points[id as usize].view()
-    }
-
-    fn locate(&self, p: &Point) -> Option<BlockId> {
-        if !self.bounds.expanded(1e-9).contains(p) {
-            return None;
-        }
-        // O(depth) descent: at every internal node, the quadrant test is the
-        // same `quadrant_of` used to place points at build time, so a point
-        // descends to exactly the leaf it was (or would have been) stored in.
-        let mut at = 0usize;
-        let mut rect = self.bounds;
-        loop {
-            match &self.nodes[at] {
-                QuadNode::Leaf(id) => {
-                    // Points in the epsilon ring just outside the root bounds
-                    // reach a boundary leaf that does not actually contain
-                    // them; report None for those, as the leaf scan did.
-                    return self.blocks[*id as usize].mbr.contains(p).then_some(*id);
-                }
-                QuadNode::Internal(children) => {
-                    let q = quadrant_of(&rect, p);
-                    at = children[q] as usize;
-                    rect = quadrants(&rect)[q];
-                }
+        BuildNode::Internal(children) => {
+            let mut nodes = [DirChild::Block(0); 4];
+            for (slot, child) in nodes.iter_mut().zip(children.iter()) {
+                *slot = directory_node(child, next_block, builder);
             }
+            builder.node(&nodes)
         }
-    }
-
-    fn directory(&self) -> &BlockDirectory {
-        &self.directory
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::check_index_invariants;
+    use crate::traits::{check_index_invariants, SpatialIndex};
 
     fn skewed_points(n: usize) -> Vec<Point> {
         // Half the points in a tiny corner region, half spread out: forces an
@@ -298,7 +226,7 @@ mod tests {
         let q = QuadtreeIndex::build(skewed_points(5000), 64).unwrap();
         for b in q.blocks() {
             // Blocks at max depth may exceed capacity; they must be small.
-            if b.count > q.capacity() {
+            if b.count > 64 {
                 assert!(b.mbr.diagonal() < q.bounds().diagonal() / 2f64.powi(8));
             }
         }
@@ -340,8 +268,8 @@ mod tests {
             .collect()
     }
 
-    /// The O(depth) descent must agree with the old O(num_blocks) linear
-    /// scan — on every indexed point and on arbitrary probe locations.
+    /// The directory descent must agree with an O(num_blocks) linear scan —
+    /// on every indexed point and on arbitrary probe locations.
     #[test]
     fn locate_descent_agrees_with_linear_scan_on_clustered_data() {
         let q = QuadtreeIndex::build(clustered_points(4_000), 16).unwrap();
@@ -360,9 +288,9 @@ mod tests {
             let probe = Point::anonymous((i % 120) as f64 - 10.0, (i / 17) as f64 - 10.0);
             let by_descent = q.locate(&probe);
             let by_scan = scan_locate(&probe);
-            // On split boundaries the closed leaf rectangles overlap and the
-            // scan reports the first overlapping leaf; descent follows the
-            // build-time placement rule. Both answers must contain the probe.
+            // On split boundaries the closed leaf rectangles overlap: the
+            // scan reports the lowest id, the descent the first leaf in
+            // depth-first order. Both answers must contain the probe.
             match (by_descent, by_scan) {
                 (Some(d), Some(s)) => {
                     assert!(q.blocks()[d as usize].mbr.contains(&probe));

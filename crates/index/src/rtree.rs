@@ -12,115 +12,70 @@
 //!
 //! The upper levels of the tree are packed over the leaves by the same
 //! sort-and-tile recipe and kept as the index's [`BlockDirectory`], which
-//! both the distance cursor and [`SpatialIndex::locate`] descend.
+//! both the distance cursor and [`crate::SpatialIndex::locate`] descend.
 
 use twoknn_geometry::{GeomResult, GeometryError, Point, Rect};
 
 use crate::block::{BlockId, BlockMeta};
 use crate::directory::BlockDirectory;
-use crate::points::{BlockPoints, PointBlock};
-use crate::traits::SpatialIndex;
+use crate::packed::{IndexConfig, Layout, PackedIndex};
 
-/// A bulk-loaded R-tree exposing its leaves as blocks.
-#[derive(Debug, Clone)]
-pub struct StrRTree {
-    bounds: Rect,
-    leaf_capacity: usize,
-    blocks: Vec<BlockMeta>,
-    /// The upper tree levels, STR-packed over the leaves.
-    directory: BlockDirectory,
-    /// Points of each leaf in SoA layout, indexed by block id.
-    leaf_points: Vec<PointBlock>,
-    num_points: usize,
-}
+/// The STR R-tree recipe: the leaves are the blocks, in strip order, and the
+/// STR-packed upper levels are the directory.
+///
+/// A recipe has no values; its constructor returns the [`PackedIndex`].
+#[derive(Debug)]
+pub enum StrRTree {}
 
 impl StrRTree {
     /// Bulk-loads an STR R-tree with leaves of at most `leaf_capacity` points.
     ///
     /// # Errors
     ///
-    /// Returns an error when `points` is empty or `leaf_capacity` is zero.
-    pub fn build(mut points: Vec<Point>, leaf_capacity: usize) -> GeomResult<Self> {
-        if leaf_capacity == 0 {
-            return Err(GeometryError::EmptyPointSet);
-        }
-        let bounds = Rect::bounding(&points)?;
-        let num_points = points.len();
-
-        let n = points.len();
-        let leaves_needed = n.div_ceil(leaf_capacity);
-        let strips = (leaves_needed as f64).sqrt().ceil() as usize;
-        let points_per_strip = n.div_ceil(strips);
-
-        points.sort_by(|a, b| a.x.partial_cmp(&b.x).expect("finite coordinates"));
-
-        let mut blocks = Vec::with_capacity(leaves_needed);
-        let mut leaf_points = Vec::with_capacity(leaves_needed);
-        for strip in points.chunks(points_per_strip.max(1)) {
-            let mut strip: Vec<Point> = strip.to_vec();
-            strip.sort_by(|a, b| a.y.partial_cmp(&b.y).expect("finite coordinates"));
-            for leaf in strip.chunks(leaf_capacity) {
-                let mbr = Rect::bounding(leaf).expect("leaf chunks are non-empty");
-                let id = blocks.len() as BlockId;
-                blocks.push(BlockMeta::new(id, mbr, leaf.len()));
-                leaf_points.push(PointBlock::from_points(leaf));
-            }
-        }
-
-        Ok(Self {
-            bounds,
-            leaf_capacity,
-            directory: BlockDirectory::packed(&blocks),
-            blocks,
-            leaf_points,
-            num_points,
-        })
-    }
-
-    /// The maximum number of points stored in a leaf.
-    pub fn leaf_capacity(&self) -> usize {
-        self.leaf_capacity
+    /// Returns an error when `points` is empty, `leaf_capacity` is zero or a
+    /// coordinate is not finite.
+    pub fn build(points: Vec<Point>, leaf_capacity: usize) -> GeomResult<PackedIndex> {
+        PackedIndex::pack(IndexConfig::RTree { leaf_capacity }, points, Rect::bounding)
     }
 }
 
-impl SpatialIndex for StrRTree {
-    fn bounds(&self) -> Rect {
-        self.bounds
+/// Sorts `points` by x into vertical strips, each strip by y, and cuts the
+/// strips into leaves of at most `leaf_capacity` points.
+pub(crate) fn partition(
+    mut points: Vec<Point>,
+    bounds: Rect,
+    leaf_capacity: usize,
+) -> GeomResult<Layout> {
+    if leaf_capacity == 0 {
+        return Err(GeometryError::EmptyPointSet);
     }
+    let n = points.len();
+    let leaves_needed = n.div_ceil(leaf_capacity);
+    let strips = (leaves_needed as f64).sqrt().ceil() as usize;
+    let points_per_strip = n.div_ceil(strips);
 
-    fn num_points(&self) -> usize {
-        self.num_points
+    // The packing step admits finite coordinates only, so these compare.
+    points.sort_by(|a, b| a.x.partial_cmp(&b.x).unwrap());
+    let mut blocks = Vec::with_capacity(leaves_needed);
+    for strip in points.chunks_mut(points_per_strip.max(1)) {
+        strip.sort_by(|a, b| a.y.partial_cmp(&b.y).unwrap());
+        for leaf in strip.chunks(leaf_capacity) {
+            let mbr = Rect::bounding(leaf).expect("leaf chunks are non-empty");
+            blocks.push(BlockMeta::new(blocks.len() as BlockId, mbr, leaf.len()));
+        }
     }
-
-    fn blocks(&self) -> &[BlockMeta] {
-        &self.blocks
-    }
-
-    fn block_points(&self, id: BlockId) -> BlockPoints<'_> {
-        self.leaf_points[id as usize].view()
-    }
-
-    fn locate(&self, p: &Point) -> Option<BlockId> {
-        // Leaf MBRs may overlap and do not tile the space: prefer a leaf that
-        // actually stores a point with the same id and coordinates, fall back
-        // to any containing leaf. The directory descent visits only the
-        // leaves whose MBR contains `p`.
-        self.directory.locate(&self.blocks, p, |id| {
-            self.leaf_points[id as usize]
-                .iter()
-                .any(|q| q.id == p.id && q.x == p.x && q.y == p.y)
-        })
-    }
-
-    fn directory(&self) -> &BlockDirectory {
-        &self.directory
-    }
+    Ok(Layout {
+        bounds,
+        directory: BlockDirectory::packed(&blocks),
+        blocks,
+        points,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::check_index_invariants;
+    use crate::traits::{check_index_invariants, SpatialIndex};
 
     fn pts(n: usize) -> Vec<Point> {
         (0..n)
@@ -140,7 +95,7 @@ mod tests {
         assert_eq!(t.num_points(), 1234);
         check_index_invariants(&t).unwrap();
         for b in t.blocks() {
-            assert!(b.count <= t.leaf_capacity());
+            assert!(b.count <= 32);
             assert!(b.count > 0, "STR leaves are never empty");
         }
     }

@@ -16,9 +16,10 @@ use crate::scratch::ScratchSpace;
 
 /// A block-based, in-memory spatial index over a set of 2-D points.
 ///
-/// Implementations in this crate: [`crate::GridIndex`] (the structure used in
-/// the paper's evaluation), [`crate::QuadtreeIndex`] (PR quadtree) and
-/// [`crate::StrRTree`] (bulk-loaded R-tree whose leaves act as blocks).
+/// Implemented by [`crate::PackedIndex`], whichever recipe built it
+/// ([`crate::GridIndex`], the structure used in the paper's evaluation,
+/// [`crate::QuadtreeIndex`] or [`crate::StrRTree`]), and by views composed
+/// over it, such as a store's snapshots.
 pub trait SpatialIndex {
     /// The spatial extent covered by the index.
     fn bounds(&self) -> Rect;
@@ -45,9 +46,10 @@ pub trait SpatialIndex {
     /// The block whose footprint contains `p`, if any.
     ///
     /// Used by Procedure 4 to mark the blocks that contain join-result points
-    /// as *Candidate* blocks. When footprints overlap (R-tree), the block that
-    /// actually stores a point with the same coordinates is preferred;
-    /// otherwise any containing block may be returned.
+    /// as *Candidate* blocks. When footprints overlap (R-tree leaves, cells
+    /// sharing an edge), the block that stores `p` itself — same id and
+    /// coordinates — is preferred; otherwise any containing block may be
+    /// returned.
     fn locate(&self, p: &Point) -> Option<BlockId>;
 
     /// Number of blocks in the index.

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use twoknn_geometry::{Point, Predicate, Rect};
 use twoknn_index::{
     get_knn, get_knn_bounded, get_knn_filtered, with_thread_scratch, BlockKnn, GridIndex, Metrics,
-    Neighbor, Neighborhood, SpatialIndex,
+    Neighbor, Neighborhood, PackedIndex, SpatialIndex,
 };
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -46,7 +46,7 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-fn relation(n: u64) -> GridIndex {
+fn relation(n: u64) -> PackedIndex {
     let pts: Vec<Point> = (0..n)
         .map(|i| {
             let h = i.wrapping_mul(0x9E3779B97F4A7C15);

@@ -12,9 +12,9 @@ use two_knn::core::select_join::{
 };
 use two_knn::core::selects2::{two_knn_select, TwoSelectsQuery};
 use two_knn::datagen::{berlinmod, BerlinModConfig};
-use two_knn::{GridIndex, Point, SpatialIndex};
+use two_knn::{GridIndex, PackedIndex, Point, SpatialIndex};
 
-fn city_relation(n: usize, seed: u64) -> GridIndex {
+fn city_relation(n: usize, seed: u64) -> PackedIndex {
     GridIndex::build_with_target_occupancy(berlinmod(&BerlinModConfig::with_points(n, seed)), 64)
         .expect("non-empty relation")
 }

@@ -1,0 +1,23 @@
+#!/bin/sh
+# Counts code lines by the repository's size rule: non-blank lines that do
+# not start with `//` (after indentation), stopping at each file's first
+# `#[cfg(test)]` line. A directory argument counts every *.rs file beneath it.
+#
+# Usage: scripts/code_lines.sh <file-or-dir>...
+set -eu
+if [ "$#" -eq 0 ]; then
+    echo "usage: $0 <file-or-dir>..." >&2
+    exit 2
+fi
+total=0
+for path in "$@"; do
+    n=$(find "$path" -name '*.rs' -type f | sort | xargs -r awk '
+        FNR == 1 { counting = 1 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
+        counting && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
+        END { print n + 0 }')
+    n=${n:-0}
+    printf '%8d  %s\n' "$n" "$path"
+    total=$((total + n))
+done
+printf '%8d  total\n' "$total"

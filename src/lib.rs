@@ -54,4 +54,6 @@ pub use twoknn_index as index;
 
 pub use twoknn_core::{Pair, QueryError, QueryOutput, Triplet, WorkerPool};
 pub use twoknn_geometry::{Point, Rect};
-pub use twoknn_index::{GridIndex, Metrics, Neighborhood, QuadtreeIndex, SpatialIndex, StrRTree};
+pub use twoknn_index::{
+    GridIndex, Metrics, Neighborhood, PackedIndex, QuadtreeIndex, SpatialIndex, StrRTree,
+};

@@ -251,6 +251,10 @@ fn crash_recovery_matches_a_never_crashed_instance() {
                     (0, 0),
                     "{tag}: disabled durability must log nothing"
                 );
+                // A background rebuild outlives the dropped handle on the
+                // shared pool: let it finish, or it would delete a block-file
+                // generation the reopen below has just read from the manifest.
+                durable.pool().wait_idle();
             }
 
             let reopened = Database::open(tmp.path(), durable_cfg.clone()).unwrap();

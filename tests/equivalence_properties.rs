@@ -16,13 +16,13 @@ use two_knn::core::select_join::{
 };
 use two_knn::core::selects2::{two_knn_select, two_selects_conceptual, TwoSelectsQuery};
 use two_knn::datagen::rng::StdRng;
-use two_knn::{GridIndex, Point};
+use two_knn::{GridIndex, PackedIndex, Point};
 
 const CASES: u64 = 48;
 
 /// A relation of `1..=max_n` points with coordinates in `[0, 100)²`, indexed
 /// into a grid over fixed bounds.
-fn relation(rng: &mut StdRng, max_n: usize) -> GridIndex {
+fn relation(rng: &mut StdRng, max_n: usize) -> PackedIndex {
     let n = rng.gen_range(1..max_n + 1);
     let points: Vec<Point> = (0..n)
         .map(|i| {

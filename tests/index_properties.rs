@@ -1023,3 +1023,116 @@ fn get_knn_orders_a_fraction_of_a_large_grid() {
         mf.blocks_ordered
     );
 }
+
+// ---------------------------------------------------------------------------
+// `locate` on every kind of index
+// ---------------------------------------------------------------------------
+
+/// Points over the square 0..1000 whose corners are data points, so a
+/// 10 × 10 grid has 100-wide cells and the quadtree splits at multiples of
+/// 125: random points with duplicate stacks, plus points exactly on cell
+/// edges and split lines and a stack on the centre, where every family's
+/// closed footprints overlap.
+fn locate_points(rng: &mut StdRng) -> Vec<Point> {
+    let mut pts = points_with_duplicates(rng, 400);
+    let mut on = |x: f64, y: f64| pts.push(Point::new(10_000 + pts.len() as u64, x, y));
+    on(0.0, 0.0);
+    on(1000.0, 1000.0);
+    for i in 1..10 {
+        let (edge, split) = (i as f64 * 100.0, (i - 1) as f64 * 125.0);
+        let free = rng.gen_range(0.0f64..1000.0);
+        on(edge, free);
+        on(free, edge);
+        on(edge, edge);
+        on(split, 500.0);
+        on(500.0, split);
+    }
+    for _ in 0..12 {
+        on(500.0, 500.0);
+    }
+    pts
+}
+
+/// One index of every kind over [`locate_points`]: the three recipes (STR
+/// leaves overlapping on the duplicate stacks), a grid and an R-tree
+/// reopened from their block files, and a shard snapshot whose base lost
+/// points to tombstones and gained inserts in overlay blocks.
+fn locate_subjects(seed: u64) -> Vec<(&'static str, Arc<dyn SpatialIndex>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pts = locate_points(&mut rng);
+    let rtree = StrRTree::build(pts.clone(), 6).unwrap();
+    let centre = Point::anonymous(500.0, 500.0);
+    let stacked = rtree.blocks().iter().filter(|b| b.mbr.contains(&centre));
+    assert!(stacked.count() > 1, "STR leaves must overlap on the stack");
+
+    let tmp = TempDir::new(&format!("locate-{seed}"));
+    let durable = StoreConfig {
+        durability: DurabilityConfig::at(&tmp.0),
+        ..StoreConfig::default()
+    };
+    {
+        let mut db = Database::with_store_config(durable.clone());
+        db.register("G", GridIndex::build(pts.clone(), 10).unwrap());
+        db.register("R", rtree.clone());
+        db.checkpoint();
+    }
+    let reopened = Database::open(&tmp.0, durable).unwrap();
+    let file = |name: &str| reopened.relation(name).unwrap().shards()[0].base().clone();
+
+    let mut db = Database::with_store_config(StoreConfig {
+        compaction_threshold: usize::MAX,
+        overlay: OverlayConfig {
+            cell_target: 4,
+            max_cells_per_axis: 8,
+        },
+        ..StoreConfig::default()
+    });
+    db.register("Q", QuadtreeIndex::build(pts.clone(), 8).unwrap());
+    db.ingest("Q", &mixed_batch(&mut rng, 0, 400)).unwrap();
+    let snap = db.relation("Q").unwrap();
+    assert!(snap.overlay_block_count() > 1 && snap.shards()[0].delta().deletes().len() > 1);
+
+    vec![
+        ("grid", Arc::new(GridIndex::build(pts.clone(), 10).unwrap())),
+        ("quadtree", Arc::new(QuadtreeIndex::build(pts, 8).unwrap())),
+        ("rtree", Arc::new(rtree)),
+        ("reopened grid file", file("G")),
+        ("reopened rtree file", file("R")),
+        ("shard snapshot", snap.shards()[0].clone()),
+    ]
+}
+
+/// Every stored point locates to the block storing it — on cell edges,
+/// split lines and duplicate stacks too — and a probe locates to a block
+/// whose footprint contains it, or to `None` exactly when none does.
+#[test]
+fn locate_finds_the_storing_block_on_every_kind_of_index() {
+    for seed in [61u64, 62] {
+        let mut rng = StdRng::seed_from_u64(9_950 + seed);
+        for (name, index) in locate_subjects(seed) {
+            let blocks = index.blocks();
+            for b in blocks {
+                for p in index.block_points(b.id) {
+                    assert_eq!(index.locate(&p), Some(b.id), "{name} seed {seed}: {p}");
+                }
+            }
+            let mut probes: Vec<Point> = (0..300)
+                .map(|_| {
+                    Point::anonymous(
+                        rng.gen_range(-100.0f64..1100.0),
+                        rng.gen_range(-100.0f64..1100.0),
+                    )
+                })
+                .collect();
+            probes.extend(blocks.iter().flat_map(|b| b.mbr.corners()));
+            probes.push(Point::new(99_999, 500.0, 500.0));
+            for p in probes {
+                let ctx = format!("{name} seed {seed}: probe {p}");
+                match index.locate(&p) {
+                    Some(at) => assert!(blocks[at as usize].mbr.contains(&p), "{ctx}"),
+                    None => assert!(blocks.iter().all(|b| !b.mbr.contains(&p)), "{ctx}"),
+                }
+            }
+        }
+    }
+}

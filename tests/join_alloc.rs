@@ -20,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use two_knn::core::join::knn_join;
-use two_knn::{GridIndex, Point, SpatialIndex, WorkerPool};
+use two_knn::{GridIndex, PackedIndex, Point, SpatialIndex, WorkerPool};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -45,7 +45,7 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-fn relation(n: u64, seed: u64) -> GridIndex {
+fn relation(n: u64, seed: u64) -> PackedIndex {
     let pts: Vec<Point> = (0..n)
         .map(|i| {
             let h =

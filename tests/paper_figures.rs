@@ -17,9 +17,9 @@ use two_knn::core::select_join::{
 use two_knn::core::selects2::{
     two_knn_select, two_selects_conceptual, two_selects_wrong_sequential, TwoSelectsQuery,
 };
-use two_knn::{GridIndex, Point};
+use two_knn::{GridIndex, PackedIndex, Point};
 
-fn grid(points: Vec<Point>) -> GridIndex {
+fn grid(points: Vec<Point>) -> PackedIndex {
     GridIndex::build(points, 4).expect("non-empty test relation")
 }
 

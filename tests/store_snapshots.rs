@@ -723,3 +723,64 @@ fn incremental_overlay_maintenance_matches_from_scratch_rebuilds() {
         "the workload must have exercised a partitioned overlay"
     );
 }
+
+/// A NaN or infinite coordinate is refused, never panicked on or stored:
+/// every recipe rejects it at build, and an ingest batch carrying one is
+/// refused whole — nothing logged, nothing published, the version
+/// unchanged — so the next compaction of an R-tree relation (whose STR sort
+/// cannot order NaN) rebuilds from finite points only.
+#[test]
+fn non_finite_coordinates_are_refused_not_panicked_on() {
+    use two_knn::core::store::DurabilityConfig;
+    use two_knn::core::QueryError;
+    use two_knn::geometry::GeometryError;
+
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for at in [0, 37] {
+            let mut pts = scattered(80, 0, 5);
+            pts.insert(at, Point::new(999, bad, 2.0));
+            let refused = |built: Result<_, GeometryError>| {
+                matches!(built, Err(GeometryError::NonFiniteCoordinate { .. }))
+            };
+            assert!(refused(GridIndex::build(pts.clone(), 4)), "grid {bad}");
+            assert!(
+                refused(QuadtreeIndex::build(pts.clone(), 8)),
+                "quadtree {bad}"
+            );
+            assert!(refused(StrRTree::build(pts, 8)), "rtree {bad}");
+        }
+    }
+
+    let dir = std::env::temp_dir().join(format!("twoknn-non-finite-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut db = Database::with_store_config(StoreConfig {
+        durability: DurabilityConfig::at(&dir),
+        ..StoreConfig::default()
+    });
+    db.register("R", StrRTree::build(scattered(200, 0, 9), 16).unwrap());
+    let appends = db.store_metrics().wal_appends;
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let batch = [
+            WriteOp::Upsert(Point::new(500, 1.0, 1.0)),
+            WriteOp::Upsert(Point::new(501, 2.0, bad)),
+        ];
+        assert_eq!(
+            db.ingest("R", &batch),
+            Err(QueryError::NonFiniteCoordinate { id: 501 })
+        );
+        let snap = db.relation("R").unwrap();
+        assert_eq!((snap.version(), snap.delta_len()), (0, 0), "{bad}");
+        assert_eq!(
+            db.store_metrics().wal_appends,
+            appends,
+            "{bad}: nothing logged"
+        );
+    }
+    db.ingest("R", &[WriteOp::Upsert(Point::new(500, 1.0, 1.0))])
+        .unwrap();
+    db.compact_now("R").unwrap();
+    let snap = db.relation("R").unwrap();
+    assert_eq!((snap.num_points(), snap.delta_len()), (201, 0));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
