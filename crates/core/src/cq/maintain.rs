@@ -401,13 +401,7 @@ impl CqEngine {
         };
         let obs = self.store.obs();
         let start = std::time::Instant::now();
-        let result = if obs.trace_enabled() {
-            let (result, trace) = plan.execute_traced(ExecutionMode);
-            obs.push_trace(format!("cq sub#{}", sub.id.0), trace);
-            result
-        } else {
-            plan.execute(ExecutionMode)
-        };
+        let result = obs.run_plan(&plan, || format!("cq sub#{}", sub.id.0));
         obs.record(HistogramKind::CqReeval, start.elapsed());
         let rows = result.rows();
         let mut work = result.metrics();

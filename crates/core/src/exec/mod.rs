@@ -56,11 +56,12 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use twoknn_index::Metrics;
 
-/// The argument of [`PhysicalPlan::execute`](crate::plan::PhysicalPlan::execute),
-/// which every operator ignores: how an operator's work items spread is
-/// decided by the pool the calling thread is bound to. It stays only so the
-/// `benchmark` package, which calls
-/// `plan.execute(ExecutionMode::default_mode())`, keeps compiling.
+/// The argument of [`PhysicalPlan::execute`](crate::plan::PhysicalPlan::execute)
+/// and [`PhysicalPlan::execute_traced`](crate::plan::PhysicalPlan::execute_traced),
+/// which both ignore it: how a plan's work items spread is decided by the
+/// pool the calling thread is bound to. It stays only so the `benchmark`
+/// package, which calls `plan.execute(ExecutionMode::default_mode())`,
+/// keeps compiling.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecutionMode;
 

@@ -2,11 +2,12 @@
 //!
 //! [`PlanExplain`] captures the whole decision chain for one query — the
 //! parsed AST, the logical plan, the filter-placement rewrites, the
-//! optimizer's chosen [`Strategy`], and the compiled physical operator
-//! tree — as a structured value tests can assert on, with an indented text
-//! rendering for humans. [`AnalyzedQuery`] pairs it with the executed
-//! [`OpTrace`], annotating every operator with wall time, rows, and counter
-//! deltas.
+//! optimizer's chosen [`Strategy`], and the compiled [`PhysicalPlan`]'s
+//! operator tree (its algorithm, under a `residual-filter` root when the
+//! query has post-kNN filters) — as a structured value tests can assert on,
+//! with an indented text rendering for humans. [`AnalyzedQuery`] pairs it
+//! with the executed [`OpTrace`], annotating every operator with wall time,
+//! rows, and counter deltas.
 
 use std::fmt;
 
@@ -18,7 +19,8 @@ use crate::plan::strategy::Strategy;
 /// One operator of the compiled physical plan, structurally.
 #[derive(Debug, Clone)]
 pub struct OpNode {
-    /// The operator's [`PhysicalPlan::name`].
+    /// The operator's name: the algorithm's (e.g. `"block-marking"`) or
+    /// `"residual-filter"`.
     pub name: &'static str,
     /// The strategy the operator implements.
     pub strategy: Strategy,
@@ -31,14 +33,21 @@ pub struct OpNode {
 }
 
 impl OpNode {
-    /// Captures a compiled plan's operator tree.
-    pub fn from_plan(plan: &dyn PhysicalPlan) -> OpNode {
-        OpNode {
-            name: plan.name(),
+    /// Captures a compiled plan's operator tree: the algorithm's node,
+    /// under a `residual-filter` root when the plan has post-kNN filters.
+    pub fn from_plan(plan: &PhysicalPlan) -> OpNode {
+        let node = |name, detail, children| OpNode {
+            name,
             strategy: plan.strategy(),
             schema: plan.schema(),
-            detail: plan.detail(),
-            children: plan.children().into_iter().map(OpNode::from_plan).collect(),
+            detail,
+            children,
+        };
+        let algorithm = node(plan.algorithm_name(), plan.algorithm_detail(), Vec::new());
+        if plan.is_post_filtered() {
+            node(plan.name(), plan.detail(), vec![algorithm])
+        } else {
+            algorithm
         }
     }
 

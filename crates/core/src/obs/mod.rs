@@ -48,6 +48,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use crate::exec::ExecutionMode;
+use crate::plan::executor::QueryResult;
+use crate::plan::physical::PhysicalPlan;
+
 /// Opt-in per-operator execution tracing, carried on
 /// [`crate::store::StoreConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,6 +167,22 @@ impl Observability {
             traces.pop_front();
         }
         traces.push_back(QueryTrace { seq, label, root });
+    }
+
+    /// Executes a compiled plan, traced and retained under `label` when
+    /// tracing is on, plain otherwise. The label closure only runs (and
+    /// allocates) on the traced path.
+    pub(crate) fn run_plan(
+        &self,
+        plan: &PhysicalPlan,
+        label: impl FnOnce() -> String,
+    ) -> QueryResult {
+        if !self.trace_enabled() {
+            return plan.execute(ExecutionMode);
+        }
+        let (result, trace) = plan.execute_traced(ExecutionMode);
+        self.push_trace(label(), trace);
+        result
     }
 
     /// Removes and returns every retained trace, oldest first.

@@ -1,11 +1,12 @@
 //! Per-operator execution traces: the data behind `EXPLAIN ANALYZE`.
 //!
 //! When tracing is enabled (or [`crate::plan::Database::explain_analyze`]
-//! is called), every [`crate::plan::PhysicalPlan`] operator records a span:
-//! wall time, rows emitted, and the [`Metrics`] delta its subtree
-//! performed. Nested operators (today the residual filter over its input)
-//! produce nested [`OpTrace`]s; [`OpTrace::exclusive`] subtracts the
-//! children so each node's own work is visible.
+//! is called), [`crate::plan::PhysicalPlan::execute_traced`] records a span
+//! per operator: wall time, rows emitted, and the [`Metrics`] delta its
+//! subtree performed. A plan's algorithm is one span; a post-kNN filter
+//! adds a `residual-filter` root over it, so the trace nests one level;
+//! [`OpTrace::exclusive`] subtracts the children so each node's own work
+//! is visible.
 
 use std::fmt;
 use std::time::Duration;
@@ -17,7 +18,8 @@ use crate::plan::strategy::Strategy;
 /// One operator's execution span inside a traced query.
 #[derive(Debug, Clone)]
 pub struct OpTrace {
-    /// The operator's [`crate::plan::PhysicalPlan::name`].
+    /// The operator's name: the algorithm's (e.g. `"block-marking"`) or
+    /// `"residual-filter"`.
     pub name: &'static str,
     /// The strategy the operator implements.
     pub strategy: Strategy,

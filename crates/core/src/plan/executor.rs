@@ -6,8 +6,11 @@
 //! [`DbSnapshot`] (one immutable version of every relation), the
 //! [`Optimizer`] picks a [`Strategy`] from the pinned relations'
 //! statistics, [`crate::plan::physical::compile`] lowers `(spec, strategy)`
-//! into a [`PhysicalPlan`] operator holding snapshot handles, and the
-//! operator runs on the [`WorkerPool`] the calling thread is bound to.
+//! into a [`PhysicalPlan`] holding snapshot handles, and the plan runs the
+//! strategy's algorithm on the [`WorkerPool`] the calling thread is bound
+//! to. EXPLAIN and EXPLAIN ANALYZE ([`Database::explain`],
+//! [`Database::explain_analyze`]) compile the same plan and report its
+//! operator tree and trace.
 //! [`Database::execute`] is nothing but that chain bound to the database's
 //! own pool: a join's work items run on that pool's workers and the calling
 //! thread (a pool of one runs them all inline), with the same rows, row
@@ -621,23 +624,14 @@ impl Database {
     /// publish new ones.
     pub fn execute(&self, spec: &QuerySpec) -> Result<QueryResult, QueryError> {
         let plan = self.plan_and_compile(&self.snapshot(), spec)?;
-        Ok(self.run_plan(&*plan, || "query".to_string()))
+        Ok(self.run_plan(&plan, || "query".to_string()))
     }
 
     /// Runs one compiled plan with the always-on query latency histogram
     /// and, when tracing is enabled, a retained per-operator trace. The
     /// label closure only runs (and allocates) on the traced path.
-    fn run_plan(&self, plan: &dyn PhysicalPlan, label: impl FnOnce() -> String) -> QueryResult {
-        let obs = self.store.obs();
-        self.timed_exec(|| {
-            if obs.trace_enabled() {
-                let (result, trace) = plan.execute_traced(ExecutionMode);
-                obs.push_trace(label(), trace);
-                result
-            } else {
-                plan.execute(ExecutionMode)
-            }
-        })
+    fn run_plan(&self, plan: &PhysicalPlan, label: impl FnOnce() -> String) -> QueryResult {
+        self.timed_exec(|| self.store.obs().run_plan(plan, label))
     }
 
     /// Runs `exec` on this database's pool, under the always-on query
@@ -690,7 +684,7 @@ impl Database {
             |&(i, spec), out, _| {
                 out.push(
                     self.plan_and_compile(&snapshot, spec)
-                        .map(|plan| self.run_plan(&*plan, || batch_label(i))),
+                        .map(|plan| self.run_plan(&plan, || batch_label(i))),
                 );
             },
         );
@@ -707,7 +701,7 @@ impl Database {
         &self,
         snapshot: &DbSnapshot,
         spec: &QuerySpec,
-    ) -> Result<Box<dyn PhysicalPlan>, QueryError> {
+    ) -> Result<PhysicalPlan, QueryError> {
         let strategy = self.plan_on(snapshot, spec)?;
         compile(snapshot, spec, strategy)
     }
@@ -744,13 +738,13 @@ impl Database {
             }
             QuerySpec::KnnSelect { .. } => Strategy::Select,
             // Filters don't change the strategy family: plan the wrapped
-            // shape, `compile` threads the filters through the operator.
+            // shape, `compile` threads the filters through the plan.
             QuerySpec::Filtered { spec, .. } => self.plan_on(snapshot, spec)?,
         })
     }
 
     /// Executes a query with an explicitly chosen strategy on this
-    /// database's pool: the plan is compiled into its physical operator and
+    /// database's pool: the query is compiled into its physical plan and
     /// run.
     ///
     /// # Errors
@@ -764,7 +758,7 @@ impl Database {
         strategy: Strategy,
     ) -> Result<QueryResult, QueryError> {
         let plan = compile(&self.snapshot(), spec, strategy)?;
-        Ok(self.run_plan(&*plan, || "query (pinned strategy)".to_string()))
+        Ok(self.run_plan(&plan, || "query (pinned strategy)".to_string()))
     }
 
     // -----------------------------------------------------------------
@@ -817,13 +811,7 @@ impl Database {
     /// the optimizer chose on the current snapshots, and the compiled
     /// physical operator tree.
     pub fn explain(&self, text: &str) -> Result<PlanExplain, QueryError> {
-        let query = crate::plan::lang::parse(text)?;
-        let spec = query.to_spec(text)?;
-        let mut explain = self.explain_spec(&spec)?;
-        explain.query = Some(text.trim().to_string());
-        explain.ast = Some(query.to_string());
-        explain.logical = Some(query.to_logical().to_string());
-        Ok(explain)
+        explain_text(text, |spec| self.explain_spec(spec), |explain| explain)
     }
 
     /// `EXPLAIN` for a pre-built [`QuerySpec`]: the rewrites, chosen
@@ -838,7 +826,7 @@ impl Database {
     fn explain_compiled(
         &self,
         spec: &QuerySpec,
-    ) -> Result<(PlanExplain, Box<dyn PhysicalPlan>), QueryError> {
+    ) -> Result<(PlanExplain, PhysicalPlan), QueryError> {
         let snapshot = self.snapshot();
         let strategy = self.plan_on(&snapshot, spec)?;
         let plan = compile(&snapshot, spec, strategy)?;
@@ -848,7 +836,7 @@ impl Database {
             logical: None,
             rewrites: rewrites_of(spec),
             strategy,
-            root: OpNode::from_plan(&*plan),
+            root: OpNode::from_plan(&plan),
         };
         Ok((explain, plan))
     }
@@ -858,13 +846,11 @@ impl Database {
     /// rows emitted, and its [`Metrics`] counter delta. The root trace's
     /// inclusive counters reconcile exactly with the result's metrics.
     pub fn explain_analyze(&self, text: &str) -> Result<AnalyzedQuery, QueryError> {
-        let query = crate::plan::lang::parse(text)?;
-        let spec = query.to_spec(text)?;
-        let mut analyzed = self.explain_analyze_spec(&spec)?;
-        analyzed.explain.query = Some(text.trim().to_string());
-        analyzed.explain.ast = Some(query.to_string());
-        analyzed.explain.logical = Some(query.to_logical().to_string());
-        Ok(analyzed)
+        explain_text(
+            text,
+            |spec| self.explain_analyze_spec(spec),
+            |analyzed| &mut analyzed.explain,
+        )
     }
 
     /// `EXPLAIN ANALYZE` for a pre-built [`QuerySpec`].
@@ -932,6 +918,23 @@ impl Database {
     pub fn tracing_enabled(&self) -> bool {
         self.store.obs().trace_enabled()
     }
+}
+
+/// Parses a textual query, explains its spec with `explain`, and records
+/// the parser stages — the query text, the AST and the logical plan — on
+/// the [`PlanExplain`] that `stages` picks out of the outcome.
+fn explain_text<T>(
+    text: &str,
+    explain: impl FnOnce(&QuerySpec) -> Result<T, QueryError>,
+    stages: impl FnOnce(&mut T) -> &mut PlanExplain,
+) -> Result<T, QueryError> {
+    let query = crate::plan::lang::parse(text)?;
+    let mut explained = explain(&query.to_spec(text)?)?;
+    let plan = stages(&mut explained);
+    plan.query = Some(text.trim().to_string());
+    plan.ast = Some(query.to_string());
+    plan.logical = Some(query.to_logical().to_string());
+    Ok(explained)
 }
 
 /// Label for a retained batch-member trace.

@@ -16,9 +16,10 @@
 //!   statistics to a strategy;
 //! * [`physical`] — the physical-operator layer: [`compile`] resolves
 //!   relation names against a pinned [`crate::store::DbSnapshot`] and lowers
-//!   a `(QuerySpec, Strategy)` pair into a [`PhysicalPlan`] operator that
-//!   owns its snapshot handles and runs partitioned over the worker pool
-//!   the calling thread is bound to;
+//!   a `(QuerySpec, Strategy)` pair into one [`PhysicalPlan`] — the
+//!   strategy's algorithm bound to its snapshot handles, plus any filters —
+//!   whose `execute` dispatches on the strategy and runs partitioned over
+//!   the worker pool the calling thread is bound to;
 //! * [`lang`] — the declarative textual front-end: a hand-written lexer and
 //!   recursive-descent parser for `FIND … WHERE …` queries, plus the
 //!   rewriter that extracts the kNN predicates and classifies the residual

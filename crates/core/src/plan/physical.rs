@@ -3,51 +3,51 @@
 //! The planning pipeline is
 //!
 //! ```text
-//! QuerySpec ──(Optimizer)──► Strategy ──(compile)──► Box<dyn PhysicalPlan> ──(execute)──► QueryResult
+//! QuerySpec ──(Optimizer)──► Strategy ──(compile)──► PhysicalPlan ──(execute)──► QueryResult
 //! ```
 //!
 //! [`compile`] resolves a [`QuerySpec`]'s relation names against a pinned
-//! [`DbSnapshot`] of the catalog and pairs them with a [`Strategy`] into one
-//! of the operator structs of this module — one per algorithm family of the
-//! paper:
+//! [`DbSnapshot`] of the catalog and binds them, in role order, to a
+//! [`Strategy`] in one [`PhysicalPlan`]. The strategy already names each
+//! query shape × algorithm pair of the paper, so every method of the plan is
+//! one `match` on it. The operator names EXPLAIN and traces report:
 //!
-//! | Operator | Algorithm family | Paper |
+//! | Operator | Strategy | Paper |
 //! |---|---|---|
-//! | [`CountingOp`] | Counting | Procedure 1 |
-//! | [`BlockMarkingOp`] | Block-Marking | Procedures 2–3 |
-//! | [`SelectInnerConceptualOp`] | conceptual join-then-intersect QEP | Figure 1 |
-//! | [`OuterPushdownOp`] | select-on-outer (pushdown or select-after-join) | Figure 3 |
-//! | [`UnchainedJoinsOp`] | two unchained joins | Section 4.1 |
-//! | [`ChainedJoinsOp`] | two chained joins | Section 4.2 |
-//! | [`TwoSelectsOp`] | two kNN-selects | Section 5 |
-//! | [`KnnSelectOp`] | single (optionally filtered) kNN-select | — |
-//! | [`FilteredTwoSelectsOp`] | two filtered kNN-selects | — |
-//! | [`ResidualFilterOp`] | post-kNN residual filter over any plan | — |
+//! | `counting` | `select-inner/Counting` | Procedure 1 |
+//! | `block-marking` | `select-inner/BlockMarking` | Procedures 2–3 |
+//! | `select-inner-conceptual` | `select-inner/Conceptual` (join-then-intersect) | Figure 1 |
+//! | `outer-pushdown`, `outer-select-after-join` | `select-outer/*` | Figure 3 |
+//! | `unchained-conceptual`, `unchained-block-marking(…)` | `unchained/*` | Section 4.1 |
+//! | `chained-right-deep`, `chained-join-intersection`, `chained-nested(-cached)` | `chained/*` | Section 4.2 |
+//! | `two-selects-conceptual`, `2-knn-select` | `two-selects/*` | Section 5 |
+//! | `filtered-two-selects` | `two-selects/*` under a pre-kNN filter | — |
+//! | `knn-select` | `select`, optionally under a pre-kNN filter | — |
+//! | `residual-filter` | any, under a post-kNN filter | — |
 //!
-//! A [`QuerySpec::Filtered`] spec compiles through [`compile`]'s filter
-//! path: **pre**-kNN filters either flow into the operator's predicate
-//! (single select: the masked kernel; two selects: the filtered
-//! conceptual intersection) or materialize a filtered copy of the relation
-//! that the wrapped shape's operator is compiled against (join outer
-//! roles). Pre-filters on a join's *inner* role are rejected with
+//! A [`QuerySpec::Filtered`] spec compiles in the same pass: **pre**-kNN
+//! filters either become the kernel's mask (single select: the masked
+//! kernel; two selects: the filtered conceptual intersection) or
+//! materialize a filtered copy of the relation the join runs against (join
+//! outer roles). Pre-filters on a join's *inner* role are rejected with
 //! [`QueryError::InvalidTransformation`] — they change every neighborhood,
 //! the same Figure 2 argument that forbids pushing a select below a join's
-//! inner relation. **Post**-kNN filters wrap the compiled plan in a
-//! [`ResidualFilterOp`] that prunes finished rows by component.
+//! inner relation. **Post**-kNN filters resolve to role indices and prune
+//! the finished rows by component: a `residual-filter` node over the
+//! algorithm's node in EXPLAIN and traces.
 //!
-//! Every operator implements [`PhysicalPlan`]: it knows its [`Strategy`], its
-//! output [`RowSchema`], and how to [`PhysicalPlan::execute`] — a join's work
-//! items partitioned over the pool the calling thread is bound to (bind
-//! `WorkerPool::new(1)` for one thread). Operators hold their relations as
-//! [`Relation`] (shared-ownership snapshot handles), so a compiled plan stays
-//! valid — and keeps observing the exact version it was compiled against —
-//! no matter what ingest or compaction publish afterwards. Adding a new
-//! algorithm means adding an operator struct and a `compile` arm; the
-//! executor ([`Database::execute`](crate::plan::Database::execute)) never
-//! changes.
+//! [`PhysicalPlan::execute`] runs a join's work items partitioned over the
+//! pool the calling thread is bound to (bind `WorkerPool::new(1)` for one
+//! thread). A plan holds its relations as [`Relation`] (shared-ownership
+//! snapshot handles), so it stays valid — and keeps observing the exact
+//! version it was compiled against — no matter what ingest or compaction
+//! publish afterwards. Adding a new algorithm means adding a [`Strategy`]
+//! variant and its arm in each `match`; the executor
+//! ([`Database::execute`](crate::plan::Database::execute)) never changes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use twoknn_geometry::{Point, Predicate};
 use twoknn_index::{GridIndex, Metrics, SpatialIndex};
@@ -58,6 +58,7 @@ use crate::joins2::{
     chained_join_intersection, chained_nested, chained_nested_cached, chained_right_deep,
     unchained_block_marking, unchained_conceptual, ChainedJoinQuery, UnchainedJoinQuery,
 };
+use crate::obs::OpTrace;
 use crate::output::{Pair, QueryOutput, Triplet};
 use crate::plan::executor::{QueryFilters, QueryResult, QuerySpec};
 use crate::plan::strategy::{
@@ -74,8 +75,8 @@ use crate::store::DbSnapshot;
 
 /// A shared handle to one pinned, immutable version of an indexed relation.
 ///
-/// Operators hold `Relation`s rather than borrows so compiled plans own
-/// their inputs: the snapshot a plan was compiled against stays alive (and
+/// Plans hold `Relation`s rather than borrows so compiled plans own their
+/// inputs: the snapshot a plan was compiled against stays alive (and
 /// frozen) for as long as the plan does, independent of concurrent catalog
 /// mutation, ingest, or compaction.
 pub type Relation = Arc<dyn SpatialIndex + Send + Sync>;
@@ -126,65 +127,312 @@ impl Row {
     }
 }
 
-/// An executable physical plan: a specific algorithm bound to specific
+/// The parameters of the query shape a plan evaluates.
+enum Shape {
+    SelectInner(SelectInnerJoinQuery),
+    SelectOuter(SelectOuterJoinQuery),
+    Unchained(UnchainedJoinQuery),
+    Chained(ChainedJoinQuery),
+    TwoSelects(TwoSelectsQuery),
+    Select(KnnSelectQuery),
+}
+
+/// The name of the post-kNN filter's node in EXPLAIN and traces.
+const RESIDUAL_FILTER: &str = "residual-filter";
+
+/// An executable physical plan: one algorithm of the paper bound to pinned
 /// relations, ready to run on whatever pool the calling thread is bound to.
-pub trait PhysicalPlan: Send + Sync {
-    /// Short operator name, e.g. `"block-marking"`.
-    fn name(&self) -> &'static str;
+pub struct PhysicalPlan {
+    shape: Shape,
+    strategy: Strategy,
+    /// The relations in role order (pair: `0 = outer`, `1 = inner`;
+    /// triplet: `0 = a`, `1 = b`, `2 = c`; point: `0`). A pre-filtered join
+    /// outer is its materialized filtered copy.
+    relations: Vec<Relation>,
+    /// A select's pre-kNN filter, the mask of its kNN kernel;
+    /// [`Predicate::True`] when unfiltered and for every join.
+    pre: Predicate,
+    /// Post-kNN filters as `(role index, predicate)`; any puts a
+    /// `residual-filter` over the algorithm.
+    post: Vec<(usize, Predicate)>,
+}
 
-    /// The strategy this operator implements.
-    fn strategy(&self) -> Strategy;
-
-    /// The row type the operator produces.
-    fn schema(&self) -> RowSchema;
-
-    /// Runs the operator. The [`ExecutionMode`] argument is ignored.
-    fn execute(&self, _: ExecutionMode) -> QueryResult;
-
-    /// Runs the operator with a per-operator trace: wall time, rows
-    /// emitted, and the [`Metrics`] delta of the subtree. The default
-    /// covers leaf operators (every operator except the residual filter);
-    /// nesting operators override it to trace their children too. The
-    /// root trace's `inclusive` equals `result.metrics()` exactly.
-    fn execute_traced(&self, _: ExecutionMode) -> (QueryResult, crate::obs::OpTrace) {
-        let start = std::time::Instant::now();
-        let result = self.execute(ExecutionMode);
-        let trace = crate::obs::OpTrace {
-            name: self.name(),
-            strategy: self.strategy(),
-            rows: result.num_rows(),
-            wall: start.elapsed(),
-            inclusive: result.metrics(),
-            children: Vec::new(),
-        };
-        (result, trace)
+impl PhysicalPlan {
+    /// The root operator's name, e.g. `"block-marking"`, or
+    /// `"residual-filter"` when the plan has post-kNN filters.
+    pub fn name(&self) -> &'static str {
+        if self.is_post_filtered() {
+            RESIDUAL_FILTER
+        } else {
+            self.algorithm_name()
+        }
     }
 
-    /// Operator-specific parameters for `EXPLAIN` output (`k=…`, roles).
-    /// Empty by default.
-    fn detail(&self) -> String {
-        String::new()
+    /// The strategy the plan implements.
+    pub fn strategy(&self) -> Strategy {
+        self.strategy
     }
 
-    /// Nested input operators, for plan-tree introspection. Leaf operators
-    /// (the default) have none.
-    fn children(&self) -> Vec<&dyn PhysicalPlan> {
-        Vec::new()
+    /// The row type the plan produces.
+    pub fn schema(&self) -> RowSchema {
+        match self.strategy {
+            Strategy::SelectInner(_) | Strategy::SelectOuter(_) => RowSchema::Pairs,
+            Strategy::Unchained(_) | Strategy::Chained(_) => RowSchema::Triplets,
+            Strategy::TwoSelects(_) | Strategy::Select => RowSchema::Points,
+        }
+    }
+
+    /// The root operator's parameters for `EXPLAIN` output (`k=…`, focal
+    /// points, or the number of post-filtered roles).
+    pub fn detail(&self) -> String {
+        if self.is_post_filtered() {
+            format!("{} filtered roles", self.post.len())
+        } else {
+            self.algorithm_detail()
+        }
     }
 
     /// A one-line, EXPLAIN-style description of the plan.
-    fn explain(&self) -> String {
-        format!(
+    pub fn explain(&self) -> String {
+        let algorithm = format!(
             "{} [{}] -> {:?}",
-            self.name(),
-            self.strategy(),
+            self.algorithm_name(),
+            self.strategy,
             self.schema()
-        )
+        );
+        if self.is_post_filtered() {
+            format!(
+                "{RESIDUAL_FILTER}({} roles) <- {algorithm}",
+                self.post.len()
+            )
+        } else {
+            algorithm
+        }
+    }
+
+    /// Runs the plan. The [`ExecutionMode`] argument is ignored.
+    pub fn execute(&self, _: ExecutionMode) -> QueryResult {
+        self.filter_rows(self.run_algorithm())
+    }
+
+    /// Runs the plan with a per-operator trace: wall time, rows emitted,
+    /// and the [`Metrics`] delta of the algorithm's node, under a
+    /// `residual-filter` root when the plan has post-kNN filters. The root
+    /// trace's `inclusive` equals `result.metrics()` exactly.
+    pub fn execute_traced(&self, _: ExecutionMode) -> (QueryResult, OpTrace) {
+        let start = Instant::now();
+        let result = self.run_algorithm();
+        let algorithm = self.span(self.algorithm_name(), start, &result, Vec::new());
+        if !self.is_post_filtered() {
+            return (result, algorithm);
+        }
+        let result = self.filter_rows(result);
+        let root = self.span(RESIDUAL_FILTER, start, &result, vec![algorithm]);
+        (result, root)
+    }
+
+    /// Whether a `residual-filter` sits over the algorithm.
+    pub(crate) fn is_post_filtered(&self) -> bool {
+        !self.post.is_empty()
+    }
+
+    fn is_pre_filtered(&self) -> bool {
+        !matches!(self.pre, Predicate::True)
+    }
+
+    /// The algorithm node's name.
+    pub(crate) fn algorithm_name(&self) -> &'static str {
+        match self.strategy {
+            Strategy::SelectInner(SelectInnerStrategy::Counting) => "counting",
+            Strategy::SelectInner(SelectInnerStrategy::BlockMarking) => "block-marking",
+            Strategy::SelectInner(SelectInnerStrategy::Conceptual) => "select-inner-conceptual",
+            Strategy::SelectOuter(SelectOuterStrategy::Pushdown) => "outer-pushdown",
+            Strategy::SelectOuter(SelectOuterStrategy::SelectAfterJoin) => {
+                "outer-select-after-join"
+            }
+            Strategy::Unchained(UnchainedStrategy::Conceptual) => "unchained-conceptual",
+            Strategy::Unchained(UnchainedStrategy::BlockMarkingStartWithA) => {
+                "unchained-block-marking(A⋈B first)"
+            }
+            Strategy::Unchained(UnchainedStrategy::BlockMarkingStartWithC) => {
+                "unchained-block-marking(C⋈B first)"
+            }
+            Strategy::Chained(ChainedStrategy::RightDeep) => "chained-right-deep",
+            Strategy::Chained(ChainedStrategy::JoinIntersection) => "chained-join-intersection",
+            Strategy::Chained(ChainedStrategy::NestedJoin) => "chained-nested",
+            Strategy::Chained(ChainedStrategy::NestedJoinCached) => "chained-nested-cached",
+            Strategy::TwoSelects(_) if self.is_pre_filtered() => "filtered-two-selects",
+            Strategy::TwoSelects(TwoSelectsStrategy::Conceptual) => "two-selects-conceptual",
+            Strategy::TwoSelects(TwoSelectsStrategy::TwoKnnSelect) => "2-knn-select",
+            Strategy::Select => "knn-select",
+        }
+    }
+
+    /// The algorithm node's parameters for `EXPLAIN` output.
+    pub(crate) fn algorithm_detail(&self) -> String {
+        let mut detail = match &self.shape {
+            Shape::SelectInner(SelectInnerJoinQuery {
+                k_join,
+                k_select,
+                focal,
+            })
+            | Shape::SelectOuter(SelectOuterJoinQuery {
+                k_join,
+                k_select,
+                focal,
+            }) => format!(
+                "k_join={k_join} k_select={k_select} focal=({}, {})",
+                focal.x, focal.y
+            ),
+            Shape::Unchained(q) => format!("k_ab={} k_cb={}", q.k_ab, q.k_cb),
+            Shape::Chained(q) => format!("k_ab={} k_bc={}", q.k_ab, q.k_bc),
+            Shape::TwoSelects(q) => format!(
+                "k1={} f1=({}, {}) k2={} f2=({}, {})",
+                q.k1, q.f1.x, q.f1.y, q.k2, q.f2.x, q.f2.y
+            ),
+            Shape::Select(q) => format!("k={} focal=({}, {})", q.k, q.focal.x, q.focal.y),
+        };
+        if self.is_pre_filtered() {
+            detail.push_str(" pre-filtered");
+        }
+        detail
+    }
+
+    /// Runs the algorithm node over the pinned relations.
+    fn run_algorithm(&self) -> QueryResult {
+        let role = |i: usize| &*self.relations[i];
+        let strategy = self.strategy;
+        let pairs = |output| QueryResult::Pairs { output, strategy };
+        let triplets = |output| QueryResult::Triplets { output, strategy };
+        let points = |output| QueryResult::Points { output, strategy };
+        match (&self.shape, strategy) {
+            (Shape::SelectInner(q), Strategy::SelectInner(s)) => pairs(match s {
+                SelectInnerStrategy::Counting => counting(role(0), role(1), q),
+                SelectInnerStrategy::BlockMarking => {
+                    block_marking(role(0), role(1), q, &BlockMarkingConfig::default())
+                }
+                SelectInnerStrategy::Conceptual => conceptual(role(0), role(1), q),
+            }),
+            (Shape::SelectOuter(q), Strategy::SelectOuter(s)) => pairs(match s {
+                SelectOuterStrategy::Pushdown => select_on_outer_pushdown(role(0), role(1), q),
+                SelectOuterStrategy::SelectAfterJoin => {
+                    select_on_outer_after_join(role(0), role(1), q)
+                }
+            }),
+            (Shape::Unchained(q), Strategy::Unchained(s)) => triplets(match s {
+                UnchainedStrategy::Conceptual => unchained_conceptual(role(0), role(1), role(2), q),
+                UnchainedStrategy::BlockMarkingStartWithA => {
+                    unchained_block_marking(role(0), role(1), role(2), q)
+                }
+                UnchainedStrategy::BlockMarkingStartWithC => {
+                    // Start with (C ⋈ B): swap the roles of A and C, then swap
+                    // the components back in the emitted triplets.
+                    let swapped = UnchainedJoinQuery::new(q.k_cb, q.k_ab);
+                    let out = unchained_block_marking(role(2), role(1), role(0), &swapped);
+                    QueryOutput::new(
+                        out.rows
+                            .into_iter()
+                            .map(|t| Triplet::new(t.c, t.b, t.a))
+                            .collect(),
+                        out.metrics,
+                    )
+                }
+            }),
+            (Shape::Chained(q), Strategy::Chained(s)) => {
+                let (a, b, c) = (role(0), role(1), role(2));
+                triplets(match s {
+                    ChainedStrategy::RightDeep => chained_right_deep(a, b, c, q),
+                    ChainedStrategy::JoinIntersection => chained_join_intersection(a, b, c, q),
+                    ChainedStrategy::NestedJoin => chained_nested(a, b, c, q),
+                    ChainedStrategy::NestedJoinCached => chained_nested_cached(a, b, c, q),
+                })
+            }
+            // Procedure 5's bounded locality is not established under a
+            // pre-filter, so both filtered selects run in full through the
+            // masked kernel and intersect — the conceptual QEP of Figure 16
+            // made filter-aware, whichever strategy the optimizer picked.
+            (Shape::TwoSelects(q), Strategy::TwoSelects(_)) if self.is_pre_filtered() => {
+                let mut metrics = Metrics::default();
+                let mut select = |k, focal| {
+                    knn_select_filtered_neighborhood(role(0), &focal, k, &self.pre, &mut metrics)
+                };
+                let nbr1 = select(q.k1, q.f1);
+                let nbr2 = select(q.k2, q.f2);
+                points(intersect_output(&nbr1, &nbr2, metrics))
+            }
+            // Two selects are two neighborhood walks and a single select is
+            // one — too little work to fan out; batch-level parallelism
+            // covers the many-query case.
+            (Shape::TwoSelects(q), Strategy::TwoSelects(s)) => points(match s {
+                TwoSelectsStrategy::Conceptual => two_selects_conceptual(role(0), q),
+                TwoSelectsStrategy::TwoKnnSelect => two_knn_select(role(0), q),
+            }),
+            (Shape::Select(q), Strategy::Select) => {
+                points(knn_select_filtered(role(0), &q.focal, q.k, &self.pre))
+            }
+            _ => unreachable!("compile pairs every strategy with its own query shape"),
+        }
+    }
+
+    /// The residual filter: keeps the rows whose post-filtered components
+    /// match and resets `tuples_emitted` to the surviving row count. A plan
+    /// without post-kNN filters passes the result through untouched.
+    fn filter_rows(&self, result: QueryResult) -> QueryResult {
+        if !self.is_post_filtered() {
+            return result;
+        }
+        let keep = |components: &[&Point]| {
+            self.post
+                .iter()
+                .all(|(role, predicate)| predicate.matches_point(components[*role]))
+        };
+        fn retain<R>(mut output: QueryOutput<R>, keep: impl FnMut(&R) -> bool) -> QueryOutput<R> {
+            output.rows.retain(keep);
+            output.metrics.tuples_emitted = output.rows.len() as u64;
+            output
+        }
+        match result {
+            QueryResult::Pairs { output, strategy } => QueryResult::Pairs {
+                output: retain(output, |p| keep(&[&p.left, &p.right])),
+                strategy,
+            },
+            QueryResult::Triplets { output, strategy } => QueryResult::Triplets {
+                output: retain(output, |t| keep(&[&t.a, &t.b, &t.c])),
+                strategy,
+            },
+            QueryResult::Points { output, strategy } => QueryResult::Points {
+                output: retain(output, |p| keep(&[p])),
+                strategy,
+            },
+        }
+    }
+
+    /// One operator's trace span, from `start` to now.
+    fn span(
+        &self,
+        name: &'static str,
+        start: Instant,
+        result: &QueryResult,
+        children: Vec<OpTrace>,
+    ) -> OpTrace {
+        OpTrace {
+            name,
+            strategy: self.strategy,
+            rows: result.num_rows(),
+            wall: start.elapsed(),
+            inclusive: result.metrics(),
+            children,
+        }
     }
 }
 
-/// Compiles a `(spec, strategy)` pair into an executable operator, resolving
+/// Compiles a `(spec, strategy)` pair into an executable plan, resolving
 /// relation names against a pinned [`DbSnapshot`].
+///
+/// One pass checks that the strategy fits the query shape, pins each role,
+/// turns a select's pre-kNN filter into its kernel's mask, materializes a
+/// pre-filtered join outer (once per relation, however many outer roles it
+/// plays), and resolves post-kNN filters to role indices.
 ///
 /// The returned plan holds shared handles to the snapshot's relation
 /// versions, so it is `'static`: it outlives the `DbSnapshot` it was
@@ -193,210 +441,98 @@ pub trait PhysicalPlan: Send + Sync {
 ///
 /// # Errors
 ///
-/// [`QueryError::UnknownRelation`] for unresolved names, and
-/// [`QueryError::UnsupportedPlanShape`] when the strategy family does not
-/// match the query shape.
+/// [`QueryError::UnknownRelation`] for unresolved names (in the spec or its
+/// filters), [`QueryError::InvalidTransformation`] for a pre-kNN filter on
+/// a join's inner role, and [`QueryError::UnsupportedPlanShape`] when the
+/// strategy family does not match the query shape or filters nest.
 pub fn compile(
     snapshot: &DbSnapshot,
     spec: &QuerySpec,
     strategy: Strategy,
-) -> Result<Box<dyn PhysicalPlan>, QueryError> {
-    match spec {
+) -> Result<PhysicalPlan, QueryError> {
+    let (spec, filters) = match spec {
         QuerySpec::Filtered { spec, filters } => {
-            compile_filtered(snapshot, spec, filters, strategy)
-        }
-        _ => compile_with_overrides(snapshot, spec, strategy, &BTreeMap::new()),
-    }
-}
-
-/// The filter-free compile path, with an escape hatch: relation names in
-/// `overrides` resolve to the supplied (typically pre-filtered) index
-/// instead of the snapshot. [`compile_filtered`] uses this to push a valid
-/// pre-kNN filter below a join's outer role without every operator having
-/// to learn about predicates.
-fn compile_with_overrides(
-    snapshot: &DbSnapshot,
-    spec: &QuerySpec,
-    strategy: Strategy,
-    overrides: &BTreeMap<String, Relation>,
-) -> Result<Box<dyn PhysicalPlan>, QueryError> {
-    let pin = |name: &str| -> Result<Relation, QueryError> {
-        if let Some(filtered) = overrides.get(name) {
-            return Ok(Arc::clone(filtered));
-        }
-        Ok(Arc::clone(snapshot.snapshot(name)?) as Relation)
-    };
-    match (spec, strategy) {
-        (
-            QuerySpec::SelectInnerOfJoin {
-                outer,
-                inner,
-                query,
-            },
-            Strategy::SelectInner(s),
-        ) => {
-            let outer = pin(outer)?;
-            let inner = pin(inner)?;
-            Ok(match s {
-                SelectInnerStrategy::Counting => Box::new(CountingOp {
-                    outer,
-                    inner,
-                    query: *query,
-                }),
-                SelectInnerStrategy::BlockMarking => Box::new(BlockMarkingOp {
-                    outer,
-                    inner,
-                    query: *query,
-                    config: BlockMarkingConfig::default(),
-                }),
-                SelectInnerStrategy::Conceptual => Box::new(SelectInnerConceptualOp {
-                    outer,
-                    inner,
-                    query: *query,
-                }),
-            })
-        }
-        (
-            QuerySpec::SelectOuterOfJoin {
-                outer,
-                inner,
-                query,
-            },
-            Strategy::SelectOuter(s),
-        ) => Ok(Box::new(OuterPushdownOp {
-            outer: pin(outer)?,
-            inner: pin(inner)?,
-            query: *query,
-            strategy: s,
-        })),
-        (QuerySpec::UnchainedJoins { a, b, c, query }, Strategy::Unchained(s)) => {
-            Ok(Box::new(UnchainedJoinsOp {
-                a: pin(a)?,
-                b: pin(b)?,
-                c: pin(c)?,
-                query: *query,
-                strategy: s,
-            }))
-        }
-        (QuerySpec::ChainedJoins { a, b, c, query }, Strategy::Chained(s)) => {
-            Ok(Box::new(ChainedJoinsOp {
-                a: pin(a)?,
-                b: pin(b)?,
-                c: pin(c)?,
-                query: *query,
-                strategy: s,
-            }))
-        }
-        (QuerySpec::TwoSelects { relation, query }, Strategy::TwoSelects(s)) => {
-            Ok(Box::new(TwoSelectsOp {
-                relation: pin(relation)?,
-                query: *query,
-                strategy: s,
-            }))
-        }
-        (QuerySpec::KnnSelect { relation, query }, Strategy::Select) => Ok(Box::new(KnnSelectOp {
-            relation: pin(relation)?,
-            query: query.clone(),
-            predicate: Predicate::True,
-        })),
-        (spec, strategy) => Err(QueryError::UnsupportedPlanShape {
-            description: format!("strategy {strategy} does not match query {spec:?}"),
-        }),
-    }
-}
-
-/// Compiles a [`QuerySpec::Filtered`] query: validates filter placement,
-/// threads pre-kNN filters into the wrapped shape, and wraps post-kNN
-/// filters as a [`ResidualFilterOp`].
-fn compile_filtered(
-    snapshot: &DbSnapshot,
-    inner: &QuerySpec,
-    filters: &QueryFilters,
-    strategy: Strategy,
-) -> Result<Box<dyn PhysicalPlan>, QueryError> {
-    if matches!(inner, QuerySpec::Filtered { .. }) {
-        return Err(QueryError::UnsupportedPlanShape {
-            description: "nested Filtered query specs are not supported; merge the filters \
-                          into one wrapper"
-                .into(),
-        });
-    }
-    validate_filter_placement(inner, filters)?;
-    let mismatch = || QueryError::UnsupportedPlanShape {
-        description: format!("strategy {strategy} does not match query {inner:?}"),
-    };
-    let pre = |relation: &str| -> Predicate {
-        filters
-            .pre
-            .get(relation)
-            .cloned()
-            .unwrap_or(Predicate::True)
-    };
-    let plan: Box<dyn PhysicalPlan> = match inner {
-        // Single select: the pre-filter IS the masked kernel's predicate.
-        QuerySpec::KnnSelect { relation, query } => {
-            if strategy != Strategy::Select {
-                return Err(mismatch());
+            if matches!(**spec, QuerySpec::Filtered { .. }) {
+                return Err(QueryError::UnsupportedPlanShape {
+                    description: "nested Filtered query specs are not supported; merge the \
+                                  filters into one wrapper"
+                        .into(),
+                });
             }
-            Box::new(KnnSelectOp {
-                relation: Arc::clone(snapshot.snapshot(relation)?) as Relation,
-                query: query.clone(),
-                predicate: pre(relation),
-            })
+            validate_filter_placement(spec, filters)?;
+            (&**spec, Some(filters))
         }
-        // Two selects under a pre-filter: the bounded-locality 2-kNN-select
-        // (Procedure 5) is not established under filtering, so both filtered
-        // selects run in full through the masked kernel and intersect — the
-        // conceptual QEP of Figure 16, filter-aware.
-        QuerySpec::TwoSelects { relation, query } if !matches!(pre(relation), Predicate::True) => {
-            let Strategy::TwoSelects(s) = strategy else {
-                return Err(mismatch());
-            };
-            Box::new(FilteredTwoSelectsOp {
-                relation: Arc::clone(snapshot.snapshot(relation)?) as Relation,
-                query: *query,
-                predicate: pre(relation),
-                strategy: s,
-            })
+        spec => (spec, None),
+    };
+    let shape = match (spec, strategy) {
+        (QuerySpec::SelectInnerOfJoin { query, .. }, Strategy::SelectInner(_)) => {
+            Shape::SelectInner(*query)
         }
-        // Join shapes (and unfiltered two-selects): pre-filters sit on
-        // outer roles only (the validator guarantees it), so each one
-        // materializes a filtered copy of its relation and the wrapped
-        // shape compiles unchanged against the override.
+        (QuerySpec::SelectOuterOfJoin { query, .. }, Strategy::SelectOuter(_)) => {
+            Shape::SelectOuter(*query)
+        }
+        (QuerySpec::UnchainedJoins { query, .. }, Strategy::Unchained(_)) => {
+            Shape::Unchained(*query)
+        }
+        (QuerySpec::ChainedJoins { query, .. }, Strategy::Chained(_)) => Shape::Chained(*query),
+        (QuerySpec::TwoSelects { query, .. }, Strategy::TwoSelects(_)) => Shape::TwoSelects(*query),
+        (QuerySpec::KnnSelect { query, .. }, Strategy::Select) => Shape::Select(query.clone()),
         _ => {
-            let mut overrides = BTreeMap::new();
-            for (name, predicate) in &filters.pre {
-                if matches!(predicate, Predicate::True) {
-                    continue;
-                }
-                let base = Arc::clone(snapshot.snapshot(name)?) as Relation;
-                overrides.insert(name.clone(), materialize_filtered(&base, predicate)?);
-            }
-            compile_with_overrides(snapshot, inner, strategy, &overrides)?
+            return Err(QueryError::UnsupportedPlanShape {
+                description: format!("strategy {strategy} does not match query {spec:?}"),
+            })
         }
     };
+    // The filter on `name` in one placement, unless it keeps every point.
+    fn placed<'f>(placement: &'f BTreeMap<String, Predicate>, name: &str) -> Option<&'f Predicate> {
+        placement
+            .get(name)
+            .filter(|predicate| !matches!(predicate, Predicate::True))
+    }
+    let pre_filter = |name: &str| filters.and_then(|filters| placed(&filters.pre, name));
+    // A select's pre-filter is its kernel's mask; a join's (outer roles
+    // only, the validator guarantees it) materializes a filtered copy.
+    let (pre, is_join) = match spec {
+        QuerySpec::TwoSelects { relation, .. } | QuerySpec::KnnSelect { relation, .. } => {
+            (pre_filter(relation).cloned(), false)
+        }
+        _ => (None, true),
+    };
+    let mut materialized: Vec<(&str, Relation)> = Vec::new();
+    let relations = spec
+        .relations()
+        .into_iter()
+        .map(|name| -> Result<Relation, QueryError> {
+            let base = snapshot.snapshot(name)?;
+            let Some(predicate) = pre_filter(name).filter(|_| is_join) else {
+                return Ok(Arc::clone(base) as Relation);
+            };
+            if let Some((_, copy)) = materialized.iter().find(|(done, _)| *done == name) {
+                return Ok(Arc::clone(copy));
+            }
+            let copy = materialize_filtered(&**base, predicate)?;
+            materialized.push((name, Arc::clone(&copy)));
+            Ok(copy)
+        })
+        .collect::<Result<Vec<Relation>, QueryError>>()?;
     // Post-filters resolve to role indices against the row components: a
     // relation playing several roles is filtered in every one of them.
-    let roles = inner.relations();
-    let mut post: Vec<(usize, Predicate)> = Vec::new();
-    for (name, predicate) in &filters.post {
-        if matches!(predicate, Predicate::True) {
-            continue;
-        }
-        for (idx, role) in roles.iter().enumerate() {
-            if role == name {
-                post.push((idx, predicate.clone()));
-            }
-        }
-    }
-    if post.is_empty() {
-        Ok(plan)
-    } else {
-        Ok(Box::new(ResidualFilterOp {
-            input: plan,
-            filters: post,
-        }))
-    }
+    let post = match filters {
+        Some(filters) => spec
+            .relations()
+            .into_iter()
+            .enumerate()
+            .filter_map(|(role, name)| Some((role, placed(&filters.post, name)?.clone())))
+            .collect(),
+        None => Vec::new(),
+    };
+    Ok(PhysicalPlan {
+        shape,
+        strategy,
+        relations,
+        pre: pre.unwrap_or(Predicate::True),
+        post,
+    })
 }
 
 /// Checks that every filtered relation name exists in the wrapped shape and
@@ -445,9 +581,12 @@ fn validate_filter_placement(inner: &QuerySpec, filters: &QueryFilters) -> Resul
 /// Materializes the subset of `base` matching `predicate` as a fresh
 /// [`GridIndex`] over the **base relation's bounds** (so MINDIST geometry
 /// stays comparable), sized for ~64 points per occupied block. An empty
-/// match is fine — the downstream operators already handle relations with
+/// match is fine — the join algorithms already handle relations with
 /// fewer points than `k`.
-fn materialize_filtered(base: &Relation, predicate: &Predicate) -> Result<Relation, QueryError> {
+fn materialize_filtered(
+    base: &dyn SpatialIndex,
+    predicate: &Predicate,
+) -> Result<Relation, QueryError> {
     let points: Vec<Point> = base
         .all_points()
         .into_iter()
@@ -460,556 +599,6 @@ fn materialize_filtered(base: &Relation, predicate: &Predicate) -> Result<Relati
         }
     })?;
     Ok(Arc::new(index) as Relation)
-}
-
-/// Shared [`PhysicalPlan::detail`] rendering for the select-inner family.
-fn select_inner_detail(query: &SelectInnerJoinQuery) -> String {
-    format!(
-        "k_join={} k_select={} focal=({}, {})",
-        query.k_join, query.k_select, query.focal.x, query.focal.y
-    )
-}
-
-/// Shared [`PhysicalPlan::detail`] rendering for the two-selects family.
-fn two_selects_detail(query: &TwoSelectsQuery) -> String {
-    format!(
-        "k1={} f1=({}, {}) k2={} f2=({}, {})",
-        query.k1, query.f1.x, query.f1.y, query.k2, query.f2.x, query.f2.y
-    )
-}
-
-/// The Counting algorithm (Procedure 1) bound to its relations.
-pub struct CountingOp {
-    /// The outer relation `E1`.
-    pub outer: Relation,
-    /// The inner relation `E2`.
-    pub inner: Relation,
-    /// Query parameters.
-    pub query: SelectInnerJoinQuery,
-}
-
-impl PhysicalPlan for CountingOp {
-    fn name(&self) -> &'static str {
-        "counting"
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::SelectInner(SelectInnerStrategy::Counting)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Pairs
-    }
-
-    fn execute(&self, _: ExecutionMode) -> QueryResult {
-        QueryResult::Pairs {
-            output: counting(&*self.outer, &*self.inner, &self.query),
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        select_inner_detail(&self.query)
-    }
-}
-
-/// The Block-Marking algorithm (Procedures 2–3) bound to its relations.
-pub struct BlockMarkingOp {
-    /// The outer relation `E1`.
-    pub outer: Relation,
-    /// The inner relation `E2`.
-    pub inner: Relation,
-    /// Query parameters.
-    pub query: SelectInnerJoinQuery,
-    /// Tuning knobs (contour pruning on/off).
-    pub config: BlockMarkingConfig,
-}
-
-impl PhysicalPlan for BlockMarkingOp {
-    fn name(&self) -> &'static str {
-        "block-marking"
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::SelectInner(SelectInnerStrategy::BlockMarking)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Pairs
-    }
-
-    fn execute(&self, _: ExecutionMode) -> QueryResult {
-        QueryResult::Pairs {
-            output: block_marking(&*self.outer, &*self.inner, &self.query, &self.config),
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        select_inner_detail(&self.query)
-    }
-}
-
-/// The conceptually correct join-then-intersect QEP (Figure 1).
-pub struct SelectInnerConceptualOp {
-    /// The outer relation `E1`.
-    pub outer: Relation,
-    /// The inner relation `E2`.
-    pub inner: Relation,
-    /// Query parameters.
-    pub query: SelectInnerJoinQuery,
-}
-
-impl PhysicalPlan for SelectInnerConceptualOp {
-    fn name(&self) -> &'static str {
-        "select-inner-conceptual"
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::SelectInner(SelectInnerStrategy::Conceptual)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Pairs
-    }
-
-    fn execute(&self, _: ExecutionMode) -> QueryResult {
-        QueryResult::Pairs {
-            output: conceptual(&*self.outer, &*self.inner, &self.query),
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        select_inner_detail(&self.query)
-    }
-}
-
-/// The select-on-outer operator (Figure 3): the valid pushdown, or the
-/// reference select-after-join plan.
-pub struct OuterPushdownOp {
-    /// The outer relation `E1`.
-    pub outer: Relation,
-    /// The inner relation `E2`.
-    pub inner: Relation,
-    /// Query parameters.
-    pub query: SelectOuterJoinQuery,
-    /// Which of the two equivalent QEPs to run.
-    pub strategy: SelectOuterStrategy,
-}
-
-impl PhysicalPlan for OuterPushdownOp {
-    fn name(&self) -> &'static str {
-        match self.strategy {
-            SelectOuterStrategy::Pushdown => "outer-pushdown",
-            SelectOuterStrategy::SelectAfterJoin => "outer-select-after-join",
-        }
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::SelectOuter(self.strategy)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Pairs
-    }
-
-    fn execute(&self, _: ExecutionMode) -> QueryResult {
-        let output = match self.strategy {
-            SelectOuterStrategy::Pushdown => {
-                select_on_outer_pushdown(&*self.outer, &*self.inner, &self.query)
-            }
-            SelectOuterStrategy::SelectAfterJoin => {
-                select_on_outer_after_join(&*self.outer, &*self.inner, &self.query)
-            }
-        };
-        QueryResult::Pairs {
-            output,
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        format!(
-            "k_join={} k_select={} focal=({}, {})",
-            self.query.k_join, self.query.k_select, self.query.focal.x, self.query.focal.y
-        )
-    }
-}
-
-/// Two unchained kNN-joins `(A ⋈ B) ∩_B (C ⋈ B)` (Section 4.1).
-pub struct UnchainedJoinsOp {
-    /// Relation `A`.
-    pub a: Relation,
-    /// The shared inner relation `B`.
-    pub b: Relation,
-    /// Relation `C`.
-    pub c: Relation,
-    /// Query parameters.
-    pub query: UnchainedJoinQuery,
-    /// Which evaluation order / algorithm to run.
-    pub strategy: UnchainedStrategy,
-}
-
-impl PhysicalPlan for UnchainedJoinsOp {
-    fn name(&self) -> &'static str {
-        match self.strategy {
-            UnchainedStrategy::Conceptual => "unchained-conceptual",
-            UnchainedStrategy::BlockMarkingStartWithA => "unchained-block-marking(A⋈B first)",
-            UnchainedStrategy::BlockMarkingStartWithC => "unchained-block-marking(C⋈B first)",
-        }
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::Unchained(self.strategy)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Triplets
-    }
-
-    fn execute(&self, _: ExecutionMode) -> QueryResult {
-        let output = match self.strategy {
-            UnchainedStrategy::Conceptual => {
-                unchained_conceptual(&*self.a, &*self.b, &*self.c, &self.query)
-            }
-            UnchainedStrategy::BlockMarkingStartWithA => {
-                unchained_block_marking(&*self.a, &*self.b, &*self.c, &self.query)
-            }
-            UnchainedStrategy::BlockMarkingStartWithC => {
-                // Start with (C ⋈ B): swap the roles of A and C, then swap the
-                // components back in the emitted triplets.
-                let swapped = UnchainedJoinQuery::new(self.query.k_cb, self.query.k_ab);
-                let out = unchained_block_marking(&*self.c, &*self.b, &*self.a, &swapped);
-                QueryOutput::new(
-                    out.rows
-                        .into_iter()
-                        .map(|t| Triplet::new(t.c, t.b, t.a))
-                        .collect(),
-                    out.metrics,
-                )
-            }
-        };
-        QueryResult::Triplets {
-            output,
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        format!("k_ab={} k_cb={}", self.query.k_ab, self.query.k_cb)
-    }
-}
-
-/// Two chained kNN-joins `A → B → C` (Section 4.2).
-pub struct ChainedJoinsOp {
-    /// Relation `A`.
-    pub a: Relation,
-    /// The middle relation `B`.
-    pub b: Relation,
-    /// Relation `C`.
-    pub c: Relation,
-    /// Query parameters.
-    pub query: ChainedJoinQuery,
-    /// Which of the equivalent QEPs to run.
-    pub strategy: ChainedStrategy,
-}
-
-impl PhysicalPlan for ChainedJoinsOp {
-    fn name(&self) -> &'static str {
-        match self.strategy {
-            ChainedStrategy::RightDeep => "chained-right-deep",
-            ChainedStrategy::JoinIntersection => "chained-join-intersection",
-            ChainedStrategy::NestedJoin => "chained-nested",
-            ChainedStrategy::NestedJoinCached => "chained-nested-cached",
-        }
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::Chained(self.strategy)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Triplets
-    }
-
-    fn execute(&self, _: ExecutionMode) -> QueryResult {
-        let output = match self.strategy {
-            ChainedStrategy::RightDeep => {
-                chained_right_deep(&*self.a, &*self.b, &*self.c, &self.query)
-            }
-            ChainedStrategy::JoinIntersection => {
-                chained_join_intersection(&*self.a, &*self.b, &*self.c, &self.query)
-            }
-            ChainedStrategy::NestedJoin => {
-                chained_nested(&*self.a, &*self.b, &*self.c, &self.query)
-            }
-            ChainedStrategy::NestedJoinCached => {
-                chained_nested_cached(&*self.a, &*self.b, &*self.c, &self.query)
-            }
-        };
-        QueryResult::Triplets {
-            output,
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        format!("k_ab={} k_bc={}", self.query.k_ab, self.query.k_bc)
-    }
-}
-
-/// Two kNN-selects over one relation (Section 5).
-pub struct TwoSelectsOp {
-    /// The relation both selects run against.
-    pub relation: Relation,
-    /// Query parameters.
-    pub query: TwoSelectsQuery,
-    /// Which of the two equivalent QEPs to run.
-    pub strategy: TwoSelectsStrategy,
-}
-
-impl PhysicalPlan for TwoSelectsOp {
-    fn name(&self) -> &'static str {
-        match self.strategy {
-            TwoSelectsStrategy::Conceptual => "two-selects-conceptual",
-            TwoSelectsStrategy::TwoKnnSelect => "2-knn-select",
-        }
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::TwoSelects(self.strategy)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Points
-    }
-
-    fn execute(&self, _: ExecutionMode) -> QueryResult {
-        // Two selects are two neighborhood walks — too little work to fan
-        // out; batch-level parallelism covers the many-query case.
-        let output = match self.strategy {
-            TwoSelectsStrategy::Conceptual => two_selects_conceptual(&*self.relation, &self.query),
-            TwoSelectsStrategy::TwoKnnSelect => two_knn_select(&*self.relation, &self.query),
-        };
-        QueryResult::Points {
-            output,
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        two_selects_detail(&self.query)
-    }
-}
-
-/// A single kNN-select `σ_{k,f}(E)`, optionally restricted to the points
-/// matching a **pre-kNN** predicate: "the k nearest *matching* points".
-pub struct KnnSelectOp {
-    /// The relation the select runs against.
-    pub relation: Relation,
-    /// Query parameters.
-    pub query: KnnSelectQuery,
-    /// The pre-kNN filter; [`Predicate::True`] for the unfiltered select.
-    pub predicate: Predicate,
-}
-
-impl PhysicalPlan for KnnSelectOp {
-    fn name(&self) -> &'static str {
-        "knn-select"
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::Select
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Points
-    }
-
-    fn execute(&self, _: ExecutionMode) -> QueryResult {
-        // A single select is one neighborhood computation — inherently
-        // sequential; batch-level parallelism covers the many-query case.
-        let output = knn_select_filtered(
-            &*self.relation,
-            &self.query.focal,
-            self.query.k,
-            &self.predicate,
-        );
-        QueryResult::Points {
-            output,
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        let mut detail = format!(
-            "k={} focal=({}, {})",
-            self.query.k, self.query.focal.x, self.query.focal.y
-        );
-        if !matches!(self.predicate, Predicate::True) {
-            detail.push_str(" pre-filtered");
-        }
-        detail
-    }
-}
-
-/// Two kNN-selects under one **pre-kNN** filter: both filtered selects run
-/// in full through the masked kernel and their results intersect — the
-/// conceptual QEP of Figure 16 made filter-aware. (Procedure 5's bounded
-/// locality is not established under filtering, so it is never used here.)
-pub struct FilteredTwoSelectsOp {
-    /// The relation both selects run against.
-    pub relation: Relation,
-    /// Query parameters.
-    pub query: TwoSelectsQuery,
-    /// The pre-kNN filter both selects apply.
-    pub predicate: Predicate,
-    /// The strategy the optimizer picked for the wrapped shape (reported,
-    /// not dispatched on — filtering forces the conceptual evaluation).
-    pub strategy: TwoSelectsStrategy,
-}
-
-impl PhysicalPlan for FilteredTwoSelectsOp {
-    fn name(&self) -> &'static str {
-        "filtered-two-selects"
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::TwoSelects(self.strategy)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Points
-    }
-
-    fn execute(&self, _: ExecutionMode) -> QueryResult {
-        let mut metrics = Metrics::default();
-        let mut select = |k, focal| {
-            knn_select_filtered_neighborhood(
-                &*self.relation,
-                &focal,
-                k,
-                &self.predicate,
-                &mut metrics,
-            )
-        };
-        let nbr1 = select(self.query.k1, self.query.f1);
-        let nbr2 = select(self.query.k2, self.query.f2);
-        QueryResult::Points {
-            output: intersect_output(&nbr1, &nbr2, metrics),
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        format!("{} pre-filtered", two_selects_detail(&self.query))
-    }
-}
-
-/// The **post-kNN** residual filter: runs any wrapped plan, then keeps only
-/// the rows whose filtered components match. Filters are `(role index,
-/// predicate)` pairs resolved against the row components in relation-role
-/// order (pair: `0 = outer`, `1 = inner`; triplet: `0 = a`, `1 = b`,
-/// `2 = c`; point: `0`).
-pub struct ResidualFilterOp {
-    /// The plan producing the unfiltered rows.
-    pub input: Box<dyn PhysicalPlan>,
-    /// Component filters, by role index.
-    pub filters: Vec<(usize, Predicate)>,
-}
-
-impl ResidualFilterOp {
-    fn row_matches(&self, components: &[&Point]) -> bool {
-        self.filters
-            .iter()
-            .all(|(idx, predicate)| predicate.matches_point(components[*idx]))
-    }
-
-    /// Prunes an input result's rows by the component filters, resetting
-    /// `tuples_emitted` to the surviving row count — the shared step behind
-    /// both [`PhysicalPlan::execute`] and [`PhysicalPlan::execute_traced`].
-    fn apply(&self, input: QueryResult) -> QueryResult {
-        match input {
-            QueryResult::Pairs {
-                mut output,
-                strategy,
-            } => {
-                output
-                    .rows
-                    .retain(|p| self.row_matches(&[&p.left, &p.right]));
-                output.metrics.tuples_emitted = output.rows.len() as u64;
-                QueryResult::Pairs { output, strategy }
-            }
-            QueryResult::Triplets {
-                mut output,
-                strategy,
-            } => {
-                output
-                    .rows
-                    .retain(|t| self.row_matches(&[&t.a, &t.b, &t.c]));
-                output.metrics.tuples_emitted = output.rows.len() as u64;
-                QueryResult::Triplets { output, strategy }
-            }
-            QueryResult::Points {
-                mut output,
-                strategy,
-            } => {
-                output.rows.retain(|p| self.row_matches(&[p]));
-                output.metrics.tuples_emitted = output.rows.len() as u64;
-                QueryResult::Points { output, strategy }
-            }
-        }
-    }
-}
-
-impl PhysicalPlan for ResidualFilterOp {
-    fn name(&self) -> &'static str {
-        "residual-filter"
-    }
-
-    fn strategy(&self) -> Strategy {
-        self.input.strategy()
-    }
-
-    fn schema(&self) -> RowSchema {
-        self.input.schema()
-    }
-
-    fn execute(&self, _: ExecutionMode) -> QueryResult {
-        self.apply(self.input.execute(ExecutionMode))
-    }
-
-    fn execute_traced(&self, _: ExecutionMode) -> (QueryResult, crate::obs::OpTrace) {
-        let start = std::time::Instant::now();
-        let (input, child) = self.input.execute_traced(ExecutionMode);
-        let result = self.apply(input);
-        let trace = crate::obs::OpTrace {
-            name: self.name(),
-            strategy: self.strategy(),
-            rows: result.num_rows(),
-            wall: start.elapsed(),
-            inclusive: result.metrics(),
-            children: vec![child],
-        };
-        (result, trace)
-    }
-
-    fn detail(&self) -> String {
-        format!("{} filtered roles", self.filters.len())
-    }
-
-    fn children(&self) -> Vec<&dyn PhysicalPlan> {
-        vec![&*self.input]
-    }
-
-    fn explain(&self) -> String {
-        format!(
-            "residual-filter({} roles) <- {}",
-            self.filters.len(),
-            self.input.explain()
-        )
-    }
 }
 
 #[cfg(test)]

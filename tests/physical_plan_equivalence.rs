@@ -11,10 +11,12 @@
 //! `TWOKNN_THREADS` say, and the pool of one — the serial evaluation — is
 //! the reference.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use two_knn::core::joins2::{ChainedJoinQuery, UnchainedJoinQuery};
+use two_knn::core::obs::{OpNode, PlanExplain};
 use two_knn::core::plan::{
     compile, ChainedStrategy, Database, QueryFilters, QueryResult, QuerySpec, RowSchema,
     SelectInnerStrategy, SelectOuterStrategy, Strategy, TwoSelectsStrategy, UnchainedStrategy,
@@ -183,6 +185,43 @@ fn specs() -> Vec<(QuerySpec, RowSchema)> {
                 Predicate::InRect(Rect::new(45_000.0, 43_000.0, 57_000.0, 54_000.0)),
             )),
             RowSchema::Points,
+        ),
+        // A pre-filter alone on a select: the masked kernel, no residual.
+        (
+            QuerySpec::KnnSelect {
+                relation: "B".into(),
+                query: KnnSelectQuery { k: 12, focal },
+            }
+            .with_filters(QueryFilters::none().pre(
+                "B",
+                Predicate::InRect(Rect::new(45_000.0, 43_000.0, 57_000.0, 54_000.0)),
+            )),
+            RowSchema::Points,
+        ),
+        // A pre-filter on a join's outer role: the join runs against a
+        // materialized filtered copy of `A`.
+        (
+            QuerySpec::SelectInnerOfJoin {
+                outer: "A".into(),
+                inner: "B".into(),
+                query: SelectInnerJoinQuery::new(3, 6, focal),
+            }
+            .with_filters(QueryFilters::none().pre(
+                "A",
+                Predicate::InRect(Rect::new(40_000.0, 37_000.0, 64_000.0, 61_000.0)),
+            )),
+            RowSchema::Pairs,
+        ),
+        // A post filter on a join: a residual filter over the triplets.
+        (
+            QuerySpec::UnchainedJoins {
+                a: "A".into(),
+                b: "B".into(),
+                c: "C".into(),
+                query: UnchainedJoinQuery::new(2, 3),
+            }
+            .with_filters(QueryFilters::none().post("B", Predicate::IdRange { lo: 0, hi: 700 })),
+            RowSchema::Triplets,
         ),
     ]
 }
@@ -357,18 +396,189 @@ fn execute_batch_agrees_across_explicit_pool_sizes() {
     }
 }
 
-/// The compile step exposes the plan without running it, and the explain
-/// string names the operator.
+/// The operator every `specs()` × `strategies_for` plan compiles to, in
+/// iteration order: its `name()`, its one-line `explain()`, and the
+/// `plan:` section of its EXPLAIN tree.
+const OPERATORS: &[(&str, &str, &str)] = &[
+    (
+        "select-inner-conceptual",
+        "select-inner-conceptual [select-inner/Conceptual] -> Pairs",
+        "  select-inner-conceptual [select-inner/Conceptual] -> Pairs (k_join=3 k_select=6 focal=(52000, 49000))\n",
+    ),
+    (
+        "counting",
+        "counting [select-inner/Counting] -> Pairs",
+        "  counting [select-inner/Counting] -> Pairs (k_join=3 k_select=6 focal=(52000, 49000))\n",
+    ),
+    (
+        "block-marking",
+        "block-marking [select-inner/BlockMarking] -> Pairs",
+        "  block-marking [select-inner/BlockMarking] -> Pairs (k_join=3 k_select=6 focal=(52000, 49000))\n",
+    ),
+    (
+        "outer-select-after-join",
+        "outer-select-after-join [select-outer/SelectAfterJoin] -> Pairs",
+        "  outer-select-after-join [select-outer/SelectAfterJoin] -> Pairs (k_join=3 k_select=5 focal=(52000, 49000))\n",
+    ),
+    (
+        "outer-pushdown",
+        "outer-pushdown [select-outer/Pushdown] -> Pairs",
+        "  outer-pushdown [select-outer/Pushdown] -> Pairs (k_join=3 k_select=5 focal=(52000, 49000))\n",
+    ),
+    (
+        "unchained-conceptual",
+        "unchained-conceptual [unchained/Conceptual] -> Triplets",
+        "  unchained-conceptual [unchained/Conceptual] -> Triplets (k_ab=2 k_cb=3)\n",
+    ),
+    (
+        "unchained-block-marking(A⋈B first)",
+        "unchained-block-marking(A⋈B first) [unchained/BlockMarkingStartWithA] -> Triplets",
+        "  unchained-block-marking(A⋈B first) [unchained/BlockMarkingStartWithA] -> Triplets (k_ab=2 k_cb=3)\n",
+    ),
+    (
+        "unchained-block-marking(C⋈B first)",
+        "unchained-block-marking(C⋈B first) [unchained/BlockMarkingStartWithC] -> Triplets",
+        "  unchained-block-marking(C⋈B first) [unchained/BlockMarkingStartWithC] -> Triplets (k_ab=2 k_cb=3)\n",
+    ),
+    (
+        "chained-right-deep",
+        "chained-right-deep [chained/RightDeep] -> Triplets",
+        "  chained-right-deep [chained/RightDeep] -> Triplets (k_ab=2 k_bc=2)\n",
+    ),
+    (
+        "chained-join-intersection",
+        "chained-join-intersection [chained/JoinIntersection] -> Triplets",
+        "  chained-join-intersection [chained/JoinIntersection] -> Triplets (k_ab=2 k_bc=2)\n",
+    ),
+    (
+        "chained-nested",
+        "chained-nested [chained/NestedJoin] -> Triplets",
+        "  chained-nested [chained/NestedJoin] -> Triplets (k_ab=2 k_bc=2)\n",
+    ),
+    (
+        "chained-nested-cached",
+        "chained-nested-cached [chained/NestedJoinCached] -> Triplets",
+        "  chained-nested-cached [chained/NestedJoinCached] -> Triplets (k_ab=2 k_bc=2)\n",
+    ),
+    (
+        "two-selects-conceptual",
+        "two-selects-conceptual [two-selects/Conceptual] -> Points",
+        "  two-selects-conceptual [two-selects/Conceptual] -> Points (k1=8 f1=(52000, 49000) k2=64 f2=(48500, 51500))\n",
+    ),
+    (
+        "2-knn-select",
+        "2-knn-select [two-selects/TwoKnnSelect] -> Points",
+        "  2-knn-select [two-selects/TwoKnnSelect] -> Points (k1=8 f1=(52000, 49000) k2=64 f2=(48500, 51500))\n",
+    ),
+    (
+        "knn-select",
+        "knn-select [select] -> Points",
+        "  knn-select [select] -> Points (k=9 focal=(52000, 49000))\n",
+    ),
+    // Pre-filtered and post-filtered select.
+    (
+        "residual-filter",
+        "residual-filter(1 roles) <- knn-select [select] -> Points",
+        "  residual-filter [select] -> Points (1 filtered roles)\n    knn-select [select] -> Points (k=12 focal=(52000, 49000) pre-filtered)\n",
+    ),
+    // Pre-filtered two selects: one operator whatever the strategy.
+    (
+        "filtered-two-selects",
+        "filtered-two-selects [two-selects/Conceptual] -> Points",
+        "  filtered-two-selects [two-selects/Conceptual] -> Points (k1=10 f1=(52000, 49000) k2=48 f2=(48500, 51500) pre-filtered)\n",
+    ),
+    (
+        "filtered-two-selects",
+        "filtered-two-selects [two-selects/TwoKnnSelect] -> Points",
+        "  filtered-two-selects [two-selects/TwoKnnSelect] -> Points (k1=10 f1=(52000, 49000) k2=48 f2=(48500, 51500) pre-filtered)\n",
+    ),
+    // Pre-filtered select.
+    (
+        "knn-select",
+        "knn-select [select] -> Points",
+        "  knn-select [select] -> Points (k=12 focal=(52000, 49000) pre-filtered)\n",
+    ),
+    // Pre-filtered join outer: the algorithm node alone.
+    (
+        "select-inner-conceptual",
+        "select-inner-conceptual [select-inner/Conceptual] -> Pairs",
+        "  select-inner-conceptual [select-inner/Conceptual] -> Pairs (k_join=3 k_select=6 focal=(52000, 49000))\n",
+    ),
+    (
+        "counting",
+        "counting [select-inner/Counting] -> Pairs",
+        "  counting [select-inner/Counting] -> Pairs (k_join=3 k_select=6 focal=(52000, 49000))\n",
+    ),
+    (
+        "block-marking",
+        "block-marking [select-inner/BlockMarking] -> Pairs",
+        "  block-marking [select-inner/BlockMarking] -> Pairs (k_join=3 k_select=6 focal=(52000, 49000))\n",
+    ),
+    // Post-filtered join: a residual-filter root over the algorithm node.
+    (
+        "residual-filter",
+        "residual-filter(1 roles) <- unchained-conceptual [unchained/Conceptual] -> Triplets",
+        "  residual-filter [unchained/Conceptual] -> Triplets (1 filtered roles)\n    unchained-conceptual [unchained/Conceptual] -> Triplets (k_ab=2 k_cb=3)\n",
+    ),
+    (
+        "residual-filter",
+        "residual-filter(1 roles) <- unchained-block-marking(A⋈B first) [unchained/BlockMarkingStartWithA] -> Triplets",
+        "  residual-filter [unchained/BlockMarkingStartWithA] -> Triplets (1 filtered roles)\n    unchained-block-marking(A⋈B first) [unchained/BlockMarkingStartWithA] -> Triplets (k_ab=2 k_cb=3)\n",
+    ),
+    (
+        "residual-filter",
+        "residual-filter(1 roles) <- unchained-block-marking(C⋈B first) [unchained/BlockMarkingStartWithC] -> Triplets",
+        "  residual-filter [unchained/BlockMarkingStartWithC] -> Triplets (1 filtered roles)\n    unchained-block-marking(C⋈B first) [unchained/BlockMarkingStartWithC] -> Triplets (k_ab=2 k_cb=3)\n",
+    ),
+];
+
+/// The compile step exposes the plan without running it: every shape ×
+/// strategy compiles to the expected operator name, one-line explain and
+/// EXPLAIN tree, and a post filter is a `residual-filter` root with one
+/// algorithm child in both the EXPLAIN tree and the executed trace.
 #[test]
 fn compiled_plans_expose_operator_metadata() {
     let (_, db) = databases().remove(0);
+    let mut expected = OPERATORS.iter();
     for (spec, schema) in specs() {
         for strategy in strategies_for(&spec) {
             let plan = compile(&db.snapshot(), &spec, strategy).unwrap();
+            let (name, explain, tree) = expected.next().expect("an expected operator per plan");
             assert_eq!(plan.strategy(), strategy);
             assert_eq!(plan.schema(), schema);
-            assert!(!plan.name().is_empty());
-            assert!(plan.explain().contains(plan.name()));
+            assert_eq!(plan.name(), *name, "{strategy}");
+            assert_eq!(plan.explain(), *explain, "{strategy}");
+            let rendered = PlanExplain {
+                query: None,
+                ast: None,
+                logical: None,
+                rewrites: Vec::new(),
+                strategy,
+                root: OpNode::from_plan(plan.borrow()),
+            }
+            .render();
+            assert_eq!(rendered, format!("strategy: {strategy}\nplan:\n{tree}"));
         }
     }
+    assert!(
+        expected.next().is_none(),
+        "every expected operator compiled"
+    );
+
+    let (post, _) = specs().pop().unwrap();
+    let explain = db.explain_spec(&post).unwrap();
+    assert_eq!(explain.root.name, "residual-filter");
+    assert_eq!(explain.root.children.len(), 1);
+    let algorithm = &explain.root.children[0];
+    assert!(algorithm.children.is_empty());
+    let analyzed = db.explain_analyze_spec(&post).unwrap();
+    assert_eq!(analyzed.trace.name, "residual-filter");
+    assert_eq!(analyzed.trace.rows, analyzed.result.num_rows());
+    assert_eq!(analyzed.trace.inclusive, analyzed.result.metrics());
+    assert_eq!(analyzed.trace.children.len(), 1);
+    let child = &analyzed.trace.children[0];
+    assert_eq!(child.name, algorithm.name);
+    assert_eq!(child.strategy, algorithm.strategy);
+    assert!(child.children.is_empty());
+    assert!(child.rows >= analyzed.trace.rows);
 }
