@@ -420,8 +420,9 @@ impl Database {
     ///
     /// With spatial sharding configured ([`crate::store::ShardConfig`]), the
     /// registered index's points are re-bucketed into one independently
-    /// versioned shard base per grid cell; the single-shard default keeps
-    /// the index as-is.
+    /// versioned shard base per grid cell (a grid shard keeps the recipe's
+    /// cell size, `⌈n / shards_per_axis⌉` cells per axis); the single-shard
+    /// default keeps the index as-is.
     pub fn register(
         &mut self,
         name: impl Into<String>,

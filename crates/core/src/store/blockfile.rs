@@ -135,13 +135,14 @@ pub(crate) fn write_block_file(path: &Path, index: &dyn SpatialIndex) -> std::io
 /// Opens block files into [`PackedIndex`]es (the type has no values).
 ///
 /// A recovered relation serves its shards from the opened files until the
-/// first compaction of each shard rebuilds it with the relation's recipe.
+/// first compaction of each shard rebuilds it with the shard recipe.
 #[derive(Debug)]
 pub enum BlockFileIndex {}
 
 impl BlockFileIndex {
     /// Opens and fully verifies the block file at `path`, recording `recipe`
-    /// (the relation's, from its manifest) as the index's recipe. The block
+    /// (the recipe the file was built with; a grid recipe must have exactly
+    /// the file's block count in cells) as the index's recipe. The block
     /// directory is packed from the footprints: it is in memory only, not
     /// part of the file format.
     ///
@@ -151,17 +152,35 @@ impl BlockFileIndex {
     /// [`RecoveryError::Corrupt`] when any structural check or checksum
     /// fails — corruption is reported, never panicked on.
     pub fn open(path: &Path, recipe: IndexConfig) -> Result<PackedIndex, RecoveryError> {
+        Self::open_shard(path, recipe, recipe)
+    }
+
+    /// Opens a shard's block file as [`BlockFileIndex::open`] does, at the
+    /// shard recipe `shard` — or, for a grid file that holds the relation
+    /// recipe's `n × n` cells instead (written before a sharded grid's
+    /// shards had a recipe of their own), at the relation recipe
+    /// `relation`. The shard's next compaction rewrites such a file at
+    /// `shard`.
+    pub(crate) fn open_shard(
+        path: &Path,
+        shard: IndexConfig,
+        relation: IndexConfig,
+    ) -> Result<PackedIndex, RecoveryError> {
         let buf = std::fs::read(path).map_err(|source| RecoveryError::Io {
             path: path.to_path_buf(),
             source,
         })?;
-        Self::decode(&buf, recipe).map_err(|detail| RecoveryError::Corrupt {
+        Self::decode(&buf, shard, relation).map_err(|detail| RecoveryError::Corrupt {
             path: path.to_path_buf(),
             detail,
         })
     }
 
-    fn decode(buf: &[u8], recipe: IndexConfig) -> Result<PackedIndex, String> {
+    fn decode(
+        buf: &[u8],
+        shard: IndexConfig,
+        relation: IndexConfig,
+    ) -> Result<PackedIndex, String> {
         if buf.len() < HEADER_BYTES + 4 {
             return Err(format!("{} bytes is too short for a header", buf.len()));
         }
@@ -186,11 +205,16 @@ impl BlockFileIndex {
             return Err("header/directory checksum mismatch".into());
         }
         // A grid locates by cell arithmetic, so its blocks must be the cells.
-        if let IndexConfig::Grid { cells_per_axis: n } = recipe {
-            if num_blocks != n * n {
-                return Err(format!("{num_blocks} blocks are not a {n}×{n} grid"));
-            }
-        }
+        let cells = |recipe: IndexConfig| match recipe {
+            IndexConfig::Grid { cells_per_axis: n } => Some(n),
+            _ => None,
+        };
+        let recipe = match (cells(shard), cells(relation)) {
+            (Some(n), _) if num_blocks == n * n => shard,
+            (Some(_), Some(n)) if num_blocks == n * n => relation,
+            (Some(n), _) => return Err(format!("{num_blocks} blocks are not a {n}×{n} grid")),
+            (None, _) => shard,
+        };
         let mut metas = Vec::with_capacity(num_blocks);
         let mut payloads = Vec::with_capacity(num_blocks);
         let mut total = 0usize;
@@ -325,6 +349,36 @@ mod tests {
             BlockFileIndex::open(&path, five),
             Err(RecoveryError::Corrupt { .. })
         ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_shard_file_opens_at_the_shard_or_the_relation_recipe() {
+        let src = sample_index(400); // a 6×6 grid
+        let path = tmpfile("shard");
+        write_block_file(&path, &src).unwrap();
+        let grid = |n| IndexConfig::Grid { cells_per_axis: n };
+        // A file at the shard recipe opens at it.
+        let opened = BlockFileIndex::open_shard(&path, grid(6), grid(12)).unwrap();
+        assert_eq!(opened.recipe(), grid(6));
+        // A legacy file, at the relation recipe, opens at that one.
+        let opened = BlockFileIndex::open_shard(&path, grid(2), grid(6)).unwrap();
+        assert_eq!(opened.recipe(), grid(6));
+        check_index_invariants(&opened).unwrap();
+        // Any other cell count is corruption.
+        match BlockFileIndex::open_shard(&path, grid(2), grid(5)) {
+            Err(RecoveryError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("not a 2×2 grid"), "{detail}")
+            }
+            other => panic!("a 36-block file is neither 2×2 nor 5×5, got {other:?}"),
+        }
+        // Other families take the shard recipe whatever the block count.
+        let quad = IndexConfig::Quadtree {
+            capacity: 8,
+            max_depth: twoknn_index::DEFAULT_MAX_DEPTH,
+        };
+        let opened = BlockFileIndex::open_shard(&path, quad, quad).unwrap();
+        assert_eq!(opened.recipe(), quad);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -19,7 +19,9 @@
 //!    Overlay-grid cells are ordinary blocks of the shard snapshot, so a
 //!    large un-compacted burst is gathered cell-parallel exactly like the
 //!    base — the gather ranges cover base and overlay blocks uniformly;
-//! 3. **Build** a fresh shard base with the relation's [`IndexConfig`];
+//! 3. **Build** a fresh shard base with the shard recipe (the relation's
+//!    [`twoknn_index::IndexConfig`] at the shard layout's cell size), and
+//!    its id → block map;
 //! 4. **Publish**: replay the shard ops ingested since the capture onto the
 //!    new base, swap the shard in, and atomically recompose the relation
 //!    snapshot.

@@ -302,9 +302,10 @@ impl RelationStore {
         self.config.clone()
     }
 
-    /// Registers (or replaces) a relation; its compactions rebuild with the
-    /// index's recipe. Returns the replaced relation's last published
-    /// snapshot, if any.
+    /// Registers (or replaces) a relation; its shards build with the
+    /// index's recipe — a sharded grid at the recipe's cell size (see
+    /// [`VersionedRelation::config`]). Returns the replaced relation's last
+    /// published snapshot, if any.
     ///
     /// With durability enabled, registration wipes any previous on-disk
     /// state of the same name, starts a fresh WAL, and persists every

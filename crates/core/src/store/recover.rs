@@ -41,6 +41,7 @@ use crate::obs::{EventKind, HistogramKind, Observability};
 
 use super::blockfile::{write_block_file, BlockFileIndex};
 use super::delta::WriteOp;
+use super::shard::ShardMap;
 use super::snapshot::BaseIndex;
 use super::version::VersionedRelation;
 use super::wal::{crc32, SyncPolicy, Wal, WalRecord};
@@ -128,7 +129,8 @@ pub(crate) struct ShardManifest {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Manifest {
     pub name: String,
-    /// Index family compaction rebuilds with (structural, persisted).
+    /// The relation recipe (structural, persisted); its shards build with
+    /// [`ShardMap::shard_recipe`] of it.
     pub index: IndexConfig,
     /// Spatial sharding grid side (structural: `per_axis²` shards).
     pub per_axis: usize,
@@ -580,6 +582,8 @@ fn recover_relation(
         Arc::clone(metrics),
         Arc::clone(obs),
     )?;
+    let shard_recipe =
+        ShardMap::new(manifest.bounds, manifest.per_axis).shard_recipe(manifest.index);
     let mut bases: Vec<BaseIndex> = Vec::with_capacity(manifest.shards.len());
     for shard in &manifest.shards {
         if shard.file.is_empty() {
@@ -589,7 +593,11 @@ fn recover_relation(
             });
         }
         let file = dir.join(&shard.file);
-        bases.push(Arc::new(BlockFileIndex::open(&file, manifest.index)?));
+        bases.push(Arc::new(BlockFileIndex::open_shard(
+            &file,
+            shard_recipe,
+            manifest.index,
+        )?));
     }
     let min_covered = manifest
         .shards

@@ -29,7 +29,7 @@ use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 use twoknn_geometry::{Point, PointId, Rect};
-use twoknn_index::{BlockDirectory, BlockId, BlockMeta, BlockPoints, SpatialIndex};
+use twoknn_index::{BlockDirectory, BlockId, BlockMeta, BlockPoints, IndexConfig, SpatialIndex};
 
 use crate::plan::stats::RelationProfile;
 
@@ -96,6 +96,20 @@ impl ShardMap {
         let ix = clamp(((p.x - self.bounds.min_x) / cell_w).floor() as isize);
         let iy = clamp(((p.y - self.bounds.min_y) / cell_h).floor() as isize);
         iy * n + ix
+    }
+
+    /// The recipe every shard base of this layout is built with, given the
+    /// relation's recipe. A sharded grid keeps the relation recipe's cell
+    /// size — `⌈n / per_axis⌉` cells per axis per shard, so the relation
+    /// holds about `n × n` cells however it is sharded; any other recipe,
+    /// and an unsharded layout, is the relation recipe itself.
+    pub(crate) fn shard_recipe(&self, relation: IndexConfig) -> IndexConfig {
+        match relation {
+            IndexConfig::Grid { cells_per_axis } if self.per_axis > 1 => IndexConfig::Grid {
+                cells_per_axis: cells_per_axis.div_ceil(self.per_axis),
+            },
+            other => other,
+        }
     }
 
     /// The routing cell of shard `idx` — the bounds hint its base indexes
@@ -353,7 +367,6 @@ impl std::fmt::Debug for RelationSnapshot {
 mod tests {
     use super::super::overlay::OverlayConfig;
     use super::*;
-    use twoknn_index::IndexConfig;
 
     fn scattered(n: usize, seed: u64) -> Vec<Point> {
         (0..n)

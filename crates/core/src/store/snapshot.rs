@@ -56,15 +56,20 @@ pub type BaseIndex = Arc<PackedIndex>;
 /// Maps every base point id to the block storing it, so ingest can
 /// tombstone by id in O(affected block) instead of scanning the index.
 ///
-/// The map is built **lazily** on first use (write paths and id lookups)
-/// and shared by all snapshots over the same base: a read-only workload —
-/// say, after a restart — never pays the O(n) scan or the map's memory.
+/// One map per base, shared by every snapshot over that base. A compaction
+/// builds the map of the base it rebuilt before it takes the shard's writer
+/// lock to publish ([`BaseIds::indexed`]), so no ingest pays the O(shard)
+/// scan after a rebuild. The bases a relation starts from — registration
+/// and reopen — build it lazily, on first use (write paths and id lookups):
+/// a read-only workload, say after a restart, never pays the scan or the
+/// map's memory.
 pub(crate) struct BaseIds {
     base: BaseIndex,
     map: OnceLock<HashMap<PointId, BlockId>>,
 }
 
 impl BaseIds {
+    /// The map of `base`, built on first use.
     pub(crate) fn new(base: &BaseIndex) -> Arc<Self> {
         Arc::new(Self {
             base: Arc::clone(base),
@@ -72,9 +77,22 @@ impl BaseIds {
         })
     }
 
+    /// The map of `base`, built now (one O(n) scan of the base).
+    pub(crate) fn indexed(base: &BaseIndex) -> Arc<Self> {
+        let ids = Self::new(base);
+        ids.get();
+        ids
+    }
+
     /// The id → block map, built on first call (one O(n) scan of the base).
     pub(crate) fn get(&self) -> &HashMap<PointId, BlockId> {
         self.map.get_or_init(|| index_ids(self.base.as_ref()))
+    }
+
+    /// Whether the map has been built.
+    #[cfg(test)]
+    pub(crate) fn is_built(&self) -> bool {
+        self.map.get().is_some()
     }
 }
 
@@ -134,70 +152,20 @@ pub(crate) struct BatchOutcome {
 impl ShardSnapshot {
     /// Wraps a freshly built base index with an empty overlay.
     pub(crate) fn clean(base: BaseIndex, version: u64, overlay: OverlayConfig) -> Self {
-        let base_ids = BaseIds::new(&base);
-        Self::assemble(base, base_ids, Delta::with_config(overlay), version)
+        Self::over(BaseIds::new(&base), Delta::with_config(overlay), version)
     }
 
     /// A new snapshot over the same base with a different overlay, rebuilt
-    /// from scratch (used by the compaction publish path, where there is no
-    /// previous overlay to share with).
+    /// from scratch: the reference [`ShardSnapshot::apply_batch`] is held to.
+    #[cfg(test)]
     pub(crate) fn with_delta(&self, delta: Delta, version: u64) -> Self {
-        Self::assemble(
-            Arc::clone(&self.base),
-            Arc::clone(&self.base_ids),
-            delta,
-            version,
-        )
+        Self::over(Arc::clone(&self.base_ids), delta, version)
     }
 
-    /// Applies one ingest batch, producing the successor snapshot plus the
-    /// per-op [`BatchOutcome`].
-    ///
-    /// Incremental on the writer path: only the blocks that gained a
-    /// tombstone **in this batch** get their filtered point list rebuilt;
-    /// all other filtered lists are shared with `self` (tombstones never
-    /// disappear between compactions, so stale sharing is impossible).
-    pub(crate) fn apply_batch(&self, ops: &[WriteOp], version: u64) -> (Self, BatchOutcome) {
-        let mut delta = self.delta.clone();
-        let mut changed = Vec::with_capacity(ops.len());
-        let mut touched: Vec<BlockId> = Vec::new();
-        for op in ops {
-            let id = match op {
-                WriteOp::Upsert(p) => p.id,
-                WriteOp::Remove(id) => *id,
-            };
-            let deletes_before = delta.deletes().len();
-            changed.push(delta.apply(op, |id| self.base_ids.get().contains_key(&id)));
-            if delta.deletes().len() != deletes_before {
-                touched.push(self.base_ids.get()[&id]);
-            }
-        }
-        let mut tombstoned = self.tombstoned.clone();
-        touched.sort_unstable();
-        touched.dedup();
-        for block in touched {
-            tombstoned.insert(
-                block,
-                Arc::new(
-                    self.base
-                        .block_points(block)
-                        .iter()
-                        .filter(|p| !delta.is_deleted(p.id))
-                        .collect(),
-                ),
-            );
-        }
-        let snapshot = Self::finish(
-            Arc::clone(&self.base),
-            Arc::clone(&self.base_ids),
-            delta,
-            tombstoned,
-            version,
-        );
-        (snapshot, BatchOutcome { changed })
-    }
-
-    fn assemble(base: BaseIndex, base_ids: BaseIdMap, delta: Delta, version: u64) -> Self {
+    /// A snapshot over `base_ids`' base carrying `delta`, its filtered
+    /// block lists built from scratch (the compaction publish, where there
+    /// is no previous overlay to share with).
+    pub(crate) fn over(base_ids: BaseIdMap, delta: Delta, version: u64) -> Self {
         let mut affected: Vec<BlockId> = delta
             .deletes()
             .iter()
@@ -213,7 +181,8 @@ impl ShardSnapshot {
         let tombstoned: HashMap<BlockId, Arc<PointBlock>> = affected
             .into_iter()
             .map(|block| {
-                let filtered: PointBlock = base
+                let filtered: PointBlock = base_ids
+                    .base
                     .block_points(block)
                     .iter()
                     .filter(|p| !delta.is_deleted(p.id))
@@ -221,16 +190,67 @@ impl ShardSnapshot {
                 (block, Arc::new(filtered))
             })
             .collect();
-        Self::finish(base, base_ids, delta, tombstoned, version)
+        Self::finish(base_ids, delta, tombstoned, version)
+    }
+
+    /// Applies one ingest batch, producing the successor snapshot plus the
+    /// per-op [`BatchOutcome`].
+    ///
+    /// Incremental on the writer path: only the blocks that gained a
+    /// tombstone **in this batch** get a new filtered point list, and it is
+    /// the block's previous list (or its base points, if it had none)
+    /// filtered against this batch's new tombstones only — sound because
+    /// tombstones only grow between compactions, so the previous list
+    /// already lacks every older one. All other filtered lists are shared
+    /// with `self`. The result equals the from-scratch
+    /// [`ShardSnapshot::over`] of the same base and delta, column for column.
+    pub(crate) fn apply_batch(&self, ops: &[WriteOp], version: u64) -> (Self, BatchOutcome) {
+        let ids = self.base_ids.get();
+        let mut delta = self.delta.clone();
+        let mut changed = Vec::with_capacity(ops.len());
+        // (block, id) of every tombstone this batch adds.
+        let mut fresh: Vec<(BlockId, PointId)> = Vec::new();
+        for op in ops {
+            let id = match op {
+                WriteOp::Upsert(p) => p.id,
+                WriteOp::Remove(id) => *id,
+            };
+            let deletes_before = delta.deletes().len();
+            changed.push(delta.apply(op, |id| ids.contains_key(&id)));
+            if delta.deletes().len() != deletes_before {
+                fresh.push((ids[&id], id));
+            }
+        }
+        let mut tombstoned = self.tombstoned.clone();
+        fresh.sort_unstable();
+        let mut rest = fresh.as_slice();
+        while let Some(&(block, _)) = rest.first() {
+            let (group, tail) = rest.split_at(rest.partition_point(|&(b, _)| b == block));
+            rest = tail;
+            let previous = match self.tombstoned.get(&block) {
+                Some(filtered) => filtered.view(),
+                None => self.base.block_points(block),
+            };
+            // Every id of `group` is in `previous`, so the size is exact.
+            let mut filtered = PointBlock::with_capacity(previous.len() - group.len());
+            for p in previous {
+                if group.binary_search(&(block, p.id)).is_err() {
+                    filtered.push(p);
+                }
+            }
+            tombstoned.insert(block, Arc::new(filtered));
+        }
+        let snapshot = Self::finish(Arc::clone(&self.base_ids), delta, tombstoned, version);
+        (snapshot, BatchOutcome { changed })
     }
 
     fn finish(
-        base: BaseIndex,
         base_ids: BaseIdMap,
         delta: Delta,
         tombstoned: HashMap<BlockId, Arc<PointBlock>>,
         version: u64,
     ) -> Self {
+        let base = Arc::clone(&base_ids.base);
         let mut blocks: Vec<BlockMeta> = base.blocks().to_vec();
         // Base blocks that held points and lost all of them to tombstones.
         let mut emptied = 0usize;
@@ -294,6 +314,7 @@ impl ShardSnapshot {
         &self.base
     }
 
+    #[cfg(test)]
     pub(crate) fn base_ids(&self) -> &BaseIdMap {
         &self.base_ids
     }
@@ -640,6 +661,87 @@ mod tests {
         assert_eq!(stored.len(), 1);
         assert_eq!((stored[0].x, stored[0].y), (77.7, 88.8));
         check_index_invariants(&snap).unwrap();
+    }
+
+    /// Asserts two snapshots expose the same blocks (ids, counts, MBRs) and
+    /// the same columns, bit for bit.
+    fn assert_same_blocks(got: &ShardSnapshot, want: &ShardSnapshot, at: usize) {
+        assert_eq!(got.blocks(), want.blocks(), "batch {at}: block metas");
+        let bits = |col: &[f64]| col.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for meta in want.blocks() {
+            let (g, w) = (got.block_points(meta.id), want.block_points(meta.id));
+            assert_eq!(g.ids(), w.ids(), "batch {at}: block {} ids", meta.id);
+            assert_eq!(
+                bits(g.xs()),
+                bits(w.xs()),
+                "batch {at}: block {} xs",
+                meta.id
+            );
+            assert_eq!(
+                bits(g.ys()),
+                bits(w.ys()),
+                "batch {at}: block {} ys",
+                meta.id
+            );
+        }
+        assert_eq!(got.num_points(), want.num_points(), "batch {at}");
+        assert_eq!(got.bounds(), want.bounds(), "batch {at}");
+    }
+
+    #[test]
+    fn apply_batch_equals_a_from_scratch_rebuild_after_every_batch() {
+        let base = Arc::new(GridIndex::build(scattered(300, 7), 6).unwrap());
+        // The fullest base block: one batch removes every point it holds.
+        let victim = base
+            .blocks()
+            .iter()
+            .max_by_key(|b| b.count)
+            .map(|b| b.id)
+            .unwrap();
+        let victim_ids = base.block_points(victim).ids().to_vec();
+        assert!(victim_ids.len() > 1);
+        // Id 40 is removed in batch 2, re-upserted in batch 9 and removed
+        // again in batch 14; the victim block empties in batch 17 (after
+        // batch 6 already tombstoned one of its points).
+        let reborn = 40;
+        let mut batches: Vec<Vec<WriteOp>> = (0..24u64)
+            .map(|b| {
+                let moved = (b * 37 + 5) % 300;
+                let removed = (b * 53 + 11) % 300;
+                vec![
+                    WriteOp::Upsert(Point::new(
+                        10_000 + b,
+                        b as f64 * 4.1,
+                        100.0 - b as f64 * 3.7,
+                    )),
+                    WriteOp::Upsert(Point::new(moved, (b as f64 * 9.3) % 110.0, 7.0 + b as f64)),
+                    WriteOp::Remove(removed),
+                    // Removes an insert of an earlier batch (a no-op at first).
+                    WriteOp::Remove(10_000 + b / 2),
+                ]
+            })
+            .collect();
+        batches[2].push(WriteOp::Remove(reborn));
+        batches[6].push(WriteOp::Remove(victim_ids[0]));
+        batches[9].push(WriteOp::Upsert(Point::new(reborn, 33.3, 44.4)));
+        batches[14].push(WriteOp::Remove(reborn));
+        batches[17].extend(victim_ids.iter().map(|&id| WriteOp::Remove(id)));
+
+        let mut snap = ShardSnapshot::clean(base, 0, OverlayConfig::default());
+        for (at, ops) in batches.iter().enumerate() {
+            let version = at as u64 + 1;
+            let (next, outcome) = snap.apply_batch(ops, version);
+            assert_eq!(outcome.changed.len(), ops.len());
+            let scratch = next.with_delta(next.delta().clone(), version);
+            assert_same_blocks(&next, &scratch, at);
+            next.check_overlay_invariants().unwrap();
+            snap = next;
+            if at == 17 {
+                assert_eq!(snap.blocks()[victim as usize].count, 0, "victim emptied");
+            }
+        }
+        assert!(!snap.contains_id(reborn) && snap.delta().is_deleted(reborn));
+        assert!(snap.block_points(victim).is_empty());
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   to one shard contends on that shard alone, and a per-shard compaction
 //!   publish never blocks ingest into other shards.
 //! * **Per-shard compaction** captures `(shard snapshot, log length)` under
-//!   that shard's writer lock, rebuilds the shard's base *outside* all
-//!   locks (ingest everywhere continues concurrently), then re-enters the
-//!   shard lock to replay the shard ops logged since the capture and swap
-//!   the shard in. Each shard has its own in-flight slot, so rebuilds of
+//!   that shard's writer lock, rebuilds the shard's base and builds its
+//!   id → block map *outside* all locks (ingest everywhere continues
+//!   concurrently), then re-enters the shard lock to replay the shard ops
+//!   logged since the capture and swap the shard in. Each shard has its own in-flight slot, so rebuilds of
 //!   different shards overlap freely on the worker pool.
 //! * **Publishing** — the only place shard state becomes visible — happens
 //!   under the `compose_lock`: the affected shard pointers are swapped and a
@@ -46,7 +46,7 @@ use super::delta::{Delta, WriteOp};
 use super::overlay::OverlayConfig;
 use super::recover::RelationDurability;
 use super::shard::{RelationSnapshot, ShardConfig, ShardMap};
-use super::snapshot::{BaseIndex, ShardSnapshot};
+use super::snapshot::{BaseIdMap, BaseIds, BaseIndex, ShardSnapshot};
 use super::StoreConfig;
 
 /// One spatial shard's mutable state: its current snapshot, its writer log
@@ -100,7 +100,12 @@ pub struct VersionedRelation {
     ingest_lock: Mutex<()>,
     /// Serializes publishes of the composed snapshot.
     compose_lock: Mutex<()>,
+    /// The relation recipe: what the relation was registered with and its
+    /// manifest records.
     config: IndexConfig,
+    /// What every shard base is built with: `map`'s
+    /// [`ShardMap::shard_recipe`] of `config`.
+    shard_config: IndexConfig,
     compaction_threshold: usize,
     overlay: OverlayConfig,
     /// WAL + manifest of this relation, when the store is durable.
@@ -108,8 +113,8 @@ pub struct VersionedRelation {
 }
 
 impl VersionedRelation {
-    /// A relation over `base`, whose compactions rebuild with `base`'s
-    /// recipe.
+    /// A relation over `base`, whose shards build with the shard recipe of
+    /// `base`'s recipe ([`ShardMap::shard_recipe`]).
     pub(crate) fn new(
         name: String,
         base: BaseIndex,
@@ -120,6 +125,7 @@ impl VersionedRelation {
     ) -> Self {
         let config = base.recipe();
         let map = ShardMap::new(base.bounds(), sharding.shards_per_axis);
+        let shard_config = map.shard_recipe(config);
         let shard_snaps: Vec<Arc<ShardSnapshot>> = if map.num_shards() == 1 {
             // Unsharded: the registered index is used as-is.
             vec![Arc::new(ShardSnapshot::clean(base, 0, overlay))]
@@ -134,7 +140,7 @@ impl VersionedRelation {
                 .into_iter()
                 .enumerate()
                 .map(|(s, pts)| {
-                    let shard_base = rebuild(config, pts, map.shard_rect(s));
+                    let shard_base = rebuild(shard_config, pts, map.shard_rect(s));
                     Arc::new(ShardSnapshot::clean(shard_base, 0, overlay))
                 })
                 .collect()
@@ -150,12 +156,14 @@ impl VersionedRelation {
         )
     }
 
-    /// Rebuilds a relation from recovered state: one pre-loaded base (the
-    /// opened block file) per shard, with the shard map restored from the
-    /// persisted registration `bounds` and `per_axis` — the relation keeps
-    /// its persisted structure even if the store was reopened with a
-    /// different [`super::ShardConfig`]. Runtime knobs (compaction
-    /// threshold, overlay sizing) come from the current `store` config.
+    /// Rebuilds a relation from recovered state: one pre-loaded base per
+    /// shard (its opened block file, at the shard recipe or — written before
+    /// shards had a recipe of their own — at the relation recipe `config`),
+    /// with the shard map restored from the persisted registration `bounds`
+    /// and `per_axis`: the relation keeps its persisted structure even if
+    /// the store was reopened with a different [`super::ShardConfig`].
+    /// Runtime knobs (compaction threshold, overlay sizing) come from the
+    /// current `store` config.
     pub(crate) fn from_recovered(
         name: String,
         bounds: Rect,
@@ -208,6 +216,7 @@ impl VersionedRelation {
             ingest_lock: Mutex::new(()),
             compose_lock: Mutex::new(()),
             config,
+            shard_config: map.shard_recipe(config),
             compaction_threshold,
             overlay,
             durability,
@@ -237,7 +246,10 @@ impl VersionedRelation {
         &self.name
     }
 
-    /// The rebuild config compaction uses.
+    /// The relation recipe: the recipe the relation was registered with,
+    /// which its manifest records. It is not always what a shard rebuilds
+    /// with: a sharded grid builds every shard base with the recipe's cell
+    /// size instead, `⌈n / shards_per_axis⌉` cells per axis per shard.
     pub fn config(&self) -> IndexConfig {
         self.config
     }
@@ -527,32 +539,28 @@ impl VersionedRelation {
         (state.snapshot(), writer.len(), covered_seq)
     }
 
-    /// Publishes a rebuilt base for shard `s`: replays the shard ops
-    /// ingested since the capture onto the new base, swaps the shard and the
+    /// Publishes a rebuilt base for shard `s` — given with its id map
+    /// already built, so neither this publish nor the next ingest scans the
+    /// base under the shard's writer lock: replays the shard ops ingested
+    /// since the capture onto the new base, swaps the shard and the
     /// recomposed relation snapshot in, and trims the shard log to the
     /// replayed tail. Returns the published composed version.
     pub(crate) fn publish_shard_compacted(
         &self,
         s: usize,
-        base: BaseIndex,
+        base_ids: BaseIdMap,
         captured_len: usize,
     ) -> u64 {
         let state = &self.shards[s];
         let mut writer = state.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let cur = state.snapshot();
-        let clean = ShardSnapshot::clean(base, cur.version() + 1, self.overlay);
+        let version = state.snapshot().version() + 1;
         let tail = writer.split_off(captured_len);
         *writer = tail;
-        let snapshot = if writer.is_empty() {
-            clean
-        } else {
-            let mut delta = Delta::with_config(self.overlay);
-            for op in writer.iter() {
-                delta.apply(op, |id| clean.base_ids().get().contains_key(&id));
-            }
-            let version = clean.version();
-            clean.with_delta(delta, version)
-        };
+        let mut delta = Delta::with_config(self.overlay);
+        for op in writer.iter() {
+            delta.apply(op, |id| base_ids.get().contains_key(&id));
+        }
+        let snapshot = ShardSnapshot::over(base_ids, delta, version);
         let _compose = self
             .compose_lock
             .lock()
@@ -599,7 +607,7 @@ impl VersionedRelation {
         }
         let points = gather(&source);
         let gathered = points.len() as u64;
-        let base = rebuild(self.config, points, source.base().bounds());
+        let base = rebuild(self.shard_config, points, source.base().bounds());
         // Persist the rebuilt base *before* the in-memory publish and
         // outside all locks. The block file's contents equal the captured
         // visible set — exactly the WAL prefix up to `covered_seq` as it
@@ -616,7 +624,11 @@ impl VersionedRelation {
                 );
             }
         }
-        let version = self.publish_shard_compacted(s, base, captured_len);
+        // Index the rebuilt base's ids here, outside every lock: the publish
+        // replays the log tail through the map and every later ingest
+        // tombstones through it.
+        let base_ids = BaseIds::indexed(&base);
+        let version = self.publish_shard_compacted(s, base_ids, captured_len);
         let mut m = metrics.lock().unwrap_or_else(PoisonError::into_inner);
         m.compactions += 1;
         m.shards_compacted += 1;
@@ -659,7 +671,7 @@ impl VersionedRelation {
     }
 }
 
-/// A fresh shard base of `config`'s family over a relation's visible points.
+/// A fresh shard base built with `config` over a shard's visible points.
 fn rebuild(config: IndexConfig, points: Vec<Point>, bounds_hint: Rect) -> BaseIndex {
     Arc::new(
         config
@@ -812,7 +824,7 @@ mod tests {
             WriteOp::Remove(7),
         ]);
         let base = rebuild(rel.config(), source.merged_points(), source.base().bounds());
-        rel.publish_shard_compacted(0, base, captured_len);
+        rel.publish_shard_compacted(0, BaseIds::indexed(&base), captured_len);
         rel.end_shard_compaction(0);
 
         let snap = rel.load();
@@ -901,6 +913,36 @@ mod tests {
         assert_eq!(back.num_points(), 200);
         assert_eq!(back.position_of(0), Some(victim));
         back.check_overlay_invariants().unwrap();
+    }
+
+    #[test]
+    fn compaction_hands_over_a_built_id_map() {
+        for threads in [1, 2] {
+            let rel = Arc::new(relation_sharded(4, 2));
+            let pool = Arc::new(WorkerPool::new(threads));
+            let metrics = Arc::new(Mutex::new(Metrics::default()));
+            let obs = Arc::new(crate::obs::Observability::default());
+            // A burst into the low-corner shard only.
+            let burst: Vec<WriteOp> = (0..8u64)
+                .map(|i| WriteOp::Upsert(Point::new(1_000 + i, 1.0 + i as f64 * 0.1, 1.0)))
+                .collect();
+            rel.ingest(&burst);
+            let dirty = rel.shards_needing_compaction();
+            assert_eq!(dirty.len(), 1, "{threads} threads");
+            assert!(super::super::compact::schedule_compaction(
+                &rel, &pool, &metrics, &obs
+            ));
+            pool.wait_idle();
+            assert_eq!(metrics.lock().unwrap().compactions, 1, "{threads} threads");
+            // Nothing was logged after the capture, so the publish replayed
+            // no tail through the map: it is built because the job built it.
+            let snap = rel.shards[dirty[0]].snapshot();
+            assert_eq!(snap.delta_len(), 0, "{threads} threads");
+            assert!(
+                snap.base_ids().is_built(),
+                "{threads} threads: the rebuilt shard's id map is built before publish"
+            );
+        }
     }
 
     #[test]

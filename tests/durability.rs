@@ -7,7 +7,9 @@
 //! fully written batch and drops the tail cleanly; a flipped byte in a
 //! block file or manifest surfaces as [`RecoveryError`], never a panic; and
 //! a batch — including a cross-shard move — replays atomically or not at
-//! all.
+//! all. Sharded grids build every shard at the relation recipe's cell size,
+//! and a directory written when shards still carried the relation recipe
+//! (`tests/fixtures/legacy_2x2_grid`) keeps opening with the same rows.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,6 +20,7 @@ use two_knn::core::select_join::{SelectInnerJoinQuery, SelectOuterJoinQuery};
 use two_knn::core::selects2::TwoSelectsQuery;
 use two_knn::core::store::{DurabilityConfig, ShardConfig, StoreConfig, SyncPolicy, WriteOp};
 use two_knn::core::RecoveryError;
+use two_knn::index::IndexConfig;
 use two_knn::{GridIndex, Point, QuadtreeIndex, SpatialIndex, StrRTree};
 
 /// A process-unique scratch directory, removed on drop (best-effort — a
@@ -520,5 +523,222 @@ fn cross_shard_move_replays_atomically() {
     assert!(
         pts.iter().all(|p| p.id != 77_777),
         "nothing of the torn batch replays"
+    );
+}
+
+/// The per-shard recipes and block counts of a relation's bases.
+fn shard_layout(db: &Database, name: &str) -> Vec<(IndexConfig, usize)> {
+    db.relation(name)
+        .unwrap()
+        .shards()
+        .iter()
+        .map(|s| (s.base().recipe(), s.base().num_blocks()))
+        .collect()
+}
+
+/// A uniform cloud plus a dense cluster, so quadtree and STR shards differ.
+fn clustered_cloud() -> Vec<Point> {
+    let mut pts = scattered(1_500, 0, 5);
+    pts.extend(
+        scattered(600, 2_000, 6)
+            .into_iter()
+            .map(|p| Point::new(p.id, 10.0 + p.x * 0.1, 12.0 + p.y * 0.1)),
+    );
+    pts
+}
+
+#[test]
+fn sharded_grid_shards_keep_the_relation_cell_size() {
+    let tmp = TempDir::new("layout");
+    let cfg = StoreConfig {
+        compaction_threshold: 1_000_000,
+        sharding: ShardConfig::per_axis(3),
+        durability: DurabilityConfig::at(tmp.path()),
+        ..StoreConfig::default()
+    };
+    let pts = clustered_cloud();
+    let tenths = vec![(IndexConfig::Grid { cells_per_axis: 10 }, 100); 9];
+    // Quadtree and STR shard bases are built with the relation recipe, as
+    // before shards had recipes of their own: these are the block counts
+    // that layout gave.
+    let quad_blocks = [52, 16, 16, 16, 16, 16, 16, 16, 16];
+    let str_registered = [25, 6, 6, 6, 6, 6, 6, 6, 6];
+    let str_compacted = [30, 9, 8, 9, 9, 8, 9, 9, 9];
+    let blocks = |layout: Vec<(IndexConfig, usize)>| -> Vec<usize> {
+        layout.into_iter().map(|(_, n)| n).collect()
+    };
+    {
+        let mut db = Database::with_store_config(cfg.clone());
+        db.register("Grid", GridIndex::build(pts.clone(), 30).unwrap());
+        db.register("Quad", QuadtreeIndex::build(pts.clone(), 32).unwrap());
+        db.register("Str", StrRTree::build(pts.clone(), 32).unwrap());
+        assert_eq!(shard_layout(&db, "Grid"), tenths, "after register");
+        assert_eq!(blocks(shard_layout(&db, "Quad")), quad_blocks);
+        assert_eq!(blocks(shard_layout(&db, "Str")), str_registered);
+        // Moves in every shard, then a fold of every shard.
+        let ops: Vec<WriteOp> = pts
+            .iter()
+            .step_by(7)
+            .map(|p| WriteOp::Upsert(Point::new(p.id, p.y, p.x)))
+            .chain(scattered(300, 10_000, 8).into_iter().map(WriteOp::Upsert))
+            .collect();
+        for name in ["Grid", "Quad", "Str"] {
+            db.ingest(name, &ops).unwrap();
+            db.compact_now(name).unwrap();
+            assert_eq!(db.relation(name).unwrap().delta_len(), 0, "{name}");
+        }
+        assert_eq!(shard_layout(&db, "Grid"), tenths, "after compact_now");
+        assert_eq!(blocks(shard_layout(&db, "Quad")), quad_blocks);
+        assert_eq!(blocks(shard_layout(&db, "Str")), str_compacted);
+        // The relation keeps its own recipe (the manifest's, after a reopen).
+        assert_eq!(
+            db.store().get("Grid").unwrap().config(),
+            IndexConfig::Grid { cells_per_axis: 30 }
+        );
+        db.pool().wait_idle();
+    }
+    let db = Database::open(tmp.path(), cfg).unwrap();
+    assert_eq!(shard_layout(&db, "Grid"), tenths, "after Database::open");
+    assert_eq!(blocks(shard_layout(&db, "Quad")), quad_blocks);
+    assert_eq!(blocks(shard_layout(&db, "Str")), str_compacted);
+    assert_eq!(
+        db.store().get("Grid").unwrap().config(),
+        IndexConfig::Grid { cells_per_axis: 30 }
+    );
+
+    // An unsharded grid is the registered index itself, before and after a
+    // fold.
+    let mut flat = Database::new();
+    flat.register("Grid", GridIndex::build(pts.clone(), 30).unwrap());
+    let thirties = vec![(IndexConfig::Grid { cells_per_axis: 30 }, 900)];
+    assert_eq!(shard_layout(&flat, "Grid"), thirties);
+    flat.ingest(
+        "Grid",
+        &[WriteOp::Remove(3), WriteOp::Upsert(Point::new(9, 1.0, 2.0))],
+    )
+    .unwrap();
+    flat.compact_now("Grid").unwrap();
+    assert_eq!(shard_layout(&flat, "Grid"), thirties);
+}
+
+/// Copies a directory tree (the fixture) so a test can open and rewrite it.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let path = entry.path();
+        if path.is_dir() {
+            copy_tree(&path, &to.join(entry.file_name()));
+        } else {
+            std::fs::copy(&path, to.join(entry.file_name())).unwrap();
+        }
+    }
+}
+
+/// What a store opened from the legacy fixture answers, as text: the visible
+/// points of both relations, then the id rows of each fixture query.
+fn legacy_answers(db: &Database) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    for name in ["Objects", "Sites"] {
+        for p in visible_points(db, name) {
+            writeln!(out, "{name} {} {:?} {:?}", p.id, p.x, p.y).unwrap();
+        }
+    }
+    let focal = Point::anonymous(48.0, 52.0);
+    let specs = [
+        QuerySpec::TwoSelects {
+            relation: "Objects".into(),
+            query: TwoSelectsQuery::new(7, focal, 60, Point::anonymous(40.0, 60.0)),
+        },
+        QuerySpec::SelectInnerOfJoin {
+            outer: "Sites".into(),
+            inner: "Objects".into(),
+            query: SelectInnerJoinQuery::new(2, 9, focal),
+        },
+        QuerySpec::SelectOuterOfJoin {
+            outer: "Objects".into(),
+            inner: "Sites".into(),
+            query: SelectOuterJoinQuery::new(2, 6, focal),
+        },
+        QuerySpec::UnchainedJoins {
+            a: "Sites".into(),
+            b: "Objects".into(),
+            c: "Sites".into(),
+            query: UnchainedJoinQuery::new(2, 2),
+        },
+    ];
+    for (i, spec) in specs.iter().enumerate() {
+        for row in id_rows(&db.execute(spec).unwrap()) {
+            writeln!(out, "shape {i} {row:?}").unwrap();
+        }
+    }
+    for text in [
+        "FIND Objects WHERE KNN(9, 12.5, 87.5)",
+        "FIND Objects WHERE KNN(5, 50, 50) AND KNN(40, 55, 45)",
+    ] {
+        for row in id_rows(&db.query(text).unwrap()) {
+            writeln!(out, "{text} {row:?}").unwrap();
+        }
+    }
+    out
+}
+
+/// `tests/fixtures/legacy_2x2_grid` is a durable directory written when
+/// every shard of a sharded grid was built with the relation recipe: two
+/// 2×2-sharded relations, `Objects` (`Grid { 8 }`, 320 points) and `Sites`
+/// (`Grid { 4 }`, 60 points), each shard file holding the relation recipe's
+/// `n × n` cells, plus a WAL tail of five batches (inserts, moves across
+/// shards, removes, a re-upsert of a removed base id) that no block file
+/// covers. `expected.txt` holds what that build answered after reopening
+/// it. Today's build must answer the same, fold a shard into the shard
+/// recipe at its next compaction, and reopen the rewritten files too.
+#[test]
+fn legacy_shard_block_files_reopen_with_the_same_rows() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy_2x2_grid");
+    let expected = std::fs::read_to_string(fixture.join("expected.txt")).unwrap();
+    let tmp = TempDir::new("legacy");
+    copy_tree(&fixture, tmp.path());
+    let cfg = StoreConfig {
+        compaction_threshold: 1_000_000,
+        sharding: ShardConfig::per_axis(2),
+        durability: DurabilityConfig::at(tmp.path()),
+        ..StoreConfig::default()
+    };
+    let grids = |n: usize| vec![(IndexConfig::Grid { cells_per_axis: n }, n * n); 4];
+    {
+        let db = Database::open(tmp.path(), cfg.clone()).unwrap();
+        assert_eq!(db.store_metrics().recoveries, 2);
+        assert_eq!(shard_layout(&db, "Objects"), grids(8), "legacy files open");
+        assert_eq!(shard_layout(&db, "Sites"), grids(4));
+        assert_eq!(legacy_answers(&db), expected, "reopened rows");
+        // The WAL tail left a delta in every shard of `Objects`: the fold
+        // rewrites each one at the shard recipe, 4 × 4 cells.
+        assert!(db
+            .relation("Objects")
+            .unwrap()
+            .shards()
+            .iter()
+            .all(|s| s.delta_len() > 0));
+        db.compact_now("Objects").unwrap();
+        assert_eq!(
+            shard_layout(&db, "Objects"),
+            grids(4),
+            "folded at the shard recipe"
+        );
+        assert_eq!(legacy_answers(&db), expected, "rows after the fold");
+        db.pool().wait_idle();
+    }
+    let db = Database::open(tmp.path(), cfg).unwrap();
+    assert_eq!(
+        shard_layout(&db, "Objects"),
+        grids(4),
+        "rewritten files open"
+    );
+    assert_eq!(shard_layout(&db, "Sites"), grids(4));
+    assert_eq!(
+        legacy_answers(&db),
+        expected,
+        "rows after the second reopen"
     );
 }
