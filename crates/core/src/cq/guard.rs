@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn two_selects_guard_is_the_pair_of_focal_circles() {
         let store = store_with(cloud(500));
-        let snapshot = store.pin_many(&["R"]).unwrap();
+        let snapshot = store.pin_many(["R"]).unwrap();
         let spec = QuerySpec::TwoSelects {
             relation: "R".into(),
             query: TwoSelectsQuery::new(
@@ -343,7 +343,7 @@ mod tests {
     #[test]
     fn undersized_relation_forces_an_unbounded_guard() {
         let store = store_with(cloud(3));
-        let snapshot = store.pin_many(&["R"]).unwrap();
+        let snapshot = store.pin_many(["R"]).unwrap();
         let spec = QuerySpec::TwoSelects {
             relation: "R".into(),
             query: TwoSelectsQuery::new(

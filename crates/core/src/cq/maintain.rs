@@ -163,8 +163,7 @@ impl CqEngine {
         spec: QuerySpec,
         strategy: Strategy,
     ) -> Result<SubscriptionId, QueryError> {
-        let names = spec.relations();
-        let snapshot = self.store.pin_many(&names)?;
+        let snapshot = self.store.pin_many(spec.role_names())?;
         let pinned_versions = snapshot.versions();
         let plan = compile(&snapshot, &spec, strategy)?;
         let result = self.pool.bind(|| plan.execute(ExecutionMode));
@@ -388,12 +387,11 @@ impl CqEngine {
         if sub.applied.load(Ordering::Acquire) >= target {
             return; // coalesced: an earlier job already covered this epoch
         }
-        let names = sub.spec.relations();
         // A referenced relation may have been deregistered since: leave the
         // subscription at its last state. It stays in the dirty set, so
         // nothing ever trusts its (now meaningless) guards, and
         // re-registration schedules a fresh re-evaluation that recovers it.
-        let Ok(snapshot) = self.store.pin_many(&names) else {
+        let Ok(snapshot) = self.store.pin_many(sub.spec.role_names()) else {
             return;
         };
         let Ok(plan) = compile(&snapshot, &sub.spec, sub.strategy) else {

@@ -27,13 +27,19 @@ impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "parse error at byte {}: {}", self.start, self.message)?;
         writeln!(f, "  {}", self.query)?;
-        let pad = self.query[..self.start.min(self.query.len())]
-            .chars()
-            .count();
-        let width = self.query[self.start.min(self.query.len())..self.end.min(self.query.len())]
-            .chars()
-            .count()
-            .max(1);
+        // The span fields are public: round them out onto char boundaries
+        // within the text before slicing it.
+        let len = self.query.len();
+        let on_boundary = |i: &usize| self.query.is_char_boundary(*i);
+        let start = (0..=self.start.min(len))
+            .rev()
+            .find(on_boundary)
+            .unwrap_or(0);
+        let end = (self.end.clamp(start, len)..=len)
+            .find(on_boundary)
+            .unwrap_or(len);
+        let pad = self.query[..start].chars().count();
+        let width = self.query[start..end].chars().count().max(1);
         write!(f, "  {}{}", " ".repeat(pad), "^".repeat(width))
     }
 }
@@ -176,5 +182,22 @@ mod tests {
         let wrapped: QueryError = err.clone().into();
         assert_eq!(wrapped.to_string(), err.to_string());
         assert!(std::error::Error::source(&wrapped).is_some());
+    }
+
+    #[test]
+    fn parse_error_spans_off_char_boundaries_render_without_panicking() {
+        // `é` is bytes 6..8: spans inside it, reversed or past the end are
+        // rounded out onto the text's char boundaries.
+        let at = |start: usize, end: usize| ParseError {
+            message: "m".into(),
+            query: "FIND Vé".into(),
+            start,
+            end,
+        };
+        assert!(at(7, 7).to_string().ends_with("  FIND Vé\n        ^"));
+        assert!(at(6, 7).to_string().ends_with("\n        ^"));
+        assert!(at(2, 7).to_string().ends_with("\n    ^^^^^"));
+        assert!(at(7, 3).to_string().ends_with("\n        ^"));
+        assert!(at(40, 50).to_string().ends_with("\n         ^"));
     }
 }

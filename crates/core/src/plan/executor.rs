@@ -3,7 +3,8 @@
 //! [`Database`] holds named, **versioned** relations in a
 //! [`RelationStore`]; [`QuerySpec`] names the relations a query touches
 //! plus its parameters. Execution is a pipeline: the driver pins a
-//! [`DbSnapshot`] (one immutable version of every relation), the
+//! [`DbSnapshot`] (one immutable version of each relation the query names —
+//! a refcount bump per name, whatever else the catalog holds), the
 //! [`Optimizer`] picks a [`Strategy`] from the pinned relations'
 //! statistics, [`crate::plan::physical::compile`] lowers `(spec, strategy)`
 //! into a [`PhysicalPlan`] holding snapshot handles, and the plan runs the
@@ -212,17 +213,27 @@ impl QuerySpec {
     /// The names of the relations this query references, in role order
     /// (duplicates preserved when one relation plays several roles).
     pub fn relations(&self) -> Vec<&str> {
-        match self {
+        self.role_names().collect()
+    }
+
+    /// [`QuerySpec::relations`] without the vector.
+    pub(crate) fn role_names(&self) -> impl Iterator<Item = &str> {
+        let mut spec = self;
+        while let QuerySpec::Filtered { spec: wrapped, .. } = spec {
+            spec = wrapped;
+        }
+        let (names, roles): ([&str; 3], usize) = match spec {
             QuerySpec::SelectInnerOfJoin { outer, inner, .. }
-            | QuerySpec::SelectOuterOfJoin { outer, inner, .. } => vec![outer, inner],
+            | QuerySpec::SelectOuterOfJoin { outer, inner, .. } => ([outer, inner, ""], 2),
             QuerySpec::UnchainedJoins { a, b, c, .. } | QuerySpec::ChainedJoins { a, b, c, .. } => {
-                vec![a, b, c]
+                ([a, b, c], 3)
             }
             QuerySpec::TwoSelects { relation, .. } | QuerySpec::KnnSelect { relation, .. } => {
-                vec![relation]
+                ([relation, "", ""], 1)
             }
-            QuerySpec::Filtered { spec, .. } => spec.relations(),
-        }
+            QuerySpec::Filtered { .. } => unreachable!("unwrapped above"),
+        };
+        names.into_iter().take(roles)
     }
 
     /// Wraps this query in filters, producing a [`QuerySpec::Filtered`] —
@@ -461,9 +472,22 @@ impl Database {
     }
 
     /// Pins one consistent [`DbSnapshot`] of every registered relation —
-    /// what `execute` does per query and `execute_batch` does per batch.
+    /// what `execute_batch` does per batch. Catalog names are shared, so
+    /// this copies no name; still, it touches every relation, and a single
+    /// query ([`Database::execute`], [`Database::query`]) pins only the
+    /// relations it names instead.
     pub fn snapshot(&self) -> DbSnapshot {
         self.store.pin()
+    }
+
+    /// Pins the relations `spec` names and nothing else: a refcount bump
+    /// per name, whatever the size of the catalog. A name the catalog lacks
+    /// falls back to the whole-catalog pin, so planning and compiling
+    /// report it exactly as they would there.
+    fn pin_for(&self, spec: &QuerySpec) -> DbSnapshot {
+        self.store
+            .pin_many(spec.role_names())
+            .unwrap_or_else(|_| self.snapshot())
     }
 
     /// The statistics profile of a registered relation (on its current
@@ -620,11 +644,12 @@ impl Database {
     /// Executes a query on this database's [`WorkerPool`], letting the
     /// optimizer pick the strategy.
     ///
-    /// The query runs against one pinned [`DbSnapshot`]: planning and
+    /// The query runs against one pinned [`DbSnapshot`] of the relations it
+    /// names — no other relation of the catalog is touched: planning and
     /// execution observe the same relation versions even while writers
     /// publish new ones.
     pub fn execute(&self, spec: &QuerySpec) -> Result<QueryResult, QueryError> {
-        let plan = self.plan_and_compile(&self.snapshot(), spec)?;
+        let plan = self.plan_and_compile(&self.pin_for(spec), spec)?;
         Ok(self.run_plan(&plan, || "query".to_string()))
     }
 
@@ -710,7 +735,7 @@ impl Database {
     /// The strategy the optimizer would choose for a query (on the current
     /// snapshots).
     pub fn plan(&self, spec: &QuerySpec) -> Result<Strategy, QueryError> {
-        self.plan_on(&self.snapshot(), spec)
+        self.plan_on(&self.pin_for(spec), spec)
     }
 
     /// Strategy choice against an explicit pinned snapshot. Relation
@@ -758,7 +783,7 @@ impl Database {
         spec: &QuerySpec,
         strategy: Strategy,
     ) -> Result<QueryResult, QueryError> {
-        let plan = compile(&self.snapshot(), spec, strategy)?;
+        let plan = compile(&self.pin_for(spec), spec, strategy)?;
         Ok(self.run_plan(&plan, || "query (pinned strategy)".to_string()))
     }
 
@@ -828,7 +853,7 @@ impl Database {
         &self,
         spec: &QuerySpec,
     ) -> Result<(PlanExplain, PhysicalPlan), QueryError> {
-        let snapshot = self.snapshot();
+        let snapshot = self.pin_for(spec);
         let strategy = self.plan_on(&snapshot, spec)?;
         let plan = compile(&snapshot, spec, strategy)?;
         let explain = PlanExplain {

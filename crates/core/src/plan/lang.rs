@@ -27,6 +27,24 @@
 //!
 //! Keywords are case-insensitive; relation names are case-sensitive.
 //!
+//! # Cost
+//!
+//! A textual read should pay for its answer, not for its text. The lexer
+//! yields one borrowed token at a time: identifiers are slices of the
+//! text, keywords match with `eq_ignore_ascii_case`, and numbers parse
+//! straight from the slice (`_` separators are stripped into a copy only
+//! when one is present). The parser keeps just the current token, builds a
+//! [`Cond::And`] / [`Cond::Or`] list only for two or more items, and
+//! formats error messages only on the error path. [`parse_query`] moves
+//! the relation name from the AST into the [`QuerySpec`], so a plain
+//! `FIND Rel WHERE KNN(k, x, y)` allocates exactly once: that name.
+//!
+//! Lexical errors come first: when the parser stops on a syntax error, the
+//! rest of the text is lexed and its first lexical error, if any, is the
+//! one reported — the error a whole-text lexing pass would have found. A
+//! character the lexer does not accept is reported with a span covering
+//! the whole character, so every error span lies on char boundaries.
+//!
 //! # Filter placement
 //!
 //! The placement of a relational filter relative to the kNN predicates is
@@ -46,6 +64,8 @@
 //! produces a [`QuerySpec::KnnSelect`], two produce a
 //! [`QuerySpec::TwoSelects`] (the conceptual intersection of Figure 16);
 //! filters wrap the result as [`QuerySpec::Filtered`].
+
+use std::borrow::Cow;
 
 use twoknn_geometry::{Point, Predicate, Rect};
 
@@ -230,9 +250,9 @@ impl std::fmt::Display for Query {
 // Lexer
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Number(f64),
     LParen,
     RParen,
@@ -257,7 +277,7 @@ enum Tok {
     Eof,
 }
 
-impl Tok {
+impl Tok<'_> {
     fn describe(&self) -> String {
         match self {
             Tok::Ident(name) => format!("identifier `{name}`"),
@@ -274,114 +294,129 @@ impl Tok {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Token {
-    tok: Tok,
+#[derive(Debug, Clone, Copy)]
+struct Token<'a> {
+    tok: Tok<'a>,
     span: Span,
 }
 
-fn keyword(word: &str) -> Option<Tok> {
-    Some(match word.to_ascii_uppercase().as_str() {
-        "FIND" => Tok::Find,
-        "WHERE" => Tok::Where,
-        "AND" => Tok::And,
-        "OR" => Tok::Or,
-        "NOT" => Tok::Not,
-        "KNN" => Tok::Knn,
-        "INSIDE" => Tok::Inside,
-        "RECT" => Tok::Rect,
-        "CIRCLE" => Tok::Circle,
-        "ID" => Tok::Id,
-        "IN" => Tok::In,
-        "BETWEEN" => Tok::Between,
-        "TRUE" => Tok::True,
-        "FALSE" => Tok::False,
-        _ => return None,
-    })
+/// The keyword `word` spells, in any case. Keywords are bucketed by
+/// length, so most identifiers are compared against none of them.
+fn keyword(word: &str) -> Option<Tok<'static>> {
+    let candidates: &[(&str, Tok<'static>)] = match word.len() {
+        2 => &[("OR", Tok::Or), ("ID", Tok::Id), ("IN", Tok::In)],
+        3 => &[("AND", Tok::And), ("NOT", Tok::Not), ("KNN", Tok::Knn)],
+        4 => &[
+            ("FIND", Tok::Find),
+            ("RECT", Tok::Rect),
+            ("TRUE", Tok::True),
+        ],
+        5 => &[("WHERE", Tok::Where), ("FALSE", Tok::False)],
+        6 => &[("INSIDE", Tok::Inside), ("CIRCLE", Tok::Circle)],
+        7 => &[("BETWEEN", Tok::Between)],
+        _ => &[],
+    };
+    candidates
+        .iter()
+        .find(|(name, _)| name.eq_ignore_ascii_case(word))
+        .map(|&(_, tok)| tok)
 }
 
-fn lex(text: &str) -> Result<Vec<Token>, ParseError> {
-    let err = |start: usize, end: usize, message: String| ParseError {
-        message,
+/// A number literal without its `_` digit separators — borrowed unless it
+/// has one.
+fn digits(raw: &str) -> Cow<'_, str> {
+    if raw.contains('_') {
+        Cow::Owned(raw.replace('_', ""))
+    } else {
+        Cow::Borrowed(raw)
+    }
+}
+
+/// A [`ParseError`] over `text` — the only place the front end copies the
+/// query text.
+fn error(text: &str, span: Span, message: impl Into<String>) -> ParseError {
+    ParseError {
+        message: message.into(),
         query: text.to_string(),
-        start,
-        end,
-    };
-    let bytes = text.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        let start = i;
-        match b {
-            b' ' | b'\t' | b'\r' | b'\n' => {
-                i += 1;
-            }
-            b'(' | b')' | b',' | b'=' => {
-                let tok = match b {
-                    b'(' => Tok::LParen,
-                    b')' => Tok::RParen,
-                    b',' => Tok::Comma,
-                    _ => Tok::Eq,
-                };
-                i += 1;
-                tokens.push(Token {
-                    tok,
-                    span: (start, i),
-                });
-            }
+        start: span.0,
+        end: span.1,
+    }
+}
+
+/// Yields one borrowed token at a time. `pos` only moves past a token that
+/// lexed, so after an error the next call reports the same error again.
+struct Lexer<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    fn next_token(&mut self) -> Result<Token<'a>, ParseError> {
+        let text = self.text;
+        let bytes = text.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
+            self.pos += 1;
+        }
+        let start = self.pos;
+        let Some(&b) = bytes.get(start) else {
+            return Ok(Token {
+                tok: Tok::Eof,
+                span: (text.len(), text.len()),
+            });
+        };
+        let run = |from: usize, more: fn(u8) -> bool| {
+            from + bytes[from..].iter().take_while(|&&c| more(c)).count()
+        };
+        let (tok, end) = match b {
+            b'(' => (Tok::LParen, start + 1),
+            b')' => (Tok::RParen, start + 1),
+            b',' => (Tok::Comma, start + 1),
+            b'=' => (Tok::Eq, start + 1),
             b'<' | b'>' => {
-                if bytes.get(i + 1) != Some(&b'=') {
-                    return Err(err(start, start + 1, format!("expected `{}=`", b as char)));
+                if bytes.get(start + 1) != Some(&b'=') {
+                    let message = format!("expected `{}=`", b as char);
+                    return Err(error(text, (start, start + 1), message));
                 }
-                i += 2;
-                tokens.push(Token {
-                    tok: if b == b'<' { Tok::Le } else { Tok::Ge },
-                    span: (start, i),
-                });
+                (if b == b'<' { Tok::Le } else { Tok::Ge }, start + 2)
             }
             b'-' | b'0'..=b'9' | b'.' => {
-                i += 1;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_digit() || bytes[i] == b'.' || bytes[i] == b'_')
-                {
-                    i += 1;
-                }
-                let slice = text[start..i].replace('_', "");
-                let value: f64 = slice
+                let end = run(start + 1, |c| c.is_ascii_digit() || c == b'.' || c == b'_');
+                let raw = &text[start..end];
+                let value = digits(raw)
                     .parse()
-                    .map_err(|_| err(start, i, format!("`{}` is not a number", &text[start..i])))?;
-                tokens.push(Token {
-                    tok: Tok::Number(value),
-                    span: (start, i),
-                });
+                    .map_err(|_| error(text, (start, end), format!("`{raw}` is not a number")))?;
+                (Tok::Number(value), end)
             }
             b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
-                i += 1;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                let word = &text[start..i];
-                let tok = keyword(word).unwrap_or_else(|| Tok::Ident(word.to_string()));
-                tokens.push(Token {
-                    tok,
-                    span: (start, i),
-                });
+                let end = run(start + 1, |c| c.is_ascii_alphanumeric() || c == b'_');
+                let word = &text[start..end];
+                (keyword(word).unwrap_or(Tok::Ident(word)), end)
             }
             _ => {
-                return Err(err(
-                    start,
-                    start + 1,
-                    format!("unexpected character `{}`", &text[start..start + 1]),
-                ));
+                // The lexer only steps over ASCII, so `start` is a char
+                // boundary and the error covers the whole character.
+                let ch = text[start..].chars().next().expect("a character");
+                let span = (start, start + ch.len_utf8());
+                return Err(error(text, span, format!("unexpected character `{ch}`")));
+            }
+        };
+        self.pos = end;
+        Ok(Token {
+            tok,
+            span: (start, end),
+        })
+    }
+
+    /// The first lexical error from here to the end of the text, if any.
+    fn first_error(&mut self) -> Option<ParseError> {
+        loop {
+            match self.next_token() {
+                Ok(Token { tok: Tok::Eof, .. }) => return None,
+                Ok(_) => {}
+                Err(err) => return Some(err),
             }
         }
     }
-    tokens.push(Token {
-        tok: Tok::Eof,
-        span: (text.len(), text.len()),
-    });
-    Ok(tokens)
 }
 
 // ---------------------------------------------------------------------
@@ -389,77 +424,79 @@ fn lex(text: &str) -> Result<Vec<Token>, ParseError> {
 // ---------------------------------------------------------------------
 
 struct Parser<'a> {
-    text: &'a str,
-    tokens: Vec<Token>,
-    pos: usize,
+    lexer: Lexer<'a>,
+    /// The next, not yet consumed token.
+    token: Token<'a>,
+    /// Where the last consumed token ends.
+    prev_end: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+    fn new(text: &'a str) -> Result<Self, ParseError> {
+        let mut lexer = Lexer { text, pos: 0 };
+        let token = lexer.next_token()?;
+        Ok(Parser {
+            lexer,
+            token,
+            prev_end: 0,
+        })
     }
 
-    fn bump(&mut self) -> Token {
-        let token = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        token
+    fn peek(&self) -> Tok<'a> {
+        self.token.tok
+    }
+
+    /// Consumes the current token and lexes the next one.
+    fn bump(&mut self) -> Result<Token<'a>, ParseError> {
+        let token = self.token;
+        self.token = self.lexer.next_token()?;
+        self.prev_end = token.span.1;
+        Ok(token)
     }
 
     fn err(&self, span: Span, message: impl Into<String>) -> ParseError {
-        ParseError {
-            message: message.into(),
-            query: self.text.to_string(),
-            start: span.0,
-            end: span.1,
-        }
+        error(self.lexer.text, span, message)
     }
 
-    fn expect(&mut self, want: Tok, what: &str) -> Result<Token, ParseError> {
-        let token = self.peek().clone();
-        if token.tok == want {
-            Ok(self.bump())
+    /// "expected `what`, found <the current token>".
+    fn unexpected(&self, what: &str) -> ParseError {
+        let found = self.token.tok.describe();
+        self.err(self.token.span, format!("expected {what}, found {found}"))
+    }
+
+    fn expect(&mut self, want: Tok<'_>, what: &str) -> Result<Token<'a>, ParseError> {
+        if self.peek() == want {
+            self.bump()
         } else {
-            Err(self.err(
-                token.span,
-                format!("expected {what}, found {}", token.tok.describe()),
-            ))
+            Err(self.unexpected(what))
         }
     }
 
     fn number(&mut self, what: &str) -> Result<f64, ParseError> {
-        let token = self.peek().clone();
-        match token.tok {
+        match self.peek() {
             Tok::Number(value) => {
-                self.bump();
+                self.bump()?;
                 Ok(value)
             }
-            other => Err(self.err(
-                token.span,
-                format!("expected {what}, found {}", other.describe()),
-            )),
+            _ => Err(self.unexpected(what)),
         }
     }
 
     /// A non-negative integer literal, parsed from the raw text so 64-bit
     /// ids survive exactly.
     fn integer(&mut self, what: &str) -> Result<u64, ParseError> {
-        let token = self.peek().clone();
-        if !matches!(token.tok, Tok::Number(_)) {
-            return Err(self.err(
-                token.span,
-                format!("expected {what}, found {}", token.tok.describe()),
-            ));
+        let span = self.token.span;
+        if !matches!(self.peek(), Tok::Number(_)) {
+            return Err(self.unexpected(what));
         }
-        let raw = self.text[token.span.0..token.span.1].replace('_', "");
-        let value: u64 = raw.parse().map_err(|_| {
+        let raw = digits(&self.lexer.text[span.0..span.1]);
+        let value = raw.parse().map_err(|_| {
             self.err(
-                token.span,
+                span,
                 format!("{what} must be a non-negative integer, found `{raw}`"),
             )
         })?;
-        self.bump();
+        self.bump()?;
         Ok(value)
     }
 
@@ -467,118 +504,96 @@ impl<'a> Parser<'a> {
         self.expect(Tok::Find, "`FIND`")?;
         let (relation, source_filter) = self.source()?;
         self.expect(Tok::Where, "`WHERE`")?;
-        let start = self.peek().span.0;
+        let start = self.token.span.0;
         let condition = self.condition()?;
-        let end = self.tokens[self.pos.saturating_sub(1)].span.1;
-        let eof = self.peek().clone();
-        if eof.tok != Tok::Eof {
-            return Err(self.err(
-                eof.span,
-                format!("expected end of query, found {}", eof.tok.describe()),
-            ));
+        let end = self.prev_end;
+        if self.peek() != Tok::Eof {
+            return Err(self.unexpected("end of query"));
         }
         Ok(Query {
-            relation,
+            relation: relation.to_string(),
             source_filter,
             condition,
             condition_span: (start, end),
         })
     }
 
-    fn source(&mut self) -> Result<(String, Option<Cond>), ParseError> {
-        let token = self.peek().clone();
-        match token.tok {
+    fn source(&mut self) -> Result<(&'a str, Option<Cond>), ParseError> {
+        match self.peek() {
             Tok::Ident(name) => {
-                self.bump();
+                self.bump()?;
                 Ok((name, None))
             }
             Tok::LParen => {
-                self.bump();
-                let name = match self.peek().clone() {
-                    Token {
-                        tok: Tok::Ident(name),
-                        ..
-                    } => {
-                        self.bump();
-                        name
-                    }
-                    other => {
-                        return Err(self.err(
-                            other.span,
-                            format!("expected a relation name, found {}", other.tok.describe()),
-                        ))
-                    }
+                self.bump()?;
+                let Tok::Ident(name) = self.peek() else {
+                    return Err(self.unexpected("a relation name"));
                 };
+                self.bump()?;
                 self.expect(Tok::Where, "`WHERE`")?;
                 let filter = self.condition()?;
                 self.expect(Tok::RParen, "`)`")?;
                 Ok((name, Some(filter)))
             }
-            other => Err(self.err(
-                token.span,
-                format!(
-                    "expected a relation name or `(relation WHERE …)`, found {}",
-                    other.describe()
-                ),
-            )),
+            _ => Err(self.unexpected("a relation name or `(relation WHERE …)`")),
         }
+    }
+
+    /// `item (sep item)*`: the lone item, or `join` of two or more.
+    fn list(
+        &mut self,
+        sep: Tok<'static>,
+        item: fn(&mut Self) -> Result<Cond, ParseError>,
+        join: fn(Vec<Cond>) -> Cond,
+    ) -> Result<Cond, ParseError> {
+        let first = item(self)?;
+        if self.peek() != sep {
+            return Ok(first);
+        }
+        let mut items = vec![first];
+        while self.peek() == sep {
+            self.bump()?;
+            items.push(item(self)?);
+        }
+        Ok(join(items))
     }
 
     fn condition(&mut self) -> Result<Cond, ParseError> {
-        let mut items = vec![self.and_cond()?];
-        while self.peek().tok == Tok::Or {
-            self.bump();
-            items.push(self.and_cond()?);
-        }
-        Ok(if items.len() == 1 {
-            items.pop().expect("one item")
-        } else {
-            Cond::Or(items)
-        })
+        self.list(Tok::Or, Self::and_cond, Cond::Or)
     }
 
     fn and_cond(&mut self) -> Result<Cond, ParseError> {
-        let mut items = vec![self.unary()?];
-        while self.peek().tok == Tok::And {
-            self.bump();
-            items.push(self.unary()?);
-        }
-        Ok(if items.len() == 1 {
-            items.pop().expect("one item")
-        } else {
-            Cond::And(items)
-        })
+        self.list(Tok::And, Self::unary, Cond::And)
     }
 
     fn unary(&mut self) -> Result<Cond, ParseError> {
-        if self.peek().tok == Tok::Not {
-            self.bump();
+        if self.peek() == Tok::Not {
+            self.bump()?;
             return Ok(Cond::Not(Box::new(self.unary()?)));
         }
         self.atom()
     }
 
     fn atom(&mut self) -> Result<Cond, ParseError> {
-        let token = self.peek().clone();
-        match token.tok {
+        match self.peek() {
             Tok::True => {
-                self.bump();
+                self.bump()?;
                 Ok(Cond::True)
             }
             Tok::False => {
-                self.bump();
+                self.bump()?;
                 Ok(Cond::False)
             }
             Tok::LParen => {
-                self.bump();
+                self.bump()?;
                 let inner = self.condition()?;
                 self.expect(Tok::RParen, "`)`")?;
                 Ok(inner)
             }
             Tok::Knn => {
-                let start = self.bump().span.0;
+                let start = self.bump()?.span.0;
                 self.expect(Tok::LParen, "`(`")?;
-                let k_span = self.peek().span;
+                let k_span = self.token.span;
                 let k = self.integer("KNN's k")?;
                 if k == 0 {
                     return Err(self.err(k_span, "KNN's k must be at least 1"));
@@ -596,12 +611,11 @@ impl<'a> Parser<'a> {
                 })
             }
             Tok::Inside => {
-                self.bump();
+                self.bump()?;
                 self.expect(Tok::LParen, "`(`")?;
-                let shape = self.peek().clone();
-                let cond = match shape.tok {
+                let cond = match self.peek() {
                     Tok::Rect => {
-                        self.bump();
+                        self.bump()?;
                         self.expect(Tok::LParen, "`(`")?;
                         let x1 = self.number("a rectangle coordinate")?;
                         self.expect(Tok::Comma, "`,`")?;
@@ -614,7 +628,7 @@ impl<'a> Parser<'a> {
                         Cond::InRect { x1, y1, x2, y2 }
                     }
                     Tok::Circle => {
-                        self.bump();
+                        self.bump()?;
                         self.expect(Tok::LParen, "`(`")?;
                         let x = self.number("the circle center x")?;
                         self.expect(Tok::Comma, "`,`")?;
@@ -624,26 +638,20 @@ impl<'a> Parser<'a> {
                         self.expect(Tok::RParen, "`)`")?;
                         Cond::InCircle { x, y, r }
                     }
-                    other => {
-                        return Err(self.err(
-                            shape.span,
-                            format!("expected `RECT` or `CIRCLE`, found {}", other.describe()),
-                        ))
-                    }
+                    _ => return Err(self.unexpected("`RECT` or `CIRCLE`")),
                 };
                 self.expect(Tok::RParen, "`)`")?;
                 Ok(cond)
             }
             Tok::Id => {
-                self.bump();
-                let op = self.peek().clone();
-                match op.tok {
+                self.bump()?;
+                match self.peek() {
                     Tok::In => {
-                        self.bump();
+                        self.bump()?;
                         self.expect(Tok::LParen, "`(`")?;
                         let mut ids = vec![self.integer("an id")?];
-                        while self.peek().tok == Tok::Comma {
-                            self.bump();
+                        while self.peek() == Tok::Comma {
+                            self.bump()?;
                             ids.push(self.integer("an id")?);
                         }
                         self.expect(Tok::RParen, "`)`")?;
@@ -652,40 +660,31 @@ impl<'a> Parser<'a> {
                         Ok(Cond::IdIn(ids))
                     }
                     Tok::Between => {
-                        self.bump();
+                        self.bump()?;
                         let lo = self.integer("the lower id bound")?;
                         self.expect(Tok::And, "`AND`")?;
                         let hi = self.integer("the upper id bound")?;
                         Ok(Cond::IdBetween { lo, hi })
                     }
                     Tok::Le => {
-                        self.bump();
+                        self.bump()?;
                         let hi = self.integer("an id bound")?;
                         Ok(Cond::IdBetween { lo: 0, hi })
                     }
                     Tok::Ge => {
-                        self.bump();
+                        self.bump()?;
                         let lo = self.integer("an id bound")?;
                         Ok(Cond::IdBetween { lo, hi: u64::MAX })
                     }
                     Tok::Eq => {
-                        self.bump();
+                        self.bump()?;
                         let id = self.integer("an id")?;
                         Ok(Cond::IdIn(vec![id]))
                     }
-                    other => Err(self.err(
-                        op.span,
-                        format!(
-                            "expected `IN`, `BETWEEN`, `<=`, `>=` or `=` after `ID`, found {}",
-                            other.describe()
-                        ),
-                    )),
+                    _ => Err(self.unexpected("`IN`, `BETWEEN`, `<=`, `>=` or `=` after `ID`")),
                 }
             }
-            other => Err(self.err(
-                token.span,
-                format!("expected a predicate, found {}", other.describe()),
-            )),
+            _ => Err(self.unexpected("a predicate")),
         }
     }
 }
@@ -694,19 +693,26 @@ impl<'a> Parser<'a> {
 /// [`Query::to_spec`] / [`parse_query`] for the rewrite to a
 /// [`QuerySpec`]).
 pub fn parse(text: &str) -> Result<Query, ParseError> {
-    let tokens = lex(text)?;
-    Parser {
-        text,
-        tokens,
-        pos: 0,
-    }
-    .query()
+    let mut parser = Parser::new(text)?;
+    // The first lexical error anywhere in the text wins over a syntax
+    // error: the lexer only ran as far as the parser read.
+    parser
+        .query()
+        .map_err(|err| parser.lexer.first_error().unwrap_or(err))
 }
 
 /// Parses and rewrites query text into an executable [`QuerySpec`] — what
-/// [`Database::query`](crate::plan::Database::query) runs.
+/// [`Database::query`](crate::plan::Database::query) runs. The relation
+/// name moves from the AST into the spec.
 pub fn parse_query(text: &str) -> Result<QuerySpec, ParseError> {
-    parse(text)?.to_spec(text)
+    let query = parse(text)?;
+    lower(
+        query.relation,
+        query.source_filter.as_ref(),
+        &query.condition,
+        query.condition_span,
+        text,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -723,11 +729,16 @@ fn find_knn(cond: &Cond) -> Option<Span> {
     }
 }
 
-/// The top-level conjuncts of a condition, flattening nested `AND`s.
-fn conjuncts(cond: &Cond) -> Vec<&Cond> {
+/// Calls `visit` on each top-level conjunct of a condition, in order,
+/// flattening nested `AND`s.
+fn for_each_conjunct<'c>(cond: &'c Cond, visit: &mut impl FnMut(&'c Cond)) {
     match cond {
-        Cond::And(items) => items.iter().flat_map(conjuncts).collect(),
-        other => vec![other],
+        Cond::And(items) => {
+            for item in items {
+                for_each_conjunct(item, visit);
+            }
+        }
+        other => visit(other),
     }
 }
 
@@ -737,7 +748,14 @@ fn to_predicate(cond: &Cond) -> Predicate {
         Cond::True => Predicate::True,
         Cond::False => Predicate::False,
         Cond::Knn { .. } => unreachable!("kNN atoms are extracted before predicate conversion"),
-        Cond::InRect { x1, y1, x2, y2 } => Predicate::InRect(Rect::new(*x1, *y1, *x2, *y2)),
+        // Kept as written: an inverted rectangle contains no point, where
+        // `Rect::new` would debug-assert on it.
+        Cond::InRect { x1, y1, x2, y2 } => Predicate::InRect(Rect {
+            min_x: *x1,
+            min_y: *y1,
+            max_x: *x2,
+            max_y: *y2,
+        }),
         Cond::InCircle { x, y, r } => Predicate::InCircle {
             center: Point::anonymous(*x, *y),
             radius: *r,
@@ -748,6 +766,97 @@ fn to_predicate(cond: &Cond) -> Predicate {
         Cond::Or(items) => Predicate::Or(items.iter().map(to_predicate).collect()),
         Cond::Not(inner) => Predicate::Not(Box::new(to_predicate(inner))),
     }
+}
+
+/// `acc AND next`, or `next` alone when there is nothing to AND onto.
+fn and_onto(acc: Option<Predicate>, next: Predicate) -> Predicate {
+    match acc {
+        Some(acc) => acc.and(next),
+        None => next,
+    }
+}
+
+/// The rewrite behind [`Query::to_spec`] and [`parse_query`], over a
+/// query's parts: `relation` is moved into the spec.
+fn lower(
+    relation: String,
+    source_filter: Option<&Cond>,
+    condition: &Cond,
+    condition_span: Span,
+    text: &str,
+) -> Result<QuerySpec, ParseError> {
+    if let Some(span) = source_filter.and_then(find_knn) {
+        return Err(error(
+            text,
+            span,
+            "a KNN predicate cannot appear in the source filter; write it in the main WHERE \
+             clause",
+        ));
+    }
+    let mut knns: [Option<(usize, Point)>; 2] = [None, None];
+    let mut third: Option<Span> = None;
+    let mut misplaced: Option<Span> = None;
+    let mut residual: Option<Predicate> = None;
+    for_each_conjunct(condition, &mut |item| {
+        if misplaced.is_some() {
+            return;
+        }
+        match item {
+            Cond::Knn { k, x, y, span } => match knns.iter_mut().find(|slot| slot.is_none()) {
+                Some(slot) => *slot = Some((*k, Point::anonymous(*x, *y))),
+                None => third = third.or(Some(*span)),
+            },
+            other => match find_knn(other) {
+                Some(span) => misplaced = Some(span),
+                None => residual = Some(and_onto(residual.take(), to_predicate(other))),
+            },
+        }
+    });
+    if let Some(span) = misplaced {
+        return Err(error(
+            text,
+            span,
+            "a KNN predicate must be a top-level conjunct of the WHERE clause — under OR or \
+             NOT its pushdown is not well-defined",
+        ));
+    }
+    if let Some(span) = third {
+        return Err(error(
+            text,
+            span,
+            "at most two KNN predicates are supported",
+        ));
+    }
+    let mut filters = QueryFilters::none();
+    if let Some(filter) = source_filter {
+        let predicate = to_predicate(filter);
+        if !matches!(predicate, Predicate::True) {
+            filters = filters.pre(relation.as_str(), predicate);
+        }
+    }
+    if let Some(predicate) = residual {
+        if !matches!(predicate, Predicate::True) {
+            filters = filters.post(relation.as_str(), predicate);
+        }
+    }
+    let spec = match knns {
+        [Some((k, focal)), None] => QuerySpec::KnnSelect {
+            relation,
+            query: KnnSelectQuery::new(k, focal),
+        },
+        [Some((k1, f1)), Some((k2, f2))] => QuerySpec::TwoSelects {
+            relation,
+            query: TwoSelectsQuery::new(k1, f1, k2, f2),
+        },
+        _ => {
+            return Err(error(
+                text,
+                condition_span,
+                "the WHERE clause needs at least one KNN predicate",
+            ))
+        }
+    };
+    Ok(spec.with_filters(filters))
 }
 
 impl Query {
@@ -762,81 +871,13 @@ impl Query {
     /// caret rendering of rewrite errors (kNN under `OR`/`NOT`, kNN in
     /// the source filter, zero or too many kNN predicates).
     pub fn to_spec(&self, text: &str) -> Result<QuerySpec, ParseError> {
-        let err = |span: Span, message: &str| ParseError {
-            message: message.into(),
-            query: text.to_string(),
-            start: span.0,
-            end: span.1,
-        };
-        if let Some(filter) = &self.source_filter {
-            if let Some(span) = find_knn(filter) {
-                return Err(err(
-                    span,
-                    "a KNN predicate cannot appear in the source filter; write it in the \
-                     main WHERE clause",
-                ));
-            }
-        }
-        let mut knns: Vec<(usize, Point, Span)> = Vec::new();
-        let mut residual: Vec<&Cond> = Vec::new();
-        for item in conjuncts(&self.condition) {
-            match item {
-                Cond::Knn { k, x, y, span } => {
-                    knns.push((*k, Point::anonymous(*x, *y), *span));
-                }
-                other => {
-                    if let Some(span) = find_knn(other) {
-                        return Err(err(
-                            span,
-                            "a KNN predicate must be a top-level conjunct of the WHERE \
-                             clause — under OR or NOT its pushdown is not well-defined",
-                        ));
-                    }
-                    residual.push(other);
-                }
-            }
-        }
-        let spec = match knns.as_slice() {
-            [] => {
-                return Err(err(
-                    self.condition_span,
-                    "the WHERE clause needs at least one KNN predicate",
-                ))
-            }
-            [(k, focal, _)] => QuerySpec::KnnSelect {
-                relation: self.relation.clone(),
-                query: KnnSelectQuery::new(*k, *focal),
-            },
-            [(k1, f1, _), (k2, f2, _)] => QuerySpec::TwoSelects {
-                relation: self.relation.clone(),
-                query: TwoSelectsQuery::new(*k1, *f1, *k2, *f2),
-            },
-            [_, _, third, ..] => {
-                return Err(err(third.2, "at most two KNN predicates are supported"));
-            }
-        };
-        let mut filters = QueryFilters::none();
-        if let Some(filter) = &self.source_filter {
-            let predicate = to_predicate(filter);
-            if !matches!(predicate, Predicate::True) {
-                filters = filters.pre(self.relation.clone(), predicate);
-            }
-        }
-        if !residual.is_empty() {
-            let predicate = residual
-                .into_iter()
-                .map(to_predicate)
-                .reduce(|acc, p| acc.and(p))
-                .expect("non-empty residual");
-            if !matches!(predicate, Predicate::True) {
-                filters = filters.post(self.relation.clone(), predicate);
-            }
-        }
-        let spec = spec.with_filters(filters);
-        // The textual grammar can only express select shapes, whose filter
-        // placements are always valid — the logical-algebra bridge agrees.
-        debug_assert!(self.to_logical().validate().is_ok());
-        Ok(spec)
+        lower(
+            self.relation.clone(),
+            self.source_filter.as_ref(),
+            &self.condition,
+            self.condition_span,
+            text,
+        )
     }
 
     /// The query as a [`LogicalExpr`] tree — the algebra the validator and
@@ -853,14 +894,14 @@ impl Query {
             }
         };
         let mut knns: Vec<(usize, Point)> = Vec::new();
-        let mut residual: Vec<Predicate> = Vec::new();
-        for item in conjuncts(&self.condition) {
-            match item {
-                Cond::Knn { k, x, y, .. } => knns.push((*k, Point::anonymous(*x, *y))),
-                other if find_knn(other).is_none() => residual.push(to_predicate(other)),
-                _ => {}
+        let mut residual: Option<Predicate> = None;
+        for_each_conjunct(&self.condition, &mut |item| match item {
+            Cond::Knn { k, x, y, .. } => knns.push((*k, Point::anonymous(*x, *y))),
+            other if find_knn(other).is_none() => {
+                residual = Some(and_onto(residual.take(), to_predicate(other)));
             }
-        }
+            _ => {}
+        });
         let mut expr = match knns.as_slice() {
             [(k, focal)] => base().knn_select(*k, *focal),
             [(k1, f1), (k2, f2), ..] => LogicalExpr::Intersect {
@@ -869,7 +910,7 @@ impl Query {
             },
             [] => base(),
         };
-        if let Some(predicate) = residual.into_iter().reduce(|acc, p| acc.and(p)) {
+        if let Some(predicate) = residual {
             expr = expr.filter(predicate);
         }
         expr
@@ -1095,6 +1136,18 @@ mod tests {
             source_filter,
             condition,
             condition_span: (0, 0),
+        }
+    }
+
+    #[test]
+    fn every_generated_query_lowers_to_a_valid_algebra() {
+        // The grammar only expresses select shapes, whose filter
+        // placements are always valid: the logical-algebra bridge agrees.
+        let mut rng = Rng(0x2545F4914F6CDD1D);
+        for i in 0..200 {
+            let query = gen_query(&mut rng);
+            let validated = query.to_logical().validate();
+            assert!(validated.is_ok(), "iteration {i}: `{query}`: {validated:?}");
         }
     }
 

@@ -500,8 +500,7 @@ pub fn compile(
     };
     let mut materialized: Vec<(&str, Relation)> = Vec::new();
     let relations = spec
-        .relations()
-        .into_iter()
+        .role_names()
         .map(|name| -> Result<Relation, QueryError> {
             let base = snapshot.snapshot(name)?;
             let Some(predicate) = pre_filter(name).filter(|_| is_join) else {
@@ -519,8 +518,7 @@ pub fn compile(
     // relation playing several roles is filtered in every one of them.
     let post = match filters {
         Some(filters) => spec
-            .relations()
-            .into_iter()
+            .role_names()
             .enumerate()
             .filter_map(|(role, name)| Some((role, placed(&filters.post, name)?.clone())))
             .collect(),

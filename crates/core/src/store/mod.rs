@@ -34,8 +34,9 @@
 //!   others;
 //! * [`RelationStore`] — the named catalog of versioned relations behind
 //!   [`Database`](crate::plan::Database), and [`DbSnapshot`] — a pinned,
-//!   consistent view of *every* relation that a query (or a whole
-//!   `execute_batch`) resolves names against;
+//!   consistent view of the relations a query names (or of every relation,
+//!   for a whole `execute_batch`) that it resolves names against. Names
+//!   are shared `Arc<str>`s, so pinning copies none;
 //! * [`wal`](self) / [`blockfile`](self) / [`recover`](self) (internal) —
 //!   the optional durability subsystem ([`DurabilityConfig`]): ingest
 //!   batches are write-ahead-logged as checksummed records *before* they
@@ -228,7 +229,9 @@ impl Default for StoreConfig {
 /// `deregister`) and ingest go through interior locks, so the store is
 /// shared by reference across reader and writer threads.
 pub struct RelationStore {
-    relations: RwLock<HashMap<String, Arc<VersionedRelation>>>,
+    /// Names are shared: pinning a relation bumps a refcount, it never
+    /// copies the name.
+    relations: RwLock<HashMap<Arc<str>, Arc<VersionedRelation>>>,
     config: StoreConfig,
     /// Store-level work counters: ingest ops applied, compactions published,
     /// rebuild scan work. Merged views are returned by
@@ -354,7 +357,7 @@ impl RelationStore {
         self.relations
             .write()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(name, relation)
+            .insert(Arc::from(name), relation)
             .map(|replaced| replaced.load())
     }
 
@@ -397,7 +400,7 @@ impl RelationStore {
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .keys()
-            .cloned()
+            .map(|name| name.to_string())
             .collect();
         names.sort_unstable();
         names
@@ -418,12 +421,12 @@ impl RelationStore {
             .relations
             .read()
             .unwrap_or_else(PoisonError::into_inner);
-        DbSnapshot {
-            relations: relations
-                .iter()
-                .map(|(name, rel)| (name.clone(), rel.load()))
-                .collect(),
-        }
+        let mut pinned: Vec<_> = relations
+            .iter()
+            .map(|(name, rel)| (Arc::clone(name), rel.load()))
+            .collect();
+        pinned.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        DbSnapshot { relations: pinned }
     }
 
     /// Applies a batch of write operations to `name` as one atomic
@@ -523,23 +526,32 @@ impl RelationStore {
         m.checkpoints += 1;
     }
 
-    /// Pins the current snapshot of the named relations only — what a
-    /// standing-query re-evaluation needs, without paying for the whole
-    /// catalog. Same per-relation (not cross-relation-instant) guarantee as
-    /// [`RelationStore::pin`].
-    pub(crate) fn pin_many(&self, names: &[&str]) -> Result<DbSnapshot, QueryError> {
+    /// Pins the current snapshot of the named relations only — what one
+    /// query or a standing-query re-evaluation needs, without paying for
+    /// the whole catalog. `names` may repeat a relation (one per role); it
+    /// is pinned once. Same per-relation (not cross-relation-instant)
+    /// guarantee as [`RelationStore::pin`].
+    pub(crate) fn pin_many<'n>(
+        &self,
+        names: impl IntoIterator<Item = &'n str>,
+    ) -> Result<DbSnapshot, QueryError> {
+        let names = names.into_iter();
         let relations = self
             .relations
             .read()
             .unwrap_or_else(PoisonError::into_inner);
-        let mut pinned = HashMap::with_capacity(names.len());
-        for &name in names {
-            let rel = relations
-                .get(name)
-                .ok_or_else(|| QueryError::UnknownRelation {
-                    name: name.to_string(),
-                })?;
-            pinned.insert(name.to_string(), rel.load());
+        let mut pinned: Vec<(Arc<str>, Arc<RelationSnapshot>)> =
+            Vec::with_capacity(names.size_hint().0);
+        for name in names {
+            let (key, rel) =
+                relations
+                    .get_key_value(name)
+                    .ok_or_else(|| QueryError::UnknownRelation {
+                        name: name.to_string(),
+                    })?;
+            if let Err(at) = pinned.binary_search_by(|(pinned, _)| (**pinned).cmp(name)) {
+                pinned.insert(at, (Arc::clone(key), rel.load()));
+            }
         }
         Ok(DbSnapshot { relations: pinned })
     }
@@ -575,7 +587,8 @@ impl std::fmt::Debug for RelationStore {
     }
 }
 
-/// A pinned, frozen view of every relation in a [`RelationStore`]:
+/// A pinned, frozen view of relations in a [`RelationStore`] — the whole
+/// catalog ([`RelationStore::pin`]) or just the relations one query names:
 /// exactly one published version per relation, immutable once pinned.
 ///
 /// Compilation resolves relation names against a `DbSnapshot`, so a query —
@@ -586,7 +599,8 @@ impl std::fmt::Debug for RelationStore {
 /// global instant).
 #[derive(Debug)]
 pub struct DbSnapshot {
-    relations: HashMap<String, Arc<RelationSnapshot>>,
+    /// Sorted by name.
+    relations: Vec<(Arc<str>, Arc<RelationSnapshot>)>,
 }
 
 impl DbSnapshot {
@@ -600,28 +614,27 @@ impl DbSnapshot {
     /// Resolves a relation name to its pinned [`RelationSnapshot`].
     pub fn snapshot(&self, name: &str) -> Result<&Arc<RelationSnapshot>, QueryError> {
         self.relations
-            .get(name)
-            .ok_or_else(|| QueryError::UnknownRelation {
+            .binary_search_by(|(pinned, _)| (**pinned).cmp(name))
+            .map(|at| &self.relations[at].1)
+            .map_err(|_| QueryError::UnknownRelation {
                 name: name.to_string(),
             })
     }
 
     /// The pinned relation names, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.relations.keys().cloned().collect();
-        names.sort_unstable();
-        names
+        self.relations
+            .iter()
+            .map(|(name, _)| name.to_string())
+            .collect()
     }
 
     /// `(name, version)` of every pinned relation, sorted by name.
     pub fn versions(&self) -> Vec<(String, u64)> {
-        let mut versions: Vec<(String, u64)> = self
-            .relations
+        self.relations
             .iter()
-            .map(|(name, snap)| (name.clone(), snap.version()))
-            .collect();
-        versions.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        versions
+            .map(|(name, snap)| (name.to_string(), snap.version()))
+            .collect()
     }
 }
 

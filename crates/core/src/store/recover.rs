@@ -534,7 +534,7 @@ pub(crate) fn recover_relations(
     config: &StoreConfig,
     metrics: &Arc<Mutex<Metrics>>,
     obs: &Arc<Observability>,
-) -> Result<HashMap<String, Arc<VersionedRelation>>, RecoveryError> {
+) -> Result<HashMap<Arc<str>, Arc<VersionedRelation>>, RecoveryError> {
     let mut out = HashMap::new();
     if !root.is_dir() {
         return Ok(out);
@@ -562,7 +562,7 @@ pub(crate) fn recover_relations(
         let mut m = metrics.lock().unwrap_or_else(PoisonError::into_inner);
         m.recoveries += 1;
         drop(m);
-        out.insert(rel.name().to_string(), rel);
+        out.insert(Arc::from(rel.name()), rel);
     }
     Ok(out)
 }

@@ -496,3 +496,31 @@ fn parse_errors_surface_with_spans() {
         Err(QueryError::UnknownRelation { .. })
     ));
 }
+
+/// A multi-byte character the lexer does not accept is a spanned parse
+/// error covering the whole character — through the parser and every
+/// textual `Database` entry point — never a panic on a char boundary.
+#[test]
+fn non_ascii_text_is_a_parse_error_not_a_panic() {
+    let text = "FIND Véhicles WHERE KNN(8, 1, 2)";
+    let err = two_knn::core::plan::parse_query(text).unwrap_err();
+    assert_eq!((err.start, err.end), (6, 8));
+    assert_eq!(&err.query[err.start..err.end], "é");
+    assert_eq!(err.message, "unexpected character `é`");
+    assert!(
+        err.to_string()
+            .ends_with("  FIND Véhicles WHERE KNN(8, 1, 2)\n        ^"),
+        "one caret under the character:\n{err}"
+    );
+
+    let mut db = Database::new();
+    db.register(
+        "Véhicles",
+        GridIndex::build(scattered(50, 0, 1), 4).unwrap(),
+    );
+    let is_that_error = |got: QueryError| matches!(got, QueryError::Parse(e) if e == err);
+    assert!(is_that_error(db.query(text).unwrap_err()));
+    assert!(is_that_error(db.subscribe_query(text).unwrap_err()));
+    assert!(is_that_error(db.explain(text).unwrap_err()));
+    assert!(is_that_error(db.explain_analyze(text).unwrap_err()));
+}
