@@ -279,7 +279,7 @@ pub(crate) fn compute_guards(
             // re-evaluates), at the cost of maintenance work. Tightening
             // these is future work.
             inner => {
-                for name in inner.relations() {
+                for name in inner.role_names() {
                     merge_into(&mut guards, name, Guard::Everything);
                 }
             }

@@ -49,14 +49,10 @@ impl std::error::Error for ParseError {}
 /// Errors produced while building, validating or executing query plans.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
-    /// A kNN predicate was given `k = 0`.
-    ZeroK {
-        /// Which predicate had the zero k (for diagnostics).
-        predicate: &'static str,
-    },
-    /// A plan transformation was rejected because it would change the query's
-    /// result (e.g. pushing a kNN-select below the inner relation of a
-    /// kNN-join, Section 3 of the paper).
+    /// A filter placement was refused because it would change the query's
+    /// result: [`crate::plan::compile`] reports it for a pre-kNN filter on
+    /// the inner relation of a kNN-join, where filtering changes every outer
+    /// point's neighborhood (the Figure 2 argument, Section 3 of the paper).
     InvalidTransformation {
         /// Human-readable explanation of why the transformation is invalid.
         reason: String,
@@ -96,9 +92,6 @@ impl From<ParseError> for QueryError {
 impl std::fmt::Display for QueryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            QueryError::ZeroK { predicate } => {
-                write!(f, "kNN predicate `{predicate}` must have k >= 1")
-            }
             QueryError::InvalidTransformation { reason } => {
                 write!(f, "invalid plan transformation: {reason}")
             }
@@ -132,9 +125,6 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        assert!(QueryError::ZeroK { predicate: "join" }
-            .to_string()
-            .contains("join"));
         assert!(QueryError::InvalidTransformation { reason: "x".into() }
             .to_string()
             .contains("invalid"));

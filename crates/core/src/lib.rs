@@ -22,10 +22,11 @@
 //! | two kNN-selects | independent selects + `∩` | 2-kNN-select (bounded locality) | [`selects2`] |
 //!
 //! The single-predicate building blocks live in [`select`] and [`join`]; the
-//! [`plan`] module provides a small logical-plan layer with the equivalence
-//! rules of the paper (what may and may not be pushed down), per-relation
-//! statistics, and an optimizer that picks between the algorithms using the
-//! paper's own heuristics (Sections 3.3 and 4.1.2).
+//! [`plan`] module provides one query algebra, [`plan::QuerySpec`], whose
+//! fixed shapes admit only the compositions the paper proves correct (what
+//! may and may not be pushed down), per-relation statistics, and an
+//! optimizer that picks between the algorithms using the paper's own
+//! heuristics (Sections 3.3 and 4.1.2).
 //!
 //! All algorithms are generic over any [`twoknn_index::SpatialIndex`]
 //! (grid, quadtree, or R-tree) and report machine-independent
@@ -41,7 +42,7 @@
 //!
 //! | Module | Role |
 //! |---|---|
-//! | [`plan`] | logical plans, statistics, optimizer, physical operators, and the [`plan::Database`] driver |
+//! | [`plan`] | the query algebra, statistics, optimizer, physical operators, and the [`plan::Database`] driver |
 //! | [`store`] | versioned relation store: spatially sharded relations, snapshot reads, delta ingest, per-shard background rebuilds on the worker pool, and the optional durability subsystem (WAL + immutable shard block files + crash recovery, [`DurabilityConfig`]) |
 //! | [`cq`] | continuous queries: standing two-kNN queries, guard-region registry, incremental maintenance over ingest |
 //! | [`exec`] | the partitioned runs and the persistent [`WorkerPool`] shared by batches, operators, and compactions |

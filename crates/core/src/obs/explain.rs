@@ -85,7 +85,8 @@ pub struct PlanExplain {
     pub query: Option<String>,
     /// The parsed AST, pretty-printed by the front-end.
     pub ast: Option<String>,
-    /// The logical plan (kNN predicates + filters) the rewriter produced.
+    /// The lowered [`crate::plan::QuerySpec`] in its algebraic notation
+    /// (kNN predicates + filters), as its `Display` prints it.
     pub logical: Option<String>,
     /// The filter-placement rewrites applied, one human-readable line each
     /// (pre-kNN pushdowns and post-kNN residuals).

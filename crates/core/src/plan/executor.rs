@@ -212,11 +212,6 @@ impl QueryFilters {
 impl QuerySpec {
     /// The names of the relations this query references, in role order
     /// (duplicates preserved when one relation plays several roles).
-    pub fn relations(&self) -> Vec<&str> {
-        self.role_names().collect()
-    }
-
-    /// [`QuerySpec::relations`] without the vector.
     pub(crate) fn role_names(&self) -> impl Iterator<Item = &str> {
         let mut spec = self;
         while let QuerySpec::Filtered { spec: wrapped, .. } = spec {
@@ -247,6 +242,77 @@ impl QuerySpec {
                 filters,
             }
         }
+    }
+}
+
+impl std::fmt::Display for QuerySpec {
+    /// Prints the query's algebra: `σ[k=…, f=(x, y)](R)` for a select,
+    /// `(A ⋈[k=…] B)` for a join, `∩(…, …)` for two selects and
+    /// `∩_B(…, …)` for two pair sets meeting on their `B` component. A
+    /// pre-kNN filter sits at its relation's leaf as `filter[p](R)`; a
+    /// post-kNN filter wraps the whole expression, naming its relation on
+    /// a join shape (`filter[B: p](…)`). A `TRUE` filter is not printed:
+    /// [`crate::plan::compile`] does not run it.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let unfiltered = QueryFilters::none();
+        let (spec, filters) = match self {
+            QuerySpec::Filtered { spec, filters } => (&**spec, filters),
+            spec => (spec, &unfiltered),
+        };
+        let runs = |predicate: &&Predicate| !matches!(predicate, Predicate::True);
+        let leaf = |name: &str| match filters.pre.get(name).filter(runs) {
+            Some(predicate) => format!("filter[{predicate}]({name})"),
+            None => name.to_string(),
+        };
+        let select = |k: usize, focal: Point, name: &str| {
+            format!("σ[k={k}, f=({}, {})]({})", focal.x, focal.y, leaf(name))
+        };
+        let join =
+            |outer: String, k: usize, inner: &str| format!("({outer} ⋈[k={k}] {})", leaf(inner));
+        let mut expr = match spec {
+            QuerySpec::KnnSelect { relation, query } => select(query.k, query.focal, relation),
+            QuerySpec::TwoSelects { relation, query: q } => format!(
+                "∩({}, {})",
+                select(q.k1, q.f1, relation),
+                select(q.k2, q.f2, relation)
+            ),
+            QuerySpec::SelectInnerOfJoin {
+                outer,
+                inner,
+                query: q,
+            } => format!(
+                "∩_B({}, {})",
+                join(leaf(outer), q.k_join, inner),
+                select(q.k_select, q.focal, inner)
+            ),
+            QuerySpec::SelectOuterOfJoin {
+                outer,
+                inner,
+                query: q,
+            } => join(select(q.k_select, q.focal, outer), q.k_join, inner),
+            QuerySpec::UnchainedJoins { a, b, c, query: q } => format!(
+                "∩_B({}, {})",
+                join(leaf(a), q.k_ab, b),
+                join(leaf(c), q.k_cb, b)
+            ),
+            QuerySpec::ChainedJoins { a, b, c, query: q } => {
+                join(join(leaf(a), q.k_ab, b), q.k_bc, c)
+            }
+            // Nested filters, which `compile` refuses.
+            QuerySpec::Filtered { .. } => spec.to_string(),
+        };
+        let joins = !matches!(
+            spec,
+            QuerySpec::KnnSelect { .. } | QuerySpec::TwoSelects { .. }
+        );
+        for (name, predicate) in filters.post.iter().filter(|(_, predicate)| runs(predicate)) {
+            expr = if joins {
+                format!("filter[{name}: {predicate}]({expr})")
+            } else {
+                format!("filter[{predicate}]({expr})")
+            };
+        }
+        f.write_str(&expr)
     }
 }
 
@@ -832,17 +898,17 @@ impl Database {
     // -----------------------------------------------------------------
 
     /// `EXPLAIN` for a textual query: parses it (without executing) and
-    /// reports the full decision chain — the parsed AST, the logical plan
-    /// the rewriter produced, the filter-placement rewrites, the strategy
-    /// the optimizer chose on the current snapshots, and the compiled
-    /// physical operator tree.
+    /// reports the full decision chain — the parsed AST, the [`QuerySpec`]
+    /// the rewriter lowered it to (its `Display`, the `logical:` line), the
+    /// filter-placement rewrites, the strategy the optimizer chose on the
+    /// current snapshots, and the compiled physical operator tree.
     pub fn explain(&self, text: &str) -> Result<PlanExplain, QueryError> {
         explain_text(text, |spec| self.explain_spec(spec), |explain| explain)
     }
 
     /// `EXPLAIN` for a pre-built [`QuerySpec`]: the rewrites, chosen
-    /// strategy, and compiled operator tree (no AST or logical stage —
-    /// the query never went through the parser).
+    /// strategy, and compiled operator tree (no query text, AST or
+    /// `logical:` line — the query never went through the parser).
     pub fn explain_spec(&self, spec: &QuerySpec) -> Result<PlanExplain, QueryError> {
         Ok(self.explain_compiled(spec)?.0)
     }
@@ -947,7 +1013,7 @@ impl Database {
 }
 
 /// Parses a textual query, explains its spec with `explain`, and records
-/// the parser stages — the query text, the AST and the logical plan — on
+/// the parser stages — the query text, the AST and the lowered spec — on
 /// the [`PlanExplain`] that `stages` picks out of the outcome.
 fn explain_text<T>(
     text: &str,
@@ -955,11 +1021,12 @@ fn explain_text<T>(
     stages: impl FnOnce(&mut T) -> &mut PlanExplain,
 ) -> Result<T, QueryError> {
     let query = crate::plan::lang::parse(text)?;
-    let mut explained = explain(&query.to_spec(text)?)?;
+    let spec = query.to_spec(text)?;
+    let mut explained = explain(&spec)?;
     let plan = stages(&mut explained);
     plan.query = Some(text.trim().to_string());
     plan.ast = Some(query.to_string());
-    plan.logical = Some(query.to_logical().to_string());
+    plan.logical = Some(spec.to_string());
     Ok(explained)
 }
 
@@ -1202,6 +1269,85 @@ mod tests {
         assert_eq!(db.execute(&spec).unwrap().num_rows(), 5);
         let batch = db.execute_batch(&[spec.clone(), spec]);
         assert!(batch.iter().all(|r| r.as_ref().unwrap().num_rows() == 5));
+    }
+
+    #[test]
+    fn display_prints_every_shape_in_the_algebra() {
+        let f = Point::anonymous(1.5, -2.0);
+        let near = Predicate::IdRange { lo: 0, hi: 9 };
+        let cases = [
+            (
+                QuerySpec::KnnSelect {
+                    relation: "A".into(),
+                    query: KnnSelectQuery::new(3, f),
+                },
+                "σ[k=3, f=(1.5, -2)](A)",
+            ),
+            (
+                QuerySpec::TwoSelects {
+                    relation: "A".into(),
+                    query: TwoSelectsQuery::new(2, f, 7, Point::anonymous(0.0, 4.0)),
+                },
+                "∩(σ[k=2, f=(1.5, -2)](A), σ[k=7, f=(0, 4)](A))",
+            ),
+            (
+                QuerySpec::SelectInnerOfJoin {
+                    outer: "A".into(),
+                    inner: "B".into(),
+                    query: SelectInnerJoinQuery::new(2, 5, f),
+                },
+                "∩_B((A ⋈[k=2] B), σ[k=5, f=(1.5, -2)](B))",
+            ),
+            (
+                QuerySpec::SelectOuterOfJoin {
+                    outer: "A".into(),
+                    inner: "B".into(),
+                    query: SelectOuterJoinQuery::new(2, 5, f),
+                },
+                "(σ[k=5, f=(1.5, -2)](A) ⋈[k=2] B)",
+            ),
+            (
+                QuerySpec::UnchainedJoins {
+                    a: "A".into(),
+                    b: "B".into(),
+                    c: "C".into(),
+                    query: UnchainedJoinQuery::new(2, 3),
+                },
+                "∩_B((A ⋈[k=2] B), (C ⋈[k=3] B))",
+            ),
+            (
+                QuerySpec::ChainedJoins {
+                    a: "A".into(),
+                    b: "B".into(),
+                    c: "C".into(),
+                    query: ChainedJoinQuery::new(2, 3),
+                },
+                "((A ⋈[k=2] B) ⋈[k=3] C)",
+            ),
+        ];
+        for (spec, printed) in &cases {
+            assert_eq!(spec.to_string(), *printed);
+        }
+        // A pre-filter sits at every leaf of its relation; a post-filter
+        // wraps the expression, naming its relation on a join shape; a
+        // `TRUE` filter is not printed.
+        let filters = QueryFilters::none()
+            .pre("A", near.clone())
+            .pre("C", Predicate::True)
+            .post("B", Predicate::False);
+        let filtered = [
+            "filter[FALSE](σ[k=3, f=(1.5, -2)](filter[ID BETWEEN 0 AND 9](A)))",
+            "filter[FALSE](∩(σ[k=2, f=(1.5, -2)](filter[ID BETWEEN 0 AND 9](A)), \
+             σ[k=7, f=(0, 4)](filter[ID BETWEEN 0 AND 9](A))))",
+            "filter[B: FALSE](∩_B((filter[ID BETWEEN 0 AND 9](A) ⋈[k=2] B), \
+             σ[k=5, f=(1.5, -2)](B)))",
+            "filter[B: FALSE]((σ[k=5, f=(1.5, -2)](filter[ID BETWEEN 0 AND 9](A)) ⋈[k=2] B))",
+            "filter[B: FALSE](∩_B((filter[ID BETWEEN 0 AND 9](A) ⋈[k=2] B), (C ⋈[k=3] B)))",
+            "filter[B: FALSE](((filter[ID BETWEEN 0 AND 9](A) ⋈[k=2] B) ⋈[k=3] C))",
+        ];
+        for ((spec, _), printed) in cases.into_iter().zip(filtered) {
+            assert_eq!(spec.with_filters(filters.clone()).to_string(), printed);
+        }
     }
 
     #[test]

@@ -71,7 +71,6 @@ use twoknn_geometry::{Point, Predicate, Rect};
 
 use crate::error::ParseError;
 use crate::plan::executor::{QueryFilters, QuerySpec};
-use crate::plan::logical::LogicalExpr;
 use crate::select::KnnSelectQuery;
 use crate::selects2::TwoSelectsQuery;
 
@@ -879,47 +878,13 @@ impl Query {
             text,
         )
     }
-
-    /// The query as a [`LogicalExpr`] tree — the algebra the validator and
-    /// rewrite rules of [`crate::plan::logical`] operate on. The source
-    /// filter becomes a [`Predicate`] filter *below* each kNN-select (the
-    /// valid pre-kNN placement); the residual becomes a filter *above*
-    /// the result.
-    pub fn to_logical(&self) -> LogicalExpr {
-        let base = || {
-            let relation = LogicalExpr::relation(self.relation.clone());
-            match &self.source_filter {
-                Some(filter) => relation.filter(to_predicate(filter)),
-                None => relation,
-            }
-        };
-        let mut knns: Vec<(usize, Point)> = Vec::new();
-        let mut residual: Option<Predicate> = None;
-        for_each_conjunct(&self.condition, &mut |item| match item {
-            Cond::Knn { k, x, y, .. } => knns.push((*k, Point::anonymous(*x, *y))),
-            other if find_knn(other).is_none() => {
-                residual = Some(and_onto(residual.take(), to_predicate(other)));
-            }
-            _ => {}
-        });
-        let mut expr = match knns.as_slice() {
-            [(k, focal)] => base().knn_select(*k, *focal),
-            [(k1, f1), (k2, f2), ..] => LogicalExpr::Intersect {
-                left: Box::new(base().knn_select(*k1, *f1)),
-                right: Box::new(base().knn_select(*k2, *f2)),
-            },
-            [] => base(),
-        };
-        if let Some(predicate) = residual {
-            expr = expr.filter(predicate);
-        }
-        expr
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{compile, Database};
+    use twoknn_index::GridIndex;
 
     #[test]
     fn parses_a_single_select_with_filters() {
@@ -1022,12 +987,15 @@ mod tests {
 
     #[test]
     fn logical_bridge_builds_a_valid_algebra() {
-        let q = parse("FIND (Sites WHERE ID <= 10) WHERE KNN(3, 1, 2) AND ID >= 4").unwrap();
-        let expr = q.to_logical();
-        expr.validate().unwrap();
-        let printed = expr.to_string();
-        assert!(printed.contains("σ[k=3, f=(1, 2)]"), "{printed}");
-        assert!(printed.contains("filter["), "{printed}");
+        // The lowered spec prints EXPLAIN's `logical:` line: the source
+        // filter at the select's leaf, the residue around the result.
+        let text = "FIND (Sites WHERE ID <= 10) WHERE KNN(3, 1, 2) AND ID >= 4";
+        let spec = parse(text).unwrap().to_spec(text).unwrap();
+        assert_eq!(
+            spec.to_string(),
+            "filter[ID BETWEEN 4 AND 18446744073709551615](σ[k=3, f=(1, 2)](filter[ID BETWEEN 0 \
+             AND 10](Sites)))"
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1141,13 +1109,30 @@ mod tests {
 
     #[test]
     fn every_generated_query_lowers_to_a_valid_algebra() {
-        // The grammar only expresses select shapes, whose filter
-        // placements are always valid: the logical-algebra bridge agrees.
+        // `compile` is the validator: every generated spec must compile
+        // under the strategy the planner picks for it.
+        let mut db = Database::new();
+        for (i, name) in ["Sites", "Vehicles", "Hotels", "R_2"]
+            .into_iter()
+            .enumerate()
+        {
+            let points = (0..64)
+                .map(|j| Point::new(j, (j * 37 % 101) as f64 - 50.0, (j * 11 + i as u64) as f64))
+                .collect();
+            db.register(name, GridIndex::build(points, 4).unwrap());
+        }
         let mut rng = Rng(0x2545F4914F6CDD1D);
         for i in 0..200 {
             let query = gen_query(&mut rng);
-            let validated = query.to_logical().validate();
-            assert!(validated.is_ok(), "iteration {i}: `{query}`: {validated:?}");
+            let spec = query.to_spec(&query.to_string()).unwrap();
+            let compiled = db
+                .plan(&spec)
+                .and_then(|strategy| compile(&db.snapshot(), &spec, strategy));
+            assert!(
+                compiled.is_ok(),
+                "iteration {i}: `{query}`: {:?}",
+                compiled.err()
+            );
         }
     }
 

@@ -5,10 +5,6 @@
 //! algorithm evaluates a valid plan fastest given the data distribution. This
 //! module exposes that framing programmatically:
 //!
-//! * [`logical`] — a logical expression tree for kNN-select / kNN-join
-//!   queries, a validator that rejects semantically invalid compositions
-//!   (e.g. a kNN-select pushed below the inner relation of a kNN-join), and
-//!   the legal/illegal rewrites of the paper as explicit transformations;
 //! * [`stats`] — cheap per-relation statistics (cardinality, block occupancy,
 //!   coverage, skew) computed from index block metadata;
 //! * [`strategy`] — the physical strategies available for each query shape;
@@ -33,10 +29,16 @@
 //!   on the same pool the operators use, and the ingest entry points
 //!   (`insert` / `remove` / `update` / `ingest`) that publish new relation
 //!   versions and trigger background compactions.
+//!
+//! [`QuerySpec`] is the one query algebra. Its fixed shapes cannot express
+//! the compositions the paper proves wrong — a kNN-select below a join's
+//! inner relation (Figure 2), sequential unchained joins (Figures 8–9),
+//! a kNN-select over another one (Figures 14–15) — and [`compile`] refuses
+//! the one wrong placement a filter can still take: a pre-kNN filter on a
+//! join's inner role. Its `Display` is EXPLAIN's `logical:` line.
 
 pub mod executor;
 pub mod lang;
-pub mod logical;
 pub mod optimizer;
 pub mod physical;
 pub mod stats;
@@ -44,7 +46,6 @@ pub mod strategy;
 
 pub use executor::{Database, QueryFilters, QueryResult, QuerySpec};
 pub use lang::parse_query;
-pub use logical::{LogicalExpr, Rewrite};
 pub use optimizer::Optimizer;
 pub use physical::{compile, PhysicalPlan, Relation, Row, RowSchema};
 pub use stats::RelationProfile;

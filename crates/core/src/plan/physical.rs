@@ -479,7 +479,7 @@ pub fn compile(
         (QuerySpec::KnnSelect { query, .. }, Strategy::Select) => Shape::Select(query.clone()),
         _ => {
             return Err(QueryError::UnsupportedPlanShape {
-                description: format!("strategy {strategy} does not match query {spec:?}"),
+                description: format!("strategy {strategy} does not match query {spec}"),
             })
         }
     };
@@ -540,9 +540,8 @@ pub fn compile(
 /// point's neighborhood, so rows the unfiltered query never produced would
 /// appear). Post-filters are valid on every role.
 fn validate_filter_placement(inner: &QuerySpec, filters: &QueryFilters) -> Result<(), QueryError> {
-    let roles = inner.relations();
     for name in filters.pre.keys().chain(filters.post.keys()) {
-        if !roles.iter().any(|role| role == name) {
+        if !inner.role_names().any(|role| role == name) {
             return Err(QueryError::UnknownRelation { name: name.clone() });
         }
     }

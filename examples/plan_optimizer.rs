@@ -1,56 +1,21 @@
-//! Using the plan layer: a relation catalog, logical-plan validation (which
-//! rewrites are legal), statistics-driven strategy selection, and execution.
+//! Using the plan layer: a relation catalog, the paper's Figure 2 run on
+//! real data (a kNN-select may not be pushed below a join's inner
+//! relation, and neither may a filter), EXPLAIN, statistics-driven strategy
+//! selection, and execution.
 //!
 //! Run with: `cargo run --release --example plan_optimizer`
 
 use two_knn::core::joins2::UnchainedJoinQuery;
-use two_knn::core::plan::{Database, LogicalExpr, QuerySpec, Rewrite, Strategy};
-use two_knn::core::select_join::SelectInnerJoinQuery;
+use two_knn::core::output::pair_id_set;
+use two_knn::core::plan::{Database, QueryFilters, QuerySpec, Strategy};
+use two_knn::core::select_join::{conceptual, invalid_inner_pushdown, SelectInnerJoinQuery};
 use two_knn::core::selects2::TwoSelectsQuery;
 use two_knn::datagen::{berlinmod, clustered, BerlinModConfig, ClusterConfig};
-use two_knn::{GridIndex, Point};
+use two_knn::geometry::Predicate;
+use two_knn::{GridIndex, Point, QueryError};
 
 fn main() {
-    // ----- 1. Logical-plan validation ---------------------------------------
-    println!("== logical-plan validation ==");
     let shopping_center = Point::anonymous(52_000.0, 49_000.0);
-
-    // The correct composite: join intersected with the select's result.
-    let correct = LogicalExpr::relation("Mechanics")
-        .knn_join(LogicalExpr::relation("Hotels"), 2)
-        .intersect_on_inner(LogicalExpr::relation("Hotels").knn_select(2, shopping_center));
-    println!(
-        "correct composite validates: {:?}",
-        correct.validate().is_ok()
-    );
-
-    // The classical pushdown: select below the join's inner relation.
-    let pushed = LogicalExpr::relation("Mechanics").knn_join(
-        LogicalExpr::relation("Hotels").knn_select(2, shopping_center),
-        2,
-    );
-    match pushed.validate() {
-        Err(e) => println!("inner pushdown rejected: {e}"),
-        Ok(()) => unreachable!("the validator must reject the inner pushdown"),
-    }
-
-    // Rewrites: the validator also answers "may I apply this transformation?"
-    let outer_pushed = LogicalExpr::relation("Mechanics")
-        .knn_select(5, shopping_center)
-        .knn_join(LogicalExpr::relation("Hotels"), 2);
-    println!(
-        "outer-select pushdown allowed: {:?}",
-        outer_pushed
-            .apply(Rewrite::PushSelectBelowJoinOuter)
-            .is_ok()
-    );
-    println!(
-        "sequentializing two selects allowed: {:?}\n",
-        outer_pushed.apply(Rewrite::SequentializeTwoSelects).is_ok()
-    );
-
-    // ----- 2. Statistics-driven strategy selection ---------------------------
-    println!("== optimizer ==");
     let mut db = Database::new();
     db.register(
         "Mechanics",
@@ -83,15 +48,58 @@ fn main() {
         .unwrap(),
     );
 
+    // ----- 1. Figure 2: the invalid inner pushdown ---------------------------
+    println!("== Figure 2: a kNN-select below a join's inner relation ==");
+    // Each mechanic's 2 nearest hotels, kept when the hotel is one of the 2
+    // nearest to the shopping center (the conceptual QEP), against the join
+    // run over only those 2 hotels (the pushdown).
+    let query = SelectInnerJoinQuery::new(2, 2, shopping_center);
+    let snapshot = db.snapshot();
+    let mechanics = snapshot.snapshot("Mechanics").unwrap();
+    let hotels = snapshot.snapshot("Hotels").unwrap();
+    let correct = pair_id_set(&conceptual(&**mechanics, &**hotels, &query).rows);
+    let pushed = pair_id_set(&invalid_inner_pushdown(&**mechanics, &**hotels, &query).rows);
+    assert_ne!(correct, pushed, "the inner pushdown must change the answer");
+    println!(
+        "conceptual QEP: {} pairs; inner pushdown: {} pairs, {} of them wrong",
+        correct.len(),
+        pushed.len(),
+        pushed.difference(&correct).count()
+    );
+
+    // The same argument holds for a filter: a pre-kNN filter on the join's
+    // inner relation changes every mechanic's neighborhood, so it is refused.
+    let select_inner = QuerySpec::SelectInnerOfJoin {
+        outer: "Mechanics".into(),
+        inner: "Hotels".into(),
+        query,
+    };
+    let pre_on_inner = select_inner
+        .clone()
+        .with_filters(QueryFilters::none().pre("Hotels", Predicate::IdRange { lo: 0, hi: 9_999 }));
+    match db.execute(&pre_on_inner) {
+        Err(err @ QueryError::InvalidTransformation { .. }) => {
+            println!("pre-kNN filter on `Hotels` refused: {err}")
+        }
+        other => panic!("a pre-kNN filter on the join's inner must be refused, got {other:?}"),
+    }
+
+    // EXPLAIN prints the lowered query in the algebra (`logical:`).
+    let explain = db
+        .explain("FIND (Hotels WHERE ID BETWEEN 0 AND 9000) WHERE KNN(8, 52000, 49000)")
+        .unwrap();
+    assert!(
+        explain.logical.is_some(),
+        "a textual query has a logical line"
+    );
+    println!("\n{explain}\n");
+
+    // ----- 2. Statistics-driven strategy selection ---------------------------
+    println!("== optimizer ==");
     for name in ["Mechanics", "Hotels", "Attractions"] {
         println!("profile[{name}]: {}", db.profile(name).unwrap());
     }
 
-    let select_inner = QuerySpec::SelectInnerOfJoin {
-        outer: "Mechanics".into(),
-        inner: "Hotels".into(),
-        query: SelectInnerJoinQuery::new(2, 2, shopping_center),
-    };
     let unchained = QuerySpec::UnchainedJoins {
         a: "Attractions".into(),
         b: "Hotels".into(),

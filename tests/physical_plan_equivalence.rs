@@ -226,6 +226,97 @@ fn specs() -> Vec<(QuerySpec, RowSchema)> {
     ]
 }
 
+/// Builds one query shape from its kNN parameters, in the order of its
+/// query struct's fields (a single select reads the first).
+type FromKs = fn([usize; 2]) -> QuerySpec;
+
+/// The six query shapes over `A`, `B` and `C`, each with how many kNN
+/// parameters it has.
+fn k_shapes() -> [(&'static str, usize, FromKs); 6] {
+    fn focal() -> Point {
+        Point::anonymous(52_000.0, 49_000.0)
+    }
+    [
+        ("select", 1, |[k, _]| QuerySpec::KnnSelect {
+            relation: "B".into(),
+            query: KnnSelectQuery::new(k, focal()),
+        }),
+        ("two-selects", 2, |[k1, k2]| QuerySpec::TwoSelects {
+            relation: "B".into(),
+            query: TwoSelectsQuery::new(k1, focal(), k2, Point::anonymous(48_500.0, 51_500.0)),
+        }),
+        ("select-inner", 2, |[k_join, k_select]| {
+            QuerySpec::SelectInnerOfJoin {
+                outer: "A".into(),
+                inner: "B".into(),
+                query: SelectInnerJoinQuery::new(k_join, k_select, focal()),
+            }
+        }),
+        ("select-outer", 2, |[k_join, k_select]| {
+            QuerySpec::SelectOuterOfJoin {
+                outer: "A".into(),
+                inner: "B".into(),
+                query: SelectOuterJoinQuery::new(k_join, k_select, focal()),
+            }
+        }),
+        ("unchained", 2, |[k_ab, k_cb]| QuerySpec::UnchainedJoins {
+            a: "A".into(),
+            b: "B".into(),
+            c: "C".into(),
+            query: UnchainedJoinQuery::new(k_ab, k_cb),
+        }),
+        ("chained", 2, |[k_ab, k_bc]| QuerySpec::ChainedJoins {
+            a: "A".into(),
+            b: "B".into(),
+            c: "C".into(),
+            query: ChainedJoinQuery::new(k_ab, k_bc),
+        }),
+    ]
+}
+
+/// A zero `k` and a `k` beyond the relation's size are legal on every
+/// shape and under every strategy: a zero in any position returns no rows,
+/// without an error; an oversized `k` (in one position or in all) returns
+/// the rows of the shape's conceptual strategy, the first one listed.
+#[test]
+fn zero_and_oversized_k_are_answered_by_every_strategy() {
+    /// More points than any relation below holds.
+    const BIG: usize = 1_000;
+    let mut db = Database::new();
+    for (name, n, seed) in [("A", 30, 41), ("B", 40, 42), ("C", 35, 43)] {
+        db.register(
+            name,
+            GridIndex::build_with_target_occupancy(points(n, seed), 8).unwrap(),
+        );
+    }
+    for (shape, positions, build) in k_shapes() {
+        let mut cases: Vec<[usize; 2]> = Vec::new();
+        for position in 0..positions {
+            for k in [0, BIG] {
+                let mut ks = [3, 5];
+                ks[position] = k;
+                cases.push(ks);
+            }
+        }
+        if positions == 2 {
+            cases.push([BIG, BIG]);
+        }
+        for ks in cases {
+            let spec = build(ks);
+            let strategies = strategies_for(&spec);
+            let conceptual = id_set(&db.execute_with(&spec, strategies[0]).unwrap());
+            let zero = ks[..positions].contains(&0);
+            assert_eq!(conceptual.is_empty(), zero, "{shape} k={ks:?}");
+            for strategy in strategies {
+                let result = db
+                    .execute_with(&spec, strategy)
+                    .unwrap_or_else(|e| panic!("{shape} k={ks:?} {strategy}: {e}"));
+                assert_eq!(id_set(&result), conceptual, "{shape} k={ks:?} {strategy}");
+            }
+        }
+    }
+}
+
 /// Pool sizes the runs are bound to; the first is the reference.
 const POOL_SIZES: [usize; 3] = [1, 2, 4];
 
