@@ -11,8 +11,8 @@
 //! With no arguments every experiment runs at the quick scale and the report
 //! is printed to stdout. `--smoke` (shorthand for `--scale smoke`) shrinks
 //! every dataset so the full sweep finishes in seconds — the CI path: it
-//! checks that every experiment runs and that the compared algorithms agree
-//! on result cardinalities, not that the timings mean anything.
+//! checks that every experiment runs and that the compared algorithms return
+//! the same rows, not that the timings mean anything.
 //!
 //! Every experiment runs on a pool of one, so the timings are
 //! single-threaded.

@@ -1,18 +1,18 @@
 //! Experiment runners: one function per figure of the paper's evaluation
-//! (Section 6) plus two ablations. Each runner executes the full parameter
-//! sweep, verifies that the compared algorithms return identical result
-//! cardinalities, and returns a [`Report`] whose rendered table has the same
+//! (Section 6) plus an index-family ablation. Each runner executes the full
+//! parameter sweep, verifies that the compared algorithms return identical
+//! rows (as id sets), and returns a [`Report`] whose rendered table has the same
 //! shape as the paper's plot (same x-axis, same series).
 
 use twoknn_core::joins2::{
     chained_join_intersection, chained_nested, chained_nested_cached, unchained_block_marking,
     unchained_conceptual, ChainedJoinQuery, UnchainedJoinQuery,
 };
-use twoknn_core::select_join::{
-    block_marking, conceptual, counting, BlockMarkingConfig, SelectInnerJoinQuery,
-};
+use twoknn_core::output::{pair_id_set, point_id_set, triplet_id_set};
+use twoknn_core::select_join::{block_marking, conceptual, counting, SelectInnerJoinQuery};
 use twoknn_core::selects2::{two_knn_select, two_selects_conceptual, TwoSelectsQuery};
 use twoknn_core::QueryOutput;
+use twoknn_geometry::Point;
 use twoknn_index::{QuadtreeIndex, StrRTree};
 
 use crate::workloads::{self, FIG23_BASE_CLUSTERS, FIG26_K1, SELECT_JOIN_K, TWO_JOINS_K};
@@ -28,12 +28,9 @@ fn record<T>(report: &mut Report, x: &str, series: &str, millis: f64, out: &Quer
     });
 }
 
-fn assert_same_rows<T, U>(a: &QueryOutput<T>, b: &QueryOutput<U>, context: &str) {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "algorithms disagree on result cardinality in {context}"
-    );
+/// Asserts that two algorithms returned the same rows, given as id sets.
+fn assert_same_rows<K: PartialEq>(a: K, b: K, context: &str) {
+    assert!(a == b, "algorithms disagree on rows in {context}");
 }
 
 /// Figure 19: kNN-select on the inner relation of a kNN-join — conceptual QEP
@@ -46,13 +43,12 @@ pub fn fig19(scale: Scale) -> Report {
     );
     let inner = workloads::berlin_relation(workloads::fig19_inner_size(scale), 101);
     let query = SelectInnerJoinQuery::new(SELECT_JOIN_K, SELECT_JOIN_K, workloads::focal_point());
-    let config = BlockMarkingConfig::default();
     for (i, n) in workloads::fig19_outer_sizes(scale).into_iter().enumerate() {
         let outer = workloads::berlin_relation(n, 200 + i as u64);
         let x = n.to_string();
         let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query));
-        let (t_fast, fast) = time_ms(|| block_marking(&outer, &inner, &query, &config));
-        assert_same_rows(&slow, &fast, "fig19");
+        let (t_fast, fast) = time_ms(|| block_marking(&outer, &inner, &query));
+        assert_same_rows(pair_id_set(&slow.rows), pair_id_set(&fast.rows), "fig19");
         record(&mut report, &x, "conceptual", t_slow, &slow);
         record(&mut report, &x, "block-marking", t_fast, &fast);
     }
@@ -90,13 +86,12 @@ fn counting_vs_block_marking(
     let mut report = Report::new(id, description, "outer size");
     let inner = workloads::berlin_relation(inner_size, 111);
     let query = SelectInnerJoinQuery::new(SELECT_JOIN_K, SELECT_JOIN_K, workloads::focal_point());
-    let config = BlockMarkingConfig::default();
     for (i, n) in outer_sizes.into_iter().enumerate() {
         let outer = workloads::berlin_relation(n, 300 + i as u64);
         let x = n.to_string();
         let (t_counting, c) = time_ms(|| counting(&outer, &inner, &query));
-        let (t_marking, m) = time_ms(|| block_marking(&outer, &inner, &query, &config));
-        assert_same_rows(&c, &m, id);
+        let (t_marking, m) = time_ms(|| block_marking(&outer, &inner, &query));
+        assert_same_rows(pair_id_set(&c.rows), pair_id_set(&m.rows), id);
         record(&mut report, &x, "counting", t_counting, &c);
         record(&mut report, &x, "block-marking", t_marking, &m);
     }
@@ -122,7 +117,11 @@ pub fn fig22(scale: Scale) -> Report {
         let x = n.to_string();
         let (t_slow, slow) = time_ms(|| unchained_conceptual(&a, &b, &c, &query));
         let (t_fast, fast) = time_ms(|| unchained_block_marking(&a, &b, &c, &query));
-        assert_same_rows(&slow, &fast, "fig22");
+        assert_same_rows(
+            triplet_id_set(&slow.rows),
+            triplet_id_set(&fast.rows),
+            "fig22",
+        );
         record(&mut report, &x, "conceptual", t_slow, &slow);
         record(&mut report, &x, "block-marking", t_fast, &fast);
     }
@@ -152,11 +151,13 @@ pub fn fig23(scale: Scale) -> Report {
         // Start with (C ⋈ B): prune A's blocks (the recommended order, since
         // C has fewer clusters and therefore smaller coverage).
         let (t_start_c, start_c) = time_ms(|| unchained_block_marking(&c, &b, &a, &query));
-        assert_eq!(
-            start_a.len(),
-            start_c.len(),
-            "both orders must produce the same number of triplets"
-        );
+        // Starting with (C ⋈ B) emits (c, b, a): swap the components back.
+        let start_c_ids = start_c
+            .rows
+            .iter()
+            .map(|t| (t.c.id, t.b.id, t.a.id))
+            .collect();
+        assert_same_rows(triplet_id_set(&start_a.rows), start_c_ids, "fig23");
         record(&mut report, &x, "start-with-(A⋈B)", t_start_a, &start_a);
         record(&mut report, &x, "start-with-(C⋈B)", t_start_c, &start_c);
     }
@@ -181,7 +182,11 @@ pub fn fig24(scale: Scale) -> Report {
         let x = n.to_string();
         let (t_uncached, uncached) = time_ms(|| chained_nested(&a, &b, &c, &query));
         let (t_cached, cached) = time_ms(|| chained_nested_cached(&a, &b, &c, &query));
-        assert_same_rows(&uncached, &cached, "fig24");
+        assert_same_rows(
+            triplet_id_set(&uncached.rows),
+            triplet_id_set(&cached.rows),
+            "fig24",
+        );
         record(&mut report, &x, "nested-join", t_uncached, &uncached);
         record(&mut report, &x, "nested-join-cached", t_cached, &cached);
     }
@@ -207,7 +212,11 @@ pub fn fig25(scale: Scale) -> Report {
         let x = n_clusters.to_string();
         let (t_slow, slow) = time_ms(|| chained_join_intersection(&a, &b, &c, &query));
         let (t_fast, fast) = time_ms(|| chained_nested_cached(&a, &b, &c, &query));
-        assert_same_rows(&slow, &fast, "fig25");
+        assert_same_rows(
+            triplet_id_set(&slow.rows),
+            triplet_id_set(&fast.rows),
+            "fig25",
+        );
         record(&mut report, &x, "join-intersection", t_slow, &slow);
         record(&mut report, &x, "nested-join-cached", t_fast, &fast);
     }
@@ -244,7 +253,7 @@ pub fn fig26(scale: Scale) -> Report {
             }
             last
         });
-        assert_same_rows(&slow, &fast, "fig26");
+        assert_same_rows(point_id_set(&slow.rows), point_id_set(&fast.rows), "fig26");
         record(
             &mut report,
             &x,
@@ -283,94 +292,20 @@ pub fn ablation_index(scale: Scale) -> Report {
     let inner_pts =
         twoknn_datagen::berlinmod(&twoknn_datagen::BerlinModConfig::with_points(n_inner, 172));
     let query = SelectInnerJoinQuery::new(SELECT_JOIN_K, SELECT_JOIN_K, workloads::focal_point());
-    let config = BlockMarkingConfig::default();
 
-    // Grid.
-    {
-        let outer = workloads::berlin_relation(n_outer, 171);
-        let inner = workloads::berlin_relation(n_inner, 172);
-        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query));
-        let (t_fast, fast) = time_ms(|| block_marking(&outer, &inner, &query, &config));
-        assert_same_rows(&slow, &fast, "ablation_index/grid");
-        record(&mut report, "grid", "conceptual", t_slow, &slow);
-        record(&mut report, "grid", "block-marking", t_fast, &fast);
-    }
-    // PR-quadtree.
-    {
-        let outer = QuadtreeIndex::build(outer_pts.clone(), 128).expect("non-empty");
-        let inner = QuadtreeIndex::build(inner_pts.clone(), 128).expect("non-empty");
-        let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query));
-        let (t_fast, fast) = time_ms(|| block_marking(&outer, &inner, &query, &config));
-        assert_same_rows(&slow, &fast, "ablation_index/quadtree");
-        record(&mut report, "quadtree", "conceptual", t_slow, &slow);
-        record(&mut report, "quadtree", "block-marking", t_fast, &fast);
-    }
-    // STR R-tree. Its leaves do not tile the space, so the contour-based
-    // early stop is disabled for correctness (see DESIGN.md); the per-block
-    // test still prunes.
-    {
-        let outer = StrRTree::build(outer_pts, 128).expect("non-empty");
-        let inner = StrRTree::build(inner_pts, 128).expect("non-empty");
-        let cfg = BlockMarkingConfig {
-            contour_pruning: false,
+    for family in ["grid", "quadtree", "str-rtree"] {
+        let build = |points: &[Point]| match family {
+            "grid" => workloads::grid(points.to_vec()),
+            "quadtree" => QuadtreeIndex::build(points.to_vec(), 128).expect("non-empty"),
+            _ => StrRTree::build(points.to_vec(), 128).expect("non-empty"),
         };
+        let (outer, inner) = (build(&outer_pts), build(&inner_pts));
         let (t_slow, slow) = time_ms(|| conceptual(&outer, &inner, &query));
-        let (t_fast, fast) = time_ms(|| block_marking(&outer, &inner, &query, &cfg));
-        assert_same_rows(&slow, &fast, "ablation_index/rtree");
-        record(&mut report, "str-rtree", "conceptual", t_slow, &slow);
-        record(&mut report, "str-rtree", "block-marking", t_fast, &fast);
-    }
-    report
-}
-
-/// Ablation A2: Block-Marking design choices — contour-based early stop
-/// on/off, and Counting as a reference point, on the Figure 19 workload.
-pub fn ablation_block_marking(scale: Scale) -> Report {
-    let mut report = Report::new(
-        "ablation_block_marking",
-        "Block-Marking contour pruning on/off vs Counting",
-        "outer size",
-    );
-    let inner = workloads::berlin_relation(workloads::fig19_inner_size(scale) / 2, 181);
-    let query = SelectInnerJoinQuery::new(SELECT_JOIN_K, SELECT_JOIN_K, workloads::focal_point());
-    let config = BlockMarkingConfig::default();
-    let sizes = match scale {
-        Scale::Smoke => vec![2_000, 4_000],
-        Scale::Quick => vec![16_000, 32_000, 64_000],
-        Scale::Paper => vec![160_000, 320_000, 640_000],
-    };
-    for (i, n) in sizes.into_iter().enumerate() {
-        let outer = workloads::berlin_relation(n, 900 + i as u64);
-        let x = n.to_string();
-        let (t_contour, with_contour) = time_ms(|| block_marking(&outer, &inner, &query, &config));
-        let (t_plain, without_contour) = time_ms(|| {
-            block_marking(
-                &outer,
-                &inner,
-                &query,
-                &BlockMarkingConfig {
-                    contour_pruning: false,
-                },
-            )
-        });
-        let (t_counting, count_out) = time_ms(|| counting(&outer, &inner, &query));
-        assert_same_rows(&with_contour, &without_contour, "ablation_block_marking");
-        assert_same_rows(&with_contour, &count_out, "ablation_block_marking");
-        record(&mut report, &x, "counting", t_counting, &count_out);
-        record(
-            &mut report,
-            &x,
-            "block-marking-no-contour",
-            t_plain,
-            &without_contour,
-        );
-        record(
-            &mut report,
-            &x,
-            "block-marking-contour",
-            t_contour,
-            &with_contour,
-        );
+        let (t_fast, fast) = time_ms(|| block_marking(&outer, &inner, &query));
+        let context = format!("ablation_index/{family}");
+        assert_same_rows(pair_id_set(&slow.rows), pair_id_set(&fast.rows), &context);
+        record(&mut report, family, "conceptual", t_slow, &slow);
+        record(&mut report, family, "block-marking", t_fast, &fast);
     }
     report
 }
@@ -386,7 +321,6 @@ pub const ALL_IDS: &[&str] = &[
     "fig25",
     "fig26",
     "ablation_index",
-    "ablation_block_marking",
 ];
 
 /// Runs one experiment by id.
@@ -401,7 +335,6 @@ pub fn run(id: &str, scale: Scale) -> Option<Report> {
         "fig25" => fig25(scale),
         "fig26" => fig26(scale),
         "ablation_index" => ablation_index(scale),
-        "ablation_block_marking" => ablation_block_marking(scale),
         _ => return None,
     })
 }
@@ -432,7 +365,6 @@ mod tests {
                         | "fig25"
                         | "fig26"
                         | "ablation_index"
-                        | "ablation_block_marking"
                 ),
                 "unknown id {id}"
             );

@@ -1,8 +1,7 @@
 //! # twoknn-bench
 //!
 //! The experiments driver reproducing the paper's evaluation (Section 6,
-//! Figures 19–26) plus two ablations (index family, Block-Marking contour
-//! pruning).
+//! Figures 19–26) plus an index-family ablation.
 //!
 //! The `experiments` binary (`cargo run -p twoknn-bench --release --bin
 //! experiments`) runs every figure's parameter sweep, measuring wall-clock
@@ -70,8 +69,7 @@ pub struct Measurement {
     pub millis: f64,
     /// Neighborhood computations performed (the dominant work term).
     pub neighborhoods: u64,
-    /// Result rows produced (used to cross-check that compared algorithms
-    /// returned identical cardinalities).
+    /// Result rows produced.
     pub rows: usize,
 }
 

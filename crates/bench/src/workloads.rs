@@ -1,7 +1,7 @@
 //! Workload construction for the experiment runners.
 //!
-//! All datasets are produced by `twoknn-datagen` (the BerlinMOD substitute
-//! and the clustered generator documented in `DESIGN.md`) and indexed into a
+//! All datasets are produced by `twoknn-datagen` (its BerlinMOD substitute
+//! and its clustered generator) and indexed into a
 //! [`GridIndex`] sized so that the average occupied block holds roughly the
 //! same number of points regardless of the dataset size — mirroring the
 //! paper's fixed-granularity grid.
@@ -68,7 +68,8 @@ pub fn clustered_relation_in_region(
     }))
 }
 
-fn grid(points: Vec<Point>) -> PackedIndex {
+/// Indexes `points` into the grid every workload uses.
+pub(crate) fn grid(points: Vec<Point>) -> PackedIndex {
     // Index over the shared extent so relations of different sizes are
     // comparable; clamp granularity to keep block occupancy near the target.
     let n = points.len().max(1);

@@ -37,12 +37,11 @@
 use std::collections::HashMap;
 
 use twoknn_geometry::{Point, Predicate, Rect};
-use twoknn_index::{get_knn, Metrics, SpatialIndex};
+use twoknn_index::{get_knn, get_knn_filtered, Metrics, SpatialIndex};
 
 use crate::output::{Pair, Triplet};
 use crate::plan::executor::QuerySpec;
 use crate::plan::Row;
-use crate::select::knn_select_filtered_neighborhood;
 use crate::store::DbSnapshot;
 
 use super::registry::Guard;
@@ -81,7 +80,7 @@ fn filtered_select_guard(
     predicate: &Predicate,
     metrics: &mut Metrics,
 ) -> Guard {
-    let nbr = knn_select_filtered_neighborhood(relation, focal, k, predicate, metrics);
+    let nbr = get_knn_filtered(relation, focal, k, predicate, metrics);
     if nbr.len() < k {
         return Guard::Everything;
     }

@@ -21,7 +21,7 @@
 //! thread keeps no allocation past its item.
 
 use twoknn_geometry::Point;
-use twoknn_index::{get_knn, BlockKnn, BlockMeta, Metrics, Neighbor, SpatialIndex};
+use twoknn_index::{get_knn, BlockKnn, BlockMeta, Metrics, Neighbor, Neighborhood, SpatialIndex};
 
 use crate::exec::run_into_shares;
 use crate::output::{Pair, QueryOutput};
@@ -90,6 +90,50 @@ where
             }
         },
     )
+}
+
+/// Block-Marking's preprocessing: the blocks of `blocks` (blocks of an
+/// outer relation) whose points can add rows, in the order given. An empty
+/// block never can. `accept` settles a block as Contributing outright; every
+/// other block pays one neighborhood of its centre in `inner`, with `k`
+/// members, from which `contributes` decides. Each block is a work item of
+/// the current pool with one flag of a buffer the calling thread sizes, so
+/// the blocks and the merged counters are the same on every pool size.
+pub(crate) fn contributing_blocks<I>(
+    blocks: &[BlockMeta],
+    inner: &I,
+    k: usize,
+    accept: impl Fn(&BlockMeta) -> bool + Sync,
+    contributes: impl Fn(&BlockMeta, &Neighborhood) -> bool + Sync,
+    metrics: &mut Metrics,
+) -> Vec<BlockMeta>
+where
+    I: SpatialIndex + Sync + ?Sized,
+{
+    let flags = run_into_shares(
+        blocks,
+        |_| 1,
+        false,
+        metrics,
+        |block, flag, metrics| {
+            if block.count == 0 {
+                return;
+            }
+            metrics.blocks_scanned += 1;
+            flag[0] = accept(block) || {
+                let nbr_center = get_knn(inner, &block.center(), k, metrics);
+                contributes(block, &nbr_center)
+            };
+            if !flag[0] {
+                metrics.blocks_pruned += 1;
+            }
+        },
+    );
+    blocks
+        .iter()
+        .zip(flags)
+        .filter_map(|(block, contributing)| contributing.then_some(*block))
+        .collect()
 }
 
 /// Every point of `blocks` (blocks of `index`), each `times` times in a row

@@ -7,10 +7,9 @@
 use std::collections::{HashMap, HashSet};
 
 use twoknn_geometry::{Point, PointId};
-use twoknn_index::{get_knn, BlockId, BlockMeta, Metrics, SpatialIndex};
+use twoknn_index::{BlockId, Metrics, SpatialIndex};
 
-use crate::exec::run_into_shares;
-use crate::join::{block_neighborhoods, knn_join_rows, points_repeated};
+use crate::join::{block_neighborhoods, contributing_blocks, knn_join_rows, points_repeated};
 use crate::output::{Pair, QueryOutput, Triplet};
 
 /// Parameters of a query with two unchained kNN-joins.
@@ -135,42 +134,28 @@ where
         .copied()
         .collect();
 
-    // Lines 9–24: classify the blocks of C, partitioned across workers.
-    let flags = run_into_shares(
+    // Lines 9–24: classify the blocks of C, partitioned across workers. The
+    // "process only the Safe blocks" shortcut: a C block whose own region
+    // holds a matched b point is Contributing outright; any other is tested
+    // against the search threshold of its center's neighborhood over B.
+    let contributing = contributing_blocks(
         c.blocks(),
-        |_| 1,
-        false,
-        &mut metrics,
-        |c_block, contributing, metrics| {
-            if c_block.count == 0 {
-                return;
-            }
-            metrics.blocks_scanned += 1;
-            // The "process only the Safe blocks" shortcut: a C block whose
-            // own region holds a matched b point is Contributing outright.
-            let center = c_block.center();
-            let region_is_candidate = candidate_metas
+        b,
+        query.k_cb,
+        |c_block| {
+            candidate_metas
                 .iter()
-                .any(|bb| bb.mbr.intersects(&c_block.mbr));
-            contributing[0] = region_is_candidate || {
-                // Lines 15–20: center neighborhood over B and threshold test.
-                let nbr_center = get_knn(b, &center, query.k_cb, metrics);
-                let search_threshold = nbr_center.radius() + c_block.diagonal();
-                candidate_metas
-                    .iter()
-                    .any(|bb| bb.mindist(&center) <= search_threshold)
-            };
-            if !contributing[0] {
-                metrics.blocks_pruned += 1;
-            }
+                .any(|bb| bb.mbr.intersects(&c_block.mbr))
         },
+        |c_block, nbr_center| {
+            let search_threshold = nbr_center.radius() + c_block.diagonal();
+            let center = c_block.center();
+            candidate_metas
+                .iter()
+                .any(|bb| bb.mindist(&center) <= search_threshold)
+        },
+        &mut metrics,
     );
-    let contributing: Vec<BlockMeta> = c
-        .blocks()
-        .iter()
-        .zip(flags)
-        .filter_map(|(block, contributing)| contributing.then_some(*block))
-        .collect();
 
     // Lines 25–34: join the points of the Contributing blocks, off one
     // candidate list of B blocks per block, and intersect on B.

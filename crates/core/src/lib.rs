@@ -57,7 +57,7 @@
 //! amongst the two closest neighbors of the shopping center."
 //!
 //! ```
-//! use twoknn_core::select_join::{self, BlockMarkingConfig, SelectInnerJoinQuery};
+//! use twoknn_core::select_join::{self, SelectInnerJoinQuery};
 //! use twoknn_core::WorkerPool;
 //! use twoknn_geometry::Point;
 //! use twoknn_index::GridIndex;
@@ -73,7 +73,7 @@
 //! };
 //! // A pool of one: every work item runs on this thread.
 //! let result = WorkerPool::new(1).bind(|| {
-//!     select_join::block_marking(&mechanics, &hotels, &query, &BlockMarkingConfig::default())
+//!     select_join::block_marking(&mechanics, &hotels, &query)
 //! });
 //! assert!(!result.rows.is_empty());
 //! ```

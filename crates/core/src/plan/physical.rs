@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use twoknn_geometry::{Point, Predicate};
-use twoknn_index::{GridIndex, Metrics, SpatialIndex};
+use twoknn_index::{get_knn_filtered, GridIndex, Metrics, SpatialIndex};
 
 use crate::error::QueryError;
 use crate::exec::ExecutionMode;
@@ -65,10 +65,10 @@ use crate::plan::strategy::{
     ChainedStrategy, SelectInnerStrategy, SelectOuterStrategy, Strategy, TwoSelectsStrategy,
     UnchainedStrategy,
 };
-use crate::select::{knn_select_filtered, knn_select_filtered_neighborhood, KnnSelectQuery};
+use crate::select::{knn_select_filtered, KnnSelectQuery};
 use crate::select_join::{
     block_marking, conceptual, counting, select_on_outer_after_join, select_on_outer_pushdown,
-    BlockMarkingConfig, SelectInnerJoinQuery, SelectOuterJoinQuery,
+    SelectInnerJoinQuery, SelectOuterJoinQuery,
 };
 use crate::selects2::{intersect_output, two_knn_select, two_selects_conceptual, TwoSelectsQuery};
 use crate::store::DbSnapshot;
@@ -308,9 +308,7 @@ impl PhysicalPlan {
         match (&self.shape, strategy) {
             (Shape::SelectInner(q), Strategy::SelectInner(s)) => pairs(match s {
                 SelectInnerStrategy::Counting => counting(role(0), role(1), q),
-                SelectInnerStrategy::BlockMarking => {
-                    block_marking(role(0), role(1), q, &BlockMarkingConfig::default())
-                }
+                SelectInnerStrategy::BlockMarking => block_marking(role(0), role(1), q),
                 SelectInnerStrategy::Conceptual => conceptual(role(0), role(1), q),
             }),
             (Shape::SelectOuter(q), Strategy::SelectOuter(s)) => pairs(match s {
@@ -353,9 +351,8 @@ impl PhysicalPlan {
             // made filter-aware, whichever strategy the optimizer picked.
             (Shape::TwoSelects(q), Strategy::TwoSelects(_)) if self.is_pre_filtered() => {
                 let mut metrics = Metrics::default();
-                let mut select = |k, focal| {
-                    knn_select_filtered_neighborhood(role(0), &focal, k, &self.pre, &mut metrics)
-                };
+                let mut select =
+                    |k, focal| get_knn_filtered(role(0), &focal, k, &self.pre, &mut metrics);
                 let nbr1 = select(q.k1, q.f1);
                 let nbr2 = select(q.k2, q.f2);
                 points(intersect_output(&nbr1, &nbr2, metrics))

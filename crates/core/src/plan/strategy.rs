@@ -7,8 +7,11 @@ pub enum SelectInnerStrategy {
     Conceptual,
     /// The Counting algorithm (Procedure 1): per-outer-point count test.
     Counting,
-    /// The Block-Marking algorithm (Procedures 2–3): per-block contour-based
-    /// preprocessing. The paper's default for dense outer relations.
+    /// The Block-Marking algorithm (Procedures 2–3): every non-empty outer
+    /// block is tested from its centre's neighborhood and only the points of
+    /// Contributing blocks are joined. The paper's contour early stop is left
+    /// out: it returned wrong rows on blocks that do not tile the space. The
+    /// paper's default for dense outer relations.
     #[default]
     BlockMarking,
 }

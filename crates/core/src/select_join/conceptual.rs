@@ -1,11 +1,10 @@
 //! The conceptually correct QEP (Figure 1) and the invalid pushdown plan
 //! (Figure 2) for a kNN-select on the inner relation of a kNN-join.
 
-use twoknn_index::{Metrics, SpatialIndex};
+use twoknn_index::{get_knn, Metrics, SpatialIndex};
 
 use crate::join::knn_join_rows;
 use crate::output::{Pair, QueryOutput};
-use crate::select::knn_select_neighborhood;
 
 use super::SelectInnerJoinQuery;
 
@@ -22,7 +21,7 @@ where
     I: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let nbr_f = knn_select_neighborhood(inner, &query.focal, query.k_select, &mut metrics);
+    let nbr_f = get_knn(inner, &query.focal, query.k_select, &mut metrics);
     let join_pairs = knn_join_rows(outer, inner, query.k_join, &mut metrics);
     let rows: Vec<Pair> = join_pairs
         .into_iter()
@@ -50,7 +49,7 @@ where
     I: SpatialIndex + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let nbr_f = knn_select_neighborhood(inner, &query.focal, query.k_select, &mut metrics);
+    let nbr_f = get_knn(inner, &query.focal, query.k_select, &mut metrics);
 
     // Join the outer relation against only the selected points: for each
     // outer point, its k⋈ nearest among the selected ones.

@@ -18,11 +18,12 @@
 //! ([`BlockKnn`]), found at the block's first survivor.
 
 use twoknn_geometry::Point;
-use twoknn_index::{with_thread_scratch, BlockKnn, Metrics, Neighbor, Neighborhood, SpatialIndex};
+use twoknn_index::{
+    get_knn, with_thread_scratch, BlockKnn, Metrics, Neighbor, Neighborhood, SpatialIndex,
+};
 
 use crate::exec::run_into_shares;
 use crate::output::{Pair, QueryOutput};
-use crate::select::knn_select_neighborhood;
 
 use super::{intersect_into, SelectInnerJoinQuery};
 
@@ -41,7 +42,7 @@ where
     let mut metrics = Metrics::default();
 
     // Line 1: the neighborhood of f (the kNN-select side).
-    let nbr_f = knn_select_neighborhood(inner, &query.focal, query.k_select, &mut metrics);
+    let nbr_f = get_knn(inner, &query.focal, query.k_select, &mut metrics);
     if nbr_f.is_empty() {
         // An empty select result can never intersect any join neighborhood.
         return QueryOutput::new(Vec::new(), metrics);
@@ -108,8 +109,7 @@ where
     count_within(inner, e1, search_threshold, query.k_join, metrics) <= query.k_join
 }
 
-/// The counting scan of Procedure 1 (lines 6–14), shared with the
-/// range-selection variant: the number of `inner` points in blocks whose
+/// The counting scan of Procedure 1 (lines 6–14): the number of `inner` points in blocks whose
 /// MAXDIST from `e1` is *strictly* below `search_threshold`, scanning in
 /// MAXDIST order and stopping once the count exceeds `limit`.
 ///
@@ -117,7 +117,7 @@ where
 /// inner point lies at exactly the threshold distance — a tie the paper's
 /// pseudocode ignores. The ordering's frontier lives in the thread's
 /// scratch, so a per-outer-point loop allocates nothing after the first call.
-pub(crate) fn count_within<I: SpatialIndex + ?Sized>(
+fn count_within<I: SpatialIndex + ?Sized>(
     inner: &I,
     e1: &Point,
     search_threshold: f64,

@@ -26,16 +26,11 @@ mod block_marking;
 mod conceptual;
 mod counting;
 mod outer_pushdown;
-mod range_select;
 
-pub use block_marking::{block_marking, BlockMarkingConfig};
+pub use block_marking::block_marking;
 pub use conceptual::{conceptual, invalid_inner_pushdown};
 pub use counting::counting;
 pub use outer_pushdown::{select_on_outer_after_join, select_on_outer_pushdown};
-pub use range_select::{
-    range_inner_block_marking, range_inner_conceptual, range_inner_counting,
-    range_inner_invalid_pushdown, RangeInnerJoinQuery,
-};
 
 use twoknn_geometry::Point;
 use twoknn_index::{Neighbor, Neighborhood};

@@ -12,11 +12,10 @@
 //! Both QEPs of Figure 3 are implemented so the equivalence can be tested and
 //! so the plan layer can expose the pushdown as a legal transformation.
 
-use twoknn_index::{Metrics, SpatialIndex};
+use twoknn_index::{get_knn, Metrics, SpatialIndex};
 
 use crate::join::{knn_join_points, knn_join_rows};
 use crate::output::{Pair, QueryOutput};
-use crate::select::knn_select_neighborhood;
 
 use super::SelectOuterJoinQuery;
 
@@ -34,7 +33,7 @@ where
     I: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let selected = knn_select_neighborhood(outer, &query.focal, query.k_select, &mut metrics);
+    let selected = get_knn(outer, &query.focal, query.k_select, &mut metrics);
     let selected_points: Vec<_> = selected.points().copied().collect();
     let rows = knn_join_points(&selected_points, inner, query.k_join, &mut metrics);
     QueryOutput::new(rows, metrics)
@@ -54,7 +53,7 @@ where
     I: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let selected = knn_select_neighborhood(outer, &query.focal, query.k_select, &mut metrics);
+    let selected = get_knn(outer, &query.focal, query.k_select, &mut metrics);
     let join_pairs = knn_join_rows(outer, inner, query.k_join, &mut metrics);
     let rows: Vec<Pair> = join_pairs
         .into_iter()

@@ -1,10 +1,9 @@
 //! Conceptually correct and deliberately wrong plans for two kNN-selects.
 
 use twoknn_geometry::Point;
-use twoknn_index::{Metrics, Neighborhood, SpatialIndex};
+use twoknn_index::{get_knn, Metrics, Neighborhood, SpatialIndex};
 
 use crate::output::QueryOutput;
-use crate::select::knn_select_neighborhood;
 
 use super::TwoSelectsQuery;
 
@@ -15,8 +14,8 @@ where
     I: SpatialIndex + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let nbr1 = knn_select_neighborhood(relation, &query.f1, query.k1, &mut metrics);
-    let nbr2 = knn_select_neighborhood(relation, &query.f2, query.k2, &mut metrics);
+    let nbr1 = get_knn(relation, &query.f1, query.k1, &mut metrics);
+    let nbr2 = get_knn(relation, &query.f2, query.k2, &mut metrics);
     intersect_output(&nbr1, &nbr2, metrics)
 }
 
@@ -40,7 +39,7 @@ where
     } else {
         (query.k2, query.f2, query.k1, query.f1)
     };
-    let first = knn_select_neighborhood(relation, &first_f, first_k, &mut metrics);
+    let first = get_knn(relation, &first_f, first_k, &mut metrics);
 
     // Second select evaluated only over the survivors of the first.
     let survivors: Vec<Point> = first.points().copied().collect();

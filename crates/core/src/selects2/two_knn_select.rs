@@ -10,10 +10,9 @@
 //! is within that threshold.
 
 use twoknn_geometry::Point;
-use twoknn_index::{get_knn_bounded, Metrics, SpatialIndex};
+use twoknn_index::{get_knn, get_knn_bounded, Metrics, SpatialIndex};
 
 use crate::output::QueryOutput;
-use crate::select::knn_select_neighborhood;
 
 use super::conceptual::intersect_output;
 use super::TwoSelectsQuery;
@@ -38,7 +37,7 @@ where
     };
 
     // Line 5: the smaller-k neighborhood.
-    let nbr1 = knn_select_neighborhood(relation, &f1, k1, &mut metrics);
+    let nbr1 = get_knn(relation, &f1, k1, &mut metrics);
     if nbr1.is_empty() {
         return QueryOutput::new(Vec::new(), metrics);
     }

@@ -19,8 +19,8 @@
 //! shards in MINDIST order and never opens one whose footprint lies beyond
 //! its search radius. Joins and Block-Marking inherit the coarse tier
 //! for free — every composed block keeps its shard-tight MBR, so block-level
-//! MINDIST pruning and the contour test see shard-local footprints instead
-//! of one relation-wide decomposition.
+//! MINDIST pruning and the per-block Non-Contributing test see shard-local
+//! footprints instead of one relation-wide decomposition.
 //!
 //! With `shards_per_axis == 1` (the default) the composed snapshot is a
 //! transparent wrapper over a single shard.

@@ -16,7 +16,7 @@
 //! The resulting point set is strongly non-uniform: most index blocks are
 //! nearly empty while blocks on arterials and near the center hold thousands
 //! of points — the property that drives the pruning behaviour of the paper's
-//! algorithms. The substitution is documented in `DESIGN.md`.
+//! algorithms.
 
 use twoknn_geometry::{Point, Rect};
 

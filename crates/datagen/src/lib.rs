@@ -16,8 +16,7 @@
 //! *synthetic moving-object generator* ([`berlinmod`]) that reproduces the
 //! properties the algorithms are sensitive to: a city-scale extent, density
 //! concentrated along a street network and around a city center, and point
-//! counts per index block that vary by orders of magnitude. The substitution
-//! is documented in `DESIGN.md`.
+//! counts per index block that vary by orders of magnitude.
 //!
 //! All generators are deterministic given a seed.
 

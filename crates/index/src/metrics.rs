@@ -47,7 +47,7 @@ pub struct Metrics {
     /// non-empty blocks it did not scan (never candidates, or skipped at
     /// τ) — so on both paths a query's `blocks_scanned + blocks_pruned` is
     /// the number of non-empty blocks. Elsewhere: Non-Contributing blocks in
-    /// Block-Marking, contour cut-offs, ...
+    /// Block-Marking, ...
     pub blocks_pruned: u64,
     /// Number of populated spatial shards (relation partitions) a kNN search
     /// descended into on a relation with more than one of them.

@@ -74,12 +74,6 @@ pub trait SpatialIndex {
         out
     }
 
-    /// An incremental ordering of this index's blocks by increasing MINDIST
-    /// from `p`, its frontier borrowed from `scratch`.
-    fn mindist_order<'a>(&'a self, p: &Point, scratch: &'a mut ScratchSpace) -> DistanceCursor<'a> {
-        DistanceCursor::new(self, p, OrderMetric::MinDist, scratch)
-    }
-
     /// An incremental ordering of this index's blocks by increasing MAXDIST
     /// from `p`, its frontier borrowed from `scratch`.
     fn maxdist_order<'a>(&'a self, p: &Point, scratch: &'a mut ScratchSpace) -> DistanceCursor<'a> {
@@ -145,7 +139,9 @@ mod tests {
 
         let origin = Point::anonymous(0.0, 0.0);
         let mut scratch = ScratchSpace::new();
-        let first = g.mindist_order(&origin, &mut scratch).next().unwrap();
+        let first = DistanceCursor::new(&g, &origin, OrderMetric::MinDist, &mut scratch)
+            .next()
+            .unwrap();
         assert_eq!(first.distance, 0.0);
         let mut max_order = g.maxdist_order(&origin, &mut scratch);
         let first_max = max_order.next().unwrap();

@@ -7,8 +7,7 @@ use two_knn::core::joins2::{
     chained_nested_cached, unchained_block_marking, ChainedJoinQuery, UnchainedJoinQuery,
 };
 use two_knn::core::select_join::{
-    block_marking, select_on_outer_pushdown, BlockMarkingConfig, SelectInnerJoinQuery,
-    SelectOuterJoinQuery,
+    block_marking, select_on_outer_pushdown, SelectInnerJoinQuery, SelectOuterJoinQuery,
 };
 use two_knn::core::selects2::{two_knn_select, TwoSelectsQuery};
 use two_knn::datagen::{berlinmod, BerlinModConfig};
@@ -37,10 +36,11 @@ fn main() {
     let city_center = Point::anonymous(50_000.0, 50_000.0);
     let office = Point::anonymous(47_500.0, 52_500.0);
 
-    // 1. kNN-select on the inner relation of a kNN-join (Section 3).
+    // 1. kNN-select on the inner relation of a kNN-join (Section 3), by
+    //    Block-Marking: one neighborhood per restaurant block's centre marks
+    //    the blocks that cannot contribute, and only the others are joined.
     let q = SelectInnerJoinQuery::new(3, 8, city_center);
-    let config = BlockMarkingConfig::default();
-    let out = block_marking(&restaurants, &hotels, &q, &config);
+    let out = block_marking(&restaurants, &hotels, &q);
     println!(
         "1. restaurants ⋈ 3-nearest hotels, hotel among 8 closest to the city center:\n   {} pairs   [{}]",
         out.len(),

@@ -26,7 +26,7 @@
 //! ```
 //! use two_knn::datagen::{berlinmod, BerlinModConfig};
 //! use two_knn::index::GridIndex;
-//! use two_knn::core::select_join::{block_marking, BlockMarkingConfig, SelectInnerJoinQuery};
+//! use two_knn::core::select_join::{block_marking, SelectInnerJoinQuery};
 //! use two_knn::geometry::Point;
 //! use two_knn::WorkerPool;
 //!
@@ -37,10 +37,11 @@
 //! // "Mechanic shops with their 2 closest hotels, keeping hotels among the
 //! //  2 closest to the shopping center."
 //! let query = SelectInnerJoinQuery::new(2, 2, Point::anonymous(50_000.0, 50_000.0));
-//! //  The outer blocks spread over the worker pool the calling thread is bound
-//! //  to; a pool of one runs them on this thread and returns the same rows.
-//! let config = BlockMarkingConfig::default();
-//! let result = WorkerPool::new(1).bind(|| block_marking(&mechanics, &hotels, &query, &config));
+//! //  Block-Marking tests every outer block, then joins the points of the
+//! //  blocks that can contribute. Both phases spread over the worker pool the
+//! //  calling thread is bound to; a pool of one runs them on this thread and
+//! //  returns the same rows.
+//! let result = WorkerPool::new(1).bind(|| block_marking(&mechanics, &hotels, &query));
 //! println!("{} pairs, work: {}", result.len(), result.metrics);
 //! ```
 

@@ -1,7 +1,6 @@
 //! Property-style equivalence tests: on arbitrary random inputs, every
 //! efficient algorithm of the paper must return exactly the same result set
-//! as its conceptually correct QEP. These are the invariants listed in
-//! DESIGN.md §5 (1–5). Inputs are generated by the workspace's own
+//! as its conceptually correct QEP. Inputs are generated by the workspace's own
 //! deterministic RNG (`proptest` is not available offline); every case is
 //! reproducible from its printed case number.
 
@@ -12,19 +11,18 @@ use two_knn::core::joins2::{
 use two_knn::core::output::{pair_id_set, point_id_set, triplet_id_set};
 use two_knn::core::select_join::{
     block_marking, conceptual, counting, select_on_outer_after_join, select_on_outer_pushdown,
-    BlockMarkingConfig, SelectInnerJoinQuery, SelectOuterJoinQuery,
+    SelectInnerJoinQuery, SelectOuterJoinQuery,
 };
 use two_knn::core::selects2::{two_knn_select, two_selects_conceptual, TwoSelectsQuery};
 use two_knn::datagen::rng::StdRng;
-use two_knn::{GridIndex, PackedIndex, Point};
+use two_knn::{GridIndex, PackedIndex, Point, QuadtreeIndex, Rect, StrRTree};
 
 const CASES: u64 = 48;
 
-/// A relation of `1..=max_n` points with coordinates in `[0, 100)²`, indexed
-/// into a grid over fixed bounds.
-fn relation(rng: &mut StdRng, max_n: usize) -> PackedIndex {
+/// `1..=max_n` points with coordinates in `[0, 100)²`.
+fn uniform_points(rng: &mut StdRng, max_n: usize) -> Vec<Point> {
     let n = rng.gen_range(1..max_n + 1);
-    let points: Vec<Point> = (0..n)
+    (0..n)
         .map(|i| {
             Point::new(
                 i as u64,
@@ -32,9 +30,44 @@ fn relation(rng: &mut StdRng, max_n: usize) -> PackedIndex {
                 rng.gen_range(0.0f64..100.0),
             )
         })
+        .collect()
+}
+
+/// `1..=max_n` points in one to three squares of side 12 centred in
+/// `[10, 90)²`.
+fn clustered_points(rng: &mut StdRng, max_n: usize) -> Vec<Point> {
+    let n = rng.gen_range(1..max_n + 1);
+    let centres: Vec<(f64, f64)> = (0..rng.gen_range(1..4usize))
+        .map(|_| (rng.gen_range(10.0f64..90.0), rng.gen_range(10.0f64..90.0)))
         .collect();
-    GridIndex::build_with_bounds(points, two_knn::Rect::new(0.0, 0.0, 100.0, 100.0), 7)
-        .expect("grid over fixed bounds")
+    (0..n)
+        .map(|i| {
+            let (x, y) = centres[i % centres.len()];
+            Point::new(
+                i as u64,
+                x + rng.gen_range(-6.0f64..6.0),
+                y + rng.gen_range(-6.0f64..6.0),
+            )
+        })
+        .collect()
+}
+
+/// Indexes `points` with one of the three index families: a grid over
+/// fixed bounds, or a quadtree or an STR R-tree whose leaves hold at most
+/// four points and so do not tile the space the way grid cells do.
+fn index(family: &str, points: Vec<Point>) -> PackedIndex {
+    match family {
+        "grid" => GridIndex::build_with_bounds(points, Rect::new(0.0, 0.0, 100.0, 100.0), 7),
+        "quadtree" => QuadtreeIndex::build(points, 4),
+        _ => StrRTree::build(points, 4),
+    }
+    .expect("a valid index over finite points")
+}
+
+/// A relation of `1..=max_n` uniform points, indexed into a grid over fixed
+/// bounds.
+fn relation(rng: &mut StdRng, max_n: usize) -> PackedIndex {
+    index("grid", uniform_points(rng, max_n))
 }
 
 fn focal(rng: &mut StdRng) -> Point {
@@ -42,37 +75,41 @@ fn focal(rng: &mut StdRng) -> Point {
 }
 
 /// Invariant 1: Counting ≡ Block-Marking ≡ conceptual QEP for the
-/// select-inner-of-join query.
+/// select-inner-of-join query, on every index family, with a uniform and
+/// with a clustered inner relation.
 #[test]
 fn select_inner_algorithms_are_equivalent() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(case);
-        let outer = relation(&mut rng, 120);
-        let inner = relation(&mut rng, 160);
-        let f = focal(&mut rng);
-        let k_join = rng.gen_range(1..6usize);
-        let k_select = rng.gen_range(1..8usize);
-        let query = SelectInnerJoinQuery::new(k_join, k_select, f);
-        let config = BlockMarkingConfig::default();
-        let reference = pair_id_set(&conceptual(&outer, &inner, &query).rows);
-        assert_eq!(
-            pair_id_set(&counting(&outer, &inner, &query).rows),
-            reference,
-            "counting, case {case}"
-        );
-        assert_eq!(
-            pair_id_set(&block_marking(&outer, &inner, &query, &config).rows),
-            reference,
-            "block-marking, case {case}"
-        );
-        let no_contour = BlockMarkingConfig {
-            contour_pruning: false,
-        };
-        assert_eq!(
-            pair_id_set(&block_marking(&outer, &inner, &query, &no_contour).rows),
-            reference,
-            "block-marking without contour, case {case}"
-        );
+    for family in ["grid", "quadtree", "str"] {
+        for clustered_inner in [false, true] {
+            for case in 0..CASES {
+                let mut rng = StdRng::seed_from_u64(case);
+                let outer = index(family, uniform_points(&mut rng, 120));
+                let inner = index(
+                    family,
+                    if clustered_inner {
+                        clustered_points(&mut rng, 160)
+                    } else {
+                        uniform_points(&mut rng, 160)
+                    },
+                );
+                let f = focal(&mut rng);
+                let k_join = rng.gen_range(1..6usize);
+                let k_select = rng.gen_range(1..8usize);
+                let query = SelectInnerJoinQuery::new(k_join, k_select, f);
+                let context = format!("{family}, clustered inner {clustered_inner}, case {case}");
+                let reference = pair_id_set(&conceptual(&outer, &inner, &query).rows);
+                assert_eq!(
+                    pair_id_set(&counting(&outer, &inner, &query).rows),
+                    reference,
+                    "counting, {context}"
+                );
+                assert_eq!(
+                    pair_id_set(&block_marking(&outer, &inner, &query).rows),
+                    reference,
+                    "block-marking, {context}"
+                );
+            }
+        }
     }
 }
 
@@ -190,8 +227,7 @@ fn select_inner_result_is_bounded_by_both_predicates() {
         let k_join = rng.gen_range(1..4usize);
         let k_select = rng.gen_range(1..6usize);
         let query = SelectInnerJoinQuery::new(k_join, k_select, f);
-        let config = BlockMarkingConfig::default();
-        let result = block_marking(&outer, &inner, &query, &config);
+        let result = block_marking(&outer, &inner, &query);
         // Bound 1: at most k_join pairs per outer point and k_select distinct
         // inner points overall.
         let mut per_outer = std::collections::HashMap::new();

@@ -1,6 +1,6 @@
 //! Property-style tests of the index substrate: structural invariants of the
 //! three index types, MINDIST/MAXDIST bounds, and correctness of the
-//! locality-based kNN against a brute-force oracle (DESIGN.md §5, 6–9).
+//! locality-based kNN against a brute-force oracle.
 //! Inputs come from the workspace's deterministic RNG instead of `proptest`.
 
 use std::sync::Arc;

@@ -12,7 +12,7 @@ use two_knn::core::joins2::{
 use two_knn::core::output::{pair_id_set, point_id_set, triplet_id_set};
 use two_knn::core::select_join::{
     block_marking, conceptual, counting, invalid_inner_pushdown, select_on_outer_after_join,
-    select_on_outer_pushdown, BlockMarkingConfig, SelectInnerJoinQuery, SelectOuterJoinQuery,
+    select_on_outer_pushdown, SelectInnerJoinQuery, SelectOuterJoinQuery,
 };
 use two_knn::core::selects2::{
     two_knn_select, two_selects_conceptual, two_selects_wrong_sequential, TwoSelectsQuery,
@@ -45,7 +45,6 @@ fn figures_1_and_2_select_inner_of_join() {
         Point::new(4, 7.0, 0.0), // m4: 2-NN hotels = {h1, h3}
     ]);
     let query = SelectInnerJoinQuery::new(2, 2, shopping_center);
-    let config = BlockMarkingConfig::default();
 
     let expected_correct: BTreeSet<(u64, u64)> = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 1)]
         .into_iter()
@@ -73,7 +72,7 @@ fn figures_1_and_2_select_inner_of_join() {
         expected_correct
     );
     assert_eq!(
-        pair_id_set(&block_marking(&mechanics, &hotels, &query, &config).rows),
+        pair_id_set(&block_marking(&mechanics, &hotels, &query).rows),
         expected_correct
     );
 

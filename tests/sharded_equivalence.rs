@@ -7,7 +7,7 @@
 //! only the shards whose MINDIST² qualifies against the running τ².
 
 use two_knn::core::joins2::{ChainedJoinQuery, UnchainedJoinQuery};
-use two_knn::core::plan::{Database, QuerySpec};
+use two_knn::core::plan::{Database, QuerySpec, SelectInnerStrategy, Strategy};
 use two_knn::core::select_join::{SelectInnerJoinQuery, SelectOuterJoinQuery};
 use two_knn::core::selects2::TwoSelectsQuery;
 use two_knn::core::store::{ShardConfig, StoreConfig, WriteOp};
@@ -68,6 +68,36 @@ fn all_query_shapes() -> Vec<QuerySpec> {
     ]
 }
 
+/// Three tight clusters of points: an inner relation whose neighborhoods
+/// are far from most outer blocks.
+fn hubs() -> Vec<Point> {
+    let centres = [(20.0, 30.0), (70.0, 80.0), (85.0, 25.0)];
+    scattered(300, 90_000, 11)
+        .into_iter()
+        .zip(centres.iter().cycle())
+        .map(|(p, (x, y))| Point::new(p.id, x + p.x * 0.08, y + p.y * 0.08))
+        .collect()
+}
+
+/// Select-inner queries over the mutable sharded relation as the outer
+/// relation (against the clustered "Hubs") and as the inner one, at focal
+/// points and k's spread over the extent.
+fn select_inner_specs() -> Vec<QuerySpec> {
+    let mut specs = Vec::new();
+    for (i, f) in scattered(64, 0, 7_700).into_iter().enumerate() {
+        let focal = Point::anonymous(f.x, f.y);
+        let query = SelectInnerJoinQuery::new(1 + i % 4, 1 + (i * 7) % 17, focal);
+        for (outer, inner) in [("Objects", "Hubs"), ("Sites", "Objects")] {
+            specs.push(QuerySpec::SelectInnerOfJoin {
+                outer: outer.into(),
+                inner: inner.into(),
+                query,
+            });
+        }
+    }
+    specs
+}
+
 /// Mixed write workload, staged so compactions can run mid-stream: inserts
 /// (some outside the original extent), removes, and moves — including moves
 /// that cross shard boundaries.
@@ -121,6 +151,7 @@ fn sharded_matches_unsharded_for_all_query_shapes_and_families() {
     let initial = scattered(900, 0, 3);
     let sites = GridIndex::build(scattered(250, 50_000, 4), 6).unwrap();
     let aux = GridIndex::build(scattered(120, 80_000, 9), 5).unwrap();
+    let hubs = GridIndex::build(hubs(), 6).unwrap();
 
     for family in ["grid", "quadtree", "rtree"] {
         let mut sharded = Database::with_store_config(StoreConfig {
@@ -133,6 +164,7 @@ fn sharded_matches_unsharded_for_all_query_shapes_and_families() {
             install_family(db, family, &initial);
             db.register("Sites", sites.clone());
             db.register("Aux", aux.clone());
+            db.register("Hubs", hubs.clone());
         }
         {
             let snap = sharded.relation("Objects").unwrap();
@@ -189,6 +221,29 @@ fn sharded_matches_unsharded_for_all_query_shapes_and_families() {
                     id_rows(&flat.execute(spec).unwrap()),
                     "{family}@{stage}: query shape #{i} diverged"
                 );
+            }
+
+            // The planner picks one select-inner strategy; every legal one
+            // must return the conceptual QEP's rows on the sharded layout.
+            for (i, spec) in select_inner_specs().iter().enumerate() {
+                let run = |s| {
+                    id_rows(
+                        &sharded
+                            .execute_with(spec, Strategy::SelectInner(s))
+                            .unwrap(),
+                    )
+                };
+                let reference = run(SelectInnerStrategy::Conceptual);
+                for strategy in [
+                    SelectInnerStrategy::Counting,
+                    SelectInnerStrategy::BlockMarking,
+                ] {
+                    assert_eq!(
+                        run(strategy),
+                        reference,
+                        "{family}@{stage}: select-inner #{i} with {strategy:?} diverged"
+                    );
+                }
             }
         }
     }
