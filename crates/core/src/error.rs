@@ -81,6 +81,17 @@ pub enum QueryError {
         /// The id of the offending point.
         id: u64,
     },
+    /// A durable store could not append an ingest batch to its write-ahead
+    /// log. Nothing of the batch was published, and the log was cut back to
+    /// where it stood before the append. A log that cannot promise what it
+    /// holds any more — the cut failed, or an `fsync` failed with earlier
+    /// batches unsynced — refuses every later batch with the same error.
+    WalAppend {
+        /// The kind of the I/O error.
+        kind: std::io::ErrorKind,
+        /// The I/O error's message.
+        message: String,
+    },
 }
 
 impl From<ParseError> for QueryError {
@@ -105,6 +116,12 @@ impl std::fmt::Display for QueryError {
             QueryError::Parse(err) => write!(f, "{err}"),
             QueryError::NonFiniteCoordinate { id } => {
                 write!(f, "point {id} has a non-finite coordinate")
+            }
+            QueryError::WalAppend { kind, message } => {
+                write!(
+                    f,
+                    "the batch was not applied: WAL append failed ({kind}): {message}"
+                )
             }
         }
     }

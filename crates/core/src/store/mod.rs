@@ -74,7 +74,7 @@ mod version;
 mod wal;
 
 pub use blockfile::BlockFileIndex;
-pub use delta::{Delta, WriteOp};
+pub use delta::{ChunkedList, Delta, WriteOp};
 pub use overlay::OverlayConfig;
 pub use recover::RecoveryError;
 pub use shard::{RelationSnapshot, ShardConfig};
@@ -432,9 +432,10 @@ impl RelationStore {
     /// Applies a batch of write operations to `name` as one atomic
     /// visibility step, scheduling a background compaction on `pool` when
     /// the delta outgrows the threshold. Returns `(effective ops, new
-    /// version)`, or [`QueryError::NonFiniteCoordinate`] — with nothing
-    /// logged or published — when an upsert has a NaN or infinite
-    /// coordinate.
+    /// version)`, or — with nothing logged or published —
+    /// [`QueryError::NonFiniteCoordinate`] when an upsert has a NaN or
+    /// infinite coordinate and [`QueryError::WalAppend`] when the durable
+    /// store could not log the batch.
     pub fn ingest(
         &self,
         name: &str,
@@ -466,7 +467,12 @@ impl RelationStore {
             }
         }
         let start = Instant::now();
-        let receipt = rel.ingest_with_receipt(ops);
+        let receipt = rel
+            .ingest_with_receipt(ops)
+            .map_err(|e| QueryError::WalAppend {
+                kind: e.kind(),
+                message: e.to_string(),
+            })?;
         self.obs
             .record(HistogramKind::IngestPublish, start.elapsed());
         {

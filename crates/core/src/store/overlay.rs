@@ -92,6 +92,18 @@ impl Cell {
             mbr: Rect::new(0.0, 0.0, 0.0, 0.0),
         }
     }
+
+    /// The cell's points, copied first if another grid version shares them.
+    /// The copy has room for one more point, so an add after it does not
+    /// reallocate the columns.
+    fn points_mut(&mut self) -> &mut PointBlock {
+        if Arc::get_mut(&mut self.points).is_none() {
+            let mut copy = PointBlock::with_capacity(self.points.len() + 1);
+            copy.extend_from(self.points.view());
+            self.points = Arc::new(copy);
+        }
+        Arc::get_mut(&mut self.points).expect("the cell was just made unique")
+    }
 }
 
 /// A uniform grid bucketing the delta's inserts by position.
@@ -172,7 +184,7 @@ impl OverlayGrid {
         } else {
             cell.mbr.union(&tight)
         };
-        Arc::make_mut(&mut cell.points).push(p);
+        cell.points_mut().push(p);
         self.len += 1;
     }
 
@@ -182,7 +194,7 @@ impl OverlayGrid {
     pub(crate) fn remove(&mut self, p: &Point) {
         let idx = self.cell_of(p);
         let cell = &mut self.cells[idx];
-        let points = Arc::make_mut(&mut cell.points);
+        let points = cell.points_mut();
         let at = points
             .position_by_id(p.id)
             .expect("removed insert must be bucketed in its coordinate cell");
@@ -202,11 +214,14 @@ impl OverlayGrid {
     /// Re-anchors the decomposition when the insert population has outgrown
     /// it: fanout off by ≥ 2× either way (geometric growth/shrink keeps the
     /// amortized cost O(1) per write), or ≥ ¼ of the points clamped outside
-    /// the extent (a drifting workload). `inserts` must be the delta's
+    /// the extent (a drifting workload). `inserts` must iterate the delta's
     /// complete insert list. Returns whether a re-bucket happened.
-    pub(crate) fn maybe_rebucket(&mut self, inserts: &[Point]) -> bool {
+    pub(crate) fn maybe_rebucket<'a>(
+        &mut self,
+        inserts: impl ExactSizeIterator<Item = &'a Point> + Clone,
+    ) -> bool {
         debug_assert_eq!(inserts.len(), self.len, "grid out of sync with inserts");
-        if inserts.is_empty() {
+        if inserts.len() == 0 {
             return false;
         }
         let desired = self.config.desired_fanout(inserts.len());
@@ -221,8 +236,12 @@ impl OverlayGrid {
     }
 
     /// Rebuilds every cell over a fresh extent (the inserts' bounding box).
-    fn rebucket(&mut self, inserts: &[Point], fanout: usize) {
-        self.bounds = Rect::bounding(inserts).expect("rebucket requires inserts");
+    fn rebucket<'a>(&mut self, inserts: impl Iterator<Item = &'a Point> + Clone, fanout: usize) {
+        self.bounds = inserts
+            .clone()
+            .map(|p| Rect::new(p.x, p.y, p.x, p.y))
+            .reduce(|a, b| a.union(&b))
+            .expect("rebucket requires inserts");
         self.cells_per_axis = fanout;
         self.cells = vec![Cell::empty(); fanout * fanout];
         self.len = 0;
@@ -291,7 +310,7 @@ mod tests {
         for p in points {
             g.add(*p);
         }
-        g.maybe_rebucket(points);
+        g.maybe_rebucket(points.iter());
         g
     }
 
@@ -380,7 +399,7 @@ mod tests {
         pts.extend(far);
         assert!(g.outside > 0, "far points start clamped");
         // …until the batch-end rebucket re-anchors the decomposition.
-        assert!(g.maybe_rebucket(&pts));
+        assert!(g.maybe_rebucket(pts.iter()));
         assert!(g.bounds.contains_rect(&anchored));
         assert_eq!(g.outside, 0);
         for (_, mbr, cell_pts) in g.occupied() {
@@ -398,7 +417,7 @@ mod tests {
         for p in &pts {
             g.add(*p);
         }
-        g.maybe_rebucket(&pts);
+        g.maybe_rebucket(pts.iter());
         assert_eq!(g.cells_per_axis(), 1);
         assert_eq!(g.occupied().count(), 1);
         let (_, mbr, cell_pts) = g.occupied().next().unwrap();

@@ -429,6 +429,12 @@ impl RelationDurability {
         self.wal.last_seq()
     }
 
+    /// The relation's WAL.
+    #[cfg(test)]
+    pub(crate) fn wal(&self) -> &Wal {
+        &self.wal
+    }
+
     /// Persists shard `s`'s base as a new block-file generation and commits
     /// it by rewriting the manifest with `covered_seq`. The previous
     /// generation is deleted afterwards (best effort — an orphaned file is

@@ -29,6 +29,29 @@
 //! overlay-specific guarantees (exact per-cell counts/MBRs, tombstones
 //! filtered everywhere, inserts locatable in O(cell)).
 //!
+//! # What a publish copies
+//!
+//! An ingest batch builds each touched shard's successor with
+//! [`ShardSnapshot::apply_routed`], at a cost that follows the batch, not
+//! the shard:
+//!
+//! * the delta's two id lists and the overlay grid copy their spines and
+//!   then only the chunks and cells the ops edit (see
+//!   [`super::delta`]);
+//! * the filtered point lists live in a dense table indexed by block id: a
+//!   spine of `Arc`'d 16-entry chunks, allocated only where a block holds
+//!   tombstones. The successor copies the spine (one pointer per allocated
+//!   chunk, 46 at most for a 729-block shard) and the chunks of the blocks
+//!   the batch re-filters; every other filtered list is shared;
+//! * a re-filtered block is its previous list with this batch's new
+//!   tombstones cut out, copied as column runs (`extend_from_slice`)
+//!   between the removed lanes.
+//!
+//! Still O(shard) per publish: one `memcpy` of the previous snapshot's base
+//! block metas, whose counts only the re-filtered blocks change. Dropping
+//! the previous snapshot releases what it did not share: the chunks, cells
+//! and lists the batch replaced, and one reference per spine entry.
+//!
 //! Because a snapshot is immutable, its optimizer statistics are immutable
 //! too: [`ShardSnapshot::profile`] memoizes the
 //! [`RelationProfile`](crate::plan::RelationProfile) on first use; the
@@ -99,6 +122,82 @@ impl BaseIds {
 /// A shared [`BaseIds`] — one per base index, shared by its snapshots.
 pub(crate) type BaseIdMap = Arc<BaseIds>;
 
+/// One op of a shard's sub-batch, with the block storing its id in the
+/// shard's base (`None`: the base does not store it) — looked up once,
+/// while the batch is routed, instead of once per use.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ShardOp {
+    pub op: WriteOp,
+    pub base: Option<BlockId>,
+}
+
+/// Block ids per chunk of a [`Tombstones`] table.
+const TABLE_CHUNK: usize = 16;
+
+type TableChunk = [Option<Arc<PointBlock>>; TABLE_CHUNK];
+
+/// The filtered point lists of the base blocks that hold tombstones,
+/// indexed by block id: a spine of `Arc`'d fixed-size chunks, `None` where
+/// no block of the chunk holds one. A clone copies the spine; setting a
+/// block's list copies its chunk only if another version shares it.
+#[derive(Clone)]
+struct Tombstones {
+    chunks: Vec<Option<Arc<TableChunk>>>,
+}
+
+impl Tombstones {
+    /// An empty table for a base of `num_blocks` blocks.
+    fn new(num_blocks: usize) -> Self {
+        Self {
+            chunks: vec![None; num_blocks.div_ceil(TABLE_CHUNK)],
+        }
+    }
+
+    /// The filtered list of base block `block`, if it holds tombstones.
+    fn get(&self, block: BlockId) -> Option<&Arc<PointBlock>> {
+        let b = block as usize;
+        self.chunks[b / TABLE_CHUNK].as_ref()?[b % TABLE_CHUNK].as_ref()
+    }
+
+    fn set(&mut self, block: BlockId, filtered: PointBlock) {
+        let b = block as usize;
+        let chunk = self.chunks[b / TABLE_CHUNK].get_or_insert_with(Default::default);
+        Arc::make_mut(chunk)[b % TABLE_CHUNK] = Some(Arc::new(filtered));
+    }
+
+    /// The indices of this table's allocated chunks that are not the very
+    /// `Arc`s `other` holds at the same index.
+    #[cfg(test)]
+    fn unshared_chunks(&self, other: &Self) -> Vec<usize> {
+        (0..self.chunks.len())
+            .filter(|&c| match (&self.chunks[c], &other.chunks[c]) {
+                (Some(mine), Some(theirs)) => !Arc::ptr_eq(mine, theirs),
+                (mine, _) => mine.is_some(),
+            })
+            .collect()
+    }
+}
+
+/// `previous` without the points of `removed` (this batch's new tombstones
+/// in the block, sorted by id, each stored in `previous` exactly once),
+/// copied as the column runs between the removed lanes.
+fn without(previous: BlockPoints<'_>, removed: &[(BlockId, PointId)]) -> PointBlock {
+    let (ids, xs, ys) = (previous.ids(), previous.xs(), previous.ys());
+    let lanes =
+        (0..ids.len()).filter(|&i| removed.binary_search_by_key(&ids[i], |&(_, r)| r).is_ok());
+    let mut filtered = PointBlock::with_capacity(ids.len() - removed.len());
+    let mut from = 0;
+    for lane in lanes.chain([ids.len()]) {
+        filtered.extend_from(BlockPoints::from_columns(
+            &ids[from..lane],
+            &xs[from..lane],
+            &ys[from..lane],
+        ));
+        from = lane + 1;
+    }
+    filtered
+}
+
 /// Builds the id → block map of a base index.
 fn index_ids(base: &PackedIndex) -> HashMap<PointId, BlockId> {
     let mut ids = HashMap::with_capacity(base.num_points());
@@ -130,9 +229,11 @@ pub struct ShardSnapshot {
     /// the points.
     overlay_cells: Vec<usize>,
     /// Filtered point lists (SoA blocks) of the base blocks that lost points
-    /// to tombstones. `Arc`'d so successive snapshots share the lists of
-    /// blocks an ingest batch did not touch.
-    tombstoned: HashMap<BlockId, Arc<PointBlock>>,
+    /// to tombstones, by block id. `Arc`'d so successive snapshots share the
+    /// lists of blocks an ingest batch did not touch.
+    tombstoned: Tombstones,
+    /// Base blocks that held points and lost all of them to tombstones.
+    emptied: usize,
     bounds: Rect,
     num_points: usize,
     version: u64,
@@ -178,23 +279,40 @@ impl ShardSnapshot {
             .collect();
         affected.sort_unstable();
         affected.dedup();
-        let tombstoned: HashMap<BlockId, Arc<PointBlock>> = affected
-            .into_iter()
-            .map(|block| {
-                let filtered: PointBlock = base_ids
-                    .base
-                    .block_points(block)
-                    .iter()
-                    .filter(|p| !delta.is_deleted(p.id))
-                    .collect();
-                (block, Arc::new(filtered))
-            })
-            .collect();
-        Self::finish(base_ids, delta, tombstoned, version)
+        let mut tombstoned = Tombstones::new(base_ids.base.num_blocks());
+        let mut blocks = Self::metas_for(base_ids.base.blocks(), &delta);
+        let mut emptied = 0;
+        for block in affected {
+            let filtered: PointBlock = base_ids
+                .base
+                .block_points(block)
+                .iter()
+                .filter(|p| !delta.is_deleted(p.id))
+                .collect();
+            let meta = &mut blocks[block as usize];
+            emptied += usize::from(meta.count > 0 && filtered.is_empty());
+            meta.count = filtered.len();
+            tombstoned.set(block, filtered);
+        }
+        Self::finish(base_ids, delta, tombstoned, blocks, emptied, version)
     }
 
-    /// Applies one ingest batch, producing the successor snapshot plus the
-    /// per-op [`BatchOutcome`].
+    /// [`ShardSnapshot::apply_routed`] with each op's base block looked up
+    /// here.
+    #[cfg(test)]
+    pub(crate) fn apply_batch(&self, ops: &[WriteOp], version: u64) -> (Self, BatchOutcome) {
+        let ops: Vec<ShardOp> = ops
+            .iter()
+            .map(|&op| ShardOp {
+                op,
+                base: self.base_block(op.id()),
+            })
+            .collect();
+        self.apply_routed(&ops, version)
+    }
+
+    /// Applies one ingest sub-batch, producing the successor snapshot plus
+    /// the per-op [`BatchOutcome`].
     ///
     /// Incremental on the writer path: only the blocks that gained a
     /// tombstone **in this batch** get a new filtered point list, and it is
@@ -204,61 +322,70 @@ impl ShardSnapshot {
     /// already lacks every older one. All other filtered lists are shared
     /// with `self`. The result equals the from-scratch
     /// [`ShardSnapshot::over`] of the same base and delta, column for column.
-    pub(crate) fn apply_batch(&self, ops: &[WriteOp], version: u64) -> (Self, BatchOutcome) {
-        let ids = self.base_ids.get();
+    pub(crate) fn apply_routed(&self, ops: &[ShardOp], version: u64) -> (Self, BatchOutcome) {
         let mut delta = self.delta.clone();
         let mut changed = Vec::with_capacity(ops.len());
         // (block, id) of every tombstone this batch adds.
         let mut fresh: Vec<(BlockId, PointId)> = Vec::new();
-        for op in ops {
-            let id = match op {
-                WriteOp::Upsert(p) => p.id,
-                WriteOp::Remove(id) => *id,
-            };
+        for &ShardOp { op, base } in ops {
+            debug_assert_eq!(base, self.base_block(op.id()), "a stale base block");
             let deletes_before = delta.deletes().len();
-            changed.push(delta.apply(op, |id| ids.contains_key(&id)));
+            // `base_has` is only ever asked about the op's own id.
+            changed.push(delta.apply(&op, |_| base.is_some()));
             if delta.deletes().len() != deletes_before {
-                fresh.push((ids[&id], id));
+                fresh.push((base.expect("only base ids are tombstoned"), op.id()));
             }
         }
         let mut tombstoned = self.tombstoned.clone();
+        // The previous snapshot's base metas, with the counts of the blocks
+        // this batch re-filters updated.
+        let mut blocks = Self::metas_for(&self.blocks[..self.base.num_blocks()], &delta);
+        let mut emptied = self.emptied;
         fresh.sort_unstable();
         let mut rest = fresh.as_slice();
         while let Some(&(block, _)) = rest.first() {
             let (group, tail) = rest.split_at(rest.partition_point(|&(b, _)| b == block));
             rest = tail;
-            let previous = match self.tombstoned.get(&block) {
+            let previous = match self.tombstoned.get(block) {
                 Some(filtered) => filtered.view(),
                 None => self.base.block_points(block),
             };
-            // Every id of `group` is in `previous`, so the size is exact.
-            let mut filtered = PointBlock::with_capacity(previous.len() - group.len());
-            for p in previous {
-                if group.binary_search(&(block, p.id)).is_err() {
-                    filtered.push(p);
-                }
-            }
-            tombstoned.insert(block, Arc::new(filtered));
+            let filtered = without(previous, group);
+            // The block held the removed points, so it was not empty before.
+            emptied += usize::from(filtered.is_empty());
+            blocks[block as usize].count = filtered.len();
+            tombstoned.set(block, filtered);
         }
-        let snapshot = Self::finish(Arc::clone(&self.base_ids), delta, tombstoned, version);
+        let snapshot = Self::finish(
+            Arc::clone(&self.base_ids),
+            delta,
+            tombstoned,
+            blocks,
+            emptied,
+            version,
+        );
         (snapshot, BatchOutcome { changed })
     }
 
+    /// The base blocks' metas with room for `delta`'s overlay blocks.
+    fn metas_for(base: &[BlockMeta], delta: &Delta) -> Vec<BlockMeta> {
+        let mut blocks = Vec::with_capacity(base.len() + delta.grid().occupied().count());
+        blocks.extend_from_slice(base);
+        blocks
+    }
+
+    /// Assembles a snapshot from its parts. `blocks` holds the base blocks'
+    /// metas with tombstone-adjusted counts; `emptied` counts the base
+    /// blocks that held points and lost all of them to tombstones.
     fn finish(
         base_ids: BaseIdMap,
         delta: Delta,
-        tombstoned: HashMap<BlockId, Arc<PointBlock>>,
+        tombstoned: Tombstones,
+        mut blocks: Vec<BlockMeta>,
+        emptied: usize,
         version: u64,
     ) -> Self {
         let base = Arc::clone(&base_ids.base);
-        let mut blocks: Vec<BlockMeta> = base.blocks().to_vec();
-        // Base blocks that held points and lost all of them to tombstones.
-        let mut emptied = 0usize;
-        for (&block, filtered) in &tombstoned {
-            let meta = &mut blocks[block as usize];
-            emptied += usize::from(meta.count > 0 && filtered.is_empty());
-            meta.count = filtered.len();
-        }
         // One overlay block per occupied grid cell, each with the tight
         // bounding box of the points actually in the cell — far-away cells
         // prune under MINDIST exactly like base blocks. Assembling the metas
@@ -283,6 +410,7 @@ impl ShardSnapshot {
             blocks,
             overlay_cells,
             tombstoned,
+            emptied,
             bounds,
             num_points,
             version,
@@ -321,8 +449,21 @@ impl ShardSnapshot {
 
     /// Whether a point with `id` is visible in this snapshot.
     pub fn contains_id(&self, id: PointId) -> bool {
-        self.delta.inserted(id).is_some()
-            || (self.base_ids.get().contains_key(&id) && !self.delta.is_deleted(id))
+        self.probe(id).0
+    }
+
+    /// The block storing `id` in the base, whether or not it is visible.
+    pub(crate) fn base_block(&self, id: PointId) -> Option<BlockId> {
+        self.base_ids.get().get(&id).copied()
+    }
+
+    /// [`ShardSnapshot::contains_id`] together with
+    /// [`ShardSnapshot::base_block`], for one id lookup in the base.
+    pub(crate) fn probe(&self, id: PointId) -> (bool, Option<BlockId>) {
+        let base = self.base_block(id);
+        let visible =
+            self.delta.inserted(id).is_some() || (base.is_some() && !self.delta.is_deleted(id));
+        (visible, base)
     }
 
     /// The visible position of the point with `id`, if any — an O(block)
@@ -423,7 +564,7 @@ impl ShardSnapshot {
                 }
             }
         }
-        for p in self.delta.inserts() {
+        for p in self.delta.inserts().iter() {
             match self.locate(p) {
                 Some(at) if (at as usize) >= base_blocks => {
                     if !self.block_points(at).iter().any(|q| q.id == p.id) {
@@ -458,7 +599,7 @@ impl SpatialIndex for ShardSnapshot {
         if let Some(ordinal) = (id as usize).checked_sub(self.base.num_blocks()) {
             return self.delta.grid().cell_points(self.overlay_cells[ordinal]);
         }
-        match self.tombstoned.get(&id) {
+        match self.tombstoned.get(id) {
             Some(filtered) => filtered.view(),
             None => self.base.block_points(id),
         }
@@ -774,5 +915,60 @@ mod tests {
             assert_eq!(base.num_points(), 0);
             assert!(base.bounds().contains_rect(&hint));
         }
+    }
+
+    #[test]
+    fn a_batch_shares_every_chunk_it_does_not_edit() {
+        let base = Arc::new(GridIndex::build(scattered(6_000, 11), 27).unwrap());
+        let clean = ShardSnapshot::clean(base, 0, OverlayConfig::default());
+        // Move every even id below 4 200: 2 100 inserts and 2 100 tombstones.
+        let moves = |ids: &mut dyn Iterator<Item = u64>| -> Vec<WriteOp> {
+            ids.map(|id| WriteOp::Upsert(Point::new(id, (id % 97) as f64, (id % 89) as f64)))
+                .collect()
+        };
+        let (prev, _) = clean.apply_batch(&moves(&mut (0..2_100).map(|i| i * 2)), 1);
+        assert!(prev.delta().len() >= 4_000);
+        let visible: Vec<bool> = (0..6_000).map(|id| prev.contains_id(id)).collect();
+        let blocks: Vec<Vec<Point>> = prev
+            .blocks()
+            .iter()
+            .map(|b| prev.block_points(b.id).iter().collect())
+            .collect();
+
+        // 64 moves of odd ids spread over the whole id range.
+        let batch = moves(&mut (0..64).map(|i| 2 * ((i * 131) % 2_100) + 1));
+        let (next, outcome) = prev.apply_batch(&batch, 2);
+        assert!(outcome.changed.iter().all(|c| *c));
+        let (d0, d1) = (prev.delta(), next.delta());
+        for (old, new) in [
+            (
+                d0.inserts().shared_chunks(d1.inserts()),
+                d1.inserts().num_chunks(),
+            ),
+            (
+                d0.deletes().shared_chunks(d1.deletes()),
+                d1.deletes().num_chunks(),
+            ),
+        ] {
+            assert!(new - old <= 64, "{} of {new} chunks copied", new - old);
+        }
+        let touched: Vec<usize> = batch
+            .iter()
+            .map(|op| prev.base_block(op.id()).unwrap() as usize / TABLE_CHUNK)
+            .collect();
+        let copied = next.tombstoned.unshared_chunks(&prev.tombstoned);
+        assert!(!copied.is_empty() && copied.iter().all(|c| touched.contains(c)));
+
+        // The predecessor answers exactly as before the batch.
+        for (id, &was) in visible.iter().enumerate() {
+            assert_eq!(prev.contains_id(id as u64), was, "id {id}");
+        }
+        for (block, points) in blocks.iter().enumerate() {
+            assert!(prev
+                .block_points(block as BlockId)
+                .iter()
+                .eq(points.iter().copied()));
+        }
+        assert_same_blocks(&next, &next.with_delta(next.delta().clone(), 2), 1);
     }
 }

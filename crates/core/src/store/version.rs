@@ -16,8 +16,10 @@
 //! * **Per-shard compaction** captures `(shard snapshot, log length)` under
 //!   that shard's writer lock, rebuilds the shard's base and builds its
 //!   id → block map *outside* all locks (ingest everywhere continues
-//!   concurrently), then re-enters the shard lock to replay the shard ops
-//!   logged since the capture and swap the shard in. Each shard has its own in-flight slot, so rebuilds of
+//!   concurrently). It replays the shard ops logged since the capture onto
+//!   the new base, still outside the lock, then re-enters the shard lock
+//!   only to apply the few ops logged during that replay and swap the
+//!   shard in. Each shard has its own in-flight slot, so rebuilds of
 //!   different shards overlap freely on the worker pool.
 //! * **Publishing** — the only place shard state becomes visible — happens
 //!   under the `compose_lock`: the affected shard pointers are swapped and a
@@ -35,10 +37,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use twoknn_geometry::{Point, PointId, Rect};
-use twoknn_index::{IndexConfig, Metrics, SpatialIndex};
+use twoknn_index::{BlockId, IndexConfig, Metrics, SpatialIndex};
 
 use crate::exec::WorkerPool;
 
@@ -46,7 +48,7 @@ use super::delta::{Delta, WriteOp};
 use super::overlay::OverlayConfig;
 use super::recover::RelationDurability;
 use super::shard::{RelationSnapshot, ShardConfig, ShardMap};
-use super::snapshot::{BaseIdMap, BaseIds, BaseIndex, ShardSnapshot};
+use super::snapshot::{BaseIdMap, BaseIds, BaseIndex, ShardOp, ShardSnapshot};
 use super::StoreConfig;
 
 /// One spatial shard's mutable state: its current snapshot, its writer log
@@ -86,6 +88,44 @@ pub(crate) struct IngestReceipt {
     /// one, so later evaluations always cover earlier publishes; the receipt
     /// therefore does not carry the published snapshot itself.)
     pub prev: Arc<RelationSnapshot>,
+}
+
+/// How routing finds the shard an op's id is visible in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Routing {
+    /// Live ingest, which keeps every id visible in at most one shard: an
+    /// upsert probes its target shard first, where a position report
+    /// usually finds its object, then the others in order.
+    Live,
+    /// Recovery replay: every shard in order, retracting stale duplicates
+    /// (see [`VersionedRelation::ingest_replay`]).
+    Replay,
+    /// Live ingest through replay's in-order probe, without its
+    /// retractions: the reference the routing test holds `Live` to.
+    #[cfg(test)]
+    InOrder,
+}
+
+/// A batch split into per-shard sub-batches.
+#[derive(Debug, PartialEq)]
+struct Routed {
+    /// Per shard: its sub-batch.
+    sub: Vec<Vec<ShardOp>>,
+    /// Per op: the (shard, sub-batch index) of its primary sub-op, `None`
+    /// for ineffective removes that route nowhere.
+    primary: Vec<Option<(usize, usize)>>,
+    /// Per op: whether its id was visible immediately before it (earlier
+    /// ops of the batch count).
+    visible_before: Vec<bool>,
+}
+
+/// A rebuilt shard before its publish: the snapshot over the new base with
+/// the ops logged since the capture replayed, and the write-log positions
+/// of the capture and of the replay's end.
+struct Rebuilt {
+    snapshot: ShardSnapshot,
+    captured_len: usize,
+    replayed_len: usize,
 }
 
 /// A relation whose current snapshot is replaced, never mutated, stored as
@@ -289,7 +329,7 @@ impl VersionedRelation {
     /// [`VersionedRelation::ingest_with_receipt`], which this wraps.)
     #[cfg(test)]
     pub(crate) fn ingest(&self, ops: &[WriteOp]) -> (usize, u64) {
-        let receipt = self.ingest_with_receipt(ops);
+        let receipt = self.ingest_with_receipt(ops).expect("WAL append");
         (receipt.effective, receipt.version)
     }
 
@@ -303,8 +343,13 @@ impl VersionedRelation {
     /// moves a point across a shard boundary becomes a remove in the old
     /// shard plus the upsert in the new one, applied in the same publish so
     /// the point is never visible twice or not at all.
-    pub(crate) fn ingest_with_receipt(&self, ops: &[WriteOp]) -> IngestReceipt {
-        self.ingest_full(ops, false)
+    ///
+    /// # Errors
+    ///
+    /// A failed WAL append. The batch is then neither published nor entered
+    /// in any shard's write log, and the WAL is left as it was before it.
+    pub(crate) fn ingest_with_receipt(&self, ops: &[WriteOp]) -> std::io::Result<IngestReceipt> {
+        self.ingest_full(ops, Routing::Live)
     }
 
     /// Recovery-time ingest: applies a WAL record through the normal routing
@@ -317,126 +362,156 @@ impl VersionedRelation {
     /// is guaranteed to be among the replayed records and cleans up the
     /// duplicate here.
     pub(crate) fn ingest_replay(&self, ops: &[WriteOp]) {
-        self.ingest_full(ops, true);
+        self.ingest_full(ops, Routing::Replay)
+            .expect("replay appends nothing to the WAL, so it has no I/O to fail");
     }
 
-    fn ingest_full(&self, ops: &[WriteOp], replay: bool) -> IngestReceipt {
+    /// Splits a batch into per-shard sub-batches. Visibility is resolved
+    /// against `snaps`, the shard snapshots current at routing (compaction
+    /// never changes visibility, so a concurrent publish cannot skew this),
+    /// plus the batch's own earlier ops. Each sub-op carries the block of
+    /// its id in its shard's base, from the same lookup that probed the
+    /// shard when there was one.
+    fn route(&self, snaps: &[Arc<ShardSnapshot>], ops: &[WriteOp], routing: Routing) -> Routed {
+        let nshards = snaps.len();
+        // Where each id the batch already touched is visible now.
+        let mut where_is: HashMap<PointId, Option<usize>> = HashMap::with_capacity(ops.len());
+        // The shards probed for the current op, each with the block storing
+        // the op's id in its base.
+        let mut probed: Vec<(usize, Option<BlockId>)> = Vec::with_capacity(nshards);
+        // The first shard `id` is visible in, probing `first` before the
+        // others (in shard order).
+        let locate = |probed: &mut Vec<(usize, Option<BlockId>)>, id, first: Option<usize>| {
+            let order = first
+                .into_iter()
+                .chain((0..nshards).filter(|&s| Some(s) != first));
+            for s in order {
+                let (visible, base) = snaps[s].probe(id);
+                probed.push((s, base));
+                if visible {
+                    return Some(s);
+                }
+            }
+            None
+        };
+        let shard_op = |probed: &[(usize, Option<BlockId>)], s: usize, op: WriteOp| ShardOp {
+            op,
+            base: match probed.iter().find(|&&(t, _)| t == s) {
+                Some(&(_, base)) => base,
+                None => snaps[s].base_block(op.id()),
+            },
+        };
+        // In replay mode: pushes retractions for every shard other than
+        // `keep` that still holds `id` — live ingest maintains the ≤ 1-shard
+        // invariant, but independently persisted shard bases can briefly
+        // break it (see `ingest_replay`). `known` marks ids the batch itself
+        // already settled (the first touching op cleaned up).
+        let retract_stale = |sub: &mut Vec<Vec<ShardOp>>,
+                             probed: &[(usize, Option<BlockId>)],
+                             id: PointId,
+                             keep: Option<usize>,
+                             known: bool| {
+            if routing != Routing::Replay || known {
+                return;
+            }
+            for (s, snap) in snaps.iter().enumerate() {
+                if Some(s) != keep && snap.contains_id(id) {
+                    sub[s].push(shard_op(probed, s, WriteOp::Remove(id)));
+                }
+            }
+        };
+
+        let mut routed = Routed {
+            sub: vec![Vec::new(); nshards],
+            primary: Vec::with_capacity(ops.len()),
+            visible_before: Vec::with_capacity(ops.len()),
+        };
+        for &op in ops {
+            let id = op.id();
+            probed.clear();
+            let known = where_is.get(&id).copied();
+            match op {
+                WriteOp::Upsert(p) => {
+                    let target = self.map.shard_of(&p);
+                    let first = (routing == Routing::Live).then_some(target);
+                    let old = known.unwrap_or_else(|| locate(&mut probed, id, first));
+                    routed.visible_before.push(old.is_some());
+                    if let Some(o) = old.filter(|&o| o != target) {
+                        // Cross-shard move: retract from the old shard in
+                        // the same publish.
+                        routed.sub[o].push(shard_op(&probed, o, WriteOp::Remove(id)));
+                    }
+                    // Replay: also retract stale duplicates from any shard
+                    // that is neither the routed-from nor the target shard.
+                    let keep = old.filter(|&o| o == target);
+                    retract_stale(&mut routed.sub, &probed, id, keep, known.is_some());
+                    routed
+                        .primary
+                        .push(Some((target, routed.sub[target].len())));
+                    routed.sub[target].push(shard_op(&probed, target, op));
+                    where_is.insert(id, Some(target));
+                }
+                WriteOp::Remove(_) => {
+                    let old = known.unwrap_or_else(|| locate(&mut probed, id, None));
+                    routed.visible_before.push(old.is_some());
+                    match old {
+                        Some(o) => {
+                            routed.primary.push(Some((o, routed.sub[o].len())));
+                            routed.sub[o].push(shard_op(&probed, o, op));
+                            where_is.insert(id, None);
+                        }
+                        None => routed.primary.push(None),
+                    }
+                    retract_stale(&mut routed.sub, &probed, id, old, known.is_some());
+                }
+            }
+        }
+        routed
+    }
+
+    fn ingest_full(&self, ops: &[WriteOp], routing: Routing) -> std::io::Result<IngestReceipt> {
         let _ingest = self
             .ingest_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let prev = self.load();
-        let nshards = self.shards.len();
-
-        // Route ops to per-shard sub-batches. Visibility is resolved against
-        // the current shard snapshots (compaction never changes visibility,
-        // so a concurrent publish cannot skew this) plus the batch's own
-        // earlier ops.
-        let shard_snaps: Vec<Arc<ShardSnapshot>> =
-            self.shards.iter().map(ShardState::snapshot).collect();
-        let mut where_is: HashMap<PointId, Option<usize>> = HashMap::new();
-        let locate_id =
-            |where_is: &HashMap<PointId, Option<usize>>, id: PointId| match where_is.get(&id) {
-                Some(loc) => *loc,
-                None => shard_snaps.iter().position(|s| s.contains_id(id)),
-            };
-
-        let mut sub: Vec<Vec<WriteOp>> = vec![Vec::new(); nshards];
-        // In replay mode: pushes retractions for every shard beyond the
-        // first that still holds `id` — live ingest maintains the ≤ 1-shard
-        // invariant, but independently persisted shard bases can briefly
-        // break it (see `ingest_replay`). `known` distinguishes ids the
-        // batch itself already settled (the first touching op cleaned up).
-        let retract_stale =
-            |sub: &mut Vec<Vec<WriteOp>>, id: PointId, keep: Option<usize>, known: bool| {
-                if !replay || known {
-                    return;
-                }
-                for (s, snap) in shard_snaps.iter().enumerate() {
-                    if Some(s) != keep && snap.contains_id(id) {
-                        sub[s].push(WriteOp::Remove(id));
-                    }
-                }
-            };
-        // Per op: the (shard, sub-batch index) of its primary sub-op, `None`
-        // for ineffective removes that route nowhere.
-        let mut primary: Vec<Option<(usize, usize)>> = Vec::with_capacity(ops.len());
-        let mut visible_before = Vec::with_capacity(ops.len());
-        for op in ops {
-            match op {
-                WriteOp::Upsert(p) => {
-                    let known = where_is.contains_key(&p.id);
-                    let target = self.map.shard_of(p);
-                    let old = locate_id(&where_is, p.id);
-                    visible_before.push(old.is_some());
-                    if let Some(o) = old {
-                        if o != target {
-                            // Cross-shard move: retract from the old shard in
-                            // the same publish.
-                            sub[o].push(WriteOp::Remove(p.id));
-                        }
-                    }
-                    // Replay: also retract stale duplicates from any shard
-                    // that is neither the routed-from nor the target shard.
-                    retract_stale(&mut sub, p.id, old.filter(|o| *o == target), known);
-                    primary.push(Some((target, sub[target].len())));
-                    sub[target].push(*op);
-                    where_is.insert(p.id, Some(target));
-                }
-                WriteOp::Remove(id) => {
-                    let known = where_is.contains_key(id);
-                    let old = locate_id(&where_is, *id);
-                    visible_before.push(old.is_some());
-                    match old {
-                        Some(o) => {
-                            primary.push(Some((o, sub[o].len())));
-                            sub[o].push(*op);
-                            where_is.insert(*id, None);
-                        }
-                        None => primary.push(None),
-                    }
-                    retract_stale(&mut sub, *id, old, known);
-                }
-            }
-        }
+        let snaps: Vec<Arc<ShardSnapshot>> = self.shards.iter().map(ShardState::snapshot).collect();
+        let Routed {
+            sub,
+            primary,
+            visible_before,
+        } = self.route(&snaps, ops, routing);
 
         // Apply the sub-batches under the affected shards' writer locks
         // (ascending order), holding them through the publish.
         struct Applied<'a> {
-            /// Held (not read) through the publish so no other batch or
-            /// compaction can slip between apply and swap on this shard.
-            _writer: std::sync::MutexGuard<'a, Vec<WriteOp>>,
+            /// Held through the publish so no other batch or compaction can
+            /// slip between apply and swap on this shard.
+            writer: MutexGuard<'a, Vec<WriteOp>>,
+            batch: Vec<ShardOp>,
             snapshot: Arc<ShardSnapshot>,
             changed: Vec<bool>,
         }
-        let mut applied: Vec<Option<Applied<'_>>> = Vec::with_capacity(nshards);
-        for (s, batch) in sub.iter().enumerate() {
+        let mut applied: Vec<Option<Applied<'_>>> = Vec::with_capacity(sub.len());
+        for (s, mut batch) in sub.into_iter().enumerate() {
             if batch.is_empty() {
                 applied.push(None);
                 continue;
             }
             let state = &self.shards[s];
-            let mut writer = state.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            let writer = state.writer.lock().unwrap_or_else(PoisonError::into_inner);
             let cur = state.snapshot();
-            let (snapshot, outcome) = cur.apply_batch(batch, cur.version() + 1);
-            // Only ops that changed the visible set enter the log:
-            // ineffective ops would replay as no-ops anyway, and skipping
-            // them keeps the log proportional to real work.
-            for (op, changed) in batch.iter().zip(&outcome.changed) {
-                if *changed {
-                    writer.push(*op);
+            if !Arc::ptr_eq(cur.base(), snaps[s].base()) {
+                // A compaction published a new base for this shard since
+                // routing: the routed block ids name the old base's blocks.
+                for op in &mut batch {
+                    op.base = cur.base_block(op.op.id());
                 }
             }
-            // A delta that cancelled back to empty makes the shard equal its
-            // base: the log has nothing a compaction would need to replay,
-            // so drop it — unless a rebuild of this shard is in flight,
-            // whose captured log position must stay valid until its publish
-            // trims the log itself.
-            if snapshot.delta().is_empty() && !state.compacting.load(Ordering::Acquire) {
-                writer.clear();
-            }
+            let (snapshot, outcome) = cur.apply_routed(&batch, cur.version() + 1);
             applied.push(Some(Applied {
-                _writer: writer,
+                writer,
+                batch,
                 snapshot: Arc::new(snapshot),
                 changed: outcome.changed,
             }));
@@ -455,11 +530,32 @@ impl VersionedRelation {
         // pair is one atomic record — while every touched shard's writer
         // lock is still held (see the module doc's ordering argument).
         // Replay never re-appends, and a batch that touched no shard
-        // (ineffective removes only) replays as a no-op, so skip it.
-        if !replay && applied.iter().any(Option::is_some) {
+        // (ineffective removes only) replays as a no-op, so skip it. A
+        // failed append returns here: dropping `applied` releases the
+        // writer locks with nothing published and no write log touched.
+        if routing != Routing::Replay && applied.iter().any(Option::is_some) {
             if let Some(d) = &self.durability {
-                d.append_batch(ops)
-                    .expect("WAL append failed; cannot publish an unlogged batch");
+                d.append_batch(ops)?;
+            }
+        }
+
+        for (s, slot) in applied.iter_mut().enumerate() {
+            let Some(a) = slot else { continue };
+            // Only ops that changed the visible set enter the log:
+            // ineffective ops would replay as no-ops anyway, and skipping
+            // them keeps the log proportional to real work.
+            for (op, changed) in a.batch.iter().zip(&a.changed) {
+                if *changed {
+                    a.writer.push(op.op);
+                }
+            }
+            // A delta that cancelled back to empty makes the shard equal its
+            // base: the log has nothing a compaction would need to replay,
+            // so drop it — unless a rebuild of this shard is in flight,
+            // whose captured log position must stay valid until its publish
+            // trims the log itself.
+            if a.snapshot.delta().is_empty() && !self.shards[s].compacting.load(Ordering::Acquire) {
+                a.writer.clear();
             }
         }
 
@@ -482,13 +578,13 @@ impl VersionedRelation {
         };
         drop(applied);
 
-        IngestReceipt {
+        Ok(IngestReceipt {
             effective,
             version,
             changed,
             visible_before,
             prev,
-        }
+        })
     }
 
     /// The shards whose delta has outgrown the compaction threshold and have
@@ -551,16 +647,52 @@ impl VersionedRelation {
         base_ids: BaseIdMap,
         captured_len: usize,
     ) -> u64 {
+        let rebuilt = self.replay_onto_rebuilt(s, base_ids, captured_len);
+        self.publish_rebuilt(s, rebuilt)
+    }
+
+    /// Replays the shard ops logged since the capture onto the rebuilt base
+    /// and builds its filtered blocks — outside shard `s`'s writer lock,
+    /// which it holds only to copy the log tail, so ingest into the shard
+    /// keeps going while the tail is replayed.
+    fn replay_onto_rebuilt(&self, s: usize, base_ids: BaseIdMap, captured_len: usize) -> Rebuilt {
+        let (tail, replayed_len) = {
+            let writer = self.shards[s]
+                .writer
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            (writer[captured_len..].to_vec(), writer.len())
+        };
+        let mut delta = Delta::with_config(self.overlay);
+        for op in &tail {
+            delta.apply(op, |id| base_ids.get().contains_key(&id));
+        }
+        Rebuilt {
+            // The version is set when the catch-up below publishes it.
+            snapshot: ShardSnapshot::over(base_ids, delta, 0),
+            captured_len,
+            replayed_len,
+        }
+    }
+
+    /// Publishes a rebuilt shard under its writer lock: applies the ops
+    /// logged since the replay (an ingest batch's worth, at most a few)
+    /// incrementally, swaps the shard and the recomposed relation snapshot
+    /// in, and trims the shard log to the ops past the capture.
+    fn publish_rebuilt(&self, s: usize, rebuilt: Rebuilt) -> u64 {
         let state = &self.shards[s];
         let mut writer = state.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let version = state.snapshot().version() + 1;
-        let tail = writer.split_off(captured_len);
+        let late: Vec<ShardOp> = writer[rebuilt.replayed_len..]
+            .iter()
+            .map(|&op| ShardOp {
+                op,
+                base: rebuilt.snapshot.base_block(op.id()),
+            })
+            .collect();
+        let (snapshot, _) = rebuilt.snapshot.apply_routed(&late, version);
+        let tail = writer.split_off(rebuilt.captured_len);
         *writer = tail;
-        let mut delta = Delta::with_config(self.overlay);
-        for op in writer.iter() {
-            delta.apply(op, |id| base_ids.get().contains_key(&id));
-        }
-        let snapshot = ShardSnapshot::over(base_ids, delta, version);
         let _compose = self
             .compose_lock
             .lock()
@@ -694,6 +826,7 @@ impl std::fmt::Debug for VersionedRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::QueryError;
     use twoknn_index::{check_index_invariants, GridIndex, SpatialIndex};
 
     fn points(n: u64) -> Vec<Point> {
@@ -771,12 +904,14 @@ mod tests {
         assert_eq!(rel.load().delta_len(), 0);
         assert_eq!(log_len(&rel), 0);
         // visible_before is exact, including within one batch.
-        let receipt = rel.ingest_with_receipt(&[
-            WriteOp::Upsert(Point::new(888, 2.0, 2.0)), // fresh id
-            WriteOp::Upsert(Point::new(888, 3.0, 3.0)), // now visible
-            WriteOp::Remove(888),
-            WriteOp::Upsert(Point::new(0, 4.0, 4.0)), // base id: visible
-        ]);
+        let receipt = rel
+            .ingest_with_receipt(&[
+                WriteOp::Upsert(Point::new(888, 2.0, 2.0)), // fresh id
+                WriteOp::Upsert(Point::new(888, 3.0, 3.0)), // now visible
+                WriteOp::Remove(888),
+                WriteOp::Upsert(Point::new(0, 4.0, 4.0)), // base id: visible
+            ])
+            .unwrap();
         assert_eq!(receipt.visible_before, vec![false, true, true, true]);
         assert_eq!(receipt.changed.len(), 4);
         assert_eq!(receipt.prev.version() + 1, receipt.version);
@@ -836,6 +971,51 @@ mod tests {
     }
 
     #[test]
+    fn writes_between_the_replay_and_the_publish_are_caught_up() {
+        let rel = relation_sharded(1, 2);
+        rel.ingest(&[WriteOp::Upsert(Point::new(500, 3.0, 3.0))]);
+        let s = rel.load().shard_map().shard_of(&Point::new(500, 3.0, 3.0));
+        assert!(rel.begin_shard_compaction(s));
+        let (source, captured_len, _covered) = rel.capture_shard_for_compaction(s);
+        rel.ingest(&[WriteOp::Upsert(Point::new(501, 4.0, 4.0))]);
+        let base = rebuild(
+            rel.shard_config,
+            source.merged_points(),
+            source.base().bounds(),
+        );
+        let rebuilt = rel.replay_onto_rebuilt(s, BaseIds::indexed(&base), captured_len);
+        // Lands after the replay copied the log tail, before the publish:
+        // a fresh id, a remove of a replayed insert and, when base id 0 is
+        // stored in this shard, a move of a point of the rebuilt base.
+        let moved = source
+            .position_of(0)
+            .map(|p| Point::new(0, p.x + 0.01, p.y))
+            .filter(|p| rel.map.shard_of(p) == s);
+        let late: Vec<WriteOp> = [
+            WriteOp::Upsert(Point::new(502, 5.0, 5.0)),
+            WriteOp::Remove(501),
+        ]
+        .into_iter()
+        .chain(moved.map(WriteOp::Upsert))
+        .collect();
+        rel.ingest(&late);
+        rel.publish_rebuilt(s, rebuilt);
+        rel.end_shard_compaction(s);
+
+        let snap = rel.load();
+        assert!(snap.contains_id(500), "compacted write in the base");
+        assert!(snap.contains_id(502), "late write caught up");
+        assert!(!snap.contains_id(501), "replayed write, then removed late");
+        if let Some(p) = moved {
+            assert_eq!(snap.position_of(0), Some(p));
+        }
+        assert_eq!(snap.num_points(), 202);
+        snap.check_overlay_invariants().unwrap();
+        // The log keeps every op past the capture, for a later compaction.
+        assert_eq!(rel.shards[s].writer.lock().unwrap().len(), 1 + late.len());
+    }
+
+    #[test]
     fn compaction_slot_is_exclusive() {
         let rel = relation(1);
         rel.ingest(&[WriteOp::Remove(0)]);
@@ -869,8 +1049,8 @@ mod tests {
             WriteOp::Remove(9_999),
             WriteOp::Upsert(Point::new(5, 105.0, 2.0)), // moves a base point
         ];
-        let rs = sharded.ingest_with_receipt(&batch);
-        let rf = flat.ingest_with_receipt(&batch);
+        let rs = sharded.ingest_with_receipt(&batch).unwrap();
+        let rf = flat.ingest_with_receipt(&batch).unwrap();
         assert_eq!(rs.effective, rf.effective);
         assert_eq!(rs.changed, rf.changed);
         assert_eq!(rs.visible_before, rf.visible_before);
@@ -981,5 +1161,150 @@ mod tests {
             "rebuild gathered only the dirty shard's points"
         );
         rel.load().check_overlay_invariants().unwrap();
+    }
+
+    /// The visible points of `rel`, by id.
+    fn rows(rel: &VersionedRelation) -> Vec<Point> {
+        let mut rows = rel.load().merged_points();
+        rows.sort_by_key(|p| p.id);
+        rows
+    }
+
+    #[test]
+    fn target_first_routing_equals_the_in_order_probe() {
+        let live = relation_sharded(1_000_000, 3);
+        let in_order = relation_sharded(1_000_000, 3);
+        let snap = live.load();
+        let map = *snap.shard_map();
+        let centre = |s: usize, id| {
+            let r = map.shard_rect(s);
+            Point::new(id, (r.min_x + r.max_x) / 2.0, (r.min_y + r.max_y) / 2.0)
+        };
+        let home = |id| map.shard_of(&snap.position_of(id).unwrap());
+        let mut batches = vec![vec![
+            WriteOp::Upsert(centre(home(0), 0)), // move inside its shard
+            WriteOp::Upsert(centre((home(1) + 4) % 9, 1)), // move across shards
+            WriteOp::Upsert(Point::new(500, 3.0, 90.0)), // fresh id
+            WriteOp::Remove(9_999),              // absent id
+            WriteOp::Upsert(centre((home(2) + 1) % 9, 2)), // away and back again
+            WriteOp::Upsert(centre(home(2), 2)),
+            WriteOp::Remove(3), // remove, then re-insert elsewhere
+            WriteOp::Upsert(centre((home(3) + 2) % 9, 3)),
+            WriteOp::Upsert(Point::new(500, 80.0, 8.0)), // the fresh id moves
+            WriteOp::Remove(4),
+            WriteOp::Remove(4), // repeated remove
+        ]];
+        // Then seeded batches over base, fresh and absent ids.
+        let mut h = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |n: u64| {
+            h ^= h << 13;
+            h ^= h >> 7;
+            h ^= h << 17;
+            h % n
+        };
+        for _ in 0..30 {
+            batches.push(
+                (0..16)
+                    .map(|_| {
+                        let id = next(260);
+                        if next(4) == 0 {
+                            WriteOp::Remove(id)
+                        } else {
+                            let (x, y) = (next(1_080) as f64 * 0.1, next(1_080) as f64 * 0.1);
+                            WriteOp::Upsert(Point::new(id, x, y))
+                        }
+                    })
+                    .collect(),
+            );
+        }
+        for (at, ops) in batches.iter().enumerate() {
+            let snaps: Vec<Arc<ShardSnapshot>> =
+                live.shards.iter().map(ShardState::snapshot).collect();
+            assert_eq!(
+                live.route(&snaps, ops, Routing::Live),
+                live.route(&snaps, ops, Routing::InOrder),
+                "batch {at}: sub-batches"
+            );
+            let a = live.ingest_full(ops, Routing::Live).unwrap();
+            let b = in_order.ingest_full(ops, Routing::InOrder).unwrap();
+            assert_eq!(
+                (a.effective, a.version, &a.changed, &a.visible_before),
+                (b.effective, b.version, &b.changed, &b.visible_before),
+                "batch {at}: receipt"
+            );
+            assert_eq!(rows(&live), rows(&in_order), "batch {at}: rows");
+            if at == 0 {
+                let after = live.load();
+                assert_eq!(after.position_of(2), Some(centre(home(2), 2)));
+                assert!(!after.contains_id(4) && !after.contains_id(9_999));
+                assert_eq!(a.visible_before[9..], [true, false]);
+            }
+        }
+        live.load().check_overlay_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_failed_wal_append_publishes_nothing_and_is_not_replayed() {
+        let dir =
+            std::env::temp_dir().join(format!("twoknn-version-wal-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StoreConfig {
+            compaction_threshold: 1_000_000,
+            sharding: ShardConfig::per_axis(2),
+            durability: super::super::DurabilityConfig::at(&dir),
+            ..StoreConfig::default()
+        };
+        let mut db = crate::plan::Database::with_store_config(config.clone());
+        db.register("R", GridIndex::build(points(200), 5).unwrap());
+        db.ingest("R", &[WriteOp::Upsert(Point::new(900, 1.0, 1.0))])
+            .unwrap();
+        let rel = db.store().get("R").unwrap();
+        let wal = rel.durability().unwrap();
+        let (version, seq, logged, before) = (
+            rel.load().version(),
+            wal.last_seq(),
+            log_len(&rel),
+            rows(&rel),
+        );
+
+        wal.wal().inject(super::super::wal::Fault::Write);
+        // A move across shards, a fresh id and a remove.
+        let failed = [
+            WriteOp::Upsert(Point::new(0, 105.0, 105.0)),
+            WriteOp::Upsert(Point::new(901, 2.0, 2.0)),
+            WriteOp::Remove(1),
+        ];
+        let err = db.ingest("R", &failed).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                QueryError::WalAppend {
+                    kind: std::io::ErrorKind::Other,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(rel.load().version(), version, "nothing published");
+        assert_eq!(rows(&rel), before, "no visible row changed");
+        assert_eq!(log_len(&rel), logged, "no write log touched");
+        assert_eq!(wal.last_seq(), seq, "no sequence number used");
+
+        wal.wal().inject(super::super::wal::Fault::Off);
+        db.ingest(
+            "R",
+            &[
+                WriteOp::Upsert(Point::new(902, 3.0, 3.0)),
+                WriteOp::Remove(2),
+            ],
+        )
+        .unwrap();
+        let published = rows(&rel);
+        assert!(published.iter().any(|p| p.id == 902) && published.iter().all(|p| p.id != 901));
+        // A crash: drop without a checkpoint, then replay the WAL.
+        drop((rel, db));
+        let reopened = crate::plan::Database::open(&dir, config).unwrap();
+        assert_eq!(rows(&reopened.store().get("R").unwrap()), published);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

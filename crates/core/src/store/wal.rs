@@ -32,7 +32,7 @@
 //! OS crash or power loss can lose is governed by [`SyncPolicy`].
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
@@ -180,6 +180,29 @@ struct WalInner {
     unsynced: u32,
     /// Closed segments still on disk: `(segment index, highest seq)`.
     closed: Vec<(u64, u64)>,
+    /// The error after which the log can no longer promise what it holds —
+    /// a record that could not be cut back out of the segment, or a failed
+    /// `fsync` with earlier appends unsynced: the log refuses every later
+    /// append with it.
+    broken: Option<(std::io::ErrorKind, String)>,
+    /// The failure the tests inject into appends.
+    #[cfg(test)]
+    fault: Fault,
+}
+
+/// A failure injected into [`Wal::append`] (tests only).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fault {
+    /// Appends succeed.
+    Off,
+    /// An append fails after writing its record, as a short write would.
+    Write,
+    /// Every `fsync` fails.
+    Sync,
+    /// An append fails after writing its record, and cutting it back out
+    /// fails too.
+    WriteAndCut,
 }
 
 /// One intact record scanned back out of the log: the batch's sequence
@@ -221,6 +244,9 @@ impl Wal {
                 last_seq: 0,
                 unsynced: 0,
                 closed: Vec::new(),
+                broken: None,
+                #[cfg(test)]
+                fault: Fault::Off,
             }),
         })
     }
@@ -322,6 +348,9 @@ impl Wal {
                     last_seq,
                     unsynced: 0,
                     closed,
+                    broken: None,
+                    #[cfg(test)]
+                    fault: Fault::Off,
                 }),
             },
             records,
@@ -331,50 +360,115 @@ impl Wal {
     /// Appends one batch record, assigning it the next sequence number.
     /// Returns `(seq, bytes appended, fsync wall time)` — the last is `None`
     /// when the policy skipped the sync for this append.
+    ///
+    /// # Errors
+    ///
+    /// Any error of the write, the sync or the segment roll. The segment is
+    /// then cut back to its length before the append and the sequence
+    /// number is not used, so the log is as it was. The log refuses every
+    /// later append with the same error if the cut fails too, or if the
+    /// sync failed while earlier appends were unsynced: the kernel may have
+    /// dropped their pages and reports that only once, so a later sync
+    /// could succeed without them.
     pub(crate) fn append(
         &self,
         ops: &[WriteOp],
     ) -> std::io::Result<(u64, u64, Option<std::time::Duration>)> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((kind, message)) = &inner.broken {
+            return Err(std::io::Error::new(*kind, message.clone()));
+        }
+        let result = self.write_record(&mut inner, ops);
+        if let Err(e) = &result {
+            let start = inner.written;
+            let cut = inner
+                .file
+                .set_len(start)
+                .and_then(|()| inner.file.seek(SeekFrom::Start(start)));
+            #[cfg(test)]
+            let cut = match inner.fault {
+                Fault::WriteAndCut => Err(std::io::Error::other("injected cut failure")),
+                _ => cut,
+            };
+            if cut.is_err() {
+                inner.broken = Some((e.kind(), e.to_string()));
+            }
+        }
+        result
+    }
+
+    /// Writes, syncs and (on a full segment) rolls past one record. `inner`
+    /// changes only once all three succeeded, but for `broken` on a failed
+    /// sync of earlier unsynced appends.
+    fn write_record(
+        &self,
+        inner: &mut WalInner,
+        ops: &[WriteOp],
+    ) -> std::io::Result<(u64, u64, Option<std::time::Duration>)> {
         let seq = inner.last_seq + 1;
         let record = encode_record(seq, ops);
         inner.file.write_all(&record)?;
-        inner.last_seq = seq;
-        inner.written += record.len() as u64;
-        inner.unsynced += 1;
-        let roll = inner.written >= self.segment_bytes;
-        let mut fsync_wall = None;
-        match self.sync {
-            SyncPolicy::Never => {}
-            SyncPolicy::EveryBatch => {
-                let start = std::time::Instant::now();
-                inner.file.sync_data()?;
-                fsync_wall = Some(start.elapsed());
-                inner.unsynced = 0;
-            }
-            SyncPolicy::EveryN(n) => {
-                if roll || inner.unsynced >= n.max(1) {
-                    let start = std::time::Instant::now();
-                    inner.file.sync_data()?;
-                    fsync_wall = Some(start.elapsed());
-                    inner.unsynced = 0;
-                }
-            }
+        #[cfg(test)]
+        if matches!(inner.fault, Fault::Write | Fault::WriteAndCut) {
+            return Err(std::io::Error::other("injected WAL append failure"));
         }
-        if roll {
-            let closed = (inner.segment, inner.last_seq);
-            inner.closed.push(closed);
-            let next = inner.segment + 1;
-            let file = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(self.dir.join(segment_name(next)))?;
-            inner.file = file;
-            inner.segment = next;
-            inner.written = 0;
+        let written = inner.written + record.len() as u64;
+        let unsynced = inner.unsynced + 1;
+        let roll = written >= self.segment_bytes;
+        let sync = match self.sync {
+            SyncPolicy::Never => false,
+            SyncPolicy::EveryBatch => true,
+            SyncPolicy::EveryN(n) => roll || unsynced >= n.max(1),
+        };
+        let mut fsync_wall = None;
+        if sync {
+            let start = std::time::Instant::now();
+            let synced = inner.file.sync_data();
+            #[cfg(test)]
+            let synced = match inner.fault {
+                Fault::Sync => Err(std::io::Error::other("injected fsync failure")),
+                _ => synced,
+            };
+            if let Err(e) = synced {
+                if inner.unsynced > 0 {
+                    inner.broken = Some((e.kind(), e.to_string()));
+                }
+                return Err(e);
+            }
+            fsync_wall = Some(start.elapsed());
+        }
+        let next = if roll {
+            Some(
+                OpenOptions::new()
+                    .create(true)
+                    .write(true)
+                    .truncate(true)
+                    .open(self.dir.join(segment_name(inner.segment + 1)))?,
+            )
+        } else {
+            None
+        };
+        inner.last_seq = seq;
+        inner.unsynced = if sync { 0 } else { unsynced };
+        match next {
+            Some(file) => {
+                inner.closed.push((inner.segment, seq));
+                inner.file = file;
+                inner.segment += 1;
+                inner.written = 0;
+            }
+            None => inner.written = written,
         }
         Ok((seq, record.len() as u64, fsync_wall))
+    }
+
+    /// Injects `fault` into every later append ([`Fault::Off`] stops it).
+    #[cfg(test)]
+    pub(crate) fn inject(&self, fault: Fault) {
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .fault = fault;
     }
 
     /// The highest sequence number assigned so far (`0` before any append).
@@ -567,6 +661,86 @@ mod tests {
         for (seq, _) in &records {
             assert!(*seq > 0);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_append_leaves_the_log_as_it_was() {
+        let dir = tmpdir("failed");
+        let wal = Wal::create(&dir, SyncPolicy::EveryBatch, u64::MAX).unwrap();
+        wal.append(&batch(1)).unwrap();
+        let seg = dir.join(segment_name(1));
+        let len = std::fs::metadata(&seg).unwrap().len();
+        wal.inject(Fault::Write);
+        assert!(wal.append(&batch(2)).is_err());
+        assert_eq!(
+            wal.last_seq(),
+            1,
+            "the failed append used no sequence number"
+        );
+        assert_eq!(
+            std::fs::metadata(&seg).unwrap().len(),
+            len,
+            "record cut back out"
+        );
+        // Every earlier append was synced: a failed sync of this one is cut
+        // back like a failed write.
+        wal.inject(Fault::Sync);
+        assert!(wal.append(&batch(2)).is_err());
+        assert_eq!(wal.last_seq(), 1);
+        assert_eq!(std::fs::metadata(&seg).unwrap().len(), len);
+        wal.inject(Fault::Off);
+        assert_eq!(wal.append(&batch(3)).unwrap().0, 2);
+        drop(wal);
+        let (_, records) = Wal::open(&dir, SyncPolicy::Never, u64::MAX, 0).unwrap();
+        assert_eq!(records, vec![(1, batch(1)), (2, batch(3))]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Asserts that `wal` refuses an append with `refused`'s kind and
+    /// message and uses no sequence number for it.
+    fn assert_refuses(wal: &Wal, refused: &std::io::Error) {
+        let seq = wal.last_seq();
+        let again = wal.append(&batch(7)).unwrap_err();
+        assert_eq!(
+            (again.kind(), again.to_string()),
+            (refused.kind(), refused.to_string())
+        );
+        assert_eq!(
+            wal.last_seq(),
+            seq,
+            "a refused append used no sequence number"
+        );
+    }
+
+    #[test]
+    fn a_failed_sync_after_unsynced_appends_breaks_the_log() {
+        let dir = tmpdir("failed-sync");
+        let wal = Wal::create(&dir, SyncPolicy::EveryN(3), u64::MAX).unwrap();
+        // Two appends acknowledged without a sync; the third is due one.
+        wal.append(&batch(1)).unwrap();
+        wal.inject(Fault::Sync);
+        wal.append(&batch(2)).unwrap();
+        let err = wal.append(&batch(3)).unwrap_err();
+        assert_eq!(wal.last_seq(), 2);
+        // A later sync could succeed without the first two records' pages.
+        wal.inject(Fault::Off);
+        assert_refuses(&wal, &err);
+        assert_refuses(&wal, &err);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_that_cannot_be_cut_back_breaks_the_log() {
+        let dir = tmpdir("failed-cut");
+        let wal = Wal::create(&dir, SyncPolicy::EveryBatch, u64::MAX).unwrap();
+        wal.append(&batch(1)).unwrap();
+        wal.inject(Fault::WriteAndCut);
+        let err = wal.append(&batch(2)).unwrap_err();
+        assert_eq!(wal.last_seq(), 1);
+        wal.inject(Fault::Off);
+        assert_refuses(&wal, &err);
+        assert_refuses(&wal, &err);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -73,6 +73,13 @@ impl PointBlock {
         self.ys.push(p.y);
     }
 
+    /// Appends every point of `points`, one slice copy per column.
+    pub fn extend_from(&mut self, points: BlockPoints<'_>) {
+        self.ids.extend_from_slice(points.ids());
+        self.xs.extend_from_slice(points.xs());
+        self.ys.extend_from_slice(points.ys());
+    }
+
     /// The point at row `i`, reassembled from the columns.
     ///
     /// # Panics
