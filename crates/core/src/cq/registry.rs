@@ -2,21 +2,23 @@
 //! given position possibly affect?
 //!
 //! Guards are registered per relation. Each relation keeps its bounded
-//! guard rectangles bucketed in a small uniform grid (the same
-//! clamped-cell idiom as the store's overlay grid in
-//! [`store::overlay`](crate::store)): a rectangle is registered in every
-//! cell its clamped footprint overlaps, and a probe point clamps into
-//! exactly one cell. Clamping is componentwise monotone, so a point inside
-//! a guard rectangle always lands in a cell that rectangle was registered
-//! in — points and rectangles far outside the anchored extent meet in the
-//! edge cells and are resolved by the exact containment test.
+//! guard rectangles bucketed in a clamped [`CellGrid`] — the grid the index
+//! recipe, the shard map and the store's delta overlay cut space with too,
+//! sized by the same [`fanout`] and 2× [`outgrown`] rule as the overlay
+//! (about 8 rectangles a cell, at most 64 cells per axis). A rectangle is
+//! registered in every cell of its [`CellGrid::span`], and a probe point
+//! falls in exactly one cell, [`CellGrid::cell_of`]. Both clamp through one
+//! monotone function per axis, so a point inside a guard rectangle always
+//! lands in a cell that rectangle was registered in — points and rectangles
+//! far outside the anchored extent meet in the edge cells and are resolved
+//! by the exact containment test.
 //!
 //! Unbounded guards ([`Guard::Everything`]) are kept in a side list: they
 //! match every probe, no grid traffic.
 
 use std::collections::{BTreeSet, HashMap};
 
-use twoknn_geometry::{Point, Rect};
+use twoknn_geometry::{fanout, outgrown, CellGrid, Point, Rect};
 
 use super::SubscriptionId;
 
@@ -48,26 +50,21 @@ impl Guard {
     }
 }
 
-/// Cells-per-axis target: ≈ √(rects / CELL_TARGET), capped.
+/// Target number of guard rectangles per registry cell.
 const CELL_TARGET: usize = 8;
+/// Upper bound on the registry grid's cells per axis.
 const MAX_CELLS_PER_AXIS: usize = 64;
 
-fn desired_fanout(rects: usize) -> usize {
-    ((rects as f64 / CELL_TARGET as f64).sqrt().ceil() as usize).clamp(1, MAX_CELLS_PER_AXIS)
-}
-
 /// All guards registered against one relation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RelationGuards {
     /// Every subscription guarding this relation, with its exact guard.
     guards: HashMap<SubscriptionId, Guard>,
     /// Subscriptions with an unbounded guard (sorted for determinism).
     unbounded: BTreeSet<SubscriptionId>,
-    /// Extent the grid decomposition is anchored to (meaningless while
-    /// `cells_per_axis == 0`).
-    bounds: Rect,
-    /// Cells per axis; 0 iff no bounded rectangles are registered.
-    cells_per_axis: usize,
+    /// The decomposition, anchored at the last re-bucket; `None` iff no
+    /// bounded rectangles are registered.
+    grid: Option<CellGrid>,
     /// Per cell: `(subscription, index into its rect list)` for every
     /// rectangle overlapping the cell — a probe tests only the rects
     /// registered in its cell, never a subscription's whole rect list.
@@ -76,59 +73,20 @@ struct RelationGuards {
     rect_count: usize,
 }
 
-impl Default for RelationGuards {
-    fn default() -> Self {
-        Self {
-            guards: HashMap::new(),
-            unbounded: BTreeSet::new(),
-            bounds: Rect::new(0.0, 0.0, 0.0, 0.0),
-            cells_per_axis: 0,
-            cells: Vec::new(),
-            rect_count: 0,
-        }
-    }
-}
-
 impl RelationGuards {
     fn is_empty(&self) -> bool {
         self.guards.is_empty()
     }
 
-    /// The cell coordinate range a rectangle's clamped footprint overlaps.
-    fn cell_span(&self, rect: &Rect) -> (usize, usize, usize, usize) {
-        let n = self.cells_per_axis;
-        debug_assert!(n > 0);
-        let cw = (self.bounds.width() / n as f64).max(f64::MIN_POSITIVE);
-        let ch = (self.bounds.height() / n as f64).max(f64::MIN_POSITIVE);
-        let clamp = |v: isize| v.clamp(0, n as isize - 1) as usize;
-        let ix0 = clamp(((rect.min_x - self.bounds.min_x) / cw).floor() as isize);
-        let ix1 = clamp(((rect.max_x - self.bounds.min_x) / cw).floor() as isize);
-        let iy0 = clamp(((rect.min_y - self.bounds.min_y) / ch).floor() as isize);
-        let iy1 = clamp(((rect.max_y - self.bounds.min_y) / ch).floor() as isize);
-        (ix0, ix1, iy0, iy1)
-    }
-
-    /// The cell a probe point clamps into.
-    fn cell_of(&self, p: &Point) -> usize {
-        let n = self.cells_per_axis;
-        debug_assert!(n > 0);
-        let cw = (self.bounds.width() / n as f64).max(f64::MIN_POSITIVE);
-        let ch = (self.bounds.height() / n as f64).max(f64::MIN_POSITIVE);
-        let clamp = |v: isize| v.clamp(0, n as isize - 1) as usize;
-        let ix = clamp(((p.x - self.bounds.min_x) / cw).floor() as isize);
-        let iy = clamp(((p.y - self.bounds.min_y) / ch).floor() as isize);
-        iy * n + ix
-    }
-
     /// Registers one subscription's bounded rectangles into the grid. Each
     /// rectangle visits each overlapped cell exactly once, so `(sub, rect)`
     /// entries are unique per cell by construction — no dedup scan needed.
-    fn bucket(&mut self, sub: SubscriptionId, rects: &[Rect]) {
+    fn bucket(&mut self, grid: CellGrid, sub: SubscriptionId, rects: &[Rect]) {
         for (index, rect) in rects.iter().enumerate() {
-            let (ix0, ix1, iy0, iy1) = self.cell_span(rect);
-            for iy in iy0..=iy1 {
-                for ix in ix0..=ix1 {
-                    self.cells[iy * self.cells_per_axis + ix].push((sub, index));
+            let (columns, rows) = grid.span(rect);
+            for row in rows {
+                for column in columns.clone() {
+                    self.cells[row * grid.per_axis() + column].push((sub, index));
                 }
             }
         }
@@ -150,19 +108,17 @@ impl RelationGuards {
             }
         }
         self.rect_count = rects;
-        let Some(bounds) = extent else {
-            self.bounds = Rect::new(0.0, 0.0, 0.0, 0.0);
-            self.cells_per_axis = 0;
+        self.grid = extent
+            .map(|bounds| CellGrid::new(bounds, fanout(rects, CELL_TARGET, MAX_CELLS_PER_AXIS)));
+        let Some(grid) = self.grid else {
             self.cells = Vec::new();
             return;
         };
-        self.bounds = bounds;
-        self.cells_per_axis = desired_fanout(rects);
-        self.cells = vec![Vec::new(); self.cells_per_axis * self.cells_per_axis];
+        self.cells = vec![Vec::new(); grid.num_cells()];
         let subs: Vec<SubscriptionId> = self.guards.keys().copied().collect();
         for sub in subs {
             if let Guard::Regions(list) = self.guards[&sub].clone() {
-                self.bucket(sub, &list);
+                self.bucket(grid, sub, &list);
             }
         }
     }
@@ -183,14 +139,12 @@ impl RelationGuards {
                 // the new rectangles outgrow the anchored extent badly
                 // enough that edge cells would crowd; otherwise bucket
                 // incrementally (clamping keeps correctness either way).
-                let desired = desired_fanout(self.rect_count);
-                let stale = self.cells_per_axis == 0
-                    || desired >= self.cells_per_axis * 2
-                    || desired * 2 <= self.cells_per_axis;
-                if stale {
-                    self.rebucket();
-                } else {
-                    self.bucket(sub, &rects);
+                let desired = fanout(self.rect_count, CELL_TARGET, MAX_CELLS_PER_AXIS);
+                match self.grid {
+                    Some(grid) if !outgrown(grid.per_axis(), desired) => {
+                        self.bucket(grid, sub, &rects)
+                    }
+                    _ => self.rebucket(),
                 }
             }
         }
@@ -207,10 +161,8 @@ impl RelationGuards {
             }
             Guard::Regions(rects) => {
                 self.rect_count -= rects.len();
-                if self.cells_per_axis > 0 {
-                    for cell in &mut self.cells {
-                        cell.retain(|(s, _)| *s != sub);
-                    }
+                for cell in &mut self.cells {
+                    cell.retain(|(s, _)| *s != sub);
                 }
             }
         }
@@ -222,11 +174,11 @@ impl RelationGuards {
     /// never a candidate subscription's whole rect list.
     fn probe(&self, positions: &[Point], affected: &mut BTreeSet<SubscriptionId>) {
         affected.extend(self.unbounded.iter().copied());
-        if self.cells_per_axis == 0 {
+        let Some(grid) = self.grid else {
             return;
-        }
+        };
         for p in positions {
-            for (sub, index) in &self.cells[self.cell_of(p)] {
+            for (sub, index) in &self.cells[grid.cell_of(p)] {
                 if affected.contains(sub) {
                     continue;
                 }

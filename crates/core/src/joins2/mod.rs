@@ -19,18 +19,16 @@
 //!   neighborhoods of `B` points that never appear as neighbors of `A`, and a
 //!   per-`b` neighborhood cache removes its repeated computations.
 //!
-//! The `join_order` submodule implements the heuristics of Section 4.1.2 for
-//! choosing which unchained join to evaluate first.
+//! Which unchained join goes first (Section 4.1.2) is the optimizer's
+//! choice: [`Optimizer::choose_unchained`](crate::plan::Optimizer::choose_unchained).
 
 mod chained;
-mod join_order;
 mod unchained;
 
 pub use chained::{
     chained_join_intersection, chained_nested, chained_nested_cached, chained_right_deep,
     ChainedJoinQuery,
 };
-pub use join_order::{choose_unchained_order, coverage_fraction, JoinOrderDecision};
 pub use unchained::{
     unchained_block_marking, unchained_conceptual, unchained_wrong_sequential, UnchainedJoinQuery,
 };

@@ -107,6 +107,6 @@ pub use obs::{
 };
 pub use output::{Pair, QueryOutput, Triplet};
 pub use store::{
-    DbSnapshot, DurabilityConfig, IndexConfig, OverlayConfig, RecoveryError, RelationStore,
-    ShardConfig, StoreConfig, SyncPolicy, WriteOp,
+    DbSnapshot, DurabilityConfig, IndexConfig, RecoveryError, RelationStore, ShardConfig,
+    StoreConfig, SyncPolicy, WriteOp,
 };

@@ -112,7 +112,7 @@ impl Optimizer {
 mod tests {
     use super::*;
     use twoknn_geometry::{Point, Rect};
-    use twoknn_index::GridIndex;
+    use twoknn_index::{GridIndex, PackedIndex};
 
     fn profile(points: Vec<Point>) -> RelationProfile {
         let g =
@@ -205,5 +205,71 @@ mod tests {
         );
         assert_eq!(opt.choose_two_selects(&q), TwoSelectsStrategy::TwoKnnSelect);
         assert_eq!(opt.choose_select_outer(&p), SelectOuterStrategy::Pushdown);
+    }
+
+    fn uniform_grid(n: usize, seed: u64) -> PackedIndex {
+        let pts: Vec<Point> = (0..n)
+            .map(|i| {
+                let h = (i as u64).wrapping_mul(0x9E3779B97F4A7C15) ^ seed;
+                Point::new(i as u64, (h % 100) as f64, ((h / 100) % 100) as f64)
+            })
+            .collect();
+        GridIndex::build_with_bounds(pts, Rect::new(0.0, 0.0, 100.0, 100.0), 8).unwrap()
+    }
+
+    fn clustered_grid(n: usize, corner: f64, spread: f64) -> PackedIndex {
+        let pts: Vec<Point> = (0..n)
+            .map(|i| {
+                Point::new(
+                    i as u64,
+                    corner + (i % 10) as f64 * spread,
+                    corner + (i / 10) as f64 * spread,
+                )
+            })
+            .collect();
+        GridIndex::build_with_bounds(pts, Rect::new(0.0, 0.0, 100.0, 100.0), 8).unwrap()
+    }
+
+    /// The unchained choice between the relations `a` and `c`.
+    fn unchained(a: &PackedIndex, c: &PackedIndex) -> UnchainedStrategy {
+        Optimizer::default()
+            .choose_unchained(&RelationProfile::compute(a), &RelationProfile::compute(c))
+    }
+
+    #[test]
+    fn coverage_distinguishes_uniform_from_clustered() {
+        let u = uniform_grid(2000, 3);
+        let c = clustered_grid(200, 5.0, 0.3);
+        assert!(RelationProfile::compute(&u).coverage_fraction > 0.8);
+        assert!(RelationProfile::compute(&c).coverage_fraction < 0.2);
+    }
+
+    #[test]
+    fn both_uniform_falls_back_to_conceptual() {
+        let a = uniform_grid(1000, 1);
+        let c = uniform_grid(1000, 2);
+        assert_eq!(unchained(&a, &c), UnchainedStrategy::Conceptual);
+    }
+
+    #[test]
+    fn the_clustered_relation_goes_first() {
+        let a = clustered_grid(300, 10.0, 0.2);
+        let c = uniform_grid(1000, 4);
+        assert_eq!(unchained(&a, &c), UnchainedStrategy::BlockMarkingStartWithA);
+        assert_eq!(unchained(&c, &a), UnchainedStrategy::BlockMarkingStartWithC);
+    }
+
+    #[test]
+    fn both_clustered_picks_the_smaller_coverage() {
+        let small = clustered_grid(100, 5.0, 0.1); // tiny footprint
+        let large = clustered_grid(400, 20.0, 2.0); // larger footprint
+        assert_eq!(
+            unchained(&small, &large),
+            UnchainedStrategy::BlockMarkingStartWithA
+        );
+        assert_eq!(
+            unchained(&large, &small),
+            UnchainedStrategy::BlockMarkingStartWithC
+        );
     }
 }

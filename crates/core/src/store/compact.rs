@@ -166,7 +166,6 @@ mod tests {
             "R".into(),
             Arc::new(GridIndex::build(pts, 9).unwrap()),
             threshold,
-            crate::store::OverlayConfig::default(),
             ShardConfig::per_axis(shards_per_axis),
             None,
         ))

@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use twoknn_geometry::{Point, PointId};
 
-use super::overlay::{OverlayConfig, OverlayGrid};
+use super::overlay::OverlayGrid;
 
 /// One ingest operation against a versioned relation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -328,7 +328,7 @@ impl<'a, T> Iterator for Iter<'a, T> {
 impl<T> ExactSizeIterator for Iter<'_, T> {}
 
 /// A sorted insert/delete overlay relative to one base index.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Delta {
     /// Points visible on top of the base, sorted by id, unique per id.
     inserts: ChunkedList<Point>,
@@ -337,12 +337,6 @@ pub struct Delta {
     deletes: ChunkedList<PointId>,
     /// The same inserts, bucketed by position into copy-on-write grid cells.
     grid: OverlayGrid,
-}
-
-impl Default for Delta {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Logical equality: two deltas are equal when they describe the same
@@ -356,18 +350,9 @@ impl PartialEq for Delta {
 }
 
 impl Delta {
-    /// An empty overlay with the default [`OverlayConfig`].
+    /// An empty overlay.
     pub fn new() -> Self {
-        Self::with_config(OverlayConfig::default())
-    }
-
-    /// An empty overlay with explicit grid tuning.
-    pub fn with_config(config: OverlayConfig) -> Self {
-        Self {
-            inserts: ChunkedList::default(),
-            deletes: ChunkedList::default(),
-            grid: OverlayGrid::new(config),
-        }
+        Self::default()
     }
 
     /// The overlay's inserted points, sorted by id.

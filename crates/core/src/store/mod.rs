@@ -9,9 +9,10 @@
 //! * [`ShardSnapshot`] — an immutable version of one spatial shard: a base
 //!   index plus a sorted insert/delete [`Delta`] overlay, materialized as
 //!   extra/filtered blocks so the whole shard *is* a [`SpatialIndex`].
-//!   Inserts are bucketed by position into a bounded **overlay grid**
-//!   ([`OverlayConfig`]) of copy-on-write cells, one tight-MBR overlay
-//!   block per occupied cell, so per-block MINDIST pruning keeps working
+//!   Inserts are bucketed by position into a bounded **overlay grid** of
+//!   copy-on-write cells (a clamped [`CellGrid`](twoknn_geometry::CellGrid)
+//!   of about 32 inserts a cell, at most 32 cells per axis), one tight-MBR
+//!   overlay block per occupied cell, so per-block MINDIST pruning keeps working
 //!   during write bursts instead of collapsing against one giant overlay
 //!   block. Overlay cells and tombstone-filtered base blocks are
 //!   materialized as SoA [`PointBlock`](twoknn_index::PointBlock) columns —
@@ -75,7 +76,6 @@ mod wal;
 
 pub use blockfile::BlockFileIndex;
 pub use delta::{ChunkedList, Delta, WriteOp};
-pub use overlay::OverlayConfig;
 pub use recover::RecoveryError;
 pub use shard::{RelationSnapshot, ShardConfig};
 pub use snapshot::{BaseIndex, ShardSnapshot};
@@ -188,11 +188,6 @@ pub struct StoreConfig {
     /// rebuild of **that shard's** base index. With the default single-shard
     /// layout this is the relation's delta size, as before.
     pub compaction_threshold: usize,
-    /// Sizing of the partitioned delta overlay (cell occupancy target and
-    /// fanout cap). The default keeps overlay cells around 32 points with at
-    /// most 32×32 cells; `max_cells_per_axis: 1` reproduces the old
-    /// single-block overlay (the clustered-burst test's discriminator).
-    pub overlay: OverlayConfig,
     /// Spatial sharding of each relation ([`ShardConfig`]): relations are
     /// split into `shards_per_axis²` independently versioned shards, each
     /// with its own delta, writer lock, and background compaction. The
@@ -215,7 +210,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         Self {
             compaction_threshold: 512,
-            overlay: OverlayConfig::default(),
             sharding: ShardConfig::default(),
             durability: DurabilityConfig::Disabled,
             trace: TraceConfig::default(),
@@ -347,7 +341,6 @@ impl RelationStore {
             name.clone(),
             Arc::new(base),
             self.config.compaction_threshold,
-            self.config.overlay,
             self.config.sharding,
             durability,
         ));

@@ -29,49 +29,25 @@
 //!   MBRs stay correct, only locally less selective). Re-bucketing is
 //!   therefore O(inserts) **amortized O(1) per write**.
 //!
-//! The fanout is sized from the insert count (≈ `√(n / cell_target)` cells
-//! per axis, capped), so a small delta degenerates to the old single-block
-//! overlay and a large burst gets a decomposition matching its size. Setting
-//! [`OverlayConfig::max_cells_per_axis`] to 1 reproduces the single-block
-//! behavior exactly — the discriminator
+//! The fanout is sized from the insert count (≈ `√(n / CELL_TARGET)` cells
+//! per axis, at most `MAX_CELLS_PER_AXIS`), so a small delta degenerates to
+//! the old single-block overlay and a large burst gets a decomposition
+//! matching its size. The cells are a clamped [`CellGrid`], and the sizing
+//! and 2× re-anchoring rule are [`fanout`] and [`outgrown`] — the same grid
+//! and rule as the standing-query guard registry; only the drift trigger is
+//! the overlay's own.
 //! `store_snapshots::clustered_burst_keeps_block_pruning_within_a_constant_factor`
-//! holds the partitioned overlay against.
+//! holds the partitioned overlay to a constant factor of a compacted index.
 
 use std::sync::Arc;
 
-use twoknn_geometry::{Point, Rect};
+use twoknn_geometry::{fanout, outgrown, CellGrid, Point, Rect};
 use twoknn_index::{BlockPoints, PointBlock};
 
-/// Tuning knobs of the partitioned delta overlay, part of
-/// [`StoreConfig`](super::StoreConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverlayConfig {
-    /// Target number of inserts per overlay cell; the grid fanout is sized
-    /// as ≈ `√(inserts / cell_target)` cells per axis.
-    pub cell_target: usize,
-    /// Upper bound on the fanout (cells per axis). `1` reproduces the
-    /// single-block overlay (the pre-partitioning behavior), which the
-    /// clustered-burst test in `store_snapshots` compares against.
-    pub max_cells_per_axis: usize,
-}
-
-impl Default for OverlayConfig {
-    fn default() -> Self {
-        Self {
-            cell_target: 32,
-            max_cells_per_axis: 32,
-        }
-    }
-}
-
-impl OverlayConfig {
-    /// The fanout the grid should have for `n` bucketed inserts.
-    fn desired_fanout(&self, n: usize) -> usize {
-        let target = self.cell_target.max(1);
-        let f = (n as f64 / target as f64).sqrt().ceil() as usize;
-        f.clamp(1, self.max_cells_per_axis.max(1))
-    }
-}
+/// Target number of inserts per overlay cell.
+const CELL_TARGET: usize = 32;
+/// Upper bound on the overlay's cells per axis.
+const MAX_CELLS_PER_AXIS: usize = 32;
 
 /// One overlay cell: its bucketed points (in SoA layout, so overlay blocks
 /// feed the batched distance kernels exactly like base blocks) plus their
@@ -108,75 +84,46 @@ impl Cell {
 
 /// A uniform grid bucketing the delta's inserts by position.
 ///
-/// The decomposition extent is fixed between re-buckets; points outside it
+/// The decomposition is fixed between re-buckets; points outside its extent
 /// are clamped into the edge cells (their tight MBRs keep the index
-/// invariants intact). An empty grid has fanout 0 and no cells.
-#[derive(Debug, Clone)]
+/// invariants intact). An empty grid has no decomposition and no cells.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct OverlayGrid {
-    config: OverlayConfig,
-    /// Decomposition extent, anchored at the last re-bucket.
-    bounds: Rect,
-    /// Cells per axis; 0 iff the grid holds no points.
-    cells_per_axis: usize,
+    /// The decomposition, anchored at the last re-bucket; `None` iff the
+    /// grid holds no points.
+    grid: Option<CellGrid>,
     cells: Vec<Cell>,
     /// Total bucketed points (= the delta's insert count).
     len: usize,
     /// Points currently clamped into edge cells because they lie outside
-    /// `bounds` — the drift trigger for re-anchoring the decomposition.
+    /// the decomposition's extent — the drift trigger for re-anchoring.
     outside: usize,
 }
 
 impl OverlayGrid {
-    /// An empty grid.
-    pub(crate) fn new(config: OverlayConfig) -> Self {
-        Self {
-            config,
-            bounds: Rect::new(0.0, 0.0, 0.0, 0.0),
-            cells_per_axis: 0,
-            cells: Vec::new(),
-            len: 0,
-            outside: 0,
-        }
-    }
-
     /// Total bucketed points.
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Cells per axis of the current decomposition (0 when empty).
-    #[cfg(test)]
     pub(crate) fn cells_per_axis(&self) -> usize {
-        self.cells_per_axis
-    }
-
-    /// The cell index `p`'s coordinates clamp into. Requires a non-empty
-    /// grid.
-    fn cell_of(&self, p: &Point) -> usize {
-        let n = self.cells_per_axis;
-        debug_assert!(n > 0, "cell_of on an empty grid");
-        let cell_w = self.bounds.width() / n as f64;
-        let cell_h = self.bounds.height() / n as f64;
-        let clamp = |v: isize| v.clamp(0, n as isize - 1) as usize;
-        let ix = clamp(((p.x - self.bounds.min_x) / cell_w).floor() as isize);
-        let iy = clamp(((p.y - self.bounds.min_y) / cell_h).floor() as isize);
-        iy * n + ix
+        self.grid.map_or(0, |g| g.per_axis())
     }
 
     /// Adds one point to its cell, dirtying only that cell.
     pub(crate) fn add(&mut self, p: Point) {
-        if self.cells_per_axis == 0 {
+        let grid = *self.grid.get_or_insert_with(|| {
             // First point: a degenerate 1-cell grid anchored at the point.
             // `cell_of` clamps, so the zero-extent bounds are harmless; the
             // next `maybe_rebucket` re-anchors once the delta grows.
-            self.bounds = Rect::new(p.x, p.y, p.x, p.y);
-            self.cells_per_axis = 1;
             self.cells = vec![Cell::empty()];
-        }
-        if !self.bounds.contains(&p) {
+            CellGrid::new(Rect::new(p.x, p.y, p.x, p.y), 1)
+        });
+        if !grid.bounds().contains(&p) {
             self.outside += 1;
         }
-        let idx = self.cell_of(&p);
+        let idx = grid.cell_of(&p);
         let cell = &mut self.cells[idx];
         let tight = Rect::new(p.x, p.y, p.x, p.y);
         cell.mbr = if cell.points.is_empty() {
@@ -192,7 +139,8 @@ impl OverlayGrid {
     /// coordinates map to (the caller passes the stored copy, so coordinates
     /// and id both match). Dirty-cell MBRs are recomputed tightly.
     pub(crate) fn remove(&mut self, p: &Point) {
-        let idx = self.cell_of(p);
+        let grid = self.grid.expect("removed insert must be bucketed");
+        let idx = grid.cell_of(p);
         let cell = &mut self.cells[idx];
         let points = cell.points_mut();
         let at = points
@@ -200,14 +148,14 @@ impl OverlayGrid {
             .expect("removed insert must be bucketed in its coordinate cell");
         points.swap_remove(at);
         self.len -= 1;
-        if !self.bounds.contains(p) {
+        if !grid.bounds().contains(p) {
             self.outside -= 1;
         }
         if let Ok(tight) = points.bounding() {
             cell.mbr = tight;
         }
         if self.len == 0 {
-            *self = Self::new(self.config);
+            *self = Self::default();
         }
     }
 
@@ -224,9 +172,8 @@ impl OverlayGrid {
         if inserts.len() == 0 {
             return false;
         }
-        let desired = self.config.desired_fanout(inserts.len());
-        let fanout_stale = desired >= self.cells_per_axis.saturating_mul(2)
-            || desired.saturating_mul(2) <= self.cells_per_axis;
+        let desired = fanout(inserts.len(), CELL_TARGET, MAX_CELLS_PER_AXIS);
+        let fanout_stale = outgrown(self.cells_per_axis(), desired);
         let drifted = self.outside * 4 >= self.len.max(1);
         if !fanout_stale && !drifted {
             return false;
@@ -236,14 +183,15 @@ impl OverlayGrid {
     }
 
     /// Rebuilds every cell over a fresh extent (the inserts' bounding box).
-    fn rebucket<'a>(&mut self, inserts: impl Iterator<Item = &'a Point> + Clone, fanout: usize) {
-        self.bounds = inserts
+    fn rebucket<'a>(&mut self, inserts: impl Iterator<Item = &'a Point> + Clone, per_axis: usize) {
+        let bounds = inserts
             .clone()
             .map(|p| Rect::new(p.x, p.y, p.x, p.y))
             .reduce(|a, b| a.union(&b))
             .expect("rebucket requires inserts");
-        self.cells_per_axis = fanout;
-        self.cells = vec![Cell::empty(); fanout * fanout];
+        let grid = CellGrid::new(bounds, per_axis);
+        self.grid = Some(grid);
+        self.cells = vec![Cell::empty(); grid.num_cells()];
         self.len = 0;
         self.outside = 0;
         for p in inserts {
@@ -269,10 +217,7 @@ impl OverlayGrid {
     /// The cell storing a point at exactly `p`'s coordinates, if any — an
     /// O(cell) lookup (only the cell `p` clamps into can store them).
     pub(crate) fn find_at(&self, p: &Point) -> Option<usize> {
-        if self.cells_per_axis == 0 {
-            return None;
-        }
-        let idx = self.cell_of(p);
+        let idx = self.grid?.cell_of(p);
         self.cells[idx]
             .points
             .iter()
@@ -306,7 +251,7 @@ mod tests {
     }
 
     fn filled(points: &[Point]) -> OverlayGrid {
-        let mut g = OverlayGrid::new(OverlayConfig::default());
+        let mut g = OverlayGrid::default();
         for p in points {
             g.add(*p);
         }
@@ -316,17 +261,12 @@ mod tests {
 
     #[test]
     fn fanout_grows_with_insert_count_and_caps() {
-        let cfg = OverlayConfig::default();
-        assert_eq!(cfg.desired_fanout(0), 1);
-        assert_eq!(cfg.desired_fanout(32), 1);
-        assert_eq!(cfg.desired_fanout(33), 2);
-        assert_eq!(cfg.desired_fanout(10_000), 18);
-        assert_eq!(cfg.desired_fanout(10_000_000), 32, "capped");
-        let single = OverlayConfig {
-            max_cells_per_axis: 1,
-            ..OverlayConfig::default()
-        };
-        assert_eq!(single.desired_fanout(1_000_000), 1);
+        let fanout = |n| fanout(n, CELL_TARGET, MAX_CELLS_PER_AXIS);
+        assert_eq!(fanout(0), 1);
+        assert_eq!(fanout(32), 1);
+        assert_eq!(fanout(33), 2);
+        assert_eq!(fanout(10_000), 18);
+        assert_eq!(fanout(10_000_000), 32, "capped");
     }
 
     #[test]
@@ -369,7 +309,7 @@ mod tests {
         // Dirty exactly one cell.
         let victim = pts[0];
         next.remove(&victim);
-        let dirty = g.cell_of(&victim);
+        let dirty = g.grid.unwrap().cell_of(&victim);
         let mut shared = 0;
         let mut total = 0;
         for idx in 0..g.cells.len() {
@@ -390,7 +330,7 @@ mod tests {
     fn drift_outside_the_extent_triggers_a_rebucket() {
         let mut pts = cluster(200, 0.0, 0.0, 0);
         let mut g = filled(&pts);
-        let anchored = g.bounds;
+        let anchored = g.grid.unwrap().bounds();
         // A second cluster far away: clamped into edge cells at first…
         let far = cluster(200, 500.0, 500.0, 10_000);
         for p in &far {
@@ -400,28 +340,10 @@ mod tests {
         assert!(g.outside > 0, "far points start clamped");
         // …until the batch-end rebucket re-anchors the decomposition.
         assert!(g.maybe_rebucket(pts.iter()));
-        assert!(g.bounds.contains_rect(&anchored));
+        assert!(g.grid.unwrap().bounds().contains_rect(&anchored));
         assert_eq!(g.outside, 0);
         for (_, mbr, cell_pts) in g.occupied() {
             assert_eq!(mbr, cell_pts.bounding().unwrap());
         }
-    }
-
-    #[test]
-    fn single_cell_cap_reproduces_the_single_block_overlay() {
-        let mut g = OverlayGrid::new(OverlayConfig {
-            max_cells_per_axis: 1,
-            ..OverlayConfig::default()
-        });
-        let pts = cluster(300, 5.0, 5.0, 0);
-        for p in &pts {
-            g.add(*p);
-        }
-        g.maybe_rebucket(pts.iter());
-        assert_eq!(g.cells_per_axis(), 1);
-        assert_eq!(g.occupied().count(), 1);
-        let (_, mbr, cell_pts) = g.occupied().next().unwrap();
-        assert_eq!(cell_pts.len(), 300);
-        assert_eq!(mbr, Rect::bounding(&pts).unwrap());
     }
 }

@@ -2,11 +2,11 @@
 //! map.
 //!
 //! A relation is stored as a set of spatial *shards*. [`ShardMap`] assigns
-//! every point to one shard of a bounded, clamped uniform grid over the
-//! relation's registration extent (the same clamping idiom as the delta
-//! overlay's [`super::overlay::OverlayGrid`]: out-of-bounds points bucket
-//! into the edge shards, so the map never needs re-anchoring and routing
-//! stays stable for the relation's lifetime). Each shard owns an independent
+//! every point to one cell of a clamped [`CellGrid`] over the relation's
+//! registration extent — the grid the index recipe, the delta overlay and
+//! the guard registry cut space with too. Out-of-bounds points bucket into
+//! the edge shards, so the map never needs re-anchoring and routing stays
+//! stable for the relation's lifetime. Each shard owns an independent
 //! [`ShardSnapshot`] — its own base index, delta overlay, writer log and
 //! compaction slot — so a write burst or a background rebuild in one shard
 //! never blocks ingest or readers elsewhere.
@@ -28,7 +28,7 @@
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-use twoknn_geometry::{Point, PointId, Rect};
+use twoknn_geometry::{CellGrid, Point, PointId, Rect};
 use twoknn_index::{BlockDirectory, BlockId, BlockMeta, BlockPoints, IndexConfig, SpatialIndex};
 
 use crate::plan::stats::RelationProfile;
@@ -60,8 +60,9 @@ impl ShardConfig {
     }
 }
 
-/// The routing map from points to shards: a clamped `n × n` uniform grid
-/// anchored at the relation's registration bounds.
+/// The routing map from points to shards: a clamped `n × n`
+/// [`CellGrid`] anchored at the relation's registration bounds, one shard
+/// per cell.
 ///
 /// Copy-able and immutable — routing never changes after registration, so a
 /// point's owning shard is a pure function of its coordinates. Points
@@ -69,33 +70,24 @@ impl ShardConfig {
 /// directory extent grows to cover them, keeping pruning sound).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ShardMap {
-    bounds: Rect,
-    per_axis: usize,
+    grid: CellGrid,
 }
 
 impl ShardMap {
     pub(crate) fn new(bounds: Rect, per_axis: usize) -> Self {
         Self {
-            bounds,
-            per_axis: per_axis.max(1),
+            grid: CellGrid::new(bounds, per_axis),
         }
     }
 
     pub(crate) fn num_shards(&self) -> usize {
-        self.per_axis * self.per_axis
+        self.grid.num_cells()
     }
 
-    /// The shard `p` routes to. Same clamping as the overlay grid: every
-    /// point maps to exactly one shard, including NaN-free out-of-bounds
-    /// coordinates.
+    /// The shard `p` routes to: its clamped cell, so every finite point maps
+    /// to exactly one shard.
     pub(crate) fn shard_of(&self, p: &Point) -> usize {
-        let n = self.per_axis;
-        let cell_w = self.bounds.width() / n as f64;
-        let cell_h = self.bounds.height() / n as f64;
-        let clamp = |v: isize| v.clamp(0, n as isize - 1) as usize;
-        let ix = clamp(((p.x - self.bounds.min_x) / cell_w).floor() as isize);
-        let iy = clamp(((p.y - self.bounds.min_y) / cell_h).floor() as isize);
-        iy * n + ix
+        self.grid.cell_of(p)
     }
 
     /// The recipe every shard base of this layout is built with, given the
@@ -104,9 +96,10 @@ impl ShardMap {
     /// holds about `n × n` cells however it is sharded; any other recipe,
     /// and an unsharded layout, is the relation recipe itself.
     pub(crate) fn shard_recipe(&self, relation: IndexConfig) -> IndexConfig {
+        let per_axis = self.grid.per_axis();
         match relation {
-            IndexConfig::Grid { cells_per_axis } if self.per_axis > 1 => IndexConfig::Grid {
-                cells_per_axis: cells_per_axis.div_ceil(self.per_axis),
+            IndexConfig::Grid { cells_per_axis } if per_axis > 1 => IndexConfig::Grid {
+                cells_per_axis: cells_per_axis.div_ceil(per_axis),
             },
             other => other,
         }
@@ -115,16 +108,7 @@ impl ShardMap {
     /// The routing cell of shard `idx` — the bounds hint its base indexes
     /// are built over.
     pub(crate) fn shard_rect(&self, idx: usize) -> Rect {
-        let n = self.per_axis;
-        let (ix, iy) = (idx % n, idx / n);
-        let cell_w = self.bounds.width() / n as f64;
-        let cell_h = self.bounds.height() / n as f64;
-        Rect::new(
-            self.bounds.min_x + ix as f64 * cell_w,
-            self.bounds.min_y + iy as f64 * cell_h,
-            self.bounds.min_x + (ix + 1) as f64 * cell_w,
-            self.bounds.min_y + (iy + 1) as f64 * cell_h,
-        )
+        self.grid.cell_rect(idx)
     }
 }
 
@@ -365,7 +349,6 @@ impl std::fmt::Debug for RelationSnapshot {
 
 #[cfg(test)]
 mod tests {
-    use super::super::overlay::OverlayConfig;
     use super::*;
 
     fn scattered(n: usize, seed: u64) -> Vec<Point> {
@@ -394,7 +377,7 @@ mod tests {
             .enumerate()
             .map(|(s, pts)| {
                 let base = Arc::new(config.build(pts, map.shard_rect(s)).unwrap());
-                Arc::new(ShardSnapshot::clean(base, 0, OverlayConfig::default()))
+                Arc::new(ShardSnapshot::clean(base, 0))
             })
             .collect();
         RelationSnapshot::compose(map, shards, 0)

@@ -70,7 +70,6 @@ use twoknn_index::{
 use crate::plan::stats::RelationProfile;
 
 use super::delta::{Delta, WriteOp};
-use super::overlay::OverlayConfig;
 
 /// A shared, immutable base index: reads through a shard reach its blocks
 /// without a virtual call.
@@ -252,8 +251,8 @@ pub(crate) struct BatchOutcome {
 
 impl ShardSnapshot {
     /// Wraps a freshly built base index with an empty overlay.
-    pub(crate) fn clean(base: BaseIndex, version: u64, overlay: OverlayConfig) -> Self {
-        Self::over(BaseIds::new(&base), Delta::with_config(overlay), version)
+    pub(crate) fn clean(base: BaseIndex, version: u64) -> Self {
+        Self::over(BaseIds::new(&base), Delta::new(), version)
     }
 
     /// A new snapshot over the same base with a different overlay, rebuilt
@@ -666,18 +665,14 @@ mod tests {
             .collect()
     }
 
-    fn snapshot_with_config(ops: &[WriteOp], overlay: OverlayConfig) -> ShardSnapshot {
+    fn snapshot_with(ops: &[WriteOp]) -> ShardSnapshot {
         let base = Arc::new(GridIndex::build(scattered(300, 7), 6).unwrap());
-        let clean = ShardSnapshot::clean(base, 0, overlay);
+        let clean = ShardSnapshot::clean(base, 0);
         let mut delta = clean.delta().clone();
         for op in ops {
             delta.apply(op, |id| clean.base_ids().get().contains_key(&id));
         }
         clean.with_delta(delta, 1)
-    }
-
-    fn snapshot_with(ops: &[WriteOp]) -> ShardSnapshot {
-        snapshot_with_config(ops, OverlayConfig::default())
     }
 
     #[test]
@@ -741,18 +736,6 @@ mod tests {
                 meta.mbr
             );
         }
-        // The same ops under a fanout cap of 1 reproduce the single giant
-        // block (the pre-partitioning layout) — equal contents, no partitioning.
-        let single = snapshot_with_config(
-            &burst,
-            OverlayConfig {
-                max_cells_per_axis: 1,
-                ..OverlayConfig::default()
-            },
-        );
-        assert_eq!(single.overlay_block_count(), 1);
-        single.check_overlay_invariants().unwrap();
-        assert_eq!(single.num_points(), snap.num_points());
     }
 
     #[test]
@@ -868,7 +851,7 @@ mod tests {
         batches[14].push(WriteOp::Remove(reborn));
         batches[17].extend(victim_ids.iter().map(|&id| WriteOp::Remove(id)));
 
-        let mut snap = ShardSnapshot::clean(base, 0, OverlayConfig::default());
+        let mut snap = ShardSnapshot::clean(base, 0);
         for (at, ops) in batches.iter().enumerate() {
             let version = at as u64 + 1;
             let (next, outcome) = snap.apply_batch(ops, version);
@@ -920,7 +903,7 @@ mod tests {
     #[test]
     fn a_batch_shares_every_chunk_it_does_not_edit() {
         let base = Arc::new(GridIndex::build(scattered(6_000, 11), 27).unwrap());
-        let clean = ShardSnapshot::clean(base, 0, OverlayConfig::default());
+        let clean = ShardSnapshot::clean(base, 0);
         // Move every even id below 4 200: 2 100 inserts and 2 100 tombstones.
         let moves = |ids: &mut dyn Iterator<Item = u64>| -> Vec<WriteOp> {
             ids.map(|id| WriteOp::Upsert(Point::new(id, (id % 97) as f64, (id % 89) as f64)))

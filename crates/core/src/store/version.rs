@@ -45,7 +45,6 @@ use twoknn_index::{BlockId, IndexConfig, Metrics, SpatialIndex};
 use crate::exec::WorkerPool;
 
 use super::delta::{Delta, WriteOp};
-use super::overlay::OverlayConfig;
 use super::recover::RelationDurability;
 use super::shard::{RelationSnapshot, ShardConfig, ShardMap};
 use super::snapshot::{BaseIdMap, BaseIds, BaseIndex, ShardOp, ShardSnapshot};
@@ -147,7 +146,6 @@ pub struct VersionedRelation {
     /// [`ShardMap::shard_recipe`] of `config`.
     shard_config: IndexConfig,
     compaction_threshold: usize,
-    overlay: OverlayConfig,
     /// WAL + manifest of this relation, when the store is durable.
     durability: Option<Arc<RelationDurability>>,
 }
@@ -159,7 +157,6 @@ impl VersionedRelation {
         name: String,
         base: BaseIndex,
         compaction_threshold: usize,
-        overlay: OverlayConfig,
         sharding: ShardConfig,
         durability: Option<Arc<RelationDurability>>,
     ) -> Self {
@@ -168,7 +165,7 @@ impl VersionedRelation {
         let shard_config = map.shard_recipe(config);
         let shard_snaps: Vec<Arc<ShardSnapshot>> = if map.num_shards() == 1 {
             // Unsharded: the registered index is used as-is.
-            vec![Arc::new(ShardSnapshot::clean(base, 0, overlay))]
+            vec![Arc::new(ShardSnapshot::clean(base, 0))]
         } else {
             // Split the registered points by shard and build one base per
             // shard over its routing cell (extended by its points' bounds).
@@ -181,7 +178,7 @@ impl VersionedRelation {
                 .enumerate()
                 .map(|(s, pts)| {
                     let shard_base = rebuild(shard_config, pts, map.shard_rect(s));
-                    Arc::new(ShardSnapshot::clean(shard_base, 0, overlay))
+                    Arc::new(ShardSnapshot::clean(shard_base, 0))
                 })
                 .collect()
         };
@@ -191,7 +188,6 @@ impl VersionedRelation {
             shard_snaps,
             config,
             compaction_threshold,
-            overlay,
             durability,
         )
     }
@@ -202,8 +198,7 @@ impl VersionedRelation {
     /// with the shard map restored from the persisted registration `bounds`
     /// and `per_axis`: the relation keeps its persisted structure even if
     /// the store was reopened with a different [`super::ShardConfig`].
-    /// Runtime knobs (compaction threshold, overlay sizing) come from the
-    /// current `store` config.
+    /// The compaction threshold comes from the current `store` config.
     pub(crate) fn from_recovered(
         name: String,
         bounds: Rect,
@@ -217,7 +212,7 @@ impl VersionedRelation {
         debug_assert_eq!(map.num_shards(), bases.len());
         let shard_snaps = bases
             .into_iter()
-            .map(|base| Arc::new(ShardSnapshot::clean(base, 0, store.overlay)))
+            .map(|base| Arc::new(ShardSnapshot::clean(base, 0)))
             .collect();
         Self::assemble(
             name,
@@ -225,7 +220,6 @@ impl VersionedRelation {
             shard_snaps,
             config,
             store.compaction_threshold,
-            store.overlay,
             Some(durability),
         )
     }
@@ -236,7 +230,6 @@ impl VersionedRelation {
         shard_snaps: Vec<Arc<ShardSnapshot>>,
         config: IndexConfig,
         compaction_threshold: usize,
-        overlay: OverlayConfig,
         durability: Option<Arc<RelationDurability>>,
     ) -> Self {
         let shards = shard_snaps
@@ -258,7 +251,6 @@ impl VersionedRelation {
             config,
             shard_config: map.shard_recipe(config),
             compaction_threshold,
-            overlay,
             durability,
         }
     }
@@ -663,7 +655,7 @@ impl VersionedRelation {
                 .unwrap_or_else(PoisonError::into_inner);
             (writer[captured_len..].to_vec(), writer.len())
         };
-        let mut delta = Delta::with_config(self.overlay);
+        let mut delta = Delta::new();
         for op in &tail {
             delta.apply(op, |id| base_ids.get().contains_key(&id));
         }
@@ -843,7 +835,6 @@ mod tests {
             "R".into(),
             Arc::new(GridIndex::build(points(200), 5).unwrap()),
             threshold,
-            OverlayConfig::default(),
             ShardConfig::per_axis(shards_per_axis),
             None,
         )

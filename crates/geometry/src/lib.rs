@@ -9,6 +9,8 @@
 //!
 //! * points in the Euclidean plane ([`Point`]),
 //! * axis-aligned rectangles representing index *blocks* ([`Rect`]),
+//! * the clamped uniform grid every space decomposition cuts with
+//!   ([`CellGrid`]),
 //! * the Euclidean point-to-point distance,
 //! * the **MINDIST** and **MAXDIST** metrics between a point and a block
 //!   (Roussopoulos, Kelley, Vincent — SIGMOD 1995), which bound the distance
@@ -23,11 +25,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod cell_grid;
 mod distance;
 mod point;
 mod predicate;
 mod rect;
 
+pub use cell_grid::{fanout, outgrown, CellGrid};
 pub use distance::{
     euclidean, euclidean_sq, euclidean_sq_batch, maxdist, maxdist_sq, mindist, mindist_sq,
     rect_maxdist_sq, rect_mindist_sq,

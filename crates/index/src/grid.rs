@@ -6,7 +6,7 @@
 //! algorithms even with simple structures." Each grid cell is a block that
 //! stores its points and its point count.
 
-use twoknn_geometry::{GeomResult, GeometryError, Point, Rect};
+use twoknn_geometry::{CellGrid, GeomResult, GeometryError, Point, Rect};
 
 use crate::block::{BlockId, BlockMeta};
 use crate::directory::BlockDirectory;
@@ -73,15 +73,6 @@ impl GridIndex {
     }
 }
 
-/// The row-major cell of an `n × n` grid over `bounds` that `p` falls in,
-/// clamped into the edge cells — where the build puts `p`.
-fn cell_of(bounds: &Rect, n: usize, p: &Point) -> usize {
-    let clamp = |v: f64| (v.floor() as isize).clamp(0, n as isize - 1) as usize;
-    let ix = clamp((p.x - bounds.min_x) / (bounds.width() / n as f64));
-    let iy = clamp((p.y - bounds.min_y) / (bounds.height() / n as f64));
-    iy * n + ix
-}
-
 /// [`SpatialIndex::locate`](crate::SpatialIndex::locate) on a grid by cell
 /// arithmetic, in O(1) where a directory descent tests every tile child on
 /// its way down: `p`'s cell, or `None` outside the grid.
@@ -89,11 +80,12 @@ pub(crate) fn locate(bounds: &Rect, n: usize, p: &Point) -> Option<BlockId> {
     bounds
         .expanded(1e-9)
         .contains(p)
-        .then(|| cell_of(bounds, n, p) as BlockId)
+        .then(|| CellGrid::new(*bounds, n).cell_of(p) as BlockId)
 }
 
 /// Buckets `points` into the row-major cells of a `cells_per_axis²` grid
-/// over `bounds`, keeping input order within each cell.
+/// over `bounds`, keeping input order within each cell. A point outside
+/// `bounds` clamps into an edge cell.
 pub(crate) fn partition(
     points: Vec<Point>,
     bounds: Rect,
@@ -107,47 +99,23 @@ pub(crate) fn partition(
     // coordinates are kept exactly (not recomputed as min + extent) so
     // that boundary points stay inside the last row/column of cells.
     let pad = |min: f64, max: f64| if max > min { max } else { min + 1.0 };
-    let (min_x, min_y) = (bounds.min_x, bounds.min_y);
     let bounds = Rect::new(
-        min_x,
-        min_y,
-        pad(min_x, bounds.max_x),
-        pad(min_y, bounds.max_y),
+        bounds.min_x,
+        bounds.min_y,
+        pad(bounds.min_x, bounds.max_x),
+        pad(bounds.min_y, bounds.max_y),
     );
-    let n = cells_per_axis;
-    let mut cells: Vec<Vec<Point>> = vec![Vec::new(); n * n];
+    let grid = CellGrid::new(bounds, cells_per_axis);
+    let mut cells: Vec<Vec<Point>> = vec![Vec::new(); grid.num_cells()];
     for p in points {
-        cells[cell_of(&bounds, n, &p)].push(p);
+        cells[grid.cell_of(&p)].push(p);
     }
-    // Cell edge `i` along an axis; the last one is exactly the grid bound,
-    // so that boundary points (clamped into the edge cells) are contained
-    // in their cell's footprint despite floating-point rounding.
-    let cell_w = bounds.width() / n as f64;
-    let cell_h = bounds.height() / n as f64;
-    let x_edge = |i: usize| {
-        if i == n {
-            bounds.max_x
-        } else {
-            min_x + i as f64 * cell_w
-        }
-    };
-    let y_edge = |i: usize| {
-        if i == n {
-            bounds.max_y
-        } else {
-            min_y + i as f64 * cell_h
-        }
-    };
-    let blocks: Vec<BlockMeta> = (0..n * n)
-        .map(|id| {
-            let (ix, iy) = (id % n, id / n);
-            let mbr = Rect::new(x_edge(ix), y_edge(iy), x_edge(ix + 1), y_edge(iy + 1));
-            BlockMeta::new(id as BlockId, mbr, cells[id].len())
-        })
+    let blocks: Vec<BlockMeta> = (0..grid.num_cells())
+        .map(|id| BlockMeta::new(id as BlockId, grid.cell_rect(id), cells[id].len()))
         .collect();
     Ok(Layout {
         bounds,
-        directory: BlockDirectory::grid_tiles(&blocks, n),
+        directory: BlockDirectory::grid_tiles(&blocks, cells_per_axis),
         blocks,
         points: cells.concat(),
     })

@@ -16,10 +16,10 @@
 
 use two_knn::core::joins2::{
     chained_join_intersection, chained_nested, chained_nested_cached, chained_right_deep,
-    choose_unchained_order, unchained_block_marking, unchained_conceptual, ChainedJoinQuery,
-    JoinOrderDecision, UnchainedJoinQuery,
+    unchained_block_marking, unchained_conceptual, ChainedJoinQuery, UnchainedJoinQuery,
 };
 use two_knn::core::output::triplet_id_set;
+use two_knn::core::plan::{Optimizer, RelationProfile, UnchainedStrategy};
 use two_knn::datagen::{berlinmod, clustered, BerlinModConfig, ClusterConfig};
 use two_knn::{GridIndex, Point, SpatialIndex};
 
@@ -57,14 +57,17 @@ fn main() {
 
     // ----- Unchained joins -------------------------------------------------
     let q = UnchainedJoinQuery::new(2, 2);
-    let decision = choose_unchained_order(&attractions, &parking, 0.6);
+    let decision = Optimizer::default().choose_unchained(
+        &RelationProfile::compute(&attractions),
+        &RelationProfile::compute(&parking),
+    );
     println!(
         "unchained join order heuristic (Section 4.1.2): {:?}",
         decision
     );
     assert_eq!(
         decision,
-        JoinOrderDecision::StartWithA,
+        UnchainedStrategy::BlockMarkingStartWithA,
         "the clustered relation's join should go first"
     );
 

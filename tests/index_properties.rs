@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use two_knn::core::plan::Database;
-use two_knn::core::store::{DurabilityConfig, OverlayConfig, ShardConfig, StoreConfig, WriteOp};
+use two_knn::core::store::{DurabilityConfig, ShardConfig, StoreConfig, WriteOp};
 use two_knn::datagen::rng::StdRng;
 use two_knn::geometry::{euclidean, maxdist, mindist, rect_maxdist_sq, rect_mindist_sq};
 use two_knn::index::{
@@ -318,6 +318,15 @@ fn mixed_batch(rng: &mut StdRng, generation: u64, base_n: u64) -> Vec<WriteOp> {
     ops
 }
 
+/// Three consecutive mixed batches (generations `first..first + 3`) as one:
+/// about 90 inserts, enough that the delta overlay's cells of about 32
+/// inserts partition it.
+fn mixed_batches(rng: &mut StdRng, first: u64, base_n: u64) -> Vec<WriteOp> {
+    (first..first + 3)
+        .flat_map(|generation| mixed_batch(&mut *rng, generation, base_n))
+        .collect()
+}
+
 /// SoA equivalence through the store: snapshots whose blocks are
 /// tombstone-filtered base blocks plus overlay-grid cells must give the same
 /// answers as brute force over the merged points, and never resurrect a
@@ -329,13 +338,9 @@ fn soa_equivalence_holds_on_tombstone_filtered_overlay_blocks() {
         let base = points(&mut rng, 400);
         let base_n = base.len() as u64;
         // Huge threshold: nothing compacts, every read goes through the
-        // delta overlay; tiny cells force a partitioned overlay.
+        // delta overlay; three batches' inserts partition it.
         let mut db = Database::with_store_config(StoreConfig {
             compaction_threshold: usize::MAX,
-            overlay: OverlayConfig {
-                cell_target: 4,
-                max_cells_per_axis: 8,
-            },
             ..StoreConfig::default()
         });
         match build {
@@ -343,10 +348,14 @@ fn soa_equivalence_holds_on_tombstone_filtered_overlay_blocks() {
             1 => db.register("R", QuadtreeIndex::build(base.clone(), 16).unwrap()),
             _ => db.register("R", StrRTree::build(base.clone(), 16).unwrap()),
         };
-        let ops = mixed_batch(&mut rng, 0, base_n);
+        let ops = mixed_batches(&mut rng, 0, base_n);
         db.ingest("R", &ops).unwrap();
         let snap = db.relation("R").unwrap();
         assert!(snap.delta_len() > 0, "{family}: delta must be non-empty");
+        assert!(
+            snap.overlay_block_count() > 1,
+            "{family}: the overlay must be partitioned"
+        );
 
         let removed: std::collections::HashSet<u64> = ops
             .iter()
@@ -392,15 +401,12 @@ fn batched_knn_does_not_drift_across_mixed_ingest_batches() {
     let base_n = base.len() as u64;
     let mut db = Database::with_store_config(StoreConfig {
         compaction_threshold: usize::MAX,
-        overlay: OverlayConfig {
-            cell_target: 4,
-            max_cells_per_axis: 8,
-        },
         ..StoreConfig::default()
     });
     db.register("R", GridIndex::build(base, 6).unwrap());
+    let mut partitioned = false;
     for generation in 0..6u64 {
-        db.ingest("R", &mixed_batch(&mut rng, generation, base_n))
+        db.ingest("R", &mixed_batches(&mut rng, generation * 3, base_n))
             .unwrap();
         if generation == 3 {
             // Fold the accumulated delta mid-stream: later generations run
@@ -408,6 +414,7 @@ fn batched_knn_does_not_drift_across_mixed_ingest_batches() {
             db.compact_now("R").unwrap();
         }
         let snap = db.relation("R").unwrap();
+        partitioned |= snap.overlay_block_count() > 1;
         snap.check_overlay_invariants()
             .unwrap_or_else(|e| panic!("generation {generation}: {e}"));
         let reference = GridIndex::build_with_bounds(snap.merged_points(), snap.bounds(), 6)
@@ -429,6 +436,7 @@ fn batched_knn_does_not_drift_across_mixed_ingest_batches() {
             );
         }
     }
+    assert!(partitioned, "the overlay must have been partitioned");
 }
 
 // ---------------------------------------------------------------------------
@@ -533,14 +541,10 @@ fn directory_subjects(seed: u64) -> Vec<(&'static str, Arc<dyn SpatialIndex>)> {
     // Inserts (some outside the base extent) and tombstones, never folded.
     let mut db = Database::with_store_config(StoreConfig {
         compaction_threshold: usize::MAX,
-        overlay: OverlayConfig {
-            cell_target: 4,
-            max_cells_per_axis: 8,
-        },
         ..StoreConfig::default()
     });
     db.register("R", QuadtreeIndex::build(pts.clone(), 9).unwrap());
-    let mut ops = mixed_batch(&mut rng, 0, pts.len() as u64);
+    let mut ops = mixed_batches(&mut rng, 0, pts.len() as u64);
     ops.push(WriteOp::Upsert(Point::new(90_000, -40.0, 1100.0)));
     // Empty a whole base block, so its count drops to zero in the snapshot.
     let victim = db.relation("R").unwrap();
@@ -1081,14 +1085,10 @@ fn locate_subjects(seed: u64) -> Vec<(&'static str, Arc<dyn SpatialIndex>)> {
 
     let mut db = Database::with_store_config(StoreConfig {
         compaction_threshold: usize::MAX,
-        overlay: OverlayConfig {
-            cell_target: 4,
-            max_cells_per_axis: 8,
-        },
         ..StoreConfig::default()
     });
     db.register("Q", QuadtreeIndex::build(pts.clone(), 8).unwrap());
-    db.ingest("Q", &mixed_batch(&mut rng, 0, 400)).unwrap();
+    db.ingest("Q", &mixed_batches(&mut rng, 0, 400)).unwrap();
     let snap = db.relation("Q").unwrap();
     assert!(snap.overlay_block_count() > 1 && snap.shards()[0].delta().deletes().len() > 1);
 

@@ -15,9 +15,9 @@ use two_knn::core::plan::{
 };
 use two_knn::core::select_join::{SelectInnerJoinQuery, SelectOuterJoinQuery};
 use two_knn::core::selects2::TwoSelectsQuery;
-use two_knn::core::store::{OverlayConfig, StoreConfig, WriteOp};
+use two_knn::core::store::{StoreConfig, WriteOp};
 use two_knn::core::WorkerPool;
-use two_knn::{GridIndex, Point, QuadtreeIndex, SpatialIndex, StrRTree};
+use two_knn::{GridIndex, Point, QuadtreeIndex, Rect, SpatialIndex, StrRTree};
 
 /// Irregular, tie-free point cloud over roughly [0, 110]².
 fn scattered(n: usize, id_base: u64, seed: u64) -> Vec<Point> {
@@ -178,15 +178,11 @@ fn delta_overlay_matches_rebuilt_index_across_all_index_families() {
     ];
 
     for (family, install) in families {
-        // A huge threshold (nothing compacts until we ask for it) and a tiny
-        // overlay cell target, so even this modest workload exercises a
-        // multi-cell partitioned overlay rather than one block.
+        // A huge threshold: nothing compacts until we ask for it. The
+        // workload's 36 inserts outgrow one overlay cell of 32, so it
+        // exercises a multi-cell partitioned overlay rather than one block.
         let mut db = Database::with_store_config(StoreConfig {
             compaction_threshold: usize::MAX,
-            overlay: OverlayConfig {
-                cell_target: 4,
-                max_cells_per_axis: 8,
-            },
             ..StoreConfig::default()
         });
         install(&mut db);
@@ -485,10 +481,9 @@ fn clustered_burst(n: usize, id_base: u64) -> Vec<WriteOp> {
 /// The burst scenario's catalog: a quadtree-backed object relation (so the
 /// post-compaction rebuild adapts its blocks to the cluster) plus two small
 /// relations for the unchained join.
-fn burst_db(overlay: OverlayConfig) -> Database {
+fn burst_db() -> Database {
     let mut db = Database::with_store_config(StoreConfig {
         compaction_threshold: usize::MAX,
-        overlay,
         ..StoreConfig::default()
     });
     db.register(
@@ -552,48 +547,44 @@ fn clustered_burst_keeps_block_pruning_within_a_constant_factor() {
     const BURST: usize = 10_000;
     let burst = clustered_burst(BURST, 500_000);
 
-    // The partitioned (grid) overlay and the old single-block overlay
-    // (fanout cap 1), fed the identical burst with no compaction.
-    let grid_db = burst_db(OverlayConfig::default());
-    grid_db.ingest("Objects", &burst).unwrap();
-    let single_db = burst_db(OverlayConfig {
-        max_cells_per_axis: 1,
-        ..OverlayConfig::default()
-    });
-    single_db.ingest("Objects", &burst).unwrap();
-
-    let grid_snap = grid_db.relation("Objects").unwrap();
+    // The partitioned overlay, fed the burst with no compaction.
+    let db = burst_db();
+    db.ingest("Objects", &burst).unwrap();
+    let snap = db.relation("Objects").unwrap();
     assert!(
-        grid_snap.overlay_block_count() > 1,
+        snap.overlay_block_count() > 1,
         "the burst must partition into multiple overlay blocks"
     );
-    grid_snap.check_overlay_invariants().unwrap();
-    assert_eq!(
-        single_db.relation("Objects").unwrap().overlay_block_count(),
-        1,
-        "fanout cap 1 must reproduce the single-block overlay"
-    );
-
-    let grid = run_burst_queries(&grid_db);
-    let single = run_burst_queries(&single_db);
+    snap.check_overlay_invariants().unwrap();
+    let grid = run_burst_queries(&db);
 
     // The compacted equivalent: fold the burst into a rebuilt base.
-    grid_db
-        .compact_now("Objects")
+    db.compact_now("Objects")
         .unwrap()
         .expect("delta is non-empty");
-    assert_eq!(grid_db.relation("Objects").unwrap().delta_len(), 0);
-    let compacted = run_burst_queries(&grid_db);
+    assert_eq!(db.relation("Objects").unwrap().delta_len(), 0);
+    let compacted = run_burst_queries(&db);
 
-    for (i, ((g_rows, g_pts, g_blocks), ((s_rows, s_pts, _), (c_rows, c_pts, c_blocks)))) in grid
-        .iter()
-        .zip(single.iter().zip(compacted.iter()))
-        .enumerate()
+    // A single overlay block holding the whole burst (the layout before the
+    // overlay was partitioned) has MINDIST 0 from any focal point inside the
+    // burst's bounding box, so a kNN walk from there scans all BURST points.
+    let burst_box = Rect::bounding(
+        &burst
+            .iter()
+            .map(|op| match op {
+                WriteOp::Upsert(p) => *p,
+                WriteOp::Remove(_) => unreachable!("the burst only upserts"),
+            })
+            .collect::<Vec<_>>(),
+    )
+    .unwrap();
+    let (QuerySpec::TwoSelects { query: focal, .. }, _) = &burst_queries()[0] else {
+        unreachable!("query 0 is the kNN-select pair");
+    };
+
+    for (i, ((g_rows, g_pts, g_blocks), (c_rows, c_pts, c_blocks))) in
+        grid.iter().zip(compacted.iter()).enumerate()
     {
-        assert_eq!(
-            g_rows, s_rows,
-            "query {i}: overlay layout must not change results"
-        );
         assert_eq!(
             g_rows, c_rows,
             "query {i}: compaction must not change results"
@@ -609,33 +600,27 @@ fn clustered_burst_keeps_block_pruning_within_a_constant_factor() {
             *g_blocks <= 3 * c_blocks,
             "query {i}: grid overlay scanned {g_blocks} blocks vs {c_blocks} compacted (> 3x)"
         );
-        // The regression the partitioned overlay fixed: the single-block
-        // overlay funnels the whole burst into every kNN walk that touches
-        // the hot region. The in-cluster kNN-select blows straight through
-        // the 3x bound (~37x when this was written). The unchained join's
-        // outer points are scattered: while `get_knn` collected a two-phase
-        // locality its MAXDIST phase pulled the burst block in for many of
-        // them (≥ 2x the partitioned overlay's points); the single MINDIST
-        // walk stops at τ before reaching it, so the join now scans the same
-        // points under both overlays (5 874 vs 5 874 when this was written)
-        // and the single-block layout can only ever cost at least as much.
+        // The regression the partitioned overlay fixed: a single-block
+        // overlay funnels the whole burst into every kNN walk that starts in
+        // the hot region, which blows straight through the 3x bound (~37x
+        // when this was written) and costs ≥ 2x the partitioned overlay.
         if i == 0 {
             assert!(
-                *s_pts > 3 * c_pts,
-                "query {i}: single-block overlay scanned only {s_pts} points vs {c_pts} \
-                 compacted — the regression scenario no longer discriminates"
+                burst_box.contains(&focal.f1),
+                "query {i}: focal point {} must lie in the burst's box {burst_box}",
+                focal.f1
             );
             assert!(
-                *s_pts >= 2 * g_pts,
-                "query {i}: single-block overlay ({s_pts} points) must cost ≥ 2x the \
+                BURST as u64 > 3 * c_pts,
+                "query {i}: a single-block overlay would scan only {BURST} points vs \
+                 {c_pts} compacted — the regression scenario no longer discriminates"
+            );
+            assert!(
+                BURST as u64 >= 2 * g_pts,
+                "query {i}: a single-block overlay ({BURST} points) must cost ≥ 2x the \
                  partitioned overlay ({g_pts} points)"
             );
         }
-        assert!(
-            s_pts >= g_pts,
-            "query {i}: single-block overlay ({s_pts} points) scanned fewer points than \
-             the partitioned overlay ({g_pts} points)"
-        );
     }
 }
 
@@ -653,10 +638,6 @@ fn incremental_overlay_maintenance_matches_from_scratch_rebuilds() {
     // over the same visible points.
     let mut db = Database::with_store_config(StoreConfig {
         compaction_threshold: usize::MAX,
-        overlay: OverlayConfig {
-            cell_target: 8,
-            max_cells_per_axis: 16,
-        },
         ..StoreConfig::default()
     });
     db.register(
