@@ -1,6 +1,6 @@
 //! A persistent, lazily-initialized worker pool — the shared execution
-//! runtime behind every partitioned run ([`run_into_shares`](super::run_into_shares),
-//! [`run_partitioned`](super::run_partitioned)).
+//! runtime behind every partitioned run
+//! ([`run_into_shares`](super::run_into_shares)).
 //!
 //! # Why a pool
 //!
@@ -230,9 +230,10 @@ impl WorkerPool {
     /// runs every operator inside `task` on the calling thread.
     ///
     /// [`WorkerPool::broadcast`] binds automatically; this explicit variant
-    /// exists for paths that sidestep `broadcast` (e.g. a batch that
-    /// short-circuits to a serial loop on a parallelism-1 pool) but must
-    /// still confine nested submissions to this pool's thread budget.
+    /// is how a caller chooses the pool a partitioned run goes to
+    /// ([`Database`](crate::plan::Database) binds its own around every
+    /// query, batch and compaction gather), and it also covers the serial
+    /// loop a single item or a pool of one runs without a broadcast.
     pub fn bind<R>(&self, task: impl FnOnce() -> R) -> R {
         let _bind = CurrentPoolGuard::enter(self.self_ref.clone());
         task()
@@ -242,8 +243,8 @@ impl WorkerPool {
     /// calling thread, returning once every started copy has finished.
     ///
     /// This is the pool's only submission primitive, shaped for the
-    /// cursor-pulling loops of [`run_partitioned`](super::run_partitioned):
-    /// every copy of `task` is identical and drains a shared work cursor, so
+    /// claiming loop of [`run_into_shares`](super::run_into_shares): every
+    /// copy of `task` is identical and drains the shared item claims, so
     /// it never matters which copies actually get picked up by workers. If
     /// the workers are busy, the caller reclaims its still-queued copies and
     /// runs them inline — submission can therefore never deadlock, no matter
@@ -352,7 +353,7 @@ impl WorkerPool {
     /// thread budget. This is the entry point for background maintenance
     /// work (e.g. the relation store's index rebuilds): the job typically
     /// fans its own inner work out with
-    /// [`run_partitioned`](super::run_partitioned), which is safe to
+    /// [`run_into_shares`](super::run_into_shares), which is safe to
     /// nest from a worker thread.
     ///
     /// Two deliberate semantic differences from `broadcast`:
@@ -518,7 +519,7 @@ fn worker_loop(pool: Weak<WorkerPool>, shared: &Arc<PoolShared>) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::run_partitioned;
+    use super::super::run_into_shares;
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use twoknn_index::Metrics;
@@ -548,20 +549,23 @@ mod tests {
     fn pooled_run_matches_serial_rows_and_metrics() {
         let pool = WorkerPool::new(5);
         let items: Vec<u64> = (0..2_000).collect();
-        let work = |item: &u64, out: &mut Vec<u64>, metrics: &mut Metrics| {
+        let share = |item: &u64| if item % 5 == 0 { 2 } else { 1 };
+        let work = |item: &u64, out: &mut [u64], metrics: &mut Metrics| {
             metrics.points_scanned += 1;
-            out.push(item * 3);
-            if item % 5 == 0 {
-                out.push(item + 1);
+            out[0] = item * 3;
+            if let Some(extra) = out.get_mut(1) {
+                *extra = item + 1;
             }
         };
         let mut serial_metrics = Metrics::default();
         let mut serial = Vec::new();
         for item in &items {
-            work(item, &mut serial, &mut serial_metrics);
+            let mut out = vec![0; share(item)];
+            work(item, &mut out, &mut serial_metrics);
+            serial.extend(out);
         }
         let mut pooled_metrics = Metrics::default();
-        let pooled = run_partitioned(&items, &pool, &mut pooled_metrics, work);
+        let pooled = pool.bind(|| run_into_shares(&items, share, 0, &mut pooled_metrics, work));
         assert_eq!(serial, pooled);
         assert_eq!(serial_metrics, pooled_metrics);
     }
@@ -575,31 +579,37 @@ mod tests {
 
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut metrics = Metrics::default();
-            run_partitioned(
-                &items,
-                &pool,
-                &mut metrics,
-                |item, out: &mut Vec<u32>, _| {
-                    if *item == 13 {
-                        panic!("intentional test panic");
-                    }
-                    out.push(*item);
-                },
-            )
+            pool.bind(|| {
+                run_into_shares(
+                    &items,
+                    |_| 1,
+                    0,
+                    &mut metrics,
+                    |item, out, _| {
+                        if *item == 13 {
+                            panic!("intentional test panic");
+                        }
+                        out[0] = *item;
+                    },
+                )
+            })
         }));
         assert!(outcome.is_err(), "the job panic must reach the caller");
 
         // The same pool keeps serving work correctly afterwards.
         let mut metrics = Metrics::default();
-        let rows = run_partitioned(
-            &items,
-            &pool,
-            &mut metrics,
-            |item, out: &mut Vec<u32>, m| {
-                m.points_scanned += 1;
-                out.push(item * 2);
-            },
-        );
+        let rows = pool.bind(|| {
+            run_into_shares(
+                &items,
+                |_| 1,
+                0,
+                &mut metrics,
+                |item, out, m| {
+                    m.points_scanned += 1;
+                    out[0] = item * 2;
+                },
+            )
+        });
         assert_eq!(rows, items.iter().map(|i| i * 2).collect::<Vec<_>>());
         assert_eq!(metrics.points_scanned, items.len() as u64);
     }
@@ -636,16 +646,25 @@ mod tests {
         let batches: Vec<u64> = (0..6).collect();
         let blocks: Vec<u64> = (0..32).collect();
         let mut metrics = Metrics::default();
-        let per_batch = run_partitioned(&batches, pool, &mut metrics, |batch, out, metrics| {
-            let inner = run_partitioned(
-                &blocks,
-                &WorkerPool::current(),
-                metrics,
-                |block, out: &mut Vec<u64>, _| {
-                    out.push(batch * 1_000 + block);
+        let per_batch = pool.bind(|| {
+            run_into_shares(
+                &batches,
+                |_| 1,
+                0,
+                &mut metrics,
+                |batch, out, metrics| {
+                    let inner = run_into_shares(
+                        &blocks,
+                        |_| 1,
+                        0,
+                        metrics,
+                        |block, out, _| {
+                            out[0] = batch * 1_000 + block;
+                        },
+                    );
+                    out[0] = inner.iter().sum::<u64>();
                 },
-            );
-            out.push(inner.iter().sum::<u64>());
+            )
         });
         per_batch.iter().sum()
     }
@@ -670,23 +689,33 @@ mod tests {
         assert_eq!(matched.load(Ordering::SeqCst), 2);
     }
 
-    /// Regression: a parallelism-1 explicit pool short-circuits
-    /// `run_partitioned` to a serial loop, but nested partitioned work
+    /// Regression: a parallelism-1 bound pool short-circuits
+    /// `run_into_shares` to a serial loop, but nested partitioned work
     /// inside the tasks must still budget against that pool — it must not
-    /// silently drift to the global pool.
+    /// silently drift to the global pool. A single item on a wider pool
+    /// takes the same loop.
     #[test]
     fn serial_short_circuit_still_binds_the_explicit_pool() {
-        let pool = WorkerPool::new(1);
-        let items = [1u32, 2];
-        let mut metrics = Metrics::default();
-        let expected = Arc::as_ptr(&pool) as usize;
-        let bound = AtomicUsize::new(0);
-        run_partitioned(&items, &pool, &mut metrics, |_, _out: &mut Vec<u32>, _| {
-            if Arc::as_ptr(&WorkerPool::current()) as usize == expected {
-                bound.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        assert_eq!(bound.load(Ordering::SeqCst), items.len());
+        for (parallelism, items) in [(1, vec![1u32, 2]), (3, vec![1])] {
+            let pool = WorkerPool::new(parallelism);
+            let mut metrics = Metrics::default();
+            let expected = Arc::as_ptr(&pool) as usize;
+            let bound = AtomicUsize::new(0);
+            pool.bind(|| {
+                run_into_shares(
+                    &items,
+                    |_| 0,
+                    0u32,
+                    &mut metrics,
+                    |_, _, _| {
+                        if Arc::as_ptr(&WorkerPool::current()) as usize == expected {
+                            bound.fetch_add(1, Ordering::SeqCst);
+                        }
+                    },
+                )
+            });
+            assert_eq!(bound.load(Ordering::SeqCst), items.len());
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //! | [`store`] | versioned relation store: spatially sharded relations, snapshot reads, delta ingest, per-shard background rebuilds on the worker pool, and the optional durability subsystem (WAL + immutable shard block files + crash recovery, [`DurabilityConfig`]) |
 //! | [`cq`] | continuous queries: standing two-kNN queries, guard-region registry, incremental maintenance over ingest |
 //! | [`exec`] | the partitioned runs and the persistent [`WorkerPool`] shared by batches, operators, and compactions |
-//! | [`obs`] | observability: `EXPLAIN` / `EXPLAIN ANALYZE` plan introspection, per-operator execution traces, and the latency-histogram metrics registry with lifecycle events ([`TraceConfig`]) |
+//! | [`obs`] | observability: `EXPLAIN` / `EXPLAIN ANALYZE` plan introspection, per-operator execution traces, and the latency-histogram metrics registry with lifecycle events |
 //! | [`output`] | typed result rows ([`Pair`], [`Triplet`]) and the output container |
 //! | [`error`] | the [`QueryError`] taxonomy |
 //!
@@ -103,7 +103,7 @@ pub use error::QueryError;
 pub use exec::{ExecutionMode, WorkerPool};
 pub use obs::{
     AnalyzedQuery, Event, EventKind, HistogramKind, MetricsReport, Observability, OpTrace,
-    PlanExplain, QueryTrace, TraceConfig,
+    PlanExplain, QueryTrace,
 };
 pub use output::{Pair, QueryOutput, Triplet};
 pub use store::{

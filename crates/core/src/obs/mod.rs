@@ -10,7 +10,8 @@
 //!    rewrites → chosen [`crate::plan::Strategy`] → compiled physical
 //!    operator tree) as a [`PlanExplain`] value with an indented text form.
 //! 2. **Execution tracing** — [`crate::plan::Database::explain_analyze`]
-//!    and the opt-in [`TraceConfig`] wrap every physical operator in a span
+//!    and opt-in tracing ([`crate::plan::Database::set_tracing`]) wrap
+//!    every physical operator in a span
 //!    recording wall time, rows emitted, and its
 //!    [`Metrics`](twoknn_index::Metrics) counter delta,
 //!    producing per-operator annotated [`OpTrace`] trees ([`QueryTrace`]s
@@ -25,9 +26,9 @@
 //!
 //! The registry and event ring are always on — recording a histogram sample
 //! is a few relaxed atomics, and events only fire on rare lifecycle paths.
-//! Per-operator **tracing** is opt-in ([`TraceConfig::enabled`] or
-//! [`crate::plan::Database::set_tracing`]); when off, the hot path performs
-//! one timestamp pair per query and allocates nothing.
+//! Per-operator **tracing** is opt-in: every store starts untraced and
+//! [`crate::plan::Database::set_tracing`] is the one switch; when off, the
+//! hot path performs one timestamp pair per query and allocates nothing.
 
 mod events;
 mod explain;
@@ -52,35 +53,8 @@ use crate::exec::ExecutionMode;
 use crate::plan::executor::QueryResult;
 use crate::plan::physical::PhysicalPlan;
 
-/// Opt-in per-operator execution tracing, carried on
-/// [`crate::store::StoreConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Record an [`OpTrace`] tree for every executed query (ad-hoc, batch
-    /// member, and cq re-evaluation alike). Off by default.
-    pub enabled: bool,
-    /// Maximum retained, undrained [`QueryTrace`]s; oldest drop first.
-    pub capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            capacity: 64,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// Tracing on, with the default retention capacity.
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-}
+/// Maximum retained, undrained [`QueryTrace`]s; the oldest drops first.
+const TRACE_CAPACITY: usize = 64;
 
 /// The per-store observability hub: histograms, events, retained traces.
 ///
@@ -93,29 +67,23 @@ pub struct Observability {
     events: EventRing,
     traces: Mutex<VecDeque<QueryTrace>>,
     trace_enabled: AtomicBool,
-    trace_capacity: usize,
     trace_seq: AtomicU64,
 }
 
+/// The hub of a new store: tracing off, nothing recorded.
 impl Default for Observability {
     fn default() -> Self {
-        Self::new(TraceConfig::default())
-    }
-}
-
-impl Observability {
-    /// Builds the hub with the given tracing configuration.
-    pub fn new(config: TraceConfig) -> Self {
         Self {
             registry: MetricsRegistry::default(),
             events: EventRing::default(),
             traces: Mutex::new(VecDeque::new()),
-            trace_enabled: AtomicBool::new(config.enabled),
-            trace_capacity: config.capacity.max(1),
+            trace_enabled: AtomicBool::new(false),
             trace_seq: AtomicU64::new(0),
         }
     }
+}
 
+impl Observability {
     /// Records one latency sample. Lock-free and allocation-free.
     pub fn record(&self, kind: HistogramKind, duration: Duration) {
         self.registry.record(kind, duration);
@@ -163,7 +131,7 @@ impl Observability {
     pub fn push_trace(&self, label: String, root: OpTrace) {
         let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
         let mut traces = self.traces.lock().unwrap_or_else(|e| e.into_inner());
-        if traces.len() == self.trace_capacity {
+        if traces.len() == TRACE_CAPACITY {
             traces.pop_front();
         }
         traces.push_back(QueryTrace { seq, label, root });
@@ -213,18 +181,19 @@ mod tests {
 
     #[test]
     fn tracing_toggles_and_traces_are_bounded() {
-        let obs = Observability::new(TraceConfig {
-            enabled: false,
-            capacity: 2,
-        });
+        let obs = Observability::default();
         assert!(!obs.trace_enabled());
         obs.set_trace_enabled(true);
         assert!(obs.trace_enabled());
-        for i in 0..3 {
+        for i in 0..=TRACE_CAPACITY {
             obs.push_trace(format!("q{i}"), trace());
         }
         let drained = obs.drain_traces();
-        assert_eq!(drained.len(), 2, "capacity bound drops the oldest");
+        assert_eq!(
+            drained.len(),
+            TRACE_CAPACITY,
+            "capacity bound drops the oldest"
+        );
         assert_eq!(drained[0].label, "q1");
         assert_eq!(drained[1].seq, drained[0].seq + 1);
         assert!(obs.drain_traces().is_empty());

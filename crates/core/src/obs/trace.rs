@@ -106,8 +106,8 @@ impl fmt::Display for OpTrace {
 
 /// One retained traced execution: a labelled [`OpTrace`] tree.
 ///
-/// With tracing enabled ([`crate::obs::TraceConfig`] or
-/// [`crate::plan::Database::set_tracing`]), every executed query pushes one
+/// With tracing enabled ([`crate::plan::Database::set_tracing`]), every
+/// executed query pushes one
 /// of these into a bounded buffer the caller drains with
 /// [`crate::plan::Database::drain_traces`]. Labels identify the source:
 /// `"query"` for ad-hoc execution, `"batch[i]"` for batch members,

@@ -41,7 +41,7 @@ use twoknn_index::{Metrics, PackedIndex, SpatialIndex};
 
 use crate::cq::{CqEngine, ResultDelta, SubscriptionId};
 use crate::error::QueryError;
-use crate::exec::{ExecutionMode, WorkerPool};
+use crate::exec::{run_into_shares, ExecutionMode, WorkerPool};
 use crate::joins2::{ChainedJoinQuery, UnchainedJoinQuery};
 use crate::obs::{
     AnalyzedQuery, Event, HistogramKind, MetricsReport, OpNode, PlanExplain, QueryTrace,
@@ -62,7 +62,6 @@ use crate::store::{
 /// A named catalog of versioned, indexed relations.
 pub struct Database {
     store: Arc<RelationStore>,
-    optimizer: Optimizer,
     /// The worker pool every query, batch **and** background compaction of
     /// this database runs on. Defaults to the process-wide shared pool, so
     /// batch-level query tasks, operator-level block tasks and store
@@ -78,7 +77,6 @@ impl Default for Database {
     fn default() -> Self {
         Self {
             store: Arc::new(RelationStore::default()),
-            optimizer: Optimizer::default(),
             pool: Arc::clone(WorkerPool::global()),
             cq: OnceLock::new(),
         }
@@ -389,17 +387,9 @@ impl QueryResult {
 }
 
 impl Database {
-    /// Creates an empty catalog with the default optimizer.
+    /// Creates an empty catalog.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty catalog with a custom optimizer configuration.
-    pub fn with_optimizer(optimizer: Optimizer) -> Self {
-        Self {
-            optimizer,
-            ..Self::default()
-        }
     }
 
     /// Creates an empty catalog whose queries, batches and compactions run
@@ -747,16 +737,17 @@ impl Database {
     /// while ingest publishes new versions and background compactions swap
     /// rebuilt bases underneath.
     ///
-    /// The queries are scheduled as tasks on this database's [`WorkerPool`]
+    /// The batch is one [`run_into_shares`] on this database's
+    /// [`WorkerPool`]: each query is an item with a share of one result,
     /// and each query in turn runs its operators on the same pool —
     /// batch-level and block-level tasks share **one queue**, so large
     /// batches saturate the pool with whole queries (inter-query
-    /// parallelism, no merge overhead) while small or skewed batches let an
-    /// expensive straggler query fan its blocks out over the workers that
-    /// have gone idle. Either way the thread budget is the pool's
-    /// parallelism — the two layers can never oversubscribe the machine —
-    /// and a pool of one runs the batch as a plain loop on the caller.
-    /// Results come back in input order.
+    /// parallelism) while small or skewed batches let an expensive
+    /// straggler query fan its blocks out over the workers that have gone
+    /// idle. Either way the thread budget is the pool's parallelism — the
+    /// two layers can never oversubscribe the machine — and a pool of one
+    /// runs the batch as a plain loop on the caller. Each result lands in
+    /// its query's slot, so results come back in input order.
     ///
     /// Each worker thread drains its share of the batch in place, so all
     /// kNN calls it issues reuse that thread's
@@ -769,21 +760,24 @@ impl Database {
         let snapshot = self.snapshot();
         let indexed: Vec<(usize, &QuerySpec)> = specs.iter().enumerate().collect();
         let mut scratch = Metrics::default();
-        let results = crate::exec::run_partitioned(
-            &indexed,
-            &self.pool,
-            &mut scratch,
-            |&(i, spec), out, _| {
-                out.push(
-                    self.plan_and_compile(&snapshot, spec)
-                        .map(|plan| self.run_plan(&plan, || batch_label(i))),
-                );
-            },
-        );
+        let results = self.pool.bind(|| {
+            run_into_shares(
+                &indexed,
+                |_| 1,
+                None,
+                &mut scratch,
+                |&(i, spec), out, _| {
+                    out[0] = Some(
+                        self.plan_and_compile(&snapshot, spec)
+                            .map(|plan| self.run_plan(&plan, || batch_label(i))),
+                    );
+                },
+            )
+        });
         self.store
             .obs()
             .record(HistogramKind::BatchWindow, window.elapsed());
-        results
+        results.into_iter().flatten().collect()
     }
 
     /// Plans and compiles against an explicit pinned snapshot — the shared
@@ -814,19 +808,19 @@ impl Database {
         };
         Ok(match spec {
             QuerySpec::SelectInnerOfJoin { outer, .. } => {
-                Strategy::SelectInner(self.optimizer.choose_select_inner(&profile(outer)?))
+                Strategy::SelectInner(Optimizer.choose_select_inner(&profile(outer)?))
             }
             QuerySpec::SelectOuterOfJoin { outer, .. } => {
-                Strategy::SelectOuter(self.optimizer.choose_select_outer(&profile(outer)?))
+                Strategy::SelectOuter(Optimizer.choose_select_outer(&profile(outer)?))
             }
             QuerySpec::UnchainedJoins { a, c, .. } => {
-                Strategy::Unchained(self.optimizer.choose_unchained(&profile(a)?, &profile(c)?))
+                Strategy::Unchained(Optimizer.choose_unchained(&profile(a)?, &profile(c)?))
             }
             QuerySpec::ChainedJoins { b, .. } => {
-                Strategy::Chained(self.optimizer.choose_chained(&profile(b)?))
+                Strategy::Chained(Optimizer.choose_chained(&profile(b)?))
             }
             QuerySpec::TwoSelects { query, .. } => {
-                Strategy::TwoSelects(self.optimizer.choose_two_selects(query))
+                Strategy::TwoSelects(Optimizer.choose_two_selects(query))
             }
             QuerySpec::KnnSelect { .. } => Strategy::Select,
             // Filters don't change the strategy family: plan the wrapped
@@ -995,13 +989,14 @@ impl Database {
     }
 
     /// Removes and returns every retained execution trace, oldest first.
-    /// Empty unless tracing is on ([`Database::set_tracing`] or
-    /// [`crate::store::StoreConfig::trace`]).
+    /// Empty unless tracing is on ([`Database::set_tracing`]); at most the
+    /// last 64 are kept.
     pub fn drain_traces(&self) -> Vec<QueryTrace> {
         self.store.obs().drain_traces()
     }
 
-    /// Turns per-operator execution tracing on or off at runtime.
+    /// Turns per-operator execution tracing on or off at runtime — the one
+    /// switch: every database starts untraced.
     pub fn set_tracing(&self, enabled: bool) {
         self.store.obs().set_trace_enabled(enabled);
     }

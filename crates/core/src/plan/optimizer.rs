@@ -25,42 +25,30 @@ use crate::plan::strategy::{
 };
 use crate::selects2::TwoSelectsQuery;
 
-/// Tunable thresholds of the optimizer. The paper gives qualitative guidance
-/// only; the defaults here are calibrated on the benchmark harness.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Optimizer {
-    /// Outer relations with fewer points than this use the Counting algorithm
-    /// for the select-inner-join query; larger ones use Block-Marking.
-    pub counting_outer_limit: usize,
-    /// Outer relations whose average occupied-block population is below this
-    /// also use Counting (low density = little payoff from per-block work).
-    pub counting_density_limit: f64,
-    /// Coverage fraction above which a relation is treated as uniformly
-    /// distributed for the unchained-join heuristics.
-    pub uniform_coverage_threshold: f64,
-}
+/// Outer relations with fewer points than this use the Counting algorithm
+/// for the select-inner-join query; larger ones use Block-Marking.
+const COUNTING_OUTER_LIMIT: usize = 50_000;
 
-impl Default for Optimizer {
-    fn default() -> Self {
-        Self {
-            counting_outer_limit: 50_000,
-            counting_density_limit: 8.0,
-            uniform_coverage_threshold: 0.6,
-        }
-    }
-}
+/// Outer relations whose average occupied-block population is below this
+/// also use Counting (low density = little payoff from per-block work).
+const COUNTING_DENSITY_LIMIT: f64 = 8.0;
+
+/// Coverage fraction above which a relation is treated as uniformly
+/// distributed for the unchained-join heuristics.
+const UNIFORM_COVERAGE_THRESHOLD: f64 = 0.6;
+
+/// The strategy chooser. The paper gives qualitative guidance only; the
+/// thresholds behind it are constants calibrated on the benchmark harness,
+/// so the type has no fields.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Optimizer;
 
 impl Optimizer {
-    /// Creates an optimizer with default thresholds.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Chooses between Counting and Block-Marking for a kNN-select on the
     /// inner relation of a kNN-join, based on the *outer* relation's profile.
     pub fn choose_select_inner(&self, outer: &RelationProfile) -> SelectInnerStrategy {
-        if outer.num_points < self.counting_outer_limit
-            || outer.avg_points_per_occupied_block < self.counting_density_limit
+        if outer.num_points < COUNTING_OUTER_LIMIT
+            || outer.avg_points_per_occupied_block < COUNTING_DENSITY_LIMIT
         {
             SelectInnerStrategy::Counting
         } else {
@@ -77,8 +65,8 @@ impl Optimizer {
     /// Chooses the unchained-join strategy given the profiles of the two
     /// outer relations `A` and `C` (Section 4.1.2).
     pub fn choose_unchained(&self, a: &RelationProfile, c: &RelationProfile) -> UnchainedStrategy {
-        let a_uniform = a.looks_uniform(self.uniform_coverage_threshold);
-        let c_uniform = c.looks_uniform(self.uniform_coverage_threshold);
+        let a_uniform = a.looks_uniform(UNIFORM_COVERAGE_THRESHOLD);
+        let c_uniform = c.looks_uniform(UNIFORM_COVERAGE_THRESHOLD);
         match (a_uniform, c_uniform) {
             (true, true) => UnchainedStrategy::Conceptual,
             (false, true) => UnchainedStrategy::BlockMarkingStartWithA,
@@ -143,7 +131,7 @@ mod tests {
 
     #[test]
     fn small_or_sparse_outer_prefers_counting() {
-        let opt = Optimizer::new();
+        let opt = Optimizer;
         let small = profile(uniform(500));
         assert_eq!(
             opt.choose_select_inner(&small),
@@ -153,12 +141,9 @@ mod tests {
 
     #[test]
     fn large_dense_outer_prefers_block_marking() {
-        let opt = Optimizer {
-            counting_outer_limit: 1_000,
-            counting_density_limit: 2.0,
-            ..Optimizer::default()
-        };
-        let dense = profile(clustered(50_000));
+        // More points than the Counting limit, packed into a few blocks.
+        let opt = Optimizer;
+        let dense = profile(clustered(60_000));
         assert_eq!(
             opt.choose_select_inner(&dense),
             SelectInnerStrategy::BlockMarking
@@ -167,7 +152,7 @@ mod tests {
 
     #[test]
     fn unchained_heuristics_follow_the_paper() {
-        let opt = Optimizer::new();
+        let opt = Optimizer;
         let u = profile(uniform(5_000));
         let c = profile(clustered(5_000));
         assert_eq!(opt.choose_unchained(&u, &u), UnchainedStrategy::Conceptual);
@@ -194,7 +179,7 @@ mod tests {
 
     #[test]
     fn chained_and_two_selects_defaults() {
-        let opt = Optimizer::new();
+        let opt = Optimizer;
         let p = profile(uniform(100));
         assert_eq!(opt.choose_chained(&p), ChainedStrategy::NestedJoinCached);
         let q = TwoSelectsQuery::new(
@@ -232,8 +217,7 @@ mod tests {
 
     /// The unchained choice between the relations `a` and `c`.
     fn unchained(a: &PackedIndex, c: &PackedIndex) -> UnchainedStrategy {
-        Optimizer::default()
-            .choose_unchained(&RelationProfile::compute(a), &RelationProfile::compute(c))
+        Optimizer.choose_unchained(&RelationProfile::compute(a), &RelationProfile::compute(c))
     }
 
     #[test]

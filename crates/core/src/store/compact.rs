@@ -14,11 +14,13 @@
 //!
 //! 1. **Capture** `(shard snapshot, shard log position)` under that shard's
 //!    writer lock (nanoseconds — ingest continues right after);
-//! 2. **Gather** the shard's visible points, partitioned over block ranges
-//!    with [`run_partitioned`] so large shards use the whole pool.
-//!    Overlay-grid cells are ordinary blocks of the shard snapshot, so a
-//!    large un-compacted burst is gathered cell-parallel exactly like the
-//!    base — the gather ranges cover base and overlay blocks uniformly;
+//! 2. **Gather** the shard's visible points with [`run_into_shares`] on the
+//!    pool, one item per block: the calling thread sizes one buffer of the
+//!    shard's points and each block copies its `count` points into its own
+//!    share, so large shards use the whole pool and the points come out in
+//!    block order. Overlay-grid cells are ordinary blocks of the shard
+//!    snapshot, so a large un-compacted burst is gathered cell-parallel
+//!    exactly like the base;
 //! 3. **Build** a fresh shard base with the shard recipe (the relation's
 //!    [`twoknn_index::IndexConfig`] at the shard layout's cell size), and
 //!    its id → block map;
@@ -34,35 +36,36 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use twoknn_geometry::Point;
-use twoknn_index::{BlockId, Metrics, SpatialIndex};
+use twoknn_index::{Metrics, SpatialIndex};
 
-use crate::exec::{run_partitioned, WorkerPool};
+use crate::exec::{run_into_shares, WorkerPool};
 use crate::obs::{EventKind, HistogramKind, Observability};
 
 use super::version::VersionedRelation;
 
-/// Number of blocks a single gather range covers. Small shards collapse to
-/// one range (a plain serial copy); large ones fan out over the pool.
-const GATHER_SHARD_BLOCKS: usize = 64;
-
-/// Collects an index's visible points, partitioned over block-range chunks
-/// on `pool`. Ordering follows block order (and point order within blocks),
-/// matching the serial `merged_points`.
+/// Collects an index's visible points on `pool`, one item per block, each
+/// writing its points into a share of `block.count` slots. Ordering follows
+/// block order (and point order within blocks), matching the serial
+/// `merged_points`.
 pub(crate) fn gather_points_sharded<I>(snapshot: &I, pool: &WorkerPool) -> Vec<Point>
 where
     I: SpatialIndex + Sync + ?Sized,
 {
-    let num_blocks = snapshot.num_blocks();
-    let chunks: Vec<std::ops::Range<usize>> = (0..num_blocks)
-        .step_by(GATHER_SHARD_BLOCKS.max(1))
-        .map(|start| start..(start + GATHER_SHARD_BLOCKS).min(num_blocks))
-        .collect();
     let mut scratch = Metrics::default();
-    run_partitioned(&chunks, pool, &mut scratch, |chunk, out, metrics| {
-        for id in chunk.clone() {
-            metrics.blocks_scanned += 1;
-            out.extend(snapshot.block_points(id as BlockId));
-        }
+    let blocks = snapshot.blocks();
+    let unset = Point::anonymous(0.0, 0.0);
+    pool.bind(|| {
+        run_into_shares(
+            blocks,
+            |block| block.count,
+            unset,
+            &mut scratch,
+            |block, out, _| {
+                for (slot, p) in out.iter_mut().zip(snapshot.block_points(block.id)) {
+                    *slot = p;
+                }
+            },
+        )
     })
 }
 
@@ -191,9 +194,9 @@ mod tests {
 
     #[test]
     fn sharded_gather_covers_a_partitioned_overlay_cell_parallel() {
-        // A burst big enough to split into many overlay cells: the gather
-        // chunks must cover every cell exactly once, in block order, just
-        // like base blocks.
+        // A burst big enough to split into many overlay cells: the gather's
+        // per-block shares must cover every cell exactly once, in block
+        // order, just like base blocks.
         let rel = relation(1_000_000);
         let burst: Vec<WriteOp> = (0..600u64)
             .map(|i| {

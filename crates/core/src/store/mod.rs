@@ -83,9 +83,6 @@ pub use twoknn_index::IndexConfig;
 pub use version::VersionedRelation;
 pub use wal::SyncPolicy;
 
-// Re-exported next to the other `StoreConfig` field types.
-pub use crate::obs::TraceConfig;
-
 pub(crate) use version::IngestReceipt;
 
 use std::collections::HashMap;
@@ -181,7 +178,10 @@ impl DurabilityConfig {
     }
 }
 
-/// Tuning knobs of the relation store.
+/// Tuning knobs of the relation store: the compaction threshold, the
+/// sharding and the durability mode. Tracing is not one of them — every
+/// store starts untraced and
+/// [`Database::set_tracing`](crate::plan::Database::set_tracing) switches it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreConfig {
     /// Delta size (inserts + deletes) at which ingest schedules a background
@@ -199,11 +199,6 @@ pub struct StoreConfig {
     /// ingest batch and persists compacted shard bases as immutable block
     /// files, making the store recoverable via [`RelationStore::open`].
     pub durability: DurabilityConfig,
-    /// Per-operator execution tracing ([`TraceConfig`]): off by default.
-    /// The latency-histogram registry and lifecycle event ring are always
-    /// on; this knob only controls whether executed queries retain
-    /// [`QueryTrace`](crate::obs::QueryTrace)s.
-    pub trace: TraceConfig,
 }
 
 impl Default for StoreConfig {
@@ -212,7 +207,6 @@ impl Default for StoreConfig {
             compaction_threshold: 512,
             sharding: ShardConfig::default(),
             durability: DurabilityConfig::Disabled,
-            trace: TraceConfig::default(),
         }
     }
 }
@@ -250,7 +244,7 @@ impl RelationStore {
         if let DurabilityConfig::Enabled { dir, .. } = &config.durability {
             let _ = std::fs::create_dir_all(dir);
         }
-        let obs = Arc::new(Observability::new(config.trace));
+        let obs = Arc::new(Observability::default());
         Self {
             relations: RwLock::new(HashMap::new()),
             config,
@@ -273,7 +267,7 @@ impl RelationStore {
             return Ok(Self::new(config));
         };
         let metrics = Arc::new(Mutex::new(Metrics::default()));
-        let obs = Arc::new(Observability::new(config.trace));
+        let obs = Arc::new(Observability::default());
         let start = Instant::now();
         let relations =
             recover::recover_relations(dir, *sync, *segment_bytes, &config, &metrics, &obs)?;

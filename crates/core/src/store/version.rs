@@ -1243,7 +1243,6 @@ mod tests {
             compaction_threshold: 1_000_000,
             sharding: ShardConfig::per_axis(2),
             durability: super::super::DurabilityConfig::at(&dir),
-            ..StoreConfig::default()
         };
         let mut db = crate::plan::Database::with_store_config(config.clone());
         db.register("R", GridIndex::build(points(200), 5).unwrap());

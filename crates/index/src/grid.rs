@@ -85,7 +85,8 @@ pub(crate) fn locate(bounds: &Rect, n: usize, p: &Point) -> Option<BlockId> {
 
 /// Buckets `points` into the row-major cells of a `cells_per_axis²` grid
 /// over `bounds`, keeping input order within each cell. A point outside
-/// `bounds` clamps into an edge cell.
+/// `bounds` clamps into an edge cell. Every block's rectangle contains its
+/// points.
 pub(crate) fn partition(
     points: Vec<Point>,
     bounds: Rect,
@@ -110,8 +111,16 @@ pub(crate) fn partition(
     for p in points {
         cells[grid.cell_of(&p)].push(p);
     }
+    // A block's rectangle is its cell's footprint grown to its points' box:
+    // `cell_of` can floor a point one ulp past an interior edge into the cell
+    // before it, and a point outside `bounds` clamps into an edge cell, so
+    // the footprint alone need not contain every point the block stores.
     let blocks: Vec<BlockMeta> = (0..grid.num_cells())
-        .map(|id| BlockMeta::new(id as BlockId, grid.cell_rect(id), cells[id].len()))
+        .map(|id| {
+            let footprint = grid.cell_rect(id);
+            let mbr = Rect::bounding(&cells[id]).map_or(footprint, |b| footprint.union(&b));
+            BlockMeta::new(id as BlockId, mbr, cells[id].len())
+        })
         .collect();
     Ok(Layout {
         bounds,

@@ -145,7 +145,9 @@ impl PackedIndex {
     /// An index over blocks that are already partitioned and columnarized —
     /// how a block file opens: `blocks` in id order with their counts, and
     /// the three columns holding every block's points, block after block.
-    /// The directory is packed from the block footprints.
+    /// Each block's rectangle grows to cover its points (a file written by
+    /// an older grid build may hold a footprint that misses a point by an
+    /// ulp), and the directory is packed from the grown rectangles.
     ///
     /// # Panics
     ///
@@ -160,6 +162,13 @@ impl PackedIndex {
         xs: Vec<f64>,
         ys: Vec<f64>,
     ) -> Self {
+        let mut blocks = blocks;
+        let mut rows = xs.iter().zip(&ys);
+        for b in &mut blocks {
+            for (&x, &y) in rows.by_ref().take(b.count) {
+                b.mbr = b.mbr.union(&Rect::new(x, y, x, y));
+            }
+        }
         let directory = BlockDirectory::packed(&blocks);
         Self::assemble(recipe, bounds, blocks, directory, ids, xs, ys)
     }

@@ -57,7 +57,7 @@ fn main() {
 
     // ----- Unchained joins -------------------------------------------------
     let q = UnchainedJoinQuery::new(2, 2);
-    let decision = Optimizer::default().choose_unchained(
+    let decision = Optimizer.choose_unchained(
         &RelationProfile::compute(&attractions),
         &RelationProfile::compute(&parking),
     );

@@ -198,7 +198,6 @@ fn store_config(shards_per_axis: usize, durability: DurabilityConfig) -> StoreCo
         compaction_threshold: 48, // small: compactions interleave with ingest
         sharding: ShardConfig::per_axis(shards_per_axis),
         durability,
-        ..StoreConfig::default()
     }
 }
 
@@ -554,7 +553,6 @@ fn sharded_grid_shards_keep_the_relation_cell_size() {
         compaction_threshold: 1_000_000,
         sharding: ShardConfig::per_axis(3),
         durability: DurabilityConfig::at(tmp.path()),
-        ..StoreConfig::default()
     };
     let pts = clustered_cloud();
     let tenths = vec![(IndexConfig::Grid { cells_per_axis: 10 }, 100); 9];
@@ -703,7 +701,6 @@ fn legacy_shard_block_files_reopen_with_the_same_rows() {
         compaction_threshold: 1_000_000,
         sharding: ShardConfig::per_axis(2),
         durability: DurabilityConfig::at(tmp.path()),
-        ..StoreConfig::default()
     };
     let grids = |n: usize| vec![(IndexConfig::Grid { cells_per_axis: n }, n * n); 4];
     {

@@ -67,23 +67,17 @@ fn optimizer_prefers_block_marking_for_large_outer_and_counting_for_small() {
         Strategy::SelectInner(SelectInnerStrategy::Counting)
     );
 
-    // With a stricter optimizer the same query plans to Block-Marking.
-    let strict = Database::with_optimizer(two_knn::core::plan::Optimizer {
-        counting_outer_limit: 1_000,
-        counting_density_limit: 0.5,
-        ..two_knn::core::plan::Optimizer::default()
-    });
-    // The strict catalog needs its own relations.
-    let mut strict = strict;
-    strict.register(
+    // An outer relation above the Counting limit plans to Block-Marking.
+    let mut large = Database::new();
+    large.register(
         "Restaurants",
         GridIndex::build_with_target_occupancy(
-            berlinmod(&BerlinModConfig::with_points(6_000, 71)),
+            berlinmod(&BerlinModConfig::with_points(60_000, 71)),
             64,
         )
         .unwrap(),
     );
-    strict.register(
+    large.register(
         "Hotels",
         GridIndex::build_with_target_occupancy(
             berlinmod(&BerlinModConfig::with_points(4_000, 72)),
@@ -92,7 +86,7 @@ fn optimizer_prefers_block_marking_for_large_outer_and_counting_for_small() {
         .unwrap(),
     );
     assert_eq!(
-        strict.plan(&spec).unwrap(),
+        large.plan(&spec).unwrap(),
         Strategy::SelectInner(SelectInnerStrategy::BlockMarking)
     );
 }

@@ -10,7 +10,7 @@ use two_knn::core::obs::counter_fields;
 use two_knn::core::plan::{Database, QuerySpec};
 use two_knn::core::selects2::TwoSelectsQuery;
 use two_knn::core::store::{StoreConfig, WriteOp};
-use two_knn::core::{EventKind, HistogramKind, OpTrace, TraceConfig};
+use two_knn::core::{EventKind, HistogramKind, OpTrace};
 use two_knn::{GridIndex, Metrics, Point, QuadtreeIndex, StrRTree};
 
 /// Irregular, tie-free point cloud over roughly [0, 110]².
@@ -281,10 +281,8 @@ fn histogram_bucket_counts_equal_samples_under_concurrent_batches() {
 
 #[test]
 fn tracing_retains_labeled_traces_for_batches_and_adhoc_queries() {
-    let mut db = Database::with_store_config(StoreConfig {
-        trace: TraceConfig::enabled(),
-        ..StoreConfig::default()
-    });
+    let mut db = Database::new();
+    db.set_tracing(true);
     db.register("Objects", GridIndex::build(scattered(300, 3), 8).unwrap());
     assert!(db.tracing_enabled());
     let spec = db.parse_query(PRE_QUERY.replace("10, 10, 80, 80", "5, 5, 90, 90").as_str());
@@ -388,10 +386,8 @@ fn metrics_report_renders_text_and_json_lines() {
 
 #[test]
 fn cq_reevaluations_record_latency_and_traced_runs() {
-    let mut db = Database::with_store_config(StoreConfig {
-        trace: TraceConfig::enabled(),
-        ..StoreConfig::default()
-    });
+    let mut db = Database::new();
+    db.set_tracing(true);
     db.register("Objects", GridIndex::build(scattered(400, 5), 8).unwrap());
     let sub = db
         .subscribe_query("FIND Objects WHERE KNN(4, 50, 50)")

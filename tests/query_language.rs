@@ -273,7 +273,6 @@ fn parsed_queries_survive_durable_reopen() {
         compaction_threshold: usize::MAX,
         sharding: ShardConfig::per_axis(2),
         durability,
-        ..StoreConfig::default()
     };
     let tmp = TempDir::new("reopen");
     let durable_cfg = cfg(DurabilityConfig::at(tmp.path()));
