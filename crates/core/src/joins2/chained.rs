@@ -16,24 +16,24 @@
 //!
 //! Every plan partitions its block loops through
 //! [`crate::exec::run_into_shares`], so each phase of a multi-phase plan
-//! (e.g. QEP2's two joins) runs on the pool the calling thread is bound to.
-//! Neighborhoods are found a block at a time ([`BlockKnn`]): an `A` block's
-//! points off one candidate list of `B` blocks and, in QEP3, the `b`s that
-//! block produces off one candidate list of `C` blocks. QEP3 keeps its
-//! neighborhoods between phases in flat buffers the calling thread sizes in
-//! advance, and decides which `b`s to expand on the calling thread, so it
-//! has one cache whatever the pool size.
+//! (e.g. QEP2's two joins and its `∩_B`) runs on the pool the calling
+//! thread is bound to; the rows of every plan are written one `A` block per
+//! share. Neighborhoods are found a block at a time ([`BlockKnn`]): an `A`
+//! block's points off one candidate list of `B` blocks and, in QEP3, the
+//! `b`s that block produces off one candidate list of `C` blocks. QEP3
+//! keeps its neighborhoods between phases in flat buffers the calling
+//! thread sizes in advance, and decides which `b`s to expand on the calling
+//! thread, so it has one cache whatever the pool size.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::ops::Range;
 
-use twoknn_geometry::{Point, PointId, Rect};
+use twoknn_geometry::{Point, Rect};
 use twoknn_index::{BlockKnn, Metrics, Neighbor, SpatialIndex};
 
+use super::on_b::{id_map, triplets_on_b, ByB, Joined};
 use crate::exec::run_into_shares;
-use crate::join::{block_neighborhoods, knn_join_rows, points_repeated};
-use crate::output::{Pair, QueryOutput, Triplet};
+use crate::output::{QueryOutput, Triplet};
 
 /// Parameters of a query with two chained kNN-joins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,16 +69,15 @@ where
 {
     let mut metrics = Metrics::default();
     // Materialize (B ⋈kNN C), then join A against B and look each b up.
-    let bc_pairs = knn_join_rows(b, c, query.k_bc, &mut metrics);
-    let ab_pairs = knn_join_rows(a, b, query.k_ab, &mut metrics);
-    let rows = join_on_b(&ab_pairs, &bc_pairs);
-    metrics.tuples_emitted = rows.len() as u64;
+    let bc = ByB::members_by_outer(&Joined::knn(b, b.blocks(), c, query.k_bc, &mut metrics));
+    let ab = Joined::knn(a, a.blocks(), b, query.k_ab, &mut metrics);
+    let rows = bc.triplets(&ab, true, &mut metrics);
     QueryOutput::new(rows, metrics)
 }
 
 /// QEP2 of Figure 13: evaluate the two joins independently (each
 /// block-partitioned over the current pool) and intersect on the shared `B`
-/// component.
+/// component, in `(A ⋈kNN B)` order and then `(B ⋈kNN C)` order.
 pub fn chained_join_intersection<A, B, C>(
     a: &A,
     b: &B,
@@ -91,27 +90,10 @@ where
     C: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let ab_pairs = knn_join_rows(a, b, query.k_ab, &mut metrics);
-    let bc_pairs = knn_join_rows(b, c, query.k_bc, &mut metrics);
-    let rows = join_on_b(&ab_pairs, &bc_pairs);
-    metrics.tuples_emitted = rows.len() as u64;
+    let ab = Joined::knn(a, a.blocks(), b, query.k_ab, &mut metrics);
+    let bc = ByB::members_by_outer(&Joined::knn(b, b.blocks(), c, query.k_bc, &mut metrics));
+    let rows = bc.triplets(&ab, true, &mut metrics);
     QueryOutput::new(rows, metrics)
-}
-
-/// The triplets `(a, b, c)` of an `(a, b)` pair and a `(b, c)` pair, in
-/// `ab_pairs` order and then `bc_pairs` order.
-fn join_on_b(ab_pairs: &[Pair], bc_pairs: &[Pair]) -> Vec<Triplet> {
-    let mut bc_by_b: HashMap<PointId, Vec<Point>> = HashMap::new();
-    for p in bc_pairs {
-        bc_by_b.entry(p.left.id).or_default().push(p.right);
-    }
-    let mut rows = Vec::new();
-    for ab in ab_pairs {
-        if let Some(cs) = bc_by_b.get(&ab.right.id) {
-            rows.extend(cs.iter().map(|c| Triplet::new(ab.left, ab.right, *c)));
-        }
-    }
-    rows
 }
 
 /// QEP3 of Figure 13: the nested-join plan **without** caching. The
@@ -169,25 +151,30 @@ where
 {
     let mut metrics = Metrics::default();
     let blocks = a.blocks();
-    // Members per neighborhood: every a has `kb` bs, every b `kc` cs.
-    let kb = query.k_ab.min(b.num_points());
+    // Members per neighborhood: every b has `kc` cs.
     let kc = query.k_bc.min(c.num_points());
 
     // Phase 1, partitioned: every a's neighborhood in B, off one candidate
     // list per A block, into the block's share of one flat buffer.
-    let nbrs_a = block_neighborhoods(a, blocks, b, query.k_ab, &mut metrics);
+    let ab = Joined::knn(a, blocks, b, query.k_ab, &mut metrics);
 
     // Phase 2, on the calling thread, per (a, b) in row order: the bs to
     // expand, grouped by the A block that first produced them, and the
-    // expansion each (a, b) reads. With the cache a b already seen is a hit
-    // and shares the first expansion; without it every (a, b) is expanded.
-    let mut first: HashMap<PointId, usize> = HashMap::new();
-    let mut expand: Vec<Point> = Vec::new();
+    // range of the expansion each (a, b) reads. With the cache a b already
+    // seen is a hit and shares the first expansion; without it every (a, b)
+    // is expanded.
+    let distinct = if use_cache {
+        ab.members.len().min(b.num_points())
+    } else {
+        ab.members.len()
+    };
+    let mut first = id_map(if use_cache { distinct } else { 0 });
+    let mut expand: Vec<Point> = Vec::with_capacity(distinct);
     let mut groups: Vec<Range<usize>> = Vec::with_capacity(blocks.len());
-    let mut expansion_of: Vec<usize> = Vec::with_capacity(nbrs_a.len());
-    let mut rest = nbrs_a.as_slice();
+    let mut expansion_of: Vec<Range<usize>> = Vec::with_capacity(ab.members.len());
+    let mut rest = ab.members.as_slice();
     for block in blocks {
-        let (block_members, tail) = rest.split_at(block.count * kb);
+        let (block_members, tail) = rest.split_at(block.count * ab.len);
         rest = tail;
         let start = expand.len();
         for n in block_members {
@@ -209,7 +196,7 @@ where
             if expansion == fresh {
                 expand.push(n.point);
             }
-            expansion_of.push(expansion);
+            expansion_of.push(expansion * kc..(expansion + 1) * kc);
         }
         groups.push(start..expand.len());
     }
@@ -233,14 +220,8 @@ where
         },
     );
 
-    // Phase 4, on the calling thread: rows in (a, b, c) order.
-    let mut rows = Vec::with_capacity(expansion_of.len() * kc);
-    let a_points = points_repeated(a, blocks, kb);
-    for ((a_point, n), &e) in a_points.zip(&nbrs_a).zip(&expansion_of) {
-        let cs = &nbrs_b[e * kc..(e + 1) * kc];
-        rows.extend(cs.iter().map(|m| Triplet::new(a_point, n.point, m.point)));
-    }
-    metrics.tuples_emitted = rows.len() as u64;
+    // Phase 4, partitioned: rows in (a, b, c) order, one A block per share.
+    let rows = triplets_on_b(&ab, &expansion_of, |j| nbrs_b[j].point, true, &mut metrics);
     QueryOutput::new(rows, metrics)
 }
 

@@ -21,14 +21,24 @@
 //!
 //! Which unchained join goes first (Section 4.1.2) is the optimizer's
 //! choice: [`Optimizer::choose_unchained`](crate::plan::Optimizer::choose_unchained).
+//!
+//! Every plan ends in the same `∩_B` (the private `on_b` module): one side's
+//! points grouped by their `b` in one flat buffer, and the other side's
+//! blocks writing the triplets into their shares of one output buffer on
+//! the current pool. A kNN-join gives each outer point exactly
+//! `min(k, |inner|)` members, so each block's share is counted from the
+//! groups before any row is written. The rows come in role order,
+//! `(a, b, c)`, whichever unchained join runs first.
 
 mod chained;
+mod on_b;
 mod unchained;
 
 pub use chained::{
     chained_join_intersection, chained_nested, chained_nested_cached, chained_right_deep,
     ChainedJoinQuery,
 };
+pub(crate) use unchained::unchained_block_marking_from;
 pub use unchained::{
     unchained_block_marking, unchained_conceptual, unchained_wrong_sequential, UnchainedJoinQuery,
 };

@@ -1,16 +1,21 @@
 //! Unchained kNN-joins: `(A ⋈kNN B) ∩_B (C ⋈kNN B)` (Section 4.1).
 //!
-//! Both plans partition their block loops through
-//! [`crate::exec::run_into_shares`], so every phase runs on the pool the
-//! calling thread is bound to, and the `∩_B` runs on the calling thread.
+//! Every phase of both plans partitions through
+//! [`crate::exec::run_into_shares`], so it runs on the pool the calling
+//! thread is bound to: the two joins (or, in Block-Marking, the first join,
+//! the classification of the second join's outer blocks and the join of the
+//! Contributing ones) and the `∩_B`, whose rows each driving block writes
+//! into its own share ([`ByB`]). What stays on the calling thread is
+//! grouping the first join's outer points by their `b` and, in
+//! Block-Marking, one `locate` per distinct `b` to mark the Candidate
+//! blocks.
 
-use std::collections::{HashMap, HashSet};
+use twoknn_geometry::Point;
+use twoknn_index::{Metrics, Neighbor, SpatialIndex};
 
-use twoknn_geometry::{Point, PointId};
-use twoknn_index::{BlockId, Metrics, SpatialIndex};
-
-use crate::join::{block_neighborhoods, contributing_blocks, knn_join_rows, points_repeated};
-use crate::output::{Pair, QueryOutput, Triplet};
+use super::on_b::{ByB, Joined};
+use crate::join::contributing_blocks;
+use crate::output::{QueryOutput, Triplet};
 
 /// Parameters of a query with two unchained kNN-joins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +35,8 @@ impl UnchainedJoinQuery {
 
 /// The conceptually correct QEP of Figure 10: evaluate `(A ⋈kNN B)` and
 /// `(C ⋈kNN B)` independently and intersect the two pair sets on their `B`
-/// component (`∩_B`), producing `(a, b, c)` triplets. Both joins are
+/// component (`∩_B`), producing `(a, b, c)` triplets in `(C ⋈kNN B)` order
+/// and then `(A ⋈kNN B)` order. Both joins and the `∩_B` are
 /// block-partitioned over the current pool.
 pub fn unchained_conceptual<A, B, C>(
     a: &A,
@@ -44,10 +50,9 @@ where
     C: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
-    let ab_pairs = knn_join_rows(a, b, query.k_ab, &mut metrics);
-    let cb_pairs = knn_join_rows(c, b, query.k_cb, &mut metrics);
-    let rows = intersect_on_b(&ab_pairs, cb_pairs.iter().map(|p| (p.left, p.right)));
-    metrics.tuples_emitted = rows.len() as u64;
+    let ab = Joined::knn(a, a.blocks(), b, query.k_ab, &mut metrics);
+    let cb = Joined::knn(c, c.blocks(), b, query.k_cb, &mut metrics);
+    let rows = ByB::outer_by_member(&ab).triplets(&cb, false, &mut metrics);
     QueryOutput::new(rows, metrics)
 }
 
@@ -70,19 +75,18 @@ where
     C: SpatialIndex + Sync + ?Sized,
 {
     let mut metrics = Metrics::default();
+    // Restrict B to the matched points and join the other outer against
+    // that subset.
     let rows = if ab_first {
-        let ab_pairs = knn_join_rows(a, b, query.k_ab, &mut metrics);
-        // Restrict B to the matched points and join C against that subset.
-        let b_subset: Vec<_> = dedup_right_points(&ab_pairs);
-        let cb_pairs = join_against_points(c, &b_subset, query.k_cb, &mut metrics);
-        intersect_on_b(&ab_pairs, cb_pairs.iter().map(|p| (p.left, p.right)))
+        let ab = ByB::outer_by_member(&Joined::knn(a, a.blocks(), b, query.k_ab, &mut metrics));
+        let cb = join_against_points(c, ab.keys(), query.k_cb, &mut metrics);
+        ab.triplets(&cb, false, &mut metrics)
     } else {
-        let cb_pairs = knn_join_rows(c, b, query.k_cb, &mut metrics);
-        let b_subset: Vec<_> = dedup_right_points(&cb_pairs);
-        let ab_pairs = join_against_points(a, &b_subset, query.k_ab, &mut metrics);
-        intersect_on_b(&ab_pairs, cb_pairs.iter().map(|p| (p.left, p.right)))
+        let cb = Joined::knn(c, c.blocks(), b, query.k_cb, &mut metrics);
+        let b_subset = ByB::outer_by_member(&cb);
+        let ab = join_against_points(a, b_subset.keys(), query.k_ab, &mut metrics);
+        ByB::outer_by_member(&ab).triplets(&cb, false, &mut metrics)
     };
-    metrics.tuples_emitted = rows.len() as u64;
     QueryOutput::new(rows, metrics)
 }
 
@@ -100,10 +104,10 @@ where
 ///
 /// Every phase partitions by block over the current pool: the first join
 /// over `A`'s blocks, then the classification of `C`'s blocks (each depends
-/// only on the shared Candidate set, never on another `C` block), then the
-/// join of the Contributing ones; the `∩_B` runs on the calling thread.
-/// Rows (in order) and merged work counters are the same on every pool
-/// size.
+/// only on the shared Candidate marks, never on another `C` block), then
+/// the join of the Contributing ones, and the `∩_B` over them again. Rows
+/// come in `(c, b)` order and then first-join order, and they and the
+/// merged work counters are the same on every pool size.
 pub fn unchained_block_marking<A, B, C>(
     a: &A,
     b: &B,
@@ -115,131 +119,166 @@ where
     B: SpatialIndex + Sync + ?Sized,
     C: SpatialIndex + Sync + ?Sized,
 {
+    unchained_block_marking_from(a, b, c, query, false)
+}
+
+/// [`unchained_block_marking`] with the join of `first` evaluated first.
+/// With `c_first` the roles turn: `first` is `C`, `second` is `A`, the
+/// first join takes `k_cb` and the second `k_ab`. The rows still come in
+/// role order, `(a, b, c)`: second-join order, then first-join order.
+pub(crate) fn unchained_block_marking_from<F, B, S>(
+    first: &F,
+    b: &B,
+    second: &S,
+    query: &UnchainedJoinQuery,
+    c_first: bool,
+) -> QueryOutput<Triplet>
+where
+    F: SpatialIndex + Sync + ?Sized,
+    B: SpatialIndex + Sync + ?Sized,
+    S: SpatialIndex + Sync + ?Sized,
+{
+    let (k_first, k_second) = if c_first {
+        (query.k_cb, query.k_ab)
+    } else {
+        (query.k_ab, query.k_cb)
+    };
     let mut metrics = Metrics::default();
 
-    // Lines 1–3: the first join and the projection of its B points.
-    let ab_pairs = knn_join_rows(a, b, query.k_ab, &mut metrics);
+    // Lines 1–3: the first join, its outer points grouped by matched b.
+    let by_b = ByB::outer_by_member(&Joined::knn(
+        first,
+        first.blocks(),
+        b,
+        k_first,
+        &mut metrics,
+    ));
 
-    // Lines 4–8: mark Candidate blocks of B (blocks containing matched b's).
-    let mut candidate_blocks: HashSet<BlockId> = HashSet::new();
-    for pair in &ab_pairs {
-        if let Some(block_id) = b.locate(&pair.right) {
-            candidate_blocks.insert(block_id);
+    // Lines 4–8: mark Candidate blocks of B (blocks containing matched b's),
+    // one locate per distinct b.
+    let mut candidate = vec![false; b.num_blocks()];
+    for b_point in by_b.keys() {
+        if let Some(block_id) = b.locate(b_point) {
+            candidate[block_id as usize] = true;
         }
     }
     let candidate_metas: Vec<_> = b
         .blocks()
         .iter()
-        .filter(|blk| candidate_blocks.contains(&blk.id))
+        .filter(|blk| candidate[blk.id as usize])
         .copied()
         .collect();
 
-    // Lines 9–24: classify the blocks of C, partitioned across workers. The
-    // "process only the Safe blocks" shortcut: a C block whose own region
-    // holds a matched b point is Contributing outright; any other is tested
-    // against the search threshold of its center's neighborhood over B.
+    // Lines 9–24: classify the blocks of the second join's outer relation,
+    // partitioned across workers. The "process only the Safe blocks"
+    // shortcut: a block whose own region holds a matched b point is
+    // Contributing outright; any other is tested against the search
+    // threshold of its center's neighborhood over B.
     let contributing = contributing_blocks(
-        c.blocks(),
+        second.blocks(),
         b,
-        query.k_cb,
-        |c_block| {
+        k_second,
+        |block| {
             candidate_metas
                 .iter()
-                .any(|bb| bb.mbr.intersects(&c_block.mbr))
+                .any(|bb| bb.mbr.intersects(&block.mbr))
         },
-        |c_block, nbr_center| {
-            let search_threshold = nbr_center.radius() + c_block.diagonal();
-            let center = c_block.center();
+        |block, nbr_center| {
+            let center = block.center();
+            let reach = search_threshold(nbr_center.radius(), block.diagonal(), &center);
             candidate_metas
                 .iter()
-                .any(|bb| bb.mindist(&center) <= search_threshold)
+                .any(|bb| bb.mindist(&center) <= reach)
         },
         &mut metrics,
     );
 
     // Lines 25–34: join the points of the Contributing blocks, off one
     // candidate list of B blocks per block, and intersect on B.
-    let members = block_neighborhoods(c, &contributing, b, query.k_cb, &mut metrics);
-    let c_points = points_repeated(c, &contributing, query.k_cb.min(b.num_points()));
-    let rows = intersect_on_b(&ab_pairs, c_points.zip(members.iter().map(|n| n.point)));
-    metrics.tuples_emitted = rows.len() as u64;
+    let second_join = Joined::knn(second, &contributing, b, k_second, &mut metrics);
+    let rows = by_b.triplets(&second_join, c_first, &mut metrics);
     QueryOutput::new(rows, metrics)
 }
 
-/// `∩_B`: matches AB pairs and `(c, b)` pairs sharing the same `B` point
-/// and emits `(a, b, c)` triplets, in `(c, b)` order and then AB order.
-fn intersect_on_b(
-    ab_pairs: &[Pair],
-    cb_pairs: impl IntoIterator<Item = (Point, Point)>,
-) -> Vec<Triplet> {
-    let ab_by_b = group_pairs_by_right(ab_pairs);
-    let mut rows = Vec::new();
-    for (c_point, b_point) in cb_pairs {
-        if let Some(a_points) = ab_by_b.get(&b_point.id) {
-            rows.extend(a_points.iter().map(|a| Triplet::new(*a, b_point, c_point)));
-        }
-    }
-    rows
-}
-
-fn group_pairs_by_right(pairs: &[Pair]) -> HashMap<PointId, Vec<Point>> {
-    let mut map: HashMap<PointId, Vec<Point>> = HashMap::new();
-    for p in pairs {
-        map.entry(p.right.id).or_default().push(p.left);
-    }
-    map
-}
-
-fn dedup_right_points(pairs: &[Pair]) -> Vec<Point> {
-    let mut seen = HashSet::new();
-    let mut out = Vec::new();
-    for p in pairs {
-        if seen.insert(p.right.id) {
-            out.push(p.right);
-        }
-    }
-    out
+/// How far from a block's `center` a matched `b` can lie and still be among
+/// the neighbors of one of the block's points, given the `radius` of the
+/// center's neighborhood and the block's `diagonal` (Procedure 4's search
+/// threshold), widened by the floating-point error of the test.
+///
+/// In exact arithmetic a point `c` of the block lies within half a diagonal
+/// of the center, so its `k`-th neighbor distance is at most `radius + d/2`
+/// (the center's `k` neighbors are candidates for `c` too), and each of
+/// its neighbors lies within `radius + d` of the center. That bound is
+/// tight: a corner point, the center's neighbor straight behind the center
+/// and a `b` tying with it straight beyond the corner reach it exactly, and
+/// lattice data makes such ties routine. So `radius + d` has no slack to
+/// absorb rounding, and the test must not prune inside the error of its
+/// operands:
+/// * every distance (`radius`, `d`, the MINDIST) is a square root of a sum
+///   of squares of correctly rounded coordinate differences, within
+///   `3u` of its exact value, relative, where `u = ε/2`; the sum
+///   `radius + d` adds `u`; together less than `4ε` of the threshold;
+/// * the computed center is off the exact one by a rounding of
+///   `(min + max) / 2` per axis, at most `ε (|x| + |y|) / 2` in all, and
+///   that offset counts twice (once for `c`, once for its neighbor).
+///
+/// Hence the margin `4ε (threshold + |x| + |y|)`. It never prunes less
+/// than a few ulps, and points in a block lie inside its rectangle (the
+/// grid recipe widens a block to its points), so a block the widened test
+/// prunes holds no point with a Candidate neighbor.
+fn search_threshold(radius: f64, diagonal: f64, center: &Point) -> f64 {
+    let threshold = radius + diagonal;
+    threshold + 4.0 * f64::EPSILON * (threshold + center.x.abs() + center.y.abs())
 }
 
 /// Joins each point of `outer` against an explicit list of candidate points
 /// (used only by the deliberately wrong sequential plan).
-fn join_against_points<O>(
-    outer: &O,
+fn join_against_points<'a, O>(
+    outer: &'a O,
     candidates: &[Point],
     k: usize,
     metrics: &mut Metrics,
-) -> Vec<Pair>
+) -> Joined<'a, O>
 where
     O: SpatialIndex + ?Sized,
 {
-    let mut pairs = Vec::new();
+    let mut members = Vec::new();
     for block in outer.blocks() {
         for e in outer.block_points(block.id) {
-            let mut ranked: Vec<(f64, Point)> = candidates
+            let mut ranked: Vec<Neighbor> = candidates
                 .iter()
                 .map(|q| {
                     metrics.distance_computations += 1;
-                    (e.distance(q), *q)
+                    Neighbor {
+                        point: *q,
+                        distance: e.distance(q),
+                    }
                 })
                 .collect();
             ranked.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
+                a.distance
+                    .partial_cmp(&b.distance)
                     .expect("finite distances")
-                    .then(a.1.id.cmp(&b.1.id))
+                    .then(a.point.id.cmp(&b.point.id))
             });
-            for (_, q) in ranked.into_iter().take(k) {
-                pairs.push(Pair::new(e, q));
-            }
+            members.extend(ranked.into_iter().take(k));
         }
     }
-    pairs
+    Joined {
+        outer,
+        blocks: outer.blocks(),
+        len: k.min(candidates.len()),
+        members,
+        inner_points: candidates.len(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::output::triplet_id_set;
-    use twoknn_index::{GridIndex, PackedIndex};
+    use twoknn_geometry::Rect;
+    use twoknn_index::{brute_force_knn, GridIndex, PackedIndex, StrRTree};
 
     fn scattered(n: usize, seed: u64, scale: f64) -> Vec<Point> {
         (0..n)
@@ -274,6 +313,60 @@ mod tests {
                 "k_ab={k_ab} k_cb={k_cb}"
             );
         }
+    }
+
+    /// The mark on off-origin lattice data, where distances tie exactly.
+    /// `C` is one block of coincident points: an STR leaf hugs its points,
+    /// so the block's diagonal is 0 and its search threshold is its
+    /// center's k-th distance alone. Every `B` block is one lattice point,
+    /// so the Candidate block of that k-th neighbor lies at exactly the
+    /// threshold, and nothing settles the `C` block before the test. Both
+    /// orientations return the conceptual QEP's rows.
+    #[test]
+    fn block_marking_keeps_exact_ties_on_off_origin_lattices() {
+        let bounds = Rect::new(-3.0, 2.0, 97.0, 62.0);
+        let lattice = |offset: f64| -> Vec<Point> {
+            let (columns, rows) = (26, 16);
+            (0..columns * rows)
+                .map(|i| {
+                    let x = bounds.min_x + offset + (i % columns) as f64 * 4.0;
+                    let y = bounds.min_y + offset + (i / columns) as f64 * 4.0;
+                    Point::new(i, x, y)
+                })
+                .collect()
+        };
+        let b = StrRTree::build(lattice(0.0), 1).unwrap();
+        let a = GridIndex::build_with_bounds(lattice(2.0), bounds, 7).unwrap();
+        let mut ties = 0;
+        for site in 0..24u64 {
+            // Every other site on a B lattice point, the rest midway
+            // between four.
+            let half = 2.0 * (site % 2) as f64;
+            let x = bounds.min_x + (site * 4) as f64 + half;
+            let y = bounds.min_y + (site % 7 * 8) as f64 + half;
+            let c = StrRTree::build((0..=site % 3).map(|id| Point::new(id, x, y)).collect(), 4)
+                .unwrap();
+            let block = c.blocks().iter().find(|blk| blk.count > 0).unwrap();
+            assert_eq!(block.diagonal(), 0.0, "coincident points");
+            for k_cb in 1..=3 {
+                let radius = brute_force_knn(&b, &block.center(), k_cb).radius();
+                ties += b
+                    .blocks()
+                    .iter()
+                    .filter(|bb| bb.count > 0 && bb.mindist(&block.center()) == radius)
+                    .count();
+            }
+            for (k_ab, k_cb) in (1..=3).flat_map(|k| (1..=3).map(move |j| (k, j))) {
+                let q = UnchainedJoinQuery::new(k_ab, k_cb);
+                let want = triplet_id_set(&unchained_conceptual(&a, &b, &c, &q).rows);
+                let a_first = unchained_block_marking(&a, &b, &c, &q);
+                let c_first = unchained_block_marking_from(&c, &b, &a, &q, true);
+                let ctx = format!("site ({x}, {y}), k_ab={k_ab} k_cb={k_cb}");
+                assert_eq!(triplet_id_set(&a_first.rows), want, "A first, {ctx}");
+                assert_eq!(triplet_id_set(&c_first.rows), want, "C first, {ctx}");
+            }
+        }
+        assert!(ties > 0, "no B block at exactly a threshold");
     }
 
     #[test]

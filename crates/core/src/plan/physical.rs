@@ -56,7 +56,8 @@ use crate::error::QueryError;
 use crate::exec::ExecutionMode;
 use crate::joins2::{
     chained_join_intersection, chained_nested, chained_nested_cached, chained_right_deep,
-    unchained_block_marking, unchained_conceptual, ChainedJoinQuery, UnchainedJoinQuery,
+    unchained_block_marking, unchained_block_marking_from, unchained_conceptual, ChainedJoinQuery,
+    UnchainedJoinQuery,
 };
 use crate::obs::OpTrace;
 use crate::output::{Pair, QueryOutput, Triplet};
@@ -323,17 +324,8 @@ impl PhysicalPlan {
                     unchained_block_marking(role(0), role(1), role(2), q)
                 }
                 UnchainedStrategy::BlockMarkingStartWithC => {
-                    // Start with (C ⋈ B): swap the roles of A and C, then swap
-                    // the components back in the emitted triplets.
-                    let swapped = UnchainedJoinQuery::new(q.k_cb, q.k_ab);
-                    let out = unchained_block_marking(role(2), role(1), role(0), &swapped);
-                    QueryOutput::new(
-                        out.rows
-                            .into_iter()
-                            .map(|t| Triplet::new(t.c, t.b, t.a))
-                            .collect(),
-                        out.metrics,
-                    )
+                    // Start with (C ⋈ B); the rows come in role order.
+                    unchained_block_marking_from(role(2), role(1), role(0), q, true)
                 }
             }),
             (Shape::Chained(q), Strategy::Chained(s)) => {

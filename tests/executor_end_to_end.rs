@@ -6,8 +6,8 @@ use two_knn::core::joins2::ChainedJoinQuery;
 use two_knn::core::joins2::UnchainedJoinQuery;
 use two_knn::core::output::pair_id_set;
 use two_knn::core::plan::{
-    ChainedStrategy, Database, QueryResult, QuerySpec, SelectInnerStrategy, Strategy,
-    TwoSelectsStrategy, UnchainedStrategy,
+    ChainedStrategy, Database, QueryResult, QuerySpec, RelationProfile, SelectInnerStrategy,
+    Strategy, TwoSelectsStrategy, UnchainedStrategy,
 };
 use two_knn::core::select_join::SelectInnerJoinQuery;
 use two_knn::core::selects2::TwoSelectsQuery;
@@ -56,7 +56,8 @@ fn center() -> Point {
 #[test]
 fn optimizer_prefers_block_marking_for_large_outer_and_counting_for_small() {
     let db = build_db();
-    // "Restaurants" is only 6k points, below the default Counting limit.
+    // "Restaurants" has 6k points, ~64 to an occupied block: dense enough
+    // for Block-Marking to exclude whole blocks, whatever its size.
     let spec = QuerySpec::SelectInnerOfJoin {
         outer: "Restaurants".into(),
         inner: "Hotels".into(),
@@ -64,20 +65,17 @@ fn optimizer_prefers_block_marking_for_large_outer_and_counting_for_small() {
     };
     assert_eq!(
         db.plan(&spec).unwrap(),
-        Strategy::SelectInner(SelectInnerStrategy::Counting)
+        Strategy::SelectInner(SelectInnerStrategy::BlockMarking)
     );
 
-    // An outer relation above the Counting limit plans to Block-Marking.
-    let mut large = Database::new();
-    large.register(
-        "Restaurants",
-        GridIndex::build_with_target_occupancy(
-            berlinmod(&BerlinModConfig::with_points(60_000, 71)),
-            64,
-        )
-        .unwrap(),
-    );
-    large.register(
+    // A sparse outer, under 8 points to an occupied block, plans to
+    // Counting: per-block work has little to exclude there.
+    let sparse =
+        GridIndex::build(berlinmod(&BerlinModConfig::with_points(6_000, 71)), 120).unwrap();
+    assert!(RelationProfile::compute(&sparse).avg_points_per_occupied_block < 8.0);
+    let mut small = Database::new();
+    small.register("Restaurants", sparse);
+    small.register(
         "Hotels",
         GridIndex::build_with_target_occupancy(
             berlinmod(&BerlinModConfig::with_points(4_000, 72)),
@@ -86,8 +84,8 @@ fn optimizer_prefers_block_marking_for_large_outer_and_counting_for_small() {
         .unwrap(),
     );
     assert_eq!(
-        large.plan(&spec).unwrap(),
-        Strategy::SelectInner(SelectInnerStrategy::BlockMarking)
+        small.plan(&spec).unwrap(),
+        Strategy::SelectInner(SelectInnerStrategy::Counting)
     );
 }
 

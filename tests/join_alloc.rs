@@ -1,4 +1,5 @@
-//! Allocation accounting for a pooled kNN-join.
+//! Allocation accounting for pooled kNN-joins and the two-join plans built
+//! on them.
 //!
 //! A join keeps nothing per outer point: every neighborhood has exactly
 //! `min(k, |inner|)` members, so each outer block writes its points'
@@ -8,7 +9,13 @@
 //! blocks) — not O(outer points) — on pools of one and two, and no
 //! allocation of the worker outlives its block. That is what keeps a worker
 //! thread's malloc arena, and with it the process's peak RSS, from growing
-//! with the relations it joins. This pins it with a counting
+//! with the relations it joins.
+//!
+//! The two-join plans keep the same budget. Unchained Block-Marking groups
+//! the first join's outer points by matched `b` in one flat layout and
+//! writes its triplets into shares counted from those groups, and the
+//! chained nested join writes its rows one `A` block per share, so neither
+//! allocates per distinct matched `b`. This pins it all with a counting
 //! `#[global_allocator]` wrapper (an integration test is its own crate, so
 //! the two `unsafe` trampolines below — plain delegation to `System` — are
 //! fine despite the library forbidding `unsafe`).
@@ -20,7 +27,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use two_knn::core::join::knn_join;
-use two_knn::{GridIndex, PackedIndex, Point, SpatialIndex, WorkerPool};
+use two_knn::core::joins2::{
+    chained_nested_cached, unchained_block_marking, ChainedJoinQuery, UnchainedJoinQuery,
+};
+use two_knn::{GridIndex, PackedIndex, Point, QueryOutput, SpatialIndex, WorkerPool};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -60,12 +70,31 @@ fn relation(n: u64, seed: u64) -> PackedIndex {
     GridIndex::build_with_target_occupancy(pts, 64).unwrap()
 }
 
+fn occupied_blocks(index: &PackedIndex) -> usize {
+    index.blocks().iter().filter(|b| b.count > 0).count()
+}
+
+/// Runs `op` twice on `pool` and returns the second, warm run's result and
+/// the allocations it made.
+fn warm<T: PartialEq + std::fmt::Debug>(
+    pool: &WorkerPool,
+    op: impl Fn() -> QueryOutput<T>,
+) -> (QueryOutput<T>, u64) {
+    let first = pool.bind(&op);
+    let before = allocations();
+    let again = pool.bind(&op);
+    let allocs = allocations() - before;
+    assert_eq!(again.rows, first.rows);
+    (again, allocs)
+}
+
+/// The single test: the kNN-join, then the two-join plans.
 #[test]
 fn a_warm_join_allocates_per_outer_block_not_per_outer_point() {
     let outer = relation(6_000, 1);
     let inner = relation(8_000, 2);
     let k = 4;
-    let blocks = outer.blocks().iter().filter(|b| b.count > 0).count();
+    let blocks = occupied_blocks(&outer);
     let points = outer.num_points();
     assert!(
         points >= 32 * blocks,
@@ -73,17 +102,56 @@ fn a_warm_join_allocates_per_outer_block_not_per_outer_point() {
     );
     for parallelism in [1, 2] {
         let pool = WorkerPool::new(parallelism);
-        let join = || pool.bind(|| knn_join(&outer, &inner, k));
-        let warm = join();
-        let before = allocations();
-        let again = join();
-        let allocs = allocations() - before;
+        let (again, allocs) = warm(&pool, || knn_join(&outer, &inner, k));
         let ctx = format!("pool of {parallelism}");
-        assert_eq!(again.rows, warm.rows, "{ctx}");
         assert_eq!(again.len(), points * k, "{ctx}: one pair per neighbor");
         assert!(
             allocs <= blocks as u64,
             "{ctx}: {allocs} allocations for {blocks} outer blocks of {points} points"
+        );
+    }
+    warm_two_join_plans_allocate_per_outer_block_not_per_matched_b();
+}
+
+/// Unchained Block-Marking in both orientations and the cached nested
+/// chained join, warm, on pools of one and two: at most one allocation per
+/// occupied block of the outer relations, where a plan that kept a list per
+/// matched `b` makes one per distinct `b` — thousands here.
+fn warm_two_join_plans_allocate_per_outer_block_not_per_matched_b() {
+    let a = relation(6_000, 3);
+    let b = relation(8_000, 4);
+    let c = relation(6_000, 5);
+    let outer_blocks = occupied_blocks(&a) + occupied_blocks(&c);
+    let unchained = UnchainedJoinQuery::new(2, 2);
+    let chained = ChainedJoinQuery::new(2, 2);
+    for parallelism in [1, 2] {
+        let pool = WorkerPool::new(parallelism);
+        for (orientation, first, second) in [("A first", &a, &c), ("C first", &c, &a)] {
+            let (out, allocs) = warm(&pool, || {
+                unchained_block_marking(first, &b, second, &unchained)
+            });
+            let ctx = format!("unchained, {orientation}, pool of {parallelism}");
+            assert!(
+                out.len() > outer_blocks,
+                "{ctx}: sanity, {} rows",
+                out.len()
+            );
+            assert!(
+                allocs <= outer_blocks as u64,
+                "{ctx}: {allocs} allocations for {outer_blocks} outer blocks"
+            );
+        }
+        let (out, allocs) = warm(&pool, || chained_nested_cached(&a, &b, &c, &chained));
+        let ctx = format!("chained nested-cached, pool of {parallelism}");
+        let misses = out.metrics.cache_misses;
+        assert!(
+            misses > 2 * occupied_blocks(&a) as u64,
+            "{ctx}: {misses} distinct b"
+        );
+        assert!(
+            allocs <= occupied_blocks(&a) as u64,
+            "{ctx}: {allocs} allocations for {} outer blocks",
+            occupied_blocks(&a)
         );
     }
 }
