@@ -222,10 +222,10 @@ where
 ///   `(min + max) / 2` per axis, at most `ε (|x| + |y|) / 2` in all, and
 ///   that offset counts twice (once for `c`, once for its neighbor).
 ///
-/// Hence the margin `4ε (threshold + |x| + |y|)`. It never prunes less
-/// than a few ulps, and points in a block lie inside its rectangle (the
-/// grid recipe widens a block to its points), so a block the widened test
-/// prunes holds no point with a Candidate neighbor.
+/// Hence the margin `4ε (threshold + |x| + |y|)`, a few ulps of the
+/// operands. Points in a block lie inside its rectangle (the grid recipe
+/// widens a block to its points), so a block that fails the widened test
+/// holds no point with a Candidate neighbor.
 fn search_threshold(radius: f64, diagonal: f64, center: &Point) -> f64 {
     let threshold = radius + diagonal;
     threshold + 4.0 * f64::EPSILON * (threshold + center.x.abs() + center.y.abs())
