@@ -79,8 +79,6 @@ pub(super) struct Joined<'a, O: ?Sized> {
     pub blocks: &'a [BlockMeta],
     pub len: usize,
     pub members: Vec<Neighbor>,
-    /// Size of the inner relation, which bounds the distinct members.
-    pub inner_points: usize,
 }
 
 impl<'a, O: SpatialIndex + Sync + ?Sized> Joined<'a, O> {
@@ -101,7 +99,6 @@ impl<'a, O: SpatialIndex + Sync + ?Sized> Joined<'a, O> {
             blocks,
             len: k.min(inner.num_points()),
             members: block_neighborhoods(outer, blocks, inner, k, metrics),
-            inner_points: inner.num_points(),
         }
     }
 }
@@ -120,8 +117,12 @@ pub(super) struct ByB {
 
 impl ByB {
     /// A join's outer points grouped by the member they matched: the
-    /// unchained plans' joins, whose inner relation is `B`.
-    pub fn outer_by_member<O: SpatialIndex + Sync + ?Sized>(joined: &Joined<'_, O>) -> Self {
+    /// unchained plans' joins, whose inner relation is `B`, of
+    /// `inner_points` points.
+    pub fn outer_by_member<O: SpatialIndex + Sync + ?Sized>(
+        joined: &Joined<'_, O>,
+        inner_points: usize,
+    ) -> Self {
         let outer = joined
             .blocks
             .iter()
@@ -129,13 +130,7 @@ impl ByB {
             .collect();
         let pairs = joined.members.len();
         let members = joined.members.iter().map(|n| n.point);
-        Self::build(
-            members,
-            pairs,
-            pairs.min(joined.inner_points),
-            outer,
-            joined.len,
-        )
+        Self::build(members, pairs, pairs.min(inner_points), outer, joined.len)
     }
 
     /// A join's members grouped by their outer point: `B ⋈kNN C`.

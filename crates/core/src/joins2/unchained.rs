@@ -13,7 +13,7 @@
 use twoknn_geometry::Point;
 use twoknn_index::{Metrics, Neighbor, SpatialIndex};
 
-use super::on_b::{ByB, Joined};
+use super::on_b::{id_map, ByB, Joined};
 use crate::join::contributing_blocks;
 use crate::output::{QueryOutput, Triplet};
 
@@ -52,7 +52,7 @@ where
     let mut metrics = Metrics::default();
     let ab = Joined::knn(a, a.blocks(), b, query.k_ab, &mut metrics);
     let cb = Joined::knn(c, c.blocks(), b, query.k_cb, &mut metrics);
-    let rows = ByB::outer_by_member(&ab).triplets(&cb, false, &mut metrics);
+    let rows = ByB::outer_by_member(&ab, b.num_points()).triplets(&cb, false, &mut metrics);
     QueryOutput::new(rows, metrics)
 }
 
@@ -78,14 +78,23 @@ where
     // Restrict B to the matched points and join the other outer against
     // that subset.
     let rows = if ab_first {
-        let ab = ByB::outer_by_member(&Joined::knn(a, a.blocks(), b, query.k_ab, &mut metrics));
+        let ab = ByB::outer_by_member(
+            &Joined::knn(a, a.blocks(), b, query.k_ab, &mut metrics),
+            b.num_points(),
+        );
         let cb = join_against_points(c, ab.keys(), query.k_cb, &mut metrics);
         ab.triplets(&cb, false, &mut metrics)
     } else {
         let cb = Joined::knn(c, c.blocks(), b, query.k_cb, &mut metrics);
-        let b_subset = ByB::outer_by_member(&cb);
-        let ab = join_against_points(a, b_subset.keys(), query.k_ab, &mut metrics);
-        ByB::outer_by_member(&ab).triplets(&cb, false, &mut metrics)
+        let mut seen = id_map(cb.members.len().min(b.num_points()));
+        let b_subset: Vec<Point> = cb
+            .members
+            .iter()
+            .map(|n| n.point)
+            .filter(|p| seen.insert(p.id, ()).is_none())
+            .collect();
+        let ab = join_against_points(a, &b_subset, query.k_ab, &mut metrics);
+        ByB::outer_by_member(&ab, b_subset.len()).triplets(&cb, false, &mut metrics)
     };
     QueryOutput::new(rows, metrics)
 }
@@ -146,13 +155,10 @@ where
     let mut metrics = Metrics::default();
 
     // Lines 1–3: the first join, its outer points grouped by matched b.
-    let by_b = ByB::outer_by_member(&Joined::knn(
-        first,
-        first.blocks(),
-        b,
-        k_first,
-        &mut metrics,
-    ));
+    let by_b = ByB::outer_by_member(
+        &Joined::knn(first, first.blocks(), b, k_first, &mut metrics),
+        b.num_points(),
+    );
 
     // Lines 4–8: mark Candidate blocks of B (blocks containing matched b's),
     // one locate per distinct b.
@@ -269,7 +275,6 @@ where
         blocks: outer.blocks(),
         len: k.min(candidates.len()),
         members,
-        inner_points: candidates.len(),
     }
 }
 
@@ -367,6 +372,41 @@ mod tests {
             }
         }
         assert!(ties > 0, "no B block at exactly a threshold");
+    }
+
+    /// The tight case of the search threshold, where rounding alone decides.
+    /// The classified block holds two points a diagonal apart, `(46, 31)` and
+    /// `(48, 33)`; its center's nearest `b` lies `6√2` straight behind the
+    /// center, and the Candidate `b` (matched by the one point of the other
+    /// outer relation) `8√2` straight ahead: exactly `radius + diagonal`, and
+    /// the corner `(48, 33)` ties between the two at `7√2`, taking the
+    /// Candidate on its lower id. Computed, the MINDIST `√128` rounds one ulp
+    /// above `√72 + √8`, so an unwidened `mindist <= radius + diagonal`
+    /// prunes the block and loses its row. Both orientations, against the
+    /// conceptual QEP.
+    #[test]
+    fn block_marking_keeps_a_block_whose_bound_rounds_below_its_candidate() {
+        let (radius, diagonal, reach) = (72f64.sqrt(), 8f64.sqrt(), 128f64.sqrt());
+        assert!(reach > radius + diagonal, "the rounding this test needs");
+        let b = StrRTree::build(
+            vec![Point::new(0, 55.0, 40.0), Point::new(1, 41.0, 26.0)],
+            1,
+        )
+        .unwrap();
+        let block = StrRTree::build(
+            vec![Point::new(0, 46.0, 31.0), Point::new(1, 48.0, 33.0)],
+            2,
+        )
+        .unwrap();
+        let single = StrRTree::build(vec![Point::new(0, 55.0, 40.5)], 1).unwrap();
+        let q = UnchainedJoinQuery::new(1, 1);
+        let want = triplet_id_set(&unchained_conceptual(&single, &b, &block, &q).rows);
+        assert_eq!(want.len(), 1, "the corner's row");
+        let a_first = unchained_block_marking(&single, &b, &block, &q);
+        assert_eq!(triplet_id_set(&a_first.rows), want, "A first");
+        let want = triplet_id_set(&unchained_conceptual(&block, &b, &single, &q).rows);
+        let c_first = unchained_block_marking_from(&single, &b, &block, &q, true);
+        assert_eq!(triplet_id_set(&c_first.rows), want, "C first");
     }
 
     #[test]

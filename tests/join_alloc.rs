@@ -27,9 +27,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use two_knn::core::join::knn_join;
-use two_knn::core::joins2::{
-    chained_nested_cached, unchained_block_marking, ChainedJoinQuery, UnchainedJoinQuery,
+use two_knn::core::joins2::{ChainedJoinQuery, UnchainedJoinQuery};
+use two_knn::core::plan::{
+    compile, ChainedStrategy, Database, QueryResult, QuerySpec, Strategy, UnchainedStrategy,
 };
+use two_knn::core::ExecutionMode;
 use two_knn::{GridIndex, PackedIndex, Point, QueryOutput, SpatialIndex, WorkerPool};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -114,44 +116,58 @@ fn a_warm_join_allocates_per_outer_block_not_per_outer_point() {
 }
 
 /// Unchained Block-Marking in both orientations and the cached nested
-/// chained join, warm, on pools of one and two: at most one allocation per
-/// occupied block of the outer relations, where a plan that kept a list per
-/// matched `b` makes one per distinct `b` — thousands here.
+/// chained join, compiled as the planner compiles them and executed warm on
+/// pools of one and two: at most one allocation per occupied block of the
+/// outer relations, where a plan that kept a list per matched `b` makes one
+/// per distinct `b` — thousands here.
 fn warm_two_join_plans_allocate_per_outer_block_not_per_matched_b() {
-    let a = relation(6_000, 3);
-    let b = relation(8_000, 4);
-    let c = relation(6_000, 5);
-    let outer_blocks = occupied_blocks(&a) + occupied_blocks(&c);
-    let unchained = UnchainedJoinQuery::new(2, 2);
-    let chained = ChainedJoinQuery::new(2, 2);
+    let (a, b, c) = (relation(6_000, 3), relation(8_000, 4), relation(6_000, 5));
+    let a_blocks = occupied_blocks(&a);
+    let outer_blocks = a_blocks + occupied_blocks(&c);
+    let mut db = Database::new();
+    for (name, relation) in [("A", a), ("B", b), ("C", c)] {
+        db.register(name, relation);
+    }
+    let unchained = QuerySpec::UnchainedJoins {
+        a: "A".into(),
+        b: "B".into(),
+        c: "C".into(),
+        query: UnchainedJoinQuery::new(2, 2),
+    };
+    let chained = QuerySpec::ChainedJoins {
+        a: "A".into(),
+        b: "B".into(),
+        c: "C".into(),
+        query: ChainedJoinQuery::new(2, 2),
+    };
+    let cached = Strategy::Chained(ChainedStrategy::NestedJoinCached);
+    let a_first = Strategy::Unchained(UnchainedStrategy::BlockMarkingStartWithA);
+    let c_first = Strategy::Unchained(UnchainedStrategy::BlockMarkingStartWithC);
+    let plans = [
+        (&unchained, a_first, outer_blocks),
+        (&unchained, c_first, outer_blocks),
+        (&chained, cached, a_blocks),
+    ];
     for parallelism in [1, 2] {
         let pool = WorkerPool::new(parallelism);
-        for (orientation, first, second) in [("A first", &a, &c), ("C first", &c, &a)] {
+        for &(spec, strategy, blocks) in &plans {
+            let plan = compile(&db.snapshot(), spec, strategy).unwrap();
             let (out, allocs) = warm(&pool, || {
-                unchained_block_marking(first, &b, second, &unchained)
+                match plan.execute(ExecutionMode::default_mode()) {
+                    QueryResult::Triplets { output, .. } => output,
+                    _ => unreachable!("two-join plans emit triplets"),
+                }
             });
-            let ctx = format!("unchained, {orientation}, pool of {parallelism}");
+            let ctx = format!("{strategy}, pool of {parallelism}");
+            assert!(out.len() > blocks, "{ctx}: sanity, {} rows", out.len());
+            if strategy == cached {
+                let misses = out.metrics.cache_misses;
+                assert!(misses > 2 * blocks as u64, "{ctx}: {misses} distinct b");
+            }
             assert!(
-                out.len() > outer_blocks,
-                "{ctx}: sanity, {} rows",
-                out.len()
-            );
-            assert!(
-                allocs <= outer_blocks as u64,
-                "{ctx}: {allocs} allocations for {outer_blocks} outer blocks"
+                allocs <= blocks as u64,
+                "{ctx}: {allocs} allocations for {blocks} outer blocks"
             );
         }
-        let (out, allocs) = warm(&pool, || chained_nested_cached(&a, &b, &c, &chained));
-        let ctx = format!("chained nested-cached, pool of {parallelism}");
-        let misses = out.metrics.cache_misses;
-        assert!(
-            misses > 2 * occupied_blocks(&a) as u64,
-            "{ctx}: {misses} distinct b"
-        );
-        assert!(
-            allocs <= occupied_blocks(&a) as u64,
-            "{ctx}: {allocs} allocations for {} outer blocks",
-            occupied_blocks(&a)
-        );
     }
 }

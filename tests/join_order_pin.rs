@@ -10,9 +10,9 @@
 //! 1, 2 and 4 threads, which must render the same line, so the pin holds
 //! whatever the machine's core count or `TWOKNN_THREADS` say.
 //!
-//! To re-record after a deliberate change of rows, order or counters, run
-//! the test with `TWOKNN_RECORD_PIN=1`, which writes the rendering over the
-//! fixture, and say in the change which lines moved and why.
+//! To re-record after a deliberate change of rows, order or counters, write
+//! `render_on(1)`'s lines over the fixture (a failing line prints the
+//! rendering it got), and say in the change which lines moved and why.
 
 use two_knn::core::joins2::{ChainedJoinQuery, UnchainedJoinQuery};
 use two_knn::core::plan::{
@@ -155,22 +155,11 @@ fn render_on(parallelism: usize) -> Vec<String> {
 
 #[test]
 fn two_join_rows_order_and_counters_match_the_pin() {
-    let serial = render_on(1);
-    if std::env::var_os("TWOKNN_RECORD_PIN").is_some() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/fixtures/join_order_pin.txt"
-        );
-        std::fs::write(path, serial.join("\n") + "\n").unwrap();
-        return;
-    }
     let pinned: Vec<&str> = FIXTURE.lines().collect();
-    assert_eq!(serial.len(), pinned.len(), "one line per run");
-    for (got, want) in serial.iter().zip(&pinned) {
-        assert_eq!(got, want, "pool of 1");
-    }
-    for parallelism in [2, 4] {
-        for (got, want) in render_on(parallelism).iter().zip(&pinned) {
+    for parallelism in [1, 2, 4] {
+        let rendered = render_on(parallelism);
+        assert_eq!(rendered.len(), pinned.len(), "one line per run");
+        for (got, want) in rendered.iter().zip(&pinned) {
             assert_eq!(got, want, "pool of {parallelism}");
         }
     }
