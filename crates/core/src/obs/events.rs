@@ -26,6 +26,9 @@ pub enum EventKind {
     Recovery,
     /// One published batch triggered many standing-query re-evaluations.
     CqReevalStorm,
+    /// A shard base or a manifest could not be written: recovery replays
+    /// the WAL suffix the failed write would have covered.
+    PersistFailed,
 }
 
 impl EventKind {
@@ -38,6 +41,7 @@ impl EventKind {
             EventKind::SegmentTrim => "segment_trim",
             EventKind::Recovery => "recovery",
             EventKind::CqReevalStorm => "cq_reeval_storm",
+            EventKind::PersistFailed => "persist_failed",
         }
     }
 }

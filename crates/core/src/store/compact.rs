@@ -5,15 +5,16 @@
 //! [`WorkerPool::spawn`] — the same queue (and the same thread budget) that
 //! batch and operator tasks use, so rebuilds never oversubscribe the machine
 //! and `execute_batch` keeps making progress on the caller thread while
-//! workers rebuild. Because each shard has its own writer lock and
-//! compaction slot, a hot shard rebuilding never blocks ingest into (or
-//! rebuilds of) the others, and the gather/build cost is proportional to the
-//! dirty shard, not the whole relation.
+//! workers rebuild. Each shard has its own compaction slot, so rebuilds of
+//! different shards run side by side, and the gather/build cost is
+//! proportional to the dirty shard, not the whole relation. A rebuild takes
+//! the relation's one writer lock only for steps 1 and 4; ingest runs
+//! between them.
 //!
 //! The per-shard rebuild pipeline:
 //!
-//! 1. **Capture** `(shard snapshot, shard log position)` under that shard's
-//!    writer lock (nanoseconds — ingest continues right after);
+//! 1. **Capture** `(shard snapshot, shard log position, WAL head)` under the
+//!    writer lock (a copy — ingest continues right after);
 //! 2. **Gather** the shard's visible points with [`run_into_shares`] on the
 //!    pool, one item per block: the calling thread sizes one buffer of the
 //!    shard's points and each block copies its `count` points into its own
@@ -25,8 +26,9 @@
 //!    [`twoknn_index::IndexConfig`] at the shard layout's cell size), and
 //!    its id → block map;
 //! 4. **Publish**: replay the shard ops ingested since the capture onto the
-//!    new base, swap the shard in, and atomically recompose the relation
-//!    snapshot.
+//!    new base outside the lock (copying the log tail under it), then, under
+//!    it, catch up the few ops logged during that replay and publish a
+//!    relation snapshot with the shard swapped in.
 //!
 //! On a parallelism-1 pool (e.g. `TWOKNN_THREADS=1`) there are no workers,
 //! so [`WorkerPool::spawn`] degrades to running the rebuild inline in the

@@ -26,13 +26,16 @@
 //!   relation sharded `1×1` composes to exactly the unsharded snapshot — the
 //!   twin `sharded_equivalence` compares every sharded layout against;
 //! * [`VersionedRelation`] — a [`ShardMap`](self) routing points to
-//!   independently versioned shards, each with its own writer lock, write
-//!   log, and compaction slot, behind one `Arc`-swapped composed snapshot;
+//!   shards, each with its own write log and compaction slot, behind one
+//!   `Arc`-swapped composed snapshot that is the only place the shard
+//!   snapshots live. One writer lock per relation holds the write logs;
+//!   every batch, compaction capture and publish takes it, so batches into
+//!   one relation run one at a time;
 //! * [`compact`](self) (internal) — **per-shard** background rebuilds
 //!   scheduled on the shared [`WorkerPool`] when a shard's delta outgrows
 //!   [`StoreConfig::compaction_threshold`], with the gather phase sharded
-//!   over block ranges. A hot shard rebuilding never blocks ingest into the
-//!   others;
+//!   over block ranges. Gather and rebuild run outside the writer lock, so
+//!   ingest continues while a shard rebuilds;
 //! * [`RelationStore`] — the named catalog of versioned relations behind
 //!   [`Database`](crate::plan::Database), and [`DbSnapshot`] — a pinned,
 //!   consistent view of the relations a query names (or of every relation,
@@ -53,14 +56,13 @@
 //!    insert/remove/update              execute / execute_batch
 //!          │ route by ShardMap               │
 //!          ▼                                 ▼ pin (Arc clone)
-//!    ┌ shard 0 writer ┐──► shard 0   ┌─────────────────────────────┐
-//!    │ delta + log    │   snapshot ─►│ current: Arc<RelationSnap.> │
-//!    └────────────────┘              │  blocks ++ shard directory  │
-//!    ┌ shard 1 writer ┐──► shard 1 ─►└─────────────────────────────┘
-//!    │ delta + log    │   snapshot      ▲ recompose = atomic swap
-//!    └──────┬─────────┘                 │ publish (replay shard log tail)
-//!           │ shard delta ≥ threshold   │
-//!           ▼                           │
+//!    ┌ writer lock ───┐  publish     ┌─────────────────────────────┐
+//!    │ per shard: log ├─────────────►│ current: Arc<RelationSnap.> │
+//!    │ apply → WAL →  │  compose     │  shard snapshots (deltas),  │
+//!    │ log → publish  │              │  blocks ++ shard directory  │
+//!    └──────┬─────────┘              └─────────────────────────────┘
+//!           │ shard delta ≥ threshold   ▲ publish (catch up the
+//!           ▼                           │ shard log tail, swap)
 //!    WorkerPool::spawn ──► gather shard ──► rebuild shard base
 //! ```
 
@@ -189,10 +191,10 @@ pub struct StoreConfig {
     /// layout this is the relation's delta size, as before.
     pub compaction_threshold: usize,
     /// Spatial sharding of each relation ([`ShardConfig`]): relations are
-    /// split into `shards_per_axis²` independently versioned shards, each
-    /// with its own delta, writer lock, and background compaction. The
-    /// default (`1`) keeps every relation a single shard — the unsharded twin
-    /// `sharded_equivalence` compares every sharded layout against.
+    /// split into `shards_per_axis²` shards, each with its own delta, write
+    /// log and background compaction, under the relation's one writer lock.
+    /// The default (`1`) keeps every relation a single shard — the unsharded
+    /// twin `sharded_equivalence` compares every sharded layout against.
     pub sharding: ShardConfig,
     /// Durability mode ([`DurabilityConfig`]): `Disabled` (the default)
     /// keeps the store fully in-memory; `Enabled` write-ahead-logs every

@@ -408,8 +408,8 @@ impl RelationDurability {
         ))
     }
 
-    /// Appends one batch record to the WAL (called with every touched
-    /// shard's writer lock held — see the ordering argument in
+    /// Appends one batch record to the WAL (called with the relation's
+    /// writer lock held — see the ordering argument in
     /// [`super::version`]). Returns the assigned sequence number.
     pub(crate) fn append_batch(&self, ops: &[WriteOp]) -> std::io::Result<u64> {
         let start = std::time::Instant::now();
@@ -475,15 +475,23 @@ impl RelationDurability {
     }
 
     /// Advances shard `s`'s covered sequence in the in-memory manifest —
-    /// valid only while the caller holds the shard's writer lock and has
-    /// verified the shard is clean (empty delta and writer log, so its
-    /// persisted base equals its visible set). No-op for stale shards.
-    /// Callers follow up with [`RelationDurability::sync_manifest`].
+    /// valid only while the caller holds the relation's writer lock, read
+    /// `seq` under it and has verified the shard is clean (empty delta and
+    /// write log, so its persisted base equals its visible set). No-op for
+    /// stale shards. Callers follow up with
+    /// [`RelationDurability::sync_manifest_and_trim`].
     pub(crate) fn bump_covered(&self, s: usize, seq: u64) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if !state.stale[s] && seq > state.manifest.shards[s].covered_seq {
             state.manifest.shards[s].covered_seq = seq;
         }
+    }
+
+    /// Records a failed persist step — `detail` names the relation, the
+    /// shard or manifest, and the I/O error — as an
+    /// [`EventKind::PersistFailed`] event.
+    pub(crate) fn persist_failed(&self, detail: String) {
+        self.obs.event(EventKind::PersistFailed, detail);
     }
 
     /// Rewrites the manifest from the in-memory state and deletes WAL

@@ -51,13 +51,6 @@
 //! block metas, whose counts only the re-filtered blocks change. Dropping
 //! the previous snapshot releases what it did not share: the chunks, cells
 //! and lists the batch replaced, and one reference per spine entry.
-//!
-//! Because a snapshot is immutable, its optimizer statistics are immutable
-//! too: [`ShardSnapshot::profile`] memoizes the
-//! [`RelationProfile`](crate::plan::RelationProfile) on first use; the
-//! composed relation snapshot merges the per-shard state lazily the same
-//! way, so a batch of queries planned against one snapshot profiles each
-//! relation once, not once per query.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -66,8 +59,6 @@ use twoknn_geometry::{Point, PointId, Rect};
 use twoknn_index::{
     BlockDirectory, BlockId, BlockMeta, BlockPoints, PackedIndex, PointBlock, SpatialIndex,
 };
-
-use crate::plan::stats::RelationProfile;
 
 use super::delta::{Delta, WriteOp};
 
@@ -79,12 +70,12 @@ pub type BaseIndex = Arc<PackedIndex>;
 /// tombstone by id in O(affected block) instead of scanning the index.
 ///
 /// One map per base, shared by every snapshot over that base. A compaction
-/// builds the map of the base it rebuilt before it takes the shard's writer
-/// lock to publish ([`BaseIds::indexed`]), so no ingest pays the O(shard)
-/// scan after a rebuild. The bases a relation starts from — registration
-/// and reopen — build it lazily, on first use (write paths and id lookups):
-/// a read-only workload, say after a restart, never pays the scan or the
-/// map's memory.
+/// builds the map of the base it rebuilt before it takes the relation's
+/// writer lock to publish ([`BaseIds::indexed`]), so no ingest pays the
+/// O(shard) scan after a rebuild. The bases a relation starts from —
+/// registration and reopen — build it lazily, on first use (write paths and
+/// id lookups): a read-only workload, say after a restart, never pays the
+/// scan or the map's memory.
 pub(crate) struct BaseIds {
     base: BaseIndex,
     map: OnceLock<HashMap<PointId, BlockId>>,
@@ -236,9 +227,6 @@ pub struct ShardSnapshot {
     bounds: Rect,
     num_points: usize,
     version: u64,
-    /// Memoized optimizer statistics — computed at most once per published
-    /// version, shared by every query planned against this snapshot.
-    profile: OnceLock<RelationProfile>,
 }
 
 /// The per-op outcome of applying one ingest batch to a snapshot.
@@ -413,7 +401,6 @@ impl ShardSnapshot {
             bounds,
             num_points,
             version,
-            profile: OnceLock::new(),
         };
         debug_assert_eq!(snapshot.check_overlay_invariants(), Ok(()));
         snapshot
@@ -485,15 +472,6 @@ impl ShardSnapshot {
     /// exposes after its base blocks.
     pub fn overlay_block_count(&self) -> usize {
         self.overlay_cells.len()
-    }
-
-    /// The memoized optimizer statistics of this snapshot, computed on
-    /// first use. Snapshots are immutable, so the profile of a published
-    /// version never changes — `execute_batch` plans every query of a batch
-    /// against one profile computation per relation instead of recomputing
-    /// `O(num_blocks)` statistics per query.
-    pub fn profile(&self) -> RelationProfile {
-        *self.profile.get_or_init(|| RelationProfile::compute(self))
     }
 
     /// All currently visible points: filtered base points plus inserts.
@@ -736,19 +714,6 @@ mod tests {
                 meta.mbr
             );
         }
-    }
-
-    #[test]
-    fn profile_is_memoized_per_snapshot() {
-        let snap = snapshot_with(&[WriteOp::Upsert(Point::new(900, 9.0, 9.0))]);
-        let first = snap.profile();
-        assert_eq!(first.num_points, 301);
-        assert_eq!(first, snap.profile(), "repeat calls hit the memo");
-        assert_eq!(
-            first,
-            crate::plan::RelationProfile::compute(&snap),
-            "the memo equals a fresh computation"
-        );
     }
 
     #[test]

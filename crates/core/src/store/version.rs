@@ -1,39 +1,39 @@
-//! One versioned relation: independently versioned spatial shards behind an
-//! atomically swapped composed snapshot.
+//! One versioned relation: spatial shards behind an atomically swapped
+//! composed snapshot, and one writer lock.
 //!
 //! # Concurrency model
 //!
 //! * **Readers** call [`VersionedRelation::load`], which clones the current
 //!   composed snapshot `Arc` under a read lock held only for the clone — a
 //!   few nanoseconds. The query then runs entirely against its pinned
-//!   [`RelationSnapshot`], lock-free.
-//! * **Writers** serialize on one relation-level `ingest_lock` only to
-//!   *route* a batch (each op's target shard depends on what earlier ops
-//!   made visible). The actual work happens under the **per-shard** writer
-//!   mutexes of just the shards the batch touches — a write burst confined
-//!   to one shard contends on that shard alone, and a per-shard compaction
-//!   publish never blocks ingest into other shards.
-//! * **Per-shard compaction** captures `(shard snapshot, log length)` under
-//!   that shard's writer lock, rebuilds the shard's base and builds its
-//!   id → block map *outside* all locks (ingest everywhere continues
-//!   concurrently). It replays the shard ops logged since the capture onto
-//!   the new base, still outside the lock, then re-enters the shard lock
-//!   only to apply the few ops logged during that replay and swap the
-//!   shard in. Each shard has its own in-flight slot, so rebuilds of
-//!   different shards overlap freely on the worker pool.
-//! * **Publishing** — the only place shard state becomes visible — happens
-//!   under the `compose_lock`: the affected shard pointers are swapped and a
-//!   new composed [`RelationSnapshot`] (concatenated blocks + partition
-//!   tier) is built and swapped in as one step, so readers never observe a
-//!   torn batch. Lock order is always `ingest_lock → shard writers
-//!   (ascending) → compose_lock`, which keeps the paths deadlock-free.
+//!   [`RelationSnapshot`], lock-free. The shard snapshots live only there:
+//!   writers read them from the composed snapshot too.
+//! * **Writers** take the relation's one writer lock, which holds the
+//!   per-shard write logs. An ingest batch holds it from routing through
+//!   apply, WAL append and log to its publish, so two batches into one
+//!   relation never overlap. (The store once had a writer lock per shard
+//!   besides, documented as letting a burst into one shard contend on that
+//!   shard alone. That never held: the relation lock that routing took was
+//!   kept for the whole batch.)
+//! * **Per-shard compaction** takes the writer lock three times, each only
+//!   for a copy or a swap: to capture `(shard snapshot, log length, WAL
+//!   head)`, to copy the log tail logged since the capture, and to publish
+//!   (applying the few ops logged after that copy). Gathering, rebuilding
+//!   the shard's base, building its id → block map and replaying the tail
+//!   run outside the lock, so ingest continues meanwhile. Each shard has its
+//!   own in-flight slot, so rebuilds of different shards overlap on the
+//!   worker pool.
+//! * **Publishing** — the only place shard state becomes visible — composes
+//!   a new [`RelationSnapshot`] (concatenated blocks + partition tier) from
+//!   the shard vector the writer just built and swaps it in as one step, so
+//!   readers never observe a torn batch.
 //! * **Durability** (when enabled): the original batch is appended to the
-//!   relation's WAL as one record *between* apply and publish, while every
-//!   touched shard's writer lock is held. A concurrent compaction capture
-//!   of a touched shard therefore reads the WAL head either before the
-//!   append (the batch stays in the uncovered suffix) or after the publish
-//!   (the captured snapshot already contains the batch) — never in between,
-//!   so `covered_seq` can never claim an op the persisted base misses.
+//!   relation's WAL as one record *between* apply and publish, under the
+//!   writer lock. A compaction capture reads the WAL head under the same
+//!   lock, so it sees a batch either not yet appended (the batch stays in
+//!   the uncovered suffix) or already published (the captured snapshot
+//!   contains it) — never in between, so `covered_seq` can never claim an
+//!   op the persisted base misses.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,24 +50,8 @@ use super::shard::{RelationSnapshot, ShardConfig, ShardMap};
 use super::snapshot::{BaseIdMap, BaseIds, BaseIndex, ShardOp, ShardSnapshot};
 use super::StoreConfig;
 
-/// One spatial shard's mutable state: its current snapshot, its writer log
-/// (the ops since the shard's base was built), and its compaction slot.
-struct ShardState {
-    current: RwLock<Arc<ShardSnapshot>>,
-    /// Ops applied to this shard since its last compaction publish.
-    writer: Mutex<Vec<WriteOp>>,
-    /// Guards against more than one in-flight rebuild of this shard.
-    compacting: AtomicBool,
-}
-
-impl ShardState {
-    fn snapshot(&self) -> Arc<ShardSnapshot> {
-        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
-    }
-}
-
 /// Everything one ingest batch produced, captured race-free under the
-/// relation's ingest lock: per-op outcomes plus the snapshots on either side
+/// relation's writer lock: per-op outcomes plus the snapshots on either side
 /// of the publish. The continuous-query maintainer consumes `prev` (to
 /// recover old positions of moved/removed points) and the published version
 /// (the version standing queries re-evaluate against).
@@ -131,14 +115,15 @@ struct Rebuilt {
 /// independently versioned spatial shards.
 pub struct VersionedRelation {
     name: String,
-    /// The composed view readers pin.
+    /// The composed view readers pin, and the only place the shard
+    /// snapshots are kept.
     current: RwLock<Arc<RelationSnapshot>>,
     map: ShardMap,
-    shards: Vec<ShardState>,
-    /// Serializes batch routing (op → shard resolution orders batches).
-    ingest_lock: Mutex<()>,
-    /// Serializes publishes of the composed snapshot.
-    compose_lock: Mutex<()>,
+    /// The writer lock. Per shard, the ops applied since the shard's base
+    /// was built; everything that reads a log or publishes holds it.
+    writer: Mutex<Vec<Vec<WriteOp>>>,
+    /// Per shard: whether a rebuild is in flight.
+    compacting: Vec<AtomicBool>,
     /// The relation recipe: what the relation was registered with and its
     /// manifest records.
     config: IndexConfig,
@@ -232,22 +217,14 @@ impl VersionedRelation {
         compaction_threshold: usize,
         durability: Option<Arc<RelationDurability>>,
     ) -> Self {
-        let shards = shard_snaps
-            .iter()
-            .map(|snap| ShardState {
-                current: RwLock::new(Arc::clone(snap)),
-                writer: Mutex::new(Vec::new()),
-                compacting: AtomicBool::new(false),
-            })
-            .collect();
+        let nshards = shard_snaps.len();
         let composed = RelationSnapshot::compose(map, shard_snaps, 0);
         Self {
             name,
             current: RwLock::new(Arc::new(composed)),
             map,
-            shards,
-            ingest_lock: Mutex::new(()),
-            compose_lock: Mutex::new(()),
+            writer: Mutex::new(vec![Vec::new(); nshards]),
+            compacting: (0..nshards).map(|_| AtomicBool::new(false)).collect(),
             config,
             shard_config: map.shard_recipe(config),
             compaction_threshold,
@@ -266,8 +243,8 @@ impl VersionedRelation {
     /// records, hence `covered_seq` 0.)
     pub(crate) fn persist_initial(&self) -> std::io::Result<()> {
         if let Some(d) = &self.durability {
-            for (s, state) in self.shards.iter().enumerate() {
-                d.persist_shard(s, state.snapshot().base().as_ref(), 0)?;
+            for (s, shard) in self.load().shards().iter().enumerate() {
+                d.persist_shard(s, shard.base().as_ref(), 0)?;
             }
         }
         Ok(())
@@ -294,7 +271,7 @@ impl VersionedRelation {
 
     /// Number of spatial shards (≥ 1).
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.map.num_shards()
     }
 
     /// Pins the current composed snapshot. The returned `Arc` stays valid
@@ -303,13 +280,18 @@ impl VersionedRelation {
         Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Rebuilds and swaps the composed snapshot from the current shard
-    /// snapshots at `current version + 1`, returning the new version.
-    /// Callers must hold the `compose_lock`.
-    fn recompose_locked(&self) -> u64 {
-        let version = self.load().version() + 1;
-        let snaps = self.shards.iter().map(ShardState::snapshot).collect();
-        let composed = RelationSnapshot::compose(self.map, snaps, version);
+    /// Takes the writer lock: per shard, the ops applied since the shard's
+    /// base was built.
+    fn lock_logs(&self) -> MutexGuard<'_, Vec<Vec<WriteOp>>> {
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Composes `shards` — `prev`'s shards with the ones a writer replaced —
+    /// at `prev`'s version + 1 and swaps it in, returning the new version.
+    /// Callers hold the writer lock, under which `prev` stays current.
+    fn publish(&self, prev: &RelationSnapshot, shards: Vec<Arc<ShardSnapshot>>) -> u64 {
+        let version = prev.version() + 1;
+        let composed = RelationSnapshot::compose(self.map, shards, version);
         *self.current.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(composed);
         version
     }
@@ -325,7 +307,7 @@ impl VersionedRelation {
         (receipt.effective, receipt.version)
     }
 
-    /// Ingests one batch, reporting — per op, race-free under the ingest
+    /// Ingests one batch, reporting — per op, race-free under the writer
     /// lock — the full [`IngestReceipt`]: visibility before each op
     /// (`Database::update` uses this for its return value) and the pre-batch
     /// composed snapshot (the continuous-query maintainer uses it for guard
@@ -359,11 +341,11 @@ impl VersionedRelation {
     }
 
     /// Splits a batch into per-shard sub-batches. Visibility is resolved
-    /// against `snaps`, the shard snapshots current at routing (compaction
-    /// never changes visibility, so a concurrent publish cannot skew this),
-    /// plus the batch's own earlier ops. Each sub-op carries the block of
-    /// its id in its shard's base, from the same lookup that probed the
-    /// shard when there was one.
+    /// against `snaps`, the shard snapshots the batch applies to (the
+    /// writer lock keeps them current until its publish), plus the batch's
+    /// own earlier ops. Each sub-op carries the block of its id in its
+    /// shard's base, from the same lookup that probed the shard when there
+    /// was one.
     fn route(&self, snaps: &[Arc<ShardSnapshot>], ops: &[WriteOp], routing: Routing) -> Routed {
         let nshards = snaps.len();
         // Where each id the batch already touched is visible now.
@@ -462,83 +444,56 @@ impl VersionedRelation {
     }
 
     fn ingest_full(&self, ops: &[WriteOp], routing: Routing) -> std::io::Result<IngestReceipt> {
-        let _ingest = self
-            .ingest_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut logs = self.lock_logs();
         let prev = self.load();
-        let snaps: Vec<Arc<ShardSnapshot>> = self.shards.iter().map(ShardState::snapshot).collect();
         let Routed {
             sub,
             primary,
             visible_before,
-        } = self.route(&snaps, ops, routing);
+        } = self.route(prev.shards(), ops, routing);
 
-        // Apply the sub-batches under the affected shards' writer locks
-        // (ascending order), holding them through the publish.
-        struct Applied<'a> {
-            /// Held through the publish so no other batch or compaction can
-            /// slip between apply and swap on this shard.
-            writer: MutexGuard<'a, Vec<WriteOp>>,
-            batch: Vec<ShardOp>,
-            snapshot: Arc<ShardSnapshot>,
-            changed: Vec<bool>,
-        }
-        let mut applied: Vec<Option<Applied<'_>>> = Vec::with_capacity(sub.len());
-        for (s, mut batch) in sub.into_iter().enumerate() {
-            if batch.is_empty() {
-                applied.push(None);
-                continue;
-            }
-            let state = &self.shards[s];
-            let writer = state.writer.lock().unwrap_or_else(PoisonError::into_inner);
-            let cur = state.snapshot();
-            if !Arc::ptr_eq(cur.base(), snaps[s].base()) {
-                // A compaction published a new base for this shard since
-                // routing: the routed block ids name the old base's blocks.
-                for op in &mut batch {
-                    op.base = cur.base_block(op.op.id());
-                }
-            }
-            let (snapshot, outcome) = cur.apply_routed(&batch, cur.version() + 1);
-            applied.push(Some(Applied {
-                writer,
-                batch,
-                snapshot: Arc::new(snapshot),
-                changed: outcome.changed,
-            }));
-        }
-
+        // Per touched shard: its snapshot with the sub-batch applied, and
+        // which of the sub-batch's ops changed the visible set.
+        let applied: Vec<Option<(ShardSnapshot, Vec<bool>)>> = sub
+            .iter()
+            .zip(prev.shards())
+            .map(|(batch, cur)| {
+                (!batch.is_empty()).then(|| {
+                    let (snapshot, outcome) = cur.apply_routed(batch, cur.version() + 1);
+                    (snapshot, outcome.changed)
+                })
+            })
+            .collect();
         let changed: Vec<bool> = primary
             .iter()
-            .map(|slot| match slot {
-                Some((s, i)) => applied[*s].as_ref().map(|a| a.changed[*i]).unwrap_or(false),
-                None => false,
-            })
+            .map(|slot| slot.is_some_and(|(s, i)| applied[s].as_ref().is_some_and(|a| a.1[i])))
             .collect();
         let effective = changed.iter().filter(|c| **c).count();
 
         // Log the batch — the ORIGINAL ops, so a cross-shard Remove+Upsert
-        // pair is one atomic record — while every touched shard's writer
-        // lock is still held (see the module doc's ordering argument).
-        // Replay never re-appends, and a batch that touched no shard
-        // (ineffective removes only) replays as a no-op, so skip it. A
-        // failed append returns here: dropping `applied` releases the
-        // writer locks with nothing published and no write log touched.
+        // pair is one atomic record — under the writer lock (see the module
+        // doc's ordering argument). Replay never re-appends, and a batch
+        // that touched no shard (ineffective removes only) replays as a
+        // no-op, so skip it. A failed append returns here, with nothing
+        // published and no write log touched.
         if routing != Routing::Replay && applied.iter().any(Option::is_some) {
             if let Some(d) = &self.durability {
                 d.append_batch(ops)?;
             }
         }
 
-        for (s, slot) in applied.iter_mut().enumerate() {
-            let Some(a) = slot else { continue };
+        let mut shards = prev.shards().to_vec();
+        for (s, slot) in applied.into_iter().enumerate() {
+            let Some((snapshot, shard_changed)) = slot else {
+                continue;
+            };
+            let log = &mut logs[s];
             // Only ops that changed the visible set enter the log:
             // ineffective ops would replay as no-ops anyway, and skipping
             // them keeps the log proportional to real work.
-            for (op, changed) in a.batch.iter().zip(&a.changed) {
+            for (op, changed) in sub[s].iter().zip(&shard_changed) {
                 if *changed {
-                    a.writer.push(op.op);
+                    log.push(op.op);
                 }
             }
             // A delta that cancelled back to empty makes the shard equal its
@@ -546,29 +501,12 @@ impl VersionedRelation {
             // so drop it — unless a rebuild of this shard is in flight,
             // whose captured log position must stay valid until its publish
             // trims the log itself.
-            if a.snapshot.delta().is_empty() && !self.shards[s].compacting.load(Ordering::Acquire) {
-                a.writer.clear();
+            if snapshot.delta().is_empty() && !self.compacting[s].load(Ordering::Acquire) {
+                log.clear();
             }
+            shards[s] = Arc::new(snapshot);
         }
-
-        // Publish: swap the affected shard pointers and the recomposed
-        // relation snapshot as one step, then release the writer locks.
-        let version = {
-            let _compose = self
-                .compose_lock
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            for (s, slot) in applied.iter().enumerate() {
-                if let Some(a) = slot {
-                    *self.shards[s]
-                        .current
-                        .write()
-                        .unwrap_or_else(PoisonError::into_inner) = Arc::clone(&a.snapshot);
-                }
-            }
-            self.recompose_locked()
-        };
-        drop(applied);
+        let version = self.publish(&prev, shards);
 
         Ok(IngestReceipt {
             effective,
@@ -582,11 +520,11 @@ impl VersionedRelation {
     /// The shards whose delta has outgrown the compaction threshold and have
     /// no rebuild in flight, in shard order.
     pub(crate) fn shards_needing_compaction(&self) -> Vec<usize> {
-        (0..self.shards.len())
+        let snap = self.load();
+        (0..self.num_shards())
             .filter(|&s| {
-                let state = &self.shards[s];
-                !state.compacting.load(Ordering::Acquire)
-                    && state.snapshot().delta_len() >= self.compaction_threshold
+                !self.compacting[s].load(Ordering::Acquire)
+                    && snap.shards()[s].delta_len() >= self.compaction_threshold
             })
             .collect()
     }
@@ -600,36 +538,39 @@ impl VersionedRelation {
     /// Attempts to claim shard `s`'s in-flight compaction slot. Returns
     /// `false` if another rebuild of this shard already holds it.
     pub(crate) fn begin_shard_compaction(&self, s: usize) -> bool {
-        !self.shards[s].compacting.swap(true, Ordering::AcqRel)
+        !self.compacting[s].swap(true, Ordering::AcqRel)
     }
 
     /// Releases shard `s`'s compaction slot (publish finished or rebuild
     /// failed).
     pub(crate) fn end_shard_compaction(&self, s: usize) {
-        self.shards[s].compacting.store(false, Ordering::Release);
+        self.compacting[s].store(false, Ordering::Release);
     }
 
-    /// Captures shard `s`'s rebuild source under its writer lock: the shard
+    /// Captures shard `s`'s rebuild source under the writer lock: the shard
     /// snapshot to merge, the log length it corresponds to, and the WAL
     /// sequence number the rebuilt base will cover. Reading the WAL head
-    /// under the shard's writer lock makes the coverage claim race-free:
-    /// every logged record that touches this shard is already applied to
-    /// the captured snapshot (batches append mid-publish, holding this
-    /// lock). Records touching only *other* shards may over-count — their
-    /// coverage claim for this shard is vacuously true.
+    /// under the writer lock makes the coverage claim race-free: every
+    /// logged record is already applied to the captured snapshot (batches
+    /// append and publish holding this lock). Records touching only *other*
+    /// shards count too — their coverage claim for this shard is vacuously
+    /// true.
     pub(crate) fn capture_shard_for_compaction(
         &self,
         s: usize,
     ) -> (Arc<ShardSnapshot>, usize, u64) {
-        let state = &self.shards[s];
-        let writer = state.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let logs = self.lock_logs();
         let covered_seq = self.durability.as_ref().map_or(0, |d| d.last_seq());
-        (state.snapshot(), writer.len(), covered_seq)
+        (
+            Arc::clone(&self.load().shards()[s]),
+            logs[s].len(),
+            covered_seq,
+        )
     }
 
     /// Publishes a rebuilt base for shard `s` — given with its id map
     /// already built, so neither this publish nor the next ingest scans the
-    /// base under the shard's writer lock: replays the shard ops ingested
+    /// base under the writer lock: replays the shard ops ingested
     /// since the capture onto the new base, swaps the shard and the
     /// recomposed relation snapshot in, and trims the shard log to the
     /// replayed tail. Returns the published composed version.
@@ -644,16 +585,13 @@ impl VersionedRelation {
     }
 
     /// Replays the shard ops logged since the capture onto the rebuilt base
-    /// and builds its filtered blocks — outside shard `s`'s writer lock,
-    /// which it holds only to copy the log tail, so ingest into the shard
-    /// keeps going while the tail is replayed.
+    /// and builds its filtered blocks — outside the writer lock, which it
+    /// holds only to copy the log tail, so ingest keeps going while the tail
+    /// is replayed.
     fn replay_onto_rebuilt(&self, s: usize, base_ids: BaseIdMap, captured_len: usize) -> Rebuilt {
         let (tail, replayed_len) = {
-            let writer = self.shards[s]
-                .writer
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            (writer[captured_len..].to_vec(), writer.len())
+            let logs = self.lock_logs();
+            (logs[s][captured_len..].to_vec(), logs[s].len())
         };
         let mut delta = Delta::new();
         for op in &tail {
@@ -667,33 +605,31 @@ impl VersionedRelation {
         }
     }
 
-    /// Publishes a rebuilt shard under its writer lock: applies the ops
+    /// Publishes a rebuilt shard under the writer lock: applies the ops
     /// logged since the replay (an ingest batch's worth, at most a few)
-    /// incrementally, swaps the shard and the recomposed relation snapshot
-    /// in, and trims the shard log to the ops past the capture.
+    /// incrementally, publishes the relation snapshot with the shard
+    /// swapped in, and trims the shard log to the ops past the capture.
     fn publish_rebuilt(&self, s: usize, rebuilt: Rebuilt) -> u64 {
-        let state = &self.shards[s];
-        let mut writer = state.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let version = state.snapshot().version() + 1;
-        let late: Vec<ShardOp> = writer[rebuilt.replayed_len..]
+        let mut logs = self.lock_logs();
+        let prev = self.load();
+        let late: Vec<ShardOp> = logs[s][rebuilt.replayed_len..]
             .iter()
             .map(|&op| ShardOp {
                 op,
                 base: rebuilt.snapshot.base_block(op.id()),
             })
             .collect();
-        let (snapshot, _) = rebuilt.snapshot.apply_routed(&late, version);
-        let tail = writer.split_off(rebuilt.captured_len);
-        *writer = tail;
-        let _compose = self
-            .compose_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *state
-            .current
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = Arc::new(snapshot);
-        self.recompose_locked()
+        let (snapshot, _) = rebuilt
+            .snapshot
+            .apply_routed(&late, prev.shards()[s].version() + 1);
+        logs[s].drain(..rebuilt.captured_len);
+        let mut shards = prev.shards().to_vec();
+        shards[s] = Arc::new(snapshot);
+        let version = self.publish(&prev, shards);
+        // `prev` may hold the last reference to the replaced shard snapshot:
+        // free it after the lock, which ingest is waiting for.
+        drop(logs);
+        version
     }
 
     /// Runs one full compaction cycle of shard `s` **synchronously on the
@@ -733,19 +669,16 @@ impl VersionedRelation {
         let gathered = points.len() as u64;
         let base = rebuild(self.shard_config, points, source.base().bounds());
         // Persist the rebuilt base *before* the in-memory publish and
-        // outside all locks. The block file's contents equal the captured
+        // outside the lock. The block file's contents equal the captured
         // visible set — exactly the WAL prefix up to `covered_seq` as it
         // affects this shard — regardless of when the publish lands. A
-        // failed persist keeps the manifest on the previous generation
-        // (whose smaller covered_seq keeps the WAL suffix long enough), so
-        // durability degrades to slower recovery, never to data loss.
+        // failed persist is an event and keeps the manifest on the previous
+        // generation (whose smaller covered_seq keeps the WAL suffix long
+        // enough), so durability degrades to slower recovery, never to data
+        // loss.
         if let Some(d) = &self.durability {
             if let Err(e) = d.persist_shard(s, base.as_ref(), covered_seq) {
-                eprintln!(
-                    "two-knn: failed to persist shard {s} of `{}`: {e} \
-                     (recovery will replay the WAL instead)",
-                    self.name
-                );
+                d.persist_failed(format!("{} shard {s}: {e}", self.name));
             }
         }
         // Index the rebuilt base's ids here, outside every lock: the publish
@@ -764,12 +697,13 @@ impl VersionedRelation {
     /// shard, advances clean shards' covered sequence to the WAL head, and
     /// trims WAL segments no shard needs anymore. No-op without durability.
     ///
-    /// The clean-shard bump is sound because under the shard's writer lock,
-    /// an empty delta **and** empty writer log mean the shard's visible set
+    /// The clean-shard bump is sound because under the writer lock, an
+    /// empty delta **and** empty write log mean the shard's visible set
     /// *is* its in-memory base, which (unless marked stale by a failed
     /// persist — checked by `bump_covered`) is byte-for-byte the manifest's
-    /// block file; every logged record that touches the shard is reflected
-    /// in that visible set.
+    /// block file; every logged record up to the WAL head read under the
+    /// same lock is reflected in that visible set. A failed manifest
+    /// rewrite is an event.
     pub(crate) fn checkpoint(
         &self,
         pool: &WorkerPool,
@@ -778,19 +712,17 @@ impl VersionedRelation {
     ) {
         let Some(d) = &self.durability else { return };
         let _ = super::compact::compact_relation(self, pool, metrics, obs);
-        let head = d.last_seq();
-        for (s, state) in self.shards.iter().enumerate() {
-            let writer = state.writer.lock().unwrap_or_else(PoisonError::into_inner);
-            if writer.is_empty() && state.snapshot().delta().is_empty() {
-                d.bump_covered(s, head);
+        {
+            let logs = self.lock_logs();
+            let head = d.last_seq();
+            for (s, (log, shard)) in logs.iter().zip(self.load().shards()).enumerate() {
+                if log.is_empty() && shard.delta().is_empty() {
+                    d.bump_covered(s, head);
+                }
             }
         }
         if let Err(e) = d.sync_manifest_and_trim() {
-            eprintln!(
-                "two-knn: checkpoint of `{}` could not rewrite its manifest: {e} \
-                 (WAL segments are kept; recovery stays correct)",
-                self.name
-            );
+            d.persist_failed(format!("{} manifest: {e}", self.name));
         }
     }
 }
@@ -809,7 +741,7 @@ impl std::fmt::Debug for VersionedRelation {
         f.debug_struct("VersionedRelation")
             .field("name", &self.name)
             .field("version", &self.load().version())
-            .field("num_shards", &self.shards.len())
+            .field("num_shards", &self.num_shards())
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
@@ -845,10 +777,7 @@ mod tests {
     }
 
     fn log_len(rel: &VersionedRelation) -> usize {
-        rel.shards
-            .iter()
-            .map(|s| s.writer.lock().unwrap().len())
-            .sum()
+        rel.lock_logs().iter().map(Vec::len).sum()
     }
 
     #[test]
@@ -1003,7 +932,33 @@ mod tests {
         assert_eq!(snap.num_points(), 202);
         snap.check_overlay_invariants().unwrap();
         // The log keeps every op past the capture, for a later compaction.
-        assert_eq!(rel.shards[s].writer.lock().unwrap().len(), 1 + late.len());
+        assert_eq!(rel.lock_logs()[s].len(), 1 + late.len());
+    }
+
+    #[test]
+    fn profile_is_memoized_per_snapshot() {
+        let rel = relation_sharded(1_000_000, 2);
+        let before = rel.load();
+        let first = before.profile();
+        assert_eq!(first.num_points, 200);
+        assert_eq!(first, before.profile(), "repeat calls hit the memo");
+        assert_eq!(
+            first,
+            crate::plan::RelationProfile::compute(&*before),
+            "the memo equals a fresh computation"
+        );
+        rel.ingest(&[
+            WriteOp::Upsert(Point::new(900, 9.0, 9.0)),
+            WriteOp::Remove(3),
+            WriteOp::Remove(4),
+        ]);
+        let after = rel.load();
+        assert_eq!(after.profile().num_points, 199, "the publish's profile");
+        assert_eq!(
+            after.profile(),
+            crate::plan::RelationProfile::compute(&*after)
+        );
+        assert_eq!(before.profile(), first, "a pinned snapshot keeps its own");
     }
 
     #[test]
@@ -1107,7 +1062,7 @@ mod tests {
             assert_eq!(metrics.lock().unwrap().compactions, 1, "{threads} threads");
             // Nothing was logged after the capture, so the publish replayed
             // no tail through the map: it is built because the job built it.
-            let snap = rel.shards[dirty[0]].snapshot();
+            let snap = Arc::clone(&rel.load().shards()[dirty[0]]);
             assert_eq!(snap.delta_len(), 0, "{threads} threads");
             assert!(
                 snap.base_ids().is_built(),
@@ -1127,18 +1082,18 @@ mod tests {
         let dirty = rel.shards_needing_compaction();
         assert_eq!(dirty.len(), 1, "burst must land in exactly one shard");
         let dirty_shard = dirty[0];
-        let before: Vec<u64> = rel.shards.iter().map(|s| s.snapshot().version()).collect();
+        let before: Vec<u64> = rel.load().shards().iter().map(|s| s.version()).collect();
 
         let metrics = Mutex::new(Metrics::default());
         rel.compact_shard_with(dirty_shard, |s| s.merged_points(), &metrics)
             .expect("dirty shard compacts");
-        for (s, state) in rel.shards.iter().enumerate() {
+        for (s, shard) in rel.load().shards().iter().enumerate() {
             if s == dirty_shard {
-                assert_eq!(state.snapshot().delta_len(), 0);
-                assert!(state.snapshot().version() > before[s]);
+                assert_eq!(shard.delta_len(), 0);
+                assert!(shard.version() > before[s]);
             } else {
                 assert_eq!(
-                    state.snapshot().version(),
+                    shard.version(),
                     before[s],
                     "untouched shard must keep its snapshot"
                 );
@@ -1148,7 +1103,7 @@ mod tests {
         assert_eq!((m.compactions, m.shards_compacted), (1, 1));
         assert_eq!(
             m.points_scanned,
-            rel.shards[dirty_shard].snapshot().num_points() as u64,
+            rel.load().shards()[dirty_shard].num_points() as u64,
             "rebuild gathered only the dirty shard's points"
         );
         rel.load().check_overlay_invariants().unwrap();
@@ -1209,11 +1164,10 @@ mod tests {
             );
         }
         for (at, ops) in batches.iter().enumerate() {
-            let snaps: Vec<Arc<ShardSnapshot>> =
-                live.shards.iter().map(ShardState::snapshot).collect();
+            let snaps = live.load();
             assert_eq!(
-                live.route(&snaps, ops, Routing::Live),
-                live.route(&snaps, ops, Routing::InOrder),
+                live.route(snaps.shards(), ops, Routing::Live),
+                live.route(snaps.shards(), ops, Routing::InOrder),
                 "batch {at}: sub-batches"
             );
             let a = live.ingest_full(ops, Routing::Live).unwrap();

@@ -9,17 +9,22 @@
 //! a batch — including a cross-shard move — replays atomically or not at
 //! all. Sharded grids build every shard at the relation recipe's cell size,
 //! and a directory written when shards still carried the relation recipe
-//! (`tests/fixtures/legacy_2x2_grid`) keeps opening with the same rows.
+//! (`tests/fixtures/legacy_2x2_grid`) keeps opening with the same rows. A
+//! shard whose persists fail reports each failure as an event and keeps its
+//! ops in the WAL; and three writers, a checkpointing thread and a reader
+//! running at once leave a store that recovers every writer's writes.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 
 use two_knn::core::joins2::{ChainedJoinQuery, UnchainedJoinQuery};
 use two_knn::core::plan::{Database, QuerySpec};
 use two_knn::core::select_join::{SelectInnerJoinQuery, SelectOuterJoinQuery};
 use two_knn::core::selects2::TwoSelectsQuery;
 use two_knn::core::store::{DurabilityConfig, ShardConfig, StoreConfig, SyncPolicy, WriteOp};
-use two_knn::core::RecoveryError;
+use two_knn::core::{EventKind, RecoveryError};
 use two_knn::index::IndexConfig;
 use two_knn::{GridIndex, Point, QuadtreeIndex, SpatialIndex, StrRTree};
 
@@ -738,4 +743,285 @@ fn legacy_shard_block_files_reopen_with_the_same_rows() {
         expected,
         "rows after the second reopen"
     );
+}
+
+/// The highest block-file generation in a relation directory.
+fn newest_generation(rel: &Path) -> u64 {
+    std::fs::read_dir(rel)
+        .unwrap()
+        .filter_map(|e| {
+            let name = e.unwrap().file_name().to_string_lossy().into_owned();
+            name.strip_suffix(".blk")?.rsplit('-').next()?.parse().ok()
+        })
+        .max()
+        .unwrap()
+}
+
+/// The details of the `PersistFailed` events recorded since the last drain.
+fn persist_failures(db: &Database) -> Vec<String> {
+    db.drain_events()
+        .into_iter()
+        .filter(|e| e.kind == EventKind::PersistFailed)
+        .map(|e| e.detail)
+        .collect()
+}
+
+#[test]
+fn a_failed_shard_persist_is_an_event_and_the_wal_keeps_its_ops() {
+    let tmp = TempDir::new("persist-fail");
+    let cfg = StoreConfig {
+        compaction_threshold: 1_000_000, // folds only when asked
+        sharding: ShardConfig::per_axis(2),
+        durability: DurabilityConfig::Enabled {
+            dir: tmp.path().to_path_buf(),
+            sync: SyncPolicy::EveryBatch,
+            segment_bytes: 512,
+        },
+    };
+    let initial = scattered(400, 0, 11);
+    // Writes in every shard: fresh ids, removes, moves out of and into the
+    // low corner (shard 0).
+    let stages: Vec<Vec<WriteOp>> = (0..3u64)
+        .map(|stage| {
+            scattered(24, 10_000 + stage * 100, 40 + stage)
+                .into_iter()
+                .map(WriteOp::Upsert)
+                .chain([
+                    WriteOp::Upsert(Point::new(20 + stage, 1.0 + stage as f64, 2.0)),
+                    WriteOp::Upsert(Point::new(30 + stage, 104.0, 103.0 - stage as f64)),
+                    WriteOp::Remove(50 + stage),
+                ])
+                .collect()
+        })
+        .collect();
+    let mut twin = Database::with_store_config(StoreConfig {
+        durability: DurabilityConfig::Disabled,
+        ..cfg.clone()
+    });
+    twin.register("Objects", GridIndex::build(initial.clone(), 8).unwrap());
+    {
+        let mut db = Database::with_store_config(cfg.clone());
+        db.register("Objects", GridIndex::build(initial.clone(), 8).unwrap());
+        let rel = rel_dir(tmp.path(), "Objects");
+        // Every block file shard 0 could write next has a directory at its
+        // temp path, so `File::create` fails there even for root; the other
+        // shards persist as usual.
+        let gen = newest_generation(&rel);
+        for g in gen + 1..=gen + 64 {
+            std::fs::create_dir(rel.join(format!("shard-0-{g}.blk.tmp"))).unwrap();
+        }
+        assert!(persist_failures(&db).is_empty());
+
+        db.ingest("Objects", &stages[0]).unwrap();
+        twin.ingest("Objects", &stages[0]).unwrap();
+        assert!(db.relation("Objects").unwrap().shards()[0].delta_len() > 0);
+        db.compact_now("Objects").unwrap();
+        let failed = persist_failures(&db);
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(
+            failed[0].starts_with("Objects shard 0: ") && failed[0].len() > 17,
+            "names the relation, the shard and the error: {}",
+            failed[0]
+        );
+
+        // Shard 0 is clean in memory now but stale on disk: a checkpoint
+        // must not advance its covered_seq, so no WAL segment goes.
+        db.ingest("Objects", &stages[1]).unwrap();
+        twin.ingest("Objects", &stages[1]).unwrap();
+        let segments = wal_segments(&rel);
+        assert!(segments.len() > 1, "the workload must roll WAL segments");
+        db.checkpoint();
+        let failed = persist_failures(&db);
+        assert_eq!(
+            failed.len(),
+            1,
+            "the checkpoint's fold of shard 0: {failed:?}"
+        );
+        assert!(failed[0].starts_with("Objects shard 0: "), "{}", failed[0]);
+        assert_eq!(
+            wal_segments(&rel),
+            segments,
+            "a stale shard keeps every WAL segment"
+        );
+
+        // A manifest that cannot be rewritten is an event too.
+        std::fs::create_dir(rel.join("MANIFEST.tmp")).unwrap();
+        db.checkpoint();
+        let failed = persist_failures(&db);
+        assert!(
+            failed.iter().any(|d| d.starts_with("Objects manifest: ")),
+            "{failed:?}"
+        );
+        std::fs::remove_dir(rel.join("MANIFEST.tmp")).unwrap();
+
+        // Dropped without a checkpoint: the last stage lives in the WAL only.
+        db.ingest("Objects", &stages[2]).unwrap();
+        twin.ingest("Objects", &stages[2]).unwrap();
+        db.pool().wait_idle();
+    }
+    let reopened = Database::open(tmp.path(), cfg).unwrap();
+    assert_eq!(
+        visible_points(&reopened, "Objects"),
+        visible_points(&twin, "Objects")
+    );
+}
+
+/// A small xorshift stream.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+
+    /// A position over roughly [0, 110]², fine enough to stay tie-free.
+    fn point(&mut self, id: u64) -> Point {
+        let x = self.below(100_000) as f64 * 0.0011;
+        let y = self.below(100_000) as f64 * 0.0011;
+        Point::new(id, x, y)
+    }
+}
+
+/// Writer `w`'s batches — upserts anywhere in the extent (so moves often
+/// cross shards), fresh inserts and removes — over the ids it alone owns:
+/// the initial ids `≡ w (mod writers)` and fresh ids from `100_000 (w + 1)`.
+/// Returns them with the model of its ids after all of them.
+fn writer_batches(
+    w: u64,
+    writers: u64,
+    initial: &[Point],
+) -> (Vec<Vec<WriteOp>>, BTreeMap<u64, Point>) {
+    let mut model: BTreeMap<u64, Point> = initial
+        .iter()
+        .filter(|p| p.id % writers == w)
+        .map(|p| (p.id, *p))
+        .collect();
+    let owned: Vec<u64> = model.keys().copied().collect();
+    let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ (w + 1));
+    let mut fresh = 100_000 * (w + 1);
+    let batches = (0..150)
+        .map(|_| {
+            (0..16)
+                .map(|_| {
+                    let op = match rng.below(5) {
+                        0 => WriteOp::Remove(owned[rng.below(owned.len() as u64) as usize]),
+                        1 => {
+                            fresh += 1;
+                            WriteOp::Upsert(rng.point(fresh))
+                        }
+                        _ => {
+                            let id = owned[rng.below(owned.len() as u64) as usize];
+                            WriteOp::Upsert(rng.point(id))
+                        }
+                    };
+                    match op {
+                        WriteOp::Upsert(p) => model.insert(p.id, p),
+                        WriteOp::Remove(id) => model.remove(&id),
+                    };
+                    op
+                })
+                .collect()
+        })
+        .collect();
+    (batches, model)
+}
+
+#[test]
+fn concurrent_writers_checkpoints_and_readers_recover_every_write() {
+    const WRITERS: u64 = 3;
+    let tmp = TempDir::new("stress");
+    let cfg = StoreConfig {
+        compaction_threshold: 64, // background rebuilds publish constantly
+        sharding: ShardConfig::per_axis(3),
+        durability: DurabilityConfig::at(tmp.path()),
+    };
+    let initial = scattered(900, 0, 3);
+    let sites = GridIndex::build(scattered(250, 50_000, 4), 6).unwrap();
+    let aux = GridIndex::build(scattered(120, 80_000, 9), 5).unwrap();
+    let (batches, models): (Vec<_>, Vec<_>) = (0..WRITERS)
+        .map(|w| writer_batches(w, WRITERS, &initial))
+        .unzip();
+    let mut expected: Vec<Point> = models.iter().flat_map(|m| m.values().copied()).collect();
+    expected.sort_unstable_by_key(|p| p.id);
+
+    let mut twin = Database::with_store_config(StoreConfig {
+        durability: DurabilityConfig::Disabled,
+        ..cfg.clone()
+    });
+    {
+        let mut db = Database::with_store_config(cfg.clone());
+        for d in [&mut db, &mut twin] {
+            d.register("Objects", GridIndex::build(initial.clone(), 8).unwrap());
+            d.register("Sites", sites.clone());
+            d.register("Aux", aux.clone());
+        }
+        let (db, finished) = (&db, &AtomicUsize::new(0));
+        // The number of finished checkpoints, and its signal.
+        let (checkpoints, checkpointed) = (&Mutex::new(0), &Condvar::new());
+        let pins = std::thread::scope(|scope| {
+            for writer in &batches {
+                scope.spawn(move || {
+                    for (at, ops) in writer.iter().enumerate() {
+                        // Batch `at` waits for `at / 50` checkpoints: a
+                        // checkpoint drains the pool, which writers that keep
+                        // scheduling rebuilds would otherwise put off to the
+                        // end.
+                        let done = checkpoints.lock().unwrap();
+                        drop(checkpointed.wait_while(done, |n| *n < at / 50).unwrap());
+                        db.ingest("Objects", ops).unwrap();
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            let running = move || finished.load(Ordering::SeqCst) < WRITERS as usize;
+            scope.spawn(move || loop {
+                db.checkpoint();
+                *checkpoints.lock().unwrap() += 1;
+                checkpointed.notify_all();
+                if !running() {
+                    break;
+                }
+            });
+            let reader = scope.spawn(move || {
+                let mut n = 0;
+                loop {
+                    let snap = db.relation("Objects").unwrap();
+                    snap.check_overlay_invariants()
+                        .unwrap_or_else(|e| panic!("version {}: {e}", snap.version()));
+                    n += 1;
+                    if !running() {
+                        return n;
+                    }
+                }
+            });
+            reader.join().unwrap()
+        });
+        assert!(*checkpoints.lock().unwrap() >= 3 && pins > 0);
+        for writer in &batches {
+            for ops in writer {
+                twin.ingest("Objects", ops).unwrap();
+            }
+        }
+        assert_eq!(visible_points(db, "Objects"), expected);
+        assert!(db.store_metrics().compactions > 0, "rebuilds ran");
+        // Dropped without a checkpoint, once the background rebuilds are done.
+        db.pool().wait_idle();
+    }
+    let reopened = Database::open(tmp.path(), cfg).unwrap();
+    assert_eq!(
+        visible_points(&reopened, "Objects"),
+        expected,
+        "the union of the writers' models"
+    );
+    assert_eq!(visible_points(&twin, "Objects"), expected);
+    for (i, spec) in all_query_shapes().iter().enumerate() {
+        assert_eq!(
+            id_rows(&reopened.execute(spec).unwrap()),
+            id_rows(&twin.execute(spec).unwrap()),
+            "query shape #{i} diverged after recovery"
+        );
+    }
 }
